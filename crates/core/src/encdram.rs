@@ -16,12 +16,14 @@
 //! ciphertext only.
 
 use crate::error::SentryError;
-use crate::integrity::{IntegrityPlane, QuarantinedPage, VerifyOutcome};
+use crate::integrity::{QuarantinedPage, VerifyOutcome};
 use crate::onsoc::OnSocStore;
-use crate::txn::{CommitTagger, JournalEntry, TxnJournal, TxnOp, MAX_ENTRIES};
+use crate::transition::{crypt_extent, crypt_page, Kind, Transition};
+use crate::txn::JournalEntry;
+use sentry_crypto::parallel::Direction;
 use sentry_kernel::fault::PageFault;
 use sentry_kernel::pagetable::Backing;
-use sentry_kernel::Kernel;
+use sentry_kernel::{Kernel, Pid};
 use sentry_soc::addr::PAGE_SIZE;
 
 /// Per-page IV: bound to the (pid, vpn) pair so every page encrypts
@@ -118,50 +120,36 @@ impl Pager {
     ///
     /// [`SentryError::OnSocExhausted`] if no slot can be obtained at
     /// all; kernel/SoC errors from the copies.
-    #[allow(clippy::too_many_arguments)] // the lifecycle's full plumbing: store, kernel, journal, integrity, commit tagger
     pub fn handle_fault(
         &mut self,
-        store: &mut OnSocStore,
-        kernel: &mut Kernel,
-        txn: &mut TxnJournal,
-        integrity: &mut IntegrityPlane,
-        commit: &CommitTagger,
+        t: &mut Transition<'_>,
         fault: &PageFault,
         epoch: u64,
     ) -> Result<(), SentryError> {
-        kernel.soc.clock.advance(kernel.soc.costs.page_fault_ns);
+        t.kernel.soc.clock.advance(t.kernel.soc.costs.page_fault_ns);
         self.stats.faults += 1;
-
-        // Inspect the faulting PTE.
-        let pte = *kernel.proc(fault.pid)?.page_table.get(fault.vpn).ok_or(
-            SentryError::Unresolvable {
-                pid: fault.pid,
-                vpn: fault.vpn,
-            },
-        )?;
-
+        let (pid, vpn) = (fault.pid, fault.vpn);
+        let pte = t
+            .kernel
+            .proc_mut(pid)?
+            .page_table
+            .get_mut(vpn)
+            .ok_or(SentryError::Unresolvable { pid, vpn })?;
         match pte.backing {
-            Backing::OnSoc(_) => {
-                // Already resident; just re-arm.
-                set_young(kernel, fault.pid, fault.vpn, true)?;
-                Ok(())
-            }
             Backing::Dram(frame) if pte.encrypted => {
                 // A quarantined frame never pages in: report its stored
                 // violation instead of decrypting poisoned ciphertext.
-                if let Some(err) = integrity.violation_for(frame) {
+                if let Some(err) = t.integrity.violation_for(frame) {
                     self.stats.quarantine_rejects += 1;
                     return Err(err);
                 }
-                let slot_idx = self.acquire_slot(store, kernel, txn, integrity, commit, epoch)?;
-                self.page_in(
-                    store, kernel, integrity, slot_idx, fault.pid, fault.vpn, frame,
-                )
+                let slot_idx = self.acquire_slot(t, epoch)?;
+                self.page_in(t, slot_idx, pid, vpn, frame)
             }
-            Backing::Dram(_) => {
-                // Unencrypted page (e.g. shared with a non-sensitive
-                // app): nothing to decrypt, just re-arm.
-                set_young(kernel, fault.pid, fault.vpn, true)?;
+            // Already resident, or unencrypted (e.g. shared with a
+            // non-sensitive app): nothing to decrypt, just re-arm.
+            _ => {
+                pte.young = true;
                 Ok(())
             }
         }
@@ -169,22 +157,14 @@ impl Pager {
 
     /// Obtain a free slot, locking more on-SoC storage if allowed and
     /// evicting the oldest resident page otherwise.
-    fn acquire_slot(
-        &mut self,
-        store: &mut OnSocStore,
-        kernel: &mut Kernel,
-        txn: &mut TxnJournal,
-        integrity: &mut IntegrityPlane,
-        commit: &CommitTagger,
-        epoch: u64,
-    ) -> Result<usize, SentryError> {
+    fn acquire_slot(&mut self, t: &mut Transition<'_>, epoch: u64) -> Result<usize, SentryError> {
         if let Some(i) = self.free.pop() {
             debug_assert!(self.slots[i].occupant.is_none(), "free list out of sync");
             return Ok(i);
         }
         let may_grow = self.slot_limit.is_none_or(|lim| self.slots.len() < lim);
         if may_grow {
-            match store.alloc_page(&mut kernel.soc) {
+            match t.store.alloc_page(&mut t.kernel.soc) {
                 Ok(addr) => {
                     self.slots.push(Slot {
                         addr,
@@ -200,7 +180,7 @@ impl Pager {
         // at the FIFO head so recovery (and the retried fault) still
         // agree with an uninterrupted run on who gets evicted.
         let victim = *self.resident.front().ok_or(SentryError::OnSocExhausted)?;
-        self.evict(store, kernel, txn, integrity, commit, victim, epoch)?;
+        self.evict(t, victim, epoch)?;
         self.resident.pop_front();
         // `evict` pushed the victim onto the free list; claim it back.
         let reclaimed = self.free.pop().expect("evict frees its slot");
@@ -208,123 +188,35 @@ impl Pager {
         Ok(reclaimed)
     }
 
-    /// Figure 1 in reverse: encrypt the slot's page in place and copy it
-    /// back to its home DRAM frame; re-arm the trap.
+    /// Figure 1 in reverse: encrypt the slot's page and copy it back to
+    /// its home DRAM frame; re-arm the trap.
     ///
-    /// Runs as a journaled two-phase commit: the ciphertext is computed
-    /// in scratch, the intent (slot address, home frame, IV, ciphertext
-    /// tag) is journaled on-SoC, and only then are the frame published
-    /// and the PTE flipped. A kill anywhere in between is completed or
-    /// rolled forward by [`crate::Sentry::recover`]; the slot itself is
-    /// only reclaimed in the in-memory tail, after the journal closes.
-    #[allow(clippy::too_many_arguments)] // same plumbing as `handle_fault`
+    /// The ciphertext is computed in scratch (on the SoC), then committed
+    /// through the journaled transition primitive; a kill anywhere in
+    /// between is completed or rolled forward by
+    /// [`crate::Sentry::recover`]. The slot itself is only reclaimed in
+    /// the in-memory tail, after the journal closes.
     fn evict(
         &mut self,
-        store: &mut OnSocStore,
-        kernel: &mut Kernel,
-        txn: &mut TxnJournal,
-        integrity: &mut IntegrityPlane,
-        commit: &CommitTagger,
+        t: &mut Transition<'_>,
         slot_idx: usize,
         epoch: u64,
     ) -> Result<(), SentryError> {
         let slot = self.slots[slot_idx];
         let (pid, vpn) = slot.occupant.expect("evicting an empty slot");
-
         self.scratch.resize(PAGE_SIZE as usize, 0);
-        let page = &mut self.scratch;
-        kernel.soc.mem_read(slot.addr, page.as_mut_slice())?;
-
-        let home = {
-            let pte = kernel
-                .proc(pid)?
-                .page_table
-                .get(vpn)
-                .ok_or(SentryError::Unresolvable { pid, vpn })?;
-            pte.home_frame
-                .ok_or(SentryError::Unresolvable { pid, vpn })?
-        };
-
-        // Encrypt in scratch (on the SoC): no DRAM mutation yet.
-        let iv = page_iv(pid, vpn, epoch);
-        {
-            let sentry_kernel::kernel::Kernel { soc, crypto, .. } = kernel;
-            crypto
-                .preferred_mut()
-                .map_err(SentryError::Kernel)?
-                .encrypt(soc, &iv, page.as_mut_slice())
-                .map_err(SentryError::Kernel)?;
-        }
-        // The commit tag follows the cipher mode: the final CBC block
-        // (chains over the whole page, so it cannot collide between old
-        // and new ciphertexts of a rewritten page the way the first
-        // block does) or the commit CMAC under XTS/CTR.
-        let tag = commit.tag(&iv, &self.scratch);
-
-        // Journal the intent, then publish and flip.
-        let entry = JournalEntry {
-            pid,
-            vpn,
-            src: slot.addr,
-            frame: home,
-            epoch,
-            iv,
-            tag,
-            done: false,
-        };
-        txn.open(
-            &mut kernel.soc,
-            TxnOp::Encrypt,
-            epoch,
-            std::slice::from_ref(&entry),
-        )?;
-        // The integrity tag goes on-SoC before the ciphertext is
-        // visible in DRAM (no unrecorded-tamper window); idempotent on
-        // a recovery replay.
-        integrity.store_tags(&mut kernel.soc, store, &[(home, iv)], &self.scratch)?;
-        kernel.soc.failpoint("pager.evict")?;
-        kernel.soc.clock.advance(kernel.soc.costs.page_copy_ns);
-        kernel.soc.mem_write(home, &self.scratch)?;
-
-        // Read-back verify: the published frame must MAC against the
-        // tag just stored. An active attacker racing the publish (or a
-        // failing DRAM cell) is caught here, not at the next unlock;
-        // verify_one's bounded re-reads heal a transient glitch, a
-        // persistent mismatch quarantines the frame and leaves the
-        // journal open for `recover()` to roll the eviction forward
-        // from the still-intact on-SoC plaintext.
-        if integrity.enabled() {
-            let mut readback = vec![0u8; PAGE_SIZE as usize];
-            kernel.soc.mem_read(home, &mut readback)?;
-            if let VerifyOutcome::Mismatch { expected, got } =
-                integrity.verify_one(&mut kernel.soc, store, home, &iv, &mut readback)?
-            {
+        t.kernel.soc.mem_read(slot.addr, &mut self.scratch)?;
+        let home = home_frame(t.kernel, pid, vpn)?;
+        let mut entry =
+            JournalEntry::new(pid, vpn, slot.addr, home, page_iv(pid, vpn, epoch), epoch);
+        crypt_page(t.kernel, Direction::Encrypt, &entry.iv, &mut self.scratch)?;
+        entry.tag = t.tagger.tag(&entry.iv, &self.scratch);
+        if let Err(e) = t.commit(Kind::EvictOne, epoch, &[entry], &self.scratch) {
+            if matches!(e, SentryError::IntegrityViolation { .. }) {
                 self.stats.quarantine_rejects += 1;
-                return Err(integrity.quarantine(QuarantinedPage {
-                    pid,
-                    vpn,
-                    frame: home,
-                    epoch,
-                    tag_expected: expected,
-                    tag_got: got,
-                }));
             }
+            return Err(e);
         }
-
-        let proc = kernel.proc_mut(pid)?;
-        let pte = proc
-            .page_table
-            .get_mut(vpn)
-            .ok_or(SentryError::Unresolvable { pid, vpn })?;
-        pte.backing = Backing::Dram(home);
-        pte.home_frame = None;
-        pte.encrypted = true;
-        pte.young = false;
-        pte.dirty = false;
-        pte.crypt_epoch = epoch;
-        proc.stats.bytes_encrypted += PAGE_SIZE;
-        txn.mark_done(&mut kernel.soc, 0)?;
-        txn.close(&mut kernel.soc)?;
 
         // In-memory tail: reclaim the slot.
         self.slots[slot_idx].occupant = None;
@@ -336,68 +228,60 @@ impl Pager {
 
     /// Figure 1 forward: copy the encrypted page on-SoC and decrypt it
     /// in place.
-    #[allow(clippy::too_many_arguments)] // same plumbing as `handle_fault`
     fn page_in(
         &mut self,
-        store: &mut OnSocStore,
-        kernel: &mut Kernel,
-        integrity: &mut IntegrityPlane,
+        t: &mut Transition<'_>,
         slot_idx: usize,
-        pid: u32,
+        pid: Pid,
         vpn: u64,
         frame: u64,
     ) -> Result<(), SentryError> {
         // Journal-free by design: every byte this path writes lands
         // on-SoC (the slot), never in DRAM, so a kill at any step leaves
         // DRAM and the PTE exactly as they were before the fault.
-        kernel.soc.failpoint("pager.pagein")?;
+        t.kernel.soc.failpoint("pager.pagein")?;
         let slot_addr = self.slots[slot_idx].addr;
         self.scratch.resize(PAGE_SIZE as usize, 0);
-        let page = &mut self.scratch;
 
         // Step 1: copy the encrypted page into the on-SoC slot.
-        kernel.soc.mem_read(frame, page.as_mut_slice())?;
-        kernel.soc.clock.advance(kernel.soc.costs.page_copy_ns);
+        t.kernel.soc.mem_read(frame, &mut self.scratch)?;
+        t.kernel.soc.clock.advance(t.kernel.soc.costs.page_copy_ns);
 
         // Step 2: decrypt in place, under the IV the page was actually
         // encrypted with (its PTE remembers the lock epoch used).
-        let stored_epoch = kernel
+        let epoch = t
+            .kernel
             .proc(pid)?
             .page_table
             .get(vpn)
             .ok_or(SentryError::Unresolvable { pid, vpn })?
             .crypt_epoch;
-        let iv = page_iv(pid, vpn, stored_epoch);
+        let iv = page_iv(pid, vpn, epoch);
 
         // MAC-verify the gathered ciphertext before the cipher runs on
         // it. A mismatch quarantines the frame: the PTE is untouched,
         // the freshly acquired slot goes back to the free list, and the
         // fault reports the violation.
         if let VerifyOutcome::Mismatch { expected, got } =
-            integrity.verify_one(&mut kernel.soc, store, frame, &iv, page.as_mut_slice())?
+            t.integrity
+                .verify_one(&mut t.kernel.soc, t.store, frame, &iv, &mut self.scratch)?
         {
             self.free.push(slot_idx);
             self.stats.quarantine_rejects += 1;
-            return Err(integrity.quarantine(QuarantinedPage {
+            return Err(t.integrity.quarantine(QuarantinedPage {
                 pid,
                 vpn,
                 frame,
-                epoch: stored_epoch,
+                epoch,
                 tag_expected: expected,
                 tag_got: got,
             }));
         }
-        let page = &mut self.scratch;
-        let sentry_kernel::kernel::Kernel { soc, crypto, .. } = kernel;
-        crypto
-            .preferred_mut()
-            .map_err(SentryError::Kernel)?
-            .decrypt(soc, &iv, page.as_mut_slice())
-            .map_err(SentryError::Kernel)?;
-        soc.mem_write(slot_addr, page.as_slice())?;
+        crypt_page(t.kernel, Direction::Decrypt, &iv, &mut self.scratch)?;
+        t.kernel.soc.mem_write(slot_addr, &self.scratch)?;
 
         // Step 3: repoint the PTE and set young.
-        let proc = kernel.proc_mut(pid)?;
+        let proc = t.kernel.proc_mut(pid)?;
         let pte = proc
             .page_table
             .get_mut(vpn)
@@ -422,15 +306,7 @@ impl Pager {
     /// # Errors
     ///
     /// Propagates eviction errors.
-    pub fn evict_all(
-        &mut self,
-        store: &mut OnSocStore,
-        kernel: &mut Kernel,
-        txn: &mut TxnJournal,
-        integrity: &mut IntegrityPlane,
-        commit: &CommitTagger,
-        epoch: u64,
-    ) -> Result<(), SentryError> {
+    pub fn evict_all(&mut self, t: &mut Transition<'_>, epoch: u64) -> Result<(), SentryError> {
         // The FIFO is *not* drained up front: a kill mid-sweep must
         // leave the not-yet-published victims resident, so recovery (and
         // a retried lock) still sees them. Slot bookkeeping happens only
@@ -440,96 +316,35 @@ impl Pager {
             return Ok(());
         }
         let n = victims.len();
-        let page = PAGE_SIZE as usize;
-
-        // Gather every victim page into one contiguous run, remembering
-        // each page's IV and scatter target. The whole sweep then goes
-        // through the engine as a single extent request, so a batch
-        // backend streams all pages through its kernels back-to-back
-        // instead of restarting per page. Byte-identical to evicting one
-        // page at a time (per-page IVs make each page independent).
-        let mut buf = vec![0u8; n * page];
-        let mut ivs = Vec::with_capacity(n);
-        let mut targets = Vec::with_capacity(n);
-        for (chunk, &slot_idx) in buf.chunks_exact_mut(page).zip(&victims) {
+        let mut pages = Vec::with_capacity(n);
+        for &slot_idx in &victims {
             let slot = self.slots[slot_idx];
             let (pid, vpn) = slot.occupant.expect("evicting an empty slot");
-            kernel.soc.mem_read(slot.addr, chunk)?;
-            let pte = kernel
-                .proc(pid)?
-                .page_table
-                .get(vpn)
-                .ok_or(SentryError::Unresolvable { pid, vpn })?;
-            let home = pte
-                .home_frame
-                .ok_or(SentryError::Unresolvable { pid, vpn })?;
-            ivs.push(page_iv(pid, vpn, epoch));
-            targets.push((pid, vpn, home));
+            let home = home_frame(t.kernel, pid, vpn)?;
+            pages.push(JournalEntry::new(
+                pid,
+                vpn,
+                slot.addr,
+                home,
+                page_iv(pid, vpn, epoch),
+                epoch,
+            ));
         }
 
-        {
-            let sentry_kernel::kernel::Kernel { soc, crypto, .. } = kernel;
-            crypto
-                .preferred_mut()
-                .map_err(SentryError::Kernel)?
-                .encrypt_extent(soc, &ivs, &mut buf)
-                .map_err(SentryError::Kernel)?;
-            soc.clock.advance(soc.costs.page_copy_ns * n as u64);
-        }
-
-        // Every tag on-SoC before any ciphertext is published below.
-        let tag_jobs: Vec<(u64, [u8; 16])> = targets
-            .iter()
-            .zip(&ivs)
-            .map(|(&(_, _, home), &iv)| (home, iv))
-            .collect();
-        integrity.store_tags(&mut kernel.soc, store, &tag_jobs, &buf)?;
-
-        // Scatter the ciphertext back to each page's home frame and
-        // re-arm the traps, in journaled chunks: every publish + PTE
-        // flip is covered by an open journal entry, so a kill anywhere
-        // in the sweep is completed by recovery.
-        let mut start = 0usize;
-        while start < n {
-            let end = (start + MAX_ENTRIES).min(n);
-            let entries: Vec<JournalEntry> = (start..end)
-                .map(|i| {
-                    let (pid, vpn, home) = targets[i];
-                    let tag = commit.tag(&ivs[i], &buf[i * page..(i + 1) * page]);
-                    JournalEntry {
-                        pid,
-                        vpn,
-                        src: self.slots[victims[i]].addr,
-                        frame: home,
-                        epoch,
-                        iv: ivs[i],
-                        tag,
-                        done: false,
-                    }
-                })
-                .collect();
-            txn.open(&mut kernel.soc, TxnOp::Encrypt, epoch, &entries)?;
-            for i in start..end {
-                let (pid, vpn, home) = targets[i];
-                kernel.soc.failpoint("pager.evict")?;
-                kernel.soc.mem_write(home, &buf[i * page..(i + 1) * page])?;
-                let proc = kernel.proc_mut(pid)?;
-                let pte = proc
-                    .page_table
-                    .get_mut(vpn)
-                    .ok_or(SentryError::Unresolvable { pid, vpn })?;
-                pte.backing = Backing::Dram(home);
-                pte.home_frame = None;
-                pte.encrypted = true;
-                pte.young = false;
-                pte.dirty = false;
-                pte.crypt_epoch = epoch;
-                proc.stats.bytes_encrypted += PAGE_SIZE;
-                txn.mark_done(&mut kernel.soc, i - start)?;
-            }
-            txn.close(&mut kernel.soc)?;
-            start = end;
-        }
+        // The whole sweep goes through the engine as a single extent
+        // request, so a batch backend streams all pages through its
+        // kernels back-to-back instead of restarting per page.
+        // Byte-identical to evicting one page at a time (per-page IVs
+        // make each page independent).
+        let mut buf = t.gather(&pages)?;
+        let ivs: Vec<[u8; 16]> = pages.iter().map(|e| e.iv).collect();
+        crypt_extent(t.kernel, Direction::Encrypt, &ivs, &mut buf)?;
+        t.kernel
+            .soc
+            .clock
+            .advance(t.kernel.soc.costs.page_copy_ns * n as u64);
+        t.tagger.stamp(&mut pages, &buf);
+        t.commit(Kind::EvictAll, epoch, &pages, &buf)?;
 
         // In-memory tail: reclaim every slot at once.
         self.resident.clear();
@@ -649,12 +464,12 @@ impl Pager {
     }
 }
 
-fn set_young(kernel: &mut Kernel, pid: u32, vpn: u64, young: bool) -> Result<(), SentryError> {
-    let proc = kernel.proc_mut(pid).map_err(SentryError::Kernel)?;
-    let pte = proc
+/// The DRAM frame an on-SoC resident page returns to on eviction.
+fn home_frame(kernel: &Kernel, pid: Pid, vpn: u64) -> Result<u64, SentryError> {
+    kernel
+        .proc(pid)?
         .page_table
-        .get_mut(vpn)
-        .ok_or(SentryError::Unresolvable { pid, vpn })?;
-    pte.young = young;
-    Ok(())
+        .get(vpn)
+        .and_then(|pte| pte.home_frame)
+        .ok_or(SentryError::Unresolvable { pid, vpn })
 }

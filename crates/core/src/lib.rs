@@ -67,6 +67,7 @@ pub mod lifecycle;
 pub mod onsoc;
 pub mod pressure;
 pub mod store;
+pub mod transition;
 pub mod txn;
 
 pub use config::{IntegrityConfig, OnSocBackend, PageCipherMode, ParallelConfig, SentryConfig};
@@ -80,4 +81,5 @@ pub use lifecycle::{
     DeviceState, DeviceStats, LifecycleStats, ParallelStats, RecoveryReport, Sentry,
 };
 pub use pressure::{PressureConfig, PressureLevel, PressureStats, PressureTracker, SpillRegion};
+pub use transition::Transition;
 pub use txn::{CommitTagger, JournalEntry, TxnJournal, TxnOp};

@@ -17,7 +17,8 @@ use crate::integrity::{IntegrityPlane, QuarantinedPage, VerifyOutcome};
 use crate::keys::VolatileRootKey;
 use crate::onsoc::OnSocStore;
 use crate::pressure::{PressureLevel, PressureStats};
-use crate::txn::{CommitTagger, JournalEntry, TxnJournal, TxnOp, MAX_ENTRIES};
+use crate::transition::{crypt_extent, crypt_page, set_page_state, Kind, PageState, Transition};
+use crate::txn::{CommitTagger, JournalEntry, TxnJournal, TxnOp};
 use sentry_crypto::parallel::{crypt_batch, BatchReport, Direction, PageJob};
 use sentry_crypto::{
     Aes, CryptoError, FailureKind, FallbackReason, HealthGovernor, HealthStats, PageCipherMode,
@@ -149,25 +150,6 @@ pub struct SweepReport {
     /// Encrypted DRAM mappings remaining after the step (the
     /// residual-encrypted-pages gauge).
     pub residual_pages: usize,
-}
-
-/// One gathered page of fault-cluster or sweeper work: a mapping, the
-/// frame behind it, and the IV its ciphertext was produced under.
-#[derive(Clone, Copy)]
-struct ClusterPage {
-    pid: Pid,
-    vpn: u64,
-    frame: u64,
-    iv: [u8; 16],
-}
-
-/// Who owns a bulk-encrypt job's frame — what the publish loop must
-/// flip once the ciphertext lands.
-enum JobOwner {
-    /// A single private mapping.
-    Private(Pid, u64),
-    /// A freshly encrypted shared frame: every sharer's PTE flips.
-    Shared(Vec<(Pid, u64)>),
 }
 
 /// What [`Sentry::recover`] did with the journal it found.
@@ -547,95 +529,71 @@ impl Sentry {
         }
     }
 
-    /// Run a batch of DRAM-side `(frame, iv)` crypt jobs — the bulk path
-    /// of every transition — *into host scratch buffers*, without
-    /// touching DRAM. Returns the transformed pages (one contiguous
-    /// buffer, page-sized chunks in job order), the per-page ciphertext
-    /// tags (first 16 bytes of each page's *ciphertext* image — post-
-    /// transform for encrypt, pre-transform for decrypt), and the batch
-    /// report. The caller journals the tags, then publishes each chunk
-    /// with its PTE flip as a two-phase commit.
+    /// The machine state a journaled page transition mutates.
+    fn transition(&mut self) -> Transition<'_> {
+        self.pager_transition().1
+    }
+
+    /// The pager, split from the transition state it commits through.
+    fn pager_transition(&mut self) -> (&mut Pager, Transition<'_>) {
+        let t = Transition {
+            kernel: &mut self.kernel,
+            store: &mut self.store,
+            txn: &mut self.txn,
+            integrity: &mut self.integrity,
+            tagger: &self.commit,
+        };
+        (&mut self.pager, t)
+    }
+
+    /// Transform already-gathered pages in place — the crypt step of
+    /// every lifecycle transition — and stamp each planned page with the
+    /// commit tag of its *ciphertext* image (post-transform for encrypt,
+    /// pre-transform for decrypt). Returns the batch report. DRAM is
+    /// untouched; the caller commits the buffers through
+    /// [`Transition::commit`].
     ///
     /// With `parallel.workers <= 1`, or a batch below
-    /// `parallel.min_batch_pages`, every page dispatches one at a time
-    /// through the registered cipher engine, exactly like the serial
-    /// prototype — byte- and cycle-identical to the unbatched code.
-    /// Otherwise the ciphertext work fans out across the scoped worker
-    /// pool of [`sentry_crypto::parallel`] under a single AES context
-    /// expanded once per batch from the volatile root key, and the
-    /// simulated clock is charged the serial AES cost divided by the
-    /// lane count (one IRQ-disabled critical section for the whole
-    /// batch; the page copies to and from DRAM still run through the
-    /// SoC at full cost). AES On SoC itself stays single-lane — its
-    /// state page cannot be replicated — so the parallel path models
-    /// per-core register-resident contexts derived from the same key.
-    #[allow(clippy::type_complexity)]
-    fn crypt_frames_to_buffers(
-        &mut self,
-        direction: Direction,
-        jobs: &[(u64, [u8; 16])],
-    ) -> Result<(Vec<u8>, Vec<[u8; 16]>, BatchReport), SentryError> {
-        if jobs.is_empty() {
-            let report = BatchReport {
-                pages: 0,
-                bytes: 0,
-                workers_used: 1,
-                per_worker_bytes: vec![0],
-                sequential_fallback: true,
-            };
-            return Ok((Vec::new(), Vec::new(), report));
-        }
-        let mut buf = self.gather_frames(jobs)?;
-        let (tags, report) = self.crypt_buffers(direction, jobs, &mut buf)?;
-        Ok((buf, tags, report))
-    }
-
-    /// Gather every job's source frame into one contiguous scratch run.
-    /// Nothing here writes DRAM. Split out of the crypt dispatch so the
-    /// decrypt paths can MAC-verify the gathered ciphertext against the
-    /// on-SoC tag store *before* the block cipher ever runs on it.
-    fn gather_frames(&mut self, jobs: &[(u64, [u8; 16])]) -> Result<Vec<u8>, SentryError> {
-        let page = PAGE_SIZE as usize;
-        let mut buf = vec![0u8; jobs.len() * page];
-        for (chunk, &(frame, _)) in buf.chunks_exact_mut(page).zip(jobs) {
-            self.kernel.soc.mem_read(frame, chunk)?;
-        }
-        Ok(buf)
-    }
-
-    /// Transform already-gathered pages in place (the dispatch half of
-    /// [`Sentry::crypt_frames_to_buffers`]). Returns the per-page
-    /// ciphertext tags and the batch report.
+    /// `parallel.min_batch_pages`, the pages dispatch through the
+    /// registered cipher engine, exactly like the serial prototype —
+    /// byte- and cycle-identical to the unbatched code. Otherwise the
+    /// ciphertext work fans out across the scoped worker pool of
+    /// [`sentry_crypto::parallel`] under a single AES context expanded
+    /// once per batch from the volatile root key, and the simulated clock
+    /// is charged the serial AES cost divided by the lane count (one
+    /// IRQ-disabled critical section for the whole batch; the page
+    /// copies to and from DRAM still run through the SoC at full cost).
+    /// AES On SoC itself stays single-lane — its state page cannot be
+    /// replicated — so the parallel path models per-core
+    /// register-resident contexts derived from the same key.
     fn crypt_buffers(
         &mut self,
         direction: Direction,
-        jobs: &[(u64, [u8; 16])],
+        jobs: &mut [JournalEntry],
         buf: &mut [u8],
-    ) -> Result<(Vec<[u8; 16]>, BatchReport), SentryError> {
+    ) -> Result<BatchReport, SentryError> {
+        if jobs.is_empty() {
+            return Ok(idle_report());
+        }
         let pages = jobs.len();
         let bytes = pages as u64 * PAGE_SIZE;
         let page = PAGE_SIZE as usize;
         self.kernel.soc.failpoint("crypt.dispatch")?;
         let workers = self.config.parallel.workers;
         let min_batch = self.config.parallel.min_batch_pages.max(1);
-        let ivs: Vec<[u8; 16]> = jobs.iter().map(|&(_, iv)| iv).collect();
+        let ivs: Vec<[u8; 16]> = jobs.iter().map(|e| e.iv).collect();
 
-        // Decrypt jobs carry the ciphertext *now*; snapshot the commit
-        // tags before the transform destroys them.
-        let pre_tags = (direction == Direction::Decrypt).then(|| self.commit.tags(&ivs, buf));
+        // Decrypt jobs carry the ciphertext *now*; stamp the commit tags
+        // before the transform destroys it.
+        if direction == Direction::Decrypt {
+            self.commit.stamp(jobs, buf);
+        }
 
         let report = if workers <= 1 || pages < min_batch {
             if pages == 1 {
                 // A lone page takes the exact single-page dispatch —
                 // byte- and cycle-identical to the unbatched prototype.
-                let iv = jobs[0].1;
-                let Kernel { soc, crypto, .. } = &mut self.kernel;
-                let engine = crypto.preferred_mut().map_err(SentryError::Kernel)?;
-                match direction {
-                    Direction::Encrypt => engine.encrypt(soc, &iv, buf),
-                    Direction::Decrypt => engine.decrypt(soc, &iv, buf),
-                }
-                .map_err(SentryError::Kernel)?;
+                crypt_page(&mut self.kernel, direction, &ivs[0], buf)?;
             } else {
                 // One extent call: one batched kernel stream, one
                 // IRQ-critical section. The engine charge is linear in
@@ -643,13 +601,7 @@ impl Sentry {
                 // loop, while the backend batches across page
                 // boundaries (the encrypt side fills its lanes with
                 // independent page chains).
-                let Kernel { soc, crypto, .. } = &mut self.kernel;
-                let engine = crypto.preferred_mut().map_err(SentryError::Kernel)?;
-                match direction {
-                    Direction::Encrypt => engine.encrypt_extent(soc, &ivs, buf),
-                    Direction::Decrypt => engine.decrypt_extent(soc, &ivs, buf),
-                }
-                .map_err(SentryError::Kernel)?;
+                crypt_extent(&mut self.kernel, direction, &ivs, buf)?;
             }
             BatchReport {
                 pages,
@@ -666,8 +618,8 @@ impl Sentry {
 
             let mut batch: Vec<PageJob<'_>> = buf
                 .chunks_exact_mut(page)
-                .zip(jobs)
-                .map(|(data, &(_, iv))| PageJob { iv, data })
+                .zip(&ivs)
+                .map(|(data, &iv)| PageJob { iv, data })
                 .collect();
             // Both directions run the batched bitsliced kernel: decrypt
             // lanes stream each page 16 blocks per call (CBC decryption
@@ -702,7 +654,9 @@ impl Sentry {
             report
         };
 
-        let tags = pre_tags.unwrap_or_else(|| self.commit.tags(&ivs, buf));
+        if direction == Direction::Encrypt {
+            self.commit.stamp(jobs, buf);
+        }
         if report.pages > 0 {
             self.stats.crypt_batches += 1;
             self.stats.crypt_batch_pages += report.pages as u64;
@@ -710,7 +664,7 @@ impl Sentry {
                 self.stats.largest_batch_pages.max(report.pages as u64);
             self.parallel.record(&report);
         }
-        Ok((tags, report))
+        Ok(report)
     }
 
     /// Dispatch a decrypt batch either inline ([`Sentry::crypt_buffers`])
@@ -736,11 +690,11 @@ impl Sentry {
     /// ([`FallbackReason::BelowThreshold`]).
     fn route_or_crypt_decrypt(
         &mut self,
-        jobs: &[(u64, [u8; 16])],
+        jobs: &mut [JournalEntry],
         buf: &mut [u8],
-    ) -> Result<(Vec<[u8; 16]>, BatchReport), SentryError> {
+    ) -> Result<BatchReport, SentryError> {
         let p = self.config.pipeline;
-        if !(p.enabled && p.route_lifecycle_batches) || jobs.is_empty() {
+        if !(p.enabled && p.route_lifecycle_batches) {
             return self.crypt_buffers(Direction::Decrypt, jobs, buf);
         }
         let reason = if self.config.cipher_mode == PageCipherMode::Cbc {
@@ -797,7 +751,7 @@ impl Sentry {
         // critical-section advance — is then replaced wholesale by the
         // queue completion, because the lifecycle batch blocks on the
         // result: elapsed time is exactly the engine's horizon.
-        let (tags, report) = self.crypt_buffers(Direction::Decrypt, jobs, buf)?;
+        let report = self.crypt_buffers(Direction::Decrypt, jobs, buf)?;
         let soc = &mut self.kernel.soc;
         // Capture the host-path CPU charge before the substitution
         // rewind: if the engine fails, the batch re-pays exactly this.
@@ -839,31 +793,40 @@ impl Sentry {
             }
         }
         self.stats.health = self.health.stats;
-        Ok((tags, report))
+        Ok(report)
     }
 
-    /// The IV a frame's ciphertext was produced under: shared frames
-    /// were encrypted under the *first* sharer's mapping identity, at
-    /// the epoch stored in the IV owner's PTE; private frames under
-    /// their own mapping.
-    fn frame_iv(&self, pid: Pid, vpn: u64, pte: &Pte, frame: u64) -> [u8; 16] {
+    /// Plan the decrypt of one encrypted DRAM mapping. Shared frames were
+    /// encrypted under the *first* sharer's mapping identity, at the
+    /// epoch stored in the IV owner's PTE; private frames under their own
+    /// mapping. The journal records that stored epoch — the one the IV
+    /// was derived under — not the current lock epoch.
+    fn plan_decrypt(&self, pid: Pid, vpn: u64, pte: &Pte, frame: u64) -> JournalEntry {
         let (iv_pid, iv_vpn) = self
             .kernel
             .sharers_of(frame)
             .and_then(|s| s.first().copied())
             .unwrap_or((pid, vpn));
-        let stored_epoch = self
+        let epoch = self
             .kernel
             .procs
             .get(&iv_pid)
             .and_then(|p| p.page_table.get(iv_vpn))
             .map_or(pte.crypt_epoch, |p| p.crypt_epoch);
-        page_iv(iv_pid, iv_vpn, stored_epoch)
+        JournalEntry::new(
+            pid,
+            vpn,
+            frame,
+            frame,
+            page_iv(iv_pid, iv_vpn, epoch),
+            epoch,
+        )
     }
 
-    /// Decrypt a gathered set of encrypted DRAM pages in one dispatch
-    /// and flip every mapping of each decrypted frame back to plaintext
-    /// state. Returns the number of frames decrypted.
+    /// Decrypt planned encrypted DRAM pages in one dispatch and flip
+    /// every mapping of each decrypted frame back to plaintext state —
+    /// the one decrypt path of unlock, fault cluster, and sweep. Returns
+    /// the batch report (`pages` = frames decrypted).
     ///
     /// Coherence rule: the PTE `encrypted` bit is the single source of
     /// truth, re-checked here immediately before the kernel call, and
@@ -871,151 +834,34 @@ impl Sentry {
     /// the sweeper (or two mappings of one shared frame landing in the
     /// same batch) can never decrypt the same frame twice, which under
     /// CBC would turn plaintext into garbage.
-    fn decrypt_gathered(&mut self, pages: &[ClusterPage]) -> Result<usize, SentryError> {
-        let mut jobs: Vec<(u64, [u8; 16])> = Vec::with_capacity(pages.len());
-        let mut live: Vec<ClusterPage> = Vec::with_capacity(pages.len());
-        for cp in pages {
+    fn decrypt_planned(&mut self, planned: &[JournalEntry]) -> Result<BatchReport, SentryError> {
+        let mut pages: Vec<JournalEntry> = Vec::with_capacity(planned.len());
+        for e in planned {
             let still_encrypted = self
                 .kernel
                 .procs
-                .get(&cp.pid)
-                .and_then(|p| p.page_table.get(cp.vpn))
+                .get(&e.pid)
+                .and_then(|p| p.page_table.get(e.vpn))
                 .is_some_and(|pte| pte.encrypted);
-            if !still_encrypted
-                || self.integrity.is_quarantined(cp.frame)
-                || jobs.iter().any(|&(f, _)| f == cp.frame)
+            if still_encrypted
+                && !self.integrity.is_quarantined(e.frame)
+                && !pages.iter().any(|p| p.frame == e.frame)
             {
-                continue;
-            }
-            jobs.push((cp.frame, cp.iv));
-            live.push(*cp);
-        }
-        if jobs.is_empty() {
-            return Ok(0);
-        }
-        let mut buf = self.gather_frames(&jobs)?;
-
-        // MAC-verify the gathered ciphertext against the on-SoC tag
-        // store *before* the block cipher runs. Pages that fail (after
-        // the bounded re-reads) are quarantined — dropped from the
-        // batch, PTE left encrypted — and the authentic remainder
-        // proceeds: graceful degradation, not a panic.
-        if self.integrity.enabled() {
-            let outcomes = self.integrity.verify_frames(
-                &mut self.kernel.soc,
-                &mut self.store,
-                &jobs,
-                &mut buf,
-            )?;
-            if outcomes
-                .iter()
-                .any(|o| matches!(o, VerifyOutcome::Mismatch { .. }))
-            {
-                let page = PAGE_SIZE as usize;
-                let mut kept_jobs = Vec::with_capacity(jobs.len());
-                let mut kept_live = Vec::with_capacity(live.len());
-                let mut kept_buf = Vec::with_capacity(buf.len());
-                for (i, outcome) in outcomes.iter().enumerate() {
-                    if let VerifyOutcome::Mismatch { expected, got } = *outcome {
-                        let cp = live[i];
-                        let epoch = self
-                            .kernel
-                            .procs
-                            .get(&cp.pid)
-                            .and_then(|p| p.page_table.get(cp.vpn))
-                            .map_or(self.lock_epoch, |pte| pte.crypt_epoch);
-                        let _ = self.integrity.quarantine(QuarantinedPage {
-                            pid: cp.pid,
-                            vpn: cp.vpn,
-                            frame: cp.frame,
-                            epoch,
-                            tag_expected: expected,
-                            tag_got: got,
-                        });
-                    } else {
-                        kept_jobs.push(jobs[i]);
-                        kept_live.push(live[i]);
-                        kept_buf.extend_from_slice(&buf[i * page..(i + 1) * page]);
-                    }
-                }
-                jobs = kept_jobs;
-                live = kept_live;
-                buf = kept_buf;
-                if jobs.is_empty() {
-                    return Ok(0);
-                }
+                pages.push(*e);
             }
         }
-        let (tags, _report) = self.route_or_crypt_decrypt(&jobs, &mut buf)?;
-
-        // Publish in journaled chunks. Decrypt order is flip-first: the
-        // PTE's encrypted bit clears *before* the plaintext lands in the
-        // frame, preserving the invariant that a PTE claiming
-        // "encrypted" never fronts a plaintext frame.
-        let page = PAGE_SIZE as usize;
+        let mut buf = self.transition().gather_verified(&mut pages)?;
+        if pages.is_empty() {
+            return Ok(idle_report());
+        }
+        let report = self.route_or_crypt_decrypt(&mut pages, &mut buf)?;
         let epoch = self.lock_epoch;
-        let mut start = 0usize;
-        while start < jobs.len() {
-            let end = (start + MAX_ENTRIES).min(jobs.len());
-            let entries: Vec<JournalEntry> = (start..end)
-                .map(|i| JournalEntry {
-                    pid: live[i].pid,
-                    vpn: live[i].vpn,
-                    src: jobs[i].0,
-                    frame: jobs[i].0,
-                    epoch,
-                    iv: jobs[i].1,
-                    tag: tags[i],
-                    done: false,
-                })
-                .collect();
-            self.txn
-                .open(&mut self.kernel.soc, TxnOp::Decrypt, epoch, &entries)?;
-            for i in start..end {
-                let cp = live[i];
-                self.kernel.soc.failpoint("txn.flip")?;
-                // Re-arm every mapping of the frame, not just the
-                // gathered one — a second sharer must not decrypt the
-                // now-plaintext frame again.
-                if let Some(sharers) = self.kernel.sharers_of(cp.frame).map(<[(u32, u64)]>::to_vec)
-                {
-                    for (spid, svpn) in sharers {
-                        if let Some(spte) = self
-                            .kernel
-                            .procs
-                            .get_mut(&spid)
-                            .and_then(|p| p.page_table.get_mut(svpn))
-                        {
-                            spte.encrypted = false;
-                            spte.young = true;
-                        }
-                    }
-                }
-                if let Some(proc) = self.kernel.procs.get_mut(&cp.pid) {
-                    if let Some(pte) = proc.page_table.get_mut(cp.vpn) {
-                        pte.encrypted = false;
-                        pte.young = true;
-                    }
-                    proc.stats.bytes_decrypted += PAGE_SIZE;
-                }
-                self.kernel.soc.failpoint("txn.publish")?;
-                self.kernel
-                    .soc
-                    .mem_write(jobs[i].0, &buf[i * page..(i + 1) * page])?;
-                // The frame is plaintext now: retire its tag before the
-                // entry is marked done, so a kill in between re-runs the
-                // (idempotent) retire rather than leaving a stale tag
-                // that would poison the frame's next encrypt cycle.
-                self.integrity.retire_tag(&mut self.kernel.soc, jobs[i].0)?;
-                self.txn.mark_done(&mut self.kernel.soc, i - start)?;
-            }
-            self.txn.close(&mut self.kernel.soc)?;
-            start = end;
-        }
-        Ok(jobs.len())
+        self.transition()
+            .commit(Kind::Decrypt, epoch, &pages, &buf)?;
+        Ok(report)
     }
 
-    /// Run [`Sentry::decrypt_gathered`] under the bounded-retry policy
+    /// Run [`Sentry::decrypt_planned`] under the bounded-retry policy
     /// for *transient* faults: an injected crypt/dispatch error fails
     /// the batch cleanly before any DRAM mutates, so the whole gather is
     /// simply re-attempted, up to `integrity.max_crypt_retries` total
@@ -1023,16 +869,16 @@ impl Sentry {
     /// [`SentryError::RetriesExhausted`] — the fault is persistent and
     /// retrying forever would spin. Non-transient errors (power loss,
     /// integrity violations, real memory errors) propagate immediately.
-    fn decrypt_gathered_with_retry(
+    fn decrypt_with_retry(
         &mut self,
         op: &'static str,
-        pages: &[ClusterPage],
+        planned: &[JournalEntry],
     ) -> Result<usize, SentryError> {
         let cap = self.integrity.config().max_crypt_retries.max(1);
         let mut attempts = 0u32;
         loop {
             attempts += 1;
-            match self.decrypt_gathered(pages) {
+            match self.decrypt_planned(planned) {
                 Err(e) if e.is_injected_crypt_fault() => {
                     if attempts < cap {
                         self.stats.crypt.attempts += 1;
@@ -1045,7 +891,7 @@ impl Sentry {
                     if other.is_ok() && attempts > 1 {
                         self.stats.crypt.recovered += 1;
                     }
-                    return other;
+                    return other.map(|report| report.pages);
                 }
             }
         }
@@ -1124,7 +970,7 @@ impl Sentry {
             .unwrap_or(0);
         all.rotate_left(start);
 
-        let mut gathered: Vec<ClusterPage> = Vec::with_capacity(budget_pages.min(all.len()));
+        let mut gathered: Vec<JournalEntry> = Vec::with_capacity(budget_pages.min(all.len()));
         for &(pid, vpn, frame) in &all {
             if gathered.len() >= budget_pages {
                 break;
@@ -1138,16 +984,10 @@ impl Sentry {
                 .page_table
                 .get(vpn)
                 .expect("walked above");
-            let iv = self.frame_iv(pid, vpn, &pte, frame);
-            gathered.push(ClusterPage {
-                pid,
-                vpn,
-                frame,
-                iv,
-            });
+            gathered.push(self.plan_decrypt(pid, vpn, &pte, frame));
         }
         let next_cursor = gathered.last().map(|g| (g.pid, g.vpn + 1));
-        let pages = self.decrypt_gathered_with_retry("sweep", &gathered)?;
+        let pages = self.decrypt_with_retry("sweep", &gathered)?;
         if let Some(cur) = next_cursor {
             self.sweep_cursor = Some(cur);
         }
@@ -1233,51 +1073,34 @@ impl Sentry {
         self.integrity.set_epoch(epoch);
         self.govern_pressure()?;
         let zero_drain_ns = self.kernel.drain_zero_thread()?;
-        self.pager.evict_all(
-            &mut self.store,
-            &mut self.kernel,
-            &mut self.txn,
-            &mut self.integrity,
-            &self.commit,
-            epoch,
-        )?;
+        let (pager, mut t) = self.pager_transition();
+        pager.evict_all(&mut t, epoch)?;
 
-        // Phase 1: collect every crypt job — private pages of every
-        // sensitive process, then the shared-frame pass — into one
-        // batch. The jobs are independent (per-page IVs), so collecting
-        // first and dispatching once lets the engine fan them out.
+        // Phase 1: plan every page — private pages of every sensitive
+        // process, then the shared-frame pass — into one batch. The
+        // pages are independent (per-page IVs), so planning first and
+        // dispatching once lets the engine fan them out.
         let mut skipped = 0u64;
-        let mut jobs: Vec<(u64, [u8; 16])> = Vec::new();
-        let mut owners: Vec<JobOwner> = Vec::new();
+        let mut pages: Vec<JournalEntry> = Vec::new();
         for pid in self.sensitive_pids() {
-            let targets: Vec<(u64, u64)> = {
-                let proc = self.kernel.proc(pid)?;
-                proc.page_table
-                    .iter()
-                    .filter_map(|(vpn, pte)| match pte.backing {
-                        Backing::Dram(frame)
-                            if !pte.encrypted && pte.sharing != Sharing::SharedWithNonSensitive =>
-                        {
-                            Some((vpn, frame))
-                        }
-                        _ => None,
-                    })
-                    // Frames mapped by several processes are classified
-                    // and encrypted once, below — never per mapping.
-                    .filter(|(_, frame)| self.kernel.sharers_of(*frame).is_none())
-                    .collect()
-            };
-            skipped += self
-                .kernel
-                .proc(pid)?
+            let proc = self.kernel.proc(pid)?;
+            for (vpn, pte) in proc.page_table.iter() {
+                // Frames mapped by several processes are classified and
+                // encrypted once, below — never per mapping.
+                if let Backing::Dram(frame) = pte.backing {
+                    if !pte.encrypted
+                        && pte.sharing != Sharing::SharedWithNonSensitive
+                        && self.kernel.sharers_of(frame).is_none()
+                    {
+                        let iv = page_iv(pid, vpn, epoch);
+                        pages.push(JournalEntry::new(pid, vpn, frame, frame, iv, epoch));
+                    }
+                }
+            }
+            skipped += proc
                 .page_table
                 .vpns_where(|p| p.sharing == Sharing::SharedWithNonSensitive)
                 .len() as u64;
-
-            for (vpn, frame) in targets {
-                jobs.push((frame, page_iv(pid, vpn, epoch)));
-                owners.push(JobOwner::Private(pid, vpn));
-            }
             if !self.config.background_support {
                 self.kernel.proc_mut(pid)?.schedulable = false;
             }
@@ -1296,7 +1119,7 @@ impl Sentry {
             .filter(|(_, sharers)| sharers.len() > 1)
             .map(|(&frame, sharers)| (frame, sharers.clone()))
             .collect();
-        let mut shared_rearms: Vec<(Vec<(Pid, u64)>, u64)> = Vec::new();
+        let mut shared_rearms: Vec<(u64, (Pid, u64), u64)> = Vec::new();
         for (frame, sharers) in shared {
             let all_sensitive = sharers
                 .iter()
@@ -1324,11 +1147,11 @@ impl Sentry {
                     // move, so no journal entry is needed (the flip is
                     // idempotent and happens after the journaled
                     // publishes).
-                    Some(e) => shared_rearms.push((sharers, e)),
+                    Some(e) => shared_rearms.push((frame, sharers[0], e)),
                     None => {
                         let (pid0, vpn0) = sharers[0];
-                        jobs.push((frame, page_iv(pid0, vpn0, epoch)));
-                        owners.push(JobOwner::Shared(sharers));
+                        let iv = page_iv(pid0, vpn0, epoch);
+                        pages.push(JournalEntry::new(pid0, vpn0, frame, frame, iv, epoch));
                     }
                 }
             } else {
@@ -1348,102 +1171,18 @@ impl Sentry {
 
         // Phase 2: one dispatch for the whole transition — into scratch
         // buffers. DRAM is untouched until each page's journaled
-        // publish below.
-        let (buf, tags, report) = self.crypt_frames_to_buffers(Direction::Encrypt, &jobs)?;
-
-        // Integrity tags go on-SoC *before* any ciphertext is published
-        // to DRAM: a frame whose ciphertext is visible always has its
-        // tag recorded, so there is no window for unrecorded tampering.
-        // Idempotent on a killed-and-retried lock — the same epoch
-        // yields the same IVs, ciphertext, and tags.
-        self.integrity
-            .store_tags(&mut self.kernel.soc, &mut self.store, &jobs, &buf)?;
-
-        // Phase 3: publish + flip as a two-phase commit, in journal
-        // chunks. Encrypt order is publish-first: the ciphertext lands,
-        // *then* the PTE flips — a kill in between leaves a PTE that
-        // still says plaintext over a ciphertext frame, which recovery
-        // (tag comparison) completes by flipping.
-        let page = PAGE_SIZE as usize;
-        let mut start = 0usize;
-        while start < jobs.len() {
-            let end = (start + MAX_ENTRIES).min(jobs.len());
-            let entries: Vec<JournalEntry> = (start..end)
-                .map(|i| {
-                    let (pid, vpn) = match &owners[i] {
-                        JobOwner::Private(pid, vpn) => (*pid, *vpn),
-                        JobOwner::Shared(sharers) => sharers[0],
-                    };
-                    JournalEntry {
-                        pid,
-                        vpn,
-                        src: jobs[i].0,
-                        frame: jobs[i].0,
-                        epoch,
-                        iv: jobs[i].1,
-                        tag: tags[i],
-                        done: false,
-                    }
-                })
-                .collect();
-            self.txn
-                .open(&mut self.kernel.soc, TxnOp::Encrypt, epoch, &entries)?;
-            for i in start..end {
-                self.kernel.soc.failpoint("txn.publish")?;
-                self.kernel
-                    .soc
-                    .mem_write(jobs[i].0, &buf[i * page..(i + 1) * page])?;
-                self.kernel.soc.failpoint("txn.flip")?;
-                match &owners[i] {
-                    JobOwner::Private(pid, vpn) => {
-                        let proc = self.kernel.proc_mut(*pid)?;
-                        let pte = proc.page_table.get_mut(*vpn).expect("walked above");
-                        pte.encrypted = true;
-                        pte.young = false;
-                        pte.dirty = false;
-                        pte.crypt_epoch = epoch;
-                        proc.stats.bytes_encrypted += PAGE_SIZE;
-                    }
-                    JobOwner::Shared(sharers) => {
-                        for &(pid, vpn) in sharers {
-                            if let Some(pte) = self
-                                .kernel
-                                .procs
-                                .get_mut(&pid)
-                                .and_then(|p| p.page_table.get_mut(vpn))
-                            {
-                                pte.encrypted = true;
-                                pte.young = false;
-                                pte.dirty = false;
-                                pte.sharing = Sharing::SharedSensitiveOnly;
-                                pte.crypt_epoch = epoch;
-                            }
-                        }
-                    }
-                }
-                self.txn.mark_done(&mut self.kernel.soc, i - start)?;
-            }
-            self.txn.close(&mut self.kernel.soc)?;
-            start = end;
-        }
+        // publish. Phase 3: publish + flip as a two-phase commit.
+        let mut buf = self.transition().gather(&pages)?;
+        let report = self.crypt_buffers(Direction::Encrypt, &mut pages, &mut buf)?;
+        self.transition().commit(Kind::Lock, epoch, &pages, &buf)?;
 
         // Re-arm-only shared frames (still ciphertext from an earlier
         // cycle): idempotent PTE flips, journal-free.
-        for (sharers, effective_epoch) in shared_rearms {
-            for &(pid, vpn) in &sharers {
-                if let Some(pte) = self
-                    .kernel
-                    .procs
-                    .get_mut(&pid)
-                    .and_then(|p| p.page_table.get_mut(vpn))
-                {
-                    pte.encrypted = true;
-                    pte.young = false;
-                    pte.dirty = false;
-                    pte.sharing = Sharing::SharedSensitiveOnly;
-                    pte.crypt_epoch = effective_epoch;
-                }
-            }
+        for (frame, owner, stored_epoch) in shared_rearms {
+            let state = PageState::Ciphertext {
+                epoch: stored_epoch,
+            };
+            set_page_state(&mut self.kernel, frame, owner, state);
         }
 
         // Atomic tail: only now does the transition commit.
@@ -1482,135 +1221,24 @@ impl Sentry {
         // everything after it run at Awake accelerator throughput.
         self.kernel.soc.accel.state = AccelPowerState::Awake;
         let t0 = self.kernel.soc.clock.now_ns();
-        // DMA regions are decrypted eagerly and batched like the lock
-        // path: collect every (frame, iv) job first, dispatch once.
-        // Un-parking is idempotent, so a killed-and-retried unlock
-        // converges.
-        let mut jobs: Vec<(u64, [u8; 16])> = Vec::new();
-        let mut updates: Vec<(Pid, u64, u64)> = Vec::new();
+        // DMA regions are decrypted eagerly, through the same decrypt
+        // path as faults and the sweeper. Un-parking is idempotent, so a
+        // killed-and-retried unlock converges.
+        let mut planned: Vec<JournalEntry> = Vec::new();
         for pid in self.sensitive_pids() {
             self.kernel.proc_mut(pid)?.schedulable = true;
-            let dma_pages: Vec<(u64, u64, u64)> = self
-                .kernel
-                .proc(pid)?
-                .page_table
-                .iter()
-                .filter_map(|(vpn, pte)| match pte.backing {
-                    Backing::Dram(frame) if pte.encrypted && pte.dma_region => {
-                        Some((vpn, frame, pte.crypt_epoch))
-                    }
-                    _ => None,
-                })
-                .collect();
-            for (vpn, frame, stored_epoch) in dma_pages {
-                // Quarantined DMA frames stay encrypted; the violation
-                // surfaces on explicit access, not here — the unlock
-                // itself must keep working for every healthy page.
-                if self.integrity.is_quarantined(frame) {
-                    continue;
-                }
-                jobs.push((frame, page_iv(pid, vpn, stored_epoch)));
-                updates.push((pid, vpn, stored_epoch));
-            }
-        }
-
-        // Gather, MAC-verify, then decrypt — the same verify-before-
-        // cipher discipline as `decrypt_gathered`, with failed pages
-        // quarantined out of the batch.
-        let mut buf = self.gather_frames(&jobs)?;
-        if self.integrity.enabled() && !jobs.is_empty() {
-            let outcomes = self.integrity.verify_frames(
-                &mut self.kernel.soc,
-                &mut self.store,
-                &jobs,
-                &mut buf,
-            )?;
-            if outcomes
-                .iter()
-                .any(|o| matches!(o, VerifyOutcome::Mismatch { .. }))
-            {
-                let page = PAGE_SIZE as usize;
-                let mut kept_jobs = Vec::with_capacity(jobs.len());
-                let mut kept_updates = Vec::with_capacity(updates.len());
-                let mut kept_buf = Vec::with_capacity(buf.len());
-                for (i, outcome) in outcomes.iter().enumerate() {
-                    if let VerifyOutcome::Mismatch { expected, got } = *outcome {
-                        let (pid, vpn, epoch) = updates[i];
-                        let _ = self.integrity.quarantine(QuarantinedPage {
-                            pid,
-                            vpn,
-                            frame: jobs[i].0,
-                            epoch,
-                            tag_expected: expected,
-                            tag_got: got,
-                        });
-                    } else {
-                        kept_jobs.push(jobs[i]);
-                        kept_updates.push(updates[i]);
-                        kept_buf.extend_from_slice(&buf[i * page..(i + 1) * page]);
+            for (vpn, pte) in self.kernel.proc(pid)?.page_table.iter() {
+                if let Backing::Dram(frame) = pte.backing {
+                    if pte.encrypted && pte.dma_region {
+                        planned.push(self.plan_decrypt(pid, vpn, pte, frame));
                     }
                 }
-                jobs = kept_jobs;
-                updates = kept_updates;
-                buf = kept_buf;
             }
         }
-        let (tags, report) = if jobs.is_empty() {
-            (
-                Vec::new(),
-                BatchReport {
-                    pages: 0,
-                    bytes: 0,
-                    workers_used: 1,
-                    per_worker_bytes: vec![0],
-                    sequential_fallback: true,
-                },
-            )
-        } else {
-            self.route_or_crypt_decrypt(&jobs, &mut buf)?
-        };
-
-        // Journaled publish, flip-first (see `decrypt_gathered`).
-        let page = PAGE_SIZE as usize;
-        let mut start = 0usize;
-        while start < jobs.len() {
-            let end = (start + MAX_ENTRIES).min(jobs.len());
-            let entries: Vec<JournalEntry> = (start..end)
-                .map(|i| JournalEntry {
-                    pid: updates[i].0,
-                    vpn: updates[i].1,
-                    src: jobs[i].0,
-                    frame: jobs[i].0,
-                    epoch: updates[i].2,
-                    iv: jobs[i].1,
-                    tag: tags[i],
-                    done: false,
-                })
-                .collect();
-            self.txn.open(
-                &mut self.kernel.soc,
-                TxnOp::Decrypt,
-                self.lock_epoch,
-                &entries,
-            )?;
-            for i in start..end {
-                let (pid, vpn, _) = updates[i];
-                self.kernel.soc.failpoint("txn.flip")?;
-                let proc = self.kernel.proc_mut(pid)?;
-                let pte = proc.page_table.get_mut(vpn).expect("walked above");
-                pte.encrypted = false;
-                pte.young = true;
-                proc.stats.bytes_decrypted += PAGE_SIZE;
-                self.kernel.soc.failpoint("txn.publish")?;
-                self.kernel
-                    .soc
-                    .mem_write(jobs[i].0, &buf[i * page..(i + 1) * page])?;
-                self.integrity.retire_tag(&mut self.kernel.soc, jobs[i].0)?;
-                self.txn.mark_done(&mut self.kernel.soc, i - start)?;
-            }
-            self.txn.close(&mut self.kernel.soc)?;
-            start = end;
-        }
+        // Quarantined DMA frames stay encrypted; the violation surfaces
+        // on explicit access, not here — the unlock itself must keep
+        // working for every healthy page.
+        let report = self.decrypt_planned(&planned)?;
 
         // Atomic tail.
         self.state = DeviceState::Unlocked;
@@ -1634,15 +1262,9 @@ impl Sentry {
         match self.state {
             DeviceState::Locked => {
                 if sensitive && self.config.background_support {
-                    self.pager.handle_fault(
-                        &mut self.store,
-                        &mut self.kernel,
-                        &mut self.txn,
-                        &mut self.integrity,
-                        &self.commit,
-                        fault,
-                        self.lock_epoch,
-                    )
+                    let epoch = self.lock_epoch;
+                    let (pager, mut t) = self.pager_transition();
+                    pager.handle_fault(&mut t, fault, epoch)
                 } else {
                     // Foreground apps are parked while locked; a fault
                     // here is a programming error in the caller.
@@ -1696,30 +1318,19 @@ impl Sentry {
                             1
                         };
                         let base = fault.vpn - fault.vpn % cluster as u64;
-                        let mut gathered: Vec<ClusterPage> = Vec::with_capacity(cluster);
+                        let mut gathered: Vec<JournalEntry> = Vec::with_capacity(cluster);
                         for vpn in base..base + cluster as u64 {
                             let cand = match self.kernel.proc(fault.pid)?.page_table.get(vpn) {
                                 Some(p) => *p,
                                 None => continue,
                             };
-                            let frame = match cand.backing {
-                                Backing::Dram(f)
-                                    if cand.encrypted && !self.integrity.is_quarantined(f) =>
-                                {
-                                    f
+                            if let Backing::Dram(f) = cand.backing {
+                                if cand.encrypted && !self.integrity.is_quarantined(f) {
+                                    gathered.push(self.plan_decrypt(fault.pid, vpn, &cand, f));
                                 }
-                                _ => continue,
-                            };
-                            let iv = self.frame_iv(fault.pid, vpn, &cand, frame);
-                            gathered.push(ClusterPage {
-                                pid: fault.pid,
-                                vpn,
-                                frame,
-                                iv,
-                            });
+                            }
                         }
-                        let decrypted =
-                            self.decrypt_gathered_with_retry("handle_fault", &gathered)?;
+                        let decrypted = self.decrypt_with_retry("handle_fault", &gathered)?;
                         // If the *faulting* page itself just failed its
                         // MAC it was quarantined mid-batch: surface its
                         // violation (readahead companions that failed
@@ -1857,10 +1468,12 @@ impl Sentry {
     /// journal back from iRAM and complete every entry that had not
     /// marked done, idempotently.
     ///
-    /// For each undone entry the frame's first 16 bytes are compared
-    /// against the journaled ciphertext tag — CBC under the journaled IV
-    /// is deterministic, so the tag tells recovery exactly which side of
-    /// the publish the kill landed on:
+    /// For each undone entry the frame's commit tag is compared against
+    /// the journaled one — the final ciphertext block under CBC, a commit
+    /// CMAC over IV ‖ ciphertext under XTS/CTR (see [`CommitTagger`]).
+    /// Every page cipher mode under the journaled IV is deterministic, so
+    /// the tag tells recovery exactly which side of the publish the kill
+    /// landed on:
     ///
     /// * **Encrypt** entries: tag match ⇒ the ciphertext already landed,
     ///   only the PTE flip remains. Mismatch ⇒ the source bytes (the
@@ -1869,7 +1482,9 @@ impl Sentry {
     ///   ciphertext) and publish, then flip.
     /// * **Decrypt** entries: tag match ⇒ the frame still holds
     ///   ciphertext: decrypt, publish, flip. Mismatch ⇒ the plaintext
-    ///   already landed, only the (idempotent) flip remains.
+    ///   already landed, only the (idempotent) flip remains. With the
+    ///   integrity plane on, the frame's MAC is checked first (see
+    ///   `recover_decrypt`).
     ///
     /// Afterwards the pager's in-memory state is reconciled against the
     /// page tables. Running recover on a clean system is a no-op. The
@@ -1998,14 +1613,7 @@ impl Sentry {
             // DRAM — the same ordering the live path guarantees.
             let mut page = vec![0u8; PAGE_SIZE as usize];
             self.kernel.soc.mem_read(entry.src, &mut page)?;
-            {
-                let Kernel { soc, crypto, .. } = &mut self.kernel;
-                crypto
-                    .preferred_mut()
-                    .map_err(SentryError::Kernel)?
-                    .encrypt(soc, &entry.iv, &mut page)
-                    .map_err(SentryError::Kernel)?;
-            }
+            crypt_page(&mut self.kernel, Direction::Encrypt, &entry.iv, &mut page)?;
             self.integrity.store_tags(
                 &mut self.kernel.soc,
                 &mut self.store,
@@ -2017,30 +1625,8 @@ impl Sentry {
             // frame quarantined mid-eviction is healed by this replay.
             self.integrity.release(entry.frame);
         }
-        let mappings = self
-            .kernel
-            .sharers_of(entry.frame)
-            .map(<[(u32, u64)]>::to_vec)
-            .unwrap_or_else(|| vec![(entry.pid, entry.vpn)]);
-        let shared = mappings.len() > 1;
-        for (pid, vpn) in mappings {
-            if let Some(pte) = self
-                .kernel
-                .procs
-                .get_mut(&pid)
-                .and_then(|p| p.page_table.get_mut(vpn))
-            {
-                pte.backing = Backing::Dram(entry.frame);
-                pte.home_frame = None;
-                pte.encrypted = true;
-                pte.young = false;
-                pte.dirty = false;
-                pte.crypt_epoch = entry.epoch;
-                if shared {
-                    pte.sharing = Sharing::SharedSensitiveOnly;
-                }
-            }
-        }
+        let state = PageState::Ciphertext { epoch: entry.epoch };
+        set_page_state(&mut self.kernel, entry.frame, (entry.pid, entry.vpn), state);
         Ok(())
     }
 
@@ -2061,128 +1647,60 @@ impl Sentry {
     ///   it, leave every PTE encrypted, and let recovery continue over
     ///   the surviving entries.
     fn recover_decrypt(&mut self, entry: &JournalEntry) -> Result<(), SentryError> {
+        let owner = (entry.pid, entry.vpn);
+        let mut page = vec![0u8; PAGE_SIZE as usize];
         if self.integrity.enabled() && self.integrity.has_tag(entry.frame) {
-            let mut page = vec![0u8; PAGE_SIZE as usize];
             self.kernel.soc.mem_read(entry.frame, &mut page)?;
-            match self.integrity.verify_one(
+            let verdict = self.integrity.verify_one(
                 &mut self.kernel.soc,
                 &mut self.store,
                 entry.frame,
                 &entry.iv,
                 &mut page,
-            )? {
-                VerifyOutcome::Ok => {
-                    {
-                        let Kernel { soc, crypto, .. } = &mut self.kernel;
-                        crypto
-                            .preferred_mut()
-                            .map_err(SentryError::Kernel)?
-                            .decrypt(soc, &entry.iv, &mut page)
-                            .map_err(SentryError::Kernel)?;
-                    }
-                    self.kernel.soc.mem_write(entry.frame, &page)?;
+            )?;
+            if let VerifyOutcome::Mismatch { expected, got } = verdict {
+                let mut trial = page.clone();
+                crypt_page(&mut self.kernel, Direction::Encrypt, &entry.iv, &mut trial)?;
+                if self.commit.tag(&entry.iv, &trial) != entry.tag {
+                    let _ = self.transition().quarantine(entry, expected, got);
+                    // The publish loop flips PTEs *before* writing the
+                    // plaintext, so the dying transition may have left
+                    // mappings claiming plaintext over what is now
+                    // tampered ciphertext. Force them back to encrypted:
+                    // every later access must fault into the quarantine
+                    // check, never read the frame raw.
+                    let state = PageState::Ciphertext { epoch: entry.epoch };
+                    set_page_state(&mut self.kernel, entry.frame, owner, state);
+                    return Ok(());
                 }
-                VerifyOutcome::Mismatch { expected, got } => {
-                    let mut trial = page.clone();
-                    {
-                        let Kernel { soc, crypto, .. } = &mut self.kernel;
-                        crypto
-                            .preferred_mut()
-                            .map_err(SentryError::Kernel)?
-                            .encrypt(soc, &entry.iv, &mut trial)
-                            .map_err(SentryError::Kernel)?;
-                    }
-                    if self.commit.tag(&entry.iv, &trial) != entry.tag {
-                        let _ = self.integrity.quarantine(QuarantinedPage {
-                            pid: entry.pid,
-                            vpn: entry.vpn,
-                            frame: entry.frame,
-                            epoch: entry.epoch,
-                            tag_expected: expected,
-                            tag_got: got,
-                        });
-                        // The publish loop flips PTEs *before* writing
-                        // the plaintext, so the dying transition may
-                        // have left mappings claiming plaintext over
-                        // what is now tampered ciphertext. Force them
-                        // back to encrypted: every later access must
-                        // fault into the quarantine check, never read
-                        // the frame raw.
-                        self.flip_mappings_encrypted(entry);
-                        return Ok(());
-                    }
-                    // Plaintext already landed: only the flip remains.
-                }
-                VerifyOutcome::Untagged => unreachable!("has_tag checked above"),
+                // Plaintext already landed: only the flip remains.
+            } else {
+                crypt_page(&mut self.kernel, Direction::Decrypt, &entry.iv, &mut page)?;
+                self.kernel.soc.mem_write(entry.frame, &page)?;
             }
             self.integrity
                 .retire_tag(&mut self.kernel.soc, entry.frame)?;
-            self.flip_mappings_plaintext(entry);
-            return Ok(());
-        }
-        // Legacy path (plane disabled, or a frame encrypted before it
-        // was enabled): the journal commit tag tells which side of the
-        // publish the kill landed on.
-        if self.frame_commit_tag(&entry.iv, entry.frame)? == entry.tag {
-            // Still ciphertext: decrypt under the journaled IV and
-            // publish the plaintext.
-            let mut page = vec![0u8; PAGE_SIZE as usize];
+        } else if self.frame_commit_tag(&entry.iv, entry.frame)? == entry.tag {
+            // Legacy path (plane disabled, or a frame encrypted before it
+            // was enabled): the frame still holds ciphertext, so decrypt
+            // under the journaled IV and publish the plaintext.
             self.kernel.soc.mem_read(entry.frame, &mut page)?;
-            {
-                let Kernel { soc, crypto, .. } = &mut self.kernel;
-                crypto
-                    .preferred_mut()
-                    .map_err(SentryError::Kernel)?
-                    .decrypt(soc, &entry.iv, &mut page)
-                    .map_err(SentryError::Kernel)?;
-            }
+            crypt_page(&mut self.kernel, Direction::Decrypt, &entry.iv, &mut page)?;
             self.kernel.soc.mem_write(entry.frame, &page)?;
         }
-        self.flip_mappings_plaintext(entry);
+        set_page_state(&mut self.kernel, entry.frame, owner, PageState::Plaintext);
         Ok(())
     }
+}
 
-    /// Re-arm every mapping of a quarantined frame as encrypted at the
-    /// journaled epoch, so accesses fault and hit the quarantine check.
-    fn flip_mappings_encrypted(&mut self, entry: &JournalEntry) {
-        let mappings = self
-            .kernel
-            .sharers_of(entry.frame)
-            .map(<[(u32, u64)]>::to_vec)
-            .unwrap_or_else(|| vec![(entry.pid, entry.vpn)]);
-        for (pid, vpn) in mappings {
-            if let Some(pte) = self
-                .kernel
-                .procs
-                .get_mut(&pid)
-                .and_then(|p| p.page_table.get_mut(vpn))
-            {
-                pte.encrypted = true;
-                pte.young = false;
-                pte.crypt_epoch = entry.epoch;
-            }
-        }
-    }
-
-    /// Flip every mapping of a recovered decrypt entry's frame back to
-    /// plaintext state (idempotent).
-    fn flip_mappings_plaintext(&mut self, entry: &JournalEntry) {
-        let mappings = self
-            .kernel
-            .sharers_of(entry.frame)
-            .map(<[(u32, u64)]>::to_vec)
-            .unwrap_or_else(|| vec![(entry.pid, entry.vpn)]);
-        for (pid, vpn) in mappings {
-            if let Some(pte) = self
-                .kernel
-                .procs
-                .get_mut(&pid)
-                .and_then(|p| p.page_table.get_mut(vpn))
-            {
-                pte.encrypted = false;
-                pte.young = true;
-            }
-        }
+/// The report of a batch that transformed nothing.
+fn idle_report() -> BatchReport {
+    BatchReport {
+        pages: 0,
+        bytes: 0,
+        workers_used: 1,
+        per_worker_bytes: vec![0],
+        sequential_fallback: true,
     }
 }
 
@@ -2433,7 +1951,7 @@ mod tests {
         s.on_unlock().unwrap();
         // Unlock restored the Awake clock; model a thermal/PM down-scale
         // before the lazy faults arrive. The fault cluster pulls a batch
-        // through `decrypt_gathered`, which must take the typed inline
+        // through `decrypt_planned`, which must take the typed inline
         // fallback, not the queue.
         s.kernel.soc.accel.state = AccelPowerState::DownScaled;
         let mut probe = vec![0u8; 4 * 4096];

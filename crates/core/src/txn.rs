@@ -2,13 +2,14 @@
 //!
 //! Every state transition that moves sensitive bytes between plaintext
 //! and ciphertext in DRAM — lock, unlock, fault-cluster decrypt, sweep,
-//! pager eviction — runs as a per-page two-phase commit:
+//! pager eviction — commits through one primitive, `Transition::commit`
+//! (see [`crate::transition`]), as a per-page two-phase commit:
 //!
 //! 1. compute the transformed page into host scratch (no DRAM
 //!    mutation);
 //! 2. **journal** the intent: page identity, source address, target
-//!    frame, IV, and a 16-byte *tag* (the final ciphertext block the
-//!    frame holds once the page is ciphertext);
+//!    frame, IV, epoch, and the commit *tag* of the frame's ciphertext
+//!    image (see [`CommitTagger`]);
 //! 3. per page: publish the frame and flip the PTE, then mark the
 //!    journal entry done;
 //! 4. close the journal, then commit the in-memory tail (epoch, device
@@ -82,8 +83,9 @@ impl TxnOp {
     }
 }
 
-/// One journaled page transition.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One journaled page transition — also the plan a transition's
+/// planner hands to the commit primitive.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JournalEntry {
     /// Owning process (the IV owner for shared frames).
     pub pid: u32,
@@ -108,7 +110,23 @@ pub struct JournalEntry {
 }
 
 impl JournalEntry {
-    fn to_bytes(&self) -> [u8; ENTRY_LEN as usize] {
+    /// A not-yet-done entry; its commit tag is stamped once the page's
+    /// ciphertext image exists (see [`CommitTagger::stamp`]).
+    #[must_use]
+    pub fn new(pid: u32, vpn: u64, src: u64, frame: u64, iv: [u8; 16], epoch: u64) -> Self {
+        JournalEntry {
+            pid,
+            vpn,
+            src,
+            frame,
+            epoch,
+            iv,
+            tag: [0u8; 16],
+            done: false,
+        }
+    }
+
+    fn to_bytes(self) -> [u8; ENTRY_LEN as usize] {
         let mut b = [0u8; ENTRY_LEN as usize];
         b[0..4].copy_from_slice(&self.pid.to_le_bytes());
         b[4] = u8::from(self.done);
@@ -206,14 +224,12 @@ impl CommitTagger {
         }
     }
 
-    /// Per-page commit tags of a contiguous run of page-sized chunks
-    /// (chunk `i` tagged under `ivs[i]`).
-    #[must_use]
-    pub fn tags(&self, ivs: &[[u8; 16]], buf: &[u8]) -> Vec<[u8; 16]> {
-        buf.chunks_exact(PAGE_SIZE as usize)
-            .zip(ivs)
-            .map(|(page, iv)| self.tag(iv, page))
-            .collect()
+    /// Stamp each entry with the commit tag of its ciphertext page
+    /// image: chunk `i` of `buf`, tagged under entry `i`'s IV.
+    pub fn stamp(&self, entries: &mut [JournalEntry], buf: &[u8]) {
+        for (e, page) in entries.iter_mut().zip(buf.chunks_exact(PAGE_SIZE as usize)) {
+            e.tag = self.tag(&e.iv, page);
+        }
     }
 }
 

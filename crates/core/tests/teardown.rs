@@ -3,7 +3,7 @@
 
 use sentry_core::config::OnSocBackend;
 use sentry_core::onsoc::OnSocStore;
-use sentry_core::{Sentry, SentryConfig, TxnJournal};
+use sentry_core::{Sentry, SentryConfig, Transition, TxnJournal};
 use sentry_kernel::Kernel;
 use sentry_soc::addr::{IRAM_BASE, PAGE_SIZE};
 use sentry_soc::cache::ALL_WAYS;
@@ -39,9 +39,15 @@ fn pager_slots_can_be_released_back_to_the_store() {
         commit,
         ..
     } = &mut sentry;
-    pager
-        .evict_all(store, kernel, &mut txn, integrity, commit, epoch)
-        .unwrap();
+    let mut t = Transition {
+        kernel,
+        store,
+        txn: &mut txn,
+        integrity,
+        tagger: commit,
+    };
+    pager.evict_all(&mut t, epoch).unwrap();
+    let Transition { kernel, store, .. } = t;
     assert_eq!(pager.resident_count(), 0);
     pager.release_slots(store, kernel).unwrap();
     assert_eq!(pager.slot_count(), 0);

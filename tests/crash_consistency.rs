@@ -16,7 +16,8 @@
 use sentry::attacks::faultmatrix::{
     record, run_cell, run_decay_cell, run_matrix, EndState, Scenario, SECRET,
 };
-use sentry::core::{RecoveryReport, SentryError};
+use sentry::core::{RecoveryReport, SentryError, TxnJournal, TxnOp};
+use sentry::soc::addr::{IRAM_BASE, IRAM_FIRMWARE_RESERVED};
 use sentry::soc::dram::PowerEvent;
 use sentry::soc::failpoint::{FaultAction, FaultPlan};
 
@@ -43,9 +44,7 @@ fn exhaustive_fault_matrix_locked_l2() {
         "no kill ever landed inside an open journal — the matrix is not \
          exercising recovery"
     );
-    // The kills are spread across the lifecycle, not clustered on one
-    // site.
-    assert!(matrix.site_histogram().len() >= 8, "kill sites too few");
+    assert_eq!(matrix.site_histogram(), committed_kill_sites(19));
 }
 
 #[test]
@@ -53,12 +52,35 @@ fn exhaustive_fault_matrix_iram_backend() {
     let matrix = run_matrix(&Scenario::iram(0xB007)).unwrap();
     assert!(matrix.clean(), "iram matrix dirty");
     assert!(matrix.recovered_entries() > 0);
+    // On-SoC pages live in iRAM, whose writes pass no `dram.write` site.
+    assert_eq!(matrix.site_histogram(), committed_kill_sites(15));
 }
 
 #[test]
 fn exhaustive_fault_matrix_parallel_engine() {
     let matrix = run_matrix(&Scenario::tegra3_parallel(0xFA11)).unwrap();
     assert!(matrix.clean(), "parallel-engine matrix dirty");
+    assert_eq!(matrix.site_histogram(), committed_kill_sites(19));
+}
+
+/// Kills per failpoint site, as committed in `BENCH_fault_matrix.json`.
+/// The kills spread across the whole lifecycle, and a refactor that
+/// drops, adds, or moves a failpoint changes these counts.
+fn committed_kill_sites(dram_writes: usize) -> Vec<(&'static str, usize)> {
+    vec![
+        ("crypt.dispatch", 6),
+        ("crypt.extent", 5),
+        ("crypt.one", 6),
+        ("dram.write", dram_writes),
+        ("fault.begin", 6),
+        ("lock.begin", 2),
+        ("pager.evict", 3),
+        ("pager.pagein", 3),
+        ("sweep.begin", 3),
+        ("txn.flip", 12),
+        ("txn.publish", 12),
+        ("unlock.begin", 2),
+    ]
 }
 
 #[test]
@@ -155,24 +177,53 @@ fn recovery_is_idempotent() {
         .find(|(site, _)| *site == "txn.flip")
         .map(|&(_, step)| step)
         .unwrap();
-    let (mut s, _actors) = scn.build().unwrap();
-    s.kernel.soc.failpoints.arm(FaultPlan::at_step(
+    let (mut lock_killed, _actors) = scn.build().unwrap();
+    lock_killed.kernel.soc.failpoints.arm(FaultPlan::at_step(
         step,
         FaultAction::PowerCut { decay: None },
     ));
-    let err = s.on_lock().unwrap_err();
-    assert!(err.is_power_loss());
-    assert!(s.txn_in_flight());
+    assert!(lock_killed.on_lock().unwrap_err().is_power_loss());
 
-    let first = s.recover().unwrap();
-    assert!(first.journaled > 0);
-    assert!(!s.txn_in_flight());
-    let after_first = EndState::capture(&mut s);
+    // Kill a fault-decrypt of a page left encrypted across a lock
+    // cycle: the vault's pages were encrypted at epoch 1 and never
+    // touched, so the second lock leaves them alone and the device sits
+    // at epoch 2 when the first touch decrypts them.
+    let (mut fault_killed, actors) = scn.build().unwrap();
+    for _ in 0..2 {
+        fault_killed.on_lock().unwrap();
+        fault_killed.on_unlock().unwrap();
+    }
+    assert_eq!(fault_killed.lock_epoch(), 2);
+    fault_killed.kernel.soc.failpoints.arm(FaultPlan::at_site(
+        "txn.publish",
+        0,
+        FaultAction::PowerCut { decay: None },
+    ));
+    assert!(fault_killed
+        .touch_pages(actors.vault, &[0])
+        .unwrap_err()
+        .is_power_loss());
+    // Every decrypt entry journals the epoch its IV was derived under —
+    // what recovery writes back if it must re-arm the page — not the
+    // device's current epoch.
+    let mut journal = TxnJournal::new(IRAM_BASE + IRAM_FIRMWARE_RESERVED);
+    let (op, target_epoch, entries) = journal.load(&mut fault_killed.kernel.soc).unwrap().unwrap();
+    assert_eq!((op, target_epoch), (TxnOp::Decrypt, 2));
+    assert!(entries.iter().any(|e| e.pid == actors.vault && e.vpn == 0));
+    assert!(entries.iter().all(|e| e.epoch == 1), "{entries:?}");
 
-    // A second recovery finds a closed journal and changes nothing.
-    let second = s.recover().unwrap();
-    assert_eq!(second, RecoveryReport::default());
-    assert_eq!(EndState::capture(&mut s), after_first);
+    for mut s in [lock_killed, fault_killed] {
+        assert!(s.txn_in_flight());
+        let first = s.recover().unwrap();
+        assert!(first.journaled > 0);
+        assert!(!s.txn_in_flight());
+        let after_first = EndState::capture(&mut s);
+
+        // A second recovery finds a closed journal and changes nothing.
+        let second = s.recover().unwrap();
+        assert_eq!(second, RecoveryReport::default());
+        assert_eq!(EndState::capture(&mut s), after_first);
+    }
 }
 
 #[test]
