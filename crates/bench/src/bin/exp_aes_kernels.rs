@@ -19,24 +19,34 @@
 //! * **Simulated on-SoC engine time** — per-4 KiB-page simulated cost of
 //!   the generic (DRAM-state) engine and AES On SoC with each backend,
 //!   confirming the backend swap does not perturb the calibrated model.
+//! * **CMAC over IV ‖ page** — the scalar chain one page at a time
+//!   (`Cmac::mac_parts_trunc8`) against the batch CMAC on the bitsliced
+//!   lanes (`Cmac::mac_extents_lanes`) in groups of 16, 8, 4, 3 and 2
+//!   pages. A bitsliced call costs the same with 1 or 16 lanes live, so
+//!   these rows locate the group size below which the scalar chain wins
+//!   — the source of `sentry_crypto::mac::MIN_LANE_MESSAGES`.
 //!
 //! Results print as tables and land in `BENCH_aes_kernels.json`. With
 //! `--enforce`, the process exits non-zero unless (a) bitsliced
 //! CBC-decrypt at least matches the scalar baseline — the CI regression
 //! gate for the batch kernels (a `target-cpu=native` run shows ~3.5×;
 //! the gate only demands parity so feature-poor CI hosts do not flap) —
-//! and (b) bitsliced XTS page-encrypt runs at least 8× bitsliced
-//! CBC-encrypt, the tentpole gate proving the lane-filling mode removed
-//! the encrypt cliff (a native run shows ~11×).
+//! (b) bitsliced XTS page-encrypt runs at least 8× bitsliced
+//! CBC-encrypt, the gate proving the lane-filling mode removed the
+//! encrypt cliff (a native run shows ~11×), and (c) the batch CMAC over
+//! full groups of 16 pages runs at least 2× the scalar chain
+//! (`cmac_batch16_over_scalar`, ~4.4× measured).
 
+use std::hint::black_box;
 use std::time::Instant;
 
 use sentry_bench::print_table;
 use sentry_core::aes_onsoc::{build_engine_with_backend, OnSocCipherBackend};
 use sentry_core::config::OnSocBackend;
 use sentry_core::onsoc::OnSocStore;
+use sentry_crypto::mac::MIN_LANE_MESSAGES;
 use sentry_crypto::modes::{cbc_decrypt, cbc_encrypt, ctr_xor, xts_decrypt, xts_encrypt};
-use sentry_crypto::{Aes, AesStateLayout, BitslicedAes, KeySize, Sensitivity};
+use sentry_crypto::{Aes, AesStateLayout, BitslicedAes, Cmac, KeySize, Sensitivity};
 use sentry_kernel::crypto_api::{CipherEngine, GenericAesEngine};
 use sentry_soc::Soc;
 
@@ -44,6 +54,11 @@ const PAGE: usize = 4096;
 const PAGES: usize = 64;
 const REPS: usize = 11;
 const KEY: [u8; 32] = [0x6Bu8; 32];
+/// Pages per CMAC pass: divisible by every measured group size, so each
+/// group runs full.
+const CMAC_PAGES: usize = 48;
+/// CMAC group sizes measured on the bitsliced lanes.
+const CMAC_GROUPS: [usize; 5] = [16, 8, 4, 3, 2];
 
 #[derive(Clone, Copy, PartialEq)]
 enum Mode {
@@ -98,26 +113,52 @@ fn run_pages(aes: &Aes, bits: &BitslicedAes, bitsliced: bool, mode: Mode, buf: &
     }
 }
 
-/// MiB/s of one backend × mode over the page set, taken from the
-/// fastest repetition. Timing noise on a shared builder is one-sided —
-/// scheduler steal and frequency dips only ever *slow* a rep, never
-/// speed one up — so the minimum elapsed time is the most stable
-/// estimate of the kernel's actual cost (a median still flaps when
-/// more than half the reps land inside a noisy window, which the
-/// enforce ratios cannot tolerate).
-fn host_mib_s(aes: &Aes, bits: &BitslicedAes, bitsliced: bool, mode: Mode) -> f64 {
-    let mut buf: Vec<u8> = (0..PAGES * PAGE).map(|i| (i * 31) as u8).collect();
+/// MiB/s of `run` over `bytes`, taken from the fastest repetition.
+/// Timing noise on a shared builder is one-sided — scheduler steal and
+/// frequency dips only ever *slow* a rep, never speed one up — so the
+/// minimum elapsed time is the most stable estimate of the kernel's
+/// actual cost (a median still flaps when more than half the reps land
+/// inside a noisy window, which the enforce ratios cannot tolerate).
+fn fastest_mib_s(bytes: usize, mut run: impl FnMut()) -> f64 {
     let mut best = u64::MAX;
     for rep in 0..=REPS {
         let t0 = Instant::now();
-        run_pages(aes, bits, bitsliced, mode, &mut buf);
+        run();
         let elapsed = t0.elapsed().as_nanos() as u64;
         if rep > 0 {
             // First pass is warm-up (page faults, cache fill).
             best = best.min(elapsed);
         }
     }
-    (PAGES * PAGE) as f64 / (1 << 20) as f64 / (best as f64 * 1e-9)
+    bytes as f64 / (1 << 20) as f64 / (best as f64 * 1e-9)
+}
+
+/// MiB/s of one backend × mode over the page set.
+fn host_mib_s(aes: &Aes, bits: &BitslicedAes, bitsliced: bool, mode: Mode) -> f64 {
+    let mut buf: Vec<u8> = (0..PAGES * PAGE).map(|i| (i * 31) as u8).collect();
+    fastest_mib_s(PAGES * PAGE, || {
+        run_pages(aes, bits, bitsliced, mode, &mut buf);
+    })
+}
+
+/// MiB/s of CMAC-trunc8 over IV ‖ page across `CMAC_PAGES` pages: the
+/// scalar chain one page at a time (`group == None`), or the bitsliced
+/// lanes `group` pages per batch call.
+fn cmac_mib_s(cmac: &Cmac, group: Option<usize>) -> f64 {
+    let buf: Vec<u8> = (0..CMAC_PAGES * PAGE).map(|i| (i * 29) as u8).collect();
+    let ivs: Vec<[u8; 16]> = (0..CMAC_PAGES).map(|i| [i as u8; 16]).collect();
+    fastest_mib_s(CMAC_PAGES * PAGE, || match group {
+        None => {
+            for (iv, page) in ivs.iter().zip(buf.chunks_exact(PAGE)) {
+                black_box(cmac.mac_parts_trunc8(&[iv, page]));
+            }
+        }
+        Some(g) => {
+            for (iv, pages) in ivs.chunks(g).zip(buf.chunks(g * PAGE)) {
+                black_box(cmac.mac_extents_lanes(iv, pages, PAGE));
+            }
+        }
+    })
 }
 
 struct Accounting {
@@ -195,6 +236,36 @@ fn main() {
         &rows,
     );
 
+    // CMAC: the scalar chain against the lanes at each group size.
+    let cmac = Cmac::new(aes.clone());
+    let cmac_scalar = cmac_mib_s(&cmac, None);
+    let cmac_lanes: Vec<(usize, f64)> = CMAC_GROUPS
+        .iter()
+        .map(|&g| (g, cmac_mib_s(&cmac, Some(g))))
+        .collect();
+    let mut cmac_rows = vec![vec![
+        "scalar, 1 page per call".to_string(),
+        format!("{cmac_scalar:.1}"),
+        "1.00x".to_string(),
+    ]];
+    cmac_rows.extend(cmac_lanes.iter().map(|&(g, v)| {
+        let path = if g >= MIN_LANE_MESSAGES {
+            "lanes"
+        } else {
+            "lanes (scalar in use)"
+        };
+        vec![
+            format!("{path}, {g} pages per call"),
+            format!("{v:.1}"),
+            format!("{:.2}x", v / cmac_scalar),
+        ]
+    }));
+    print_table(
+        "Host CMAC over IV ‖ 4 KiB page (MiB/s, fastest rep)",
+        &["Path", "MiB/s", "Over scalar"],
+        &cmac_rows,
+    );
+
     // Table 4 accounting for the tracked variants.
     let key_size = KeySize::Aes256;
     let acct = accounting(key_size);
@@ -267,6 +338,18 @@ fn main() {
         .iter()
         .map(|&(name, ns)| format!("    {{\"engine\": \"{name}\", \"page_ns\": {ns}}}"))
         .collect();
+    let cmac_json: Vec<String> = std::iter::once(format!(
+        "    {{\"path\": \"scalar\", \"group\": 1, \"mib_s\": {cmac_scalar:.1}}}"
+    ))
+    .chain(cmac_lanes.iter().map(|&(g, v)| {
+        format!(
+            "    {{\"path\": \"lanes\", \"group\": {g}, \"mib_s\": {v:.1}, \
+             \"over_scalar\": {:.2}}}",
+            v / cmac_scalar
+        )
+    }))
+    .collect();
+    let cmac16_ratio = cmac_lanes[0].1 / cmac_scalar;
     let dec_ratio = thr("bitsliced", Mode::CbcDec) / thr("table", Mode::CbcDec);
     let xts_enc_ratio = thr("bitsliced", Mode::XtsEnc) / thr("bitsliced", Mode::CbcEnc);
     let json = format!(
@@ -274,8 +357,12 @@ fn main() {
          \"pages\": {PAGES},\n  \"reps\": {REPS},\n  \
          \"cbc_dec_bitsliced_over_table\": {dec_ratio:.2},\n  \
          \"xts_enc_over_cbc_enc\": {xts_enc_ratio:.2},\n  \
-         \"host\": [\n{}\n  ],\n  \"table4\": [\n{}\n  ],\n  \"sim\": [\n{}\n  ]\n}}\n",
+         \"cmac_batch16_over_scalar\": {cmac16_ratio:.2},\n  \
+         \"cmac_min_lane_messages\": {MIN_LANE_MESSAGES},\n  \
+         \"host\": [\n{}\n  ],\n  \"cmac\": [\n{}\n  ],\n  \"table4\": [\n{}\n  ],\n  \
+         \"sim\": [\n{}\n  ]\n}}\n",
         host_json.join(",\n"),
+        cmac_json.join(",\n"),
         acct_json.join(",\n"),
         sim_json.join(",\n"),
     );
@@ -307,5 +394,15 @@ fn main() {
             std::process::exit(1);
         }
         println!("enforce: bitsliced XTS-encrypt at {xts_enc_ratio:.2}x of CBC-encrypt — ok");
+        // The batch CMAC gate: 16 pages per call on the bitsliced lanes
+        // must run at least 2x the scalar chain (~4.4x measured).
+        if cmac16_ratio < 2.0 {
+            eprintln!(
+                "FAIL: batch CMAC over 16 pages at only {cmac16_ratio:.2}x of the \
+                 scalar chain (gate: >= 2x)"
+            );
+            std::process::exit(1);
+        }
+        println!("enforce: batch CMAC (16 pages) at {cmac16_ratio:.2}x of scalar — ok");
     }
 }

@@ -70,6 +70,18 @@ pub struct IntegrityStats {
     pub untagged_decrypts: u64,
 }
 
+/// Assert that a tag batch's buffer holds exactly one page per job. A
+/// short buffer would leave the trailing frames untagged (or
+/// unverified), and an untagged frame later decrypts unverified.
+fn check_pages(jobs: &[(u64, [u8; 16])], buf: &[u8]) {
+    assert_eq!(
+        buf.len(),
+        jobs.len() * PAGE_SIZE as usize,
+        "{} tag jobs need exactly one page each",
+        jobs.len()
+    );
+}
+
 /// One quarantined page: everything needed to report the violation on
 /// every later touch without re-reading anything.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -142,6 +154,16 @@ struct TagPage {
     touch: u64,
 }
 
+/// The spill key, whose `Debug` never prints the key bytes.
+#[derive(Clone, Copy)]
+struct SpillKey([u8; 16]);
+
+impl std::fmt::Debug for SpillKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("SpillKey(..)")
+    }
+}
+
 /// The integrity plane: a CMAC context keyed off the volatile root key,
 /// the on-SoC tag store, and the quarantine set.
 #[derive(Debug)]
@@ -150,7 +172,7 @@ pub struct IntegrityPlane {
     backend: OnSocBackend,
     /// CMAC under a domain-separated key derived from the volatile root
     /// key (`E_rootkey("SENTRY-INTEGRITY")`); `None` when disabled.
-    cmac: Option<Cmac<Aes>>,
+    cmac: Option<Cmac>,
     /// Tag-store pages in slot order. The vector never shrinks, so a
     /// slot's page index (`slot / TAGS_PER_PAGE`) is stable across
     /// spill, release, and re-residency.
@@ -169,7 +191,7 @@ pub struct IntegrityPlane {
     fixed_free: Vec<u64>,
     /// Spill key derived from the volatile root key
     /// (`E_rootkey("SENTRY-SPILL-KEY")`); `None` when disabled.
-    spill_key: Option<[u8; 16]>,
+    spill_key: Option<SpillKey>,
     /// The dm-crypt-backed spill region, created on first spill.
     spill: Option<SpillRegion>,
     /// Whether Critical pressure may spill (the pressure config's
@@ -227,7 +249,7 @@ impl IntegrityPlane {
                 Some(Cmac::new(
                     Aes::new(&mk).map_err(sentry_crypto::CryptoError::from)?,
                 )),
-                Some(sk),
+                Some(SpillKey(sk)),
             )
         } else {
             (None, None)
@@ -278,10 +300,20 @@ impl IntegrityPlane {
     /// fails against the current tag even if the attacker also knew the
     /// stale tag.
     fn compute_tag(&self, iv: &[u8; 16], page: &[u8]) -> [u8; TAG_BYTES] {
-        self.cmac
-            .as_ref()
-            .expect("compute_tag on a disabled plane")
-            .mac_parts_trunc8(&[iv, page])
+        self.mac().mac_parts_trunc8(&[iv, page])
+    }
+
+    /// The tags of a batch of ciphertext pages, `buf` holding one page
+    /// per job in job order: one batch CMAC, so independent pages fill
+    /// the bitsliced lanes (the host side of what
+    /// [`IntegrityPlane::charge_mac`] charges).
+    fn compute_tags(&self, jobs: &[(u64, [u8; 16])], buf: &[u8]) -> Vec<[u8; TAG_BYTES]> {
+        let ivs: Vec<[u8; 16]> = jobs.iter().map(|&(_, iv)| iv).collect();
+        self.mac().mac_extents_trunc8(&ivs, buf, PAGE_SIZE as usize)
+    }
+
+    fn mac(&self) -> &Cmac {
+        self.cmac.as_ref().expect("MAC on a disabled plane")
     }
 
     /// Charge the simulated clock for MACing `pages` pages, inside one
@@ -449,7 +481,7 @@ impl IntegrityPlane {
     fn spill_region(&mut self, soc: &mut Soc) -> Result<&mut SpillRegion, SentryError> {
         if self.spill.is_none() {
             let key = self.spill_key.ok_or(SentryError::OnSocExhausted)?;
-            self.spill = Some(SpillRegion::new(soc, &key)?);
+            self.spill = Some(SpillRegion::new(soc, &key.0)?);
         }
         Ok(self.spill.as_mut().expect("just created"))
     }
@@ -719,7 +751,9 @@ impl IntegrityPlane {
     }
 
     /// Compute and store tags for a batch of freshly encrypted pages.
-    /// `buf` holds the ciphertext pages in job order. Idempotent:
+    /// `buf` holds the ciphertext pages in job order, exactly one per
+    /// job. The batch's tags come from one batch CMAC; slot allocation
+    /// and tag writes then run page by page. Idempotent:
     /// re-storing a frame's tag overwrites it in place, so recovery can
     /// replay an interrupted encrypt without leaking slots.
     ///
@@ -731,6 +765,10 @@ impl IntegrityPlane {
     /// # Errors
     ///
     /// [`SentryError::OnSocExhausted`] when the tag store cannot grow.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `buf` holds exactly one page per job.
     pub fn store_tags(
         &mut self,
         soc: &mut Soc,
@@ -738,22 +776,25 @@ impl IntegrityPlane {
         jobs: &[(u64, [u8; 16])],
         buf: &[u8],
     ) -> Result<(), SentryError> {
+        check_pages(jobs, buf);
         if !self.enabled() || jobs.is_empty() {
             return Ok(());
         }
         Self::charge_mac(soc, jobs.len());
-        let page = PAGE_SIZE as usize;
-        for ((frame, iv), chunk) in jobs.iter().zip(buf.chunks_exact(page)) {
-            let tag = self.compute_tag(iv, chunk);
-            let slot = self.slot_for(soc, store, *frame)?;
-            soc.mem_write(self.slot_addr(slot), &tag)?;
+        let tags = self.compute_tags(jobs, buf);
+        for (&(frame, _), tag) in jobs.iter().zip(&tags) {
+            let slot = self.slot_for(soc, store, frame)?;
+            soc.mem_write(self.slot_addr(slot), tag)?;
             self.stats.tags_stored += 1;
         }
         Ok(())
     }
 
-    /// Verify a batch of gathered ciphertext pages against the tag
-    /// store, before any of them is decrypted. On a mismatch the frame
+    /// Verify a batch of gathered ciphertext pages (exactly one per job,
+    /// in job order) against the tag store, before any of them is
+    /// decrypted. The batch's tags come from one batch CMAC; each
+    /// page's tag-store read and compare then run in job order, and a
+    /// retry re-MACs only its own page. On a mismatch the frame
     /// is re-read (into the caller's buffer — a transient readout
     /// glitch heals here) up to `max_verify_retries` times; a page that
     /// still fails reports [`VerifyOutcome::Mismatch`] and the caller
@@ -762,6 +803,10 @@ impl IntegrityPlane {
     /// # Errors
     ///
     /// Propagates SoC read errors.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `buf` holds exactly one page per job.
     pub fn verify_frames(
         &mut self,
         soc: &mut Soc,
@@ -769,13 +814,16 @@ impl IntegrityPlane {
         jobs: &[(u64, [u8; 16])],
         buf: &mut [u8],
     ) -> Result<Vec<VerifyOutcome>, SentryError> {
+        check_pages(jobs, buf);
         if !self.enabled() {
             return Ok(vec![VerifyOutcome::Ok; jobs.len()]);
         }
         Self::charge_mac(soc, jobs.len());
+        let tags = self.compute_tags(jobs, buf);
         let page = PAGE_SIZE as usize;
         let mut outcomes = Vec::with_capacity(jobs.len());
-        for ((frame, iv), chunk) in jobs.iter().zip(buf.chunks_exact_mut(page)) {
+        for (((frame, iv), chunk), &first) in jobs.iter().zip(buf.chunks_exact_mut(page)).zip(&tags)
+        {
             let Some(&slot) = self.slots.get(frame) else {
                 self.stats.untagged_decrypts += 1;
                 outcomes.push(VerifyOutcome::Untagged);
@@ -784,7 +832,7 @@ impl IntegrityPlane {
             self.ensure_resident(soc, store, Self::page_index(slot))?;
             let mut expected = [0u8; TAG_BYTES];
             soc.mem_read(self.slot_addr(slot), &mut expected)?;
-            let mut got = self.compute_tag(iv, chunk);
+            let mut got = first;
             if got != expected {
                 for _ in 0..self.config.max_verify_retries {
                     self.stats.verify.attempts += 1;
@@ -1150,5 +1198,60 @@ mod tests {
             VerifyOutcome::Ok
         );
         assert_eq!(plane.stats, IntegrityStats::default());
+    }
+
+    #[test]
+    fn one_tampered_frame_in_a_lane_group_fails_alone() {
+        let (mut plane, mut store, mut soc) = plane_and_store(OnSocBackend::Iram);
+        let page = PAGE_SIZE as usize;
+        let jobs: Vec<(u64, [u8; 16])> = (0..16)
+            .map(|i| (dram_frame(&soc, i), [i as u8 + 1; 16]))
+            .collect();
+        let mut buf: Vec<u8> = (0..16 * page).map(|i| (i * 7 + 3) as u8).collect();
+        for (&(frame, _), chunk) in jobs.iter().zip(buf.chunks_exact(page)) {
+            soc.mem_write(frame, chunk).unwrap();
+        }
+        plane.store_tags(&mut soc, &mut store, &jobs, &buf).unwrap();
+        // Tamper frame 9 in DRAM and in the gathered batch alike, so its
+        // re-reads keep seeing the flipped bit.
+        buf[9 * page + 100] ^= 0x10;
+        soc.mem_write(jobs[9].0, &buf[9 * page..10 * page]).unwrap();
+        let outcomes = plane
+            .verify_frames(&mut soc, &mut store, &jobs, &mut buf)
+            .unwrap();
+        for (i, outcome) in outcomes.iter().enumerate() {
+            if i == 9 {
+                assert!(
+                    matches!(outcome, VerifyOutcome::Mismatch { .. }),
+                    "{outcome:?}"
+                );
+            } else {
+                assert_eq!(*outcome, VerifyOutcome::Ok, "page {i}");
+            }
+        }
+        assert_eq!(plane.stats.verified_pages, 15);
+        assert_eq!(
+            plane.stats.verify.attempts,
+            u64::from(IntegrityConfig::default().max_verify_retries)
+        );
+        assert_eq!(plane.stats.verify.exhausted, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "3 tag jobs need exactly one page each")]
+    fn store_tags_rejects_a_short_buffer() {
+        let (mut plane, mut store, mut soc) = plane_and_store(OnSocBackend::Iram);
+        let jobs: Vec<(u64, [u8; 16])> = (0..3).map(|i| (dram_frame(&soc, i), [0u8; 16])).collect();
+        let buf = vec![0u8; 2 * PAGE_SIZE as usize];
+        let _ = plane.store_tags(&mut soc, &mut store, &jobs, &buf);
+    }
+
+    #[test]
+    #[should_panic(expected = "3 tag jobs need exactly one page each")]
+    fn verify_frames_rejects_a_short_buffer() {
+        let (mut plane, mut store, mut soc) = plane_and_store(OnSocBackend::Iram);
+        let jobs: Vec<(u64, [u8; 16])> = (0..3).map(|i| (dram_frame(&soc, i), [0u8; 16])).collect();
+        let mut buf = vec![0u8; 2 * PAGE_SIZE as usize];
+        let _ = plane.verify_frames(&mut soc, &mut store, &jobs, &mut buf);
     }
 }

@@ -1723,6 +1723,36 @@ mod tests {
     }
 
     #[test]
+    fn debug_never_prints_derived_key_material() {
+        let config = SentryConfig::tegra3_locked_l2(2).with_cipher_mode(PageCipherMode::Xts);
+        let mut s = Sentry::new(Kernel::new(Soc::tegra3_small()), config).unwrap();
+        assert!(s.integrity.enabled());
+        let pid = s.kernel.spawn("mail");
+        s.mark_sensitive(pid).unwrap();
+        s.write(pid, 0, &[0x5Au8; 8 * 4096]).unwrap();
+        // A lock batch builds the MACs' bitsliced contexts too.
+        s.on_lock().unwrap();
+        let root = Aes::new(&s.volatile_key().read(&mut s.kernel.soc).unwrap()).unwrap();
+        let derive = |label: &[u8; 16]| {
+            let mut key = *label;
+            root.encrypt_block(&mut key);
+            key
+        };
+        let mut secrets = vec![derive(b"SENTRY-SPILL-KEY")];
+        for label in [b"SENTRY-INTEGRITY", b"SENTRY-TXNCOMMIT"] {
+            let cmac = sentry_crypto::Cmac::new(Aes::new(&derive(label)).unwrap());
+            secrets.extend([*cmac.subkey1(), *cmac.subkey2()]);
+        }
+        let shown = format!("{s:?}");
+        for secret in secrets {
+            assert!(
+                !shown.contains(&format!("{secret:?}")),
+                "{secret:?} printed"
+            );
+        }
+    }
+
+    #[test]
     fn lock_unlock_roundtrip_preserves_data() {
         let mut s = tegra_sentry();
         let pid = s.kernel.spawn("twitter");

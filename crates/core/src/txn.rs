@@ -170,7 +170,7 @@ impl JournalEntry {
 #[derive(Debug)]
 pub struct CommitTagger {
     mode: PageCipherMode,
-    cmac: Cmac<Aes>,
+    cmac: Cmac,
 }
 
 impl CommitTagger {
@@ -225,10 +225,32 @@ impl CommitTagger {
     }
 
     /// Stamp each entry with the commit tag of its ciphertext page
-    /// image: chunk `i` of `buf`, tagged under entry `i`'s IV.
+    /// image: page `i` of `buf`, tagged under entry `i`'s IV. Under
+    /// XTS/CTR the tags come from one batch CMAC, so independent pages
+    /// fill the bitsliced lanes.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `buf` holds exactly one page per entry — a short
+    /// buffer would leave the trailing entries with a stale tag.
     pub fn stamp(&self, entries: &mut [JournalEntry], buf: &[u8]) {
-        for (e, page) in entries.iter_mut().zip(buf.chunks_exact(PAGE_SIZE as usize)) {
-            e.tag = self.tag(&e.iv, page);
+        let page = PAGE_SIZE as usize;
+        assert_eq!(
+            buf.len(),
+            entries.len() * page,
+            "{} journal entries need exactly one page each",
+            entries.len()
+        );
+        if self.mode.is_chaining() {
+            for (e, image) in entries.iter_mut().zip(buf.chunks_exact(page)) {
+                e.tag = self.tag(&e.iv, image);
+            }
+        } else {
+            let ivs: Vec<[u8; 16]> = entries.iter().map(|e| e.iv).collect();
+            let tags = self.cmac.mac_extents(&ivs, buf, page);
+            for (e, tag) in entries.iter_mut().zip(tags) {
+                e.tag = tag;
+            }
         }
     }
 }
@@ -449,5 +471,29 @@ mod tests {
         header[4] = 9;
         soc.mem_write(journal_page(), &header).unwrap();
         assert_eq!(j.load(&mut soc).unwrap(), None);
+    }
+
+    #[test]
+    fn stamp_equals_the_per_page_tag_in_every_mode() {
+        // 17 pages: one full lane group plus one page on the scalar chain.
+        let buf: Vec<u8> = (0..17 * PAGE_SIZE as usize)
+            .map(|i| (i * 13 + 5) as u8)
+            .collect();
+        for mode in PageCipherMode::all() {
+            let tagger = CommitTagger::new(mode, &[0x3Cu8; 16]).unwrap();
+            let mut entries: Vec<JournalEntry> = (0..17).map(entry).collect();
+            tagger.stamp(&mut entries, &buf);
+            for (e, page) in entries.iter().zip(buf.chunks_exact(PAGE_SIZE as usize)) {
+                assert_eq!(e.tag, tagger.tag(&e.iv, page), "{mode}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "3 journal entries need exactly one page each")]
+    fn stamp_rejects_a_short_buffer() {
+        let tagger = CommitTagger::new(PageCipherMode::Xts, &[0x3Cu8; 16]).unwrap();
+        let mut entries: Vec<JournalEntry> = (0..3).map(entry).collect();
+        tagger.stamp(&mut entries, &vec![0u8; 2 * PAGE_SIZE as usize]);
     }
 }

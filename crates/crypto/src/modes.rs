@@ -173,6 +173,47 @@ pub fn cbc_encrypt<C: BlockCipher>(cipher: &C, iv: &Block, data: &mut [u8]) {
     }
 }
 
+/// The lane loop under every batch of independent CBC-style chains:
+/// [`cbc_encrypt_batch`] and the multi-message CMAC
+/// ([`crate::mac::Cmac::mac_extents`]).
+///
+/// Chain `i` runs `lens[i]` blocks starting from the value `chains[i]`.
+/// For block `j` of chain `i`, `feed(i, j, x)` is handed the chain value
+/// `x` (the previous block's output, or the start value when `j == 0`)
+/// and XORs that block's input into it; block position `j` of up to
+/// [`BlockCipherBatch::batch_width`] chains then goes through one
+/// `encrypt_blocks` call. Chains of different lengths share a group;
+/// shorter ones drop out of the batch once exhausted. On return
+/// `chains[i]` holds chain `i`'s last output block.
+pub(crate) fn cbc_chain_lanes<C: BlockCipherBatch>(
+    cipher: &C,
+    chains: &mut [Block],
+    lens: &[usize],
+    mut feed: impl FnMut(usize, usize, &mut Block),
+) {
+    assert_eq!(chains.len(), lens.len(), "one length per chain");
+    let width = cipher.batch_width().clamp(1, SCRATCH_BLOCKS);
+    let mut scratch = [[0u8; BLOCK_SIZE]; SCRATCH_BLOCKS];
+    let mut live = [0usize; SCRATCH_BLOCKS];
+    for start in (0..chains.len()).step_by(width) {
+        let end = (start + width).min(chains.len());
+        let max_blocks = lens[start..end].iter().copied().max().unwrap_or(0);
+        for j in 0..max_blocks {
+            let mut n = 0;
+            for i in (start..end).filter(|&i| j < lens[i]) {
+                scratch[n] = chains[i];
+                feed(i, j, &mut scratch[n]);
+                live[n] = i;
+                n += 1;
+            }
+            cipher.encrypt_blocks(&mut scratch[..n]);
+            for (out, &i) in scratch[..n].iter().zip(&live[..n]) {
+                chains[i] = *out;
+            }
+        }
+    }
+}
+
 /// CBC-encrypt several *independent* buffers at once, the `i`-th chained
 /// from `ivs[i]`, filling the batch kernel's lanes with one chain each.
 ///
@@ -199,8 +240,7 @@ pub fn cbc_encrypt_batch<C: BlockCipherBatch>(
     for buf in buffers.iter() {
         check_aligned(buf);
     }
-    let width = cipher.batch_width().clamp(1, SCRATCH_BLOCKS);
-    if width == 1 {
+    if cipher.batch_width() <= 1 {
         // Scalar backend: lane-filling buys nothing, keep the fast
         // serial-chain loop.
         for (iv, buf) in ivs.iter().zip(buffers.iter_mut()) {
@@ -208,41 +248,25 @@ pub fn cbc_encrypt_batch<C: BlockCipherBatch>(
         }
         return;
     }
-    let mut scratch = [[0u8; BLOCK_SIZE]; SCRATCH_BLOCKS];
-    let mut start = 0usize;
-    while start < buffers.len() {
-        let lanes = width.min(buffers.len() - start);
-        let group = &mut buffers[start..start + lanes];
-        let mut chain = [[0u8; BLOCK_SIZE]; SCRATCH_BLOCKS];
-        chain[..lanes].copy_from_slice(&ivs[start..start + lanes]);
-        let max_blocks = group
-            .iter()
-            .map(|b| b.len() / BLOCK_SIZE)
-            .max()
-            .unwrap_or(0);
-        let mut live = [0usize; SCRATCH_BLOCKS];
-        for j in 0..max_blocks {
-            let off = j * BLOCK_SIZE;
-            let mut n = 0;
-            for (lane, buf) in group.iter().enumerate() {
-                if off < buf.len() {
-                    live[n] = lane;
-                    n += 1;
-                }
-            }
-            for (slot, &lane) in live[..n].iter().enumerate() {
-                let block = &group[lane][off..off + BLOCK_SIZE];
-                for ((s, b), c) in scratch[slot].iter_mut().zip(block).zip(&chain[lane]) {
-                    *s = *b ^ *c;
-                }
-            }
-            cipher.encrypt_blocks(&mut scratch[..n]);
-            for (slot, &lane) in live[..n].iter().enumerate() {
-                group[lane][off..off + BLOCK_SIZE].copy_from_slice(&scratch[slot]);
-                chain[lane] = scratch[slot];
-            }
+    let mut chains = ivs.to_vec();
+    let lens: Vec<usize> = buffers.iter().map(|b| b.len() / BLOCK_SIZE).collect();
+    // The chain value handed in for block `j` is ciphertext block `j-1`:
+    // store it, then fold in plaintext block `j`.
+    cbc_chain_lanes(cipher, &mut chains, &lens, |i, j, x| {
+        let off = j * BLOCK_SIZE;
+        if j > 0 {
+            buffers[i][off - BLOCK_SIZE..off].copy_from_slice(x);
         }
-        start += lanes;
+        xor_block(
+            x,
+            buffers[i][off..off + BLOCK_SIZE].try_into().expect("block"),
+        );
+    });
+    // Each chain's final output is its last ciphertext block.
+    for ((buf, last), len) in buffers.iter_mut().zip(&chains).zip(lens) {
+        if len > 0 {
+            buf[(len - 1) * BLOCK_SIZE..].copy_from_slice(last);
+        }
     }
 }
 

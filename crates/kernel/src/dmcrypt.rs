@@ -142,7 +142,7 @@ pub struct DmCrypt {
     cipher: Option<String>,
     /// Sector MAC, derived from the volume key at `set_key`
     /// (`E_volumekey("SENTRY-DMCRYPT-1")`); `None` until a key is set.
-    mac: RefCell<Option<Cmac<Aes>>>,
+    mac: RefCell<Option<Cmac>>,
     /// Recorded tag per absolute sector number.
     tags: RefCell<HashMap<u64, [u8; 8]>>,
     /// Asynchronous read pipeline; `None` (the default) keeps the
@@ -338,29 +338,29 @@ impl DmCrypt {
             }
         }
         let disk_wait_ns = soc.clock.now_ns() - t0;
+        let ivs: Vec<[u8; 16]> = (0..buf.len() / SECTOR_SIZE)
+            .map(|i| Self::sector_iv(sector + i as u64))
+            .collect();
         // Authenticate the raw ciphertext before any of it is decrypted:
         // a spliced or bit-flipped sector must fail closed, not hand the
-        // filesystem plausible-looking garbage.
+        // filesystem plausible-looking garbage. The request's sectors are
+        // MACed as one batch; the first mismatch in sector order fails.
         if let Some(mac) = self.mac.borrow().as_ref() {
             let tags = self.tags.borrow();
-            for (i, ct) in buf.chunks_exact(SECTOR_SIZE).enumerate() {
-                let s = sector + i as u64;
-                let Some(expected) = tags.get(&s) else {
+            let got = mac.mac_extents_trunc8(&ivs, buf, SECTOR_SIZE);
+            for (s, got) in (sector..).zip(got) {
+                let Some(&expected) = tags.get(&s) else {
                     continue; // never written through this mapping
                 };
-                let got = mac.mac_parts_trunc8(&[&Self::sector_iv(s), ct]);
-                if got != *expected {
+                if got != expected {
                     return Err(KernelError::SectorTamper {
                         sector: s,
-                        tag_expected: *expected,
+                        tag_expected: expected,
                         tag_got: got,
                     });
                 }
             }
         }
-        let ivs: Vec<[u8; 16]> = (0..buf.len() / SECTOR_SIZE)
-            .map(|i| Self::sector_iv(sector + i as u64))
-            .collect();
         let mode = self.engine(api)?.mode();
         {
             let mut pl = self.pipeline.borrow_mut();
@@ -658,10 +658,8 @@ impl DmCrypt {
         // Record the tag before the ciphertext reaches the device, so
         // there is no window in which tampered bytes could be accepted.
         if let Some(mac) = self.mac.borrow().as_ref() {
-            let mut tags = self.tags.borrow_mut();
-            for (i, (chunk, iv)) in ct.chunks_exact(SECTOR_SIZE).zip(&ivs).enumerate() {
-                tags.insert(sector + i as u64, mac.mac_parts_trunc8(&[iv, chunk]));
-            }
+            let got = mac.mac_extents_trunc8(&ivs, &ct, SECTOR_SIZE);
+            self.tags.borrow_mut().extend((sector..).zip(got));
         }
         dev.write_sectors(sector, &ct, &mut soc.clock)
     }
@@ -680,6 +678,37 @@ mod tests {
         let dm = DmCrypt::with_preferred_cipher();
         dm.set_key(&mut api, &mut soc, &[9u8; 16]).unwrap();
         (api, soc, RamDisk::new(256), dm)
+    }
+
+    #[test]
+    fn debug_never_prints_the_sector_mac_subkeys() {
+        let (mut api, mut soc, mut disk, dm) = setup();
+        // A 16-sector write builds the MAC's bitsliced context too.
+        let data = vec![0x5Au8; SECTOR_SIZE * 16];
+        dm.write(&mut api, &mut soc, &mut disk, 0, &data).unwrap();
+        let shown = format!("{dm:?}");
+        let mac = dm.mac.borrow();
+        let mac = mac.as_ref().unwrap();
+        for secret in [mac.subkey1(), mac.subkey2()] {
+            assert!(!shown.contains(&format!("{secret:?}")), "{shown}");
+        }
+    }
+
+    #[test]
+    fn batched_sector_tags_match_per_sector_tags() {
+        let (mut api, mut soc, mut disk, dm) = setup();
+        let data: Vec<u8> = (0..SECTOR_SIZE * 19).map(|i| (i * 3) as u8).collect();
+        dm.write(&mut api, &mut soc, &mut disk, 4, &data).unwrap();
+        let mut ct = vec![0u8; data.len()];
+        let mut clock = sentry_soc::SimClock::new();
+        disk.read_sectors(4, &mut ct, &mut clock).unwrap();
+        let mac = dm.mac.borrow();
+        let mac = mac.as_ref().unwrap();
+        let tags = dm.tags.borrow();
+        for (s, sector) in (4u64..).zip(ct.chunks_exact(SECTOR_SIZE)) {
+            let one = mac.mac_parts_trunc8(&[&DmCrypt::sector_iv(s), sector]);
+            assert_eq!(tags[&s], one, "sector {s}");
+        }
     }
 
     #[test]
