@@ -7,20 +7,21 @@
 //! the simulated bar).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use sentry_crypto::parallel::{crypt_batch, Direction, PageJob};
-use sentry_crypto::{Aes, PageCipherMode};
+use sentry_crypto::parallel::crypt_batch;
+use sentry_crypto::{Direction, PageCipher, PageCipherMode};
 
 const BATCH_PAGES: usize = 256;
 const PAGE: usize = 4096;
 
-fn mk_batch() -> Vec<Vec<u8>> {
-    (0..BATCH_PAGES)
-        .map(|i| (0..PAGE).map(|j| (i * 31 + j) as u8).collect())
+fn mk_batch() -> Vec<u8> {
+    (0..BATCH_PAGES * PAGE)
+        .map(|b| (b / PAGE * 31 + b % PAGE) as u8)
         .collect()
 }
 
 fn bench_crypt_batch(c: &mut Criterion) {
-    let aes = Aes::new(&[0x6Bu8; 32]).unwrap();
+    let cipher = PageCipher::new(&[0x6Bu8; 32]).unwrap();
+    let ivs: Vec<[u8; 16]> = (0..BATCH_PAGES).map(|i| [i as u8; 16]).collect();
     let mut group = c.benchmark_group("parallel_lock");
     group.sample_size(10);
     group.throughput(Throughput::Bytes((BATCH_PAGES * PAGE) as u64));
@@ -30,19 +31,12 @@ fn bench_crypt_batch(c: &mut Criterion) {
             &workers,
             |b, &workers| {
                 b.iter_with_setup(mk_batch, |mut pages| {
-                    let mut jobs: Vec<PageJob<'_>> = pages
-                        .iter_mut()
-                        .enumerate()
-                        .map(|(i, p)| PageJob {
-                            iv: [i as u8; 16],
-                            data: p.as_mut_slice(),
-                        })
-                        .collect();
                     crypt_batch(
-                        &aes,
+                        &cipher,
                         PageCipherMode::Cbc,
                         Direction::Encrypt,
-                        &mut jobs,
+                        &ivs,
+                        &mut pages,
                         workers,
                         1,
                     )

@@ -24,8 +24,8 @@ use std::time::Instant;
 use sentry_bench::print_table;
 use sentry_core::config::ParallelConfig;
 use sentry_core::{Sentry, SentryConfig};
-use sentry_crypto::parallel::{crypt_batch, Direction, PageJob};
-use sentry_crypto::{Aes, BitslicedAes, PageCipherMode};
+use sentry_crypto::parallel::crypt_batch;
+use sentry_crypto::{Direction, PageCipher, PageCipherMode};
 use sentry_kernel::Kernel;
 use sentry_soc::Soc;
 
@@ -45,10 +45,10 @@ struct Point {
     sim_speedup: f64,
 }
 
-fn mk_batch() -> Vec<Vec<u8>> {
-    (0..BATCH_PAGES)
-        .map(|i| (0..PAGE).map(|j| (i * 31 + j) as u8).collect())
-        .collect()
+fn fill_batch(pages: &mut [u8]) {
+    for (b, byte) in pages.iter_mut().enumerate() {
+        *byte = (b / PAGE * 31 + b % PAGE) as u8;
+    }
 }
 
 /// Median host wall-clock of one 256-page encrypt batch, plus the lane
@@ -59,31 +59,28 @@ fn mk_batch() -> Vec<Vec<u8>> {
 /// and page-fault time *inside* the measured region, which both inflated
 /// the absolute numbers and flattened the speedup curve (the allocation
 /// cost does not parallelize). Only `crypt_batch` is timed now, with the
-/// same bitsliced backend the lock engine hands its lanes.
-fn host_point(bits: &BitslicedAes, mode: PageCipherMode, workers: usize) -> (u64, usize) {
+/// same keyed context the lock engine hands its lanes.
+fn host_point(cipher: &PageCipher, mode: PageCipherMode, workers: usize) -> (u64, usize) {
     let mut samples = Vec::with_capacity(REPS);
     let mut workers_used = 1;
-    let mut pages = mk_batch();
+    let mut pages = vec![0u8; BATCH_PAGES * PAGE];
+    let ivs: Vec<[u8; 16]> = (0..BATCH_PAGES).map(|i| [i as u8; 16]).collect();
     // Threads beyond the physical cores only time-slice; clamp so the
     // reported lane count matches the parallelism that can exist.
     let host_workers = workers.min(host_cores());
     for rep in 0..=REPS {
-        for (i, page) in pages.iter_mut().enumerate() {
-            for (j, b) in page.iter_mut().enumerate() {
-                *b = (i * 31 + j) as u8;
-            }
-        }
-        let mut jobs: Vec<PageJob<'_>> = pages
-            .iter_mut()
-            .enumerate()
-            .map(|(i, p)| PageJob {
-                iv: [i as u8; 16],
-                data: p.as_mut_slice(),
-            })
-            .collect();
+        fill_batch(&mut pages);
         let t0 = Instant::now();
-        let report = crypt_batch(bits, mode, Direction::Encrypt, &mut jobs, host_workers, 1)
-            .expect("batch crypt");
+        let report = crypt_batch(
+            cipher,
+            mode,
+            Direction::Encrypt,
+            &ivs,
+            &mut pages,
+            host_workers,
+            1,
+        )
+        .expect("batch crypt");
         let elapsed = t0.elapsed().as_nanos() as u64;
         workers_used = report.workers_used;
         if rep > 0 {
@@ -160,14 +157,13 @@ fn json_escape_free(points: &[Point]) -> String {
 }
 
 fn main() {
-    let aes = Aes::new(&[0x6Bu8; 32]).expect("valid key length");
-    let bits = BitslicedAes::from_schedule(aes.schedule());
+    let cipher = PageCipher::new(&[0x6Bu8; 32]).expect("valid key length");
     let batch_bytes = (BATCH_PAGES * PAGE) as f64;
 
     let mut points: Vec<Point> = Vec::with_capacity(3 * SWEEP.len());
     for mode in PageCipherMode::all() {
         for workers in SWEEP {
-            let (host_wall_ns, workers_used) = host_point(&bits, mode, workers);
+            let (host_wall_ns, workers_used) = host_point(&cipher, mode, workers);
             let sim_lock_ns = sim_point(mode, workers);
             points.push(Point {
                 mode,

@@ -29,7 +29,8 @@
 
 use crate::error::SentryError;
 use crate::store::CachedSocStore;
-use sentry_crypto::{BitslicedAes, PageCipherMode, TrackedAes, TrackedBitslicedAes};
+use sentry_crypto::modes::extent_unit;
+use sentry_crypto::{Direction, PageCipher, PageCipherMode, TrackedAes, TrackedBitslicedAes};
 use sentry_kernel::crypto_api::{CipherEngine, KeyResidency};
 use sentry_kernel::KernelError;
 use sentry_soc::Soc;
@@ -82,11 +83,9 @@ pub struct AesOnSocEngine {
     residency: KeyResidency,
     backend: OnSocCipherBackend,
     tracked: Option<TrackedCtx>,
-    native: Option<sentry_crypto::Aes>,
-    /// Batched backend sharing `native`'s schedule, built once at
-    /// key-install time; drives the fast-path CBC decryption 16 blocks
-    /// per kernel call.
-    native_bits: Option<BitslicedAes>,
+    /// The register-resident context of the fast data path, keyed once
+    /// per [`CipherEngine::set_key`].
+    native: Option<PageCipher>,
     /// Selected page cipher mode; all three are implemented on both the
     /// fast and the full-simulation data path.
     mode: PageCipherMode,
@@ -127,7 +126,6 @@ impl AesOnSocEngine {
             backend,
             tracked: None,
             native: None,
-            native_bits: None,
             mode: PageCipherMode::Cbc,
             full_sim: false,
         }
@@ -193,29 +191,91 @@ impl AesOnSocEngine {
 
     /// The fast data path: register-resident compute under the same
     /// IRQ/call disciplines and the same calibrated time charge.
-    fn critical_native<T>(
+    fn critical_native(
         &self,
         soc: &mut Soc,
-        calibrated_ns: u64,
-        f: impl FnOnce(&sentry_crypto::Aes, &BitslicedAes) -> T,
-    ) -> Result<T, KernelError> {
+        direction: Direction,
+        ivs: &[[u8; 16]],
+        data: &mut [u8],
+    ) -> Result<(), KernelError> {
         let native = self.native.as_ref().ok_or(KernelError::NoKeyInstalled {
-            engine: "aes-cbc-onsoc",
+            engine: self.name(),
         })?;
-        let native_bits = self
-            .native_bits
-            .as_ref()
-            .ok_or(KernelError::NoKeyInstalled {
-                engine: "aes-cbc-onsoc",
-            })?;
+        let calibrated_ns = self.calibrated_ns(soc, data.len());
         let entry_args = [0u32, 1, 2, 3];
         let spilled = soc.cpu.pass_args(&entry_args);
         debug_assert!(spilled.is_empty(), "no sensitive argument may spill");
         let was_enabled = soc.cpu.begin_critical();
-        let out = f(native, native_bits);
+        native.crypt(self.mode, direction, ivs, data);
         soc.clock.advance(calibrated_ns);
         soc.cpu.end_critical(was_enabled, calibrated_ns);
-        Ok(out)
+        Ok(())
+    }
+
+    /// One unit (`crypt.one`): the tracked data path under full
+    /// simulation, else the native one.
+    fn crypt_one(
+        &self,
+        soc: &mut Soc,
+        direction: Direction,
+        iv: &[u8; 16],
+        data: &mut [u8],
+    ) -> Result<(), KernelError> {
+        soc.failpoint("crypt.one")?;
+        if !self.full_sim {
+            return self.critical_native(soc, direction, std::slice::from_ref(iv), data);
+        }
+        let ns = self.calibrated_ns(soc, data.len());
+        let mode = self.mode;
+        let encrypt = direction == Direction::Encrypt;
+        self.critical(soc, ns, |ctx, store| match (ctx, mode, encrypt) {
+            (TrackedCtx::Table(aes), PageCipherMode::Cbc, true) => aes.cbc_encrypt(store, iv, data),
+            (TrackedCtx::Table(aes), PageCipherMode::Cbc, false) => {
+                aes.cbc_decrypt(store, iv, data)
+            }
+            (TrackedCtx::Table(aes), PageCipherMode::Xts, true) => aes.xts_encrypt(store, iv, data),
+            (TrackedCtx::Table(aes), PageCipherMode::Xts, false) => {
+                aes.xts_decrypt(store, iv, data)
+            }
+            (TrackedCtx::Table(aes), PageCipherMode::Ctr, _) => aes.ctr_crypt(store, iv, data),
+            (TrackedCtx::Bitsliced(aes), PageCipherMode::Cbc, true) => {
+                aes.cbc_encrypt(store, iv, data)
+            }
+            (TrackedCtx::Bitsliced(aes), PageCipherMode::Cbc, false) => {
+                aes.cbc_decrypt(store, iv, data)
+            }
+            (TrackedCtx::Bitsliced(aes), PageCipherMode::Xts, true) => {
+                aes.xts_encrypt(store, iv, data)
+            }
+            (TrackedCtx::Bitsliced(aes), PageCipherMode::Xts, false) => {
+                aes.xts_decrypt(store, iv, data)
+            }
+            (TrackedCtx::Bitsliced(aes), PageCipherMode::Ctr, _) => aes.ctr_crypt(store, iv, data),
+        })
+    }
+
+    /// A run of extents (`crypt.extent`). Full simulation stays per unit
+    /// so every state access keeps its tracked trace (and an empty run
+    /// opens no critical section); the fast path runs the whole run in
+    /// one IRQ-critical section — the kernel call a fault-cluster
+    /// readahead lands on. The calibrated charge is linear in bytes, so
+    /// the simulated time equals the per-unit loop's.
+    fn crypt_extent(
+        &self,
+        soc: &mut Soc,
+        direction: Direction,
+        ivs: &[[u8; 16]],
+        data: &mut [u8],
+    ) -> Result<(), KernelError> {
+        soc.failpoint("crypt.extent")?;
+        if ivs.is_empty() || self.full_sim {
+            let unit = extent_unit(ivs, data);
+            for (iv, chunk) in ivs.iter().zip(data.chunks_exact_mut(unit.max(1))) {
+                self.crypt_one(soc, direction, iv, chunk)?;
+            }
+            return Ok(());
+        }
+        self.critical_native(soc, direction, ivs, data)
     }
 }
 
@@ -253,11 +313,7 @@ impl CipherEngine for AesOnSocEngine {
         let dt = soc.clock.now_ns() - t0;
         soc.cpu.end_critical(was_enabled, dt);
         self.tracked = Some(tracked);
-        let native = sentry_crypto::Aes::new(key).map_err(KernelError::InvalidKey)?;
-        // The batched context shares the already-expanded schedule — the
-        // key is expanded once per install, never per operation.
-        self.native_bits = Some(BitslicedAes::from_schedule(native.schedule()));
-        self.native = Some(native);
+        self.native = Some(PageCipher::new(key).map_err(KernelError::InvalidKey)?);
         Ok(())
     }
 
@@ -276,35 +332,7 @@ impl CipherEngine for AesOnSocEngine {
         iv: &[u8; 16],
         data: &mut [u8],
     ) -> Result<(), KernelError> {
-        soc.failpoint("crypt.one")?;
-        let ns = self.calibrated_ns(soc, data.len());
-        let mode = self.mode;
-        if self.full_sim {
-            self.critical(soc, ns, |ctx, store| match (ctx, mode) {
-                (TrackedCtx::Table(aes), PageCipherMode::Cbc) => aes.cbc_encrypt(store, iv, data),
-                (TrackedCtx::Table(aes), PageCipherMode::Xts) => aes.xts_encrypt(store, iv, data),
-                (TrackedCtx::Table(aes), PageCipherMode::Ctr) => aes.ctr_crypt(store, iv, data),
-                (TrackedCtx::Bitsliced(aes), PageCipherMode::Cbc) => {
-                    aes.cbc_encrypt(store, iv, data)
-                }
-                (TrackedCtx::Bitsliced(aes), PageCipherMode::Xts) => {
-                    aes.xts_encrypt(store, iv, data)
-                }
-                (TrackedCtx::Bitsliced(aes), PageCipherMode::Ctr) => aes.ctr_crypt(store, iv, data),
-            })
-        } else {
-            self.critical_native(soc, ns, |aes, bits| match mode {
-                // CBC encryption is serially chained; the scalar context
-                // is the fast one for a one-block-at-a-time chain.
-                PageCipherMode::Cbc => sentry_crypto::modes::cbc_encrypt(aes, iv, data),
-                // XTS/CTR are block-parallel in both directions: the
-                // batched context runs 16 blocks per kernel call.
-                // Single-key XEX: the tweak cipher is the data cipher,
-                // matching the one-context tracked path byte for byte.
-                PageCipherMode::Xts => sentry_crypto::modes::xts_encrypt(bits, bits, iv, data),
-                PageCipherMode::Ctr => sentry_crypto::modes::ctr_crypt(bits, iv, data),
-            })
-        }
+        self.crypt_one(soc, Direction::Encrypt, iv, data)
     }
 
     fn decrypt(
@@ -313,31 +341,7 @@ impl CipherEngine for AesOnSocEngine {
         iv: &[u8; 16],
         data: &mut [u8],
     ) -> Result<(), KernelError> {
-        soc.failpoint("crypt.one")?;
-        let ns = self.calibrated_ns(soc, data.len());
-        let mode = self.mode;
-        if self.full_sim {
-            self.critical(soc, ns, |ctx, store| match (ctx, mode) {
-                (TrackedCtx::Table(aes), PageCipherMode::Cbc) => aes.cbc_decrypt(store, iv, data),
-                (TrackedCtx::Table(aes), PageCipherMode::Xts) => aes.xts_decrypt(store, iv, data),
-                (TrackedCtx::Table(aes), PageCipherMode::Ctr) => aes.ctr_crypt(store, iv, data),
-                (TrackedCtx::Bitsliced(aes), PageCipherMode::Cbc) => {
-                    aes.cbc_decrypt(store, iv, data)
-                }
-                (TrackedCtx::Bitsliced(aes), PageCipherMode::Xts) => {
-                    aes.xts_decrypt(store, iv, data)
-                }
-                (TrackedCtx::Bitsliced(aes), PageCipherMode::Ctr) => aes.ctr_crypt(store, iv, data),
-            })
-        } else {
-            // Every mode decrypts data-parallel: the batched context runs
-            // 16 blocks per kernel call.
-            self.critical_native(soc, ns, |_, bits| match mode {
-                PageCipherMode::Cbc => sentry_crypto::modes::cbc_decrypt(bits, iv, data),
-                PageCipherMode::Xts => sentry_crypto::modes::xts_decrypt(bits, bits, iv, data),
-                PageCipherMode::Ctr => sentry_crypto::modes::ctr_crypt(bits, iv, data),
-            })
-        }
+        self.crypt_one(soc, Direction::Decrypt, iv, data)
     }
 
     fn encrypt_extent(
@@ -346,48 +350,7 @@ impl CipherEngine for AesOnSocEngine {
         ivs: &[[u8; 16]],
         data: &mut [u8],
     ) -> Result<(), KernelError> {
-        soc.failpoint("crypt.extent")?;
-        if ivs.is_empty() {
-            assert!(data.is_empty(), "extent data without IVs");
-            return Ok(());
-        }
-        assert!(
-            data.len().is_multiple_of(ivs.len()),
-            "data does not divide into {} extents",
-            ivs.len()
-        );
-        if self.full_sim {
-            // Full simulation stays per-unit so every state access keeps
-            // its tracked trace.
-            let unit = data.len() / ivs.len();
-            for (iv, chunk) in ivs.iter().zip(data.chunks_exact_mut(unit)) {
-                self.encrypt(soc, iv, chunk)?;
-            }
-            return Ok(());
-        }
-        // One IRQ-critical section for the whole run. Under CBC the
-        // extents are independent chains, so the bitsliced context fills
-        // its 16 lanes with one chain each (a single extent has nothing
-        // to batch against and stays on the scalar chain); under XTS/CTR
-        // every block is independent and the batched stream crosses
-        // extent boundaries without draining. The calibrated charge is
-        // linear in bytes, so the total simulated time is identical to
-        // the per-unit loop.
-        let ns = self.calibrated_ns(soc, data.len());
-        let mode = self.mode;
-        self.critical_native(soc, ns, |aes, bits| match mode {
-            PageCipherMode::Cbc => {
-                if ivs.len() == 1 {
-                    sentry_crypto::modes::cbc_encrypt(aes, &ivs[0], data);
-                } else {
-                    sentry_crypto::modes::cbc_encrypt_extents(bits, ivs, data);
-                }
-            }
-            PageCipherMode::Xts => {
-                sentry_crypto::modes::xts_crypt_extents(bits, bits, true, ivs, data);
-            }
-            PageCipherMode::Ctr => sentry_crypto::modes::ctr_crypt_extents(bits, ivs, data),
-        })
+        self.crypt_extent(soc, Direction::Encrypt, ivs, data)
     }
 
     fn decrypt_extent(
@@ -396,35 +359,7 @@ impl CipherEngine for AesOnSocEngine {
         ivs: &[[u8; 16]],
         data: &mut [u8],
     ) -> Result<(), KernelError> {
-        soc.failpoint("crypt.extent")?;
-        if ivs.is_empty() {
-            assert!(data.is_empty(), "extent data without IVs");
-            return Ok(());
-        }
-        assert!(
-            data.len().is_multiple_of(ivs.len()),
-            "data does not divide into {} extents",
-            ivs.len()
-        );
-        if self.full_sim {
-            let unit = data.len() / ivs.len();
-            for (iv, chunk) in ivs.iter().zip(data.chunks_exact_mut(unit)) {
-                self.decrypt(soc, iv, chunk)?;
-            }
-            return Ok(());
-        }
-        // One critical section, one batched stream across every extent
-        // boundary — this is the kernel call a fault-cluster readahead
-        // lands on.
-        let ns = self.calibrated_ns(soc, data.len());
-        let mode = self.mode;
-        self.critical_native(soc, ns, |_, bits| match mode {
-            PageCipherMode::Cbc => sentry_crypto::modes::cbc_decrypt_extents(bits, ivs, data),
-            PageCipherMode::Xts => {
-                sentry_crypto::modes::xts_crypt_extents(bits, bits, false, ivs, data);
-            }
-            PageCipherMode::Ctr => sentry_crypto::modes::ctr_crypt_extents(bits, ivs, data),
-        })
+        self.crypt_extent(soc, Direction::Decrypt, ivs, data)
     }
 }
 

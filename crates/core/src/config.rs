@@ -116,23 +116,11 @@ pub struct IntegrityConfig {
     /// every decrypt path behaves exactly as before the integrity plane
     /// existed (confidentiality-only encrypted DRAM).
     pub enabled: bool,
-    /// Extra frame re-reads attempted when a MAC check fails, to
-    /// disambiguate a transient bus/readout glitch from real tampering
-    /// before quarantining the page.
-    pub max_verify_retries: u32,
-    /// Attempt cap (initial try + retries) for transient crypt/dispatch
-    /// faults on the fault-readahead and sweeper paths; exceeding it
-    /// yields a typed `RetriesExhausted` instead of retrying forever.
-    pub max_crypt_retries: u32,
 }
 
 impl Default for IntegrityConfig {
     fn default() -> Self {
-        IntegrityConfig {
-            enabled: true,
-            max_verify_retries: 2,
-            max_crypt_retries: 3,
-        }
+        IntegrityConfig { enabled: true }
     }
 }
 
@@ -141,10 +129,7 @@ impl IntegrityConfig {
     /// paper's original behaviour).
     #[must_use]
     pub fn disabled() -> Self {
-        IntegrityConfig {
-            enabled: false,
-            ..IntegrityConfig::default()
-        }
+        IntegrityConfig { enabled: false }
     }
 }
 

@@ -20,7 +20,7 @@ use crate::integrity::{QuarantinedPage, VerifyOutcome};
 use crate::onsoc::OnSocStore;
 use crate::transition::{crypt_extent, crypt_page, Kind, Transition};
 use crate::txn::JournalEntry;
-use sentry_crypto::parallel::Direction;
+use sentry_crypto::Direction;
 use sentry_kernel::fault::PageFault;
 use sentry_kernel::pagetable::Backing;
 use sentry_kernel::{Kernel, Pid};

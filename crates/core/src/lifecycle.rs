@@ -19,10 +19,10 @@ use crate::onsoc::OnSocStore;
 use crate::pressure::{PressureLevel, PressureStats};
 use crate::transition::{crypt_extent, crypt_page, set_page_state, Kind, PageState, Transition};
 use crate::txn::{CommitTagger, JournalEntry, TxnJournal, TxnOp};
-use sentry_crypto::parallel::{crypt_batch, BatchReport, Direction, PageJob};
+use sentry_crypto::parallel::{crypt_batch, BatchReport};
 use sentry_crypto::{
-    Aes, CryptoError, FailureKind, FallbackReason, HealthGovernor, HealthStats, PageCipherMode,
-    RetryStats,
+    Aes, CryptoError, Direction, FailureKind, FallbackReason, HealthGovernor, HealthStats,
+    PageCipher, PageCipherMode, RetryStats,
 };
 use sentry_kernel::crypto_api::CipherEngine;
 use sentry_kernel::fault::{FaultResolution, PageFault};
@@ -31,6 +31,11 @@ use sentry_kernel::pagetable::{Backing, Pte, Sharing};
 use sentry_kernel::{Kernel, KernelError, Pid};
 use sentry_soc::accel::{AccelPowerState, WaitOutcome};
 use sentry_soc::addr::{IRAM_BASE, IRAM_FIRMWARE_RESERVED, PAGE_SIZE};
+
+/// Attempt cap (initial try + retries) for transient crypt/dispatch
+/// faults on the fault-readahead and sweeper paths; exceeding it yields
+/// a typed [`SentryError::RetriesExhausted`] instead of retrying forever.
+pub const MAX_CRYPT_RETRIES: u32 = 3;
 
 /// Whether the device screen is locked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -577,7 +582,6 @@ impl Sentry {
         }
         let pages = jobs.len();
         let bytes = pages as u64 * PAGE_SIZE;
-        let page = PAGE_SIZE as usize;
         self.kernel.soc.failpoint("crypt.dispatch")?;
         let workers = self.config.parallel.workers;
         let min_batch = self.config.parallel.min_batch_pages.max(1);
@@ -612,27 +616,17 @@ impl Sentry {
             }
         } else {
             // Expand the key schedule exactly once for the whole batch;
-            // worker lanes share the expanded context by reference.
+            // worker lanes share the one context by reference and run the
+            // same kernel choice as every engine.
             let key = self.volatile_key.read(&mut self.kernel.soc)?;
-            let aes = Aes::new(&key).map_err(|e| SentryError::Crypto(CryptoError::Key(e)))?;
-
-            let mut batch: Vec<PageJob<'_>> = buf
-                .chunks_exact_mut(page)
-                .zip(&ivs)
-                .map(|(data, &iv)| PageJob { iv, data })
-                .collect();
-            // Both directions run the batched bitsliced kernel: decrypt
-            // lanes stream each page 16 blocks per call (CBC decryption
-            // is data-parallel within a page), encrypt lanes fill the 16
-            // lanes with independent page chains. All lanes share one
-            // reference — the schedule expanded above is the only key
-            // expansion in the whole batch.
-            let bits = sentry_crypto::BitslicedAes::from_schedule(aes.schedule());
+            let cipher =
+                PageCipher::new(&key).map_err(|e| SentryError::Crypto(CryptoError::Key(e)))?;
             let report = crypt_batch(
-                &bits,
+                &cipher,
                 self.config.cipher_mode,
                 direction,
-                &mut batch,
+                &ivs,
+                buf,
                 workers,
                 min_batch,
             )
@@ -693,8 +687,7 @@ impl Sentry {
         jobs: &mut [JournalEntry],
         buf: &mut [u8],
     ) -> Result<BatchReport, SentryError> {
-        let p = self.config.pipeline;
-        if !(p.enabled && p.route_lifecycle_batches) {
+        if !self.config.pipeline.enabled {
             return self.crypt_buffers(Direction::Decrypt, jobs, buf);
         }
         let reason = if self.config.cipher_mode == PageCipherMode::Cbc {
@@ -864,7 +857,7 @@ impl Sentry {
     /// Run [`Sentry::decrypt_planned`] under the bounded-retry policy
     /// for *transient* faults: an injected crypt/dispatch error fails
     /// the batch cleanly before any DRAM mutates, so the whole gather is
-    /// simply re-attempted, up to `integrity.max_crypt_retries` total
+    /// simply re-attempted, up to [`MAX_CRYPT_RETRIES`] total
     /// attempts. Exceeding the cap reports a typed
     /// [`SentryError::RetriesExhausted`] — the fault is persistent and
     /// retrying forever would spin. Non-transient errors (power loss,
@@ -874,7 +867,7 @@ impl Sentry {
         op: &'static str,
         planned: &[JournalEntry],
     ) -> Result<usize, SentryError> {
-        let cap = self.integrity.config().max_crypt_retries.max(1);
+        let cap = MAX_CRYPT_RETRIES;
         let mut attempts = 0u32;
         loop {
             attempts += 1;
@@ -1017,7 +1010,11 @@ impl Sentry {
         // on-SoC traffic while the governor is trying to reclaim, so the
         // tick skips it until pressure falls back to Normal.
         if self.config.pressure.enabled && self.store.pressure_level() >= PressureLevel::High {
-            self.store.pressure_mut().note_shed();
+            // Count a shed only when a sweep would actually have run.
+            let ra = self.config.readahead;
+            if ra.enabled && ra.sweep_budget_pages > 0 && self.state == DeviceState::Unlocked {
+                self.store.pressure_mut().note_shed();
+            }
             return Ok(SweepReport {
                 residual_pages: self.residual_encrypted_pages(),
                 ..SweepReport::default()
@@ -1304,19 +1301,22 @@ impl Sentry {
                         // encrypted DRAM neighbours in the same aligned
                         // window and decrypt them in one batched kernel
                         // call — N first-touch faults become 1.
-                        let shed_cluster = self.config.pressure.enabled
-                            && self.store.pressure_level() >= PressureLevel::High;
-                        let cluster = if self.config.readahead.enabled && !shed_cluster {
-                            self.config.readahead.cluster_pages.max(1)
+                        let ra = self.config.readahead;
+                        let mut cluster = if ra.enabled {
+                            ra.cluster_pages.max(1)
                         } else {
+                            1
+                        };
+                        if cluster > 1
+                            && self.config.pressure.enabled
+                            && self.store.pressure_level() >= PressureLevel::High
+                        {
                             // Shed lever: under High pressure readahead
                             // companions are elective — the cluster
                             // shrinks to the faulting page alone.
-                            if shed_cluster && self.config.readahead.cluster_pages > 1 {
-                                self.store.pressure_mut().note_shed();
-                            }
-                            1
-                        };
+                            self.store.pressure_mut().note_shed();
+                            cluster = 1;
+                        }
                         let base = fault.vpn - fault.vpn % cluster as u64;
                         let mut gathered: Vec<JournalEntry> = Vec::with_capacity(cluster);
                         for vpn in base..base + cluster as u64 {

@@ -26,8 +26,7 @@
 //! fleet harness folds into its shard-invariant per-device columns.
 
 use crate::error::SentryError;
-use sentry_crypto::modes::{cbc_decrypt, cbc_encrypt};
-use sentry_crypto::{Aes, BitslicedAes};
+use sentry_crypto::{Direction, PageCipher, PageCipherMode};
 use sentry_kernel::block::{BlockDevice, RamDisk, SECTOR_SIZE};
 use sentry_kernel::crypto_api::{CipherEngine, CryptoApi, KeyResidency};
 use sentry_kernel::dmcrypt::DmCrypt;
@@ -298,8 +297,27 @@ impl PressureTracker {
 /// root key and dies with power), and each sector charges the same
 /// per-block arithmetic + on-SoC state-touch cost as AES On SoC.
 struct SpillAesEngine {
-    aes: Option<Aes>,
-    bits: Option<BitslicedAes>,
+    cipher: Option<PageCipher>,
+}
+
+impl SpillAesEngine {
+    fn crypt(
+        &self,
+        soc: &mut Soc,
+        direction: Direction,
+        ivs: &[[u8; 16]],
+        data: &mut [u8],
+    ) -> Result<(), KernelError> {
+        let cipher = self.cipher.as_ref().ok_or(KernelError::NoKeyInstalled {
+            engine: self.name(),
+        })?;
+        cipher.crypt(PageCipherMode::Cbc, direction, ivs, data);
+        soc.clock.advance(
+            (data.len() as u64 / 16)
+                * (soc.costs.aes_block_compute_ns + 4 * soc.costs.iram_access_ns),
+        );
+        Ok(())
+    }
 }
 
 impl CipherEngine for SpillAesEngine {
@@ -316,44 +334,26 @@ impl CipherEngine for SpillAesEngine {
     }
 
     fn set_key(&mut self, _soc: &mut Soc, key: &[u8]) -> Result<(), KernelError> {
-        let aes = Aes::new(key).map_err(KernelError::InvalidKey)?;
-        self.bits = Some(BitslicedAes::from_schedule(aes.schedule()));
-        self.aes = Some(aes);
+        self.cipher = Some(PageCipher::new(key).map_err(KernelError::InvalidKey)?);
         Ok(())
     }
 
-    fn encrypt(
+    fn encrypt_extent(
         &mut self,
         soc: &mut Soc,
-        iv: &[u8; 16],
+        ivs: &[[u8; 16]],
         data: &mut [u8],
     ) -> Result<(), KernelError> {
-        let aes = self.aes.as_ref().ok_or(KernelError::NoKeyInstalled {
-            engine: "aes-cbc-spill",
-        })?;
-        cbc_encrypt(aes, iv, data);
-        soc.clock.advance(Self::cost_ns(soc, data.len()));
-        Ok(())
+        self.crypt(soc, Direction::Encrypt, ivs, data)
     }
 
-    fn decrypt(
+    fn decrypt_extent(
         &mut self,
         soc: &mut Soc,
-        iv: &[u8; 16],
+        ivs: &[[u8; 16]],
         data: &mut [u8],
     ) -> Result<(), KernelError> {
-        let bits = self.bits.as_ref().ok_or(KernelError::NoKeyInstalled {
-            engine: "aes-cbc-spill",
-        })?;
-        cbc_decrypt(bits, iv, data);
-        soc.clock.advance(Self::cost_ns(soc, data.len()));
-        Ok(())
-    }
-}
-
-impl SpillAesEngine {
-    fn cost_ns(soc: &Soc, bytes: usize) -> u64 {
-        (bytes as u64 / 16) * (soc.costs.aes_block_compute_ns + 4 * soc.costs.iram_access_ns)
+        self.crypt(soc, Direction::Decrypt, ivs, data)
     }
 }
 
@@ -382,10 +382,7 @@ impl SpillRegion {
     /// Propagates cipher registration/key-schedule errors.
     pub fn new(soc: &mut Soc, spill_key: &[u8; 16]) -> Result<Self, SentryError> {
         let mut api = CryptoApi::new();
-        api.register(Box::new(SpillAesEngine {
-            aes: None,
-            bits: None,
-        }));
+        api.register(Box::new(SpillAesEngine { cipher: None }));
         let dm = DmCrypt::with_preferred_cipher();
         dm.set_key(&mut api, soc, spill_key)?;
         Ok(SpillRegion {

@@ -14,7 +14,7 @@ use crate::error::SentryError;
 use crate::integrity::{IntegrityPlane, QuarantinedPage, VerifyOutcome, TAG_BYTES};
 use crate::onsoc::OnSocStore;
 use crate::txn::{CommitTagger, JournalEntry, TxnJournal, TxnOp, MAX_ENTRIES};
-use sentry_crypto::parallel::Direction;
+use sentry_crypto::Direction;
 use sentry_kernel::pagetable::{Backing, Sharing};
 use sentry_kernel::{Kernel, Pid};
 use sentry_soc::addr::PAGE_SIZE;

@@ -65,7 +65,7 @@ pub use block::{Aes, AesRef};
 pub use error::{CryptoError, KeyError};
 pub use health::{FailureKind, HealthConfig, HealthGovernor, HealthState, HealthStats, RetryStats};
 pub use mac::Cmac;
-pub use modes::PageCipherMode;
+pub use modes::{Direction, PageCipher, PageCipherMode};
 pub use pipeline::{FallbackReason, KeystreamCache, KeystreamStats, PipelineConfig};
 pub use state::{AesStateLayout, Sensitivity, StateComponent};
 pub use tracked::{AccessEvent, StateStore, TableId, TrackedAes, TrackedBitslicedAes, VecStore};

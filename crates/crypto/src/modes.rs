@@ -10,9 +10,11 @@
 //! a counter (CTR), so both directions fill every lane. All block-mode
 //! functions operate on whole blocks; callers (the pager works in 4 KiB
 //! pages, dm-crypt in 512-byte sectors) always supply block-aligned
-//! buffers.
+//! buffers. [`PageCipher`] is the keyed context the engines hold; its
+//! [`PageCipher::crypt`] picks the kernel for each mode and direction.
 
 use crate::batch::BlockCipherBatch;
+use crate::bitslice::BitslicedAes;
 use crate::block::{Aes, AesRef, Block};
 use crate::BLOCK_SIZE;
 
@@ -73,6 +75,103 @@ impl PageCipherMode {
 impl std::fmt::Display for PageCipherMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
+    }
+}
+
+/// Which way a page crypt transforms its data.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Direction {
+    /// Plaintext to ciphertext (device lock, page-out, disk write).
+    Encrypt,
+    /// Ciphertext to plaintext (device unlock, page-in, disk read).
+    Decrypt,
+}
+
+/// One keyed page-cipher context: the key is expanded once into a scalar
+/// table-driven context and a bitsliced context sharing its schedule.
+///
+/// The paper's three kernel ciphers (generic AES, the accelerator, and
+/// AES On SoC) differ in where the key lives and what an operation
+/// costs, not in the mode arithmetic; each holds one `PageCipher`, as do
+/// the spill region's engine and the parallel lock lanes.
+/// [`PageCipher::crypt`] is the one place a page-cipher mode picks a
+/// kernel.
+#[derive(Clone)]
+pub struct PageCipher {
+    aes: Aes,
+    bits: BitslicedAes,
+}
+
+impl std::fmt::Debug for PageCipher {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // Never print key material.
+        f.debug_struct("PageCipher")
+            .field("size", &self.aes.key_size())
+            .finish_non_exhaustive()
+    }
+}
+
+impl PageCipher {
+    /// Expand `key` once and build both contexts from the one schedule.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`crate::KeyError::InvalidLength`] for keys that are not
+    /// 16, 24, or 32 bytes.
+    pub fn new(key: &[u8]) -> Result<Self, crate::KeyError> {
+        let aes = Aes::new(key)?;
+        let bits = BitslicedAes::from_schedule(aes.schedule());
+        Ok(PageCipher { aes, bits })
+    }
+
+    /// The expanded key schedule (the generic engine models it as kernel
+    /// heap in DRAM).
+    #[must_use]
+    pub fn schedule(&self) -> &crate::key_schedule::KeySchedule {
+        self.aes.schedule()
+    }
+
+    /// Transform `ivs.len()` equal-sized extents laid out back to back in
+    /// `data`, the `i`-th under `ivs[i]` (its CBC IV, XTS tweak, or
+    /// initial CTR counter block), in place.
+    ///
+    /// | mode | direction | extents | kernel |
+    /// |------|-----------|---------|--------|
+    /// | CBC  | encrypt   | 1       | scalar chain ([`cbc_encrypt`]) |
+    /// | CBC  | encrypt   | ≥ 2     | one chain per bitsliced lane ([`cbc_encrypt_extents`]) |
+    /// | CBC  | decrypt   | any     | bitsliced stream ([`cbc_decrypt_extents`]) |
+    /// | XTS  | both      | any     | bitsliced stream, single-key XEX ([`xts_crypt_extents`]) |
+    /// | CTR  | both      | any     | bitsliced stream ([`ctr_crypt_extents`]) |
+    ///
+    /// Every choice is byte-identical to running each extent on its own
+    /// through the scalar context.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data` does not divide evenly into `ivs.len()`
+    /// block-aligned extents (an empty `ivs` requires an empty `data`);
+    /// see [`extent_unit`].
+    pub fn crypt(
+        &self,
+        mode: PageCipherMode,
+        direction: Direction,
+        ivs: &[[u8; 16]],
+        data: &mut [u8],
+    ) {
+        let bits = &self.bits;
+        match (mode, direction, ivs) {
+            // One serial chain has nothing to batch against: the scalar
+            // context is the fast one-block-at-a-time loop.
+            (PageCipherMode::Cbc, Direction::Encrypt, [iv]) => cbc_encrypt(&self.aes, iv, data),
+            (PageCipherMode::Cbc, Direction::Encrypt, _) => cbc_encrypt_extents(bits, ivs, data),
+            (PageCipherMode::Cbc, Direction::Decrypt, _) => cbc_decrypt_extents(bits, ivs, data),
+            // The tweak cipher is the data cipher, matching the tracked
+            // path, which owns exactly one keyed context.
+            (PageCipherMode::Xts, _, _) => {
+                xts_crypt_extents(bits, bits, direction == Direction::Encrypt, ivs, data);
+            }
+            (PageCipherMode::Ctr, _, _) => ctr_crypt_extents(bits, ivs, data),
+        }
     }
 }
 
@@ -285,20 +384,10 @@ pub fn cbc_encrypt_batch<C: BlockCipherBatch>(
 /// Panics if `data` does not divide evenly into `ivs.len()` block-aligned
 /// extents (an empty `ivs` requires an empty `data`).
 pub fn cbc_encrypt_extents<C: BlockCipherBatch>(cipher: &C, ivs: &[[u8; 16]], data: &mut [u8]) {
-    if ivs.is_empty() {
-        assert!(data.is_empty(), "extent data without IVs");
-        return;
-    }
-    assert!(
-        data.len().is_multiple_of(ivs.len()),
-        "data does not divide into {} extents",
-        ivs.len()
-    );
-    let unit = data.len() / ivs.len();
+    let unit = extent_unit(ivs, data);
     if unit == 0 {
         return;
     }
-    check_aligned(&data[..unit]);
     let mut buffers: Vec<&mut [u8]> = data.chunks_exact_mut(unit).collect();
     cbc_encrypt_batch(cipher, ivs, &mut buffers);
 }
@@ -351,17 +440,10 @@ pub fn cbc_decrypt<C: BlockCipherBatch>(cipher: &C, iv: &Block, data: &mut [u8])
 /// Panics if `data` does not divide evenly into `ivs.len()` block-aligned
 /// extents (an empty `ivs` requires an empty `data`).
 pub fn cbc_decrypt_extents<C: BlockCipherBatch>(cipher: &C, ivs: &[[u8; 16]], data: &mut [u8]) {
-    if ivs.is_empty() {
-        assert!(data.is_empty(), "extent data without IVs");
+    let unit = extent_unit(ivs, data);
+    if unit == 0 {
         return;
     }
-    assert!(
-        data.len().is_multiple_of(ivs.len()),
-        "data does not divide into {} extents",
-        ivs.len()
-    );
-    let unit = data.len() / ivs.len();
-    check_aligned(&data[..unit]);
     let blocks_per_unit = unit / BLOCK_SIZE;
     let (blocks, _) = data.as_chunks_mut::<BLOCK_SIZE>();
     let mut saved = [[0u8; BLOCK_SIZE]; SCRATCH_BLOCKS];
@@ -511,7 +593,15 @@ pub fn xts_decrypt<C: BlockCipherBatch>(
     xts_apply(cipher, false, t0, data);
 }
 
-fn check_extents(ivs: &[[u8; 16]], data: &[u8]) -> usize {
+/// Validate the extent layout every `*_extents` kernel shares and return
+/// the unit size: `data` holds `ivs.len()` equal-sized, block-aligned
+/// extents back to back. Empty `ivs` (and then empty `data`) gives 0.
+///
+/// # Panics
+///
+/// Panics if `data` does not divide evenly into `ivs.len()` block-aligned
+/// extents (an empty `ivs` requires an empty `data`).
+pub fn extent_unit(ivs: &[[u8; 16]], data: &[u8]) -> usize {
     if ivs.is_empty() {
         assert!(data.is_empty(), "extent data without IVs");
         return 0;
@@ -548,7 +638,7 @@ pub fn xts_crypt_extents<C: BlockCipherBatch>(
     ivs: &[[u8; 16]],
     data: &mut [u8],
 ) {
-    let unit = check_extents(ivs, data);
+    let unit = extent_unit(ivs, data);
     if unit == 0 {
         return;
     }
@@ -635,7 +725,7 @@ pub fn ctr_crypt<C: BlockCipherBatch>(cipher: &C, iv: &[u8; 16], data: &mut [u8]
 /// Panics if `data` does not divide evenly into `ivs.len()` block-aligned
 /// extents (an empty `ivs` requires an empty `data`).
 pub fn ctr_crypt_extents<C: BlockCipherBatch>(cipher: &C, ivs: &[[u8; 16]], data: &mut [u8]) {
-    let unit = check_extents(ivs, data);
+    let unit = extent_unit(ivs, data);
     if unit == 0 {
         return;
     }

@@ -1,55 +1,33 @@
-//! Parallel page-crypt engine: fan a batch of independently-IV'd CBC
-//! page jobs across a scoped worker pool.
+//! Parallel page-crypt engine: fan a batch of independently-IV'd pages
+//! across a scoped worker pool.
 //!
 //! Sentry's lock/unlock transitions encrypt or decrypt every sensitive
 //! page with an *independent* IV (`page_iv` binds the IV to the page's
-//! (pid, vpn, epoch) identity), so per-page CBC has no cross-page data
+//! (pid, vpn, epoch) identity), so per-page crypt has no cross-page data
 //! dependency at all — the batch is embarrassingly parallel, the same
 //! structure MemShield exploits with GPU lanes and Sealer with in-SRAM
-//! AES arrays. This module supplies the host-side engine: callers
-//! collect one [`PageJob`] per page and [`crypt_batch`] splits the batch
-//! into contiguous chunks, one per worker. The engine is generic over
-//! [`BlockCipherBatch`], so lanes fed a [`crate::BitslicedAes`] run each
-//! page's CBC decryption 16 blocks per kernel call; every lane *shares*
-//! the caller's pre-expanded context by reference — the key schedule is
-//! expanded exactly once, not per lane and certainly not per page.
+//! AES arrays. This module supplies the host-side engine: callers hand
+//! [`crypt_batch`] one contiguous buffer of pages plus one IV per page,
+//! and it splits the buffer at page boundaries into contiguous runs, one
+//! per worker. Every lane runs its run through [`PageCipher::crypt`] —
+//! the same kernel choice every engine makes — and *shares* the caller's
+//! context by reference: the key schedule is expanded exactly once, not
+//! per lane and certainly not per page.
 //!
 //! Two properties the lock path depends on:
 //!
 //! * **Byte identity** — parallel output is identical to sequential
-//!   output for every worker count, because each job is independent and
-//!   job order is preserved. `workers = 1` takes the sequential path
+//!   output for every worker count, because each page is independent and
+//!   page order is preserved. `workers = 1` takes the sequential path
 //!   outright.
 //! * **Bounded fallback** — tiny batches (`len < min_batch_pages`) are
 //!   not worth the thread fan-out and run sequentially; the report says
 //!   which path was taken so callers can account for it.
 
-use crate::batch::BlockCipherBatch;
 use crate::error::CryptoError;
-use crate::modes::{cbc_decrypt, cbc_encrypt_batch, ctr_crypt, xts_decrypt, xts_encrypt};
+use crate::modes::{Direction, PageCipher};
 use crate::PageCipherMode;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-
-/// Which way a batch transforms its pages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction {
-    /// Plaintext to ciphertext (device lock).
-    Encrypt,
-    /// Ciphertext to plaintext (device unlock / page-in).
-    Decrypt,
-}
-
-/// One page's worth of work: an IV and the in-place buffer.
-///
-/// The buffer length must be a whole number of AES blocks (the lock path
-/// always uses 4 KiB pages, but the engine does not care).
-#[derive(Debug)]
-pub struct PageJob<'a> {
-    /// Per-page initialization vector.
-    pub iv: [u8; 16],
-    /// The page bytes, transformed in place.
-    pub data: &'a mut [u8],
-}
 
 /// What a batch run did — batch size, lane count, and the bytes each
 /// worker processed (index = worker lane).
@@ -68,42 +46,40 @@ pub struct BatchReport {
     pub sequential_fallback: bool,
 }
 
-/// Run every job in `jobs` through `mode` under `cipher`, fanning across
-/// at most `workers` scoped threads.
+/// Run the `ivs.len()` pages laid out back to back in `data` (page `i`
+/// under `ivs[i]`) through `mode` under `cipher`, fanning across at most
+/// `workers` scoped threads.
 ///
-/// The context is expanded exactly once by the caller and *shared* by
-/// reference across all lanes — no per-lane clone, no per-page key
-/// expansion. Any [`BlockCipherBatch`] backend works; a
-/// [`crate::BitslicedAes`] makes each lane's CBC decryption run 16
-/// blocks per kernel call, and each lane's CBC *encryption* fill those
-/// 16 lanes with independent page chains via [`cbc_encrypt_batch`].
-/// Under [`PageCipherMode::Xts`] and [`PageCipherMode::Ctr`] every block
-/// *within* a page is already independent, so each job streams through
-/// the kernel at full width in both directions — no cross-page batching
-/// needed. Falls back to the in-thread sequential loop
-/// when `workers <= 1` or `jobs.len() < min_batch_pages`; output bytes
-/// are identical either way.
+/// The buffer is split at page boundaries into contiguous runs whose
+/// lengths differ by at most one page, and each lane makes one
+/// [`PageCipher::crypt`] call over its run: CBC encryption fills the
+/// bitsliced lanes with one page chain each, everything else streams
+/// across page boundaries. Falls back to one in-thread call when
+/// `workers <= 1` or `ivs.len() < min_batch_pages`; output bytes are
+/// identical either way.
 ///
 /// # Errors
 ///
-/// [`CryptoError::WorkerPanicked`] if a lane's cipher panicked. The
-/// panic is contained (`catch_unwind` inside the lane): every other
-/// lane still runs to completion and the pool is torn down cleanly, but
-/// the batch's buffers are left partially transformed and must be
-/// discarded by the caller.
-pub fn crypt_batch<C: BlockCipherBatch + Sync>(
-    cipher: &C,
+/// [`CryptoError::WorkerPanicked`] if a lane's crypt panicked — for
+/// example because `data` does not divide into `ivs.len()` block-aligned
+/// pages. The panic is contained (`catch_unwind` inside the lane): every
+/// other lane still runs to completion and the pool is torn down
+/// cleanly, but the batch's buffer is left partially transformed and
+/// must be discarded by the caller.
+pub fn crypt_batch(
+    cipher: &PageCipher,
     mode: PageCipherMode,
     direction: Direction,
-    jobs: &mut [PageJob<'_>],
+    ivs: &[[u8; 16]],
+    data: &mut [u8],
     workers: usize,
     min_batch_pages: usize,
 ) -> Result<BatchReport, CryptoError> {
-    let pages = jobs.len();
-    let bytes: u64 = jobs.iter().map(|j| j.data.len() as u64).sum();
+    let pages = ivs.len();
+    let bytes = data.len() as u64;
 
     if workers <= 1 || pages < min_batch_pages.max(1) {
-        contained_chunk(cipher, mode, direction, jobs, 0)?;
+        contained_run(cipher, mode, direction, ivs, data, 0)?;
         return Ok(BatchReport {
             pages,
             bytes,
@@ -114,25 +90,34 @@ pub fn crypt_batch<C: BlockCipherBatch + Sync>(
     }
 
     let lanes = workers.min(pages);
-    // Contiguous, balanced split: the first `pages % lanes` chunks get
-    // one extra job, so lane loads differ by at most one page.
+    let page = data.len() / pages;
+    // Contiguous, balanced split: the first `pages % lanes` runs get one
+    // extra page, so lane loads differ by at most one page. The last run
+    // takes whatever is left, so a malformed layout fails inside a lane.
     let base = pages / lanes;
     let extra = pages % lanes;
     let mut per_worker_bytes = vec![0u64; lanes];
     let mut first_panic: Option<CryptoError> = None;
     std::thread::scope(|scope| {
-        let mut rest = jobs;
+        let (mut ivs, mut rest) = (ivs, data);
         let mut handles = Vec::with_capacity(lanes);
         for lane in 0..lanes {
             let take = base + usize::from(lane < extra);
-            let (chunk, tail) = rest.split_at_mut(take);
-            rest = tail;
+            let (run_ivs, ivs_tail) = ivs.split_at(take);
+            let at = if lane + 1 == lanes {
+                rest.len()
+            } else {
+                take * page
+            };
+            let (run, tail) = rest.split_at_mut(at);
+            (ivs, rest) = (ivs_tail, tail);
             // Every lane borrows the caller's context: one expanded
             // schedule serves the whole pool. The unwind is caught
-            // *inside* the lane, so a panicking cipher surfaces as a
+            // *inside* the lane, so a panicking crypt surfaces as a
             // typed error instead of aborting the simulation.
-            handles
-                .push(scope.spawn(move || contained_chunk(cipher, mode, direction, chunk, lane)));
+            handles.push(
+                scope.spawn(move || contained_run(cipher, mode, direction, run_ivs, run, lane)),
+            );
         }
         for (lane, handle) in handles.into_iter().enumerate() {
             match handle.join() {
@@ -168,17 +153,19 @@ pub fn crypt_batch<C: BlockCipherBatch + Sync>(
     })
 }
 
-/// Run one lane's chunk with the unwind caught, converting a panic into
-/// the typed [`CryptoError::WorkerPanicked`].
-fn contained_chunk<C: BlockCipherBatch>(
-    cipher: &C,
+/// Run one lane's pages with the unwind caught, converting a panic into
+/// the typed [`CryptoError::WorkerPanicked`]; returns the bytes processed.
+fn contained_run(
+    cipher: &PageCipher,
     mode: PageCipherMode,
     direction: Direction,
-    chunk: &mut [PageJob<'_>],
+    ivs: &[[u8; 16]],
+    data: &mut [u8],
     lane: usize,
 ) -> Result<u64, CryptoError> {
     catch_unwind(AssertUnwindSafe(|| {
-        crypt_chunk(cipher, mode, direction, chunk)
+        cipher.crypt(mode, direction, ivs, data);
+        data.len() as u64
     }))
     .map_err(|payload| {
         let detail = payload
@@ -190,212 +177,75 @@ fn contained_chunk<C: BlockCipherBatch>(
     })
 }
 
-/// Transform one lane's chunk of jobs, returning the bytes processed.
-///
-/// CBC decryption is data-parallel *within* a page, so each job streams
-/// through [`cbc_decrypt`]'s own batching. CBC encryption chains are
-/// serial within a page but independent *across* pages, so the whole
-/// chunk goes through [`cbc_encrypt_batch`], which fills the backend's
-/// lanes with one page chain each. XTS and CTR are block-parallel in
-/// both directions, so each job streams at full kernel width on its own;
-/// the job's IV is the XTS tweak or the initial CTR counter block.
-fn crypt_chunk<C: BlockCipherBatch>(
-    cipher: &C,
-    mode: PageCipherMode,
-    direction: Direction,
-    chunk: &mut [PageJob<'_>],
-) -> u64 {
-    let bytes: u64 = chunk.iter().map(|j| j.data.len() as u64).sum();
-    match (mode, direction) {
-        (PageCipherMode::Cbc, Direction::Encrypt) => {
-            let ivs: Vec<[u8; 16]> = chunk.iter().map(|j| j.iv).collect();
-            let mut bufs: Vec<&mut [u8]> = chunk.iter_mut().map(|j| &mut *j.data).collect();
-            cbc_encrypt_batch(cipher, &ivs, &mut bufs);
-        }
-        (PageCipherMode::Cbc, Direction::Decrypt) => {
-            for job in chunk.iter_mut() {
-                cbc_decrypt(cipher, &job.iv, job.data);
-            }
-        }
-        (PageCipherMode::Xts, Direction::Encrypt) => {
-            for job in chunk.iter_mut() {
-                xts_encrypt(cipher, cipher, &job.iv, job.data);
-            }
-        }
-        (PageCipherMode::Xts, Direction::Decrypt) => {
-            for job in chunk.iter_mut() {
-                xts_decrypt(cipher, cipher, &job.iv, job.data);
-            }
-        }
-        (PageCipherMode::Ctr, _) => {
-            for job in chunk.iter_mut() {
-                ctr_crypt(cipher, &job.iv, job.data);
-            }
-        }
-    }
-    bytes
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::Aes;
 
-    fn mk_pages(n: usize, fill: impl Fn(usize) -> u8) -> Vec<Vec<u8>> {
-        (0..n)
-            .map(|i| (0..4096).map(|j| fill(i).wrapping_add(j as u8)).collect())
+    const PAGE: usize = 4096;
+
+    fn mk_pages(n: usize, fill: impl Fn(usize) -> u8) -> Vec<u8> {
+        (0..n * PAGE)
+            .map(|b| fill(b / PAGE).wrapping_add(b as u8))
             .collect()
     }
 
-    fn jobs_of(pages: &mut [Vec<u8>]) -> Vec<PageJob<'_>> {
-        pages
-            .iter_mut()
-            .enumerate()
-            .map(|(i, p)| PageJob {
-                iv: [i as u8; 16],
-                data: p.as_mut_slice(),
-            })
-            .collect()
+    fn ivs(n: usize) -> Vec<[u8; 16]> {
+        (0..n).map(|i| [i as u8; 16]).collect()
+    }
+
+    fn run(
+        cipher: &PageCipher,
+        mode: PageCipherMode,
+        direction: Direction,
+        data: &mut [u8],
+        workers: usize,
+        min_batch: usize,
+    ) -> Result<BatchReport, CryptoError> {
+        let ivs = ivs(data.len() / PAGE);
+        crypt_batch(cipher, mode, direction, &ivs, data, workers, min_batch)
     }
 
     #[test]
     fn parallel_output_matches_sequential_reference() {
-        let aes = Aes::new(&[7u8; 32]).unwrap();
-        let mut expect = mk_pages(37, |i| i as u8);
-        let mut ejobs = jobs_of(&mut expect);
-        let seq = crypt_batch(
-            &aes,
-            PageCipherMode::Cbc,
-            Direction::Encrypt,
-            &mut ejobs,
-            1,
-            1,
-        )
-        .unwrap();
-        assert!(seq.sequential_fallback);
-        assert_eq!(seq.per_worker_bytes, vec![37 * 4096]);
+        let cipher = PageCipher::new(&[7u8; 32]).unwrap();
+        for mode in PageCipherMode::all() {
+            let mut expect = mk_pages(37, |i| i as u8);
+            let seq = run(&cipher, mode, Direction::Encrypt, &mut expect, 1, 1).unwrap();
+            assert!(seq.sequential_fallback);
+            assert_eq!(seq.per_worker_bytes, vec![37 * 4096]);
 
-        for workers in [2usize, 3, 4, 8, 64] {
-            let mut got = mk_pages(37, |i| i as u8);
-            let mut jobs = jobs_of(&mut got);
-            let rep = crypt_batch(
-                &aes,
-                PageCipherMode::Cbc,
-                Direction::Encrypt,
-                &mut jobs,
-                workers,
-                1,
-            )
-            .unwrap();
-            assert_eq!(got, expect, "{workers} workers diverged");
-            assert_eq!(rep.workers_used, workers.min(37));
-            assert_eq!(rep.per_worker_bytes.iter().sum::<u64>(), 37 * 4096);
+            for workers in [2usize, 3, 4, 8, 64] {
+                let mut got = mk_pages(37, |i| i as u8);
+                let rep = run(&cipher, mode, Direction::Encrypt, &mut got, workers, 1).unwrap();
+                assert_eq!(got, expect, "{mode}: {workers} workers diverged");
+                assert_eq!(rep.workers_used, workers.min(37));
+                assert_eq!(rep.per_worker_bytes.iter().sum::<u64>(), 37 * 4096);
+            }
         }
     }
 
     #[test]
     fn decrypt_inverts_encrypt_across_lane_counts() {
-        let aes = Aes::new(&[0x5Au8; 16]).unwrap();
-        let orig = mk_pages(9, |i| (i * 13) as u8);
-        let mut work = orig.clone();
-        let mut jobs = jobs_of(&mut work);
-        crypt_batch(
-            &aes,
-            PageCipherMode::Cbc,
-            Direction::Encrypt,
-            &mut jobs,
-            4,
-            1,
-        )
-        .unwrap();
-        assert_ne!(work, orig);
-        let mut jobs = jobs_of(&mut work);
-        crypt_batch(
-            &aes,
-            PageCipherMode::Cbc,
-            Direction::Decrypt,
-            &mut jobs,
-            3,
-            1,
-        )
-        .unwrap();
-        assert_eq!(work, orig);
-    }
-
-    #[test]
-    fn bitsliced_backend_matches_table_backend_across_lanes() {
-        // The batched backend must be a drop-in replacement for the
-        // scalar one in every lane configuration.
-        let key = [0x7Du8; 16];
-        let aes = Aes::new(&key).unwrap();
-        let bits = crate::bitslice::BitslicedAes::from_schedule(aes.schedule());
-
-        let orig = mk_pages(11, |i| (i * 7) as u8);
-        let mut expect = orig.clone();
-        let mut jobs = jobs_of(&mut expect);
-        crypt_batch(
-            &aes,
-            PageCipherMode::Cbc,
-            Direction::Encrypt,
-            &mut jobs,
-            1,
-            1,
-        )
-        .unwrap();
-
-        for workers in [1usize, 2, 4] {
-            let mut got = expect.clone();
-            let mut jobs = jobs_of(&mut got);
-            crypt_batch(
-                &bits,
-                PageCipherMode::Cbc,
-                Direction::Decrypt,
-                &mut jobs,
-                workers,
-                1,
-            )
-            .unwrap();
-            assert_eq!(got, orig, "bitsliced decrypt, {workers} workers");
-        }
-    }
-
-    #[test]
-    fn xts_and_ctr_parallel_match_sequential_and_roundtrip() {
-        // The non-chaining modes must keep the same byte-identity
-        // guarantee as CBC for every worker count, and decrypt must
-        // invert encrypt through the pool.
-        let aes = Aes::new(&[0x42u8; 16]).unwrap();
-        let bits = crate::bitslice::BitslicedAes::from_schedule(aes.schedule());
-        for mode in [PageCipherMode::Xts, PageCipherMode::Ctr] {
-            let orig = mk_pages(13, |i| (i * 3) as u8);
-            let mut expect = orig.clone();
-            let mut ejobs = jobs_of(&mut expect);
-            crypt_batch(&aes, mode, Direction::Encrypt, &mut ejobs, 1, 1).unwrap();
-            assert_ne!(expect, orig, "{mode} encrypt is not a noop");
-
-            for workers in [2usize, 4, 8] {
-                let mut got = orig.clone();
-                let mut jobs = jobs_of(&mut got);
-                crypt_batch(&bits, mode, Direction::Encrypt, &mut jobs, workers, 1).unwrap();
-                assert_eq!(got, expect, "{mode} encrypt, {workers} workers diverged");
-
-                let mut jobs = jobs_of(&mut got);
-                crypt_batch(&bits, mode, Direction::Decrypt, &mut jobs, workers, 1).unwrap();
-                assert_eq!(got, orig, "{mode} decrypt, {workers} workers");
-            }
+        let cipher = PageCipher::new(&[0x5Au8; 16]).unwrap();
+        for mode in PageCipherMode::all() {
+            let orig = mk_pages(9, |i| (i * 13) as u8);
+            let mut work = orig.clone();
+            run(&cipher, mode, Direction::Encrypt, &mut work, 4, 1).unwrap();
+            assert_ne!(work, orig, "{mode} encrypt is not a noop");
+            run(&cipher, mode, Direction::Decrypt, &mut work, 3, 1).unwrap();
+            assert_eq!(work, orig, "{mode} round-trip");
         }
     }
 
     #[test]
     fn small_batches_take_the_sequential_fallback() {
-        let aes = Aes::new(&[1u8; 16]).unwrap();
+        let cipher = PageCipher::new(&[1u8; 16]).unwrap();
         let mut pages = mk_pages(3, |i| i as u8);
-        let mut jobs = jobs_of(&mut pages);
-        let rep = crypt_batch(
-            &aes,
+        let rep = run(
+            &cipher,
             PageCipherMode::Cbc,
             Direction::Encrypt,
-            &mut jobs,
+            &mut pages,
             8,
             4,
         )
@@ -406,57 +256,18 @@ mod tests {
 
     #[test]
     fn empty_batch_is_a_noop() {
-        let aes = Aes::new(&[1u8; 16]).unwrap();
-        let rep =
-            crypt_batch(&aes, PageCipherMode::Cbc, Direction::Encrypt, &mut [], 4, 1).unwrap();
+        let cipher = PageCipher::new(&[1u8; 16]).unwrap();
+        let rep = run(
+            &cipher,
+            PageCipherMode::Cbc,
+            Direction::Encrypt,
+            &mut [],
+            4,
+            1,
+        )
+        .unwrap();
         assert_eq!(rep.pages, 0);
         assert_eq!(rep.bytes, 0);
-    }
-
-    /// A cipher that panics after a countdown of block operations —
-    /// models a worker hitting a poisoned lookup table or a hardware
-    /// fault mid-batch.
-    struct PanicAfter {
-        inner: Aes,
-        remaining: std::sync::atomic::AtomicUsize,
-    }
-
-    impl PanicAfter {
-        fn tick(&self) {
-            use std::sync::atomic::Ordering;
-            let prev = self
-                .remaining
-                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
-                    Some(n.saturating_sub(1))
-                });
-            if prev == Ok(0) {
-                panic!("injected cipher panic");
-            }
-        }
-    }
-
-    impl crate::modes::BlockCipher for PanicAfter {
-        fn encrypt_block(&self, block: &mut [u8; 16]) {
-            self.tick();
-            self.inner.encrypt_block(block);
-        }
-        fn decrypt_block(&self, block: &mut [u8; 16]) {
-            self.tick();
-            self.inner.decrypt_block(block);
-        }
-    }
-
-    impl crate::batch::BlockCipherBatch for PanicAfter {
-        fn encrypt_blocks(&self, blocks: &mut [[u8; 16]]) {
-            for b in blocks {
-                crate::modes::BlockCipher::encrypt_block(self, b);
-            }
-        }
-        fn decrypt_blocks(&self, blocks: &mut [[u8; 16]]) {
-            for b in blocks {
-                crate::modes::BlockCipher::decrypt_block(self, b);
-            }
-        }
     }
 
     #[test]
@@ -466,36 +277,31 @@ mod tests {
         // test covers both paths so the hook swap is not raced.
         let prev_hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
+        let cipher = PageCipher::new(&[9u8; 16]).unwrap();
 
-        // Parallel pool: one of four lanes dies, the rest complete.
-        let cipher = PanicAfter {
-            inner: Aes::new(&[9u8; 16]).unwrap(),
-            remaining: std::sync::atomic::AtomicUsize::new(700),
-        };
-        let mut pages = mk_pages(8, |i| i as u8);
-        let mut jobs = jobs_of(&mut pages);
+        // Parallel pool: 8 IVs over 8 pages plus 5 stray bytes. The
+        // first three lanes get whole pages and complete; the last lane
+        // is left two IVs over 2 pages + 5 bytes, and its crypt panics.
+        let mut data = vec![0u8; 8 * PAGE + 5];
         let parallel_err = crypt_batch(
             &cipher,
             PageCipherMode::Cbc,
             Direction::Encrypt,
-            &mut jobs,
+            &ivs(8),
+            &mut data,
             4,
             1,
         )
         .unwrap_err();
 
-        // Sequential fallback: the in-thread chunk is contained too.
-        let cipher = PanicAfter {
-            inner: Aes::new(&[9u8; 16]).unwrap(),
-            remaining: std::sync::atomic::AtomicUsize::new(3),
-        };
-        let mut pages = mk_pages(2, |i| i as u8);
-        let mut jobs = jobs_of(&mut pages);
+        // Sequential fallback: the in-thread run is contained too.
+        let mut data = vec![0u8; 2 * PAGE + 8];
         let seq_err = crypt_batch(
             &cipher,
             PageCipherMode::Cbc,
             Direction::Decrypt,
-            &mut jobs,
+            &ivs(2),
+            &mut data,
             1,
             1,
         )
@@ -503,8 +309,9 @@ mod tests {
 
         std::panic::set_hook(prev_hook);
         match parallel_err {
-            CryptoError::WorkerPanicked { detail, .. } => {
-                assert!(detail.contains("injected cipher panic"), "detail: {detail}");
+            CryptoError::WorkerPanicked { lane, detail } => {
+                assert_eq!(lane, 3);
+                assert!(detail.contains("does not divide"), "detail: {detail}");
             }
             other => panic!("expected WorkerPanicked, got {other:?}"),
         }
@@ -516,14 +323,13 @@ mod tests {
 
     #[test]
     fn lane_loads_differ_by_at_most_one_page() {
-        let aes = Aes::new(&[2u8; 16]).unwrap();
+        let cipher = PageCipher::new(&[2u8; 16]).unwrap();
         let mut pages = mk_pages(10, |i| i as u8);
-        let mut jobs = jobs_of(&mut pages);
-        let rep = crypt_batch(
-            &aes,
+        let rep = run(
+            &cipher,
             PageCipherMode::Cbc,
             Direction::Encrypt,
-            &mut jobs,
+            &mut pages,
             4,
             1,
         )

@@ -54,10 +54,6 @@ pub struct PipelineConfig {
     /// Miss runs shorter than this many sectors skip the accelerator
     /// queue (descriptor setup would dominate) and decrypt on the CPU.
     pub min_accel_sectors: usize,
-    /// Route Sentry's readahead/sweeper decrypt batches through the
-    /// accelerator queue when the accel is awake and the cipher mode is
-    /// non-chaining.
-    pub route_lifecycle_batches: bool,
 }
 
 impl Default for PipelineConfig {
@@ -67,19 +63,16 @@ impl Default for PipelineConfig {
             keystream_sectors: 128,
             precompute_ahead: 64,
             min_accel_sectors: 2,
-            route_lifecycle_batches: false,
         }
     }
 }
 
 impl PipelineConfig {
-    /// An enabled configuration with the default cache geometry and
-    /// lifecycle routing on.
+    /// An enabled configuration with the default cache geometry.
     #[must_use]
     pub fn enabled() -> Self {
         PipelineConfig {
             enabled: true,
-            route_lifecycle_batches: true,
             ..PipelineConfig::default()
         }
     }
@@ -421,7 +414,7 @@ mod tests {
         let p = PipelineConfig::enabled()
             .keystream_sectors(32)
             .precompute_ahead(16);
-        assert!(p.enabled && p.route_lifecycle_batches);
+        assert!(p.enabled);
         assert_eq!(p.keystream_sectors, 32);
         assert_eq!(p.precompute_ahead, 16);
         assert!(!PipelineConfig::default().enabled);

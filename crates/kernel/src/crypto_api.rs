@@ -14,11 +14,7 @@
 
 use crate::error::KernelError;
 use crate::layout::CRYPTO_KEYS_BASE;
-use sentry_crypto::modes::{
-    cbc_decrypt, cbc_decrypt_extents, cbc_encrypt, cbc_encrypt_extents, ctr_crypt,
-    ctr_crypt_extents, xts_crypt_extents, xts_decrypt, xts_encrypt,
-};
-use sentry_crypto::{Aes, BitslicedAes, PageCipherMode};
+use sentry_crypto::{Direction, PageCipher, PageCipherMode};
 use sentry_soc::Soc;
 
 /// Where an engine's sensitive key state resides.
@@ -83,20 +79,35 @@ pub trait CipherEngine: Send {
     }
 
     /// Encrypt `data` in place under the selected mode; `iv` is the CBC
-    /// IV, the XTS tweak, or the initial CTR counter block.
+    /// IV, the XTS tweak, or the initial CTR counter block. By default a
+    /// one-extent [`Self::encrypt_extent`].
     ///
     /// # Errors
     ///
     /// Fails if no key is installed.
-    fn encrypt(&mut self, soc: &mut Soc, iv: &[u8; 16], data: &mut [u8])
-        -> Result<(), KernelError>;
-    /// Decrypt `data` in place under the selected mode.
+    fn encrypt(
+        &mut self,
+        soc: &mut Soc,
+        iv: &[u8; 16],
+        data: &mut [u8],
+    ) -> Result<(), KernelError> {
+        self.encrypt_extent(soc, std::slice::from_ref(iv), data)
+    }
+
+    /// Decrypt `data` in place under the selected mode. By default a
+    /// one-extent [`Self::decrypt_extent`].
     ///
     /// # Errors
     ///
     /// Fails if no key is installed.
-    fn decrypt(&mut self, soc: &mut Soc, iv: &[u8; 16], data: &mut [u8])
-        -> Result<(), KernelError>;
+    fn decrypt(
+        &mut self,
+        soc: &mut Soc,
+        iv: &[u8; 16],
+        data: &mut [u8],
+    ) -> Result<(), KernelError> {
+        self.decrypt_extent(soc, std::slice::from_ref(iv), data)
+    }
 
     /// Encrypt a run of `ivs.len()` consecutive equal-sized extents laid
     /// out back-to-back in `data`, the `i`-th keyed from `ivs[i]` (its
@@ -104,9 +115,8 @@ pub trait CipherEngine: Send {
     ///
     /// This is how multi-sector dm-crypt requests and whole-pager sweeps
     /// reach an engine: one call per request instead of one per unit, so
-    /// engines with a batch backend can keep their kernels full across
-    /// unit boundaries. The default simply loops over [`Self::encrypt`];
-    /// output bytes are identical either way.
+    /// the engine's [`PageCipher`] keeps its kernels full across unit
+    /// boundaries. Output bytes are identical to one call per unit.
     ///
     /// # Errors
     ///
@@ -121,22 +131,7 @@ pub trait CipherEngine: Send {
         soc: &mut Soc,
         ivs: &[[u8; 16]],
         data: &mut [u8],
-    ) -> Result<(), KernelError> {
-        if ivs.is_empty() {
-            assert!(data.is_empty(), "extent data without IVs");
-            return Ok(());
-        }
-        assert!(
-            data.len().is_multiple_of(ivs.len()),
-            "data does not divide into {} extents",
-            ivs.len()
-        );
-        let unit = data.len() / ivs.len();
-        for (iv, chunk) in ivs.iter().zip(data.chunks_exact_mut(unit)) {
-            self.encrypt(soc, iv, chunk)?;
-        }
-        Ok(())
-    }
+    ) -> Result<(), KernelError>;
 
     /// Decrypt a run of consecutive extents; the counterpart of
     /// [`Self::encrypt_extent`], with the same layout contract.
@@ -153,22 +148,7 @@ pub trait CipherEngine: Send {
         soc: &mut Soc,
         ivs: &[[u8; 16]],
         data: &mut [u8],
-    ) -> Result<(), KernelError> {
-        if ivs.is_empty() {
-            assert!(data.is_empty(), "extent data without IVs");
-            return Ok(());
-        }
-        assert!(
-            data.len().is_multiple_of(ivs.len()),
-            "data does not divide into {} extents",
-            ivs.len()
-        );
-        let unit = data.len() / ivs.len();
-        for (iv, chunk) in ivs.iter().zip(data.chunks_exact_mut(unit)) {
-            self.decrypt(soc, iv, chunk)?;
-        }
-        Ok(())
-    }
+    ) -> Result<(), KernelError>;
 }
 
 /// The registry.
@@ -261,15 +241,9 @@ impl CryptoApi {
 /// heap — i.e., DRAM — where every attack in the threat model can reach
 /// them.
 pub struct GenericAesEngine {
-    aes: Option<Aes>,
-    /// Bitsliced backend sharing `aes`'s schedule, built once at
-    /// key-install time ([`BitslicedAes::from_schedule`] reuses the
-    /// already-expanded schedule — no second key expansion) so the
-    /// per-op cost is pure block work. Drives the batched CBC-decrypt
-    /// and extent paths; single-buffer CBC encryption is serially chained
-    /// and stays on the scalar implementation, while multi-extent
-    /// encryption fills the lanes with independent per-extent chains.
-    bits: Option<BitslicedAes>,
+    /// Keyed once per [`CipherEngine::set_key`]; every mode runs through
+    /// [`PageCipher::crypt`].
+    cipher: Option<PageCipher>,
     /// Selected page cipher mode; all three are implemented.
     mode: PageCipherMode,
     /// DRAM slot index for this engine's key material.
@@ -279,7 +253,7 @@ pub struct GenericAesEngine {
 impl std::fmt::Debug for GenericAesEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("GenericAesEngine")
-            .field("keyed", &self.aes.is_some())
+            .field("keyed", &self.cipher.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -292,8 +266,7 @@ impl GenericAesEngine {
     #[must_use]
     pub fn new(slot: u64) -> Self {
         GenericAesEngine {
-            aes: None,
-            bits: None,
+            cipher: None,
             mode: PageCipherMode::Cbc,
             slot,
         }
@@ -306,22 +279,24 @@ impl GenericAesEngine {
         CRYPTO_KEYS_BASE + self.slot * 4096
     }
 
-    fn cbc_cost_ns(soc: &Soc, bytes: usize) -> u64 {
+    fn crypt(
+        &self,
+        soc: &mut Soc,
+        direction: Direction,
+        ivs: &[[u8; 16]],
+        data: &mut [u8],
+    ) -> Result<(), KernelError> {
+        let cipher = self.cipher.as_ref().ok_or(KernelError::NoKeyInstalled {
+            engine: self.name(),
+        })?;
+        cipher.crypt(self.mode, direction, ivs, data);
         // Per 16-byte block: the arithmetic plus a handful of
         // cache-resident state touches.
-        (bytes as u64 / 16) * (soc.costs.aes_block_compute_ns + 4 * soc.costs.cache_hit_ns)
-    }
-
-    fn ready(&self) -> Result<&Aes, KernelError> {
-        self.aes.as_ref().ok_or(KernelError::NoKeyInstalled {
-            engine: "aes-cbc-generic",
-        })
-    }
-
-    fn ready_bits(&self) -> Result<&BitslicedAes, KernelError> {
-        self.bits.as_ref().ok_or(KernelError::NoKeyInstalled {
-            engine: "aes-cbc-generic",
-        })
+        soc.clock.advance(
+            (data.len() as u64 / 16)
+                * (soc.costs.aes_block_compute_ns + 4 * soc.costs.cache_hit_ns),
+        );
+        Ok(())
     }
 }
 
@@ -339,20 +314,19 @@ impl CipherEngine for GenericAesEngine {
     }
 
     fn set_key(&mut self, soc: &mut Soc, key: &[u8]) -> Result<(), KernelError> {
-        let aes = Aes::new(key).map_err(KernelError::InvalidKey)?;
+        let cipher = PageCipher::new(key).map_err(KernelError::InvalidKey)?;
         // The generic implementation's key and schedule live in kernel
         // heap: write them to DRAM, uncached (kernel heap lines get
         // evicted in steady state; modelling them as DRAM-resident is
         // what gives cold boot its Frost-style key recovery).
         let addr = self.key_material_addr();
         soc.mem_write_uncached(addr, key)?;
-        let mut sched = Vec::with_capacity(aes.schedule().enc_words().len() * 4);
-        for w in aes.schedule().enc_words() {
+        let mut sched = Vec::with_capacity(cipher.schedule().enc_words().len() * 4);
+        for w in cipher.schedule().enc_words() {
             sched.extend_from_slice(&w.to_be_bytes());
         }
         soc.mem_write_uncached(addr + 64, &sched)?;
-        self.bits = Some(BitslicedAes::from_schedule(aes.schedule()));
-        self.aes = Some(aes);
+        self.cipher = Some(cipher);
         Ok(())
     }
 
@@ -365,84 +339,13 @@ impl CipherEngine for GenericAesEngine {
         self.mode
     }
 
-    fn encrypt(
-        &mut self,
-        soc: &mut Soc,
-        iv: &[u8; 16],
-        data: &mut [u8],
-    ) -> Result<(), KernelError> {
-        self.ready()?;
-        match self.mode {
-            // CBC encryption is serially chained; the scalar path is the
-            // fastest single-chain implementation.
-            PageCipherMode::Cbc => cbc_encrypt(self.ready()?, iv, data),
-            // XTS/CTR are block-parallel in both directions: run the
-            // batched bitsliced kernel at full width.
-            PageCipherMode::Xts => {
-                let bits = self.ready_bits()?;
-                xts_encrypt(bits, bits, iv, data);
-            }
-            PageCipherMode::Ctr => ctr_crypt(self.ready_bits()?, iv, data),
-        }
-        soc.clock.advance(Self::cbc_cost_ns(soc, data.len()));
-        Ok(())
-    }
-
-    fn decrypt(
-        &mut self,
-        soc: &mut Soc,
-        iv: &[u8; 16],
-        data: &mut [u8],
-    ) -> Result<(), KernelError> {
-        self.ready()?;
-        match self.mode {
-            PageCipherMode::Cbc => cbc_decrypt(self.ready_bits()?, iv, data),
-            PageCipherMode::Xts => {
-                let bits = self.ready_bits()?;
-                xts_decrypt(bits, bits, iv, data);
-            }
-            PageCipherMode::Ctr => ctr_crypt(self.ready_bits()?, iv, data),
-        }
-        soc.clock.advance(Self::cbc_cost_ns(soc, data.len()));
-        Ok(())
-    }
-
     fn encrypt_extent(
         &mut self,
         soc: &mut Soc,
         ivs: &[[u8; 16]],
         data: &mut [u8],
     ) -> Result<(), KernelError> {
-        if ivs.is_empty() {
-            assert!(data.is_empty(), "extent data without IVs");
-            return Ok(());
-        }
-        assert!(
-            data.len().is_multiple_of(ivs.len()),
-            "data does not divide into {} extents",
-            ivs.len()
-        );
-        match self.mode {
-            // CBC encryption is serially chained *within* each extent but
-            // the extents are independent chains, so a multi-extent
-            // request fills the bitsliced lanes with one chain each. A
-            // single extent has nothing to batch against and stays on the
-            // scalar chain loop.
-            PageCipherMode::Cbc => {
-                if ivs.len() == 1 {
-                    cbc_encrypt(self.ready()?, &ivs[0], data);
-                } else {
-                    cbc_encrypt_extents(self.ready_bits()?, ivs, data);
-                }
-            }
-            PageCipherMode::Xts => {
-                let bits = self.ready_bits()?;
-                xts_crypt_extents(bits, bits, true, ivs, data);
-            }
-            PageCipherMode::Ctr => ctr_crypt_extents(self.ready_bits()?, ivs, data),
-        }
-        soc.clock.advance(Self::cbc_cost_ns(soc, data.len()));
-        Ok(())
+        self.crypt(soc, Direction::Encrypt, ivs, data)
     }
 
     fn decrypt_extent(
@@ -451,19 +354,7 @@ impl CipherEngine for GenericAesEngine {
         ivs: &[[u8; 16]],
         data: &mut [u8],
     ) -> Result<(), KernelError> {
-        // One batched kernel stream across all extents: sub-batch units
-        // (512-byte sectors are 32 blocks) no longer drain the 16-block
-        // pipeline at every unit boundary.
-        match self.mode {
-            PageCipherMode::Cbc => cbc_decrypt_extents(self.ready_bits()?, ivs, data),
-            PageCipherMode::Xts => {
-                let bits = self.ready_bits()?;
-                xts_crypt_extents(bits, bits, false, ivs, data);
-            }
-            PageCipherMode::Ctr => ctr_crypt_extents(self.ready_bits()?, ivs, data),
-        }
-        soc.clock.advance(Self::cbc_cost_ns(soc, data.len()));
-        Ok(())
+        self.crypt(soc, Direction::Decrypt, ivs, data)
     }
 }
 
@@ -475,15 +366,14 @@ impl CipherEngine for GenericAesEngine {
 /// configuration — so the async read pipeline can queue CTR/XTS extents
 /// against it.
 pub struct AccelAesEngine {
-    aes: Option<Aes>,
-    bits: Option<BitslicedAes>,
+    cipher: Option<PageCipher>,
     mode: PageCipherMode,
 }
 
 impl std::fmt::Debug for AccelAesEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AccelAesEngine")
-            .field("keyed", &self.aes.is_some())
+            .field("keyed", &self.cipher.is_some())
             .field("mode", &self.mode)
             .finish_non_exhaustive()
     }
@@ -498,25 +388,16 @@ impl AccelAesEngine {
     #[must_use]
     pub fn new() -> Self {
         AccelAesEngine {
-            aes: None,
-            bits: None,
+            cipher: None,
             mode: PageCipherMode::Cbc,
         }
     }
 
-    fn ready(&self) -> Result<(&Aes, &BitslicedAes), KernelError> {
-        match (&self.aes, &self.bits) {
-            (Some(aes), Some(bits)) => Ok((aes, bits)),
-            _ => Err(KernelError::NoKeyInstalled {
-                engine: "aes-cbc-hw",
-            }),
-        }
-    }
-
-    /// Stage one accelerator operation: DMA the input through the bounce
-    /// window (bus-visible), hit the `accel.dma` failpoint mid-transfer,
-    /// transform `data` in place, DMA the result back, and charge the
-    /// engine's calibrated duration.
+    /// Stage one accelerator operation — one descriptor for the whole
+    /// extent run, so a multi-sector request pays setup once: DMA the
+    /// input through the bounce window (bus-visible), hit the
+    /// `accel.dma` failpoint mid-transfer, transform `data` in place,
+    /// DMA the result back, and charge the engine's calibrated duration.
     ///
     /// Timing note: the bounce-window DMA transactions advance the clock
     /// with generic bus costs; [`sentry_soc::clock::SimClock::set_now_ns`]
@@ -526,11 +407,13 @@ impl AccelAesEngine {
     fn run_op(
         &self,
         soc: &mut Soc,
+        direction: Direction,
         ivs: &[[u8; 16]],
         data: &mut [u8],
-        encrypt: bool,
     ) -> Result<(), KernelError> {
-        let (aes, bits) = self.ready()?;
+        let cipher = self.cipher.as_ref().ok_or(KernelError::NoKeyInstalled {
+            engine: self.name(),
+        })?;
         let t0 = soc.clock.now_ns();
         // Input DMA: the engine masters the bus and pulls the source
         // buffer through the bounce window. The window is a fixed-size
@@ -546,26 +429,7 @@ impl AccelAesEngine {
         // leaves only the staged input (ciphertext, on the read path) in
         // the window.
         soc.failpoint("accel.dma")?;
-        match self.mode {
-            PageCipherMode::Cbc => {
-                // CBC chains serially within each extent; the engine
-                // processes extents back-to-back.
-                let unit = if ivs.is_empty() {
-                    0
-                } else {
-                    data.len() / ivs.len()
-                };
-                for (iv, chunk) in ivs.iter().zip(data.chunks_exact_mut(unit.max(1))) {
-                    if encrypt {
-                        cbc_encrypt(aes, iv, chunk);
-                    } else {
-                        cbc_decrypt(bits, iv, chunk);
-                    }
-                }
-            }
-            PageCipherMode::Xts => xts_crypt_extents(bits, bits, encrypt, ivs, data),
-            PageCipherMode::Ctr => ctr_crypt_extents(bits, ivs, data),
-        }
+        cipher.crypt(self.mode, direction, ivs, data);
         // Result DMA: written back only at operation completion — a kill
         // before this point never exposes the engine's output.
         soc.dma_write(
@@ -599,9 +463,7 @@ impl CipherEngine for AccelAesEngine {
     }
 
     fn set_key(&mut self, _soc: &mut Soc, key: &[u8]) -> Result<(), KernelError> {
-        let aes = Aes::new(key).map_err(KernelError::InvalidKey)?;
-        self.bits = Some(BitslicedAes::from_schedule(aes.schedule()));
-        self.aes = Some(aes);
+        self.cipher = Some(PageCipher::new(key).map_err(KernelError::InvalidKey)?);
         Ok(())
     }
 
@@ -614,42 +476,13 @@ impl CipherEngine for AccelAesEngine {
         self.mode
     }
 
-    fn encrypt(
-        &mut self,
-        soc: &mut Soc,
-        iv: &[u8; 16],
-        data: &mut [u8],
-    ) -> Result<(), KernelError> {
-        self.run_op(soc, std::slice::from_ref(iv), data, true)
-    }
-
-    fn decrypt(
-        &mut self,
-        soc: &mut Soc,
-        iv: &[u8; 16],
-        data: &mut [u8],
-    ) -> Result<(), KernelError> {
-        self.run_op(soc, std::slice::from_ref(iv), data, false)
-    }
-
     fn encrypt_extent(
         &mut self,
         soc: &mut Soc,
         ivs: &[[u8; 16]],
         data: &mut [u8],
     ) -> Result<(), KernelError> {
-        if ivs.is_empty() {
-            assert!(data.is_empty(), "extent data without IVs");
-            return Ok(());
-        }
-        assert!(
-            data.len().is_multiple_of(ivs.len()),
-            "data does not divide into {} extents",
-            ivs.len()
-        );
-        // One descriptor for the whole run: a multi-sector request pays
-        // setup once, not per 512-byte unit.
-        self.run_op(soc, ivs, data, true)
+        self.run_op(soc, Direction::Encrypt, ivs, data)
     }
 
     fn decrypt_extent(
@@ -658,16 +491,7 @@ impl CipherEngine for AccelAesEngine {
         ivs: &[[u8; 16]],
         data: &mut [u8],
     ) -> Result<(), KernelError> {
-        if ivs.is_empty() {
-            assert!(data.is_empty(), "extent data without IVs");
-            return Ok(());
-        }
-        assert!(
-            data.len().is_multiple_of(ivs.len()),
-            "data does not divide into {} extents",
-            ivs.len()
-        );
-        self.run_op(soc, ivs, data, false)
+        self.run_op(soc, Direction::Decrypt, ivs, data)
     }
 }
 
@@ -721,9 +545,9 @@ mod tests {
 
     #[test]
     fn extent_paths_match_per_unit_paths() {
-        // The overridden (batched) extent methods and the default
-        // per-unit loop must agree byte-for-byte, for both the generic
-        // engine and the accelerator (single-descriptor extent override).
+        // One extent request and a loop of single-buffer calls must agree
+        // byte-for-byte, for both the generic engine and the accelerator
+        // (one descriptor per extent request).
         let mut soc = Soc::tegra3_small();
         let key = [0x9Cu8; 32];
         let units = 8usize;
@@ -749,7 +573,7 @@ mod tests {
 
         let mut hw = expect.clone();
         accel.decrypt_extent(&mut soc, &ivs, &mut hw).unwrap();
-        assert_eq!(hw, pt, "accel default extent decrypt");
+        assert_eq!(hw, pt, "accel extent decrypt");
 
         // Degenerate case.
         generic.encrypt_extent(&mut soc, &[], &mut []).unwrap();

@@ -321,7 +321,7 @@ fn persistent_crypt_fault_on_readahead_exhausts_retries_cleanly() {
 
     // A *persistent* fault — the plan re-fires on every dispatch — must
     // not spin: the typed RetriesExhausted surfaces after the cap.
-    let cap = s.config.integrity.max_crypt_retries;
+    let cap = sentry::core::lifecycle::MAX_CRYPT_RETRIES;
     s.kernel
         .soc
         .failpoints

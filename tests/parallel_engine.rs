@@ -5,43 +5,51 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use sentry::core::config::ParallelConfig;
 use sentry::core::{Sentry, SentryConfig};
-use sentry::crypto::parallel::{crypt_batch, Direction, PageJob};
-use sentry::crypto::{Aes, PageCipherMode};
+use sentry::crypto::parallel::{crypt_batch, BatchReport};
+use sentry::crypto::{Direction, PageCipher, PageCipherMode};
 use sentry::kernel::Kernel;
 use sentry::soc::Soc;
 
-fn pages_from_seed(count: usize, seed: u64) -> Vec<Vec<u8>> {
-    (0..count)
-        .map(|i| {
-            (0..4096usize)
-                .map(|j| {
-                    (seed as u8)
-                        .wrapping_mul(7)
-                        .wrapping_add((i * 131 + j) as u8)
-                })
-                .collect()
+fn pages_from_seed(count: usize, seed: u64) -> Vec<u8> {
+    (0..count * 4096)
+        .map(|b| {
+            (seed as u8)
+                .wrapping_mul(7)
+                .wrapping_add((b / 4096 * 131 + b % 4096) as u8)
         })
         .collect()
 }
 
+fn ivs(pages: usize, stride: u8) -> Vec<[u8; 16]> {
+    (0..pages)
+        .map(|i| [(i as u8).wrapping_mul(stride); 16])
+        .collect()
+}
+
+/// One `crypt_batch` call over `data` (page `i` under `[i * stride; 16]`).
+fn crypt(
+    cipher: &PageCipher,
+    mode: PageCipherMode,
+    direction: Direction,
+    stride: u8,
+    data: &mut [u8],
+    workers: usize,
+    min_batch: usize,
+) -> BatchReport {
+    let ivs = ivs(data.len() / 4096, stride);
+    crypt_batch(cipher, mode, direction, &ivs, data, workers, min_batch).unwrap()
+}
+
 fn run_batch(
-    pages: &[Vec<u8>],
+    pages: &[u8],
     key: &[u8],
     mode: PageCipherMode,
     direction: Direction,
     workers: usize,
-) -> Vec<Vec<u8>> {
-    let aes = Aes::new(key).unwrap();
+) -> Vec<u8> {
+    let cipher = PageCipher::new(key).unwrap();
     let mut work = pages.to_vec();
-    let mut jobs: Vec<PageJob<'_>> = work
-        .iter_mut()
-        .enumerate()
-        .map(|(i, p)| PageJob {
-            iv: [(i as u8).wrapping_mul(17); 16],
-            data: p.as_mut_slice(),
-        })
-        .collect();
-    crypt_batch(&aes, mode, direction, &mut jobs, workers, 1).unwrap();
+    crypt(&cipher, mode, direction, 17, &mut work, workers, 1);
     work
 }
 
@@ -77,25 +85,15 @@ proptest! {
         // Odd, prime, and sub-worker batch sizes all preserve every
         // byte: the contiguous split never drops or duplicates a page.
         let plain = pages_from_seed(pages, seed);
-        let aes = Aes::new(&[0x42u8; 16]).unwrap();
+        let cipher = PageCipher::new(&[0x42u8; 16]).unwrap();
         let mut work = plain.clone();
-        let mut jobs: Vec<PageJob<'_>> = work
-            .iter_mut()
-            .enumerate()
-            .map(|(i, p)| PageJob { iv: [i as u8; 16], data: p.as_mut_slice() })
-            .collect();
-        let rep = crypt_batch(&aes, PageCipherMode::Cbc, Direction::Encrypt, &mut jobs, workers, 1).unwrap();
+        let rep = crypt(&cipher, PageCipherMode::Cbc, Direction::Encrypt, 1, &mut work, workers, 1);
         prop_assert_eq!(rep.pages, pages);
         prop_assert_eq!(rep.bytes, pages as u64 * 4096);
         prop_assert_eq!(rep.per_worker_bytes.iter().sum::<u64>(), rep.bytes);
         prop_assert_eq!(rep.workers_used, workers.min(pages));
 
-        let mut jobs: Vec<PageJob<'_>> = work
-            .iter_mut()
-            .enumerate()
-            .map(|(i, p)| PageJob { iv: [i as u8; 16], data: p.as_mut_slice() })
-            .collect();
-        crypt_batch(&aes, PageCipherMode::Cbc, Direction::Decrypt, &mut jobs, workers, 1).unwrap();
+        crypt(&cipher, PageCipherMode::Cbc, Direction::Decrypt, 1, &mut work, workers, 1);
         prop_assert_eq!(work, plain);
     }
 }
@@ -103,25 +101,17 @@ proptest! {
 #[test]
 fn below_floor_batches_take_the_sequential_fallback() {
     let plain = pages_from_seed(5, 99);
-    let aes = Aes::new(&[7u8; 16]).unwrap();
+    let cipher = PageCipher::new(&[7u8; 16]).unwrap();
     let mut work = plain.clone();
-    let mut jobs: Vec<PageJob<'_>> = work
-        .iter_mut()
-        .enumerate()
-        .map(|(i, p)| PageJob {
-            iv: [i as u8; 16],
-            data: p.as_mut_slice(),
-        })
-        .collect();
-    let rep = crypt_batch(
-        &aes,
+    let rep = crypt(
+        &cipher,
         PageCipherMode::Cbc,
         Direction::Encrypt,
-        &mut jobs,
+        1,
+        &mut work,
         8,
         6,
-    )
-    .unwrap();
+    );
     assert!(
         rep.sequential_fallback,
         "5 pages < floor of 6 must not fan out"
@@ -129,23 +119,15 @@ fn below_floor_batches_take_the_sequential_fallback() {
     assert_eq!(rep.workers_used, 1);
     // Identical bytes to a genuinely parallel run of the same batch.
     let mut par = plain.clone();
-    let mut jobs: Vec<PageJob<'_>> = par
-        .iter_mut()
-        .enumerate()
-        .map(|(i, p)| PageJob {
-            iv: [i as u8; 16],
-            data: p.as_mut_slice(),
-        })
-        .collect();
-    let rep2 = crypt_batch(
-        &aes,
+    let rep2 = crypt(
+        &cipher,
         PageCipherMode::Cbc,
         Direction::Encrypt,
-        &mut jobs,
+        1,
+        &mut par,
         5,
         1,
-    )
-    .unwrap();
+    );
     assert!(!rep2.sequential_fallback);
     assert_eq!(work, par, "fallback and fan-out bytes differ");
 }
