@@ -7,7 +7,7 @@
 //!    overlapped CTR read path wedges forever. Each read must still
 //!    return the written bytes: the watchdog abandons the op, the DMA
 //!    bounce window is zeroized, and the bitsliced CPU path redoes the
-//!    work. After `trip_failures` abandons the breaker opens — no
+//!    work. After `TRIP_FAILURES` abandons the breaker opens — no
 //!    further watchdog deadline is ever burned — and reads while Open
 //!    go inline with a mean latency at most `MAX_OPEN_INFLATION`× the
 //!    healthy mean. Once the storm lifts and the probe interval
@@ -35,7 +35,8 @@
 
 use sentry_bench::print_table;
 use sentry_core::config::{PageCipherMode, PipelineConfig, ReadaheadConfig};
-use sentry_core::{HealthConfig, HealthState, HealthStats, Sentry, SentryConfig};
+use sentry_core::health::{PROBE_AFTER_NS, PROBE_SUCCESSES, TRIP_FAILURES};
+use sentry_core::{HealthGovernor, HealthState, HealthStats, Sentry, SentryConfig};
 use sentry_kernel::block::{RamDisk, SECTOR_SIZE};
 use sentry_kernel::crypto_api::{CryptoApi, GenericAesEngine};
 use sentry_kernel::dmcrypt::DmCrypt;
@@ -137,8 +138,7 @@ fn storm_cell() -> StormCell {
     let healthy_mean_ns = healthy_sum as f64 / HEALTHY_READS as f64;
     // The deadline the governor derives for a full-read miss run — the
     // reporting yardstick for time-to-trip.
-    let watchdog_ns = sentry_core::HealthGovernor::new(HealthConfig::default())
-        .watchdog_ns(soc.accel.op_duration_ns(data.len() as u64));
+    let watchdog_ns = HealthGovernor::watchdog_ns(soc.accel.op_duration_ns(data.len() as u64));
 
     soc.failpoints.arm(FaultPlan::at_rate(
         "accel.submit",
@@ -168,8 +168,8 @@ fn storm_cell() -> StormCell {
 
     // Storm over: cool down past the probe interval, then count the
     // reads (= half-open probes) the breaker needs to close again.
-    soc.clock.advance(HealthConfig::default().probe_after_ns);
-    let probe_budget = u64::from(HealthConfig::default().probe_successes) + 2;
+    soc.clock.advance(PROBE_AFTER_NS);
+    let probe_budget = u64::from(PROBE_SUCCESSES) + 2;
     let mut recovery_reads = 0u64;
     while dm.health_state() != HealthState::Healthy && recovery_reads < probe_budget {
         let (_, same) = read_once(&mut api, &mut soc, &mut disk);
@@ -343,7 +343,6 @@ fn health_json(h: &HealthStats) -> String {
 #[allow(clippy::too_many_lines)]
 fn main() {
     let enforce = std::env::args().any(|a| a == "--enforce");
-    let defaults = HealthConfig::default();
 
     let storm = storm_cell();
     let corrupt = corrupt_cell();
@@ -482,8 +481,8 @@ fn main() {
          \"fleet\": {{\"devices\": {}, \"events\": {}, \"accel_storms\": {}, \
          \"flaky_disk_intervals\": {}, \"silent_corruptions\": {}, \"device_errors\": {}, \
          \"health\": {}}}\n}}\n",
-        defaults.trip_failures,
-        defaults.probe_successes,
+        TRIP_FAILURES,
+        PROBE_SUCCESSES,
         storm.reads,
         storm.identical,
         storm.open_reads,
@@ -529,11 +528,11 @@ fn main() {
         // 2. The breaker trips at the K-th watchdog expiry and never
         //    burns another deadline — "trips within one watchdog
         //    deadline" of the K-th failure.
-        if storm.health.trips < 1 || storm.health.timeouts != u64::from(defaults.trip_failures) {
+        if storm.health.trips < 1 || storm.health.timeouts != u64::from(TRIP_FAILURES) {
             eprintln!(
                 "FAIL [storm]: {} timeouts / {} trips — breaker did not trip at the \
                  {}-failure threshold",
-                storm.health.timeouts, storm.health.trips, defaults.trip_failures
+                storm.health.timeouts, storm.health.trips, TRIP_FAILURES
             );
             failed = true;
         }
@@ -553,12 +552,12 @@ fn main() {
         }
         // 4. Recovery within the probe budget once the storm lifts.
         if !storm.recovered
-            || storm.recovery_reads > u64::from(defaults.probe_successes)
+            || storm.recovery_reads > u64::from(PROBE_SUCCESSES)
             || storm.health.recoveries < 1
         {
             eprintln!(
                 "FAIL [storm]: not Healthy after {} recovery reads (budget {})",
-                storm.recovery_reads, defaults.probe_successes
+                storm.recovery_reads, PROBE_SUCCESSES
             );
             failed = true;
         }
@@ -629,7 +628,7 @@ fn main() {
             "enforce: storms ridden out byte-identically, breaker tripped at {} failures \
              and recovered in {} probes, open-mode inflation {:.2}x <= {MAX_OPEN_INFLATION:.1}x, \
              flaky disk absorbed, chaos fleet clean",
-            defaults.trip_failures,
+            TRIP_FAILURES,
             storm.recovery_reads,
             storm.inflation()
         );

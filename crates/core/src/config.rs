@@ -1,7 +1,7 @@
 //! Sentry configuration.
 
 pub use crate::pressure::PressureConfig;
-pub use sentry_crypto::{HealthConfig, PageCipherMode, PipelineConfig};
+pub use sentry_crypto::{PageCipherMode, PipelineConfig};
 
 /// Which on-SoC storage backs Sentry's secrets (§4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -150,18 +150,12 @@ pub struct SentryConfig {
     /// CBC is the paper's mode; XTS and CTR fill every bitsliced lane on
     /// encrypt as well as decrypt (see `sentry_crypto::modes`).
     pub cipher_mode: PageCipherMode,
-    /// Asynchronous crypt-pipeline tuning: keystream precompute for the
+    /// Asynchronous crypt-pipeline switch: keystream precompute for the
     /// dm-crypt read path and accelerator-queue routing for lifecycle
     /// decrypt batches (see `sentry_crypto::pipeline`). Disabled by
     /// default — the paper's fully inline behaviour.
     pub pipeline: PipelineConfig,
-    /// Health-governor tuning: watchdog deadlines on accelerator waits,
-    /// the circuit breaker's trip/probe thresholds, and the storage
-    /// retry/backoff budget (see `sentry_core::health`). Enabled by
-    /// default — flaky hardware degrades to the CPU path instead of
-    /// hanging the device.
-    pub health: HealthConfig,
-    /// Pressure-governor tuning: occupancy watermarks over the on-SoC
+    /// Pressure-governor switches: occupancy watermarks over the on-SoC
     /// store, elective-load shedding at High pressure, and the
     /// encrypted spill path at Critical (see `sentry_core::pressure`).
     /// Enabled by default — exhaustion degrades instead of failing
@@ -198,7 +192,6 @@ impl SentryConfig {
             integrity: IntegrityConfig::default(),
             cipher_mode: PageCipherMode::Cbc,
             pipeline: PipelineConfig::default(),
-            health: HealthConfig::default(),
             pressure: PressureConfig::default(),
             background_support: true,
             slot_limit: None,
@@ -215,7 +208,6 @@ impl SentryConfig {
             integrity: IntegrityConfig::default(),
             cipher_mode: PageCipherMode::Cbc,
             pipeline: PipelineConfig::default(),
-            health: HealthConfig::default(),
             pressure: PressureConfig::default(),
             background_support: true,
             slot_limit: None,
@@ -234,7 +226,6 @@ impl SentryConfig {
             integrity: IntegrityConfig::default(),
             cipher_mode: PageCipherMode::Cbc,
             pipeline: PipelineConfig::default(),
-            health: HealthConfig::default(),
             pressure: PressureConfig::default(),
             background_support: false,
             slot_limit: None,
@@ -284,7 +275,7 @@ impl SentryConfig {
         self
     }
 
-    /// Set the asynchronous crypt-pipeline tuning (see
+    /// Set the asynchronous crypt-pipeline switch (see
     /// [`PipelineConfig`]).
     #[must_use]
     pub fn with_pipeline(mut self, pipeline: PipelineConfig) -> Self {
@@ -300,33 +291,10 @@ impl SentryConfig {
         self
     }
 
-    /// Set the health-governor tuning (see [`HealthConfig`]).
-    #[must_use]
-    pub fn with_health(mut self, health: HealthConfig) -> Self {
-        self.health = health;
-        self
-    }
-
-    /// Shorthand: turn the health governor off — no watchdog deadlines,
-    /// no circuit breaker, no storage retries; faults surface raw.
-    #[must_use]
-    pub fn without_health(mut self) -> Self {
-        self.health = HealthConfig::disabled();
-        self
-    }
-
-    /// Set the pressure-governor tuning (see [`PressureConfig`]).
+    /// Set the pressure-governor switches (see [`PressureConfig`]).
     #[must_use]
     pub fn with_pressure(mut self, pressure: PressureConfig) -> Self {
         self.pressure = pressure;
-        self
-    }
-
-    /// Shorthand: turn the pressure governor off — no watermarks, no
-    /// shedding, no spill; on-SoC exhaustion fails closed as before.
-    #[must_use]
-    pub fn without_pressure(mut self) -> Self {
-        self.pressure = PressureConfig::disabled();
         self
     }
 }

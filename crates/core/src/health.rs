@@ -27,6 +27,4 @@
 //! See `DESIGN.md` ("Health governor & degraded modes") for the state
 //! diagram and threshold derivations.
 
-pub use sentry_crypto::health::{
-    FailureKind, HealthConfig, HealthGovernor, HealthState, HealthStats, RetryStats,
-};
+pub use sentry_crypto::health::*;

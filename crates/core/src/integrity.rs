@@ -173,7 +173,6 @@ impl std::fmt::Debug for SpillKey {
 /// the on-SoC tag store, and the quarantine set.
 #[derive(Debug)]
 pub struct IntegrityPlane {
-    config: IntegrityConfig,
     backend: OnSocBackend,
     /// CMAC under a domain-separated key derived from the volatile root
     /// key (`E_rootkey("SENTRY-INTEGRITY")`); `None` when disabled.
@@ -260,7 +259,6 @@ impl IntegrityPlane {
             (None, None)
         };
         Ok(IntegrityPlane {
-            config,
             backend,
             cmac,
             tag_pages: Vec::new(),
@@ -285,12 +283,6 @@ impl IntegrityPlane {
     #[must_use]
     pub fn enabled(&self) -> bool {
         self.cmac.is_some()
-    }
-
-    /// The configured bounded-retry caps.
-    #[must_use]
-    pub fn config(&self) -> IntegrityConfig {
-        self.config
     }
 
     /// Number of on-SoC pages the tag store currently occupies.

@@ -73,7 +73,7 @@ pub mod txn;
 pub use config::{IntegrityConfig, OnSocBackend, PageCipherMode, ParallelConfig, SentryConfig};
 pub use device::{DeviceAgent, ScreenState, UnlockOutcome};
 pub use error::SentryError;
-pub use health::{FailureKind, HealthConfig, HealthGovernor, HealthState, HealthStats, RetryStats};
+pub use health::{FailureKind, HealthGovernor, HealthState, HealthStats, RetryStats};
 pub use integrity::{
     IntegrityPlane, IntegrityStats, QuarantinedPage, SpillAnchor, TagPageState, VerifyOutcome,
 };

@@ -332,7 +332,6 @@ impl Sentry {
             root_key_schedules: 2,
             derived_key_schedules: u64::from(config.integrity.enabled) + 1,
         };
-        let governor = HealthGovernor::new(config.health);
         Ok(Sentry {
             kernel,
             store,
@@ -341,7 +340,7 @@ impl Sentry {
             stats: LifecycleStats::default(),
             parallel: ParallelStats::default(),
             device_stats,
-            health: governor,
+            health: HealthGovernor::default(),
             last_fault: None,
             integrity,
             commit,
@@ -422,9 +421,6 @@ impl Sentry {
     ///
     /// Propagates spill I/O and SoC errors.
     fn govern_pressure(&mut self) -> Result<(), SentryError> {
-        if !self.config.pressure.enabled {
-            return Ok(());
-        }
         while self.store.pressure_level() == PressureLevel::Critical {
             let shed = self
                 .integrity
@@ -733,11 +729,10 @@ impl Sentry {
         let t0 = soc.clock.now_ns();
         let id = soc.accel_queue.submit(&soc.accel, t0, buf.len() as u64);
         // Watchdog deadline: the op's own modeled duration times the
-        // configured margin, anchored at submit.
-        let deadline = t0.saturating_add(
-            self.health
-                .watchdog_ns(soc.accel.op_duration_ns(buf.len() as u64)),
-        );
+        // watchdog margin, anchored at submit.
+        let deadline = t0.saturating_add(HealthGovernor::watchdog_ns(
+            soc.accel.op_duration_ns(buf.len() as u64),
+        ));
 
         // Functional transform on the host path (same bytes the engine
         // would produce); its CPU charge — including any parallel-lane
@@ -773,7 +768,7 @@ impl Sentry {
                 match outcome {
                     WaitOutcome::TimedOut { .. } => {
                         self.health.record_failure(now, FailureKind::Timeout);
-                        self.health.note_abandoned(staged as u64);
+                        self.health.note_abandoned(buf.len() as u64);
                     }
                     WaitOutcome::Corrupt { .. } => {
                         self.health.record_failure(now, FailureKind::Corrupt);
@@ -1009,7 +1004,7 @@ impl Sentry {
         // High or Critical pressure its decrypt batches would only add
         // on-SoC traffic while the governor is trying to reclaim, so the
         // tick skips it until pressure falls back to Normal.
-        if self.config.pressure.enabled && self.store.pressure_level() >= PressureLevel::High {
+        if self.store.pressure_level() >= PressureLevel::High {
             // Count a shed only when a sweep would actually have run.
             let ra = self.config.readahead;
             if ra.enabled && ra.sweep_budget_pages > 0 && self.state == DeviceState::Unlocked {
@@ -1307,10 +1302,7 @@ impl Sentry {
                         } else {
                             1
                         };
-                        if cluster > 1
-                            && self.config.pressure.enabled
-                            && self.store.pressure_level() >= PressureLevel::High
-                        {
+                        if cluster > 1 && self.store.pressure_level() >= PressureLevel::High {
                             // Shed lever: under High pressure readahead
                             // companions are elective — the cluster
                             // shrinks to the faulting page alone.

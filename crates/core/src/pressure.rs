@@ -68,33 +68,35 @@ impl PressureLevel {
     }
 }
 
-/// Tuning for the pressure governor.
+/// High watermark as a percentage of the effective budget.
+pub const HIGH_PCT: u64 = 70;
+
+/// Critical watermark as a percentage of the effective budget.
+pub const CRITICAL_PCT: u64 = 90;
+
+/// Keystream-cache sector cap applied while pressure is High or
+/// Critical (the cache's own capacity applies when Normal).
+pub const KEYSTREAM_CAP_HIGH: usize = 16;
+
+/// The pressure governor's switches. Its watermarks ([`HIGH_PCT`],
+/// [`CRITICAL_PCT`]) and the keystream cap ([`KEYSTREAM_CAP_HIGH`]) are
+/// fixed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PressureConfig {
     /// Master switch. When false the tracker still accounts occupancy
     /// but always reports [`PressureLevel::Normal`] and never denies an
     /// allocation — exactly the pre-governor behaviour.
     pub enabled: bool,
-    /// High watermark as a percentage of the effective budget.
-    pub high_pct: u8,
-    /// Critical watermark as a percentage of the effective budget.
-    pub critical_pct: u8,
     /// Whether Critical pressure may reclaim cold tag-store pages
     /// through the encrypted spill region.
     pub spill: bool,
-    /// Keystream-cache sector cap applied while pressure is High or
-    /// Critical (the cache's configured capacity applies when Normal).
-    pub keystream_cap_high: usize,
 }
 
 impl Default for PressureConfig {
     fn default() -> Self {
         PressureConfig {
             enabled: true,
-            high_pct: 70,
-            critical_pct: 90,
             spill: true,
-            keystream_cap_high: 16,
         }
     }
 }
@@ -108,14 +110,6 @@ impl PressureConfig {
             enabled: false,
             ..PressureConfig::default()
         }
-    }
-
-    /// Builder: set the high/critical watermarks (percent of budget).
-    #[must_use]
-    pub fn with_watermarks(mut self, high_pct: u8, critical_pct: u8) -> Self {
-        self.high_pct = high_pct;
-        self.critical_pct = critical_pct;
-        self
     }
 
     /// Builder: enable or disable the encrypted spill path.
@@ -170,7 +164,8 @@ impl PressureStats {
 /// Watermark tracker over one store's scarce on-SoC bytes.
 #[derive(Debug)]
 pub struct PressureTracker {
-    config: PressureConfig,
+    /// [`PressureConfig::enabled`]: a disabled tracker stays Normal.
+    enabled: bool,
     /// Physical capacity of the tracked store, in bytes.
     capacity: u64,
     /// Chaos/test knob: a budget tighter than the physical capacity.
@@ -185,18 +180,12 @@ impl PressureTracker {
     #[must_use]
     pub fn new(config: PressureConfig, capacity: u64) -> Self {
         PressureTracker {
-            config,
+            enabled: config.enabled,
             capacity,
             budget_override: None,
             level: PressureLevel::Normal,
             stats: PressureStats::default(),
         }
-    }
-
-    /// The governor's configuration.
-    #[must_use]
-    pub fn config(&self) -> PressureConfig {
-        self.config
     }
 
     /// The current watermark level.
@@ -227,7 +216,7 @@ impl PressureTracker {
     /// disabled one leaves exhaustion to the physical allocators.
     #[must_use]
     pub fn would_deny(&self, bytes_after: u64) -> bool {
-        self.config.enabled && bytes_after > self.effective_budget()
+        self.enabled && bytes_after > self.effective_budget()
     }
 
     /// Record the current resident byte count and reclassify, counting
@@ -239,14 +228,14 @@ impl PressureTracker {
     }
 
     fn reclassify(&mut self) {
-        let level = if !self.config.enabled {
+        let level = if !self.enabled {
             PressureLevel::Normal
         } else {
             let budget = self.effective_budget().max(1);
             let pct = self.stats.bytes_resident.saturating_mul(100) / budget;
-            if pct >= u64::from(self.config.critical_pct) {
+            if pct >= CRITICAL_PCT {
                 PressureLevel::Critical
-            } else if pct >= u64::from(self.config.high_pct) {
+            } else if pct >= HIGH_PCT {
                 PressureLevel::High
             } else {
                 PressureLevel::Normal

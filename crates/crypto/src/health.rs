@@ -24,21 +24,24 @@
 //! ```
 //!
 //! * **Healthy** — dispatch to the accelerator, every wait guarded by a
-//!   watchdog deadline of `op_duration_ns × margin` (clamped to a
-//!   floor).
+//!   watchdog deadline of `op_duration_ns ×` [`WATCHDOG_MARGIN_PCT`]` %`
+//!   (clamped to [`WATCHDOG_FLOOR_NS`]).
 //! * **Degraded** — recent failures below the trip threshold; dispatch
 //!   continues but the window is hot and telemetry accumulates
 //!   time-in-degraded.
-//! * **Open** — the breaker tripped: K failures inside the failure
-//!   window. All dispatch is routed straight to the CPU path without
-//!   touching the engine, until the probe interval elapses.
+//! * **Open** — the breaker tripped: [`TRIP_FAILURES`] failures inside
+//!   the [`FAILURE_WINDOW_NS`] window. All dispatch is routed straight
+//!   to the CPU path without touching the engine, until
+//!   [`PROBE_AFTER_NS`] elapses.
 //! * **HalfOpen** — probing: real work is dispatched to the engine
-//!   again; a run of consecutive successes closes the breaker, any
-//!   failure re-trips it.
+//!   again; [`PROBE_SUCCESSES`] consecutive successes close the breaker,
+//!   any failure re-trips it.
 //!
 //! The governor is a pure, deterministic state machine over simulated
 //! timestamps — no wall clock, no randomness — so every degraded-mode
-//! schedule replays exactly from a seed.
+//! schedule replays exactly from a seed. Its thresholds are constants,
+//! not tuning: because the CPU fallback is always available, one fixed
+//! policy serves every caller, and the governor is always on.
 
 /// Unified bounded-retry accounting, shared by the integrity plane's
 /// verify re-reads, the lifecycle's crypt retries, and the dm-crypt
@@ -62,65 +65,36 @@ impl RetryStats {
     }
 }
 
-/// Configuration for a [`HealthGovernor`]. All fields are integers so
-/// the config stays `Eq`/hashable and deterministic across platforms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HealthConfig {
-    /// Master switch. Disabled, the governor always allows dispatch,
-    /// watchdog deadlines are infinite, and no telemetry accumulates.
-    pub enabled: bool,
-    /// Watchdog deadline as a percentage of the submitted op's modeled
-    /// duration (300 = 3× the expected completion time).
-    pub watchdog_margin_pct: u32,
-    /// Deadline floor in nanoseconds, so tiny ops are not abandoned on
-    /// scheduler noise.
-    pub watchdog_floor_ns: u64,
-    /// Failures within [`HealthConfig::failure_window_ns`] that trip
-    /// the breaker (the K in "K failures in a window").
-    pub trip_failures: u32,
-    /// Sliding failure window, nanoseconds of simulated time.
-    pub failure_window_ns: u64,
-    /// How long the breaker stays Open before half-open probing.
-    pub probe_after_ns: u64,
-    /// Consecutive half-open probe successes required to close the
-    /// breaker back to Healthy.
-    pub probe_successes: u32,
-    /// Retry budget for transient storage-read failures (retries beyond
-    /// the first attempt).
-    pub max_disk_retries: u32,
-    /// Base backoff before the first storage retry; doubles per retry
-    /// (deterministic sim-clock backoff, no jitter needed — the sim is
-    /// single-threaded per device).
-    pub disk_backoff_base_ns: u64,
-}
+/// Watchdog deadline as a percentage of the submitted op's modeled
+/// duration (300 = 3× the expected completion time).
+pub const WATCHDOG_MARGIN_PCT: u64 = 300;
 
-impl Default for HealthConfig {
-    fn default() -> Self {
-        HealthConfig {
-            enabled: true,
-            watchdog_margin_pct: 300,
-            watchdog_floor_ns: 20_000,
-            trip_failures: 3,
-            failure_window_ns: 50_000_000,
-            probe_after_ns: 5_000_000,
-            probe_successes: 2,
-            max_disk_retries: 3,
-            disk_backoff_base_ns: 20_000,
-        }
-    }
-}
+/// Watchdog deadline floor in nanoseconds, so tiny ops are not
+/// abandoned on scheduler noise.
+pub const WATCHDOG_FLOOR_NS: u64 = 20_000;
 
-impl HealthConfig {
-    /// A disabled governor: dispatch is never vetoed, deadlines are
-    /// infinite, storage reads are never retried.
-    #[must_use]
-    pub fn disabled() -> Self {
-        HealthConfig {
-            enabled: false,
-            ..HealthConfig::default()
-        }
-    }
-}
+/// Failures within [`FAILURE_WINDOW_NS`] that trip the breaker (the K
+/// in "K failures in a window").
+pub const TRIP_FAILURES: u32 = 3;
+
+/// Sliding failure window, nanoseconds of simulated time.
+pub const FAILURE_WINDOW_NS: u64 = 50_000_000;
+
+/// How long the breaker stays Open before half-open probing.
+pub const PROBE_AFTER_NS: u64 = 5_000_000;
+
+/// Consecutive half-open probe successes required to close the breaker
+/// back to Healthy.
+pub const PROBE_SUCCESSES: u32 = 2;
+
+/// Retry budget for transient storage-read failures (retries beyond the
+/// first attempt).
+pub const MAX_DISK_RETRIES: u32 = 3;
+
+/// Base backoff before the first storage retry; doubles per retry
+/// (deterministic sim-clock backoff, no jitter needed — the sim is
+/// single-threaded per device).
+pub const DISK_BACKOFF_BASE_NS: u64 = 20_000;
 
 /// The per-component breaker state. See the module docs for the
 /// transition diagram.
@@ -208,9 +182,8 @@ impl HealthStats {
 /// The health governor for one component (one accelerator, one disk):
 /// breaker state machine, watchdog derivation, retry budgets, and
 /// telemetry. Deterministic over simulated timestamps.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct HealthGovernor {
-    config: HealthConfig,
     state: HealthState,
     /// Timestamps of failures inside the sliding window, oldest first.
     failures: Vec<u64>,
@@ -225,32 +198,6 @@ pub struct HealthGovernor {
 }
 
 impl HealthGovernor {
-    /// A governor in the Healthy state.
-    #[must_use]
-    pub fn new(config: HealthConfig) -> Self {
-        HealthGovernor {
-            config,
-            state: HealthState::Healthy,
-            failures: Vec::new(),
-            opened_at_ns: 0,
-            probe_run: 0,
-            degraded_since_ns: None,
-            stats: HealthStats::default(),
-        }
-    }
-
-    /// The configuration this governor runs under.
-    #[must_use]
-    pub fn config(&self) -> HealthConfig {
-        self.config
-    }
-
-    /// Whether the governor is active at all.
-    #[must_use]
-    pub fn enabled(&self) -> bool {
-        self.config.enabled
-    }
-
     /// Current breaker state.
     #[must_use]
     pub fn state(&self) -> HealthState {
@@ -258,15 +205,11 @@ impl HealthGovernor {
     }
 
     /// The watchdog deadline budget for an op whose modeled duration is
-    /// `op_duration_ns`: `duration × margin`, clamped to the configured
-    /// floor. Disabled governors return [`u64::MAX`] (no deadline).
+    /// `op_duration_ns`: `duration × WATCHDOG_MARGIN_PCT / 100`, clamped
+    /// to [`WATCHDOG_FLOOR_NS`].
     #[must_use]
-    pub fn watchdog_ns(&self, op_duration_ns: u64) -> u64 {
-        if !self.config.enabled {
-            return u64::MAX;
-        }
-        (op_duration_ns.saturating_mul(u64::from(self.config.watchdog_margin_pct)) / 100)
-            .max(self.config.watchdog_floor_ns)
+    pub fn watchdog_ns(op_duration_ns: u64) -> u64 {
+        (op_duration_ns.saturating_mul(WATCHDOG_MARGIN_PCT) / 100).max(WATCHDOG_FLOOR_NS)
     }
 
     /// Should this dispatch go to the accelerator? Consult *before*
@@ -275,14 +218,11 @@ impl HealthGovernor {
     /// elapses, at which point the breaker goes HalfOpen and the
     /// dispatch itself is the probe.
     pub fn allow_accel(&mut self, now_ns: u64) -> bool {
-        if !self.config.enabled {
-            return true;
-        }
         self.prune(now_ns);
         match self.state {
             HealthState::Healthy | HealthState::Degraded => true,
             HealthState::Open => {
-                if now_ns.saturating_sub(self.opened_at_ns) >= self.config.probe_after_ns {
+                if now_ns.saturating_sub(self.opened_at_ns) >= PROBE_AFTER_NS {
                     self.state = HealthState::HalfOpen;
                     self.probe_run = 0;
                     self.stats.probes += 1;
@@ -298,17 +238,14 @@ impl HealthGovernor {
         }
     }
 
-    /// Record a successful accelerator op. Closes the breaker after the
-    /// configured run of half-open probe successes; drains the failure
-    /// window back toward Healthy otherwise.
+    /// Record a successful accelerator op. Closes the breaker after
+    /// [`PROBE_SUCCESSES`] half-open probe successes in a row; drains the
+    /// failure window back toward Healthy otherwise.
     pub fn record_success(&mut self, now_ns: u64) {
-        if !self.config.enabled {
-            return;
-        }
         match self.state {
             HealthState::HalfOpen => {
                 self.probe_run += 1;
-                if self.probe_run >= self.config.probe_successes {
+                if self.probe_run >= PROBE_SUCCESSES {
                     self.failures.clear();
                     self.stats.recoveries += 1;
                     self.enter_healthy(now_ns);
@@ -326,12 +263,9 @@ impl HealthGovernor {
 
     /// Record a failed accelerator op (timeout, corrupt output, or a
     /// reported engine fault). Trips the breaker once the failure
-    /// window holds the configured count; a half-open failure re-trips
+    /// window holds [`TRIP_FAILURES`]; a half-open failure re-trips
     /// immediately.
     pub fn record_failure(&mut self, now_ns: u64, kind: FailureKind) {
-        if !self.config.enabled {
-            return;
-        }
         match kind {
             FailureKind::Timeout => self.stats.timeouts += 1,
             FailureKind::Corrupt => self.stats.corrupt_ops += 1,
@@ -344,7 +278,7 @@ impl HealthGovernor {
             HealthState::Healthy | HealthState::Degraded => {
                 self.prune(now_ns);
                 self.failures.push(now_ns);
-                if self.failures.len() >= self.config.trip_failures as usize {
+                if self.failures.len() >= TRIP_FAILURES as usize {
                     self.trip(now_ns);
                 } else {
                     self.state = HealthState::Degraded;
@@ -364,22 +298,11 @@ impl HealthGovernor {
         self.stats.fallback_crypt_bytes += bytes;
     }
 
-    /// Retry budget for a transient storage-read failure (retries
-    /// beyond the first attempt). Zero when disabled.
-    #[must_use]
-    pub fn disk_retry_budget(&self) -> u32 {
-        if self.config.enabled {
-            self.config.max_disk_retries
-        } else {
-            0
-        }
-    }
-
     /// Deterministic backoff before retry number `attempt` (1-based):
-    /// `base × 2^(attempt-1)`, saturating.
+    /// `DISK_BACKOFF_BASE_NS × 2^(attempt-1)`, saturating.
     #[must_use]
-    pub fn disk_backoff_ns(&self, attempt: u32) -> u64 {
-        self.config.disk_backoff_base_ns.saturating_mul(
+    pub fn disk_backoff_ns(attempt: u32) -> u64 {
+        DISK_BACKOFF_BASE_NS.saturating_mul(
             1u64.checked_shl(attempt.saturating_sub(1))
                 .unwrap_or(u64::MAX),
         )
@@ -404,7 +327,7 @@ impl HealthGovernor {
     }
 
     fn prune(&mut self, now_ns: u64) {
-        let horizon = now_ns.saturating_sub(self.config.failure_window_ns);
+        let horizon = now_ns.saturating_sub(FAILURE_WINDOW_NS);
         self.failures.retain(|&t| t >= horizon);
     }
 
@@ -428,7 +351,7 @@ mod tests {
     use super::*;
 
     fn governor() -> HealthGovernor {
-        HealthGovernor::new(HealthConfig::default())
+        HealthGovernor::default()
     }
 
     #[test]
@@ -448,14 +371,10 @@ mod tests {
 
     #[test]
     fn failures_outside_the_window_do_not_trip() {
-        let cfg = HealthConfig {
-            failure_window_ns: 1_000,
-            ..HealthConfig::default()
-        };
-        let mut g = HealthGovernor::new(cfg);
+        let mut g = governor();
         g.record_failure(0, FailureKind::Fault);
-        g.record_failure(2_000, FailureKind::Fault);
-        g.record_failure(4_000, FailureKind::Fault);
+        g.record_failure(2 * FAILURE_WINDOW_NS, FailureKind::Fault);
+        g.record_failure(4 * FAILURE_WINDOW_NS, FailureKind::Fault);
         assert_eq!(g.state(), HealthState::Degraded, "window drained each time");
         assert_eq!(g.stats.trips, 0);
     }
@@ -467,7 +386,7 @@ mod tests {
             g.record_failure(t * 1_000, FailureKind::Timeout);
         }
         assert_eq!(g.state(), HealthState::Open);
-        let probe_at = 2_000 + g.config().probe_after_ns;
+        let probe_at = 2_000 + PROBE_AFTER_NS;
         assert!(!g.allow_accel(probe_at - 1), "probe interval not elapsed");
         assert!(g.allow_accel(probe_at), "first probe allowed");
         assert_eq!(g.state(), HealthState::HalfOpen);
@@ -478,7 +397,7 @@ mod tests {
         assert_eq!(g.state(), HealthState::Healthy);
         assert_eq!(g.stats.recoveries, 1);
         assert!(g.stats.probes >= 2);
-        assert!(g.stats.time_degraded_ns >= g.config().probe_after_ns);
+        assert!(g.stats.time_degraded_ns >= PROBE_AFTER_NS);
     }
 
     #[test]
@@ -487,7 +406,7 @@ mod tests {
         for t in 0..3 {
             g.record_failure(t, FailureKind::Corrupt);
         }
-        let probe_at = 2 + g.config().probe_after_ns;
+        let probe_at = 2 + PROBE_AFTER_NS;
         assert!(g.allow_accel(probe_at));
         g.record_failure(probe_at + 1, FailureKind::Corrupt);
         assert_eq!(g.state(), HealthState::Open);
@@ -497,33 +416,16 @@ mod tests {
 
     #[test]
     fn watchdog_budget_scales_with_duration_and_has_a_floor() {
-        let g = governor();
-        assert_eq!(g.watchdog_ns(100_000), 300_000, "3x margin");
-        assert_eq!(g.watchdog_ns(10), 20_000, "floor");
-        let off = HealthGovernor::new(HealthConfig::disabled());
-        assert_eq!(off.watchdog_ns(100_000), u64::MAX);
+        assert_eq!(HealthGovernor::watchdog_ns(100_000), 300_000, "3x margin");
+        assert_eq!(HealthGovernor::watchdog_ns(10), 20_000, "floor");
     }
 
     #[test]
     fn disk_backoff_doubles_deterministically() {
-        let g = governor();
-        assert_eq!(g.disk_retry_budget(), 3);
-        assert_eq!(g.disk_backoff_ns(1), 20_000);
-        assert_eq!(g.disk_backoff_ns(2), 40_000);
-        assert_eq!(g.disk_backoff_ns(3), 80_000);
-        let off = HealthGovernor::new(HealthConfig::disabled());
-        assert_eq!(off.disk_retry_budget(), 0);
-    }
-
-    #[test]
-    fn disabled_governor_is_inert() {
-        let mut g = HealthGovernor::new(HealthConfig::disabled());
-        for t in 0..100 {
-            g.record_failure(t, FailureKind::Timeout);
-            assert!(g.allow_accel(t));
-        }
-        assert_eq!(g.state(), HealthState::Healthy);
-        assert_eq!(g.stats, HealthStats::default());
+        assert_eq!(MAX_DISK_RETRIES, 3);
+        assert_eq!(HealthGovernor::disk_backoff_ns(1), 20_000);
+        assert_eq!(HealthGovernor::disk_backoff_ns(2), 40_000);
+        assert_eq!(HealthGovernor::disk_backoff_ns(3), 80_000);
     }
 
     #[test]
@@ -532,7 +434,7 @@ mod tests {
         g.record_failure(1_000, FailureKind::Fault);
         assert_eq!(g.state(), HealthState::Degraded);
         // Window drains; the next success returns to Healthy.
-        let after = 1_000 + g.config().failure_window_ns + 1;
+        let after = 1_000 + FAILURE_WINDOW_NS + 1;
         g.record_success(after);
         assert_eq!(g.state(), HealthState::Healthy);
         assert_eq!(g.stats.time_degraded_ns, after - 1_000);

@@ -63,7 +63,7 @@ pub use batch::BlockCipherBatch;
 pub use bitslice::BitslicedAes;
 pub use block::{Aes, AesRef};
 pub use error::{CryptoError, KeyError};
-pub use health::{FailureKind, HealthConfig, HealthGovernor, HealthState, HealthStats, RetryStats};
+pub use health::{FailureKind, HealthGovernor, HealthState, HealthStats, RetryStats};
 pub use mac::Cmac;
 pub use modes::{Direction, PageCipher, PageCipherMode};
 pub use pipeline::{FallbackReason, KeystreamCache, KeystreamStats, PipelineConfig};

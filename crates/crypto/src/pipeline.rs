@@ -14,8 +14,8 @@
 //!   keystream buffer can never be served twice; rotating the epoch
 //!   (volume-key change, device lock) zeroizes every resident buffer
 //!   before dropping it.
-//! * [`PipelineConfig`] — the tuning knob shared by dm-crypt's read path
-//!   and Sentry's readahead/sweeper batch routing.
+//! * [`PipelineConfig`] — the on/off switch shared by dm-crypt's read
+//!   path and Sentry's readahead/sweeper batch routing.
 //! * [`FallbackReason`] — the typed reasons a request stays on the
 //!   inline CPU path instead of the accelerator queue.
 //!
@@ -35,60 +35,37 @@ use crate::batch::BlockCipherBatch;
 use crate::modes::ctr_crypt;
 use std::collections::HashMap;
 
-/// Tuning for the asynchronous read-path crypt pipeline.
+/// Keystream cache capacity, in sectors. Oldest entries are zeroized
+/// and evicted first.
+pub const KEYSTREAM_SECTORS: usize = 128;
+
+/// How many sectors past the end of the current request the precompute
+/// lanes may run ahead (bounded lookahead keeps the on-SoC scratch
+/// footprint small).
+pub const PRECOMPUTE_AHEAD: usize = 64;
+
+/// Miss runs shorter than this many sectors skip the accelerator queue
+/// (descriptor setup would dominate) and decrypt on the CPU.
+pub const MIN_ACCEL_SECTORS: usize = 2;
+
+/// The switch for the asynchronous read-path crypt pipeline. Its
+/// geometry is fixed: [`KEYSTREAM_SECTORS`], [`PRECOMPUTE_AHEAD`] and
+/// [`MIN_ACCEL_SECTORS`].
 ///
 /// Disabled (the default), every consumer behaves exactly as if this
 /// config did not exist: dm-crypt decrypts inline after the device wait
 /// and lifecycle batches stay on the CPU engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PipelineConfig {
     /// Master switch for the overlapped dm-crypt read path.
     pub enabled: bool,
-    /// Keystream cache capacity, in sectors. Oldest entries are
-    /// zeroized and evicted first.
-    pub keystream_sectors: usize,
-    /// How many sectors past the end of the current request the
-    /// precompute lanes may run ahead (bounded lookahead keeps the
-    /// on-SoC scratch footprint small).
-    pub precompute_ahead: usize,
-    /// Miss runs shorter than this many sectors skip the accelerator
-    /// queue (descriptor setup would dominate) and decrypt on the CPU.
-    pub min_accel_sectors: usize,
-}
-
-impl Default for PipelineConfig {
-    fn default() -> Self {
-        PipelineConfig {
-            enabled: false,
-            keystream_sectors: 128,
-            precompute_ahead: 64,
-            min_accel_sectors: 2,
-        }
-    }
 }
 
 impl PipelineConfig {
-    /// An enabled configuration with the default cache geometry.
+    /// An enabled pipeline.
     #[must_use]
     pub fn enabled() -> Self {
-        PipelineConfig {
-            enabled: true,
-            ..PipelineConfig::default()
-        }
-    }
-
-    /// Builder: set the keystream cache capacity in sectors.
-    #[must_use]
-    pub fn keystream_sectors(mut self, sectors: usize) -> Self {
-        self.keystream_sectors = sectors;
-        self
-    }
-
-    /// Builder: set the precompute lookahead in sectors.
-    #[must_use]
-    pub fn precompute_ahead(mut self, sectors: usize) -> Self {
-        self.precompute_ahead = sectors;
-        self
+        PipelineConfig { enabled: true }
     }
 }
 
@@ -103,7 +80,7 @@ pub enum FallbackReason {
     /// The selected cipher mode is serially chained (CBC): extent
     /// descriptors cannot be decrypted independently by the engine.
     UnsupportedCipherMode,
-    /// The miss run was shorter than `min_accel_sectors`; descriptor
+    /// The miss run was shorter than [`MIN_ACCEL_SECTORS`]; descriptor
     /// setup would dominate.
     BelowThreshold,
     /// The health governor's circuit breaker is Open: the accelerator
@@ -411,12 +388,7 @@ mod tests {
 
     #[test]
     fn config_builders() {
-        let p = PipelineConfig::enabled()
-            .keystream_sectors(32)
-            .precompute_ahead(16);
-        assert!(p.enabled);
-        assert_eq!(p.keystream_sectors, 32);
-        assert_eq!(p.precompute_ahead, 16);
+        assert!(PipelineConfig::enabled().enabled);
         assert!(!PipelineConfig::default().enabled);
         assert_eq!(FallbackReason::AccelDownScaled.name(), "accel_down_scaled");
     }

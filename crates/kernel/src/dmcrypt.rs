@@ -23,11 +23,14 @@ use crate::block::{BlockDevice, SECTOR_SIZE};
 use crate::crypto_api::CryptoApi;
 use crate::error::KernelError;
 use crate::layout::{ACCEL_DMA_BASE, ACCEL_DMA_CONTROLLER, ACCEL_DMA_SIZE};
+use sentry_crypto::health::MAX_DISK_RETRIES;
 use sentry_crypto::modes::ctr_crypt_extents;
-use sentry_crypto::pipeline::{ctr_keystream, xor_keystream};
+use sentry_crypto::pipeline::{
+    ctr_keystream, xor_keystream, KEYSTREAM_SECTORS, MIN_ACCEL_SECTORS, PRECOMPUTE_AHEAD,
+};
 use sentry_crypto::{
-    Aes, BitslicedAes, Cmac, FailureKind, FallbackReason, HealthConfig, HealthGovernor,
-    HealthState, HealthStats, KeystreamCache, KeystreamStats, PageCipherMode, PipelineConfig,
+    Aes, BitslicedAes, Cmac, FailureKind, FallbackReason, HealthGovernor, HealthState, HealthStats,
+    KeystreamCache, KeystreamStats, PageCipherMode, PipelineConfig,
 };
 use sentry_soc::accel::{AccelPowerState, WaitOutcome};
 use sentry_soc::{Soc, SocError};
@@ -58,7 +61,7 @@ pub struct ReadOverlapStats {
     pub fallback_down_scaled: u64,
     /// Fallbacks because the cipher mode is serially chained.
     pub fallback_unsupported_mode: u64,
-    /// Fallbacks because the miss run was below `min_accel_sectors`.
+    /// Fallbacks because the miss run was below `MIN_ACCEL_SECTORS`.
     pub fallback_below_threshold: u64,
     /// Fallbacks because the health breaker was open for the accel path.
     pub fallback_breaker_open: u64,
@@ -102,7 +105,6 @@ impl ReadOverlapStats {
 /// cache, the volume-keyed bitsliced cipher that fills it, and counters.
 #[derive(Debug, Clone)]
 pub struct ReadPipeline {
-    config: PipelineConfig,
     cache: KeystreamCache,
     /// Pressure-governor fill cap: while set, precompute stops growing
     /// the cache past this many resident sectors (existing entries stay
@@ -117,10 +119,9 @@ pub struct ReadPipeline {
 }
 
 impl ReadPipeline {
-    fn new(config: PipelineConfig) -> Self {
+    fn new() -> Self {
         ReadPipeline {
-            config,
-            cache: KeystreamCache::new(SECTOR_SIZE, config.keystream_sectors),
+            cache: KeystreamCache::new(SECTOR_SIZE, KEYSTREAM_SECTORS),
             fill_cap: None,
             bits: None,
             stats: ReadOverlapStats::default(),
@@ -149,8 +150,8 @@ pub struct DmCrypt {
     /// historical inline behaviour.
     pipeline: RefCell<Option<ReadPipeline>>,
     /// Health governor for this mapping's accelerator dispatch and disk
-    /// retries. Enabled with default tuning from construction; flaky
-    /// hardware degrades to the CPU path instead of hanging the read.
+    /// retries. Always on; flaky hardware degrades to the CPU path
+    /// instead of hanging the read.
     health: RefCell<HealthGovernor>,
 }
 
@@ -164,7 +165,7 @@ impl DmCrypt {
             mac: RefCell::new(None),
             tags: RefCell::new(HashMap::new()),
             pipeline: RefCell::new(None),
-            health: RefCell::new(HealthGovernor::new(HealthConfig::default())),
+            health: RefCell::new(HealthGovernor::default()),
         }
     }
 
@@ -177,14 +178,8 @@ impl DmCrypt {
             mac: RefCell::new(None),
             tags: RefCell::new(HashMap::new()),
             pipeline: RefCell::new(None),
-            health: RefCell::new(HealthGovernor::new(HealthConfig::default())),
+            health: RefCell::new(HealthGovernor::default()),
         }
-    }
-
-    /// Replace the health-governor tuning. Resets the breaker state and
-    /// counters — call at mapping setup, not mid-flight.
-    pub fn set_health(&self, config: HealthConfig) {
-        *self.health.borrow_mut() = HealthGovernor::new(config);
     }
 
     /// Snapshot of the governor's counters, folding any still-open
@@ -202,12 +197,12 @@ impl DmCrypt {
         self.health.borrow().state()
     }
 
-    /// Enable the asynchronous read pipeline. Call before `set_key` so
-    /// the keystream precompute lanes get the volume key; enabling later
-    /// leaves the pipeline keyless (reads fall back inline) until the
-    /// next `set_key`.
+    /// Enable the asynchronous read pipeline (a disabled `config` turns
+    /// it off). Call before `set_key` so the keystream precompute lanes
+    /// get the volume key; enabling later leaves the pipeline keyless
+    /// (reads fall back inline) until the next `set_key`.
     pub fn enable_pipeline(&self, config: PipelineConfig) {
-        *self.pipeline.borrow_mut() = Some(ReadPipeline::new(config));
+        *self.pipeline.borrow_mut() = config.enabled.then(ReadPipeline::new);
     }
 
     /// Zeroize every cached keystream buffer and rotate the cache epoch.
@@ -310,8 +305,7 @@ impl DmCrypt {
         let t0 = soc.clock.now_ns();
         // Transient device faults (injected at the "disk.read" site) get
         // a bounded retry budget with exponential sim-clock backoff; a
-        // stall at the same site just inflates the disk wait. With the
-        // governor disabled the budget is zero and faults surface raw.
+        // stall at the same site just inflates the disk wait.
         let mut attempt: u32 = 0;
         loop {
             match soc.failpoint("disk.read") {
@@ -326,11 +320,11 @@ impl DmCrypt {
                     let mut h = self.health.borrow_mut();
                     h.stats.disk.attempts += 1;
                     attempt += 1;
-                    if attempt > h.disk_retry_budget() {
+                    if attempt > MAX_DISK_RETRIES {
                         h.stats.disk.exhausted += 1;
                         return Err(e.into());
                     }
-                    let backoff = h.disk_backoff_ns(attempt);
+                    let backoff = HealthGovernor::disk_backoff_ns(attempt);
                     drop(h);
                     soc.clock.advance(backoff);
                 }
@@ -365,21 +359,19 @@ impl DmCrypt {
         {
             let mut pl = self.pipeline.borrow_mut();
             if let Some(p) = pl.as_mut() {
-                if p.config.enabled {
-                    let mut health = self.health.borrow_mut();
-                    return Self::read_overlapped(
-                        p,
-                        api,
-                        soc,
-                        sector,
-                        buf,
-                        &ivs,
-                        mode,
-                        disk_wait_ns,
-                        &self.cipher,
-                        &mut health,
-                    );
-                }
+                let mut health = self.health.borrow_mut();
+                return Self::read_overlapped(
+                    p,
+                    api,
+                    soc,
+                    sector,
+                    buf,
+                    &ivs,
+                    mode,
+                    disk_wait_ns,
+                    &self.cipher,
+                    &mut health,
+                );
             }
         }
         // One extent call for the whole request: an engine with a batch
@@ -463,7 +455,7 @@ impl DmCrypt {
             None
         } else if soc.accel.state != AccelPowerState::Awake {
             Some(FallbackReason::AccelDownScaled)
-        } else if misses.len() < p.config.min_accel_sectors {
+        } else if misses.len() < MIN_ACCEL_SECTORS {
             Some(FallbackReason::BelowThreshold)
         } else if p.bits.is_none() {
             Some(FallbackReason::Disabled)
@@ -514,7 +506,7 @@ impl DmCrypt {
             if let Some(bits) = &p.bits {
                 let deadline = soc.accel_queue.completion_ns(id).unwrap_or(now);
                 let mut next = sector + nsect as u64;
-                let end = next + p.config.precompute_ahead as u64;
+                let end = next + PRECOMPUTE_AHEAD as u64;
                 while next < end {
                     if p.cache.contains(next) {
                         next += 1;
@@ -541,9 +533,9 @@ impl DmCrypt {
             // derived from the op's own modeled duration, and apply its
             // result — or abandon it and re-run the work on the CPU.
             let miss_ivs: Vec<[u8; 16]> = misses.iter().map(|&i| ivs[i]).collect();
-            let deadline = now.saturating_add(
-                health.watchdog_ns(soc.accel.op_duration_ns(gathered.len() as u64)),
-            );
+            let deadline = now.saturating_add(HealthGovernor::watchdog_ns(
+                soc.accel.op_duration_ns(gathered.len() as u64),
+            ));
             match soc.accel_queue.wait_deadline(id, &mut soc.clock, deadline) {
                 WaitOutcome::Done { stall_ns } => {
                     p.stats.accel_stall_ns += stall_ns;

@@ -39,6 +39,7 @@
 
 use sentry_attacks::tamper::flip_bit;
 use sentry_core::config::{PipelineConfig, ReadaheadConfig};
+use sentry_core::pressure::KEYSTREAM_CAP_HIGH;
 use sentry_core::{
     DeviceState, HealthStats, PageCipherMode, PressureLevel, PressureStats, Sentry, SentryConfig,
     SentryError,
@@ -66,7 +67,7 @@ const DEVICE_DRAM: u64 = 48 << 20;
 const DISK_SECTORS: u64 = 64;
 
 /// Sectors in each accel-wedge-storm burst — large enough that the
-/// overlapped read path always clears `min_accel_sectors` and routes to
+/// overlapped read path always clears `MIN_ACCEL_SECTORS` and routes to
 /// the (wedged) engine.
 const STORM_SECTORS: u64 = 8;
 
@@ -580,9 +581,6 @@ pub struct Device {
     versions: [u64; SECRET_PAGES as usize],
     quarantined: [bool; SECRET_PAGES as usize],
     io_bursts: u64,
-    /// Keystream-cache cap applied while pressure is ≥ High (from the
-    /// device's `PressureConfig`).
-    keystream_cap_high: usize,
     outcome: DeviceOutcome,
 }
 
@@ -667,7 +665,6 @@ impl Device {
             versions: [0; SECRET_PAGES as usize],
             quarantined: [false; SECRET_PAGES as usize],
             io_bursts: 0,
-            keystream_cap_high: config.sentry.pressure.keystream_cap_high,
             outcome,
         })
     }
@@ -976,7 +973,7 @@ impl Device {
         // keystream-cache fill on the dm-crypt volume; lift the cap the
         // moment pressure relents.
         if self.sentry.pressure_level() >= PressureLevel::High {
-            self.dm.set_keystream_cap(Some(self.keystream_cap_high));
+            self.dm.set_keystream_cap(Some(KEYSTREAM_CAP_HIGH));
         } else {
             self.dm.set_keystream_cap(None);
         }

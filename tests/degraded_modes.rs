@@ -10,7 +10,8 @@
 use proptest::prelude::*;
 use sentry::attacks::coldboot::{dump_dram, dump_iram, search};
 use sentry::core::config::{PageCipherMode, PipelineConfig, ReadaheadConfig};
-use sentry::core::{HealthConfig, HealthState, Sentry, SentryConfig};
+use sentry::core::health::{MAX_DISK_RETRIES, PROBE_AFTER_NS, PROBE_SUCCESSES, TRIP_FAILURES};
+use sentry::core::{HealthState, Sentry, SentryConfig};
 use sentry::crypto::pipeline::ctr_keystream;
 use sentry::crypto::BitslicedAes;
 use sentry::kernel::block::{RamDisk, SECTOR_SIZE};
@@ -118,7 +119,7 @@ proptest! {
         soc.failpoints.disarm();
         // The regime lifts: after the probe interval the end state is
         // still byte-identical (the breaker may close on the way).
-        soc.clock.advance(HealthConfig::default().probe_after_ns);
+        soc.clock.advance(PROBE_AFTER_NS);
         for chunk in 0..VOLUME_SECTORS as usize / READ_SECTORS {
             let mut back = vec![0u8; READ_SECTORS * SECTOR_SIZE];
             let sector = (chunk * READ_SECTORS) as u64;
@@ -165,13 +166,12 @@ proptest! {
 }
 
 /// Deterministic breaker walk on dm-crypt: wedge every submit — the
-/// watchdog abandons exactly `trip_failures` ops, the breaker opens (no
+/// watchdog abandons exactly `TRIP_FAILURES` ops, the breaker opens (no
 /// further deadline is ever burned), and once the storm lifts two
 /// half-open probes close it again.
 #[test]
 fn dmcrypt_breaker_trips_and_recovers() {
     let (mut api, mut soc, mut disk, dm, data) = volume(7);
-    let defaults = HealthConfig::default();
     soc.failpoints.arm(FaultPlan::at_rate(
         "accel.submit",
         1,
@@ -186,15 +186,15 @@ fn dmcrypt_breaker_trips_and_recovers() {
     soc.failpoints.disarm();
     assert_eq!(dm.health_state(), HealthState::Open);
     let mid = dm.health_stats(soc.clock.now_ns());
-    assert_eq!(mid.timeouts, u64::from(defaults.trip_failures));
+    assert_eq!(mid.timeouts, u64::from(TRIP_FAILURES));
     assert_eq!(mid.trips, 1);
     assert!(mid.abandoned_bytes > 0);
     assert!(mid.fallback_crypt_bytes > 0);
 
-    // Cool down past the probe interval; the configured run of probe
-    // successes closes the breaker.
-    soc.clock.advance(defaults.probe_after_ns);
-    for _ in 0..defaults.probe_successes {
+    // Cool down past the probe interval; a run of `PROBE_SUCCESSES`
+    // probe successes closes the breaker.
+    soc.clock.advance(PROBE_AFTER_NS);
+    for _ in 0..PROBE_SUCCESSES {
         let mut back = vec![0u8; READ_SECTORS * SECTOR_SIZE];
         dm.read(&mut api, &mut soc, &mut disk, 0, &mut back)
             .expect("probe read");
@@ -203,13 +203,13 @@ fn dmcrypt_breaker_trips_and_recovers() {
     assert_eq!(dm.health_state(), HealthState::Healthy);
     let after = dm.health_stats(soc.clock.now_ns());
     assert_eq!(after.recoveries, 1);
-    assert_eq!(after.probes, u64::from(defaults.probe_successes));
+    assert_eq!(after.probes, u64::from(PROBE_SUCCESSES));
     assert!(after.time_degraded_ns > 0);
 }
 
 /// The lifecycle governor walks the same machine: a persistent wedge
 /// across an unlock's clustered decrypt batches burns exactly
-/// `trip_failures` watchdogs, trips the breaker, and routes the
+/// `TRIP_FAILURES` watchdogs, trips the breaker, and routes the
 /// remaining batches over the CPU path — with every page intact.
 #[test]
 fn lifecycle_breaker_routes_unlock_batches() {
@@ -245,16 +245,65 @@ fn lifecycle_breaker_routes_unlock_batches() {
     }
     sentry.kernel.soc.failpoints.disarm();
     sentry.sync_health();
-    let defaults = HealthConfig::default();
-    assert_eq!(
-        sentry.stats.health.timeouts,
-        u64::from(defaults.trip_failures)
-    );
+    assert_eq!(sentry.stats.health.timeouts, u64::from(TRIP_FAILURES));
     assert_eq!(sentry.stats.health.trips, 1);
     assert!(
         sentry.stats.batch_fallback_breaker_open >= 1,
         "post-trip batches must route over the open breaker"
     );
+}
+
+/// Abandonment accounting covers the whole op, not just the part of it
+/// staged through the 1 MiB DMA bounce window: a routed sweeper batch
+/// of 300 pages (1.2 MiB) that times out under a wedge adds all of its
+/// bytes to `abandoned_bytes`, as dm-crypt does.
+#[test]
+fn routed_batch_over_the_bounce_window_counts_every_abandoned_byte() {
+    const PAGES: u64 = 300;
+    let config = SentryConfig::tegra3_locked_l2(2)
+        .with_cipher_mode(PageCipherMode::Ctr)
+        .with_pipeline(PipelineConfig::enabled())
+        .with_readahead(ReadaheadConfig::with_cluster(1).sweep_budget(0));
+    let mut sentry = Sentry::new(Kernel::new(Soc::tegra3_small()), config).expect("sentry");
+    let app = sentry.kernel.spawn("vault");
+    sentry.mark_sensitive(app).expect("mark sensitive");
+    let page_len = usize::try_from(PAGE_SIZE).unwrap();
+    for vpn in 0..PAGES {
+        sentry
+            .write(app, vpn * PAGE_SIZE, &vec![vpn as u8 ^ 0x5A; page_len])
+            .expect("write page");
+    }
+    sentry.on_lock().expect("lock");
+    sentry.on_unlock().expect("unlock");
+    sentry.sync_health();
+    let before = sentry.stats.health;
+    sentry.kernel.soc.failpoints.arm(FaultPlan::at_rate(
+        "accel.submit",
+        1,
+        FaultAction::AccelWedge { wedge_ns: u64::MAX },
+    ));
+    let report = sentry.sweep(PAGES as usize).expect("sweep under a wedge");
+    sentry.kernel.soc.failpoints.disarm();
+    assert_eq!(report.pages as u64, PAGES, "one batch carries every page");
+    sentry.sync_health();
+    let after = sentry.stats.health;
+    assert_eq!(
+        after.timeouts,
+        before.timeouts + 1,
+        "the batch was abandoned"
+    );
+    assert_eq!(
+        after.abandoned_bytes - before.abandoned_bytes,
+        PAGES * PAGE_SIZE,
+        "every byte of the abandoned op counts"
+    );
+    let mut buf = vec![0u8; page_len];
+    for vpn in 0..PAGES {
+        sentry
+            .read(app, vpn * PAGE_SIZE, &mut buf)
+            .expect("read page");
+        assert_eq!(buf, vec![vpn as u8 ^ 0x5A; page_len]);
+    }
 }
 
 /// Bounded disk retry: a fault rate with a clean retry slot recovers
@@ -284,7 +333,7 @@ fn disk_retry_budget_is_bounded() {
     assert_eq!(after.disk.exhausted, 1);
     assert_eq!(
         after.disk.attempts,
-        mid.disk.attempts + u64::from(HealthConfig::default().max_disk_retries) + 1
+        mid.disk.attempts + u64::from(MAX_DISK_RETRIES) + 1
     );
 }
 
