@@ -50,17 +50,19 @@ impl ZeroThread {
     ///
     /// # Errors
     ///
-    /// Propagates memory errors.
+    /// Propagates memory errors. A frame whose write fails stays at the
+    /// head of the dirty queue, so a retried drain zeroes it.
     pub fn step(
         &mut self,
         frames: &mut FrameAllocator,
         soc: &mut Soc,
     ) -> Result<bool, KernelError> {
-        let Some(frame) = frames.pop_dirty() else {
+        let Some(frame) = frames.peek_dirty() else {
             return Ok(false);
         };
         let t0 = soc.clock.now_ns();
         soc.mem_write(frame, &[0u8; PAGE_SIZE as usize])?;
+        let _ = frames.pop_dirty();
         // Substitute the calibrated end-to-end rate for the per-access
         // charges.
         let charged = soc.costs.zeroing_ns(PAGE_SIZE);
@@ -112,6 +114,26 @@ mod tests {
         soc.mem_read(frame, &mut buf).unwrap();
         assert_eq!(buf, [0u8; 15]);
         assert!(!zt.step(&mut frames, &mut soc).unwrap(), "queue is empty");
+    }
+
+    #[test]
+    fn a_frame_whose_zeroing_fails_stays_queued() {
+        use sentry_soc::failpoint::{FaultAction, FaultPlan};
+        let mut soc = Soc::tegra3_small();
+        let mut frames = FrameAllocator::new(64 << 20);
+        let mut zt = ZeroThread::new();
+        let frame = frames.alloc().unwrap();
+        frames.free(frame);
+        soc.failpoints.arm(FaultPlan::at_site(
+            "dram.write",
+            0,
+            FaultAction::PowerCut { decay: None },
+        ));
+        assert!(zt.step(&mut frames, &mut soc).is_err());
+        soc.failpoints.disarm();
+        assert_eq!(frames.dirty_count(), 1, "the frame was lost");
+        assert!(zt.step(&mut frames, &mut soc).unwrap());
+        assert_eq!(frames.alloc(), Some(frame));
     }
 
     #[test]
