@@ -27,7 +27,7 @@
 //!   must equal the uninterrupted reference run's.
 
 use crate::coldboot;
-use sentry_core::encdram::page_iv;
+use sentry_core::transition::{page_iv, IvSource};
 use sentry_core::{
     DeviceState, QuarantinedPage, RecoveryReport, Sentry, SentryConfig, SentryError,
 };
@@ -826,7 +826,7 @@ fn survivors_converge(
 }
 
 /// Whether every clean plaintext page's kept frame decrypts, under the
-/// IV of its `crypt_epoch`, to the plaintext the page holds now — so the
+/// IV its PTE recorded, to the plaintext the page holds now — so the
 /// next lock may re-arm it there. The survivor comparison checks kept
 /// ciphertext against the reference; this checks it against the run
 /// itself, so a defect both runs share cannot hide.
@@ -841,7 +841,8 @@ fn kept_frames_hold_current_ciphertext(s: &mut Sentry) -> Result<bool, SentryErr
             if let (Backing::Dram(frame), Some(home), false) =
                 (pte.backing, pte.home_frame, pte.encrypted || pte.written())
             {
-                kept.push((page_iv(pid, vpn, pte.crypt_epoch), frame, home));
+                let (iv, _) = page_iv((pid, vpn), IvSource::Stored(pte));
+                kept.push((iv, frame, home));
             }
         }
     }

@@ -2,48 +2,32 @@
 //!
 //! While the device is locked, a sensitive background application's
 //! pages live encrypted in DRAM. Every PTE has its `young` bit cleared,
-//! so the first access to a page traps; the pager then:
+//! so the first access to a page traps, and the page is paged in:
 //!
-//! 1. copies the encrypted page from its DRAM frame into an on-SoC page
+//! 1. its ciphertext is copied from its DRAM frame into an on-SoC page
 //!    slot (a locked L2 cache way or iRAM),
-//! 2. decrypts it in place with AES On SoC,
-//! 3. repoints the PTE at the on-SoC copy and sets `young`.
+//! 2. decrypted there with AES On SoC,
+//! 3. and the PTE is repointed at the on-SoC copy with `young` set.
 //!
-//! When the on-SoC slots are full, the pager evicts in FIFO order: the
-//! victim page is re-encrypted in place and copied back to its home
-//! DRAM frame, and its PTE is re-armed to trap. Plaintext therefore
-//! exists only on the SoC; DRAM (and hence every in-scope attack) sees
-//! ciphertext only.
+//! When the on-SoC slots are full, the oldest resident page is evicted
+//! (FIFO): re-encrypted back into its home DRAM frame, its PTE re-armed
+//! to trap. Plaintext therefore exists only on the SoC; DRAM (and hence
+//! every in-scope attack) sees ciphertext only.
+//!
+//! The [`Pager`] is slot bookkeeping plus the planners of these moves:
+//! it picks the victims and plans their [`JournalEntry`]s, and
+//! [`crate::Sentry`] runs them through the transition primitive (see
+//! [`crate::transition`]), whose crypt step is the only code that
+//! reaches a cipher.
 
 use crate::error::SentryError;
-use crate::integrity::{QuarantinedPage, VerifyOutcome};
 use crate::onsoc::OnSocStore;
-use crate::transition::{
-    audit_encrypts, crypt_extent, crypt_page, set_page_state, Kind, PageState, Transition,
-};
+use crate::transition::{plan, set_page_state, IvSource, PageState};
 use crate::txn::JournalEntry;
-use sentry_crypto::Direction;
-use sentry_kernel::fault::PageFault;
 use sentry_kernel::pagetable::Backing;
 use sentry_kernel::{Kernel, Pid};
 use sentry_soc::addr::PAGE_SIZE;
-
-/// Per-page IV: bound to the (pid, vpn) pair so every page encrypts
-/// differently under the volatile root key, and to the lock-epoch
-/// counter so the *same* page never reuses an IV across successive lock
-/// cycles. (The volatile key survives lock→unlock→lock — it is destroyed
-/// only on power-off — so without the epoch a CBC IV would repeat and an
-/// attacker comparing two lock cycles could detect unchanged pages, and
-/// recover XORs of first blocks that changed.)
-#[must_use]
-pub fn page_iv(pid: u32, vpn: u64, epoch: u64) -> [u8; 16] {
-    let mut iv = [0u8; 16];
-    iv[..4].copy_from_slice(&pid.to_le_bytes());
-    iv[4..12].copy_from_slice(&vpn.to_le_bytes());
-    let tag = u32::from_le_bytes(*b"SNTR") ^ (epoch as u32) ^ ((epoch >> 32) as u32);
-    iv[12..].copy_from_slice(&tag.to_le_bytes());
-    iv
-}
+use sentry_soc::Soc;
 
 /// Pager statistics, consumed by the background-computation experiments
 /// (Figures 6–8).
@@ -59,8 +43,8 @@ pub struct PagerStats {
     pub bytes_decrypted: u64,
     /// Bytes encrypted.
     pub bytes_encrypted: u64,
-    /// Non-empty [`Pager::evict_all`] sweeps (one per lock transition
-    /// with resident pages).
+    /// Lock-time sweeps that re-encrypted at least one written resident
+    /// page (at most one per lock transition).
     pub evict_batches: u64,
     /// Pages evicted across all such sweeps.
     pub evict_batch_pages: u64,
@@ -85,9 +69,6 @@ pub struct Pager {
     /// whose `occupant` is `None`, so acquiring a slot is O(1) instead of
     /// a scan over every slot (the fault path runs this on each trap).
     free: Vec<usize>,
-    /// Page-sized bounce buffer reused by `page_in`/`evict` so the
-    /// per-fault path does not allocate.
-    scratch: Vec<u8>,
     slot_limit: Option<usize>,
     /// Statistics.
     pub stats: PagerStats,
@@ -115,186 +96,105 @@ impl Pager {
         self.resident.len()
     }
 
-    /// Handle a fault on an encrypted page of a sensitive background
-    /// process (Figure 1's three steps, plus eviction when full).
-    ///
-    /// # Errors
-    ///
-    /// [`SentryError::OnSocExhausted`] if no slot can be obtained at
-    /// all; kernel/SoC errors from the copies.
-    pub fn handle_fault(
+    /// A slot for a page-in: a free one, or a new one from `store` while
+    /// the slot limit allows. `None` when every slot is taken: the
+    /// oldest resident page must be evicted first (see
+    /// [`Pager::plan_evict`]).
+    pub(crate) fn free_slot(
         &mut self,
-        t: &mut Transition<'_>,
-        fault: &PageFault,
-        epoch: u64,
-    ) -> Result<(), SentryError> {
-        t.kernel.soc.clock.advance(t.kernel.soc.costs.page_fault_ns);
-        self.stats.faults += 1;
-        let (pid, vpn) = (fault.pid, fault.vpn);
-        let pte = t
-            .kernel
-            .proc_mut(pid)?
-            .page_table
-            .get_mut(vpn)
-            .ok_or(SentryError::Unresolvable { pid, vpn })?;
-        match pte.backing {
-            Backing::Dram(frame) if pte.encrypted => {
-                // A quarantined frame never pages in: report its stored
-                // violation instead of decrypting poisoned ciphertext.
-                if let Some(err) = t.integrity.violation_for(frame) {
-                    self.stats.quarantine_rejects += 1;
-                    return Err(err);
-                }
-                let slot_idx = self.acquire_slot(t, epoch)?;
-                let paged_in = self.page_in(t, slot_idx, pid, vpn, frame);
-                if paged_in.is_err() {
-                    // The slot goes back, so a retried fault pages into
-                    // it again instead of evicting another victim.
-                    self.free.push(slot_idx);
-                }
-                paged_in
-            }
-            // Already resident, or unencrypted (e.g. shared with a
-            // non-sensitive app): nothing to decrypt, just re-arm.
-            _ => {
-                pte.young = true;
-                Ok(())
-            }
-        }
-    }
-
-    /// Obtain a free slot, locking more on-SoC storage if allowed and
-    /// evicting the oldest resident page otherwise.
-    fn acquire_slot(&mut self, t: &mut Transition<'_>, epoch: u64) -> Result<usize, SentryError> {
+        store: &mut OnSocStore,
+        soc: &mut Soc,
+    ) -> Result<Option<usize>, SentryError> {
         if let Some(i) = self.free.pop() {
             debug_assert!(self.slots[i].occupant.is_none(), "free list out of sync");
-            return Ok(i);
+            return Ok(Some(i));
         }
-        let may_grow = self.slot_limit.is_none_or(|lim| self.slots.len() < lim);
-        if may_grow {
-            match t.store.alloc_page(&mut t.kernel.soc) {
+        if self.slot_limit.is_none_or(|lim| self.slots.len() < lim) {
+            match store.alloc_page(soc) {
                 Ok(addr) => {
                     self.slots.push(Slot {
                         addr,
                         occupant: None,
                     });
-                    return Ok(self.slots.len() - 1);
+                    return Ok(Some(self.slots.len() - 1));
                 }
                 Err(SentryError::OnSocExhausted) => {}
                 Err(e) => return Err(e),
             }
         }
-        // Peek, don't pop: a kill inside `evict` must leave the victim
-        // at the FIFO head so recovery (and the retried fault) still
-        // agree with an uninterrupted run on who gets evicted.
-        let victim = *self.resident.front().ok_or(SentryError::OnSocExhausted)?;
-        self.evict(t, victim, epoch)?;
-        self.resident.pop_front();
-        // `evict` pushed the victim onto the free list; claim it back.
-        let reclaimed = self.free.pop().expect("evict frees its slot");
-        debug_assert_eq!(reclaimed, victim);
-        Ok(reclaimed)
+        Ok(None)
     }
 
-    /// Figure 1 in reverse: encrypt the slot's page and copy it back to
-    /// its home DRAM frame; re-arm the trap.
-    ///
-    /// The ciphertext is computed in scratch (on the SoC), then committed
-    /// through the journaled transition primitive; a kill anywhere in
-    /// between is completed or rolled forward by
-    /// [`crate::Sentry::recover`]. The slot itself is only reclaimed in
-    /// the in-memory tail, after the journal closes.
-    fn evict(
-        &mut self,
-        t: &mut Transition<'_>,
-        slot_idx: usize,
-        epoch: u64,
-    ) -> Result<(), SentryError> {
-        let slot = self.slots[slot_idx];
-        let (pid, vpn) = slot.occupant.expect("evicting an empty slot");
-        self.scratch.resize(PAGE_SIZE as usize, 0);
-        t.kernel.soc.mem_read(slot.addr, &mut self.scratch)?;
-        let home = home_frame(t.kernel, pid, vpn)?;
-        let mut entry =
-            JournalEntry::new(pid, vpn, slot.addr, home, page_iv(pid, vpn, epoch), epoch);
-        audit_encrypts(&[entry.iv], &self.scratch);
-        crypt_page(t.kernel, Direction::Encrypt, &entry.iv, &mut self.scratch)?;
-        entry.tag = t.tagger.tag(&entry.iv, &self.scratch);
-        if let Err(e) = t.commit(Kind::EvictOne, epoch, &[entry], &self.scratch) {
-            if matches!(e, SentryError::IntegrityViolation { .. }) {
-                self.stats.quarantine_rejects += 1;
-            }
-            return Err(e);
-        }
-
-        // In-memory tail: reclaim the slot.
-        self.slots[slot_idx].occupant = None;
+    /// Give back a slot whose page-in failed, so a retried fault pages
+    /// into it again instead of evicting another victim.
+    pub(crate) fn give_back(&mut self, slot_idx: usize) {
         self.free.push(slot_idx);
-        self.stats.pageouts += 1;
-        self.stats.bytes_encrypted += PAGE_SIZE;
-        Ok(())
     }
 
-    /// Figure 1 forward: copy the encrypted page on-SoC and decrypt it
-    /// in place.
-    fn page_in(
-        &mut self,
-        t: &mut Transition<'_>,
-        slot_idx: usize,
-        pid: Pid,
-        vpn: u64,
-        frame: u64,
-    ) -> Result<(), SentryError> {
-        // Journal-free by design: every byte this path writes lands
-        // on-SoC (the slot), never in DRAM, so a kill at any step leaves
-        // DRAM and the PTE exactly as they were before the fault.
-        t.kernel.soc.failpoint("pager.pagein")?;
-        let slot_addr = self.slots[slot_idx].addr;
-        self.scratch.resize(PAGE_SIZE as usize, 0);
-
-        // Step 1: copy the encrypted page into the on-SoC slot.
-        t.kernel.soc.mem_read(frame, &mut self.scratch)?;
-        t.kernel.soc.clock.advance(t.kernel.soc.costs.page_copy_ns);
-
-        // Step 2: decrypt in place, under the IV the page was actually
-        // encrypted with (its PTE remembers the lock epoch used).
-        let epoch = t
-            .kernel
+    /// Plan the FIFO eviction of the oldest resident page (Figure 1 in
+    /// reverse): its slot encrypted back into its home DRAM frame at
+    /// `epoch`. Returns the victim's slot with the plan.
+    ///
+    /// The victim stays at the FIFO head until [`Pager::evicted`], so a
+    /// kill inside the eviction leaves recovery (and the retried fault)
+    /// agreeing with an uninterrupted run on who gets evicted.
+    ///
+    /// # Errors
+    ///
+    /// [`SentryError::OnSocExhausted`] when no page is resident.
+    pub(crate) fn plan_evict(
+        &self,
+        kernel: &Kernel,
+        epoch: u64,
+    ) -> Result<(usize, JournalEntry), SentryError> {
+        let victim = *self.resident.front().ok_or(SentryError::OnSocExhausted)?;
+        let slot = self.slots[victim];
+        let (pid, vpn) = slot.occupant.expect("evicting an empty slot");
+        let home = kernel
             .proc(pid)?
             .page_table
             .get(vpn)
-            .ok_or(SentryError::Unresolvable { pid, vpn })?
-            .crypt_epoch;
-        let iv = page_iv(pid, vpn, epoch);
+            .and_then(|pte| pte.home_frame)
+            .ok_or(SentryError::Unresolvable { pid, vpn })?;
+        let entry = plan((pid, vpn), slot.addr, home, IvSource::Encrypt(epoch));
+        Ok((victim, entry))
+    }
 
-        // MAC-verify the gathered ciphertext before the cipher runs on
-        // it. A mismatch quarantines the frame: the PTE is untouched,
-        // and the fault reports the violation.
-        if let VerifyOutcome::Mismatch { expected, got } =
-            t.integrity
-                .verify_one(&mut t.kernel.soc, t.store, frame, &iv, &mut self.scratch)?
-        {
-            self.stats.quarantine_rejects += 1;
-            return Err(t.integrity.quarantine(QuarantinedPage {
-                pid,
-                vpn,
-                frame,
-                epoch,
-                tag_expected: expected,
-                tag_got: got,
-            }));
-        }
-        crypt_page(t.kernel, Direction::Decrypt, &iv, &mut self.scratch)?;
-        t.kernel.soc.mem_write(slot_addr, &self.scratch)?;
+    /// The in-memory tail of a committed FIFO eviction: the victim
+    /// leaves the FIFO, and its now-empty slot is returned for the
+    /// page-in that needed it.
+    pub(crate) fn evicted(&mut self, slot_idx: usize) -> usize {
+        self.resident.pop_front();
+        self.slots[slot_idx].occupant = None;
+        self.stats.pageouts += 1;
+        self.stats.bytes_encrypted += PAGE_SIZE;
+        slot_idx
+    }
 
-        // Step 3: repoint the PTE, set young, and start the slot clean:
-        // the home frame's ciphertext is current until a write.
-        let proc = t.kernel.proc_mut(pid)?;
+    /// The tail of a page-in: write `plaintext` into the slot, repoint
+    /// the PTE at it, set young, and start it clean — the home frame's
+    /// ciphertext is current until a write — then add the page to the
+    /// FIFO.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the slot write and a missing process or PTE.
+    pub(crate) fn paged_in(
+        &mut self,
+        kernel: &mut Kernel,
+        slot_idx: usize,
+        (pid, vpn): (Pid, u64),
+        frame: u64,
+        plaintext: &[u8],
+    ) -> Result<(), SentryError> {
+        let addr = self.slots[slot_idx].addr;
+        kernel.soc.mem_write(addr, plaintext)?;
+        let proc = kernel.proc_mut(pid)?;
         let pte = proc
             .page_table
             .get_mut(vpn)
             .ok_or(SentryError::Unresolvable { pid, vpn })?;
-        pte.backing = Backing::OnSoc(slot_addr);
+        pte.backing = Backing::OnSoc(addr);
         pte.home_frame = Some(frame);
         pte.young = true;
         pte.dirty = false;
@@ -307,33 +207,33 @@ impl Pager {
         Ok(())
     }
 
-    /// Evict every resident page (Sentry's lock path runs this so all
-    /// sensitive state is encrypted in DRAM before the device sleeps).
-    /// A clean page's home frame still holds its ciphertext, so its slot
-    /// is wiped and its PTE re-armed onto that frame at the epoch it
-    /// kept. A written page is re-encrypted into its home frame under
-    /// `epoch` — the lock epoch of the transition driving the sweep.
-    /// Returns the number of clean pages re-armed.
+    /// Plan the lock-time sweep of every resident page, so all sensitive
+    /// state is encrypted in DRAM before the device sleeps. A clean
+    /// page's home frame still holds its ciphertext, so its slot is
+    /// wiped and its PTE re-armed onto that frame here. A written page
+    /// is planned for re-encryption into its home frame at `epoch` — the
+    /// lock epoch of the transition driving the sweep. Returns those
+    /// plans and the number of clean pages re-armed.
+    ///
+    /// The FIFO is *not* drained here: a kill mid-sweep must leave the
+    /// not-yet-published victims resident, so recovery (and a retried
+    /// lock) still sees them. [`Pager::evicted_all`] reclaims the slots
+    /// once the sweep has committed.
     ///
     /// # Errors
     ///
-    /// Propagates eviction errors.
-    pub fn evict_all(&mut self, t: &mut Transition<'_>, epoch: u64) -> Result<usize, SentryError> {
-        // The FIFO is *not* drained up front: a kill mid-sweep must
-        // leave the not-yet-published victims resident, so recovery (and
-        // a retried lock) still sees them. Slot bookkeeping happens only
-        // in the in-memory tail, after every journal chunk has closed.
-        let victims: Vec<usize> = self.resident.iter().copied().collect();
-        if victims.is_empty() {
-            return Ok(0);
-        }
-        let mut pages = Vec::with_capacity(victims.len());
+    /// Propagates wipe errors and a missing process, PTE or home frame.
+    pub(crate) fn plan_evict_all(
+        &self,
+        kernel: &mut Kernel,
+        epoch: u64,
+    ) -> Result<(Vec<JournalEntry>, u64), SentryError> {
+        let mut pages = Vec::with_capacity(self.resident.len());
         let mut reused = 0;
-        for &slot_idx in &victims {
+        for &slot_idx in &self.resident {
             let slot = self.slots[slot_idx];
             let (pid, vpn) = slot.occupant.expect("evicting an empty slot");
-            let pte = *t
-                .kernel
+            let pte = *kernel
                 .proc(pid)?
                 .page_table
                 .get(vpn)
@@ -342,58 +242,34 @@ impl Pager {
                 .home_frame
                 .ok_or(SentryError::Unresolvable { pid, vpn })?;
             if pte.written() {
-                pages.push(JournalEntry::new(
-                    pid,
-                    vpn,
-                    slot.addr,
-                    home,
-                    page_iv(pid, vpn, epoch),
-                    epoch,
-                ));
+                pages.push(plan((pid, vpn), slot.addr, home, IvSource::Encrypt(epoch)));
             } else {
                 // Wipe, then re-arm: a kill at the wipe leaves the page
                 // resident for the retried lock.
-                t.kernel
+                kernel
                     .soc
                     .mem_write(slot.addr, &[0u8; PAGE_SIZE as usize])?;
-                let state = PageState::Ciphertext {
-                    epoch: pte.crypt_epoch,
-                };
-                set_page_state(t.kernel, home, (pid, vpn), state);
+                set_page_state(kernel, home, (pid, vpn), PageState::Rearmed);
                 reused += 1;
             }
         }
+        Ok((pages, reused))
+    }
 
-        // The whole sweep goes through the engine as a single extent
-        // request, so a batch backend streams all pages through its
-        // kernels back-to-back instead of restarting per page.
-        // Byte-identical to evicting one page at a time (per-page IVs
-        // make each page independent).
-        let n = pages.len();
-        if n > 0 {
-            let mut buf = t.gather(&pages)?;
-            let ivs: Vec<[u8; 16]> = pages.iter().map(|e| e.iv).collect();
-            audit_encrypts(&ivs, &buf);
-            crypt_extent(t.kernel, Direction::Encrypt, &ivs, &mut buf)?;
-            t.kernel
-                .soc
-                .clock
-                .advance(t.kernel.soc.costs.page_copy_ns * n as u64);
-            t.tagger.stamp(&mut pages, &buf);
-            t.commit(Kind::EvictAll, epoch, &pages, &buf)?;
+    /// The in-memory tail of a committed lock-time sweep that
+    /// re-encrypted `written` pages: every slot is reclaimed at once.
+    pub(crate) fn evicted_all(&mut self, written: usize) {
+        if written > 0 {
+            let n = written as u64;
             self.stats.evict_batches += 1;
-            self.stats.evict_batch_pages += n as u64;
-            self.stats.pageouts += n as u64;
-            self.stats.bytes_encrypted += n as u64 * PAGE_SIZE;
+            self.stats.evict_batch_pages += n;
+            self.stats.pageouts += n;
+            self.stats.bytes_encrypted += n * PAGE_SIZE;
         }
-
-        // In-memory tail: reclaim every slot at once.
-        self.resident.clear();
-        for &slot_idx in &victims {
+        for slot_idx in self.resident.drain(..) {
             self.slots[slot_idx].occupant = None;
             self.free.push(slot_idx);
         }
-        Ok(reused)
     }
 
     /// Post-recovery reconciliation: drop any resident slot whose
@@ -480,33 +356,4 @@ impl Pager {
         }
         Ok(freed)
     }
-
-    /// Release all on-SoC slots back to the store (after
-    /// [`Pager::evict_all`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates wipe errors.
-    pub fn release_slots(
-        &mut self,
-        store: &mut OnSocStore,
-        kernel: &mut Kernel,
-    ) -> Result<(), SentryError> {
-        debug_assert!(self.resident.is_empty(), "evict_all first");
-        self.free.clear();
-        for slot in self.slots.drain(..) {
-            store.free_page(&mut kernel.soc, slot.addr)?;
-        }
-        Ok(())
-    }
-}
-
-/// The DRAM frame an on-SoC resident page returns to on eviction.
-fn home_frame(kernel: &Kernel, pid: Pid, vpn: u64) -> Result<u64, SentryError> {
-    kernel
-        .proc(pid)?
-        .page_table
-        .get(vpn)
-        .and_then(|pte| pte.home_frame)
-        .ok_or(SentryError::Unresolvable { pid, vpn })
 }

@@ -979,6 +979,7 @@ impl IntegrityPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transition::{page_iv, IvSource};
     use sentry_soc::{Platform, SocConfig};
 
     fn soc() -> Soc {
@@ -1063,8 +1064,8 @@ mod tests {
         let frame = dram_frame(&soc, 2);
         let mut page = vec![0xEEu8; PAGE_SIZE as usize];
         soc.mem_write(frame, &page).unwrap();
-        let old_iv = crate::encdram::page_iv(1, 0, 1);
-        let new_iv = crate::encdram::page_iv(1, 0, 2);
+        let (old_iv, _) = page_iv((1, 0), IvSource::Encrypt(1));
+        let (new_iv, _) = page_iv((1, 0), IvSource::Encrypt(2));
         plane
             .store_tags(&mut soc, &mut store, &[(frame, new_iv)], &page)
             .unwrap();

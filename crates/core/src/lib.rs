@@ -81,5 +81,4 @@ pub use lifecycle::{
     DeviceState, DeviceStats, LifecycleStats, ParallelStats, RecoveryReport, Sentry,
 };
 pub use pressure::{PressureConfig, PressureLevel, PressureStats, PressureTracker, SpillRegion};
-pub use transition::Transition;
 pub use txn::{CommitTagger, JournalEntry, TxnJournal, TxnOp};

@@ -11,33 +11,29 @@
 
 use crate::aes_onsoc::build_engine;
 use crate::config::{OnSocBackend, SentryConfig};
-use crate::encdram::{page_iv, Pager};
+use crate::encdram::Pager;
 use crate::error::SentryError;
-use crate::integrity::{IntegrityPlane, QuarantinedPage, VerifyOutcome};
+use crate::integrity::{IntegrityPlane, VerifyOutcome};
 use crate::keys::VolatileRootKey;
 use crate::onsoc::OnSocStore;
 use crate::pressure::{PressureLevel, PressureStats};
-use crate::transition::{
-    audit_encrypts, crypt_extent, crypt_page, set_page_state, Kind, PageState, Transition,
-};
+use crate::transition::{plan, set_page_state, IvSource, Kind, PageState, Route, Transition};
 use crate::txn::{CommitTagger, JournalEntry, TxnJournal, TxnOp};
-use sentry_crypto::parallel::{crypt_batch, BatchReport};
-use sentry_crypto::{
-    Aes, CryptoError, Direction, FailureKind, FallbackReason, HealthGovernor, HealthStats,
-    PageCipher, PageCipherMode, RetryStats,
-};
+use sentry_crypto::parallel::BatchReport;
+use sentry_crypto::{Aes, CryptoError, Direction, HealthGovernor, HealthStats, RetryStats};
 use sentry_kernel::crypto_api::CipherEngine;
 use sentry_kernel::fault::{FaultResolution, PageFault};
-use sentry_kernel::layout::{ACCEL_DMA_BASE, ACCEL_DMA_CONTROLLER, ACCEL_DMA_SIZE};
 use sentry_kernel::pagetable::{Backing, Pte, Sharing};
 use sentry_kernel::{Kernel, KernelError, Pid};
-use sentry_soc::accel::{AccelPowerState, WaitOutcome};
+use sentry_soc::accel::AccelPowerState;
 use sentry_soc::addr::{IRAM_BASE, IRAM_FIRMWARE_RESERVED, PAGE_SIZE};
 use std::collections::BTreeMap;
 
-/// Attempt cap (initial try + retries) for transient crypt/dispatch
-/// faults on the fault-readahead and sweeper paths; exceeding it yields
-/// a typed [`SentryError::RetriesExhausted`] instead of retrying forever.
+/// Attempt cap (initial try + retries) for a transient crypt/dispatch
+/// fault in the crypt step every page transition runs — lock, unlock,
+/// fault cluster, sweep, the pager's evictions and page-ins, and
+/// recovery; exceeding it yields a typed
+/// [`SentryError::RetriesExhausted`] instead of retrying forever.
 pub const MAX_CRYPT_RETRIES: u32 = 3;
 
 /// Whether the device screen is locked.
@@ -116,8 +112,8 @@ pub struct LifecycleStats {
     /// Simulated time spent in background sweeper steps.
     pub sweep_ns: u64,
     /// Transient crypt/dispatch faults absorbed by the bounded-retry
-    /// policy on the fault-readahead and sweeper paths, in the unified
-    /// retry shape: `attempts` counts transparent retries, `recovered`
+    /// policy of every page transition's crypt step (see
+    /// [`MAX_CRYPT_RETRIES`]), in the unified retry shape: `attempts` counts transparent retries, `recovered`
     /// batches that succeeded after one, `exhausted` budgets that ran
     /// out (each surfacing a typed [`SentryError::RetriesExhausted`]).
     pub crypt: RetryStats,
@@ -192,7 +188,7 @@ pub struct ParallelStats {
 }
 
 impl ParallelStats {
-    fn record(&mut self, report: &BatchReport) {
+    pub(crate) fn record(&mut self, report: &BatchReport) {
         self.batches += 1;
         if !report.sequential_fallback {
             self.parallel_batches += 1;
@@ -264,7 +260,7 @@ pub struct Sentry {
     /// Journal commit-tag scheme for the configured cipher mode: the
     /// final ciphertext block under CBC, a commit CMAC over
     /// IV ‖ ciphertext under XTS/CTR (see [`CommitTagger`]).
-    pub commit: CommitTagger,
+    commit: CommitTagger,
     /// Health governor for the lifecycle's accelerator dispatch:
     /// watchdog deadlines on routed batch waits, circuit breaker routing
     /// dispatch back to the CPU path while the engine is distrusted, and
@@ -531,286 +527,34 @@ impl Sentry {
         }
     }
 
-    /// The machine state a journaled page transition mutates.
-    fn transition(&mut self) -> Transition<'_> {
-        self.pager_transition().1
-    }
-
-    /// The pager, split from the transition state it commits through.
-    fn pager_transition(&mut self) -> (&mut Pager, Transition<'_>) {
-        let t = Transition {
+    /// The machine state a page transition of entry point `op` mutates.
+    fn transition(&mut self, op: &'static str) -> Transition<'_> {
+        Transition {
+            op,
             kernel: &mut self.kernel,
             store: &mut self.store,
             txn: &mut self.txn,
             integrity: &mut self.integrity,
             tagger: &self.commit,
-        };
-        (&mut self.pager, t)
+            config: &self.config,
+            key: self.volatile_key,
+            health: &mut self.health,
+            stats: &mut self.stats,
+            parallel: &mut self.parallel,
+        }
     }
 
-    /// Transform already-gathered pages in place — the crypt step of
-    /// every lifecycle transition — and stamp each planned page with the
-    /// commit tag of its *ciphertext* image (post-transform for encrypt,
-    /// pre-transform for decrypt). Returns the batch report. DRAM is
-    /// untouched; the caller commits the buffers through
-    /// [`Transition::commit`].
-    ///
-    /// With `parallel.workers <= 1`, or a batch below
-    /// `parallel.min_batch_pages`, the pages dispatch through the
-    /// registered cipher engine, exactly like the serial prototype —
-    /// byte- and cycle-identical to the unbatched code. Otherwise the
-    /// ciphertext work fans out across the scoped worker pool of
-    /// [`sentry_crypto::parallel`] under a single AES context expanded
-    /// once per batch from the volatile root key, and the simulated clock
-    /// is charged the serial AES cost divided by the lane count (one
-    /// IRQ-disabled critical section for the whole batch; the page
-    /// copies to and from DRAM still run through the SoC at full cost).
-    /// AES On SoC itself stays single-lane — its state page cannot be
-    /// replicated — so the parallel path models per-core
-    /// register-resident contexts derived from the same key.
-    fn crypt_buffers(
-        &mut self,
-        direction: Direction,
-        jobs: &mut [JournalEntry],
-        buf: &mut [u8],
-    ) -> Result<BatchReport, SentryError> {
-        if jobs.is_empty() {
-            return Ok(idle_report());
-        }
-        let pages = jobs.len();
-        let bytes = pages as u64 * PAGE_SIZE;
-        self.kernel.soc.failpoint("crypt.dispatch")?;
-        let workers = self.config.parallel.workers;
-        let min_batch = self.config.parallel.min_batch_pages.max(1);
-        let ivs: Vec<[u8; 16]> = jobs.iter().map(|e| e.iv).collect();
-
-        // Decrypt jobs carry the ciphertext *now*; stamp the commit tags
-        // before the transform destroys it.
-        match direction {
-            Direction::Decrypt => self.commit.stamp(jobs, buf),
-            Direction::Encrypt => audit_encrypts(&ivs, buf),
-        }
-
-        let report = if workers <= 1 || pages < min_batch {
-            if pages == 1 {
-                // A lone page takes the exact single-page dispatch —
-                // byte- and cycle-identical to the unbatched prototype.
-                crypt_page(&mut self.kernel, direction, &ivs[0], buf)?;
-            } else {
-                // One extent call: one batched kernel stream, one
-                // IRQ-critical section. The engine charge is linear in
-                // bytes, so this is cycle-identical to the per-page
-                // loop, while the backend batches across page
-                // boundaries (the encrypt side fills its lanes with
-                // independent page chains).
-                crypt_extent(&mut self.kernel, direction, &ivs, buf)?;
+    /// Plan the decrypt of `mapping`'s page when its PTE describes DRAM
+    /// ciphertext that can be decrypted: encrypted, and not on a
+    /// quarantined frame (those never decrypt; planning them would make
+    /// the sweeper spin without progress).
+    fn plan_decrypt(&self, mapping: (Pid, u64), pte: &Pte) -> Option<JournalEntry> {
+        match pte.backing {
+            Backing::Dram(frame) if pte.encrypted && !self.integrity.is_quarantined(frame) => {
+                Some(plan(mapping, frame, frame, IvSource::Stored(pte)))
             }
-            BatchReport {
-                pages,
-                bytes,
-                workers_used: 1,
-                per_worker_bytes: vec![bytes],
-                sequential_fallback: true,
-            }
-        } else {
-            // Expand the key schedule exactly once for the whole batch;
-            // worker lanes share the one context by reference and run the
-            // same kernel choice as every engine.
-            let key = self.volatile_key.read(&mut self.kernel.soc)?;
-            let cipher =
-                PageCipher::new(&key).map_err(|e| SentryError::Crypto(CryptoError::Key(e)))?;
-            let report = crypt_batch(
-                &cipher,
-                self.config.cipher_mode,
-                direction,
-                &ivs,
-                buf,
-                workers,
-                min_batch,
-            )
-            .map_err(SentryError::Crypto)?;
-
-            // Same calibrated per-block cost as the AES-On-SoC engine,
-            // spread across the lanes that actually ran.
-            let state_access = match self.config.backend {
-                OnSocBackend::Iram => self.kernel.soc.costs.iram_access_ns,
-                OnSocBackend::LockedL2 { .. } => self.kernel.soc.costs.cache_hit_ns,
-            };
-            let serial_ns =
-                (bytes / 16) * (self.kernel.soc.costs.aes_block_compute_ns + 4 * state_access);
-            let charged_ns = serial_ns.div_ceil(report.workers_used as u64);
-            let soc = &mut self.kernel.soc;
-            let was_enabled = soc.cpu.begin_critical();
-            soc.clock.advance(charged_ns);
-            soc.cpu.end_critical(was_enabled, charged_ns);
-            report
-        };
-
-        if direction == Direction::Encrypt {
-            self.commit.stamp(jobs, buf);
+            _ => None,
         }
-        if report.pages > 0 {
-            self.stats.crypt_batches += 1;
-            self.stats.crypt_batch_pages += report.pages as u64;
-            self.stats.largest_batch_pages =
-                self.stats.largest_batch_pages.max(report.pages as u64);
-            self.parallel.record(&report);
-        }
-        Ok(report)
-    }
-
-    /// Dispatch a decrypt batch either inline ([`Sentry::crypt_buffers`])
-    /// or through the accelerator queue, per
-    /// [`crate::config::SentryConfig::pipeline`].
-    ///
-    /// Routing keeps the *functional* transform on the host path — the
-    /// batched bitsliced kernel produces exactly the bytes the engine
-    /// model would — and substitutes the accelerator-queue completion
-    /// horizon for the CPU charge via `set_now_ns` (the sanctioned
-    /// cost-substitution convention; see `SimClock::set_now_ns`). The
-    /// ciphertext is staged through the DMA bounce window *before* the
-    /// `accel.dma` failpoint and the plaintext written back only after
-    /// the queue completes, so accelerator traffic stays visible to a
-    /// bus monitor and a power cut mid-operation leaves only ciphertext
-    /// in the window.
-    ///
-    /// Typed fallbacks (counted on [`LifecycleStats`]): a chaining
-    /// cipher mode ([`FallbackReason::UnsupportedCipherMode`]), a
-    /// down-scaled accelerator clock while the device is locked
-    /// ([`FallbackReason::AccelDownScaled`], §8.2), and batches too
-    /// small to amortise descriptor setup
-    /// ([`FallbackReason::BelowThreshold`]).
-    fn route_or_crypt_decrypt(
-        &mut self,
-        jobs: &mut [JournalEntry],
-        buf: &mut [u8],
-    ) -> Result<BatchReport, SentryError> {
-        if !self.config.pipeline.enabled {
-            return self.crypt_buffers(Direction::Decrypt, jobs, buf);
-        }
-        let reason = if self.config.cipher_mode == PageCipherMode::Cbc {
-            Some(FallbackReason::UnsupportedCipherMode)
-        } else if self.kernel.soc.accel.state != AccelPowerState::Awake {
-            Some(FallbackReason::AccelDownScaled)
-        } else if jobs.len() < 2 {
-            Some(FallbackReason::BelowThreshold)
-        } else if !self.health.allow_accel(self.kernel.soc.clock.now_ns()) {
-            // Breaker open, probe interval not yet elapsed: the engine is
-            // distrusted, the bitsliced CPU path carries the batch.
-            Some(FallbackReason::BreakerOpen)
-        } else {
-            None
-        };
-        if let Some(reason) = reason {
-            match reason {
-                FallbackReason::AccelDownScaled => self.stats.batch_fallback_down_scaled += 1,
-                FallbackReason::UnsupportedCipherMode => {
-                    self.stats.batch_fallback_unsupported_mode += 1;
-                }
-                FallbackReason::BreakerOpen => {
-                    self.stats.batch_fallback_breaker_open += 1;
-                    self.health.note_fallback_crypt(buf.len() as u64);
-                    self.stats.health = self.health.stats;
-                }
-                _ => self.stats.batch_fallback_below_threshold += 1,
-            }
-            return self.crypt_buffers(Direction::Decrypt, jobs, buf);
-        }
-
-        // Stage the ciphertext and submit the descriptor. The queue
-        // captures the engine's clock state *now*, so a batch submitted
-        // while Awake keeps its throughput even if the device locks
-        // (and down-scales the accelerator) before it completes.
-        let soc = &mut self.kernel.soc;
-        let staged = buf.len().min(ACCEL_DMA_SIZE as usize);
-        soc.dma_write(ACCEL_DMA_CONTROLLER, ACCEL_DMA_BASE, &buf[..staged])?;
-        soc.failpoint("accel.dma")?;
-        // Sustained-fault site: an armed AccelWedge/Corrupt/Slow plan
-        // here stages the fault onto the descriptor submitted below.
-        soc.failpoint("accel.submit")?;
-        let t0 = soc.clock.now_ns();
-        let id = soc.accel_queue.submit(&soc.accel, t0, buf.len() as u64);
-        // Watchdog deadline: the op's own modeled duration times the
-        // watchdog margin, anchored at submit.
-        let deadline = t0.saturating_add(HealthGovernor::watchdog_ns(
-            soc.accel.op_duration_ns(buf.len() as u64),
-        ));
-
-        // Functional transform on the host path (same bytes the engine
-        // would produce); its CPU charge — including any parallel-lane
-        // critical-section advance — is then replaced wholesale by the
-        // queue completion, because the lifecycle batch blocks on the
-        // result: elapsed time is exactly the engine's horizon.
-        let report = self.crypt_buffers(Direction::Decrypt, jobs, buf)?;
-        let soc = &mut self.kernel.soc;
-        // Capture the host-path CPU charge before the substitution
-        // rewind: if the engine fails, the batch re-pays exactly this.
-        let cpu_cost = soc.clock.now_ns() - t0;
-        soc.clock.set_now_ns(t0);
-        match soc.accel_queue.wait_deadline(id, &mut soc.clock, deadline) {
-            WaitOutcome::Done { stall_ns } => {
-                // Plaintext lands in the bounce window only at
-                // completion.
-                soc.dma_write(ACCEL_DMA_CONTROLLER, ACCEL_DMA_BASE, &buf[..staged])?;
-                self.stats.routed_batches += 1;
-                self.stats.routed_batch_pages += jobs.len() as u64;
-                self.stats.routed_stall_ns += stall_ns;
-                let now = soc.clock.now_ns();
-                self.health.record_success(now);
-            }
-            outcome @ (WaitOutcome::TimedOut { .. } | WaitOutcome::Corrupt { .. }) => {
-                // Degraded mode. The clock sits at the watchdog deadline
-                // (timeout) or the corrupt completion; the correct bytes
-                // are already in `buf` — the host transform ran — so the
-                // batch re-pays the captured CPU charge and proceeds on
-                // the bitsliced path. The engine's output is discarded:
-                // zeroize the bounce window so the abandoned transfer
-                // leaves nothing for a bus monitor or cold-boot dump.
-                let now = soc.clock.now_ns();
-                match outcome {
-                    WaitOutcome::TimedOut { .. } => {
-                        self.health.record_failure(now, FailureKind::Timeout);
-                        self.health.note_abandoned(buf.len() as u64);
-                    }
-                    WaitOutcome::Corrupt { .. } => {
-                        self.health.record_failure(now, FailureKind::Corrupt);
-                    }
-                    WaitOutcome::Done { .. } => unreachable!(),
-                }
-                soc.dma_write(ACCEL_DMA_CONTROLLER, ACCEL_DMA_BASE, &vec![0u8; staged])?;
-                soc.clock.advance(cpu_cost);
-                self.health.note_fallback_crypt(buf.len() as u64);
-            }
-        }
-        self.stats.health = self.health.stats;
-        Ok(report)
-    }
-
-    /// Plan the decrypt of one encrypted DRAM mapping. Shared frames were
-    /// encrypted under the *first* sharer's mapping identity, at the
-    /// epoch stored in the IV owner's PTE; private frames under their own
-    /// mapping. The journal records that stored epoch — the one the IV
-    /// was derived under — not the current lock epoch.
-    fn plan_decrypt(&self, pid: Pid, vpn: u64, pte: &Pte, frame: u64) -> JournalEntry {
-        let (iv_pid, iv_vpn) = self
-            .kernel
-            .sharers_of(frame)
-            .and_then(|s| s.first().copied())
-            .unwrap_or((pid, vpn));
-        let epoch = self
-            .kernel
-            .procs
-            .get(&iv_pid)
-            .and_then(|p| p.page_table.get(iv_vpn))
-            .map_or(pte.crypt_epoch, |p| p.crypt_epoch);
-        JournalEntry::new(
-            pid,
-            vpn,
-            frame,
-            frame,
-            page_iv(iv_pid, iv_vpn, epoch),
-            epoch,
-        )
     }
 
     /// Decrypt planned encrypted DRAM pages in one dispatch and flip
@@ -818,73 +562,22 @@ impl Sentry {
     /// the one decrypt path of unlock, fault cluster, and sweep. Returns
     /// the batch report (`pages` = frames decrypted).
     ///
-    /// Coherence rule: the PTE `encrypted` bit is the single source of
-    /// truth, re-checked here immediately before the kernel call, and
-    /// frames are deduped within the batch — so a fault cluster racing
-    /// the sweeper (or two mappings of one shared frame landing in the
-    /// same batch) can never decrypt the same frame twice, which under
-    /// CBC would turn plaintext into garbage.
-    fn decrypt_planned(&mut self, planned: &[JournalEntry]) -> Result<BatchReport, SentryError> {
-        let mut pages: Vec<JournalEntry> = Vec::with_capacity(planned.len());
-        for e in planned {
-            let still_encrypted = self
-                .kernel
-                .procs
-                .get(&e.pid)
-                .and_then(|p| p.page_table.get(e.vpn))
-                .is_some_and(|pte| pte.encrypted);
-            if still_encrypted
-                && !self.integrity.is_quarantined(e.frame)
-                && !pages.iter().any(|p| p.frame == e.frame)
-            {
-                pages.push(*e);
-            }
-        }
-        let mut buf = self.transition().gather_verified(&mut pages)?;
-        if pages.is_empty() {
-            return Ok(idle_report());
-        }
-        let report = self.route_or_crypt_decrypt(&mut pages, &mut buf)?;
-        let epoch = self.lock_epoch;
-        self.transition()
-            .commit(Kind::Decrypt, epoch, &pages, &buf)?;
-        Ok(report)
-    }
-
-    /// Run [`Sentry::decrypt_planned`] under the bounded-retry policy
-    /// for *transient* faults: an injected crypt/dispatch error fails
-    /// the batch cleanly before any DRAM mutates, so the whole gather is
-    /// simply re-attempted, up to [`MAX_CRYPT_RETRIES`] total
-    /// attempts. Exceeding the cap reports a typed
-    /// [`SentryError::RetriesExhausted`] — the fault is persistent and
-    /// retrying forever would spin. Non-transient errors (power loss,
-    /// integrity violations, real memory errors) propagate immediately.
-    fn decrypt_with_retry(
+    /// Frames are deduped within the batch, so two mappings of one
+    /// shared frame landing in the same batch can never decrypt it
+    /// twice, which under CBC would turn plaintext into garbage.
+    fn decrypt(
         &mut self,
         op: &'static str,
-        planned: &[JournalEntry],
-    ) -> Result<usize, SentryError> {
-        let cap = MAX_CRYPT_RETRIES;
-        let mut attempts = 0u32;
-        loop {
-            attempts += 1;
-            match self.decrypt_planned(planned) {
-                Err(e) if e.is_injected_crypt_fault() => {
-                    if attempts < cap {
-                        self.stats.crypt.attempts += 1;
-                    } else {
-                        self.stats.crypt.exhausted += 1;
-                        return Err(SentryError::RetriesExhausted { op, attempts });
-                    }
-                }
-                other => {
-                    if other.is_ok() && attempts > 1 {
-                        self.stats.crypt.recovered += 1;
-                    }
-                    return other.map(|report| report.pages);
-                }
+        planned: Vec<JournalEntry>,
+    ) -> Result<BatchReport, SentryError> {
+        let mut pages: Vec<JournalEntry> = Vec::with_capacity(planned.len());
+        for e in planned {
+            if !pages.iter().any(|p| p.frame == e.frame) {
+                pages.push(e);
             }
         }
+        let epoch = self.lock_epoch;
+        self.transition(op).run(Kind::Decrypt, epoch, pages)
     }
 
     /// Residual-encrypted-pages gauge: encrypted DRAM mappings across
@@ -938,17 +631,10 @@ impl Sentry {
         let t0 = self.kernel.soc.clock.now_ns();
         // Candidates in (pid, vpn) order, rotated so the scan resumes at
         // the cursor and wraps.
-        let mut all: Vec<(Pid, u64, u64)> = Vec::new();
+        let mut all: Vec<JournalEntry> = Vec::new();
         for pid in self.sensitive_pids() {
-            let proc = self.kernel.proc(pid)?;
-            for (vpn, pte) in proc.page_table.iter() {
-                if let Backing::Dram(frame) = pte.backing {
-                    // Quarantined frames are permanently undecryptable;
-                    // sweeping them would spin without progress.
-                    if pte.encrypted && !self.integrity.is_quarantined(frame) {
-                        all.push((pid, vpn, frame));
-                    }
-                }
+            for (vpn, pte) in self.kernel.proc(pid)?.page_table.iter() {
+                all.extend(self.plan_decrypt((pid, vpn), pte));
             }
         }
         if all.is_empty() {
@@ -956,28 +642,21 @@ impl Sentry {
         }
         let start = self
             .sweep_cursor
-            .and_then(|cur| all.iter().position(|&(pid, vpn, _)| (pid, vpn) >= cur))
+            .and_then(|cur| all.iter().position(|e| (e.pid, e.vpn) >= cur))
             .unwrap_or(0);
         all.rotate_left(start);
 
         let mut gathered: Vec<JournalEntry> = Vec::with_capacity(budget_pages.min(all.len()));
-        for &(pid, vpn, frame) in &all {
+        for e in all {
             if gathered.len() >= budget_pages {
                 break;
             }
-            if gathered.iter().any(|g| g.frame == frame) {
-                continue;
+            if !gathered.iter().any(|g| g.frame == e.frame) {
+                gathered.push(e);
             }
-            let pte = *self
-                .kernel
-                .proc(pid)?
-                .page_table
-                .get(vpn)
-                .expect("walked above");
-            gathered.push(self.plan_decrypt(pid, vpn, &pte, frame));
         }
         let next_cursor = gathered.last().map(|g| (g.pid, g.vpn + 1));
-        let pages = self.decrypt_with_retry("sweep", &gathered)?;
+        let pages = self.decrypt("sweep", gathered)?.pages;
         if let Some(cur) = next_cursor {
             self.sweep_cursor = Some(cur);
         }
@@ -1077,8 +756,11 @@ impl Sentry {
             self.kernel.dropped_kept_frames.pop();
         }
         self.govern_pressure()?;
-        let (pager, mut t) = self.pager_transition();
-        let mut reused = pager.evict_all(&mut t, epoch)? as u64;
+        let (written, mut reused) = self.pager.plan_evict_all(&mut self.kernel, epoch)?;
+        let sweep = written.len();
+        self.transition("on_lock")
+            .run(Kind::EvictAll, epoch, written)?;
+        self.pager.evicted_all(sweep);
 
         // Phase 1: plan every page — private pages of every sensitive
         // process, then the shared-frame pass — into one batch. The
@@ -1086,9 +768,9 @@ impl Sentry {
         // dispatching once lets the engine fan them out.
         let mut skipped = 0u64;
         let mut pages: Vec<JournalEntry> = Vec::new();
-        // (kept frame, owner, its epoch) of clean pages, the plaintext
-        // frames they leave, and the kept frames of written pages.
-        let mut rearms: Vec<(u64, (Pid, u64), u64)> = Vec::new();
+        // (kept frame, mapping) of clean pages, the plaintext frames
+        // they leave, and the kept frames of written pages.
+        let mut rearms: Vec<(u64, (Pid, u64))> = Vec::new();
         let mut freed: Vec<u64> = Vec::new();
         let mut stale: Vec<(Pid, u64, u64)> = Vec::new();
         for pid in self.sensitive_pids() {
@@ -1106,7 +788,7 @@ impl Sentry {
                     && self.kernel.sharers_of(frame).is_none();
                 match pte.home_frame {
                     Some(kept) if private && !pte.written() => {
-                        rearms.push((kept, (pid, vpn), pte.crypt_epoch));
+                        rearms.push((kept, (pid, vpn)));
                         freed.push(frame);
                         continue;
                     }
@@ -1114,8 +796,7 @@ impl Sentry {
                     None => {}
                 }
                 if private {
-                    let iv = page_iv(pid, vpn, epoch);
-                    pages.push(JournalEntry::new(pid, vpn, frame, frame, iv, epoch));
+                    pages.push(plan((pid, vpn), frame, frame, IvSource::Encrypt(epoch)));
                 }
             }
             skipped += proc
@@ -1140,7 +821,7 @@ impl Sentry {
             .filter(|(_, sharers)| sharers.len() > 1)
             .map(|(&frame, sharers)| (frame, sharers.clone()))
             .collect();
-        let mut shared_rearms: Vec<(u64, (Pid, u64), u64)> = Vec::new();
+        let mut shared_rearms: Vec<(u64, (Pid, u64))> = Vec::new();
         for (frame, sharers) in shared {
             let all_sensitive = sharers
                 .iter()
@@ -1153,27 +834,21 @@ impl Sentry {
             }
             if all_sensitive {
                 // A frame still ciphertext from an earlier cycle keeps
-                // the epoch it was encrypted under; its PTEs must keep
-                // decrypting with the original IV.
-                let stored_epoch = sharers.iter().find_map(|&(pid, vpn)| {
+                // the IV it was encrypted under, which its PTEs recorded.
+                let still_ciphertext = sharers.iter().any(|&(pid, vpn)| {
                     self.kernel
                         .procs
                         .get(&pid)
                         .and_then(|p| p.page_table.get(vpn))
-                        .filter(|pte| pte.encrypted)
-                        .map(|pte| pte.crypt_epoch)
+                        .is_some_and(|pte| pte.encrypted)
                 });
-                match stored_epoch {
-                    // Already ciphertext: a pure PTE re-arm, no bytes
-                    // move, so no journal entry is needed (the flip is
-                    // idempotent and happens after the journaled
-                    // publishes).
-                    Some(e) => shared_rearms.push((frame, sharers[0], e)),
-                    None => {
-                        let (pid0, vpn0) = sharers[0];
-                        let iv = page_iv(pid0, vpn0, epoch);
-                        pages.push(JournalEntry::new(pid0, vpn0, frame, frame, iv, epoch));
-                    }
+                if still_ciphertext {
+                    // A pure PTE re-arm: no bytes move, so no journal
+                    // entry is needed (the flip is idempotent and
+                    // happens after the journaled publishes).
+                    shared_rearms.push((frame, sharers[0]));
+                } else {
+                    pages.push(plan(sharers[0], frame, frame, IvSource::Encrypt(epoch)));
                 }
             } else {
                 skipped += 1;
@@ -1194,9 +869,8 @@ impl Sentry {
         // give up theirs, tag first, so the tag store never holds both
         // versions of a page. Nothing here passes a failpoint: a kill
         // lands before or after the whole step.
-        for &(kept, owner, kept_epoch) in &rearms {
-            let state = PageState::Ciphertext { epoch: kept_epoch };
-            set_page_state(&mut self.kernel, kept, owner, state);
+        for &(kept, mapping) in &rearms {
+            set_page_state(&mut self.kernel, kept, mapping, PageState::Rearmed);
         }
         for (pid, vpn, kept) in stale {
             self.integrity.retire_tag(&mut self.kernel.soc, kept)?;
@@ -1217,17 +891,12 @@ impl Sentry {
         // Phase 2: one dispatch for the whole transition — into scratch
         // buffers. DRAM is untouched until each page's journaled
         // publish. Phase 3: publish + flip as a two-phase commit.
-        let mut buf = self.transition().gather(&pages)?;
-        let report = self.crypt_buffers(Direction::Encrypt, &mut pages, &mut buf)?;
-        self.transition().commit(Kind::Lock, epoch, &pages, &buf)?;
+        let report = self.transition("on_lock").run(Kind::Lock, epoch, pages)?;
 
         // Re-arm-only shared frames (still ciphertext from an earlier
         // cycle): idempotent PTE flips, journal-free.
-        for (frame, owner, stored_epoch) in shared_rearms {
-            let state = PageState::Ciphertext {
-                epoch: stored_epoch,
-            };
-            set_page_state(&mut self.kernel, frame, owner, state);
+        for (frame, mapping) in shared_rearms {
+            set_page_state(&mut self.kernel, frame, mapping, PageState::Rearmed);
         }
 
         // Atomic tail: only now does the transition commit.
@@ -1274,17 +943,15 @@ impl Sentry {
         for pid in self.sensitive_pids() {
             self.kernel.proc_mut(pid)?.schedulable = true;
             for (vpn, pte) in self.kernel.proc(pid)?.page_table.iter() {
-                if let Backing::Dram(frame) = pte.backing {
-                    if pte.encrypted && pte.dma_region {
-                        planned.push(self.plan_decrypt(pid, vpn, pte, frame));
-                    }
+                if pte.dma_region {
+                    planned.extend(self.plan_decrypt((pid, vpn), pte));
                 }
             }
         }
         // Quarantined DMA frames stay encrypted; the violation surfaces
         // on explicit access, not here — the unlock itself must keep
         // working for every healthy page.
-        let report = self.decrypt_planned(&planned)?;
+        let report = self.decrypt("on_unlock", planned)?;
 
         // Atomic tail.
         self.state = DeviceState::Unlocked;
@@ -1308,9 +975,7 @@ impl Sentry {
         match self.state {
             DeviceState::Locked => {
                 if sensitive && self.config.background_support {
-                    let epoch = self.lock_epoch;
-                    let (pager, mut t) = self.pager_transition();
-                    pager.handle_fault(&mut t, fault, epoch)
+                    self.page_in(fault)
                 } else {
                     // Foreground apps are parked while locked; a fault
                     // here is a programming error in the caller.
@@ -1364,19 +1029,11 @@ impl Sentry {
                             cluster = 1;
                         }
                         let base = fault.vpn - fault.vpn % cluster as u64;
-                        let mut gathered: Vec<JournalEntry> = Vec::with_capacity(cluster);
-                        for vpn in base..base + cluster as u64 {
-                            let cand = match self.kernel.proc(fault.pid)?.page_table.get(vpn) {
-                                Some(p) => *p,
-                                None => continue,
-                            };
-                            if let Backing::Dram(f) = cand.backing {
-                                if cand.encrypted && !self.integrity.is_quarantined(f) {
-                                    gathered.push(self.plan_decrypt(fault.pid, vpn, &cand, f));
-                                }
-                            }
-                        }
-                        let decrypted = self.decrypt_with_retry("handle_fault", &gathered)?;
+                        let table = &self.kernel.proc(fault.pid)?.page_table;
+                        let gathered = (base..base + cluster as u64)
+                            .filter_map(|vpn| self.plan_decrypt((fault.pid, vpn), table.get(vpn)?))
+                            .collect();
+                        let decrypted = self.decrypt("handle_fault", gathered)?.pages;
                         // If the *faulting* page itself just failed its
                         // MAC it was quarantined mid-batch: surface its
                         // violation (readahead companions that failed
@@ -1417,6 +1074,93 @@ impl Sentry {
                 }
             }
         }
+    }
+
+    /// A sensitive background process's fault while locked (§5,
+    /// Figure 1): page the encrypted page into an on-SoC slot, evicting
+    /// the oldest resident page when every slot is taken. Pages already
+    /// resident, or unencrypted (e.g. shared with a non-sensitive app),
+    /// have nothing to decrypt and are just re-armed.
+    fn page_in(&mut self, fault: &PageFault) -> Result<(), SentryError> {
+        let fault_ns = self.kernel.soc.costs.page_fault_ns;
+        self.kernel.soc.clock.advance(fault_ns);
+        self.pager.stats.faults += 1;
+        let (pid, vpn) = (fault.pid, fault.vpn);
+        let pte = self
+            .kernel
+            .proc_mut(pid)?
+            .page_table
+            .get_mut(vpn)
+            .ok_or(SentryError::Unresolvable { pid, vpn })?;
+        let frame = match pte.backing {
+            Backing::Dram(frame) if pte.encrypted => frame,
+            _ => {
+                pte.young = true;
+                return Ok(());
+            }
+        };
+        // A quarantined frame never pages in: report its stored
+        // violation instead of decrypting poisoned ciphertext.
+        if let Some(err) = self.integrity.violation_for(frame) {
+            self.pager.stats.quarantine_rejects += 1;
+            return Err(err);
+        }
+        let free = self
+            .pager
+            .free_slot(&mut self.store, &mut self.kernel.soc)?;
+        let slot = free.map_or_else(|| self.evict_oldest(), Ok)?;
+        let paged_in = self.page_into(slot, (pid, vpn), frame);
+        if paged_in.is_err() {
+            self.pager.give_back(slot);
+        }
+        paged_in
+    }
+
+    /// Evict the pager's oldest resident page back into its home frame
+    /// under the current lock epoch, and return its slot.
+    fn evict_oldest(&mut self) -> Result<usize, SentryError> {
+        let epoch = self.lock_epoch;
+        let (slot, victim) = self.pager.plan_evict(&self.kernel, epoch)?;
+        let evicted = self
+            .transition("handle_fault")
+            .run(Kind::EvictOne, epoch, vec![victim]);
+        if evicted
+            .as_ref()
+            .is_err_and(SentryError::is_integrity_violation)
+        {
+            self.pager.stats.quarantine_rejects += 1;
+        }
+        evicted?;
+        Ok(self.pager.evicted(slot))
+    }
+
+    /// Copy `frame`'s ciphertext on-SoC, MAC-verify it, and decrypt it
+    /// into `slot` under the IV its PTE recorded. Journal-free by
+    /// design: every byte this writes lands on-SoC (the slot), never in
+    /// DRAM, so a kill at any step leaves DRAM and the PTE exactly as
+    /// they were before the fault. A MAC mismatch quarantines the frame,
+    /// leaves the PTE untouched, and reports the violation.
+    fn page_into(
+        &mut self,
+        slot: usize,
+        (pid, vpn): (Pid, u64),
+        frame: u64,
+    ) -> Result<(), SentryError> {
+        self.kernel.soc.failpoint("pager.pagein")?;
+        let pte = self.kernel.proc(pid)?.page_table.get(vpn);
+        let pte = pte.ok_or(SentryError::Unresolvable { pid, vpn })?;
+        let mut pages = vec![plan((pid, vpn), frame, frame, IvSource::Stored(pte))];
+        let mut t = self.transition("handle_fault");
+        let mut buf = t.gather(&pages)?;
+        t.kernel.soc.clock.advance(t.kernel.soc.costs.page_copy_ns);
+        t.verify(&mut pages, &mut buf)?;
+        t.crypt(Route::One, Direction::Decrypt, &mut pages, &mut buf)?;
+        if let Some(err) = self.integrity.violation_for(frame) {
+            self.pager.stats.quarantine_rejects += 1;
+            return Err(err);
+        }
+        self.pager
+            .paged_in(&mut self.kernel, slot, (pid, vpn), frame, &buf)
     }
 
     /// Process read with transparent fault handling.
@@ -1571,9 +1315,8 @@ impl Sentry {
     /// on-SoC tag store. Decayed frames are quarantined now — the reboot
     /// converges on the surviving set instead of decrypting rot into
     /// plaintext on some later fault. Returns the number of frames newly
-    /// quarantined. A shared frame verifies if *any* sharer's IV
-    /// matches (the tag was computed under whichever mapping encrypted
-    /// it).
+    /// quarantined. Every mapping of a frame recorded the IV its
+    /// ciphertext was encrypted under, so the first one found answers.
     ///
     /// Kept frames are audited too. One that fails is dropped — tag
     /// retired, frame freed — not quarantined: its page's plaintext is
@@ -1582,113 +1325,70 @@ impl Sentry {
         if !self.integrity.enabled() {
             return Ok(0);
         }
-        // (frame, whether it is a kept frame) -> every (pid, vpn, epoch)
-        // mapping whose ciphertext it holds.
+        // (frame, whether it is a kept frame) -> the ciphertext's plan.
         let mut frames = BTreeMap::new();
-        let pids: Vec<Pid> = self.kernel.procs.keys().copied().collect();
-        for pid in pids {
-            for (vpn, pte) in self.kernel.procs[&pid].page_table.iter() {
+        for (&pid, proc) in &self.kernel.procs {
+            for (vpn, pte) in proc.page_table.iter() {
                 let (frame, kept) = match (pte.backing, pte.home_frame) {
                     (Backing::Dram(frame), _) if pte.encrypted => (frame, false),
                     (Backing::Dram(_), Some(kept)) => (kept, true),
                     _ => continue,
                 };
-                let mapping = (pid, vpn, pte.crypt_epoch);
                 frames
                     .entry((frame, kept))
-                    .or_insert_with(Vec::new)
-                    .push(mapping);
+                    .or_insert_with(|| plan((pid, vpn), frame, frame, IvSource::Stored(pte)));
             }
         }
         let mut quarantined = 0usize;
-        for ((frame, kept), mappings) in frames {
+        for ((frame, kept), e) in frames {
             if !self.integrity.has_tag(frame) || self.integrity.is_quarantined(frame) {
                 continue;
             }
             let mut page = vec![0u8; PAGE_SIZE as usize];
             self.kernel.soc.mem_read(frame, &mut page)?;
-            let mut verdict = VerifyOutcome::Ok;
-            for &(pid, vpn, epoch) in &mappings {
-                let iv = page_iv(pid, vpn, epoch);
-                verdict = self.integrity.verify_one(
-                    &mut self.kernel.soc,
-                    &mut self.store,
-                    frame,
-                    &iv,
-                    &mut page,
-                )?;
-                if matches!(verdict, VerifyOutcome::Ok | VerifyOutcome::Untagged) {
-                    break;
-                }
-            }
+            let verdict = self.integrity.verify_one(
+                &mut self.kernel.soc,
+                &mut self.store,
+                frame,
+                &e.iv,
+                &mut page,
+            )?;
             let VerifyOutcome::Mismatch { expected, got } = verdict else {
                 continue;
             };
-            let (pid, vpn, epoch) = mappings[0];
             if kept {
                 self.integrity.retire_tag(&mut self.kernel.soc, frame)?;
                 self.kernel.frames.free(frame);
-                if let Some(pte) = self.kernel.proc_mut(pid)?.page_table.get_mut(vpn) {
+                if let Some(pte) = self.kernel.proc_mut(e.pid)?.page_table.get_mut(e.vpn) {
                     pte.home_frame = None;
                 }
                 continue;
             }
-            let _ = self.integrity.quarantine(QuarantinedPage {
-                pid,
-                vpn,
-                frame,
-                epoch,
-                tag_expected: expected,
-                tag_got: got,
-            });
+            let _ = self.transition("recover").quarantine(&e, expected, got);
             quarantined += 1;
         }
         Ok(quarantined)
     }
 
-    /// Commit tag of the ciphertext image a frame currently holds,
-    /// computed exactly as the journal recorded it. Under the chaining
-    /// mode only the frame's 16-byte tail is read (the tag *is* the
-    /// final CBC block); under XTS/CTR the whole frame is read and the
-    /// commit CMAC recomputed over IV ‖ contents.
-    fn frame_commit_tag(&mut self, iv: &[u8; 16], frame: u64) -> Result<[u8; 16], SentryError> {
-        if self.commit.mode().is_chaining() {
-            let mut tail = [0u8; 16];
-            self.kernel
-                .soc
-                .mem_read(frame + PAGE_SIZE - 16, &mut tail)?;
-            Ok(tail)
-        } else {
-            let mut page = vec![0u8; PAGE_SIZE as usize];
-            self.kernel.soc.mem_read(frame, &mut page)?;
-            Ok(self.commit.tag(iv, &page))
-        }
-    }
-
     /// Complete one interrupted encrypt entry (lock or eviction).
     fn recover_encrypt(&mut self, entry: &JournalEntry) -> Result<(), SentryError> {
-        if self.frame_commit_tag(&entry.iv, entry.frame)? != entry.tag {
+        let mut t = self.transition("recover");
+        if t.frame_tag(entry)? != entry.tag {
             // The publish never landed; the source still holds
             // plaintext. Roll forward: re-encrypt and publish, with the
             // integrity tag stored on-SoC before the ciphertext goes to
             // DRAM — the same ordering the live path guarantees.
-            let mut page = vec![0u8; PAGE_SIZE as usize];
-            self.kernel.soc.mem_read(entry.src, &mut page)?;
-            audit_encrypts(&[entry.iv], &page);
-            crypt_page(&mut self.kernel, Direction::Encrypt, &entry.iv, &mut page)?;
-            self.integrity.store_tags(
-                &mut self.kernel.soc,
-                &mut self.store,
-                &[(entry.frame, entry.iv)],
-                &page,
-            )?;
-            self.kernel.soc.mem_write(entry.frame, &page)?;
+            let mut pages = [*entry];
+            let mut page = t.gather(&pages)?;
+            t.crypt(Route::One, Direction::Encrypt, &mut pages, &mut page)?;
+            t.store_tags(&pages, &page)?;
+            t.kernel.soc.mem_write(entry.frame, &page)?;
             // Fresh ciphertext + fresh tag from the intact source: a
             // frame quarantined mid-eviction is healed by this replay.
-            self.integrity.release(entry.frame);
+            t.integrity.release(entry.frame);
         }
-        let state = PageState::Ciphertext { epoch: entry.epoch };
-        set_page_state(&mut self.kernel, entry.frame, (entry.pid, entry.vpn), state);
+        let state = PageState::Encrypted { epoch: entry.epoch };
+        set_page_state(t.kernel, entry.frame, (entry.pid, entry.vpn), state);
         Ok(())
     }
 
@@ -1714,91 +1414,74 @@ impl Sentry {
     /// kept frame that fails its MAC is quarantined, its page stays
     /// ciphertext on it, and the fresh frame is freed.
     fn recover_decrypt(&mut self, entry: &JournalEntry) -> Result<(), SentryError> {
-        let owner = (entry.pid, entry.vpn);
-        let mut page = vec![0u8; PAGE_SIZE as usize];
-        if entry.src != entry.frame {
-            self.kernel.soc.mem_read(entry.src, &mut page)?;
-            let verdict = self.integrity.verify_one(
-                &mut self.kernel.soc,
-                &mut self.store,
-                entry.src,
-                &entry.iv,
-                &mut page,
-            )?;
-            if let VerifyOutcome::Mismatch { expected, got } = verdict {
-                let kept = JournalEntry {
-                    frame: entry.src,
-                    ..*entry
-                };
-                let _ = self.transition().quarantine(&kept, expected, got);
-                let state = PageState::Ciphertext { epoch: entry.epoch };
-                set_page_state(&mut self.kernel, entry.src, owner, state);
+        let mapping = (entry.pid, entry.vpn);
+        let in_place = entry.src == entry.frame;
+        let mut t = self.transition("recover");
+        let tagged = in_place && t.integrity.enabled() && t.integrity.has_tag(entry.frame);
+        let mut pages = vec![*entry];
+        // The frame's ciphertext, when it still has to be decrypted.
+        let ciphertext = if !in_place {
+            let mut page = t.gather(&pages)?;
+            t.verify(&mut pages, &mut page)?;
+            if pages.is_empty() {
+                set_page_state(t.kernel, entry.src, mapping, PageState::Rearmed);
                 // The fresh frame may already hold plaintext: the
                 // zeroing thread scrubs it.
-                self.kernel.frames.free(entry.frame);
+                t.kernel.frames.free(entry.frame);
                 return Ok(());
             }
-            crypt_page(&mut self.kernel, Direction::Decrypt, &entry.iv, &mut page)?;
-            self.kernel.soc.mem_write(entry.frame, &page)?;
-            let state = PageState::Plaintext {
-                kept: Some(entry.src),
-            };
-            set_page_state(&mut self.kernel, entry.frame, owner, state);
-            return Ok(());
-        }
-        if self.integrity.enabled() && self.integrity.has_tag(entry.frame) {
-            self.kernel.soc.mem_read(entry.frame, &mut page)?;
-            let verdict = self.integrity.verify_one(
-                &mut self.kernel.soc,
-                &mut self.store,
+            Some(page)
+        } else if tagged {
+            let mut page = t.gather(&pages)?;
+            let verdict = t.integrity.verify_one(
+                &mut t.kernel.soc,
+                t.store,
                 entry.frame,
                 &entry.iv,
                 &mut page,
             )?;
-            if let VerifyOutcome::Mismatch { expected, got } = verdict {
-                let mut trial = page.clone();
-                crypt_page(&mut self.kernel, Direction::Encrypt, &entry.iv, &mut trial)?;
-                if self.commit.tag(&entry.iv, &trial) != entry.tag {
-                    let _ = self.transition().quarantine(entry, expected, got);
-                    // The publish loop flips PTEs *before* writing the
-                    // plaintext, so the dying transition may have left
-                    // mappings claiming plaintext over what is now
-                    // tampered ciphertext. Force them back to encrypted:
-                    // every later access must fault into the quarantine
-                    // check, never read the frame raw.
-                    let state = PageState::Ciphertext { epoch: entry.epoch };
-                    set_page_state(&mut self.kernel, entry.frame, owner, state);
-                    return Ok(());
+            match verdict {
+                VerifyOutcome::Mismatch { expected, got } => {
+                    let mut trial = [*entry];
+                    t.crypt(Route::One, Direction::Encrypt, &mut trial, &mut page)?;
+                    if trial[0].tag != entry.tag {
+                        let _ = t.quarantine(entry, expected, got);
+                        // The publish loop flips PTEs *before* writing
+                        // the plaintext, so the dying transition may have
+                        // left mappings claiming plaintext over what is
+                        // now tampered ciphertext. Force them back to
+                        // encrypted: every later access must fault into
+                        // the quarantine check, never read the frame raw.
+                        set_page_state(t.kernel, entry.frame, mapping, PageState::Rearmed);
+                        return Ok(());
+                    }
+                    // Plaintext already landed: only the flip remains.
+                    None
                 }
-                // Plaintext already landed: only the flip remains.
-            } else {
-                crypt_page(&mut self.kernel, Direction::Decrypt, &entry.iv, &mut page)?;
-                self.kernel.soc.mem_write(entry.frame, &page)?;
+                VerifyOutcome::Ok | VerifyOutcome::Untagged => Some(page),
             }
-            self.integrity
-                .retire_tag(&mut self.kernel.soc, entry.frame)?;
-        } else if self.frame_commit_tag(&entry.iv, entry.frame)? == entry.tag {
+        } else if t.frame_tag(entry)? == entry.tag {
             // Legacy path (plane disabled, or a frame encrypted before it
-            // was enabled): the frame still holds ciphertext, so decrypt
-            // under the journaled IV and publish the plaintext.
-            self.kernel.soc.mem_read(entry.frame, &mut page)?;
-            crypt_page(&mut self.kernel, Direction::Decrypt, &entry.iv, &mut page)?;
-            self.kernel.soc.mem_write(entry.frame, &page)?;
+            // was enabled): the frame still holds ciphertext.
+            Some(t.gather(&pages)?)
+        } else {
+            None
+        };
+        if let Some(mut page) = ciphertext {
+            t.crypt(Route::One, Direction::Decrypt, &mut pages, &mut page)?;
+            t.kernel.soc.mem_write(entry.frame, &page)?;
         }
-        let state = PageState::Plaintext { kept: None };
-        set_page_state(&mut self.kernel, entry.frame, owner, state);
+        if tagged {
+            t.integrity.retire_tag(&mut t.kernel.soc, entry.frame)?;
+        }
+        let kept = (!in_place).then_some(entry.src);
+        set_page_state(
+            t.kernel,
+            entry.frame,
+            mapping,
+            PageState::Plaintext { kept },
+        );
         Ok(())
-    }
-}
-
-/// The report of a batch that transformed nothing.
-fn idle_report() -> BatchReport {
-    BatchReport {
-        pages: 0,
-        bytes: 0,
-        workers_used: 1,
-        per_worker_bytes: vec![0],
-        sequential_fallback: true,
     }
 }
 
@@ -2079,7 +1762,7 @@ mod tests {
         s.on_unlock().unwrap();
         // Unlock restored the Awake clock; model a thermal/PM down-scale
         // before the lazy faults arrive. The fault cluster pulls a batch
-        // through `decrypt_planned`, which must take the typed inline
+        // through the crypt step, which must take the typed inline
         // fallback, not the queue.
         s.kernel.soc.accel.state = AccelPowerState::DownScaled;
         let mut probe = vec![0u8; 4 * 4096];

@@ -1,23 +1,95 @@
 //! The journaled page-transition primitive.
 //!
 //! Every path that moves a sensitive page between plaintext and
-//! ciphertext in DRAM — lock, unlock, fault-cluster decrypt, sweep, and
-//! the pager's evictions — is a *planner*: it picks the pages, their
-//! source and target addresses, IVs and epochs (one [`JournalEntry`]
-//! each), and runs the crypt into host scratch. Everything after the
-//! crypt is `Transition::commit`: chunking at [`MAX_ENTRIES`], the
-//! journal's open / mark-done / close, the integrity tags, the
-//! direction-dependent publish order, and the PTE flip for every sharer
-//! of each frame.
+//! ciphertext — lock, unlock, fault-cluster decrypt, sweep, the pager's
+//! evictions and page-ins, and recovery's redo of an interrupted entry —
+//! runs the same steps:
+//!
+//! 1. **Plan.** The entry point (or the pager) picks the pages and
+//!    plans one [`JournalEntry`] each: source and target address, IV and
+//!    epoch. Every IV comes from [`page_iv`], the one IV rule.
+//! 2. **Crypt.** `Transition::crypt` transforms the gathered pages in
+//!    host scratch. It is the only code that reaches a cipher: the
+//!    engine's single-page or extent call, the parallel lanes, or the
+//!    accelerator queue. It runs the nonce audit on every encrypt,
+//!    stamps every entry's commit tag, and retries an injected crypt
+//!    fault up to `MAX_CRYPT_RETRIES` attempts.
+//! 3. **Commit.** `Transition::commit` owns chunking at [`MAX_ENTRIES`],
+//!    the journal's open / mark-done / close, the integrity tags, the
+//!    direction-dependent publish order, and the PTE flip for every
+//!    sharer of each frame. A pager page-in publishes on-SoC and needs
+//!    no journal; recovery publishes the entry the open journal names.
 
+use crate::config::OnSocBackend;
 use crate::error::SentryError;
 use crate::integrity::{IntegrityPlane, QuarantinedPage, VerifyOutcome, TAG_BYTES};
+use crate::keys::VolatileRootKey;
+use crate::lifecycle::{LifecycleStats, ParallelStats, MAX_CRYPT_RETRIES};
 use crate::onsoc::OnSocStore;
 use crate::txn::{CommitTagger, JournalEntry, TxnJournal, TxnOp, MAX_ENTRIES};
-use sentry_crypto::Direction;
-use sentry_kernel::pagetable::{Backing, Sharing};
+use crate::SentryConfig;
+use sentry_crypto::parallel::{crypt_batch, BatchReport};
+use sentry_crypto::{
+    CryptoError, Direction, FailureKind, FallbackReason, HealthGovernor, PageCipher, PageCipherMode,
+};
+use sentry_kernel::layout::{ACCEL_DMA_BASE, ACCEL_DMA_CONTROLLER, ACCEL_DMA_SIZE};
+use sentry_kernel::pagetable::{Backing, Pte, Sharing};
 use sentry_kernel::{Kernel, Pid};
+use sentry_soc::accel::{AccelPowerState, WaitOutcome};
 use sentry_soc::addr::PAGE_SIZE;
+
+/// Whose identity and which epoch a planned page's IV binds.
+#[derive(Debug, Clone, Copy)]
+pub enum IvSource<'a> {
+    /// A fresh encrypt at this target epoch, under the planned mapping's
+    /// own identity.
+    Encrypt(u64),
+    /// The ciphertext a mapping's PTE describes: the IV owner and the
+    /// epoch the PTE recorded when that ciphertext was produced.
+    Stored(&'a Pte),
+}
+
+/// The one IV rule: the IV of `mapping`'s page and the epoch it binds.
+///
+/// The IV binds a `(pid, vpn)` identity, so every page encrypts
+/// differently under the volatile root key, and the lock epoch, so the
+/// same page never reuses an IV across successive lock cycles. (The
+/// volatile key survives lock→unlock→lock — it dies only on power-off —
+/// so without the epoch a CBC IV would repeat, and an attacker comparing
+/// two lock cycles could detect unchanged pages and recover XORs of
+/// first blocks that changed.)
+///
+/// An encrypt binds the planned mapping — for a shared frame, its first
+/// sharer — and the target epoch; the publish records both in every
+/// mapping of the frame (`Pte::iv_owner`, `Pte::crypt_epoch`). Every
+/// later use of that ciphertext — decrypt, page-in, re-arm, boot audit —
+/// reads them back, so a shared frame still decrypts after its IV owner
+/// exits.
+#[must_use]
+pub fn page_iv(mapping: (Pid, u64), source: IvSource<'_>) -> ([u8; 16], u64) {
+    let ((pid, vpn), epoch) = match source {
+        IvSource::Encrypt(epoch) => (mapping, epoch),
+        IvSource::Stored(pte) => (pte.iv_owner.unwrap_or(mapping), pte.crypt_epoch),
+    };
+    let mut iv = [0u8; 16];
+    iv[..4].copy_from_slice(&pid.to_le_bytes());
+    iv[4..12].copy_from_slice(&vpn.to_le_bytes());
+    let tag = u32::from_le_bytes(*b"SNTR") ^ (epoch as u32) ^ ((epoch >> 32) as u32);
+    iv[12..].copy_from_slice(&tag.to_le_bytes());
+    (iv, epoch)
+}
+
+/// Plan `mapping`'s page moving from `src` to `frame` under the IV
+/// `source` names.
+pub(crate) fn plan(
+    mapping: (Pid, u64),
+    src: u64,
+    frame: u64,
+    source: IvSource<'_>,
+) -> JournalEntry {
+    let (iv, epoch) = page_iv(mapping, source);
+    JournalEntry::new(mapping.0, mapping.1, src, frame, iv, epoch)
+}
 
 /// How a transition publishes its pages: which failpoint sites each
 /// step passes, and where the integrity tags are stored and checked.
@@ -26,8 +98,9 @@ pub(crate) enum Kind {
     /// Encrypt-on-lock: `txn.publish` before each write, `txn.flip`
     /// before each PTE flip; all tags stored before the first chunk.
     Lock,
-    /// The pager's lock-time sweep: `pager.evict` before each write;
-    /// all tags stored before the first chunk.
+    /// The pager's lock-time sweep: one extent call, the page copies
+    /// charged before the tags, `pager.evict` before each write; all tags
+    /// stored before the first chunk.
     EvictAll,
     /// One FIFO eviction: the tag is stored inside the open journal, the
     /// page copy is charged at the publish, and the published frame is
@@ -40,35 +113,85 @@ pub(crate) enum Kind {
     Decrypt,
 }
 
+/// How the crypt step hands a run of pages to a cipher.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Route {
+    /// A lifecycle batch (lock, unlock, fault cluster, sweep): the
+    /// `crypt.dispatch` site, then the parallel lanes or one engine call;
+    /// a decrypt takes the accelerator queue when the pipeline accepts
+    /// it. Counted in the batch statistics.
+    Batch,
+    /// One engine extent call (`crypt.extent`): the pager's sweep.
+    Extent,
+    /// One engine single-page call (`crypt.one`): a FIFO eviction, a
+    /// page-in, a recovery redo.
+    One,
+}
+
 /// The state a transition leaves every mapping of a frame in.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum PageState {
-    /// Ciphertext in DRAM, produced at `epoch`: every access traps.
-    Ciphertext { epoch: u64 },
+    /// Fresh ciphertext in DRAM, encrypted at `epoch` under the IV of
+    /// the mapping `set_page_state` is given: every mapping of the frame
+    /// records both, and every access traps.
+    Encrypted { epoch: u64 },
+    /// Back onto the ciphertext the frame still holds, under the IV
+    /// identity its mappings recorded at that encrypt: every access
+    /// traps.
+    Rearmed,
     /// Plaintext in DRAM. `kept` is the frame that still holds the
     /// page's ciphertext after an out-of-place decrypt.
     Plaintext { kept: Option<u64> },
 }
 
-/// The machine state a journaled page transition mutates, borrowed from
-/// [`crate::Sentry`] so the lifecycle and the pager commit through one
-/// path.
+/// The machine state a page transition mutates, borrowed from
+/// [`crate::Sentry`] for one entry point (`op`).
 #[derive(Debug)]
-pub struct Transition<'a> {
-    /// The kernel (and through it, the SoC).
-    pub kernel: &'a mut Kernel,
+pub(crate) struct Transition<'a> {
+    /// The entry point, named in [`SentryError::RetriesExhausted`].
+    pub(crate) op: &'static str,
+    pub(crate) kernel: &'a mut Kernel,
     /// On-SoC storage (the integrity tag store allocates from it).
-    pub store: &'a mut OnSocStore,
-    /// The crash-consistency journal.
-    pub txn: &'a mut TxnJournal,
-    /// The integrity plane: tags stored before an encrypt publishes,
-    /// checked before a decrypt, retired after it.
-    pub integrity: &'a mut IntegrityPlane,
-    /// The journal commit-tag scheme.
-    pub tagger: &'a CommitTagger,
+    pub(crate) store: &'a mut OnSocStore,
+    pub(crate) txn: &'a mut TxnJournal,
+    /// Tags stored before an encrypt publishes, checked before a
+    /// decrypt, retired after it.
+    pub(crate) integrity: &'a mut IntegrityPlane,
+    pub(crate) tagger: &'a CommitTagger,
+    pub(crate) config: &'a SentryConfig,
+    /// The key the parallel lanes expand their shared context from.
+    pub(crate) key: VolatileRootKey,
+    /// Watchdog and breaker of the accelerator route.
+    pub(crate) health: &'a mut HealthGovernor,
+    pub(crate) stats: &'a mut LifecycleStats,
+    pub(crate) parallel: &'a mut ParallelStats,
 }
 
 impl Transition<'_> {
+    /// Gather, crypt and commit planned pages of `kind`; a decrypt
+    /// MAC-verifies what it gathered first (see [`Transition::verify`]).
+    /// Returns the crypt step's batch report.
+    pub(crate) fn run(
+        &mut self,
+        kind: Kind,
+        target_epoch: u64,
+        mut pages: Vec<JournalEntry>,
+    ) -> Result<BatchReport, SentryError> {
+        let mut buf = self.gather(&pages)?;
+        let (route, direction) = match kind {
+            Kind::Lock => (Route::Batch, Direction::Encrypt),
+            Kind::EvictAll => (Route::Extent, Direction::Encrypt),
+            Kind::EvictOne => (Route::One, Direction::Encrypt),
+            Kind::Decrypt => {
+                self.verify(&mut pages, &mut buf)?;
+                (Route::Batch, Direction::Decrypt)
+            }
+        };
+        let report = self.crypt(route, direction, &mut pages, &mut buf)?;
+        self.commit(kind, target_epoch, &pages, &buf)?;
+        Ok(report)
+    }
+
     /// Read each planned page's source bytes into one contiguous scratch
     /// run, page `i` at chunk `i`. Nothing here writes DRAM.
     pub(crate) fn gather(&mut self, pages: &[JournalEntry]) -> Result<Vec<u8>, SentryError> {
@@ -80,30 +203,26 @@ impl Transition<'_> {
         Ok(buf)
     }
 
-    /// Gather the planned pages' ciphertext and MAC-verify it against the
-    /// on-SoC tag store *before* the block cipher runs. Pages that fail
-    /// (after the bounded re-reads) are quarantined and dropped from
-    /// `pages` — their PTEs stay encrypted — and the authentic remainder
-    /// proceeds: graceful degradation, not a panic.
-    pub(crate) fn gather_verified(
+    /// MAC-verify gathered ciphertext (page `i` of `buf` read from
+    /// `pages[i].src`) against the on-SoC tag store *before* the block
+    /// cipher runs. Pages that fail (after the bounded re-reads) are
+    /// quarantined and dropped from `pages` and `buf` — their PTEs stay
+    /// encrypted — and the authentic remainder proceeds: graceful
+    /// degradation, not a panic.
+    pub(crate) fn verify(
         &mut self,
         pages: &mut Vec<JournalEntry>,
-    ) -> Result<Vec<u8>, SentryError> {
-        if pages.is_empty() {
-            return Ok(Vec::new());
-        }
-        let mut buf = self.gather(pages)?;
-        let outcomes = self.integrity.verify_frames(
-            &mut self.kernel.soc,
-            self.store,
-            &jobs(pages),
-            &mut buf,
-        )?;
+        buf: &mut Vec<u8>,
+    ) -> Result<(), SentryError> {
+        let sources: Vec<(u64, [u8; 16])> = pages.iter().map(|e| (e.src, e.iv)).collect();
+        let outcomes =
+            self.integrity
+                .verify_frames(&mut self.kernel.soc, self.store, &sources, buf)?;
         if !outcomes
             .iter()
             .any(|o| matches!(o, VerifyOutcome::Mismatch { .. }))
         {
-            return Ok(buf);
+            return Ok(());
         }
         let mut kept = Vec::with_capacity(buf.len());
         let mut verdicts = outcomes
@@ -111,7 +230,8 @@ impl Transition<'_> {
             .zip(buf.chunks_exact(PAGE_SIZE as usize));
         pages.retain(|e| match verdicts.next().expect("one outcome per page") {
             (VerifyOutcome::Mismatch { expected, got }, _) => {
-                let _ = self.quarantine(e, expected, got);
+                let source = JournalEntry { frame: e.src, ..*e };
+                let _ = self.quarantine(&source, expected, got);
                 false
             }
             (_, chunk) => {
@@ -119,11 +239,12 @@ impl Transition<'_> {
                 true
             }
         });
-        Ok(kept)
+        *buf = kept;
+        Ok(())
     }
 
-    /// Quarantine a planned page whose ciphertext failed its MAC and
-    /// return the typed violation.
+    /// Quarantine a planned page whose ciphertext at `e.frame` failed its
+    /// MAC and return the typed violation.
     pub(crate) fn quarantine(
         &mut self,
         e: &JournalEntry,
@@ -138,6 +259,327 @@ impl Transition<'_> {
             tag_expected: expected,
             tag_got: got,
         })
+    }
+
+    /// The crypt step of every transition: transform `buf` (page `i`
+    /// read from `pages[i].src`) in place and stamp each entry with the
+    /// commit tag of its ciphertext image — an encrypt's output, a
+    /// decrypt's input. Every encrypt passes the nonce audit first. DRAM
+    /// is untouched; the caller publishes.
+    ///
+    /// An injected crypt fault fails the transform before anything is
+    /// published, so the step gathers its sources again and retries, up
+    /// to [`MAX_CRYPT_RETRIES`] attempts in all. Past the cap it reports
+    /// [`SentryError::RetriesExhausted`] under the transition's `op`:
+    /// the fault is persistent, and retrying forever would spin. Other
+    /// errors (power loss, real memory errors) propagate at once.
+    pub(crate) fn crypt(
+        &mut self,
+        route: Route,
+        direction: Direction,
+        pages: &mut [JournalEntry],
+        buf: &mut [u8],
+    ) -> Result<BatchReport, SentryError> {
+        if pages.is_empty() {
+            return Ok(sequential_report(0, 0));
+        }
+        let ivs: Vec<[u8; 16]> = pages.iter().map(|e| e.iv).collect();
+        let encrypted = match direction {
+            Direction::Encrypt => {
+                audit_encrypts(&ivs, buf);
+                Some(self.dispatch(route, direction, pages, &ivs, buf)?)
+            }
+            Direction::Decrypt => None,
+        };
+        self.stamp(pages, buf);
+        match encrypted {
+            Some(report) => Ok(report),
+            None => self.dispatch(route, direction, pages, &ivs, buf),
+        }
+    }
+
+    /// Route the transform of the crypt step, under its bounded-retry
+    /// policy.
+    fn dispatch(
+        &mut self,
+        route: Route,
+        direction: Direction,
+        pages: &[JournalEntry],
+        ivs: &[[u8; 16]],
+        buf: &mut [u8],
+    ) -> Result<BatchReport, SentryError> {
+        let mut attempts = 0u32;
+        loop {
+            attempts += 1;
+            let result = match route {
+                Route::One | Route::Extent => self
+                    .engine(direction, ivs, buf, route == Route::One)
+                    .map(|()| sequential_report(ivs.len(), buf.len())),
+                Route::Batch if direction == Direction::Decrypt && self.config.pipeline.enabled => {
+                    self.route_decrypt(ivs, buf)
+                }
+                Route::Batch => self.batch(direction, ivs, buf),
+            };
+            match result {
+                Err(e) if e.is_injected_crypt_fault() => {
+                    if attempts == MAX_CRYPT_RETRIES {
+                        self.stats.crypt.exhausted += 1;
+                        return Err(SentryError::RetriesExhausted {
+                            op: self.op,
+                            attempts,
+                        });
+                    }
+                    self.stats.crypt.attempts += 1;
+                    buf.copy_from_slice(&self.gather(pages)?);
+                }
+                result => {
+                    if result.is_ok() && attempts > 1 {
+                        self.stats.crypt.recovered += 1;
+                    }
+                    return result;
+                }
+            }
+        }
+    }
+
+    /// One call into the registered cipher engine: its single-page
+    /// dispatch (`crypt.one`), or one extent request (`crypt.extent`) —
+    /// one batched kernel stream, one IRQ-critical section.
+    fn engine(
+        &mut self,
+        direction: Direction,
+        ivs: &[[u8; 16]],
+        buf: &mut [u8],
+        single: bool,
+    ) -> Result<(), SentryError> {
+        let Kernel { soc, crypto, .. } = &mut *self.kernel;
+        let engine = crypto.preferred_mut()?;
+        match (direction, single) {
+            (Direction::Encrypt, true) => engine.encrypt(soc, &ivs[0], buf)?,
+            (Direction::Decrypt, true) => engine.decrypt(soc, &ivs[0], buf)?,
+            (Direction::Encrypt, false) => engine.encrypt_extent(soc, ivs, buf)?,
+            (Direction::Decrypt, false) => engine.decrypt_extent(soc, ivs, buf)?,
+        }
+        Ok(())
+    }
+
+    /// A lifecycle batch on the CPU.
+    ///
+    /// With `parallel.workers <= 1`, or a batch below
+    /// `parallel.min_batch_pages`, the pages dispatch through the
+    /// registered cipher engine, exactly like the serial prototype: a
+    /// lone page through its single-page call, a run through one extent
+    /// call (the engine charge is linear in bytes, so this is
+    /// cycle-identical to a per-page loop). Otherwise the work fans out
+    /// across the scoped worker pool of [`sentry_crypto::parallel`] under
+    /// a single AES context expanded once per batch from the volatile
+    /// root key, and the simulated clock is charged the serial AES cost
+    /// divided by the lane count (one IRQ-disabled critical section for
+    /// the whole batch; the page copies to and from DRAM still run
+    /// through the SoC at full cost). AES On SoC itself stays
+    /// single-lane — its state page cannot be replicated — so the
+    /// parallel path models per-core register-resident contexts derived
+    /// from the same key.
+    fn batch(
+        &mut self,
+        direction: Direction,
+        ivs: &[[u8; 16]],
+        buf: &mut [u8],
+    ) -> Result<BatchReport, SentryError> {
+        self.kernel.soc.failpoint("crypt.dispatch")?;
+        let pages = ivs.len();
+        let bytes = buf.len() as u64;
+        let workers = self.config.parallel.workers;
+        let min_batch = self.config.parallel.min_batch_pages.max(1);
+        let report = if workers <= 1 || pages < min_batch {
+            self.engine(direction, ivs, buf, pages == 1)?;
+            sequential_report(pages, buf.len())
+        } else {
+            // Expand the key schedule exactly once for the whole batch;
+            // worker lanes share the one context by reference and run the
+            // same kernel choice as every engine.
+            let key = self.key.read(&mut self.kernel.soc)?;
+            let cipher =
+                PageCipher::new(&key).map_err(|e| SentryError::Crypto(CryptoError::Key(e)))?;
+            let report = crypt_batch(
+                &cipher,
+                self.config.cipher_mode,
+                direction,
+                ivs,
+                buf,
+                workers,
+                min_batch,
+            )
+            .map_err(SentryError::Crypto)?;
+
+            // Same calibrated per-block cost as the AES-On-SoC engine,
+            // spread across the lanes that actually ran.
+            let state_access = match self.config.backend {
+                OnSocBackend::Iram => self.kernel.soc.costs.iram_access_ns,
+                OnSocBackend::LockedL2 { .. } => self.kernel.soc.costs.cache_hit_ns,
+            };
+            let serial_ns =
+                (bytes / 16) * (self.kernel.soc.costs.aes_block_compute_ns + 4 * state_access);
+            let charged_ns = serial_ns.div_ceil(report.workers_used as u64);
+            let soc = &mut self.kernel.soc;
+            let was_enabled = soc.cpu.begin_critical();
+            soc.clock.advance(charged_ns);
+            soc.cpu.end_critical(was_enabled, charged_ns);
+            report
+        };
+        self.stats.crypt_batches += 1;
+        self.stats.crypt_batch_pages += pages as u64;
+        self.stats.largest_batch_pages = self.stats.largest_batch_pages.max(pages as u64);
+        self.parallel.record(&report);
+        Ok(report)
+    }
+
+    /// A decrypt batch through the accelerator queue, or inline on the
+    /// CPU ([`Transition::batch`]) when a typed fallback applies.
+    ///
+    /// Routing keeps the *functional* transform on the host path — the
+    /// batched bitsliced kernel produces exactly the bytes the engine
+    /// model would — and substitutes the accelerator-queue completion
+    /// horizon for the CPU charge via `set_now_ns` (the sanctioned
+    /// cost-substitution convention; see `SimClock::set_now_ns`). The
+    /// ciphertext is staged through the DMA bounce window *before* the
+    /// `accel.dma` failpoint and the plaintext written back only after
+    /// the queue completes, so accelerator traffic stays visible to a
+    /// bus monitor and a power cut mid-operation leaves only ciphertext
+    /// in the window.
+    ///
+    /// Typed fallbacks (counted on [`LifecycleStats`]): a chaining
+    /// cipher mode ([`FallbackReason::UnsupportedCipherMode`]), a
+    /// down-scaled accelerator clock while the device is locked
+    /// ([`FallbackReason::AccelDownScaled`], §8.2), batches too small to
+    /// amortise descriptor setup ([`FallbackReason::BelowThreshold`]),
+    /// and an open health breaker ([`FallbackReason::BreakerOpen`]).
+    fn route_decrypt(
+        &mut self,
+        ivs: &[[u8; 16]],
+        buf: &mut [u8],
+    ) -> Result<BatchReport, SentryError> {
+        let reason = if self.config.cipher_mode == PageCipherMode::Cbc {
+            Some(FallbackReason::UnsupportedCipherMode)
+        } else if self.kernel.soc.accel.state != AccelPowerState::Awake {
+            Some(FallbackReason::AccelDownScaled)
+        } else if ivs.len() < 2 {
+            Some(FallbackReason::BelowThreshold)
+        } else if !self.health.allow_accel(self.kernel.soc.clock.now_ns()) {
+            // Breaker open, probe interval not yet elapsed: the engine is
+            // distrusted, the bitsliced CPU path carries the batch.
+            Some(FallbackReason::BreakerOpen)
+        } else {
+            None
+        };
+        if let Some(reason) = reason {
+            match reason {
+                FallbackReason::AccelDownScaled => self.stats.batch_fallback_down_scaled += 1,
+                FallbackReason::UnsupportedCipherMode => {
+                    self.stats.batch_fallback_unsupported_mode += 1;
+                }
+                FallbackReason::BreakerOpen => {
+                    self.stats.batch_fallback_breaker_open += 1;
+                    self.health.note_fallback_crypt(buf.len() as u64);
+                    self.stats.health = self.health.stats;
+                }
+                _ => self.stats.batch_fallback_below_threshold += 1,
+            }
+            return self.batch(Direction::Decrypt, ivs, buf);
+        }
+
+        // Stage the ciphertext and submit the descriptor. The queue
+        // captures the engine's clock state *now*, so a batch submitted
+        // while Awake keeps its throughput even if the device locks
+        // (and down-scales the accelerator) before it completes.
+        let soc = &mut self.kernel.soc;
+        let staged = buf.len().min(ACCEL_DMA_SIZE as usize);
+        soc.dma_write(ACCEL_DMA_CONTROLLER, ACCEL_DMA_BASE, &buf[..staged])?;
+        soc.failpoint("accel.dma")?;
+        // Sustained-fault site: an armed AccelWedge/Corrupt/Slow plan
+        // here stages the fault onto the descriptor submitted below.
+        soc.failpoint("accel.submit")?;
+        let t0 = soc.clock.now_ns();
+        let id = soc.accel_queue.submit(&soc.accel, t0, buf.len() as u64);
+        // Watchdog deadline: the op's own modeled duration times the
+        // watchdog margin, anchored at submit.
+        let deadline = t0.saturating_add(HealthGovernor::watchdog_ns(
+            soc.accel.op_duration_ns(buf.len() as u64),
+        ));
+
+        // Functional transform on the host path (same bytes the engine
+        // would produce); its CPU charge — including any parallel-lane
+        // critical-section advance — is then replaced wholesale by the
+        // queue completion, because the lifecycle batch blocks on the
+        // result: elapsed time is exactly the engine's horizon.
+        let report = self.batch(Direction::Decrypt, ivs, buf)?;
+        let soc = &mut self.kernel.soc;
+        // Capture the host-path CPU charge before the substitution
+        // rewind: if the engine fails, the batch re-pays exactly this.
+        let cpu_cost = soc.clock.now_ns() - t0;
+        soc.clock.set_now_ns(t0);
+        match soc.accel_queue.wait_deadline(id, &mut soc.clock, deadline) {
+            WaitOutcome::Done { stall_ns } => {
+                // Plaintext lands in the bounce window only at
+                // completion.
+                soc.dma_write(ACCEL_DMA_CONTROLLER, ACCEL_DMA_BASE, &buf[..staged])?;
+                self.stats.routed_batches += 1;
+                self.stats.routed_batch_pages += ivs.len() as u64;
+                self.stats.routed_stall_ns += stall_ns;
+                let now = soc.clock.now_ns();
+                self.health.record_success(now);
+            }
+            outcome @ (WaitOutcome::TimedOut { .. } | WaitOutcome::Corrupt { .. }) => {
+                // Degraded mode. The clock sits at the watchdog deadline
+                // (timeout) or the corrupt completion; the correct bytes
+                // are already in `buf` — the host transform ran — so the
+                // batch re-pays the captured CPU charge and proceeds on
+                // the bitsliced path. The engine's output is discarded:
+                // zeroize the bounce window so the abandoned transfer
+                // leaves nothing for a bus monitor or cold-boot dump.
+                let now = soc.clock.now_ns();
+                match outcome {
+                    WaitOutcome::TimedOut { .. } => {
+                        self.health.record_failure(now, FailureKind::Timeout);
+                        self.health.note_abandoned(buf.len() as u64);
+                    }
+                    WaitOutcome::Corrupt { .. } => {
+                        self.health.record_failure(now, FailureKind::Corrupt);
+                    }
+                    WaitOutcome::Done { .. } => unreachable!(),
+                }
+                soc.dma_write(ACCEL_DMA_CONTROLLER, ACCEL_DMA_BASE, &vec![0u8; staged])?;
+                soc.clock.advance(cpu_cost);
+                self.health.note_fallback_crypt(buf.len() as u64);
+            }
+        }
+        self.stats.health = self.health.stats;
+        Ok(report)
+    }
+
+    /// Stamp each entry with the commit tag of its ciphertext image, page
+    /// `i` of `images` — the one place commit tags are computed.
+    fn stamp(&self, pages: &mut [JournalEntry], images: &[u8]) {
+        self.tagger.stamp(pages, images);
+    }
+
+    /// Commit tag of the ciphertext image `e.frame` holds now, computed
+    /// as the journal recorded it. Under the chaining mode the tag *is*
+    /// the final CBC block, so only the frame's 16-byte tail is read;
+    /// under XTS/CTR the whole frame is read and tagged under `e.iv`.
+    pub(crate) fn frame_tag(&mut self, e: &JournalEntry) -> Result<[u8; 16], SentryError> {
+        let mut image = vec![0u8; PAGE_SIZE as usize];
+        let from = if self.tagger.mode().is_chaining() {
+            image.len() - 16
+        } else {
+            0
+        };
+        self.kernel
+            .soc
+            .mem_read(e.frame + from as u64, &mut image[from..])?;
+        let mut probe = [*e];
+        self.stamp(&mut probe, &image);
+        Ok(probe[0].tag)
     }
 
     /// Journal, publish, and flip planned pages whose transformed bytes
@@ -183,6 +625,10 @@ impl Transition<'_> {
             Kind::Decrypt => TxnOp::Decrypt,
             Kind::Lock | Kind::EvictAll | Kind::EvictOne => TxnOp::Encrypt,
         };
+        if kind == Kind::EvictAll {
+            let copy_ns = self.kernel.soc.costs.page_copy_ns * pages.len() as u64;
+            self.kernel.soc.clock.advance(copy_ns);
+        }
         if matches!(kind, Kind::Lock | Kind::EvictAll) {
             self.store_tags(pages, buf)?;
         }
@@ -227,7 +673,7 @@ impl Transition<'_> {
                     Kind::EvictAll => {}
                 }
                 if op == TxnOp::Encrypt {
-                    let state = PageState::Ciphertext { epoch: e.epoch };
+                    let state = PageState::Encrypted { epoch: e.epoch };
                     set_page_state(self.kernel, e.frame, (e.pid, e.vpn), state);
                 }
                 if let Some(proc) = self.kernel.procs.get_mut(&e.pid) {
@@ -278,10 +724,16 @@ impl Transition<'_> {
             .collect()
     }
 
-    /// Store the integrity tags of freshly encrypted pages on-SoC.
-    fn store_tags(&mut self, pages: &[JournalEntry], buf: &[u8]) -> Result<(), SentryError> {
+    /// Store the integrity tags of freshly encrypted pages on-SoC, keyed
+    /// by the frames they publish to.
+    pub(crate) fn store_tags(
+        &mut self,
+        pages: &[JournalEntry],
+        buf: &[u8],
+    ) -> Result<(), SentryError> {
+        let targets: Vec<(u64, [u8; 16])> = pages.iter().map(|e| (e.frame, e.iv)).collect();
         self.integrity
-            .store_tags(&mut self.kernel.soc, self.store, &jobs(pages), buf)
+            .store_tags(&mut self.kernel.soc, self.store, &targets, buf)
     }
 
     /// Read-back verify: the published frame must MAC against the tag
@@ -308,17 +760,29 @@ impl Transition<'_> {
     }
 }
 
-/// The `(frame, iv)` pairs the integrity plane keys its tags by.
-fn jobs(pages: &[JournalEntry]) -> Vec<(u64, [u8; 16])> {
-    pages.iter().map(|e| (e.frame, e.iv)).collect()
+/// The report of an engine call over `pages` pages (`bytes` bytes).
+fn sequential_report(pages: usize, bytes: usize) -> BatchReport {
+    BatchReport {
+        pages,
+        bytes: bytes as u64,
+        workers_used: 1,
+        per_worker_bytes: vec![bytes as u64],
+        sequential_fallback: true,
+    }
 }
 
-/// Set every mapping of `frame` — each sharer, or `owner` alone when the
-/// frame is private — to `state`. Idempotent, so recovery replays it.
-pub(crate) fn set_page_state(kernel: &mut Kernel, frame: u64, owner: (Pid, u64), state: PageState) {
+/// Set every mapping of `frame` — each sharer, or `mapping` alone when
+/// the frame is private — to `state`. Idempotent, so recovery replays
+/// it.
+pub(crate) fn set_page_state(
+    kernel: &mut Kernel,
+    frame: u64,
+    mapping: (Pid, u64),
+    state: PageState,
+) {
     let mappings = kernel
         .sharers_of(frame)
-        .map_or_else(|| vec![owner], <[(Pid, u64)]>::to_vec);
+        .map_or_else(|| vec![mapping], <[(Pid, u64)]>::to_vec);
     let shared = mappings.len() > 1;
     for (pid, vpn) in mappings {
         let Some(pte) = kernel
@@ -329,12 +793,15 @@ pub(crate) fn set_page_state(kernel: &mut Kernel, frame: u64, owner: (Pid, u64),
             continue;
         };
         match state {
-            PageState::Ciphertext { epoch } => {
+            PageState::Encrypted { .. } | PageState::Rearmed => {
                 pte.backing = Backing::Dram(frame);
                 pte.home_frame = None;
                 pte.encrypted = true;
                 pte.young = false;
-                pte.crypt_epoch = epoch;
+                if let PageState::Encrypted { epoch } = state {
+                    pte.crypt_epoch = epoch;
+                    pte.iv_owner = Some(mapping);
+                }
                 if shared {
                     pte.sharing = Sharing::SharedSensitiveOnly;
                 }
@@ -352,49 +819,14 @@ pub(crate) fn set_page_state(kernel: &mut Kernel, frame: u64, owner: (Pid, u64),
     }
 }
 
-/// Run one page through the registered cipher engine in place — the
-/// exact single-page dispatch (`crypt.one`).
-pub(crate) fn crypt_page(
-    kernel: &mut Kernel,
-    direction: Direction,
-    iv: &[u8; 16],
-    page: &mut [u8],
-) -> Result<(), SentryError> {
-    let Kernel { soc, crypto, .. } = kernel;
-    let engine = crypto.preferred_mut()?;
-    match direction {
-        Direction::Encrypt => engine.encrypt(soc, iv, page)?,
-        Direction::Decrypt => engine.decrypt(soc, iv, page)?,
-    }
-    Ok(())
-}
-
-/// Run a contiguous run of pages (page `i` under `ivs[i]`) through the
-/// registered cipher engine as one extent request (`crypt.extent`): one
-/// batched kernel stream, one IRQ-critical section.
-pub(crate) fn crypt_extent(
-    kernel: &mut Kernel,
-    direction: Direction,
-    ivs: &[[u8; 16]],
-    buf: &mut [u8],
-) -> Result<(), SentryError> {
-    let Kernel { soc, crypto, .. } = kernel;
-    let engine = crypto.preferred_mut()?;
-    match direction {
-        Direction::Encrypt => engine.encrypt_extent(soc, ivs, buf)?,
-        Direction::Decrypt => engine.decrypt_extent(soc, ivs, buf)?,
-    }
-    Ok(())
-}
-
-/// Hand every lifecycle page encrypt — its IVs and the plaintext about
-/// to be encrypted under them — to the unit tests' nonce audit. Compiled
-/// to nothing outside `cfg(test)`.
+/// Hand every page encrypt — its IVs and the plaintext about to be
+/// encrypted under them — to the unit tests' nonce audit. Compiled to
+/// nothing outside `cfg(test)`.
 #[cfg(not(test))]
-pub(crate) fn audit_encrypts(_ivs: &[[u8; 16]], _plaintext: &[u8]) {}
+fn audit_encrypts(_ivs: &[[u8; 16]], _plaintext: &[u8]) {}
 
 #[cfg(test)]
-pub(crate) use nonce_audit::record as audit_encrypts;
+use nonce_audit::record as audit_encrypts;
 
 /// The unit tests' nonce audit: while armed on a thread, it remembers a
 /// digest of the plaintext each IV encrypted and flags an IV that

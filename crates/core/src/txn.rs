@@ -5,11 +5,12 @@
 //! pager eviction — commits through one primitive, `Transition::commit`
 //! (see [`crate::transition`]), as a per-page two-phase commit:
 //!
-//! 1. compute the transformed page into host scratch (no DRAM
-//!    mutation);
+//! 1. the transition's crypt step computes the transformed page into
+//!    host scratch (no DRAM mutation) and stamps the entry with the
+//!    commit *tag* of the page's ciphertext image (see
+//!    [`CommitTagger`]);
 //! 2. **journal** the intent: page identity, source address, target
-//!    frame, IV, epoch, and the commit *tag* of the frame's ciphertext
-//!    image (see [`CommitTagger`]);
+//!    frame, IV, epoch, and that tag;
 //! 3. per page: publish the frame and flip the PTE, then mark the
 //!    journal entry done;
 //! 4. close the journal, then commit the in-memory tail (epoch, device
@@ -20,7 +21,8 @@
 //! safe: after a real power loss there is no key, no journal, and no
 //! plaintext; after a simulated *seize* (the fault matrix's
 //! deterministic kill), [`crate::Sentry::recover`] reads the journal
-//! back and completes or rolls forward each undone entry idempotently.
+//! back and completes or rolls forward each undone entry idempotently,
+//! redoing any crypt through the same crypt step the live path ran.
 //!
 //! The tag disambiguates "published" from "not yet published" without
 //! any extra write ordering: every page cipher mode under a journaled
@@ -87,7 +89,8 @@ impl TxnOp {
 /// planner hands to the commit primitive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JournalEntry {
-    /// Owning process (the IV owner for shared frames).
+    /// The planned mapping's process — for an encrypt, the IV owner
+    /// every mapping of the frame records.
     pub pid: u32,
     /// Virtual page number within `pid`.
     pub vpn: u64,

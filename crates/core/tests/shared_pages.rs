@@ -128,18 +128,20 @@ fn writes_through_one_mapping_are_visible_through_the_other() {
 }
 
 #[test]
-fn shared_dma_frame_decrypts_once_under_the_owners_iv_on_unlock() {
+fn shared_frame_decrypts_once_under_the_iv_it_was_encrypted_under() {
     // A frame shared by two sensitive apps was encrypted once, under the
     // first sharer's IV. When a DMA region maps it, unlock's eager
     // decrypt must use that IV, decrypt the frame exactly once, and flip
     // every sharer — with the integrity plane checking the MAC and
-    // without it.
+    // without it. When that first sharer exits while the frame is
+    // ciphertext, the other sharer's PTE still names its IV: recovery's
+    // audit verifies the frame and the read decrypts it.
     let configs = [
         SentryConfig::tegra3_locked_l2(2),
         SentryConfig::tegra3_locked_l2(2).without_integrity(),
     ];
     for config in configs {
-        for dma_on_both in [false, true] {
+        for case in ["dma on the other sharer", "dma on both", "IV owner exits"] {
             let mut s = Sentry::new(Kernel::new(Soc::tegra3_small()), config.clone()).unwrap();
             let a = s.kernel.spawn("mail");
             let b = s.kernel.spawn("camera");
@@ -147,30 +149,36 @@ fn shared_dma_frame_decrypts_once_under_the_owners_iv_on_unlock() {
             s.mark_sensitive(b).unwrap();
             s.write(a, 0, SHARED_DATA).unwrap();
             s.kernel.map_shared(a, 0, b, 7).unwrap();
-            let dma = if dma_on_both {
-                vec![(a, 0), (b, 7)]
-            } else {
-                vec![(b, 7)]
+            let dma = match case {
+                "dma on the other sharer" => vec![(b, 7)],
+                "dma on both" => vec![(a, 0), (b, 7)],
+                _ => Vec::new(),
             };
-            for (pid, vpn) in dma {
+            for &(pid, vpn) in &dma {
                 let pte = s.kernel.proc_mut(pid).unwrap().page_table.get_mut(vpn);
                 pte.unwrap().dma_region = true;
             }
 
             s.on_lock().unwrap();
+            let owner_exits = dma.is_empty();
+            if owner_exits {
+                s.on_exit(a).unwrap();
+                let recovery = s.recover().unwrap();
+                assert_eq!(recovery.quarantined, 0, "{case}");
+            }
             let report = s.on_unlock().unwrap();
-            let case = format!(
-                "integrity {}, dma on both {dma_on_both}",
-                config.integrity.enabled
-            );
-            assert_eq!(report.eager_bytes_decrypted, PAGE_SIZE, "{case}");
-            assert_eq!(s.integrity.quarantined_count(), 0, "{case}");
+            let case = format!("integrity {}, {case}", config.integrity.enabled);
+            let eager = if owner_exits { 0 } else { PAGE_SIZE };
+            assert_eq!(report.eager_bytes_decrypted, eager, "{case}");
             let mut via_b = vec![0u8; SHARED_DATA.len()];
             s.read(b, 7 * PAGE_SIZE, &mut via_b).unwrap();
             assert_eq!(via_b, SHARED_DATA, "{case}");
-            let mut via_a = vec![0u8; SHARED_DATA.len()];
-            s.read(a, 0, &mut via_a).unwrap();
-            assert_eq!(via_a, SHARED_DATA, "{case}");
+            assert_eq!(s.integrity.quarantined_count(), 0, "{case}");
+            if !owner_exits {
+                let mut via_a = vec![0u8; SHARED_DATA.len()];
+                s.read(a, 0, &mut via_a).unwrap();
+                assert_eq!(via_a, SHARED_DATA, "{case}");
+            }
         }
     }
 }

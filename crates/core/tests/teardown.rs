@@ -3,9 +3,9 @@
 
 use sentry_core::config::OnSocBackend;
 use sentry_core::onsoc::OnSocStore;
-use sentry_core::{Sentry, SentryConfig, Transition, TxnJournal};
+use sentry_core::{Sentry, SentryConfig};
 use sentry_kernel::Kernel;
-use sentry_soc::addr::{IRAM_BASE, PAGE_SIZE};
+use sentry_soc::addr::PAGE_SIZE;
 use sentry_soc::cache::ALL_WAYS;
 use sentry_soc::Soc;
 
@@ -26,30 +26,18 @@ fn pager_slots_can_be_released_back_to_the_store() {
     assert!(sentry.pager.slot_count() > 0);
     assert!(sentry.pager.resident_count() > 0);
 
-    // Evict everything and hand the slots back. Driving the pager
-    // directly means supplying a journal; the last iRAM page (far past
-    // the real journal and the integrity tag store) serves.
-    let epoch = sentry.lock_epoch();
-    let mut txn = TxnJournal::new(IRAM_BASE + sentry_soc::addr::IRAM_SIZE - PAGE_SIZE);
+    // The next lock's sweep evicts every resident page, which leaves
+    // every slot free, and the free slots go back to the store.
+    sentry.on_unlock().unwrap();
+    sentry.on_lock().unwrap();
+    assert_eq!(sentry.pager.resident_count(), 0);
     let Sentry {
         kernel,
         store,
         pager,
-        integrity,
-        commit,
         ..
     } = &mut sentry;
-    let mut t = Transition {
-        kernel,
-        store,
-        txn: &mut txn,
-        integrity,
-        tagger: commit,
-    };
-    pager.evict_all(&mut t, epoch).unwrap();
-    let Transition { kernel, store, .. } = t;
-    assert_eq!(pager.resident_count(), 0);
-    pager.release_slots(store, kernel).unwrap();
+    pager.shrink_free_slots(store, kernel).unwrap();
     assert_eq!(pager.slot_count(), 0);
 
     // All data still intact after unlock.

@@ -374,8 +374,8 @@ pub fn cbc_encrypt_batch<C: BlockCipherBatch>(
 ///
 /// Encrypt-side counterpart of [`cbc_decrypt_extents`]: the extents are
 /// independent chains, so they are fanned across the batch kernel's lanes
-/// by [`cbc_encrypt_batch`]. This is what lets `Pager::evict_all` and the
-/// lock path feed the bitsliced backend 16 pages' chains at once instead
+/// by [`cbc_encrypt_batch`]. This is what lets the pager's lock-time
+/// sweep and the lock path feed the bitsliced backend 16 pages' chains at once instead
 /// of one serial chain at a time. Byte-identical to encrypting each
 /// extent separately.
 ///
@@ -689,8 +689,9 @@ pub fn ctr_increment(block: &mut Block) {
 /// 16-byte `iv` as the initial counter block (incremented big-endian per
 /// block, as in NIST SP 800-38A). The operations are identical.
 ///
-/// This is the page-mode CTR driver: Sentry passes the same
-/// `page_iv(pid, vpn, epoch)` it uses as the CBC IV and XTS tweak, so
+/// This is the page-mode CTR driver: Sentry passes the same page IV
+/// (`sentry_core::transition::page_iv`) it uses as the CBC IV and XTS
+/// tweak, so
 /// the epoch discipline that prevents IV reuse across lock cycles
 /// carries over unchanged. Compare [`ctr_xor`], the nonce + 64-bit
 /// counter variant used by stream consumers. Keystream blocks are

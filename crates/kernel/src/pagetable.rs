@@ -13,6 +13,7 @@
 //! * `shared` — the page is shared with other processes; Sentry skips
 //!   pages shared with any non-sensitive process (§7).
 
+use crate::process::Pid;
 use std::collections::BTreeMap;
 
 /// Virtual page number.
@@ -77,6 +78,11 @@ pub struct Pte {
     /// unlock→lock boundary and must decrypt under the IV it was
     /// actually encrypted with.
     pub crypt_epoch: u64,
+    /// The `(pid, vpn)` mapping whose identity the IV of that same
+    /// ciphertext binds: the page's own for a private page, the first
+    /// sharer's for a shared frame. Recorded in every mapping of the
+    /// frame at the encrypt, so the IV outlives its owner's exit.
+    pub iv_owner: Option<(Pid, Vpn)>,
 }
 
 impl Pte {
@@ -93,6 +99,7 @@ impl Pte {
             dma_region: false,
             home_frame: None,
             crypt_epoch: 0,
+            iv_owner: None,
         }
     }
 

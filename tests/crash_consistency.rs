@@ -9,12 +9,12 @@
 //!
 //! Alongside the matrix: recovery idempotence, clean-system no-op
 //! recovery, re-entrancy guards while a transition journal is open,
-//! injected crypt-engine failures on the readahead and sweeper paths,
-//! and the real-power-loss case where the iRAM journal dies with the
+//! injected crypt-engine failures on the readahead, sweeper, lock and
+//! pager-eviction paths, and the real-power-loss case where the iRAM journal dies with the
 //! power.
 
 use sentry::attacks::faultmatrix::{
-    record, run_cell, run_decay_cell, run_matrix, EndState, Scenario, SECRET,
+    record, run_cell, run_decay_cell, run_matrix, secret_page, EndState, Scenario, SECRET,
 };
 use sentry::core::{RecoveryReport, SentryError, TxnJournal, TxnOp};
 use sentry::soc::addr::{IRAM_BASE, IRAM_FIRMWARE_RESERVED};
@@ -427,6 +427,101 @@ fn injected_extent_error_in_sequential_engine_is_retried_transparently() {
     s.touch_pages(actors.vault, &[0]).unwrap();
     assert!(!s.txn_in_flight());
     assert_eq!(s.stats.crypt.attempts, 1);
+    let mut buf = [0u8; 16];
+    s.read(actors.vault, 0, &mut buf).unwrap();
+    assert_eq!(&buf, SECRET);
+}
+
+#[test]
+fn injected_crypt_error_on_lock_is_retried_transparently() {
+    let scn = Scenario::tegra3(38);
+    let (mut s, actors) = scn.build().unwrap();
+
+    // The lock's batch dispatch fails once, before anything publishes;
+    // the crypt step gathers its sources again and the lock completes.
+    s.kernel.soc.failpoints.arm(FaultPlan::at_site(
+        "crypt.dispatch",
+        0,
+        FaultAction::CryptError,
+    ));
+    s.on_lock().unwrap();
+    assert!(!s.txn_in_flight());
+    assert_eq!(s.stats.crypt.attempts, 1, "one transparent retry");
+    assert_eq!(s.stats.crypt.recovered, 1);
+    s.on_unlock().unwrap();
+    let mut page = vec![0u8; secret_page(0, 0x11).len()];
+    s.read(actors.vault, 0, &mut page).unwrap();
+    assert_eq!(page, secret_page(0, 0x11));
+}
+
+#[test]
+fn injected_crypt_error_on_a_locked_eviction_is_retried_transparently() {
+    let scn = Scenario::tegra3(39);
+    let (mut s, actors) = scn.build().unwrap();
+    s.on_lock().unwrap();
+    // Two page-ins fill the scenario's two on-SoC slots.
+    s.touch_pages(actors.vault, &[0, 1]).unwrap();
+    assert_eq!(s.pager.stats.pageouts, 0);
+
+    // The third page-in evicts vpn 0 first; its single-page encrypt
+    // fails once and is retried inside the open fault.
+    s.kernel
+        .soc
+        .failpoints
+        .arm(FaultPlan::at_site("crypt.one", 0, FaultAction::CryptError));
+    s.touch_pages(actors.vault, &[3]).unwrap();
+    assert!(!s.txn_in_flight());
+    assert_eq!(s.pager.stats.pageouts, 1, "vpn 0 was evicted");
+    assert_eq!(s.stats.crypt.attempts, 1, "one transparent retry");
+    // vpn 0 pages back in from the ciphertext the retried eviction
+    // published, and every page reads back after unlock.
+    let mut page = vec![0u8; secret_page(0, 0x11).len()];
+    for vpn in [0, 3] {
+        s.read(actors.vault, vpn * page.len() as u64, &mut page)
+            .unwrap();
+        assert_eq!(page, secret_page(vpn, 0x11), "vpn {vpn} while locked");
+    }
+    s.on_unlock().unwrap();
+    for vpn in 0..4 {
+        s.read(actors.vault, vpn * page.len() as u64, &mut page)
+            .unwrap();
+        assert_eq!(page, secret_page(vpn, 0x11), "vpn {vpn} after unlock");
+    }
+}
+
+#[test]
+fn persistent_crypt_fault_on_lock_exhausts_retries_cleanly() {
+    let scn = Scenario::tegra3(40);
+    let (mut s, actors) = scn.build().unwrap();
+    let cap = sentry::core::lifecycle::MAX_CRYPT_RETRIES;
+    s.kernel
+        .soc
+        .failpoints
+        .arm(FaultPlan::at_site("crypt.dispatch", 0, FaultAction::CryptError).persistent());
+    let err = s.on_lock().unwrap_err();
+    assert!(
+        matches!(
+            err,
+            SentryError::RetriesExhausted {
+                op: "on_lock",
+                attempts
+            } if attempts == cap
+        ),
+        "got {err:?}"
+    );
+    assert!(!s.txn_in_flight());
+    assert_eq!(s.stats.crypt.attempts, u64::from(cap) - 1);
+    assert_eq!(s.stats.crypt.exhausted, 1);
+    for pid in [actors.vault, actors.peer] {
+        for (vpn, pte) in s.kernel.procs[&pid].page_table.iter() {
+            assert!(!pte.encrypted, "pid {pid} vpn {vpn} encrypted");
+        }
+    }
+
+    // Once the fault clears, the same lock succeeds.
+    s.kernel.soc.failpoints.disarm();
+    s.on_lock().unwrap();
+    s.on_unlock().unwrap();
     let mut buf = [0u8; 16];
     s.read(actors.vault, 0, &mut buf).unwrap();
     assert_eq!(&buf, SECRET);
