@@ -5,6 +5,9 @@
 //! regenerated Table 4), and runs every encryption through a
 //! [`crate::store::CachedSocStore`], so key schedule, round tables, and
 //! the in-flight block physically reside in iRAM or a locked cache way.
+//! Where that state lives is the engine's only difference from generic
+//! AES: CBC, XTS and CTR chain blocks through the same
+//! `sentry_crypto::modes` dispatch every engine runs.
 //!
 //! Two disciplines from §6.2 are enforced around each operation:
 //!
@@ -22,15 +25,18 @@
 //!
 //! The functional work runs through the simulated memory hierarchy (that
 //! is where the security properties come from), but the *time* charged
-//! is the calibrated per-block cost — the same formula as the generic
-//! engine, with the state-access latency of the chosen backend. This is
-//! what makes Figure 11's "AES On SoC adds <1% overhead" reproducible
-//! rather than an artifact of simulator constants.
+//! is the calibrated per-block cost — `CostModel::aes_ns`, the charge
+//! every AES engine uses, with the state-access latency of the chosen
+//! backend. This is what makes Figure 11's "AES On SoC adds <1%
+//! overhead" reproducible rather than an artifact of simulator
+//! constants.
 
 use crate::error::SentryError;
 use crate::store::CachedSocStore;
-use sentry_crypto::modes::extent_unit;
-use sentry_crypto::{Direction, PageCipher, PageCipherMode, TrackedAes, TrackedBitslicedAes};
+use sentry_crypto::modes::{crypt_extents, extent_unit};
+use sentry_crypto::{
+    Direction, InStore, PageCipher, PageCipherMode, TrackedAes, TrackedBitslicedAes,
+};
 use sentry_kernel::crypto_api::{CipherEngine, KeyResidency};
 use sentry_kernel::KernelError;
 use sentry_soc::Soc;
@@ -65,19 +71,25 @@ enum TrackedCtx {
 /// The engine's *state placement* is always fully simulated: key
 /// expansion writes the key, round keys, and tables through the on-SoC
 /// store, so attack experiments observe exactly where every state byte
-/// lives. For the *data path* (CBC over bulk pages) two modes exist:
+/// lives. The *data path* (bulk pages and sectors in the selected
+/// [`PageCipherMode`]) runs the one shared mode dispatch,
+/// [`sentry_crypto::modes::crypt_extents`], over one of two kernels:
 ///
 /// * the default fast path computes with a register-resident AES context
 ///   (plain Rust values modelling CPU-register computation — nothing in
 ///   simulated memory) and charges the calibrated per-block cost. This
 ///   keeps the macrobenchmarks, which push hundreds of megabytes
 ///   through the engine, tractable.
-/// * [`AesOnSocEngine::set_full_simulation`] routes every block's table
-///   lookups and round-key reads through the simulated store instead —
-///   ~50 simulated memory operations per byte. Security tests use it to
-///   assert, e.g., that an entire encryption produces zero bus traffic.
+/// * [`AesOnSocEngine::set_full_simulation`] binds the tracked context
+///   to the simulated store instead ([`sentry_crypto::InStore`]), so
+///   every block's table lookups, round-key reads and in-flight bytes go
+///   through it — ~50 simulated memory operations per byte. Security
+///   tests use it to assert, e.g., that an entire encryption produces
+///   zero bus traffic.
 ///
-/// Both modes produce identical ciphertext and identical simulated time.
+/// On both paths the running chain, tweak or counter stays in registers.
+/// Both produce identical ciphertext, identical simulated time, and the
+/// same failpoints and critical sections per call.
 pub struct AesOnSocEngine {
     state_base: u64,
     residency: KeyResidency,
@@ -86,8 +98,8 @@ pub struct AesOnSocEngine {
     /// The register-resident context of the fast data path, keyed once
     /// per [`CipherEngine::set_key`].
     native: Option<PageCipher>,
-    /// Selected page cipher mode; all three are implemented on both the
-    /// fast and the full-simulation data path.
+    /// Selected page cipher mode, run by the shared dispatch on both
+    /// data paths.
     mode: PageCipherMode,
     full_sim: bool,
 }
@@ -149,71 +161,59 @@ impl AesOnSocEngine {
         self.state_base
     }
 
-    /// Calibrated cost of CBC over `bytes`: per block, the AES
-    /// arithmetic plus four state accesses at the backend's latency.
-    fn calibrated_ns(&self, soc: &Soc, bytes: usize) -> u64 {
-        let state_access = match self.residency {
-            KeyResidency::Iram => soc.costs.iram_access_ns,
-            _ => soc.costs.cache_hit_ns,
-        };
-        (bytes as u64 / 16) * (soc.costs.aes_block_compute_ns + 4 * state_access)
-    }
-
-    /// Run `f` (the sensitive compute) under the §6.2 disciplines,
-    /// charging `calibrated_ns` of simulated time for the section.
-    fn critical<T>(
-        &self,
-        soc: &mut Soc,
-        calibrated_ns: u64,
-        f: impl FnOnce(&TrackedCtx, &mut CachedSocStore<'_>) -> T,
-    ) -> Result<T, KernelError> {
-        let tracked = self.tracked.as_ref().ok_or(KernelError::NoKeyInstalled {
-            engine: "aes-cbc-onsoc",
-        })?;
-        // Call discipline: the engine entry takes (state, iv, data, len)
-        // — four register arguments, nothing on the stack.
-        let entry_args = [0u32, 1, 2, 3];
-        let spilled = soc.cpu.pass_args(&entry_args);
-        debug_assert!(spilled.is_empty(), "no sensitive argument may spill");
-
-        let was_enabled = soc.cpu.begin_critical();
-        let t0 = soc.clock.now_ns();
-        let out = {
-            let mut store = CachedSocStore::new(soc, self.state_base);
-            f(tracked, &mut store)
-        };
-        // Substitute the calibrated end-to-end cost for the per-access
-        // simulation charges (see module docs).
-        soc.clock.set_now_ns(t0 + calibrated_ns);
-        soc.cpu.end_critical(was_enabled, calibrated_ns);
-        Ok(out)
-    }
-
-    /// The fast data path: register-resident compute under the same
-    /// IRQ/call disciplines and the same calibrated time charge.
-    fn critical_native(
+    /// Run one crypt of `ivs.len()` extents under the §6.2 disciplines
+    /// (call discipline, then an IRQ-disabled section that zeroes the
+    /// registers on exit), charging the calibrated AES cost for the
+    /// backend's state-access latency. Under full simulation the shared
+    /// mode dispatch runs over the tracked kernel on the on-SoC state
+    /// page, and the calibrated cost replaces the per-access charges;
+    /// otherwise the register-resident context runs it.
+    fn critical(
         &self,
         soc: &mut Soc,
         direction: Direction,
         ivs: &[[u8; 16]],
         data: &mut [u8],
     ) -> Result<(), KernelError> {
-        let native = self.native.as_ref().ok_or(KernelError::NoKeyInstalled {
-            engine: self.name(),
-        })?;
-        let calibrated_ns = self.calibrated_ns(soc, data.len());
-        let entry_args = [0u32, 1, 2, 3];
-        let spilled = soc.cpu.pass_args(&entry_args);
+        let (Some(tracked), Some(native)) = (&self.tracked, &self.native) else {
+            return Err(KernelError::NoKeyInstalled {
+                engine: self.name(),
+            });
+        };
+        let state_access = match self.residency {
+            KeyResidency::Iram => soc.costs.iram_access_ns,
+            _ => soc.costs.cache_hit_ns,
+        };
+        let calibrated_ns = soc.costs.aes_ns(data.len() as u64, state_access);
+        // Call discipline: the engine entry takes (state, iv, data, len)
+        // — four register arguments, nothing on the stack.
+        let spilled = soc.cpu.pass_args(&[0u32, 1, 2, 3]);
         debug_assert!(spilled.is_empty(), "no sensitive argument may spill");
         let was_enabled = soc.cpu.begin_critical();
-        native.crypt(self.mode, direction, ivs, data);
-        soc.clock.advance(calibrated_ns);
+        let t0 = soc.clock.now_ns();
+        if self.full_sim {
+            let mut store = CachedSocStore::new(soc, self.state_base);
+            match tracked {
+                TrackedCtx::Table(aes) => {
+                    let aes = InStore::new(aes, &mut store);
+                    crypt_extents(&aes, &aes, self.mode, direction, ivs, data);
+                }
+                TrackedCtx::Bitsliced(aes) => {
+                    let aes = InStore::new(aes, &mut store);
+                    crypt_extents(&aes, &aes, self.mode, direction, ivs, data);
+                }
+            }
+        } else {
+            native.crypt(self.mode, direction, ivs, data);
+        }
+        // Substitute the calibrated end-to-end cost for any per-access
+        // simulation charges (see module docs).
+        soc.clock.set_now_ns(t0 + calibrated_ns);
         soc.cpu.end_critical(was_enabled, calibrated_ns);
         Ok(())
     }
 
-    /// One unit (`crypt.one`): the tracked data path under full
-    /// simulation, else the native one.
+    /// One unit (`crypt.one`).
     fn crypt_one(
         &self,
         soc: &mut Soc,
@@ -222,44 +222,14 @@ impl AesOnSocEngine {
         data: &mut [u8],
     ) -> Result<(), KernelError> {
         soc.failpoint("crypt.one")?;
-        if !self.full_sim {
-            return self.critical_native(soc, direction, std::slice::from_ref(iv), data);
-        }
-        let ns = self.calibrated_ns(soc, data.len());
-        let mode = self.mode;
-        let encrypt = direction == Direction::Encrypt;
-        self.critical(soc, ns, |ctx, store| match (ctx, mode, encrypt) {
-            (TrackedCtx::Table(aes), PageCipherMode::Cbc, true) => aes.cbc_encrypt(store, iv, data),
-            (TrackedCtx::Table(aes), PageCipherMode::Cbc, false) => {
-                aes.cbc_decrypt(store, iv, data)
-            }
-            (TrackedCtx::Table(aes), PageCipherMode::Xts, true) => aes.xts_encrypt(store, iv, data),
-            (TrackedCtx::Table(aes), PageCipherMode::Xts, false) => {
-                aes.xts_decrypt(store, iv, data)
-            }
-            (TrackedCtx::Table(aes), PageCipherMode::Ctr, _) => aes.ctr_crypt(store, iv, data),
-            (TrackedCtx::Bitsliced(aes), PageCipherMode::Cbc, true) => {
-                aes.cbc_encrypt(store, iv, data)
-            }
-            (TrackedCtx::Bitsliced(aes), PageCipherMode::Cbc, false) => {
-                aes.cbc_decrypt(store, iv, data)
-            }
-            (TrackedCtx::Bitsliced(aes), PageCipherMode::Xts, true) => {
-                aes.xts_encrypt(store, iv, data)
-            }
-            (TrackedCtx::Bitsliced(aes), PageCipherMode::Xts, false) => {
-                aes.xts_decrypt(store, iv, data)
-            }
-            (TrackedCtx::Bitsliced(aes), PageCipherMode::Ctr, _) => aes.ctr_crypt(store, iv, data),
-        })
+        self.critical(soc, direction, std::slice::from_ref(iv), data)
     }
 
-    /// A run of extents (`crypt.extent`). Full simulation stays per unit
-    /// so every state access keeps its tracked trace (and an empty run
-    /// opens no critical section); the fast path runs the whole run in
-    /// one IRQ-critical section — the kernel call a fault-cluster
-    /// readahead lands on. The calibrated charge is linear in bytes, so
-    /// the simulated time equals the per-unit loop's.
+    /// A run of extents (`crypt.extent`): the whole run in one critical
+    /// section, on either data path — the kernel call a fault-cluster
+    /// readahead lands on. An empty run opens no section. The calibrated
+    /// charge is linear in bytes, so the simulated time equals a per-unit
+    /// loop's.
     fn crypt_extent(
         &self,
         soc: &mut Soc,
@@ -268,14 +238,11 @@ impl AesOnSocEngine {
         data: &mut [u8],
     ) -> Result<(), KernelError> {
         soc.failpoint("crypt.extent")?;
-        if ivs.is_empty() || self.full_sim {
-            let unit = extent_unit(ivs, data);
-            for (iv, chunk) in ivs.iter().zip(data.chunks_exact_mut(unit.max(1))) {
-                self.crypt_one(soc, direction, iv, chunk)?;
-            }
+        if ivs.is_empty() {
+            extent_unit(ivs, data); // rejects data without IVs
             return Ok(());
         }
-        self.critical_native(soc, direction, ivs, data)
+        self.critical(soc, direction, ivs, data)
     }
 }
 
@@ -631,23 +598,76 @@ mod tests {
                     );
                 }
 
-                // Extent stream agrees with the per-unit loop.
-                eng.set_full_simulation(false);
+                // Multi-extent runs on both data paths: the generic
+                // engine's per-unit bytes, one simulated time, and no
+                // bus traffic. Full simulation runs the shared dispatch
+                // too, so its CBC-encrypt extents fill bitsliced lanes
+                // across pages and every mode streams across extents.
                 let ivs = [[3u8; 16], [4u8; 16], [5u8; 16]];
-                let mut ext: Vec<u8> = pt.iter().cycle().take(3 * 4096).copied().collect();
-                eng.encrypt_extent(&mut soc, &ivs, &mut ext).unwrap();
-                let mut want = pt.clone();
-                eng.encrypt(&mut soc, &ivs[2], &mut want).unwrap();
+                let pt3: Vec<u8> = pt.iter().cycle().take(3 * 4096).copied().collect();
+                let mut want = pt3.clone();
+                for (iv, chunk) in ivs.iter().zip(want.chunks_exact_mut(4096)) {
+                    generic.encrypt(&mut soc, iv, chunk).unwrap();
+                }
+                let mut times = Vec::new();
+                for full_sim in [false, true] {
+                    let what = format!("{cipher_backend:?}/{mode} full_sim={full_sim} extents");
+                    eng.set_full_simulation(full_sim);
+                    let bus = soc.bus.reads() + soc.bus.writes();
+                    let t0 = soc.clock.now_ns();
+                    let mut ext = pt3.clone();
+                    eng.encrypt_extent(&mut soc, &ivs, &mut ext).unwrap();
+                    assert_eq!(ext, want, "{what}: encrypt");
+                    eng.decrypt_extent(&mut soc, &ivs, &mut ext).unwrap();
+                    assert_eq!(ext, pt3, "{what}: round-trip");
+                    times.push(soc.clock.now_ns() - t0);
+                    let traffic = soc.bus.reads() + soc.bus.writes() - bus;
+                    assert_eq!(traffic, 0, "{what}: no bus traffic");
+                }
                 assert_eq!(
-                    &ext[2 * 4096..],
-                    &want[..],
-                    "{cipher_backend:?}/{mode} extent"
+                    times[0], times[1],
+                    "{cipher_backend:?}/{mode}: extent sim time"
                 );
-                eng.decrypt_extent(&mut soc, &ivs, &mut ext).unwrap();
-                assert!(
-                    ext.chunks(4096).all(|c| c == &pt[..]),
-                    "{cipher_backend:?}/{mode} extent round-trip"
-                );
+            }
+        }
+    }
+
+    #[test]
+    fn full_sim_extent_calls_take_the_fast_paths_failpoints_and_sections() {
+        // A step-counted or site fault plan must see the same traffic on
+        // both data paths: one `crypt.extent` hit and one IRQ section
+        // per extent call, never a `crypt.one` per unit.
+        let ivs: Vec<[u8; 16]> = (0..4).map(|i| [(i * 5 + 1) as u8; 16]).collect();
+        let pt: Vec<u8> = (0..4 * 512).map(|i| (i * 11) as u8).collect();
+        for cipher_backend in [
+            OnSocCipherBackend::TableDriven,
+            OnSocCipherBackend::BitslicedTableFree,
+        ] {
+            for mode in PageCipherMode::all() {
+                let observe = |full_sim: bool| {
+                    let mut soc = Soc::tegra3_small();
+                    let mut store = OnSocStore::new(OnSocBackend::Iram, &mut soc).unwrap();
+                    let mut eng = build_engine_with_backend(
+                        &mut store,
+                        &mut soc,
+                        &[0x42u8; 16],
+                        cipher_backend,
+                    )
+                    .unwrap();
+                    eng.set_mode(mode).unwrap();
+                    eng.set_full_simulation(full_sim);
+                    soc.failpoints.record();
+                    let sections = soc.cpu.critical_sections;
+                    let mut data = pt.clone();
+                    eng.encrypt_extent(&mut soc, &ivs, &mut data).unwrap();
+                    eng.decrypt_extent(&mut soc, &ivs, &mut data).unwrap();
+                    assert_eq!(data, pt, "{cipher_backend:?}/{mode} full_sim={full_sim}");
+                    let trace = soc.failpoints.trace().to_vec();
+                    (trace, soc.cpu.critical_sections - sections)
+                };
+                let fast = observe(false);
+                assert_eq!(fast.1, 2, "one section per extent call");
+                assert_eq!(observe(true), fast, "{cipher_backend:?}/{mode}");
             }
         }
     }

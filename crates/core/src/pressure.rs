@@ -302,8 +302,8 @@ impl SpillAesEngine {
         })?;
         cipher.crypt(PageCipherMode::Cbc, direction, ivs, data);
         soc.clock.advance(
-            (data.len() as u64 / 16)
-                * (soc.costs.aes_block_compute_ns + 4 * soc.costs.iram_access_ns),
+            soc.costs
+                .aes_ns(data.len() as u64, soc.costs.iram_access_ns),
         );
         Ok(())
     }

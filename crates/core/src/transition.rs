@@ -418,8 +418,7 @@ impl Transition<'_> {
                 OnSocBackend::Iram => self.kernel.soc.costs.iram_access_ns,
                 OnSocBackend::LockedL2 { .. } => self.kernel.soc.costs.cache_hit_ns,
             };
-            let serial_ns =
-                (bytes / 16) * (self.kernel.soc.costs.aes_block_compute_ns + 4 * state_access);
+            let serial_ns = self.kernel.soc.costs.aes_ns(bytes, state_access);
             let charged_ns = serial_ns.div_ceil(report.workers_used as u64);
             let soc = &mut self.kernel.soc;
             let was_enabled = soc.cpu.begin_critical();

@@ -68,7 +68,9 @@ pub use mac::Cmac;
 pub use modes::{Direction, PageCipher, PageCipherMode};
 pub use pipeline::{FallbackReason, KeystreamCache, KeystreamStats, PipelineConfig};
 pub use state::{AesStateLayout, Sensitivity, StateComponent};
-pub use tracked::{AccessEvent, StateStore, TableId, TrackedAes, TrackedBitslicedAes, VecStore};
+pub use tracked::{
+    AccessEvent, InStore, StateStore, TableId, TrackedAes, TrackedBitslicedAes, VecStore,
+};
 
 /// AES block size in bytes (fixed at 128 bits by FIPS-197).
 pub const BLOCK_SIZE: usize = 16;

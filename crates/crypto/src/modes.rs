@@ -10,8 +10,9 @@
 //! a counter (CTR), so both directions fill every lane. All block-mode
 //! functions operate on whole blocks; callers (the pager works in 4 KiB
 //! pages, dm-crypt in 512-byte sectors) always supply block-aligned
-//! buffers. [`PageCipher`] is the keyed context the engines hold; its
-//! [`PageCipher::crypt`] picks the kernel for each mode and direction.
+//! buffers. [`PageCipher`] is the keyed context the engines hold;
+//! [`crypt_extents`] picks the kernel for each mode and direction, for
+//! it and for AES On SoC's store-bound kernels alike.
 
 use crate::batch::BlockCipherBatch;
 use crate::bitslice::BitslicedAes;
@@ -94,8 +95,7 @@ pub enum Direction {
 /// AES On SoC) differ in where the key lives and what an operation
 /// costs, not in the mode arithmetic; each holds one `PageCipher`, as do
 /// the spill region's engine and the parallel lock lanes.
-/// [`PageCipher::crypt`] is the one place a page-cipher mode picks a
-/// kernel.
+/// [`crypt_extents`] is the one place a page-cipher mode picks a kernel.
 #[derive(Clone)]
 pub struct PageCipher {
     aes: Aes,
@@ -132,19 +132,8 @@ impl PageCipher {
     }
 
     /// Transform `ivs.len()` equal-sized extents laid out back to back in
-    /// `data`, the `i`-th under `ivs[i]` (its CBC IV, XTS tweak, or
-    /// initial CTR counter block), in place.
-    ///
-    /// | mode | direction | extents | kernel |
-    /// |------|-----------|---------|--------|
-    /// | CBC  | encrypt   | 1       | scalar chain ([`cbc_encrypt`]) |
-    /// | CBC  | encrypt   | ≥ 2     | one chain per bitsliced lane ([`cbc_encrypt_extents`]) |
-    /// | CBC  | decrypt   | any     | bitsliced stream ([`cbc_decrypt_extents`]) |
-    /// | XTS  | both      | any     | bitsliced stream, single-key XEX ([`xts_crypt_extents`]) |
-    /// | CTR  | both      | any     | bitsliced stream ([`ctr_crypt_extents`]) |
-    ///
-    /// Every choice is byte-identical to running each extent on its own
-    /// through the scalar context.
+    /// `data`, the `i`-th under `ivs[i]`, in place, with this context's
+    /// scalar and bitsliced kernels (see [`crypt_extents`]).
     ///
     /// # Panics
     ///
@@ -158,20 +147,53 @@ impl PageCipher {
         ivs: &[[u8; 16]],
         data: &mut [u8],
     ) {
-        let bits = &self.bits;
-        match (mode, direction, ivs) {
-            // One serial chain has nothing to batch against: the scalar
-            // context is the fast one-block-at-a-time loop.
-            (PageCipherMode::Cbc, Direction::Encrypt, [iv]) => cbc_encrypt(&self.aes, iv, data),
-            (PageCipherMode::Cbc, Direction::Encrypt, _) => cbc_encrypt_extents(bits, ivs, data),
-            (PageCipherMode::Cbc, Direction::Decrypt, _) => cbc_decrypt_extents(bits, ivs, data),
-            // The tweak cipher is the data cipher, matching the tracked
-            // path, which owns exactly one keyed context.
-            (PageCipherMode::Xts, _, _) => {
-                xts_crypt_extents(bits, bits, direction == Direction::Encrypt, ivs, data);
-            }
-            (PageCipherMode::Ctr, _, _) => ctr_crypt_extents(bits, ivs, data),
+        crypt_extents(&self.aes, &self.bits, mode, direction, ivs, data);
+    }
+}
+
+/// The one mode dispatch: transform `ivs.len()` equal-sized extents laid
+/// out back to back in `data`, the `i`-th under `ivs[i]` (its CBC IV, XTS
+/// tweak, or initial CTR counter block), in place.
+///
+/// `scalar` runs the one serial chain that has nothing to batch against;
+/// `batch` runs everything else. [`PageCipher`] passes its table-driven
+/// and bitsliced contexts; AES On SoC's tracked data path passes its
+/// store-bound kernel ([`crate::tracked::InStore`]) as both.
+///
+/// | mode | direction | extents | kernel |
+/// |------|-----------|---------|--------|
+/// | CBC  | encrypt   | 1       | scalar chain ([`cbc_encrypt`]) |
+/// | CBC  | encrypt   | ≥ 2     | one chain per bitsliced lane ([`cbc_encrypt_extents`]) |
+/// | CBC  | decrypt   | any     | bitsliced stream ([`cbc_decrypt_extents`]) |
+/// | XTS  | both      | any     | bitsliced stream, single-key XEX ([`xts_crypt_extents`]) |
+/// | CTR  | both      | any     | bitsliced stream ([`ctr_crypt_extents`]) |
+///
+/// Every choice is byte-identical to running each extent on its own
+/// through the scalar context.
+///
+/// # Panics
+///
+/// Panics if `data` does not divide evenly into `ivs.len()`
+/// block-aligned extents (an empty `ivs` requires an empty `data`);
+/// see [`extent_unit`].
+pub fn crypt_extents(
+    scalar: &impl BlockCipher,
+    batch: &impl BlockCipherBatch,
+    mode: PageCipherMode,
+    direction: Direction,
+    ivs: &[[u8; 16]],
+    data: &mut [u8],
+) {
+    match (mode, direction, ivs) {
+        (PageCipherMode::Cbc, Direction::Encrypt, [iv]) => cbc_encrypt(scalar, iv, data),
+        (PageCipherMode::Cbc, Direction::Encrypt, _) => cbc_encrypt_extents(batch, ivs, data),
+        (PageCipherMode::Cbc, Direction::Decrypt, _) => cbc_decrypt_extents(batch, ivs, data),
+        // Single-key XEX: the tweak cipher is the data cipher, so a
+        // backend that owns one keyed context runs XTS too.
+        (PageCipherMode::Xts, _, _) => {
+            xts_crypt_extents(batch, batch, direction == Direction::Encrypt, ivs, data);
         }
+        (PageCipherMode::Ctr, _, _) => ctr_crypt_extents(batch, ivs, data),
     }
 }
 
@@ -505,7 +527,7 @@ pub fn ctr_xor<C: BlockCipherBatch>(
 /// the IEEE P1619 convention: byte 0 holds the lowest-order coefficients,
 /// the carry shifts out of byte 15's MSB, and the reduction polynomial
 /// `x^128 + x^7 + x^2 + x + 1` feeds back as `0x87` into byte 0.
-pub fn xts_mul_alpha(t: &mut [u8; 16]) {
+fn xts_mul_alpha(t: &mut [u8; 16]) {
     let mut carry = 0u8;
     for b in t.iter_mut() {
         let next = *b >> 7;
@@ -676,7 +698,7 @@ pub fn xts_crypt_extents<C: BlockCipherBatch>(
 
 /// Increment a full 16-byte counter block, big-endian (the NIST
 /// SP 800-38A standard incrementing function over all 128 bits).
-pub fn ctr_increment(block: &mut Block) {
+fn ctr_increment(block: &mut Block) {
     for b in block.iter_mut().rev() {
         *b = b.wrapping_add(1);
         if *b != 0 {

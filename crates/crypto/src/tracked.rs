@@ -20,10 +20,23 @@
 //! two register-hygiene rules — running compute sections with interrupts
 //! disabled and zeroing registers afterwards — which `sentry-core`
 //! enforces via `sentry_soc::cpu::Cpu::with_irqs_disabled`.
+//!
+//! Neither [`TrackedAes`] nor the table-free [`TrackedBitslicedAes`] has
+//! mode code of its own. [`InStore`] binds a context to its store as a
+//! [`BlockCipher`]/[`BlockCipherBatch`], and the shared [`crate::modes`]
+//! chain CBC, XTS and CTR over it through the one dispatch every engine
+//! runs, [`crate::modes::crypt_extents`]. The running chain, tweak or
+//! counter is public (Table 4's "CBC block/ivec" row) and stays in
+//! locals, as on the fast path.
 
+use crate::batch::BlockCipherBatch;
+use crate::bitslice::PAR_BLOCKS;
+use crate::block::Block;
 use crate::key_schedule::compute_rcon;
+use crate::modes::BlockCipher;
 use crate::state::AesStateLayout;
 use crate::{sbox, tables, KeyError, KeySize, BLOCK_SIZE};
+use std::cell::RefCell;
 
 /// Identifies which lookup table an access touched, for side-channel
 /// analysis.
@@ -153,8 +166,6 @@ struct Offsets {
     sbox: usize,
     inv_sbox: usize,
     rcon: usize,
-    block_index: usize,
-    ivec: usize,
     enc_words: usize,
 }
 
@@ -195,8 +206,6 @@ impl TrackedAes {
             sbox: layout.component("2 S-box").offset,
             inv_sbox: layout.component("2 S-box").offset + sbox::SBOX_SIZE,
             rcon: layout.component("Rcon").offset,
-            block_index: layout.component("Block Index").offset,
-            ivec: layout.component("CBC block/ivec").offset,
             enc_words: 4 * (key_size.rounds() + 1),
         };
 
@@ -334,7 +343,7 @@ impl TrackedAes {
 
     /// Encrypt the 16 bytes currently in the store's input block,
     /// in place.
-    pub fn encrypt_in_store<S: StateStore>(&self, store: &mut S) {
+    fn encrypt_in_store<S: StateStore>(&self, store: &mut S) {
         let rounds = self.key_size.rounds();
         let mut s = [0u32; 4];
         for (c, slot) in s.iter_mut().enumerate() {
@@ -373,7 +382,7 @@ impl TrackedAes {
 
     /// Decrypt the 16 bytes currently in the store's input block,
     /// in place.
-    pub fn decrypt_in_store<S: StateStore>(&self, store: &mut S) {
+    fn decrypt_in_store<S: StateStore>(&self, store: &mut S) {
         let rounds = self.key_size.rounds();
         let mut s = [0u32; 4];
         for (c, slot) in s.iter_mut().enumerate() {
@@ -426,153 +435,6 @@ impl TrackedAes {
         self.decrypt_in_store(store);
         store.read(self.offsets.input, block);
     }
-
-    /// CBC-encrypt a block-aligned buffer in place, chaining through the
-    /// store-resident ivec slot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data` is not a multiple of 16 bytes.
-    pub fn cbc_encrypt<S: StateStore>(
-        &self,
-        store: &mut S,
-        iv: &[u8; BLOCK_SIZE],
-        data: &mut [u8],
-    ) {
-        assert!(
-            data.len().is_multiple_of(BLOCK_SIZE),
-            "CBC buffer must be block aligned"
-        );
-        store.write(self.offsets.ivec, iv);
-        for (block_no, chunk) in data.chunks_exact_mut(BLOCK_SIZE).enumerate() {
-            store.write(self.offsets.block_index, &[(block_no & 0xff) as u8]);
-            let mut chain = [0u8; BLOCK_SIZE];
-            store.read(self.offsets.ivec, &mut chain);
-            for (b, c) in chunk.iter_mut().zip(chain.iter()) {
-                *b ^= c;
-            }
-            let block: &mut [u8; BLOCK_SIZE] = chunk.try_into().expect("block sized");
-            self.encrypt_block(store, block);
-            store.write(self.offsets.ivec, block);
-        }
-    }
-
-    /// CBC-decrypt a block-aligned buffer in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data` is not a multiple of 16 bytes.
-    pub fn cbc_decrypt<S: StateStore>(
-        &self,
-        store: &mut S,
-        iv: &[u8; BLOCK_SIZE],
-        data: &mut [u8],
-    ) {
-        assert!(
-            data.len().is_multiple_of(BLOCK_SIZE),
-            "CBC buffer must be block aligned"
-        );
-        store.write(self.offsets.ivec, iv);
-        for (block_no, chunk) in data.chunks_exact_mut(BLOCK_SIZE).enumerate() {
-            store.write(self.offsets.block_index, &[(block_no & 0xff) as u8]);
-            let ct: [u8; BLOCK_SIZE] = (&*chunk).try_into().expect("block sized");
-            let block: &mut [u8; BLOCK_SIZE] = chunk.try_into().expect("block sized");
-            self.decrypt_block(store, block);
-            let mut chain = [0u8; BLOCK_SIZE];
-            store.read(self.offsets.ivec, &mut chain);
-            for (b, c) in block.iter_mut().zip(chain.iter()) {
-                *b ^= c;
-            }
-            store.write(self.offsets.ivec, &ct);
-        }
-    }
-
-    /// XTS-encrypt a block-aligned buffer in place (single-key XEX: the
-    /// tweak is encrypted under this same context, matching the engine
-    /// construction), with the running tweak chained through the
-    /// store-resident ivec slot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data` is not a multiple of 16 bytes.
-    pub fn xts_encrypt<S: StateStore>(
-        &self,
-        store: &mut S,
-        tweak: &[u8; BLOCK_SIZE],
-        data: &mut [u8],
-    ) {
-        self.xts_apply(store, tweak, data, false);
-    }
-
-    /// XTS-decrypt a block-aligned buffer in place. The tweak chain is
-    /// always computed with the *encrypt* direction, per IEEE P1619.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data` is not a multiple of 16 bytes.
-    pub fn xts_decrypt<S: StateStore>(
-        &self,
-        store: &mut S,
-        tweak: &[u8; BLOCK_SIZE],
-        data: &mut [u8],
-    ) {
-        self.xts_apply(store, tweak, data, true);
-    }
-
-    fn xts_apply<S: StateStore>(
-        &self,
-        store: &mut S,
-        tweak: &[u8; BLOCK_SIZE],
-        data: &mut [u8],
-        decrypt: bool,
-    ) {
-        assert!(
-            data.len().is_multiple_of(BLOCK_SIZE),
-            "XTS buffer must be block aligned"
-        );
-        let mut t0 = *tweak;
-        self.encrypt_block(store, &mut t0);
-        store.write(self.offsets.ivec, &t0);
-        for (block_no, chunk) in data.chunks_exact_mut(BLOCK_SIZE).enumerate() {
-            store.write(self.offsets.block_index, &[(block_no & 0xff) as u8]);
-            let mut t = [0u8; BLOCK_SIZE];
-            store.read(self.offsets.ivec, &mut t);
-            for (b, c) in chunk.iter_mut().zip(t.iter()) {
-                *b ^= c;
-            }
-            let block: &mut [u8; BLOCK_SIZE] = chunk.try_into().expect("block sized");
-            if decrypt {
-                self.decrypt_block(store, block);
-            } else {
-                self.encrypt_block(store, block);
-            }
-            for (b, c) in block.iter_mut().zip(t.iter()) {
-                *b ^= c;
-            }
-            crate::modes::xts_mul_alpha(&mut t);
-            store.write(self.offsets.ivec, &t);
-        }
-    }
-
-    /// CTR-transform a buffer in place (encrypt and decrypt are the same
-    /// operation), treating `iv` as the full 128-bit big-endian counter
-    /// block. Ragged tails are fine; the running counter lives in the
-    /// store's ivec slot.
-    pub fn ctr_crypt<S: StateStore>(&self, store: &mut S, iv: &[u8; BLOCK_SIZE], data: &mut [u8]) {
-        store.write(self.offsets.ivec, iv);
-        for (block_no, chunk) in data.chunks_mut(BLOCK_SIZE).enumerate() {
-            store.write(self.offsets.block_index, &[(block_no & 0xff) as u8]);
-            let mut counter = [0u8; BLOCK_SIZE];
-            store.read(self.offsets.ivec, &mut counter);
-            let mut ks = counter;
-            self.encrypt_block(store, &mut ks);
-            for (b, k) in chunk.iter_mut().zip(ks.iter()) {
-                *b ^= k;
-            }
-            crate::modes::ctr_increment(&mut counter);
-            store.write(self.offsets.ivec, &counter);
-        }
-    }
 }
 
 /// Offsets of the table-free bitsliced layout's components.
@@ -582,14 +444,12 @@ struct BitslicedOffsets {
     key: usize,
     round_index: usize,
     round_keys: usize,
-    block_index: usize,
-    ivec: usize,
     /// Number of 32-bit words in one schedule side (enc or dec).
     enc_words: usize,
 }
 
 /// Batch capacity of the store's input slot, in bytes.
-const BATCH_BYTES: usize = crate::bitslice::PAR_BLOCKS * BLOCK_SIZE;
+const BATCH_BYTES: usize = PAR_BLOCKS * BLOCK_SIZE;
 
 /// Placement-tracked **table-free** AES: the batched bitsliced kernel
 /// with every byte of persistent state in a caller-provided store.
@@ -631,8 +491,6 @@ impl TrackedBitslicedAes {
             key: layout.component("Key").offset,
             round_index: layout.component("Round Index").offset,
             round_keys: layout.component("Round Keys").offset,
-            block_index: layout.component("Block Index").offset,
-            ivec: layout.component("CBC block/ivec").offset,
             enc_words: 4 * (key_size.rounds() + 1),
         };
         store.write(off.key, key);
@@ -698,244 +556,116 @@ impl TrackedBitslicedAes {
         }
     }
 
-    /// Run one staged batch (at most [`crate::bitslice::PAR_BLOCKS`]
-    /// blocks) through the store: stage the blocks in the input slot,
+    /// Run `blocks` through the store one staged batch of
+    /// [`PAR_BLOCKS`] at a time: stage the blocks in the input slot
+    /// (always all of it, so the trace does not depend on the count),
     /// compute bitsliced in registers fetching each round key from the
     /// store, and read the result back out of the input slot.
-    fn crypt_chunk<S: StateStore>(&self, store: &mut S, chunk: &mut [u8], decrypt: bool) {
-        debug_assert!(chunk.len() <= BATCH_BYTES);
+    fn crypt_blocks<S: StateStore>(&self, store: &mut S, blocks: &mut [Block], decrypt: bool) {
         let off = self.offsets;
-        let mut staged = [0u8; BATCH_BYTES];
-        staged[..chunk.len()].copy_from_slice(chunk);
-        store.write(off.input, &staged);
-
-        let mut batch = [[0u8; BLOCK_SIZE]; crate::bitslice::PAR_BLOCKS];
-        for (i, b) in batch.iter_mut().enumerate() {
-            store.read(off.input + BLOCK_SIZE * i, b);
-        }
         let rounds = self.key_size.rounds();
         let side = if decrypt { off.enc_words } else { 0 };
-        let rk = |r: usize| {
-            store.write(off.round_index, &[r as u8]);
-            let mut words = [0u32; 4];
-            for (c, w) in words.iter_mut().enumerate() {
-                *w = TrackedAes::read_u32(store, off.round_keys + 4 * (side + 4 * r + c));
+        for chunk in blocks.chunks_mut(PAR_BLOCKS) {
+            let mut staged = [0u8; BATCH_BYTES];
+            staged[..chunk.len() * BLOCK_SIZE].copy_from_slice(chunk.as_flattened());
+            store.write(off.input, &staged);
+
+            let mut batch = [[0u8; BLOCK_SIZE]; PAR_BLOCKS];
+            for (i, b) in batch.iter_mut().enumerate() {
+                store.read(off.input + BLOCK_SIZE * i, b);
             }
-            crate::bitslice::bitslice_round_key(&words)
-        };
-        if decrypt {
-            crate::bitslice::decrypt16_with(rounds, rk, &mut batch);
-        } else {
-            crate::bitslice::encrypt16_with(rounds, rk, &mut batch);
-        }
-        for (i, b) in batch.iter().enumerate() {
-            store.write(off.input + BLOCK_SIZE * i, b);
-        }
-        let mut out = [0u8; BATCH_BYTES];
-        store.read(off.input, &mut out);
-        chunk.copy_from_slice(&out[..chunk.len()]);
-    }
-
-    /// ECB-encrypt a block-aligned buffer in place, 16 blocks per staged
-    /// batch (modes layer the chaining on top).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data` is not a multiple of 16 bytes.
-    pub fn encrypt_blocks<S: StateStore>(&self, store: &mut S, data: &mut [u8]) {
-        assert!(
-            data.len().is_multiple_of(BLOCK_SIZE),
-            "buffer must be block aligned"
-        );
-        for chunk in data.chunks_mut(BATCH_BYTES) {
-            self.crypt_chunk(store, chunk, false);
-        }
-    }
-
-    /// ECB-decrypt a block-aligned buffer in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data` is not a multiple of 16 bytes.
-    pub fn decrypt_blocks<S: StateStore>(&self, store: &mut S, data: &mut [u8]) {
-        assert!(
-            data.len().is_multiple_of(BLOCK_SIZE),
-            "buffer must be block aligned"
-        );
-        for chunk in data.chunks_mut(BATCH_BYTES) {
-            self.crypt_chunk(store, chunk, true);
-        }
-    }
-
-    /// Encrypt one external block through the store.
-    pub fn encrypt_block<S: StateStore>(&self, store: &mut S, block: &mut [u8; BLOCK_SIZE]) {
-        self.encrypt_blocks(store, &mut block[..]);
-    }
-
-    /// Decrypt one external block through the store.
-    pub fn decrypt_block<S: StateStore>(&self, store: &mut S, block: &mut [u8; BLOCK_SIZE]) {
-        self.decrypt_blocks(store, &mut block[..]);
-    }
-
-    /// CBC-encrypt in place, chaining through the store's ivec slot.
-    ///
-    /// CBC encryption is serially chained, so each staged batch carries a
-    /// single active block — the batched kernel cannot speed this
-    /// direction up (see the DESIGN notes); it exists so the table-free
-    /// engine covers both directions with identical bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data` is not a multiple of 16 bytes.
-    pub fn cbc_encrypt<S: StateStore>(
-        &self,
-        store: &mut S,
-        iv: &[u8; BLOCK_SIZE],
-        data: &mut [u8],
-    ) {
-        assert!(
-            data.len().is_multiple_of(BLOCK_SIZE),
-            "CBC buffer must be block aligned"
-        );
-        store.write(self.offsets.ivec, iv);
-        for (block_no, chunk) in data.chunks_exact_mut(BLOCK_SIZE).enumerate() {
-            store.write(self.offsets.block_index, &[(block_no & 0xff) as u8]);
-            let mut chain = [0u8; BLOCK_SIZE];
-            store.read(self.offsets.ivec, &mut chain);
-            for (b, c) in chunk.iter_mut().zip(chain.iter()) {
-                *b ^= c;
-            }
-            self.encrypt_blocks(store, chunk);
-            store.write(self.offsets.ivec, chunk);
-        }
-    }
-
-    /// CBC-decrypt in place, one full 16-block batch per kernel call
-    /// (decryption is data-parallel: `pt[i] = D(ct[i]) ^ ct[i-1]`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data` is not a multiple of 16 bytes.
-    pub fn cbc_decrypt<S: StateStore>(
-        &self,
-        store: &mut S,
-        iv: &[u8; BLOCK_SIZE],
-        data: &mut [u8],
-    ) {
-        assert!(
-            data.len().is_multiple_of(BLOCK_SIZE),
-            "CBC buffer must be block aligned"
-        );
-        store.write(self.offsets.ivec, iv);
-        for (batch_no, chunk) in data.chunks_mut(BATCH_BYTES).enumerate() {
-            store.write(self.offsets.block_index, &[(batch_no & 0xff) as u8]);
-            let n = chunk.len();
-            let mut saved = [0u8; BATCH_BYTES];
-            saved[..n].copy_from_slice(chunk);
-            self.decrypt_blocks(store, chunk);
-            let mut chain = [0u8; BLOCK_SIZE];
-            store.read(self.offsets.ivec, &mut chain);
-            for (i, block) in chunk.chunks_exact_mut(BLOCK_SIZE).enumerate() {
-                let prev: &[u8] = if i == 0 {
-                    &chain
-                } else {
-                    &saved[(i - 1) * BLOCK_SIZE..i * BLOCK_SIZE]
-                };
-                for (b, p) in block.iter_mut().zip(prev.iter()) {
-                    *b ^= p;
+            let rk = |r: usize| {
+                store.write(off.round_index, &[r as u8]);
+                let mut words = [0u32; 4];
+                for (c, w) in words.iter_mut().enumerate() {
+                    *w = TrackedAes::read_u32(store, off.round_keys + 4 * (side + 4 * r + c));
                 }
-            }
-            store.write(self.offsets.ivec, &saved[n - BLOCK_SIZE..n]);
-        }
-    }
-
-    /// XTS-encrypt in place, one full 16-block batch per kernel call —
-    /// unlike CBC encryption, every block's whitening tweak is known up
-    /// front, so the batched kernel runs at full width in this direction
-    /// too. Single-key XEX: the tweak is encrypted under this context.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data` is not a multiple of 16 bytes.
-    pub fn xts_encrypt<S: StateStore>(
-        &self,
-        store: &mut S,
-        tweak: &[u8; BLOCK_SIZE],
-        data: &mut [u8],
-    ) {
-        self.xts_apply(store, tweak, data, false);
-    }
-
-    /// XTS-decrypt in place, one full 16-block batch per kernel call.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data` is not a multiple of 16 bytes.
-    pub fn xts_decrypt<S: StateStore>(
-        &self,
-        store: &mut S,
-        tweak: &[u8; BLOCK_SIZE],
-        data: &mut [u8],
-    ) {
-        self.xts_apply(store, tweak, data, true);
-    }
-
-    fn xts_apply<S: StateStore>(
-        &self,
-        store: &mut S,
-        tweak: &[u8; BLOCK_SIZE],
-        data: &mut [u8],
-        decrypt: bool,
-    ) {
-        assert!(
-            data.len().is_multiple_of(BLOCK_SIZE),
-            "XTS buffer must be block aligned"
-        );
-        let mut t = *tweak;
-        self.encrypt_block(store, &mut t);
-        for (batch_no, chunk) in data.chunks_mut(BATCH_BYTES).enumerate() {
-            store.write(self.offsets.block_index, &[(batch_no & 0xff) as u8]);
-            let mut tweaks = [[0u8; BLOCK_SIZE]; crate::bitslice::PAR_BLOCKS];
-            for (i, block) in chunk.chunks_exact_mut(BLOCK_SIZE).enumerate() {
-                tweaks[i] = t;
-                for (b, c) in block.iter_mut().zip(t.iter()) {
-                    *b ^= c;
-                }
-                crate::modes::xts_mul_alpha(&mut t);
-            }
+                crate::bitslice::bitslice_round_key(&words)
+            };
             if decrypt {
-                self.decrypt_blocks(store, chunk);
+                crate::bitslice::decrypt16_with(rounds, rk, &mut batch);
             } else {
-                self.encrypt_blocks(store, chunk);
+                crate::bitslice::encrypt16_with(rounds, rk, &mut batch);
             }
-            for (i, block) in chunk.chunks_exact_mut(BLOCK_SIZE).enumerate() {
-                for (b, c) in block.iter_mut().zip(tweaks[i].iter()) {
-                    *b ^= c;
-                }
+            for (i, b) in batch.iter().enumerate() {
+                store.write(off.input + BLOCK_SIZE * i, b);
             }
-            store.write(self.offsets.ivec, &t);
+            let mut out = [0u8; BATCH_BYTES];
+            store.read(off.input, &mut out);
+            let n = chunk.len() * BLOCK_SIZE;
+            chunk.as_flattened_mut().copy_from_slice(&out[..n]);
         }
     }
+}
 
-    /// CTR-transform a buffer in place, 16 counter blocks per kernel
-    /// call. `iv` is the full 128-bit big-endian counter block; ragged
-    /// tails are fine.
-    pub fn ctr_crypt<S: StateStore>(&self, store: &mut S, iv: &[u8; BLOCK_SIZE], data: &mut [u8]) {
-        let mut counter = *iv;
-        for (batch_no, chunk) in data.chunks_mut(BATCH_BYTES).enumerate() {
-            store.write(self.offsets.block_index, &[(batch_no & 0xff) as u8]);
-            let nblocks = chunk.len().div_ceil(BLOCK_SIZE);
-            let mut ks = [0u8; BATCH_BYTES];
-            for i in 0..nblocks {
-                ks[i * BLOCK_SIZE..(i + 1) * BLOCK_SIZE].copy_from_slice(&counter);
-                crate::modes::ctr_increment(&mut counter);
-            }
-            self.encrypt_blocks(store, &mut ks[..nblocks * BLOCK_SIZE]);
-            for (b, k) in chunk.iter_mut().zip(ks.iter()) {
-                *b ^= k;
-            }
-            store.write(self.offsets.ivec, &counter);
+/// A tracked context bound to the store its state lives in: the
+/// [`BlockCipher`]/[`BlockCipherBatch`] backend through which the shared
+/// [`crate::modes`] (and their one dispatch,
+/// [`crate::modes::crypt_extents`]) run placement-tracked AES.
+///
+/// Every key, table and in-flight-block access goes through the store.
+/// The modes hold only the running CBC chain, XTS tweak or CTR counter,
+/// in locals that model CPU registers — the same place the fast data
+/// path keeps them. The layouts' public "Block Index" and "CBC
+/// block/ivec" rows stay as the paper's Table 4 accounting.
+#[derive(Debug)]
+pub struct InStore<'a, K, S> {
+    kernel: &'a K,
+    store: RefCell<&'a mut S>,
+}
+
+impl<'a, K, S> InStore<'a, K, S> {
+    /// Bind `kernel` to `store`, the store it was initialised in.
+    pub fn new(kernel: &'a K, store: &'a mut S) -> Self {
+        InStore {
+            kernel,
+            store: RefCell::new(store),
         }
+    }
+}
+
+/// The table-driven kernel is scalar: a batch is a loop of one-block
+/// operations through the store's input block.
+impl<S: StateStore> BlockCipher for InStore<'_, TrackedAes, S> {
+    fn encrypt_block(&self, block: &mut Block) {
+        self.kernel.encrypt_block(*self.store.borrow_mut(), block);
+    }
+    fn decrypt_block(&self, block: &mut Block) {
+        self.kernel.decrypt_block(*self.store.borrow_mut(), block);
+    }
+}
+
+impl<S: StateStore> BlockCipherBatch for InStore<'_, TrackedAes, S> {
+    fn encrypt_blocks(&self, blocks: &mut [Block]) {
+        blocks.iter_mut().for_each(|b| self.encrypt_block(b));
+    }
+    fn decrypt_blocks(&self, blocks: &mut [Block]) {
+        blocks.iter_mut().for_each(|b| self.decrypt_block(b));
+    }
+}
+
+/// The table-free kernel stages [`PAR_BLOCKS`] blocks per call; a single
+/// block still runs (and is traced as) a whole staged batch.
+impl<S: StateStore> BlockCipher for InStore<'_, TrackedBitslicedAes, S> {
+    fn encrypt_block(&self, block: &mut Block) {
+        self.encrypt_blocks(std::slice::from_mut(block));
+    }
+    fn decrypt_block(&self, block: &mut Block) {
+        self.decrypt_blocks(std::slice::from_mut(block));
+    }
+}
+
+impl<S: StateStore> BlockCipherBatch for InStore<'_, TrackedBitslicedAes, S> {
+    fn encrypt_blocks(&self, blocks: &mut [Block]) {
+        let mut store = self.store.borrow_mut();
+        self.kernel.crypt_blocks(*store, blocks, false);
+    }
+    fn decrypt_blocks(&self, blocks: &mut [Block]) {
+        let mut store = self.store.borrow_mut();
+        self.kernel.crypt_blocks(*store, blocks, true);
+    }
+    fn batch_width(&self) -> usize {
+        PAR_BLOCKS
     }
 }
 
@@ -943,7 +673,7 @@ impl TrackedBitslicedAes {
 mod tests {
     use super::*;
     use crate::block::Aes;
-    use crate::modes;
+    use crate::modes::{self, Direction, PageCipherMode};
 
     fn hex(s: &str) -> Vec<u8> {
         (0..s.len())
@@ -994,11 +724,12 @@ mod tests {
         let layout = AesStateLayout::for_key_size(KeySize::Aes128);
         let mut store = VecStore::new(layout.total_bytes());
         let tracked = TrackedAes::init(&mut store, &key).unwrap();
-        tracked.cbc_encrypt(&mut store, &iv, &mut data_b);
+        let tracked = InStore::new(&tracked, &mut store);
+        modes::cbc_encrypt(&tracked, &iv, &mut data_b);
 
         assert_eq!(data_a, data_b);
 
-        tracked.cbc_decrypt(&mut store, &iv, &mut data_b);
+        modes::cbc_decrypt(&tracked, &iv, &mut data_b);
         assert_eq!(data_b, (0..128u8).collect::<Vec<_>>());
     }
 
@@ -1023,25 +754,27 @@ mod tests {
 
             let mut store = VecStore::new(layout.total_bytes());
             let tracked = TrackedAes::init(&mut store, &key).unwrap();
+            let tracked = InStore::new(&tracked, &mut store);
             let mut got = pt.clone();
-            tracked.xts_encrypt(&mut store, &tweak, &mut got);
+            modes::xts_encrypt(&tracked, &tracked, &tweak, &mut got);
             assert_eq!(got, want_xts, "tracked xts_encrypt {nblocks} blocks");
-            tracked.xts_decrypt(&mut store, &tweak, &mut got);
+            modes::xts_decrypt(&tracked, &tracked, &tweak, &mut got);
             assert_eq!(got, pt, "tracked xts_decrypt {nblocks} blocks");
-            tracked.ctr_crypt(&mut store, &tweak, &mut got);
+            modes::ctr_crypt(&tracked, &tweak, &mut got);
             assert_eq!(got, want_ctr, "tracked ctr_crypt {nblocks} blocks");
 
             let mut bstore = VecStore::new(blayout.total_bytes());
             let btracked = TrackedBitslicedAes::init(&mut bstore, &key).unwrap();
+            let btracked = InStore::new(&btracked, &mut bstore);
             let mut got = pt.clone();
-            btracked.xts_encrypt(&mut bstore, &tweak, &mut got);
+            modes::xts_encrypt(&btracked, &btracked, &tweak, &mut got);
             assert_eq!(
                 got, want_xts,
                 "bitsliced tracked xts_encrypt {nblocks} blocks"
             );
-            btracked.xts_decrypt(&mut bstore, &tweak, &mut got);
+            modes::xts_decrypt(&btracked, &btracked, &tweak, &mut got);
             assert_eq!(got, pt, "bitsliced tracked xts_decrypt {nblocks} blocks");
-            btracked.ctr_crypt(&mut bstore, &tweak, &mut got);
+            modes::ctr_crypt(&btracked, &tweak, &mut got);
             assert_eq!(
                 got, want_ctr,
                 "bitsliced tracked ctr_crypt {nblocks} blocks"
@@ -1055,12 +788,12 @@ mod tests {
         let mut store = VecStore::new(layout.total_bytes());
         let tracked = TrackedAes::init(&mut store, &key).unwrap();
         let mut got = pt.clone();
-        tracked.ctr_crypt(&mut store, &tweak, &mut got);
+        modes::ctr_crypt(&InStore::new(&tracked, &mut store), &tweak, &mut got);
         assert_eq!(got, want, "tracked ctr ragged tail");
         let mut bstore = VecStore::new(blayout.total_bytes());
         let btracked = TrackedBitslicedAes::init(&mut bstore, &key).unwrap();
         let mut got = pt;
-        btracked.ctr_crypt(&mut bstore, &tweak, &mut got);
+        modes::ctr_crypt(&InStore::new(&btracked, &mut bstore), &tweak, &mut got);
         assert_eq!(got, want, "bitsliced tracked ctr ragged tail");
     }
 
@@ -1125,10 +858,11 @@ mod tests {
             let layout = AesStateLayout::bitsliced(KeySize::from_key_len(key.len()).unwrap());
             let mut store = VecStore::new(layout.total_bytes());
             let aes = TrackedBitslicedAes::init(&mut store, &key).unwrap();
+            let aes = InStore::new(&aes, &mut store);
             let mut block: [u8; 16] = hex("00112233445566778899aabbccddeeff").try_into().unwrap();
-            aes.encrypt_block(&mut store, &mut block);
+            aes.encrypt_block(&mut block);
             assert_eq!(block.to_vec(), hex(ct));
-            aes.decrypt_block(&mut store, &mut block);
+            aes.decrypt_block(&mut block);
             assert_eq!(block.to_vec(), hex("00112233445566778899aabbccddeeff"));
         }
     }
@@ -1147,25 +881,40 @@ mod tests {
 
             let mut store = VecStore::new(layout.total_bytes());
             let tracked = TrackedBitslicedAes::init(&mut store, &key).unwrap();
+            let tracked = InStore::new(&tracked, &mut store);
             let mut got = pt.clone();
-            tracked.cbc_encrypt(&mut store, &iv, &mut got);
+            modes::cbc_encrypt(&tracked, &iv, &mut got);
             assert_eq!(got, want, "cbc_encrypt {nblocks} blocks");
-            tracked.cbc_decrypt(&mut store, &iv, &mut got);
+            modes::cbc_decrypt(&tracked, &iv, &mut got);
             assert_eq!(got, pt, "cbc_decrypt {nblocks} blocks");
         }
+    }
+
+    /// Every mode and direction of the shared dispatch over `extents`
+    /// extents of `unit` bytes, through the table-free kernel in a
+    /// recording store; returns the store.
+    fn bitsliced_dispatch_store(key: &[u8], extents: usize, unit: usize, fill: u8) -> VecStore {
+        let layout = AesStateLayout::bitsliced(KeySize::from_key_len(key.len()).unwrap());
+        let mut store = VecStore::recording(&layout);
+        let aes = TrackedBitslicedAes::init(&mut store, key).unwrap();
+        let ivs: Vec<[u8; 16]> = (0..extents).map(|i| [fill ^ i as u8; 16]).collect();
+        let mut data: Vec<u8> = (0..extents * unit).map(|i| fill ^ (i * 31) as u8).collect();
+        let aes = InStore::new(&aes, &mut store);
+        for mode in PageCipherMode::all() {
+            for direction in [Direction::Encrypt, Direction::Decrypt] {
+                modes::crypt_extents(&aes, &aes, mode, direction, &ivs, &mut data);
+            }
+        }
+        store
     }
 
     #[test]
     fn bitsliced_tracked_makes_no_table_accesses() {
         // The whole point of the table-free variant: from key expansion
-        // through bulk CBC, not one lookup-table access occurs — the
-        // bus-monitoring side channel has no signal.
-        let layout = AesStateLayout::bitsliced(KeySize::Aes256);
-        let mut store = VecStore::recording(&layout);
-        let aes = TrackedBitslicedAes::init(&mut store, &[7u8; 32]).unwrap();
-        let mut data = vec![0x5Au8; 4096];
-        aes.cbc_encrypt(&mut store, &[1u8; 16], &mut data);
-        aes.cbc_decrypt(&mut store, &[1u8; 16], &mut data);
+        // through bulk pages in every mode, not one lookup-table access
+        // occurs — the bus-monitoring side channel has no signal.
+        let store = bitsliced_dispatch_store(&[7u8; 32], 2, 4096, 0x5A);
+        assert!(!store.touch_log.is_empty());
         assert!(
             store.events.is_empty(),
             "table-free AES must never touch a lookup table"
@@ -1179,20 +928,19 @@ mod tests {
         // keys and different plaintexts, so even an attacker seeing every
         // address on the bus learns nothing. Contrast with TrackedAes,
         // whose Te-lookup offsets are key-dependent
-        // (`table_accesses_are_recorded_and_key_dependent`).
-        let layout = AesStateLayout::bitsliced(KeySize::Aes128);
-        let trace = |key: &[u8], fill: u8| {
-            let mut store = VecStore::recording(&layout);
-            let aes = TrackedBitslicedAes::init(&mut store, key).unwrap();
-            let mut data = vec![fill; 24 * 16];
-            aes.cbc_encrypt(&mut store, &[fill; 16], &mut data);
-            aes.cbc_decrypt(&mut store, &[fill; 16], &mut data);
-            store.touch_log
-        };
-        let a = trace(&[0u8; 16], 0x00);
-        let b = trace(&[0x5Au8; 16], 0xA7);
-        assert!(!a.is_empty());
-        assert_eq!(a, b, "address trace must not depend on key or data");
+        // (`table_accesses_are_recorded_and_key_dependent`). The runs are
+        // multi-extent, through the shared dispatch: CBC encryption
+        // fills lanes across extents, and every mode streams across
+        // extent boundaries, in both directions.
+        for (extents, unit) in [(1usize, 24 * 16), (3, 24 * 16), (17, 512)] {
+            let a = bitsliced_dispatch_store(&[0u8; 16], extents, unit, 0x00).touch_log;
+            let b = bitsliced_dispatch_store(&[0x5Au8; 16], extents, unit, 0xA7).touch_log;
+            assert!(!a.is_empty());
+            assert_eq!(
+                a, b,
+                "{extents}x{unit}: address trace must not depend on key or data"
+            );
+        }
     }
 
     #[test]

@@ -15,8 +15,8 @@ use sentry_crypto::modes::{
     ctr_crypt_extents, ctr_xor, xts_crypt_extents, xts_decrypt, xts_encrypt,
 };
 use sentry_crypto::{
-    Aes, AesRef, AesStateLayout, BitslicedAes, Cmac, KeySize, TrackedAes, TrackedBitslicedAes,
-    VecStore,
+    Aes, AesRef, AesStateLayout, BitslicedAes, Cmac, InStore, KeySize, TrackedAes,
+    TrackedBitslicedAes, VecStore,
 };
 
 fn key_strategy() -> impl Strategy<Value = Vec<u8>> {
@@ -67,14 +67,16 @@ proptest! {
         let key_size = KeySize::from_key_len(key.len()).unwrap();
         let mut store = VecStore::new(AesStateLayout::for_key_size(key_size).total_bytes());
         let tracked = TrackedAes::init(&mut store, &key).unwrap();
+        let tracked = InStore::new(&tracked, &mut store);
         let mut d = ct.clone();
-        tracked.cbc_decrypt(&mut store, &iv, &mut d);
+        cbc_decrypt(&tracked, &iv, &mut d);
         prop_assert_eq!(&d, &pt, "tracked table");
 
         let mut store = VecStore::new(AesStateLayout::bitsliced(key_size).total_bytes());
         let tracked_bits = TrackedBitslicedAes::init(&mut store, &key).unwrap();
+        let tracked_bits = InStore::new(&tracked_bits, &mut store);
         let mut d = ct.clone();
-        tracked_bits.cbc_decrypt(&mut store, &iv, &mut d);
+        cbc_decrypt(&tracked_bits, &iv, &mut d);
         prop_assert_eq!(&d, &pt, "tracked bitsliced");
     }
 
@@ -95,14 +97,16 @@ proptest! {
         let key_size = KeySize::from_key_len(key.len()).unwrap();
         let mut store = VecStore::new(AesStateLayout::for_key_size(key_size).total_bytes());
         let tracked = TrackedAes::init(&mut store, &key).unwrap();
+        let tracked = InStore::new(&tracked, &mut store);
         let mut got = pt.clone();
-        tracked.cbc_encrypt(&mut store, &iv, &mut got);
+        cbc_encrypt(&tracked, &iv, &mut got);
         prop_assert_eq!(&got, &expect, "tracked table");
 
         let mut store = VecStore::new(AesStateLayout::bitsliced(key_size).total_bytes());
         let tracked_bits = TrackedBitslicedAes::init(&mut store, &key).unwrap();
+        let tracked_bits = InStore::new(&tracked_bits, &mut store);
         let mut got = pt.clone();
-        tracked_bits.cbc_encrypt(&mut store, &iv, &mut got);
+        cbc_encrypt(&tracked_bits, &iv, &mut got);
         prop_assert_eq!(&got, &expect, "tracked bitsliced");
     }
 
@@ -165,20 +169,22 @@ proptest! {
         let key_size = KeySize::from_key_len(key.len()).unwrap();
         let mut store = VecStore::new(AesStateLayout::for_key_size(key_size).total_bytes());
         let tracked = TrackedAes::init(&mut store, &key).unwrap();
+        let tracked = InStore::new(&tracked, &mut store);
         let mut d = ct.clone();
-        tracked.xts_decrypt(&mut store, &tweak, &mut d);
+        xts_decrypt(&tracked, &tracked, &tweak, &mut d);
         prop_assert_eq!(&d, &pt, "tracked table decrypt");
         let mut e = pt.clone();
-        tracked.xts_encrypt(&mut store, &tweak, &mut e);
+        xts_encrypt(&tracked, &tracked, &tweak, &mut e);
         prop_assert_eq!(&e, &ct, "tracked table encrypt");
 
         let mut store = VecStore::new(AesStateLayout::bitsliced(key_size).total_bytes());
         let tracked_bits = TrackedBitslicedAes::init(&mut store, &key).unwrap();
+        let tracked_bits = InStore::new(&tracked_bits, &mut store);
         let mut d = ct.clone();
-        tracked_bits.xts_decrypt(&mut store, &tweak, &mut d);
+        xts_decrypt(&tracked_bits, &tracked_bits, &tweak, &mut d);
         prop_assert_eq!(&d, &pt, "tracked bitsliced decrypt");
         let mut e = pt.clone();
-        tracked_bits.xts_encrypt(&mut store, &tweak, &mut e);
+        xts_encrypt(&tracked_bits, &tracked_bits, &tweak, &mut e);
         prop_assert_eq!(&e, &ct, "tracked bitsliced encrypt");
     }
 
@@ -210,14 +216,16 @@ proptest! {
         let key_size = KeySize::from_key_len(key.len()).unwrap();
         let mut store = VecStore::new(AesStateLayout::for_key_size(key_size).total_bytes());
         let tracked = TrackedAes::init(&mut store, &key).unwrap();
+        let tracked = InStore::new(&tracked, &mut store);
         let mut other = pt.clone();
-        tracked.ctr_crypt(&mut store, &iv, &mut other);
+        ctr_crypt(&tracked, &iv, &mut other);
         prop_assert_eq!(&other, &ct, "tracked table");
 
         let mut store = VecStore::new(AesStateLayout::bitsliced(key_size).total_bytes());
         let tracked_bits = TrackedBitslicedAes::init(&mut store, &key).unwrap();
+        let tracked_bits = InStore::new(&tracked_bits, &mut store);
         let mut other = pt.clone();
-        tracked_bits.ctr_crypt(&mut store, &iv, &mut other);
+        ctr_crypt(&tracked_bits, &iv, &mut other);
         prop_assert_eq!(&other, &ct, "tracked bitsliced");
 
         // Involution.

@@ -290,12 +290,9 @@ impl GenericAesEngine {
             engine: self.name(),
         })?;
         cipher.crypt(self.mode, direction, ivs, data);
-        // Per 16-byte block: the arithmetic plus a handful of
-        // cache-resident state touches.
-        soc.clock.advance(
-            (data.len() as u64 / 16)
-                * (soc.costs.aes_block_compute_ns + 4 * soc.costs.cache_hit_ns),
-        );
+        // Generic AES state is cache-resident kernel heap.
+        soc.clock
+            .advance(soc.costs.aes_ns(data.len() as u64, soc.costs.cache_hit_ns));
         Ok(())
     }
 }

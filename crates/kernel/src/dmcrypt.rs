@@ -615,7 +615,7 @@ impl DmCrypt {
     /// lanes — the same per-block arithmetic charge the generic engine
     /// models.
     fn keystream_cost_ns(soc: &Soc, bytes: usize) -> u64 {
-        (bytes as u64 / 16) * (soc.costs.aes_block_compute_ns + 4 * soc.costs.cache_hit_ns)
+        soc.costs.aes_ns(bytes as u64, soc.costs.cache_hit_ns)
     }
 
     /// CPU cost to XOR one unit of precomputed keystream into data —

@@ -136,6 +136,15 @@ impl CostModel {
         }
     }
 
+    /// Simulated time for software AES over `bytes`: per 16-byte block,
+    /// the arithmetic plus four state accesses of `state_access_ns` each
+    /// (a cache hit for DRAM-backed or locked-L2 state, an iRAM access
+    /// for iRAM-resident state). Every engine and lane charges this.
+    #[must_use]
+    pub fn aes_ns(&self, bytes: u64, state_access_ns: u64) -> u64 {
+        (bytes / 16) * (self.aes_block_compute_ns + 4 * state_access_ns)
+    }
+
     /// Simulated time to zero `bytes` with the kernel zeroing thread.
     #[must_use]
     pub fn zeroing_ns(&self, bytes: u64) -> u64 {

@@ -16,8 +16,8 @@ use sentry::crypto::modes::{
 };
 use sentry::crypto::parallel::crypt_batch;
 use sentry::crypto::{
-    Aes, AesRef, AesStateLayout, BitslicedAes, BlockCipherBatch, Direction, KeySize, PageCipher,
-    PageCipherMode, TrackedAes, VecStore,
+    Aes, AesRef, AesStateLayout, BitslicedAes, BlockCipherBatch, Direction, InStore, KeySize,
+    PageCipher, PageCipherMode, TrackedAes, VecStore,
 };
 use sentry::kernel::crypto_api::{AccelAesEngine, CipherEngine, GenericAesEngine};
 use sentry::soc::Soc;
@@ -135,21 +135,16 @@ fn all_implementations_agree(
         "bitsliced"
     );
 
-    // Tracked through a plain store, per extent.
+    // Tracked through a plain store, bound as a block cipher, per extent.
     let layout = AesStateLayout::for_key_size(KeySize::Aes128);
     let mut store = VecStore::new(layout.total_bytes());
     let tracked = TrackedAes::init(&mut store, key).unwrap();
-    let mut tr = data.clone();
-    for (iv, chunk) in ivs.iter().zip(tr.chunks_exact_mut(unit)) {
-        match (mode, direction) {
-            (PageCipherMode::Cbc, Encrypt) => tracked.cbc_encrypt(&mut store, iv, chunk),
-            (PageCipherMode::Cbc, _) => tracked.cbc_decrypt(&mut store, iv, chunk),
-            (PageCipherMode::Xts, Encrypt) => tracked.xts_encrypt(&mut store, iv, chunk),
-            (PageCipherMode::Xts, _) => tracked.xts_decrypt(&mut store, iv, chunk),
-            (PageCipherMode::Ctr, _) => tracked.ctr_crypt(&mut store, iv, chunk),
-        }
-    }
-    prop_assert_eq!(&tr, &expect, "tracked");
+    let tracked = InStore::new(&tracked, &mut store);
+    prop_assert_eq!(
+        &per_extent(&tracked, mode, direction, &ivs, &data),
+        &expect,
+        "tracked"
+    );
 
     // The generic and accelerator kernel engines.
     let mut soc = Soc::tegra3_small();
