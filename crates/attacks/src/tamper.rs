@@ -13,7 +13,8 @@
 //! builds a fresh world, plants one tamper while the target pages sit
 //! encrypted in DRAM, then forces the bytes through one specific decrypt
 //! path — the on-demand fault, the fault-cluster readahead, the unlock
-//! DMA batch, the background sweeper, or crash recovery — and checks:
+//! DMA batch, the background sweeper, the locked background fault's
+//! page-in, or crash recovery — and checks:
 //!
 //! * **Detection** — the tamper surfaces as a typed
 //!   `IntegrityViolation` (directly, or as a quarantined page whose
@@ -73,6 +74,10 @@ pub enum DecryptPath {
     UnlockBatch,
     /// The background decrypt sweeper (`scheduler_tick`).
     Sweeper,
+    /// A sensitive background app's fault while the device is still
+    /// locked: the pager evicts a resident page to page the tampered
+    /// one in.
+    PageIn,
     /// `Sentry::recover` rolling an interrupted unlock forward.
     Recovery,
 }
@@ -86,6 +91,7 @@ impl DecryptPath {
             DecryptPath::Readahead => "readahead",
             DecryptPath::UnlockBatch => "unlock batch",
             DecryptPath::Sweeper => "sweeper",
+            DecryptPath::PageIn => "locked page-in",
             DecryptPath::Recovery => "recovery",
         }
     }
@@ -169,7 +175,7 @@ impl TamperOutcome {
                     "{} tampers across {} decrypt paths: all detected, \
                      0 silent corruptions",
                     self.cells.len(),
-                    5
+                    DECRYPT_PATHS.len() + 1
                 ),
             )
         } else {
@@ -314,9 +320,9 @@ fn plant(
     // Primary target per path: the page that specific path decrypts.
     // vpn 2 is the DMA region (unlock batch / recovery); vpn 1 fronts
     // the cluster-mate of vpn 0 (readahead); vpn 3 is a plain private
-    // page (on-demand, sweeper).
+    // page (on-demand, sweeper, locked page-in).
     let target = match path {
-        DecryptPath::OnDemand | DecryptPath::Sweeper => 3,
+        DecryptPath::OnDemand | DecryptPath::Sweeper | DecryptPath::PageIn => 3,
         DecryptPath::Readahead => 1,
         DecryptPath::UnlockBatch | DecryptPath::Recovery => 2,
     };
@@ -438,6 +444,19 @@ pub fn run_cell(
             ));
             path_ok &= drained;
         }
+        DecryptPath::PageIn => {
+            // Fill both pager slots with clean pages, then fault the
+            // tampered page in while still locked: the fault evicts
+            // vpn 0 and must refuse the page it brings in.
+            s.touch_pages(actors.vault, &[0, 2])?;
+            let err = s.touch_pages(actors.vault, &tampered[..1]);
+            detected = matches!(&err, Err(e) if e.is_integrity_violation());
+            evidence.push(format!(
+                "locked fault after {} pageouts -> {err:?}",
+                s.pager.stats.pageouts
+            ));
+            s.on_unlock()?;
+        }
         DecryptPath::Recovery => {}
     }
 
@@ -447,7 +466,7 @@ pub fn run_cell(
         let err = s.touch_pages(actors.vault, &[vpn]);
         if matches!(&err, Err(e) if e.is_integrity_violation()) {
             detected = true;
-        } else if path == DecryptPath::OnDemand {
+        } else if matches!(path, DecryptPath::OnDemand | DecryptPath::PageIn) {
             // The direct touch above already decided this cell.
         } else {
             detected = false;
@@ -483,6 +502,15 @@ pub fn run_cell(
     })
 }
 
+/// The decrypt paths every vector is driven through.
+const DECRYPT_PATHS: [DecryptPath; 5] = [
+    DecryptPath::OnDemand,
+    DecryptPath::Readahead,
+    DecryptPath::UnlockBatch,
+    DecryptPath::Sweeper,
+    DecryptPath::PageIn,
+];
+
 /// Run the full vector × path grid against `scn`. The recovery path is
 /// driven with the bit-flip vector only (splice/replay need a second
 /// committed epoch, which an interrupted unlock doesn't have).
@@ -497,12 +525,7 @@ pub fn run_tamper_matrix(scn: &Scenario) -> Result<TamperOutcome, SentryError> {
         TamperVector::Splice,
         TamperVector::Replay,
     ] {
-        for path in [
-            DecryptPath::OnDemand,
-            DecryptPath::Readahead,
-            DecryptPath::UnlockBatch,
-            DecryptPath::Sweeper,
-        ] {
+        for path in DECRYPT_PATHS {
             cells.push(run_cell(scn, path, vector)?);
         }
     }
@@ -520,7 +543,7 @@ mod tests {
     #[test]
     fn every_tamper_cell_is_detected_with_no_silent_corruption() {
         let outcome = run_tamper_matrix(&Scenario::tegra3(11)).unwrap();
-        assert_eq!(outcome.cells.len(), 13);
+        assert_eq!(outcome.cells.len(), 16);
         for cell in &outcome.cells {
             assert!(
                 cell.clean(),
@@ -545,13 +568,13 @@ mod tests {
 
     #[test]
     fn xts_and_ctr_modes_detect_every_tamper() {
-        // The non-chaining page ciphers must hold the same 13/13 line:
+        // The non-chaining page ciphers must hold the same 16/16 line:
         // the integrity CMAC binds (pid, vpn, epoch) through the IV
         // regardless of mode, so bit flips, frame splices, and
         // stale-epoch replays all still break the tag.
         for scn in [Scenario::tegra3_xts(14), Scenario::tegra3_ctr(15)] {
             let outcome = run_tamper_matrix(&scn).unwrap();
-            assert_eq!(outcome.cells.len(), 13);
+            assert_eq!(outcome.cells.len(), 16);
             assert!(
                 outcome.clean(),
                 "{} tamper matrix not clean: {:#?}",

@@ -1,6 +1,6 @@
 //! Integrity-plane experiment: detection coverage and MAC overhead.
 //!
-//! Two halves:
+//! Three parts:
 //!
 //! 1. **Detection coverage** — the [`sentry_attacks::tamper`] matrix
 //!    (bit flips, frame splices, stale-epoch replays, planted on every
@@ -12,17 +12,24 @@
 //!    off. Tagging and verify-on-decrypt ride the already-streamed
 //!    page bytes, so the unlock sweep must cost at most 15% more than
 //!    confidentiality-only encrypted DRAM.
+//! 3. **Pager MAC cost** — a locked background app faults through the
+//!    same slot-capped configuration, every fault evicting the oldest
+//!    resident page. The fault stores the victim's tag and checks the
+//!    incoming page in one CMAC chain, and reads the victim back by
+//!    comparing bytes, so a fault with MACs must cost at most 1.6× one
+//!    without.
 //!
 //! Results print as tables and land in `BENCH_integrity.json`. With
-//! `--enforce`, any missed detection, any silent corruption, or an
-//! unlock-sweep overhead above 15% fails the run.
+//! `--enforce`, any missed detection, any silent corruption, an
+//! unlock-sweep overhead above 15%, or a pager fault ratio above 1.6×
+//! fails the run.
 
 use sentry_attacks::faultmatrix::Scenario;
 use sentry_attacks::tamper::{run_tamper_matrix, TamperOutcome};
 use sentry_bench::print_table;
 use sentry_core::config::ReadaheadConfig;
 use sentry_core::{Sentry, SentryConfig};
-use sentry_kernel::Kernel;
+use sentry_kernel::{Kernel, Pid};
 use sentry_soc::{Platform, Soc, SocConfig, PAGE_SIZE};
 
 /// Pages in the overhead workload: enough to amortise per-transition
@@ -31,6 +38,10 @@ const SWEEP_PAGES: u64 = 48;
 
 /// Enforced ceiling on the unlock-sweep slowdown from MAC verification.
 const MAX_UNLOCK_OVERHEAD_PCT: f64 = 15.0;
+
+/// Enforced ceiling on a locked eviction fault's cost with MACs over
+/// its cost without.
+const MAX_PAGER_RATIO: f64 = 1.6;
 
 /// One lock → unlock → drain run on the simulated clock.
 struct SweepCost {
@@ -44,7 +55,16 @@ fn sweep_config() -> SentryConfig {
         .with_readahead(ReadaheadConfig::with_cluster(4).sweep_budget(8))
 }
 
-fn measure_sweep(config: SentryConfig) -> SweepCost {
+/// Locked eviction faults on the simulated clock.
+struct PagerCost {
+    faults: u64,
+    ns_per_fault: u64,
+    mac_chains: u64,
+}
+
+/// A sentry under `config` whose one sensitive process holds
+/// `SWEEP_PAGES` written pages.
+fn populated(config: SentryConfig) -> (Sentry, Pid) {
     let soc = Soc::new(
         SocConfig::new(Platform::Tegra3)
             .with_dram_size(64 << 20)
@@ -58,7 +78,11 @@ fn measure_sweep(config: SentryConfig) -> SweepCost {
         let page = vec![(vpn as u8).wrapping_mul(0x3B) ^ 0x5A; PAGE_SIZE as usize];
         s.write(pid, vpn * PAGE_SIZE, &page).expect("populate page");
     }
+    (s, pid)
+}
 
+fn measure_sweep(config: SentryConfig) -> SweepCost {
+    let (mut s, _) = populated(config);
     let t0 = s.kernel.soc.clock.now_ns();
     s.on_lock().expect("lock");
     let t1 = s.kernel.soc.clock.now_ns();
@@ -80,6 +104,27 @@ fn measure_sweep(config: SentryConfig) -> SweepCost {
     }
 }
 
+/// Lock, fill every pager slot, then fault each remaining page in while
+/// locked: every one of those faults evicts the oldest resident page.
+fn measure_pager(config: SentryConfig) -> PagerCost {
+    let (mut s, pid) = populated(config);
+    s.on_lock().expect("lock");
+    let slots = s.config.slot_limit.expect("slot-capped config") as u64;
+    let vpns: Vec<u64> = (0..SWEEP_PAGES).collect();
+    let (fill, faulting) = vpns.split_at(slots as usize);
+    s.touch_pages(pid, fill).expect("fill the slots");
+    let t0 = s.kernel.soc.clock.now_ns();
+    let (pageouts, chains) = (s.pager.stats.pageouts, s.integrity.stats.mac_chains);
+    s.touch_pages(pid, faulting).expect("locked faults");
+    let faults = s.pager.stats.pageouts - pageouts;
+    assert_eq!(faults, faulting.len() as u64, "every fault evicts");
+    PagerCost {
+        faults,
+        ns_per_fault: (s.kernel.soc.clock.now_ns() - t0) / faults,
+        mac_chains: s.integrity.stats.mac_chains - chains,
+    }
+}
+
 fn overhead_pct(on: u64, off: u64) -> f64 {
     if off == 0 {
         return 0.0;
@@ -92,10 +137,10 @@ fn overhead_pct(on: u64, off: u64) -> f64 {
 
 fn emit_json(
     matrices: &[TamperOutcome],
-    on: &SweepCost,
-    off: &SweepCost,
+    (on, off): (&SweepCost, &SweepCost),
     lock_pct: f64,
     unlock_pct: f64,
+    (pager_on, pager_off): (&PagerCost, &PagerCost),
 ) -> String {
     // Hand-rolled JSON: fixed schema, numbers and plain names only.
     let detection: Vec<String> = matrices
@@ -117,7 +162,9 @@ fn emit_json(
         "{{\n  \"experiment\": \"integrity\",\n  \"detection\": [\n{}\n  ],\n  \
          \"overhead\": {{\"pages\": {}, \"lock_ns_off\": {}, \"lock_ns_on\": {}, \
          \"unlock_ns_off\": {}, \"unlock_ns_on\": {}, \"lock_overhead_pct\": {:.2}, \
-         \"unlock_overhead_pct\": {:.2}, \"max_unlock_overhead_pct\": {:.1}}}\n}}\n",
+         \"unlock_overhead_pct\": {:.2}, \"max_unlock_overhead_pct\": {:.1}}},\n  \
+         \"pager\": {{\"faults\": {}, \"fault_ns_off\": {}, \"fault_ns_on\": {}, \
+         \"ratio\": {:.2}, \"mac_chains_per_fault\": {:.2}, \"max_ratio\": {:.1}}}\n}}\n",
         detection.join(",\n"),
         SWEEP_PAGES,
         off.lock_ns,
@@ -127,13 +174,29 @@ fn emit_json(
         lock_pct,
         unlock_pct,
         MAX_UNLOCK_OVERHEAD_PCT,
+        pager_on.faults,
+        pager_off.ns_per_fault,
+        pager_on.ns_per_fault,
+        pager_ratio(pager_on, pager_off),
+        chains_per_fault(pager_on),
+        MAX_PAGER_RATIO,
     )
+}
+
+#[allow(clippy::cast_precision_loss)]
+fn pager_ratio(on: &PagerCost, off: &PagerCost) -> f64 {
+    on.ns_per_fault as f64 / off.ns_per_fault as f64
+}
+
+#[allow(clippy::cast_precision_loss)]
+fn chains_per_fault(cost: &PagerCost) -> f64 {
+    cost.mac_chains as f64 / cost.faults as f64
 }
 
 fn main() {
     let enforce = std::env::args().any(|a| a == "--enforce");
 
-    // Half 1: detection coverage on both crypt engines.
+    // Part 1: detection coverage on both crypt engines.
     let scenarios = [Scenario::tegra3(0x7A3B), Scenario::tegra3_parallel(0x7A3C)];
     let matrices: Vec<TamperOutcome> = scenarios
         .iter()
@@ -169,7 +232,7 @@ fn main() {
         );
     }
 
-    // Half 2: MAC overhead of the lock transition and the unlock sweep.
+    // Part 2: MAC overhead of the lock transition and the unlock sweep.
     let on = measure_sweep(sweep_config());
     let off = measure_sweep(sweep_config().without_integrity());
     let lock_pct = overhead_pct(on.lock_ns, off.lock_ns);
@@ -198,7 +261,36 @@ fn main() {
         ],
     );
 
-    let json = emit_json(&matrices, &on, &off, lock_pct, unlock_pct);
+    // Part 3: MAC cost of a locked eviction fault.
+    let pager_on = measure_pager(sweep_config());
+    let pager_off = measure_pager(sweep_config().without_integrity());
+    let ratio = pager_ratio(&pager_on, &pager_off);
+    print_table(
+        &format!(
+            "Pager MAC cost ({} locked eviction faults)",
+            pager_on.faults
+        ),
+        &[
+            "Integrity off (ns/fault)",
+            "Integrity on (ns/fault)",
+            "Ratio",
+            "MAC chains/fault",
+        ],
+        &[vec![
+            pager_off.ns_per_fault.to_string(),
+            pager_on.ns_per_fault.to_string(),
+            format!("{ratio:.2}x"),
+            format!("{:.2}", chains_per_fault(&pager_on)),
+        ]],
+    );
+
+    let json = emit_json(
+        &matrices,
+        (&on, &off),
+        lock_pct,
+        unlock_pct,
+        (&pager_on, &pager_off),
+    );
     std::fs::write("BENCH_integrity.json", &json).expect("write BENCH_integrity.json");
     println!("\nwrote BENCH_integrity.json");
 
@@ -237,9 +329,19 @@ fn main() {
             );
             failed = true;
         }
+        if ratio > MAX_PAGER_RATIO {
+            eprintln!(
+                "FAIL: a locked eviction fault costs {ratio:.2}x with MACs, \
+                 above {MAX_PAGER_RATIO:.1}x"
+            );
+            failed = true;
+        }
         if failed {
             std::process::exit(1);
         }
-        println!("enforce: 100% tamper detection, unlock overhead {unlock_pct:.2}% <= {MAX_UNLOCK_OVERHEAD_PCT:.1}%");
+        println!(
+            "enforce: 100% tamper detection, unlock overhead {unlock_pct:.2}% <= \
+             {MAX_UNLOCK_OVERHEAD_PCT:.1}%, pager fault ratio {ratio:.2}x <= {MAX_PAGER_RATIO:.1}x"
+        );
     }
 }

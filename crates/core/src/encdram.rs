@@ -12,22 +12,23 @@
 //! When the on-SoC slots are full, the oldest resident page is evicted
 //! (FIFO): re-encrypted back into its home DRAM frame, its PTE re-armed
 //! to trap. Plaintext therefore exists only on the SoC; DRAM (and hence
-//! every in-scope attack) sees ciphertext only.
+//! every in-scope attack) sees ciphertext only. A frame shared by
+//! several sensitive processes pages into one slot that every sharer
+//! maps, and its eviction re-arms them all.
 //!
 //! The [`Pager`] is slot bookkeeping plus the planners of these moves:
-//! it picks the victims and plans their [`JournalEntry`]s, and
-//! [`crate::Sentry`] runs them through the transition primitive (see
-//! [`crate::transition`]), whose crypt step is the only code that
+//! a fault's slot comes with the eviction that frees it, and
+//! [`crate::Sentry`] runs the eviction and the page-in as one transition
+//! (see [`crate::transition`]), whose crypt step is the only code that
 //! reaches a cipher.
 
 use crate::error::SentryError;
 use crate::onsoc::OnSocStore;
-use crate::transition::{plan, set_page_state, IvSource, PageState};
+use crate::transition::{mappings, plan, set_page_state, IvSource, PageState};
 use crate::txn::JournalEntry;
-use sentry_kernel::pagetable::Backing;
+use sentry_kernel::pagetable::{Backing, Pte};
 use sentry_kernel::{Kernel, Pid};
 use sentry_soc::addr::PAGE_SIZE;
-use sentry_soc::Soc;
 
 /// Pager statistics, consumed by the background-computation experiments
 /// (Figures 6–8).
@@ -96,44 +97,11 @@ impl Pager {
         self.resident.len()
     }
 
-    /// A slot for a page-in: a free one, or a new one from `store` while
-    /// the slot limit allows. `None` when every slot is taken: the
-    /// oldest resident page must be evicted first (see
-    /// [`Pager::plan_evict`]).
-    pub(crate) fn free_slot(
-        &mut self,
-        store: &mut OnSocStore,
-        soc: &mut Soc,
-    ) -> Result<Option<usize>, SentryError> {
-        if let Some(i) = self.free.pop() {
-            debug_assert!(self.slots[i].occupant.is_none(), "free list out of sync");
-            return Ok(Some(i));
-        }
-        if self.slot_limit.is_none_or(|lim| self.slots.len() < lim) {
-            match store.alloc_page(soc) {
-                Ok(addr) => {
-                    self.slots.push(Slot {
-                        addr,
-                        occupant: None,
-                    });
-                    return Ok(Some(self.slots.len() - 1));
-                }
-                Err(SentryError::OnSocExhausted) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(None)
-    }
-
-    /// Give back a slot whose page-in failed, so a retried fault pages
-    /// into it again instead of evicting another victim.
-    pub(crate) fn give_back(&mut self, slot_idx: usize) {
-        self.free.push(slot_idx);
-    }
-
-    /// Plan the FIFO eviction of the oldest resident page (Figure 1 in
-    /// reverse): its slot encrypted back into its home DRAM frame at
-    /// `epoch`. Returns the victim's slot with the plan.
+    /// Plan a locked fault's slot: a free one, or a new one from `store`
+    /// while the slot limit allows. When every slot is taken, the oldest
+    /// resident page must be evicted first (Figure 1 in reverse): its
+    /// slot is returned with the plan that encrypts it back into its home
+    /// DRAM frame at `epoch`.
     ///
     /// The victim stays at the FIFO head until [`Pager::evicted`], so a
     /// kill inside the eviction leaves recovery (and the retried fault)
@@ -141,12 +109,31 @@ impl Pager {
     ///
     /// # Errors
     ///
-    /// [`SentryError::OnSocExhausted`] when no page is resident.
-    pub(crate) fn plan_evict(
-        &self,
-        kernel: &Kernel,
+    /// [`SentryError::OnSocExhausted`] when no slot can be had and no
+    /// page is resident; store errors.
+    pub(crate) fn plan_fault(
+        &mut self,
+        store: &mut OnSocStore,
+        kernel: &mut Kernel,
         epoch: u64,
-    ) -> Result<(usize, JournalEntry), SentryError> {
+    ) -> Result<(usize, Option<JournalEntry>), SentryError> {
+        if let Some(i) = self.free.pop() {
+            debug_assert!(self.slots[i].occupant.is_none(), "free list out of sync");
+            return Ok((i, None));
+        }
+        if self.slot_limit.is_none_or(|lim| self.slots.len() < lim) {
+            match store.alloc_page(&mut kernel.soc) {
+                Ok(addr) => {
+                    self.slots.push(Slot {
+                        addr,
+                        occupant: None,
+                    });
+                    return Ok((self.slots.len() - 1, None));
+                }
+                Err(SentryError::OnSocExhausted) => {}
+                Err(e) => return Err(e),
+            }
+        }
         let victim = *self.resident.front().ok_or(SentryError::OnSocExhausted)?;
         let slot = self.slots[victim];
         let (pid, vpn) = slot.occupant.expect("evicting an empty slot");
@@ -157,7 +144,13 @@ impl Pager {
             .and_then(|pte| pte.home_frame)
             .ok_or(SentryError::Unresolvable { pid, vpn })?;
         let entry = plan((pid, vpn), slot.addr, home, IvSource::Encrypt(epoch));
-        Ok((victim, entry))
+        Ok((victim, Some(entry)))
+    }
+
+    /// Give back a slot whose page-in failed, so a retried fault pages
+    /// into it again instead of evicting another victim.
+    pub(crate) fn give_back(&mut self, slot_idx: usize) {
+        self.free.push(slot_idx);
     }
 
     /// The in-memory tail of a committed FIFO eviction: the victim
@@ -172,13 +165,13 @@ impl Pager {
     }
 
     /// The tail of a page-in: write `plaintext` into the slot, repoint
-    /// the PTE at it, set young, and start it clean — the home frame's
-    /// ciphertext is current until a write — then add the page to the
-    /// FIFO.
+    /// every mapping of `frame` at it, set young, and start it clean —
+    /// the home frame's ciphertext is current until a write — then add
+    /// the page to the FIFO under the faulting mapping.
     ///
     /// # Errors
     ///
-    /// Propagates the slot write and a missing process or PTE.
+    /// Propagates the slot write and a missing process.
     pub(crate) fn paged_in(
         &mut self,
         kernel: &mut Kernel,
@@ -189,16 +182,13 @@ impl Pager {
     ) -> Result<(), SentryError> {
         let addr = self.slots[slot_idx].addr;
         kernel.soc.mem_write(addr, plaintext)?;
-        let proc = kernel.proc_mut(pid)?;
-        let pte = proc
-            .page_table
-            .get_mut(vpn)
-            .ok_or(SentryError::Unresolvable { pid, vpn })?;
-        pte.backing = Backing::OnSoc(addr);
-        pte.home_frame = Some(frame);
-        pte.young = true;
-        pte.dirty = false;
-        proc.stats.bytes_decrypted += PAGE_SIZE;
+        set_page_state(
+            kernel,
+            frame,
+            (pid, vpn),
+            PageState::Resident { slot: addr },
+        );
+        kernel.proc_mut(pid)?.stats.bytes_decrypted += PAGE_SIZE;
 
         self.slots[slot_idx].occupant = Some((pid, vpn));
         self.resident.push_back(slot_idx);
@@ -210,10 +200,11 @@ impl Pager {
     /// Plan the lock-time sweep of every resident page, so all sensitive
     /// state is encrypted in DRAM before the device sleeps. A clean
     /// page's home frame still holds its ciphertext, so its slot is
-    /// wiped and its PTE re-armed onto that frame here. A written page
-    /// is planned for re-encryption into its home frame at `epoch` — the
-    /// lock epoch of the transition driving the sweep. Returns those
-    /// plans and the number of clean pages re-armed.
+    /// wiped and its mappings re-armed onto that frame here. A page
+    /// written through any of its mappings is planned for re-encryption
+    /// into its home frame at `epoch` — the lock epoch of the transition
+    /// driving the sweep. Returns those plans and the number of clean
+    /// pages re-armed.
     ///
     /// The FIFO is *not* drained here: a kill mid-sweep must leave the
     /// not-yet-published victims resident, so recovery (and a retried
@@ -241,7 +232,16 @@ impl Pager {
             let home = pte
                 .home_frame
                 .ok_or(SentryError::Unresolvable { pid, vpn })?;
-            if pte.written() {
+            let written = mappings(kernel, home, (pid, vpn))
+                .into_iter()
+                .any(|(p, v)| {
+                    kernel
+                        .procs
+                        .get(&p)
+                        .and_then(|proc| proc.page_table.get(v))
+                        .is_some_and(Pte::written)
+                });
+            if written {
                 pages.push(plan((pid, vpn), slot.addr, home, IvSource::Encrypt(epoch)));
             } else {
                 // Wipe, then re-arm: a kill at the wipe leaves the page
@@ -301,7 +301,9 @@ impl Pager {
     /// Drop every resident slot owned by a dying process without
     /// writing it back: the plaintext is wiped in place and the slot
     /// returns to the free list. Called on process teardown so the
-    /// pager never pins on-SoC pages for pids that no longer exist.
+    /// pager never pins on-SoC pages for pids that no longer exist. A
+    /// slot whose frame another process shares stays resident under
+    /// that sharer, whose mapping still points at it.
     ///
     /// Returns the number of slots released.
     ///
@@ -313,7 +315,19 @@ impl Pager {
         let resident: Vec<usize> = self.resident.drain(..).collect();
         let zero = vec![0u8; PAGE_SIZE as usize];
         for slot_idx in resident {
-            if self.slots[slot_idx].occupant.is_some_and(|(p, _)| p == pid) {
+            if let Some((p, vpn)) = self.slots[slot_idx].occupant.filter(|&(p, _)| p == pid) {
+                let heir = kernel
+                    .proc(p)?
+                    .page_table
+                    .get(vpn)
+                    .and_then(|pte| pte.home_frame)
+                    .and_then(|home| kernel.sharers_of(home))
+                    .and_then(|sharers| sharers.iter().find(|&&(q, _)| q != pid).copied());
+                if heir.is_some() {
+                    self.slots[slot_idx].occupant = heir;
+                    self.resident.push_back(slot_idx);
+                    continue;
+                }
                 kernel.soc.mem_write(self.slots[slot_idx].addr, &zero)?;
                 self.slots[slot_idx].occupant = None;
                 self.free.push(slot_idx);

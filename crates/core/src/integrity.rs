@@ -67,6 +67,9 @@ pub struct IntegrityStats {
     pub verify: RetryStats,
     /// Tags written into the on-SoC store.
     pub tags_stored: u64,
+    /// Serial CMAC chains charged to the simulated clock (a batch of up
+    /// to 16 pages is one chain; see `IntegrityPlane::charge_mac`).
+    pub mac_chains: u64,
     /// Tags retired (zeroed and freed) after their page returned to
     /// plaintext.
     pub tags_retired: u64,
@@ -309,6 +312,23 @@ impl IntegrityPlane {
         self.mac().mac_extents_trunc8(&ivs, buf, PAGE_SIZE as usize)
     }
 
+    /// Write `tags[i]` into the slot of `jobs[i]`'s frame, allocating
+    /// slots as needed.
+    fn write_tags(
+        &mut self,
+        soc: &mut Soc,
+        store: &mut OnSocStore,
+        jobs: &[(u64, [u8; 16])],
+        tags: &[[u8; TAG_BYTES]],
+    ) -> Result<(), SentryError> {
+        for (&(frame, _), tag) in jobs.iter().zip(tags) {
+            let slot = self.slot_for(soc, store, frame)?;
+            soc.mem_write(self.slot_addr(slot), tag)?;
+            self.stats.tags_stored += 1;
+        }
+        Ok(())
+    }
+
     fn mac(&self) -> &Cmac {
         self.cmac.as_ref().expect("MAC on a disabled plane")
     }
@@ -318,11 +338,12 @@ impl IntegrityPlane {
     /// pages fill the 16 bitslice lanes of the batch AES kernels, so a
     /// batch costs `ceil(pages/16)` serial chains of 257 blocks (256
     /// page blocks + the IV tweak block) each.
-    fn charge_mac(soc: &mut Soc, pages: usize) {
+    fn charge_mac(&mut self, soc: &mut Soc, pages: usize) {
         if pages == 0 {
             return;
         }
         let chains = pages.div_ceil(16) as u64;
+        self.stats.mac_chains += chains;
         let blocks = PAGE_SIZE / 16 + 1;
         let ns = chains * blocks * soc.costs.aes_block_compute_ns;
         let was_enabled = soc.cpu.begin_critical();
@@ -589,7 +610,7 @@ impl IntegrityPlane {
         self.spill_region(soc)?
             .restore(soc, idx as u64, &mut plain)?;
         let tweak = Self::spill_tweak(anchor.epoch);
-        Self::charge_mac(soc, 1);
+        self.charge_mac(soc, 1);
         let got = self
             .cmac
             .as_ref()
@@ -624,7 +645,7 @@ impl IntegrityPlane {
         let mut plain = vec![0u8; PAGE_SIZE as usize];
         soc.mem_read(addr, &mut plain)?;
         let tweak = Self::spill_tweak(self.spill_epoch);
-        Self::charge_mac(soc, 1);
+        self.charge_mac(soc, 1);
         let tag = self
             .cmac
             .as_ref()
@@ -777,25 +798,15 @@ impl IntegrityPlane {
         if !self.enabled() || jobs.is_empty() {
             return Ok(());
         }
-        Self::charge_mac(soc, jobs.len());
+        self.charge_mac(soc, jobs.len());
         let tags = self.compute_tags(jobs, buf);
-        for (&(frame, _), tag) in jobs.iter().zip(&tags) {
-            let slot = self.slot_for(soc, store, frame)?;
-            soc.mem_write(self.slot_addr(slot), tag)?;
-            self.stats.tags_stored += 1;
-        }
-        Ok(())
+        self.write_tags(soc, store, jobs, &tags)
     }
 
     /// Verify a batch of gathered ciphertext pages (exactly one per job,
     /// in job order) against the tag store, before any of them is
-    /// decrypted. The batch's tags come from one batch CMAC; each
-    /// page's tag-store read and compare then run in job order, and a
-    /// retry re-MACs only its own page. On a mismatch the frame
-    /// is re-read (into the caller's buffer — a transient readout
-    /// glitch heals here) up to [`MAX_VERIFY_RETRIES`] times; a page that
-    /// still fails reports [`VerifyOutcome::Mismatch`] and the caller
-    /// quarantines it.
+    /// decrypted: `IntegrityPlane::store_and_verify` with nothing to
+    /// store.
     ///
     /// # Errors
     ///
@@ -811,15 +822,58 @@ impl IntegrityPlane {
         jobs: &[(u64, [u8; 16])],
         buf: &mut [u8],
     ) -> Result<Vec<VerifyOutcome>, SentryError> {
-        check_pages(jobs, buf);
+        Ok(self.store_and_verify(soc, store, &[], jobs, buf)?.1)
+    }
+
+    /// One batch CMAC over freshly encrypted pages and gathered
+    /// ciphertext pages: store the tags of the first and verify the
+    /// second. `buf` holds one page per job, the `stores` pages first,
+    /// then the `verifies` pages, each in job order. The stored tags
+    /// land before any of those pages publishes (see
+    /// [`IntegrityPlane::store_tags`]). Returns the stored tags and one
+    /// outcome per verified page.
+    ///
+    /// A locked page fault that evicts runs this once, so the victim's
+    /// tag and the incoming page's check share one charged chain.
+    ///
+    /// Each verified page's tag-store read and compare run in job order,
+    /// and a retry re-MACs only its own page. On a mismatch the frame is
+    /// re-read (into the caller's buffer — a transient readout glitch
+    /// heals here) up to [`MAX_VERIFY_RETRIES`] times; a page that still
+    /// fails reports [`VerifyOutcome::Mismatch`] and the caller
+    /// quarantines it.
+    ///
+    /// # Errors
+    ///
+    /// [`SentryError::OnSocExhausted`] when the tag store cannot grow;
+    /// SoC read errors.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `buf` holds exactly one page per job.
+    pub(crate) fn store_and_verify(
+        &mut self,
+        soc: &mut Soc,
+        store: &mut OnSocStore,
+        stores: &[(u64, [u8; 16])],
+        verifies: &[(u64, [u8; 16])],
+        buf: &mut [u8],
+    ) -> Result<(Vec<[u8; TAG_BYTES]>, Vec<VerifyOutcome>), SentryError> {
+        let jobs = [stores, verifies].concat();
+        check_pages(&jobs, buf);
         if !self.enabled() {
-            return Ok(vec![VerifyOutcome::Ok; jobs.len()]);
+            return Ok((Vec::new(), vec![VerifyOutcome::Ok; verifies.len()]));
         }
-        Self::charge_mac(soc, jobs.len());
-        let tags = self.compute_tags(jobs, buf);
+        self.charge_mac(soc, jobs.len());
+        let mut tags = self.compute_tags(&jobs, buf);
+        let firsts = tags.split_off(stores.len());
+        self.write_tags(soc, store, stores, &tags)?;
         let page = PAGE_SIZE as usize;
-        let mut outcomes = Vec::with_capacity(jobs.len());
-        for (((frame, iv), chunk), &first) in jobs.iter().zip(buf.chunks_exact_mut(page)).zip(&tags)
+        let mut outcomes = Vec::with_capacity(verifies.len());
+        for (((frame, iv), chunk), first) in verifies
+            .iter()
+            .zip(buf[stores.len() * page..].chunks_exact_mut(page))
+            .zip(firsts)
         {
             let Some(&slot) = self.slots.get(frame) else {
                 self.stats.untagged_decrypts += 1;
@@ -834,7 +888,7 @@ impl IntegrityPlane {
                 for _ in 0..MAX_VERIFY_RETRIES {
                     self.stats.verify.attempts += 1;
                     soc.mem_read(*frame, chunk)?;
-                    Self::charge_mac(soc, 1);
+                    self.charge_mac(soc, 1);
                     got = self.compute_tag(iv, chunk);
                     if got == expected {
                         self.stats.verify.recovered += 1;
@@ -852,10 +906,66 @@ impl IntegrityPlane {
                 outcomes.push(VerifyOutcome::Mismatch { expected, got });
             }
         }
-        Ok(outcomes)
+        Ok((tags, outcomes))
     }
 
-    /// Verify one gathered page (the pager's scratch-buffer paths).
+    /// Read-back check of a frame just published from `image` under
+    /// `iv`: the frame must hold exactly `image`, and its tag slot
+    /// exactly `tag`, the tag just stored over `image`. Equal bytes
+    /// under the same IV have an equal MAC, so comparing bytes is at
+    /// least as strong as re-MACing the frame, and it costs no MAC
+    /// chain. An active attacker racing the publish (or a failing DRAM
+    /// cell) is caught here, not at the next unlock. A mismatch re-reads
+    /// the frame up to [`MAX_VERIFY_RETRIES`] times, and one that
+    /// persists computes the frame's tag for the report. The caller
+    /// quarantines it.
+    ///
+    /// # Errors
+    ///
+    /// Propagates SoC read errors.
+    pub(crate) fn verify_readback(
+        &mut self,
+        soc: &mut Soc,
+        store: &mut OnSocStore,
+        (frame, iv): (u64, [u8; 16]),
+        tag: [u8; TAG_BYTES],
+        image: &[u8],
+    ) -> Result<VerifyOutcome, SentryError> {
+        let mut readback = vec![0u8; PAGE_SIZE as usize];
+        soc.mem_read(frame, &mut readback)?;
+        let Some(&slot) = self.slots.get(&frame) else {
+            return Ok(VerifyOutcome::Untagged);
+        };
+        self.ensure_resident(soc, store, Self::page_index(slot))?;
+        let mut stored = [0u8; TAG_BYTES];
+        soc.mem_read(self.slot_addr(slot), &mut stored)?;
+        let mut intact = stored == tag && readback == image;
+        if !intact {
+            for _ in 0..MAX_VERIFY_RETRIES {
+                self.stats.verify.attempts += 1;
+                soc.mem_read(frame, &mut readback)?;
+                intact = stored == tag && readback == image;
+                if intact {
+                    self.stats.verify.recovered += 1;
+                    break;
+                }
+            }
+            if !intact {
+                self.stats.verify.exhausted += 1;
+            }
+        }
+        if intact {
+            self.stats.verified_pages += 1;
+            return Ok(VerifyOutcome::Ok);
+        }
+        self.charge_mac(soc, 1);
+        Ok(VerifyOutcome::Mismatch {
+            expected: stored,
+            got: self.compute_tag(&iv, &readback),
+        })
+    }
+
+    /// Verify one gathered page (recovery and the boot audit).
     ///
     /// # Errors
     ///
@@ -1228,6 +1338,50 @@ mod tests {
             }
         }
         assert_eq!(plane.stats.verified_pages, 15);
+        assert_eq!(plane.stats.verify.attempts, u64::from(MAX_VERIFY_RETRIES));
+        assert_eq!(plane.stats.verify.exhausted, 1);
+    }
+
+    #[test]
+    fn one_chain_stores_and_verifies_and_the_read_back_compares_bytes() {
+        let (mut plane, mut store, mut soc) = plane_and_store(OnSocBackend::Iram);
+        let page = PAGE_SIZE as usize;
+        let (victim, incoming) = (
+            (dram_frame(&soc, 1), [1u8; 16]),
+            (dram_frame(&soc, 2), [2u8; 16]),
+        );
+        let mut buf: Vec<u8> = (0..2 * page).map(|i| (i * 13 + 1) as u8).collect();
+        soc.mem_write(incoming.0, &buf[page..]).unwrap();
+        plane
+            .store_tags(&mut soc, &mut store, &[incoming], &buf[page..])
+            .unwrap();
+        let chains = plane.stats.mac_chains;
+        let (tags, outcomes) = plane
+            .store_and_verify(&mut soc, &mut store, &[victim], &[incoming], &mut buf)
+            .unwrap();
+        assert_eq!(outcomes, vec![VerifyOutcome::Ok]);
+        assert_eq!(tags, vec![plane.compute_tag(&victim.1, &buf[..page])]);
+        assert!(plane.has_tag(victim.0));
+        assert_eq!(plane.stats.mac_chains - chains, 1, "two pages, one chain");
+
+        soc.mem_write(victim.0, &buf[..page]).unwrap();
+        let image = &buf[..page];
+        let verdict = plane.verify_readback(&mut soc, &mut store, victim, tags[0], image);
+        assert_eq!(verdict.unwrap(), VerifyOutcome::Ok);
+        assert_eq!(plane.stats.mac_chains - chains, 1, "a match MACs nothing");
+
+        let mut bad = image.to_vec();
+        bad[7] ^= 1;
+        soc.mem_write(victim.0, &bad).unwrap();
+        let verdict = plane.verify_readback(&mut soc, &mut store, victim, tags[0], image);
+        let expected_got = plane.compute_tag(&victim.1, &bad);
+        assert_eq!(
+            verdict.unwrap(),
+            VerifyOutcome::Mismatch {
+                expected: tags[0],
+                got: expected_got
+            }
+        );
         assert_eq!(plane.stats.verify.attempts, u64::from(MAX_VERIFY_RETRIES));
         assert_eq!(plane.stats.verify.exhausted, 1);
     }

@@ -1078,14 +1078,17 @@ impl Sentry {
 
     /// A sensitive background process's fault while locked (§5,
     /// Figure 1): page the encrypted page into an on-SoC slot, evicting
-    /// the oldest resident page when every slot is taken. Pages already
-    /// resident, or unencrypted (e.g. shared with a non-sensitive app),
-    /// have nothing to decrypt and are just re-armed.
+    /// the oldest resident page when every slot is taken. The eviction
+    /// and the page-in are one transition (see `Transition::fault`).
+    /// Pages already resident, or unencrypted (e.g. shared with a
+    /// non-sensitive app), have nothing to decrypt and are just
+    /// re-armed.
     fn page_in(&mut self, fault: &PageFault) -> Result<(), SentryError> {
         let fault_ns = self.kernel.soc.costs.page_fault_ns;
         self.kernel.soc.clock.advance(fault_ns);
         self.pager.stats.faults += 1;
-        let (pid, vpn) = (fault.pid, fault.vpn);
+        let mapping = (fault.pid, fault.vpn);
+        let (pid, vpn) = mapping;
         let pte = self
             .kernel
             .proc_mut(pid)?
@@ -1099,68 +1102,69 @@ impl Sentry {
                 return Ok(());
             }
         };
+        let incoming = plan(mapping, frame, frame, IvSource::Stored(pte));
         // A quarantined frame never pages in: report its stored
         // violation instead of decrypting poisoned ciphertext.
         if let Some(err) = self.integrity.violation_for(frame) {
             self.pager.stats.quarantine_rejects += 1;
             return Err(err);
         }
-        let free = self
+        let epoch = self.lock_epoch;
+        let (slot, victim) = self
             .pager
-            .free_slot(&mut self.store, &mut self.kernel.soc)?;
-        let slot = free.map_or_else(|| self.evict_oldest(), Ok)?;
-        let paged_in = self.page_into(slot, (pid, vpn), frame);
+            .plan_fault(&mut self.store, &mut self.kernel, epoch)?;
+        let paged_in = match self.transition("handle_fault").fault(victim, incoming) {
+            // An eviction that did not commit keeps its victim resident
+            // (an open journal is rolled forward by recovery).
+            Err(e) if victim.is_some() => {
+                if e.is_integrity_violation() {
+                    self.pager.stats.quarantine_rejects += 1;
+                }
+                return Err(e);
+            }
+            Err(e) => Err(e),
+            Ok((ciphertext, verdict)) => {
+                if victim.is_some() {
+                    self.pager.evicted(slot);
+                }
+                self.page_into(slot, incoming, ciphertext, verdict)
+            }
+        };
         if paged_in.is_err() {
             self.pager.give_back(slot);
         }
         paged_in
     }
 
-    /// Evict the pager's oldest resident page back into its home frame
-    /// under the current lock epoch, and return its slot.
-    fn evict_oldest(&mut self) -> Result<usize, SentryError> {
-        let epoch = self.lock_epoch;
-        let (slot, victim) = self.pager.plan_evict(&self.kernel, epoch)?;
-        let evicted = self
-            .transition("handle_fault")
-            .run(Kind::EvictOne, epoch, vec![victim]);
-        if evicted
-            .as_ref()
-            .is_err_and(SentryError::is_integrity_violation)
-        {
-            self.pager.stats.quarantine_rejects += 1;
-        }
-        evicted?;
-        Ok(self.pager.evicted(slot))
-    }
-
-    /// Copy `frame`'s ciphertext on-SoC, MAC-verify it, and decrypt it
-    /// into `slot` under the IV its PTE recorded. Journal-free by
-    /// design: every byte this writes lands on-SoC (the slot), never in
-    /// DRAM, so a kill at any step leaves DRAM and the PTE exactly as
-    /// they were before the fault. A MAC mismatch quarantines the frame,
-    /// leaves the PTE untouched, and reports the violation.
+    /// Decrypt the gathered, MAC-checked ciphertext of `incoming` into
+    /// `slot` under the IV its PTE recorded. Journal-free by design:
+    /// every byte this writes lands on-SoC (the slot), never in DRAM, so
+    /// a kill at any step leaves DRAM and the PTE exactly as they were
+    /// before the page-in. A MAC mismatch quarantines the frame, leaves
+    /// the PTE untouched, and reports the violation.
     fn page_into(
         &mut self,
         slot: usize,
-        (pid, vpn): (Pid, u64),
-        frame: u64,
+        incoming: JournalEntry,
+        mut ciphertext: Vec<u8>,
+        verdict: VerifyOutcome,
     ) -> Result<(), SentryError> {
         self.kernel.soc.failpoint("pager.pagein")?;
-        let pte = self.kernel.proc(pid)?.page_table.get(vpn);
-        let pte = pte.ok_or(SentryError::Unresolvable { pid, vpn })?;
-        let mut pages = vec![plan((pid, vpn), frame, frame, IvSource::Stored(pte))];
         let mut t = self.transition("handle_fault");
-        let mut buf = t.gather(&pages)?;
-        t.kernel.soc.clock.advance(t.kernel.soc.costs.page_copy_ns);
-        t.verify(&mut pages, &mut buf)?;
-        t.crypt(Route::One, Direction::Decrypt, &mut pages, &mut buf)?;
-        if let Some(err) = self.integrity.violation_for(frame) {
+        if let VerifyOutcome::Mismatch { expected, got } = verdict {
+            let err = t.quarantine(&incoming, expected, got);
             self.pager.stats.quarantine_rejects += 1;
             return Err(err);
         }
+        t.crypt(
+            Route::One,
+            Direction::Decrypt,
+            &mut [incoming],
+            &mut ciphertext,
+        )?;
+        let mapping = (incoming.pid, incoming.vpn);
         self.pager
-            .paged_in(&mut self.kernel, slot, (pid, vpn), frame, &buf)
+            .paged_in(&mut self.kernel, slot, mapping, incoming.frame, &ciphertext)
     }
 
     /// Process read with transparent fault handling.

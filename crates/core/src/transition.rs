@@ -17,8 +17,10 @@
 //! 3. **Commit.** `Transition::commit` owns chunking at [`MAX_ENTRIES`],
 //!    the journal's open / mark-done / close, the integrity tags, the
 //!    direction-dependent publish order, and the PTE flip for every
-//!    sharer of each frame. A pager page-in publishes on-SoC and needs
-//!    no journal; recovery publishes the entry the open journal names.
+//!    sharer of each frame. A locked page fault commits its eviction
+//!    through `Transition::fault`, a one-entry journal that also checks
+//!    the incoming page; the page-in publishes on-SoC and needs no
+//!    journal. Recovery publishes the entry the open journal names.
 
 use crate::config::OnSocBackend;
 use crate::error::SentryError;
@@ -102,10 +104,6 @@ pub(crate) enum Kind {
     /// charged before the tags, `pager.evict` before each write; all tags
     /// stored before the first chunk.
     EvictAll,
-    /// One FIFO eviction: the tag is stored inside the open journal, the
-    /// page copy is charged at the publish, and the published frame is
-    /// read back and MAC-checked before its PTE flips.
-    EvictOne,
     /// Unlock, fault cluster, and sweep: `txn.flip`, then `txn.publish`,
     /// then an in-place frame's tag is retired. An out-of-place entry
     /// (`src` ≠ `frame`, placed by the commit) keeps its source frame
@@ -123,8 +121,8 @@ pub(crate) enum Route {
     Batch,
     /// One engine extent call (`crypt.extent`): the pager's sweep.
     Extent,
-    /// One engine single-page call (`crypt.one`): a FIFO eviction, a
-    /// page-in, a recovery redo.
+    /// One engine single-page call (`crypt.one`): a locked fault's
+    /// eviction and page-in, a recovery redo.
     One,
 }
 
@@ -142,6 +140,10 @@ pub(crate) enum PageState {
     /// Plaintext in DRAM. `kept` is the frame that still holds the
     /// page's ciphertext after an out-of-place decrypt.
     Plaintext { kept: Option<u64> },
+    /// Plaintext in the on-SoC pager slot at `slot`; the frame still
+    /// holds the page's ciphertext. Every sharer maps the one slot, so
+    /// a write through one mapping is seen through all.
+    Resident { slot: u64 },
 }
 
 /// The machine state a page transition mutates, borrowed from
@@ -181,7 +183,6 @@ impl Transition<'_> {
         let (route, direction) = match kind {
             Kind::Lock => (Route::Batch, Direction::Encrypt),
             Kind::EvictAll => (Route::Extent, Direction::Encrypt),
-            Kind::EvictOne => (Route::One, Direction::Encrypt),
             Kind::Decrypt => {
                 self.verify(&mut pages, &mut buf)?;
                 (Route::Batch, Direction::Decrypt)
@@ -608,11 +609,7 @@ impl Transition<'_> {
     ///
     /// # Errors
     ///
-    /// Propagates journal, memory, and tag-store errors; a
-    /// [`Kind::EvictOne`] read-back mismatch quarantines the frame and
-    /// returns the violation with the journal left open, so
-    /// [`crate::Sentry::recover`] rolls the eviction forward from the
-    /// still-intact on-SoC source.
+    /// Propagates journal, memory, and tag-store errors.
     pub(crate) fn commit(
         &mut self,
         kind: Kind,
@@ -622,7 +619,7 @@ impl Transition<'_> {
     ) -> Result<(), SentryError> {
         let op = match kind {
             Kind::Decrypt => TxnOp::Decrypt,
-            Kind::Lock | Kind::EvictAll | Kind::EvictOne => TxnOp::Encrypt,
+            Kind::Lock | Kind::EvictAll => TxnOp::Encrypt,
         };
         if kind == Kind::EvictAll {
             let copy_ns = self.kernel.soc.costs.page_copy_ns * pages.len() as u64;
@@ -642,9 +639,6 @@ impl Transition<'_> {
                 self.kernel.frames.give_back(fresh.map(|e| e.frame));
                 return Err(e);
             }
-            if kind == Kind::EvictOne {
-                self.store_tags(chunk, bytes)?;
-            }
             for (i, (e, data)) in chunk.iter().zip(bytes.chunks_exact(page)).enumerate() {
                 if op == TxnOp::Decrypt {
                     self.kernel.soc.failpoint("txn.flip")?;
@@ -654,13 +648,9 @@ impl Transition<'_> {
                 }
                 let publish_site = match kind {
                     Kind::Lock | Kind::Decrypt => "txn.publish",
-                    Kind::EvictAll | Kind::EvictOne => "pager.evict",
+                    Kind::EvictAll => "pager.evict",
                 };
                 self.kernel.soc.failpoint(publish_site)?;
-                if kind == Kind::EvictOne {
-                    let copy_ns = self.kernel.soc.costs.page_copy_ns;
-                    self.kernel.soc.clock.advance(copy_ns);
-                }
                 self.kernel.soc.mem_write(e.frame, data)?;
                 match kind {
                     Kind::Decrypt if e.src == e.frame => {
@@ -668,24 +658,122 @@ impl Transition<'_> {
                     }
                     Kind::Decrypt => {}
                     Kind::Lock => self.kernel.soc.failpoint("txn.flip")?,
-                    Kind::EvictOne => self.verify_published(e)?,
                     Kind::EvictAll => {}
                 }
-                if op == TxnOp::Encrypt {
-                    let state = PageState::Encrypted { epoch: e.epoch };
-                    set_page_state(self.kernel, e.frame, (e.pid, e.vpn), state);
-                }
-                if let Some(proc) = self.kernel.procs.get_mut(&e.pid) {
-                    match op {
-                        TxnOp::Encrypt => proc.stats.bytes_encrypted += PAGE_SIZE,
-                        TxnOp::Decrypt => proc.stats.bytes_decrypted += PAGE_SIZE,
-                    }
-                }
-                self.txn.mark_done(&mut self.kernel.soc, i)?;
+                self.settle(op, i, e)?;
             }
             self.txn.close(&mut self.kernel.soc)?;
         }
         Ok(())
+    }
+
+    /// The tail of journal entry `i` once its bytes have published: an
+    /// encrypt flips every mapping to its fresh ciphertext, the owner's
+    /// byte count grows, and the entry is marked done.
+    fn settle(&mut self, op: TxnOp, i: usize, e: &JournalEntry) -> Result<(), SentryError> {
+        if op == TxnOp::Encrypt {
+            let state = PageState::Encrypted { epoch: e.epoch };
+            set_page_state(self.kernel, e.frame, (e.pid, e.vpn), state);
+        }
+        if let Some(proc) = self.kernel.procs.get_mut(&e.pid) {
+            match op {
+                TxnOp::Encrypt => proc.stats.bytes_encrypted += PAGE_SIZE,
+                TxnOp::Decrypt => proc.stats.bytes_decrypted += PAGE_SIZE,
+            }
+        }
+        self.txn.mark_done(&mut self.kernel.soc, i)?;
+        Ok(())
+    }
+
+    /// The journaled half of a locked page fault (§5, Figure 1): gather
+    /// `incoming`'s ciphertext, and evict `victim` into its home frame
+    /// when the fault needs its slot. Returns the incoming ciphertext
+    /// and its MAC verdict; the caller decrypts it into the slot.
+    ///
+    /// The incoming page is gathered before the eviction opens its
+    /// one-entry journal. Inside that journal, one integrity call MACs
+    /// both pages — it stores the victim's tag and checks the incoming
+    /// page — so the fault is charged one CMAC chain (see
+    /// `IntegrityPlane::store_and_verify`). The victim then publishes
+    /// (`pager.evict`), and its frame is read back (`pager.readback`)
+    /// and compared byte for byte with the ciphertext just tagged (see
+    /// `IntegrityPlane::verify_readback`) before its mappings flip.
+    ///
+    /// No mapping of `incoming`'s frame can be resident, so the victim
+    /// never publishes into the frame the incoming page was gathered
+    /// from: a page-in maps every sharer of a frame onto its one slot.
+    ///
+    /// # Errors
+    ///
+    /// Propagates journal, memory, crypt, and tag-store errors. A
+    /// read-back mismatch quarantines the victim's frame and returns the
+    /// violation with the journal left open, so
+    /// [`crate::Sentry::recover`] rolls the eviction forward from the
+    /// still-intact on-SoC source.
+    pub(crate) fn fault(
+        &mut self,
+        victim: Option<JournalEntry>,
+        incoming: JournalEntry,
+    ) -> Result<(Vec<u8>, VerifyOutcome), SentryError> {
+        let page = PAGE_SIZE as usize;
+        let mut pages: Vec<JournalEntry> = victim.into_iter().chain([incoming]).collect();
+        let mut buf = self.gather(&pages)?;
+        let copy_ns = self.kernel.soc.costs.page_copy_ns;
+        self.kernel.soc.clock.advance(copy_ns);
+        let incoming_job = [(incoming.src, incoming.iv)];
+        let Some(victim) = victim else {
+            let verdicts = self.integrity.verify_frames(
+                &mut self.kernel.soc,
+                self.store,
+                &incoming_job,
+                &mut buf,
+            )?;
+            return Ok((buf, verdicts[0]));
+        };
+        debug_assert_ne!(
+            victim.frame, incoming.src,
+            "eviction into the faulting frame"
+        );
+        self.crypt(
+            Route::One,
+            Direction::Encrypt,
+            &mut pages[..1],
+            &mut buf[..page],
+        )?;
+        // Stamped with its commit tag.
+        let victim = pages[0];
+        self.txn.open(
+            &mut self.kernel.soc,
+            TxnOp::Encrypt,
+            victim.epoch,
+            &pages[..1],
+        )?;
+        let (tags, verdicts) = self.integrity.store_and_verify(
+            &mut self.kernel.soc,
+            self.store,
+            &[(victim.frame, victim.iv)],
+            &incoming_job,
+            &mut buf,
+        )?;
+        self.kernel.soc.failpoint("pager.evict")?;
+        self.kernel.soc.clock.advance(copy_ns);
+        self.kernel.soc.mem_write(victim.frame, &buf[..page])?;
+        if let Some(&tag) = tags.first() {
+            self.kernel.soc.failpoint("pager.readback")?;
+            let verdict = self.integrity.verify_readback(
+                &mut self.kernel.soc,
+                self.store,
+                (victim.frame, victim.iv),
+                tag,
+                &buf[..page],
+            )?;
+            if let VerifyOutcome::Mismatch { expected, got } = verdict {
+                return Err(self.quarantine(&victim, expected, got));
+            }
+        }
+        self.settle(TxnOp::Encrypt, 0, &victim)?;
+        self.txn.close(&mut self.kernel.soc)?;
+        Ok((buf.split_off(page), verdicts[0]))
     }
 
     /// Choose where each decrypt entry of `chunk` publishes. A page
@@ -734,29 +822,6 @@ impl Transition<'_> {
         self.integrity
             .store_tags(&mut self.kernel.soc, self.store, &targets, buf)
     }
-
-    /// Read-back verify: the published frame must MAC against the tag
-    /// just stored. An active attacker racing the publish (or a failing
-    /// DRAM cell) is caught here, not at the next unlock; the bounded
-    /// re-reads heal a transient glitch, a persistent mismatch
-    /// quarantines the frame.
-    fn verify_published(&mut self, e: &JournalEntry) -> Result<(), SentryError> {
-        if !self.integrity.enabled() {
-            return Ok(());
-        }
-        let mut readback = vec![0u8; PAGE_SIZE as usize];
-        self.kernel.soc.mem_read(e.frame, &mut readback)?;
-        match self.integrity.verify_one(
-            &mut self.kernel.soc,
-            self.store,
-            e.frame,
-            &e.iv,
-            &mut readback,
-        )? {
-            VerifyOutcome::Mismatch { expected, got } => Err(self.quarantine(e, expected, got)),
-            VerifyOutcome::Ok | VerifyOutcome::Untagged => Ok(()),
-        }
-    }
 }
 
 /// The report of an engine call over `pages` pages (`bytes` bytes).
@@ -770,6 +835,14 @@ fn sequential_report(pages: usize, bytes: usize) -> BatchReport {
     }
 }
 
+/// Every mapping of `frame`: each sharer, or `mapping` alone when the
+/// frame is private.
+pub(crate) fn mappings(kernel: &Kernel, frame: u64, mapping: (Pid, u64)) -> Vec<(Pid, u64)> {
+    kernel
+        .sharers_of(frame)
+        .map_or_else(|| vec![mapping], <[(Pid, u64)]>::to_vec)
+}
+
 /// Set every mapping of `frame` — each sharer, or `mapping` alone when
 /// the frame is private — to `state`. Idempotent, so recovery replays
 /// it.
@@ -779,9 +852,7 @@ pub(crate) fn set_page_state(
     mapping: (Pid, u64),
     state: PageState,
 ) {
-    let mappings = kernel
-        .sharers_of(frame)
-        .map_or_else(|| vec![mapping], <[(Pid, u64)]>::to_vec);
+    let mappings = mappings(kernel, frame, mapping);
     let shared = mappings.len() > 1;
     for (pid, vpn) in mappings {
         let Some(pte) = kernel
@@ -813,6 +884,12 @@ pub(crate) fn set_page_state(
                     pte.backing = Backing::Dram(frame);
                     pte.home_frame = kept;
                 }
+            }
+            PageState::Resident { slot } => {
+                pte.backing = Backing::OnSoc(slot);
+                pte.home_frame = Some(frame);
+                pte.young = true;
+                pte.dirty = false;
             }
         }
     }

@@ -182,3 +182,108 @@ fn shared_frame_decrypts_once_under_the_iv_it_was_encrypted_under() {
         }
     }
 }
+
+#[test]
+fn a_shared_frame_pages_into_one_slot_for_every_sharer() {
+    // While locked, a frame shared by two sensitive apps pages into one
+    // on-SoC slot that both mappings use: a write through one is seen
+    // through the other, and the evictions that follow re-arm both
+    // mappings and keep the pager going.
+    let mut s = Sentry::new(
+        Kernel::new(Soc::tegra3_small()),
+        SentryConfig::tegra3_locked_l2(1).with_slot_limit(2),
+    )
+    .unwrap();
+    let a = s.kernel.spawn("mail");
+    let b = s.kernel.spawn("calendar");
+    s.mark_sensitive(a).unwrap();
+    s.mark_sensitive(b).unwrap();
+    s.write(a, 0, SHARED_DATA).unwrap();
+    for vpn in 1..4u64 {
+        s.write(a, vpn * PAGE_SIZE, &[vpn as u8; 64]).unwrap();
+    }
+    s.kernel.map_shared(a, 0, b, 7).unwrap();
+    s.on_lock().unwrap();
+
+    let mut buf = vec![0u8; SHARED_DATA.len()];
+    s.read(a, 0, &mut buf).unwrap();
+    assert_eq!(buf, SHARED_DATA);
+    s.read(b, 7 * PAGE_SIZE, &mut buf).unwrap();
+    assert_eq!(buf, SHARED_DATA);
+
+    let rewritten = b"rewritten while locked: 51be07";
+    s.write(a, 0, rewritten).unwrap();
+    let mut via_b = vec![0u8; rewritten.len()];
+    s.read(b, 7 * PAGE_SIZE, &mut via_b).unwrap();
+    assert_eq!(via_b, rewritten, "b sees a's write");
+    assert_eq!(s.pager.resident_count(), 1, "one slot for both sharers");
+
+    // Page a's private pages through both slots: the shared page is
+    // evicted, then faulted back in through b.
+    for round in 0..2 {
+        for vpn in 1..4u64 {
+            let mut page = [0u8; 64];
+            s.read(a, vpn * PAGE_SIZE, &mut page).unwrap();
+            assert_eq!(page, [vpn as u8; 64], "round {round} vpn {vpn}");
+        }
+        s.read(b, 7 * PAGE_SIZE, &mut via_b).unwrap();
+        assert_eq!(via_b, rewritten, "round {round}");
+        let mut via_a = vec![0u8; rewritten.len()];
+        s.read(a, 0, &mut via_a).unwrap();
+        assert_eq!(via_a, rewritten, "round {round}");
+    }
+    assert!(s.pager.stats.pageouts >= 4, "{:?}", s.pager.stats);
+
+    // b's fault paged the frame in last; a write through a while it is
+    // resident must survive the next lock's sweep.
+    s.on_unlock().unwrap();
+    let unlocked = b"written through a after unlock";
+    s.write(a, 0, unlocked).unwrap();
+    s.on_lock().unwrap();
+    s.on_unlock().unwrap();
+    let mut via_b = vec![0u8; unlocked.len()];
+    s.read(b, 7 * PAGE_SIZE, &mut via_b).unwrap();
+    assert_eq!(via_b, unlocked);
+}
+
+#[test]
+fn a_resident_shared_page_outlives_the_sharer_that_paged_it_in() {
+    // The sharer whose fault paged a shared frame in exits while the
+    // page is resident: the other sharer still maps the slot, so the
+    // slot stays resident under it and is written back on eviction.
+    let mut s = Sentry::new(
+        Kernel::new(Soc::tegra3_small()),
+        SentryConfig::tegra3_locked_l2(1).with_slot_limit(2),
+    )
+    .unwrap();
+    let a = s.kernel.spawn("mail");
+    let b = s.kernel.spawn("calendar");
+    s.mark_sensitive(a).unwrap();
+    s.mark_sensitive(b).unwrap();
+    s.write(a, 0, SHARED_DATA).unwrap();
+    for vpn in 0..3u64 {
+        s.write(b, vpn * PAGE_SIZE, &[vpn as u8 + 1; 64]).unwrap();
+    }
+    s.kernel.map_shared(a, 0, b, 7).unwrap();
+    s.on_lock().unwrap();
+
+    let mut buf = vec![0u8; SHARED_DATA.len()];
+    s.read(a, 0, &mut buf).unwrap();
+    s.on_exit(a).unwrap();
+    assert_eq!(s.pager.resident_count(), 1, "b keeps the slot");
+    s.read(b, 7 * PAGE_SIZE, &mut buf).unwrap();
+    assert_eq!(buf, SHARED_DATA);
+
+    for round in 0..2 {
+        for vpn in 0..3u64 {
+            let mut page = [0u8; 64];
+            s.read(b, vpn * PAGE_SIZE, &mut page).unwrap();
+            assert_eq!(page, [vpn as u8 + 1; 64], "round {round} vpn {vpn}");
+        }
+        s.read(b, 7 * PAGE_SIZE, &mut buf).unwrap();
+        assert_eq!(buf, SHARED_DATA, "round {round}");
+    }
+    s.on_unlock().unwrap();
+    s.read(b, 7 * PAGE_SIZE, &mut buf).unwrap();
+    assert_eq!(buf, SHARED_DATA);
+}

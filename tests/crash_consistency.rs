@@ -76,6 +76,7 @@ fn committed_kill_sites(dram_writes: usize) -> Vec<(&'static str, usize)> {
         ("lock.begin", 4),
         ("pager.evict", 2),
         ("pager.pagein", 3),
+        ("pager.readback", 1),
         ("sweep.begin", 3),
         ("txn.flip", 27),
         ("txn.publish", 27),

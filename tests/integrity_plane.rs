@@ -14,6 +14,7 @@ use sentry::kernel::crypto_api::{CryptoApi, GenericAesEngine};
 use sentry::kernel::dmcrypt::DmCrypt;
 use sentry::kernel::pagetable::Backing;
 use sentry::kernel::{KernelError, Pid};
+use sentry::soc::failpoint::{FaultAction, FaultPlan};
 use sentry::soc::{SimClock, Soc, PAGE_SIZE};
 
 /// The DRAM frame currently backing `(pid, vpn)`.
@@ -235,5 +236,63 @@ fn boot_time_audit_quarantines_tampered_at_rest_frames() {
         let mut page = vec![0u8; PAGE_SIZE as usize];
         s.read(actors.vault, probe * PAGE_SIZE, &mut page).unwrap();
         assert_eq!(page, expected_page(&scn, probe), "survivor {probe}");
+    }
+}
+
+/// A DRAM bit that flips after a locked fault's eviction publishes and
+/// before its read-back is caught by the read-back: the victim's frame
+/// is quarantined with the eviction's journal left open, recovery
+/// re-encrypts the victim from its still-intact on-SoC slot (the
+/// commit tag sees the torn publish: under CBC it is the final block,
+/// so the flip lands there; under XTS it covers the whole page), and
+/// every page reads back intact, locked and unlocked.
+#[test]
+fn a_bit_flip_before_the_eviction_read_back_is_rolled_forward() {
+    for (scn, offset) in [
+        (Scenario::tegra3(0x8EAD), PAGE_SIZE - 1),
+        (Scenario::tegra3_xts(0x8EAE), 100),
+    ] {
+        let (mut s, actors) = scn.build().unwrap();
+        let vault = actors.vault;
+        s.on_lock().unwrap();
+        // Both slots taken, vpn 0 oldest: the next fault evicts it.
+        s.touch_pages(vault, &[0, 3]).unwrap();
+        let home = s.kernel.procs[&vault].page_table.get(0).unwrap().home_frame;
+        let home = home.expect("a resident page keeps its home frame");
+        s.kernel.soc.failpoints.arm(FaultPlan::at_site(
+            "pager.readback",
+            0,
+            FaultAction::TamperDramBit {
+                addr: home + offset,
+                bit: 3,
+            },
+        ));
+        let err = s
+            .touch_pages(vault, &[1])
+            .expect_err("the read-back must catch the flip");
+        s.kernel.soc.failpoints.disarm();
+        assert!(
+            matches!(err, SentryError::IntegrityViolation { pid, vpn: 0, .. } if pid == vault),
+            "{}: {err}",
+            scn.name
+        );
+        assert!(s.txn_in_flight(), "{}: journal left open", scn.name);
+        assert!(s.integrity.is_quarantined(home), "{}", scn.name);
+
+        let report = s.recover().unwrap();
+        assert_eq!(report.completed, 1, "{}", scn.name);
+        assert!(!s.integrity.is_quarantined(home), "{}: healed", scn.name);
+        assert_eq!(s.integrity.quarantined_count(), 0, "{}", scn.name);
+        for locked in [true, false] {
+            for vpn in 0..=scn.secret_pages {
+                let mut page = vec![0u8; PAGE_SIZE as usize];
+                s.read(vault, vpn * PAGE_SIZE, &mut page).unwrap();
+                let name = scn.name;
+                assert_eq!(page, expected_page(&scn, vpn), "{name} vpn {vpn}");
+            }
+            if locked {
+                s.on_unlock().unwrap();
+            }
+        }
     }
 }
