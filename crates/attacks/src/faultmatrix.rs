@@ -31,6 +31,7 @@ use sentry_core::transition::{page_iv, IvSource};
 use sentry_core::{
     DeviceState, QuarantinedPage, RecoveryReport, Sentry, SentryConfig, SentryError,
 };
+use sentry_crypto::Direction;
 use sentry_kernel::pagetable::{Backing, Pte, Sharing};
 use sentry_kernel::{Kernel, Pid};
 use sentry_soc::addr::PAGE_SIZE;
@@ -854,7 +855,7 @@ fn kept_frames_hold_current_ciphertext(s: &mut Sentry) -> Result<bool, SentryErr
         let sentry_kernel::Kernel { soc, crypto, .. } = &mut s.kernel;
         crypto
             .preferred_mut()
-            .and_then(|engine| engine.decrypt(soc, &iv, &mut ciphertext))
+            .and_then(|engine| engine.crypt(soc, Direction::Decrypt, &[iv], &mut ciphertext))
             .map_err(SentryError::Kernel)?;
         if ciphertext != plaintext {
             return Ok(false);

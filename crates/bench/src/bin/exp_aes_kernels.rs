@@ -46,7 +46,7 @@ use sentry_core::config::OnSocBackend;
 use sentry_core::onsoc::OnSocStore;
 use sentry_crypto::mac::MIN_LANE_MESSAGES;
 use sentry_crypto::modes::{cbc_decrypt, cbc_encrypt, ctr_xor, xts_decrypt, xts_encrypt};
-use sentry_crypto::{Aes, AesStateLayout, BitslicedAes, Cmac, KeySize, Sensitivity};
+use sentry_crypto::{Aes, AesStateLayout, BitslicedAes, Cmac, Direction, KeySize, Sensitivity};
 use sentry_kernel::crypto_api::{CipherEngine, GenericAesEngine};
 use sentry_soc::Soc;
 
@@ -188,7 +188,7 @@ fn sim_page_ns(engine: &mut dyn CipherEngine, soc: &mut Soc) -> u64 {
     let mut page = vec![0u8; PAGE];
     let t0 = soc.clock.now_ns();
     engine
-        .encrypt(soc, &[0u8; 16], &mut page)
+        .crypt(soc, Direction::Encrypt, &[[0u8; 16]], &mut page)
         .expect("keyed engine encrypts");
     soc.clock.now_ns() - t0
 }

@@ -12,6 +12,7 @@ use sentry_bench::print_table;
 use sentry_core::aes_onsoc::build_engine;
 use sentry_core::config::OnSocBackend;
 use sentry_core::onsoc::OnSocStore;
+use sentry_crypto::Direction;
 use sentry_kernel::crypto_api::{CipherEngine, GenericAesEngine};
 use sentry_soc::accel::AccelPowerState;
 use sentry_soc::Soc;
@@ -25,7 +26,9 @@ fn measure(soc: &mut Soc, engine: &mut dyn CipherEngine, extra_per_page_ns: u64)
     let t0 = soc.clock.now_ns();
     for _ in 0..PAGES {
         soc.clock.advance(extra_per_page_ns);
-        engine.encrypt(soc, &iv, &mut page).expect("keyed engine");
+        engine
+            .crypt(soc, Direction::Encrypt, &[iv], &mut page)
+            .expect("keyed engine");
     }
     let secs = (soc.clock.now_ns() - t0) as f64 / 1e9;
     (PAGES * 4096) as f64 / secs / 1e6

@@ -14,6 +14,7 @@ use sentry_bench::print_table;
 use sentry_core::aes_onsoc::build_engine;
 use sentry_core::config::OnSocBackend;
 use sentry_core::onsoc::OnSocStore;
+use sentry_crypto::Direction;
 use sentry_kernel::crypto_api::CipherEngine;
 use sentry_soc::addr::DRAM_BASE;
 use sentry_soc::dram::PowerEvent;
@@ -42,7 +43,7 @@ fn main() {
     let mon = BusMonitor::attach_new(&mut soc.bus);
     let mut data = [0u8; 16];
     onsoc
-        .encrypt(&mut soc, &[0u8; 16], &mut data)
+        .crypt(&mut soc, Direction::Encrypt, &[[0u8; 16]], &mut data)
         .expect("encrypts");
     let onsoc_observed = mon.len();
     soc.power_cycle(PowerEvent::ReflashTap).expect("reboots");

@@ -160,90 +160,6 @@ impl AesOnSocEngine {
     pub fn state_base(&self) -> u64 {
         self.state_base
     }
-
-    /// Run one crypt of `ivs.len()` extents under the §6.2 disciplines
-    /// (call discipline, then an IRQ-disabled section that zeroes the
-    /// registers on exit), charging the calibrated AES cost for the
-    /// backend's state-access latency. Under full simulation the shared
-    /// mode dispatch runs over the tracked kernel on the on-SoC state
-    /// page, and the calibrated cost replaces the per-access charges;
-    /// otherwise the register-resident context runs it.
-    fn critical(
-        &self,
-        soc: &mut Soc,
-        direction: Direction,
-        ivs: &[[u8; 16]],
-        data: &mut [u8],
-    ) -> Result<(), KernelError> {
-        let (Some(tracked), Some(native)) = (&self.tracked, &self.native) else {
-            return Err(KernelError::NoKeyInstalled {
-                engine: self.name(),
-            });
-        };
-        let state_access = match self.residency {
-            KeyResidency::Iram => soc.costs.iram_access_ns,
-            _ => soc.costs.cache_hit_ns,
-        };
-        let calibrated_ns = soc.costs.aes_ns(data.len() as u64, state_access);
-        // Call discipline: the engine entry takes (state, iv, data, len)
-        // — four register arguments, nothing on the stack.
-        let spilled = soc.cpu.pass_args(&[0u32, 1, 2, 3]);
-        debug_assert!(spilled.is_empty(), "no sensitive argument may spill");
-        let was_enabled = soc.cpu.begin_critical();
-        let t0 = soc.clock.now_ns();
-        if self.full_sim {
-            let mut store = CachedSocStore::new(soc, self.state_base);
-            match tracked {
-                TrackedCtx::Table(aes) => {
-                    let aes = InStore::new(aes, &mut store);
-                    crypt_extents(&aes, &aes, self.mode, direction, ivs, data);
-                }
-                TrackedCtx::Bitsliced(aes) => {
-                    let aes = InStore::new(aes, &mut store);
-                    crypt_extents(&aes, &aes, self.mode, direction, ivs, data);
-                }
-            }
-        } else {
-            native.crypt(self.mode, direction, ivs, data);
-        }
-        // Substitute the calibrated end-to-end cost for any per-access
-        // simulation charges (see module docs).
-        soc.clock.set_now_ns(t0 + calibrated_ns);
-        soc.cpu.end_critical(was_enabled, calibrated_ns);
-        Ok(())
-    }
-
-    /// One unit (`crypt.one`).
-    fn crypt_one(
-        &self,
-        soc: &mut Soc,
-        direction: Direction,
-        iv: &[u8; 16],
-        data: &mut [u8],
-    ) -> Result<(), KernelError> {
-        soc.failpoint("crypt.one")?;
-        self.critical(soc, direction, std::slice::from_ref(iv), data)
-    }
-
-    /// A run of extents (`crypt.extent`): the whole run in one critical
-    /// section, on either data path — the kernel call a fault-cluster
-    /// readahead lands on. An empty run opens no section. The calibrated
-    /// charge is linear in bytes, so the simulated time equals a per-unit
-    /// loop's.
-    fn crypt_extent(
-        &self,
-        soc: &mut Soc,
-        direction: Direction,
-        ivs: &[[u8; 16]],
-        data: &mut [u8],
-    ) -> Result<(), KernelError> {
-        soc.failpoint("crypt.extent")?;
-        if ivs.is_empty() {
-            extent_unit(ivs, data); // rejects data without IVs
-            return Ok(());
-        }
-        self.critical(soc, direction, ivs, data)
-    }
 }
 
 impl CipherEngine for AesOnSocEngine {
@@ -293,40 +209,64 @@ impl CipherEngine for AesOnSocEngine {
         self.mode
     }
 
-    fn encrypt(
+    /// One engine call (`crypt.extent`): the whole run of extents in one
+    /// critical section under the §6.2 disciplines (call discipline,
+    /// then an IRQ-disabled section that zeroes the registers on exit),
+    /// charging the calibrated AES cost for the backend's state-access
+    /// latency. Under full simulation the shared mode dispatch runs over
+    /// the tracked kernel on the on-SoC state page, and the calibrated
+    /// cost replaces the per-access charges; otherwise the
+    /// register-resident context runs it. The charge is linear in bytes,
+    /// so the simulated time equals a per-unit loop's. An empty run opens
+    /// no section.
+    fn crypt(
         &mut self,
         soc: &mut Soc,
-        iv: &[u8; 16],
-        data: &mut [u8],
-    ) -> Result<(), KernelError> {
-        self.crypt_one(soc, Direction::Encrypt, iv, data)
-    }
-
-    fn decrypt(
-        &mut self,
-        soc: &mut Soc,
-        iv: &[u8; 16],
-        data: &mut [u8],
-    ) -> Result<(), KernelError> {
-        self.crypt_one(soc, Direction::Decrypt, iv, data)
-    }
-
-    fn encrypt_extent(
-        &mut self,
-        soc: &mut Soc,
+        direction: Direction,
         ivs: &[[u8; 16]],
         data: &mut [u8],
     ) -> Result<(), KernelError> {
-        self.crypt_extent(soc, Direction::Encrypt, ivs, data)
-    }
-
-    fn decrypt_extent(
-        &mut self,
-        soc: &mut Soc,
-        ivs: &[[u8; 16]],
-        data: &mut [u8],
-    ) -> Result<(), KernelError> {
-        self.crypt_extent(soc, Direction::Decrypt, ivs, data)
+        soc.failpoint("crypt.extent")?;
+        if ivs.is_empty() {
+            extent_unit(ivs, data); // rejects data without IVs
+            return Ok(());
+        }
+        let (Some(tracked), Some(native)) = (&self.tracked, &self.native) else {
+            return Err(KernelError::NoKeyInstalled {
+                engine: self.name(),
+            });
+        };
+        let state_access = match self.residency {
+            KeyResidency::Iram => soc.costs.iram_access_ns,
+            _ => soc.costs.cache_hit_ns,
+        };
+        let calibrated_ns = soc.costs.aes_ns(data.len() as u64, state_access);
+        // Call discipline: the engine entry takes (state, iv, data, len)
+        // — four register arguments, nothing on the stack.
+        let spilled = soc.cpu.pass_args(&[0u32, 1, 2, 3]);
+        debug_assert!(spilled.is_empty(), "no sensitive argument may spill");
+        let was_enabled = soc.cpu.begin_critical();
+        let t0 = soc.clock.now_ns();
+        if self.full_sim {
+            let mut store = CachedSocStore::new(soc, self.state_base);
+            match tracked {
+                TrackedCtx::Table(aes) => {
+                    let aes = InStore::new(aes, &mut store);
+                    crypt_extents(&aes, &aes, self.mode, direction, ivs, data);
+                }
+                TrackedCtx::Bitsliced(aes) => {
+                    let aes = InStore::new(aes, &mut store);
+                    crypt_extents(&aes, &aes, self.mode, direction, ivs, data);
+                }
+            }
+        } else {
+            native.crypt(self.mode, direction, ivs, data);
+        }
+        // Substitute the calibrated end-to-end cost for any per-access
+        // simulation charges (see module docs).
+        soc.clock.set_now_ns(t0 + calibrated_ns);
+        soc.cpu.end_critical(was_enabled, calibrated_ns);
+        Ok(())
     }
 }
 
@@ -386,14 +326,16 @@ mod tests {
             let (mut soc, mut eng) = engine(backend);
             let iv = [9u8; 16];
             let mut data: Vec<u8> = (0..64u8).collect();
-            eng.encrypt(&mut soc, &iv, &mut data).unwrap();
+            eng.crypt(&mut soc, Direction::Encrypt, &[iv], &mut data)
+                .unwrap();
 
             let reference = Aes::new(&[0x42u8; 16]).unwrap();
             let mut expect: Vec<u8> = (0..64u8).collect();
             cbc_encrypt(&reference, &iv, &mut expect);
             assert_eq!(data, expect, "{backend:?}");
 
-            eng.decrypt(&mut soc, &iv, &mut data).unwrap();
+            eng.crypt(&mut soc, Direction::Decrypt, &[iv], &mut data)
+                .unwrap();
             assert_eq!(data, (0..64u8).collect::<Vec<_>>());
         }
     }
@@ -422,9 +364,11 @@ mod tests {
         for full_sim in [false, true] {
             eng.set_full_simulation(full_sim);
             let mut data: Vec<u8> = (0..96u8).collect();
-            eng.encrypt(&mut soc, &iv, &mut data).unwrap();
+            eng.crypt(&mut soc, Direction::Encrypt, &[iv], &mut data)
+                .unwrap();
             assert_eq!(data, expect, "full_sim={full_sim}");
-            eng.decrypt(&mut soc, &iv, &mut data).unwrap();
+            eng.crypt(&mut soc, Direction::Decrypt, &[iv], &mut data)
+                .unwrap();
             assert_eq!(data, (0..96u8).collect::<Vec<_>>(), "full_sim={full_sim}");
         }
     }
@@ -446,8 +390,10 @@ mod tests {
         eng.set_full_simulation(true);
         let before = soc.bus.reads() + soc.bus.writes();
         let mut data = vec![1u8; 4096];
-        eng.encrypt(&mut soc, &[0u8; 16], &mut data).unwrap();
-        eng.decrypt(&mut soc, &[0u8; 16], &mut data).unwrap();
+        eng.crypt(&mut soc, Direction::Encrypt, &[[0u8; 16]], &mut data)
+            .unwrap();
+        eng.crypt(&mut soc, Direction::Decrypt, &[[0u8; 16]], &mut data)
+            .unwrap();
         let after = soc.bus.reads() + soc.bus.writes();
         assert_eq!(before, after, "AES state in iRAM never crosses the bus");
     }
@@ -461,7 +407,8 @@ mod tests {
         eng.set_full_simulation(true);
         let before = soc.bus.reads() + soc.bus.writes();
         let mut data = vec![1u8; 4096];
-        eng.encrypt(&mut soc, &[0u8; 16], &mut data).unwrap();
+        eng.crypt(&mut soc, Direction::Encrypt, &[[0u8; 16]], &mut data)
+            .unwrap();
         let after = soc.bus.reads() + soc.bus.writes();
         assert_eq!(before, after, "AES state in iRAM never crosses the bus");
     }
@@ -471,13 +418,15 @@ mod tests {
         let (mut soc, mut eng) = engine(OnSocBackend::Iram);
         let iv = [3u8; 16];
         let mut fast: Vec<u8> = (0..96u8).collect();
-        eng.encrypt(&mut soc, &iv, &mut fast).unwrap();
+        eng.crypt(&mut soc, Direction::Encrypt, &[iv], &mut fast)
+            .unwrap();
         let t_fast = soc.cpu.irq_disabled_ns;
 
         let (mut soc2, mut eng2) = engine(OnSocBackend::Iram);
         eng2.set_full_simulation(true);
         let mut full: Vec<u8> = (0..96u8).collect();
-        eng2.encrypt(&mut soc2, &iv, &mut full).unwrap();
+        eng2.crypt(&mut soc2, Direction::Encrypt, &[iv], &mut full)
+            .unwrap();
 
         assert_eq!(fast, full, "identical ciphertext");
         assert_eq!(
@@ -487,9 +436,9 @@ mod tests {
     }
 
     #[test]
-    fn extent_overrides_match_per_unit_paths_in_bytes_and_time() {
-        // The batched extent fast path must produce the same bytes *and*
-        // the same simulated time as looping the per-unit methods — the
+    fn extent_runs_match_per_unit_calls_in_bytes_and_time() {
+        // One call over a run of extents must produce the same bytes *and*
+        // the same simulated time as one call per unit — the
         // calibrated charge is linear, so hoisting it into one critical
         // section must not perturb the clock.
         let unit = 4096usize;
@@ -501,7 +450,9 @@ mod tests {
             let mut per_unit = pt.clone();
             let t0 = soc_a.clock.now_ns();
             for (iv, chunk) in ivs.iter().zip(per_unit.chunks_exact_mut(unit)) {
-                eng_a.encrypt(&mut soc_a, iv, chunk).unwrap();
+                eng_a
+                    .crypt(&mut soc_a, Direction::Encrypt, &[*iv], chunk)
+                    .unwrap();
             }
             let per_unit_enc_ns = soc_a.clock.now_ns() - t0;
 
@@ -509,7 +460,7 @@ mod tests {
             let mut batched = pt.clone();
             let t0 = soc_b.clock.now_ns();
             eng_b
-                .encrypt_extent(&mut soc_b, &ivs, &mut batched)
+                .crypt(&mut soc_b, Direction::Encrypt, &ivs, &mut batched)
                 .unwrap();
             let batched_enc_ns = soc_b.clock.now_ns() - t0;
 
@@ -521,7 +472,7 @@ mod tests {
 
             let t0 = soc_b.clock.now_ns();
             eng_b
-                .decrypt_extent(&mut soc_b, &ivs, &mut batched)
+                .crypt(&mut soc_b, Direction::Decrypt, &ivs, &mut batched)
                 .unwrap();
             let batched_dec_ns = soc_b.clock.now_ns() - t0;
             assert_eq!(batched, pt, "{units} units: extent decrypt roundtrips");
@@ -541,15 +492,21 @@ mod tests {
 
         let (mut soc_a, mut eng_a) = engine(OnSocBackend::Iram);
         let mut fast = pt.clone();
-        eng_a.encrypt_extent(&mut soc_a, &ivs, &mut fast).unwrap();
+        eng_a
+            .crypt(&mut soc_a, Direction::Encrypt, &ivs, &mut fast)
+            .unwrap();
 
         let (mut soc_b, mut eng_b) = engine(OnSocBackend::Iram);
         eng_b.set_full_simulation(true);
         let mut full = pt.clone();
-        eng_b.encrypt_extent(&mut soc_b, &ivs, &mut full).unwrap();
+        eng_b
+            .crypt(&mut soc_b, Direction::Encrypt, &ivs, &mut full)
+            .unwrap();
         assert_eq!(fast, full, "fast and full-sim extent encrypt agree");
 
-        eng_b.decrypt_extent(&mut soc_b, &ivs, &mut full).unwrap();
+        eng_b
+            .crypt(&mut soc_b, Direction::Decrypt, &ivs, &mut full)
+            .unwrap();
         assert_eq!(full, pt, "full-sim extent decrypt roundtrips");
     }
 
@@ -581,17 +538,21 @@ mod tests {
                 let iv = [0x1Du8; 16];
                 let pt: Vec<u8> = (0..4096).map(|i| (i * 7) as u8).collect();
                 let mut expect = pt.clone();
-                generic.encrypt(&mut soc, &iv, &mut expect).unwrap();
+                generic
+                    .crypt(&mut soc, Direction::Encrypt, &[iv], &mut expect)
+                    .unwrap();
 
                 for full_sim in [false, true] {
                     eng.set_full_simulation(full_sim);
                     let mut data = pt.clone();
-                    eng.encrypt(&mut soc, &iv, &mut data).unwrap();
+                    eng.crypt(&mut soc, Direction::Encrypt, &[iv], &mut data)
+                        .unwrap();
                     assert_eq!(
                         data, expect,
                         "{cipher_backend:?}/{mode} full_sim={full_sim} encrypt"
                     );
-                    eng.decrypt(&mut soc, &iv, &mut data).unwrap();
+                    eng.crypt(&mut soc, Direction::Decrypt, &[iv], &mut data)
+                        .unwrap();
                     assert_eq!(
                         data, pt,
                         "{cipher_backend:?}/{mode} full_sim={full_sim} round-trip"
@@ -607,7 +568,9 @@ mod tests {
                 let pt3: Vec<u8> = pt.iter().cycle().take(3 * 4096).copied().collect();
                 let mut want = pt3.clone();
                 for (iv, chunk) in ivs.iter().zip(want.chunks_exact_mut(4096)) {
-                    generic.encrypt(&mut soc, iv, chunk).unwrap();
+                    generic
+                        .crypt(&mut soc, Direction::Encrypt, &[*iv], chunk)
+                        .unwrap();
                 }
                 let mut times = Vec::new();
                 for full_sim in [false, true] {
@@ -616,9 +579,11 @@ mod tests {
                     let bus = soc.bus.reads() + soc.bus.writes();
                     let t0 = soc.clock.now_ns();
                     let mut ext = pt3.clone();
-                    eng.encrypt_extent(&mut soc, &ivs, &mut ext).unwrap();
+                    eng.crypt(&mut soc, Direction::Encrypt, &ivs, &mut ext)
+                        .unwrap();
                     assert_eq!(ext, want, "{what}: encrypt");
-                    eng.decrypt_extent(&mut soc, &ivs, &mut ext).unwrap();
+                    eng.crypt(&mut soc, Direction::Decrypt, &ivs, &mut ext)
+                        .unwrap();
                     assert_eq!(ext, pt3, "{what}: round-trip");
                     times.push(soc.clock.now_ns() - t0);
                     let traffic = soc.bus.reads() + soc.bus.writes() - bus;
@@ -636,7 +601,8 @@ mod tests {
     fn full_sim_extent_calls_take_the_fast_paths_failpoints_and_sections() {
         // A step-counted or site fault plan must see the same traffic on
         // both data paths: one `crypt.extent` hit and one IRQ section
-        // per extent call, never a `crypt.one` per unit.
+        // per engine call, never one per unit. An empty run still passes
+        // the site but opens no section.
         let ivs: Vec<[u8; 16]> = (0..4).map(|i| [(i * 5 + 1) as u8; 16]).collect();
         let pt: Vec<u8> = (0..4 * 512).map(|i| (i * 11) as u8).collect();
         for cipher_backend in [
@@ -659,14 +625,20 @@ mod tests {
                     soc.failpoints.record();
                     let sections = soc.cpu.critical_sections;
                     let mut data = pt.clone();
-                    eng.encrypt_extent(&mut soc, &ivs, &mut data).unwrap();
-                    eng.decrypt_extent(&mut soc, &ivs, &mut data).unwrap();
+                    eng.crypt(&mut soc, Direction::Encrypt, &ivs, &mut data)
+                        .unwrap();
+                    eng.crypt(&mut soc, Direction::Decrypt, &ivs, &mut data)
+                        .unwrap();
                     assert_eq!(data, pt, "{cipher_backend:?}/{mode} full_sim={full_sim}");
+                    eng.crypt(&mut soc, Direction::Encrypt, &[], &mut [])
+                        .unwrap();
                     let trace = soc.failpoints.trace().to_vec();
                     (trace, soc.cpu.critical_sections - sections)
                 };
                 let fast = observe(false);
-                assert_eq!(fast.1, 2, "one section per extent call");
+                let sites: Vec<&str> = fast.0.iter().map(|&(site, _)| site).collect();
+                assert_eq!(sites, ["crypt.extent"; 3], "one site per engine call");
+                assert_eq!(fast.1, 2, "one section per non-empty engine call");
                 assert_eq!(observe(true), fast, "{cipher_backend:?}/{mode}");
             }
         }
@@ -689,7 +661,8 @@ mod tests {
         soc.cpu.request_preemption();
         let sections_before = soc.cpu.critical_sections;
         let mut data = vec![0u8; 4096];
-        eng.encrypt(&mut soc, &[0u8; 16], &mut data).unwrap();
+        eng.crypt(&mut soc, Direction::Encrypt, &[[0u8; 16]], &mut data)
+            .unwrap();
         assert!(soc.cpu.critical_sections > sections_before);
         assert!(soc.cpu.irq_disabled_ns > 0);
         // A preemption delivered after the section sees only zeroes.
@@ -704,7 +677,8 @@ mod tests {
         let (mut soc, mut eng) = engine(OnSocBackend::Iram);
         let before = soc.cpu.irq_disabled_ns;
         let mut data = vec![0u8; 4096];
-        eng.encrypt(&mut soc, &[0u8; 16], &mut data).unwrap();
+        eng.crypt(&mut soc, Direction::Encrypt, &[[0u8; 16]], &mut data)
+            .unwrap();
         let section_us = (soc.cpu.irq_disabled_ns - before) as f64 / 1e3;
         assert!(
             (100.0..300.0).contains(&section_us),
@@ -723,11 +697,15 @@ mod tests {
         let mut data = vec![0u8; 64 * 1024];
 
         let t0 = soc.clock.now_ns();
-        generic.encrypt(&mut soc, &[0u8; 16], &mut data).unwrap();
+        generic
+            .crypt(&mut soc, Direction::Encrypt, &[[0u8; 16]], &mut data)
+            .unwrap();
         let generic_ns = soc.clock.now_ns() - t0;
 
         let t0 = soc.clock.now_ns();
-        onsoc.encrypt(&mut soc, &[0u8; 16], &mut data).unwrap();
+        onsoc
+            .crypt(&mut soc, Direction::Encrypt, &[[0u8; 16]], &mut data)
+            .unwrap();
         let onsoc_ns = soc.clock.now_ns() - t0;
 
         let overhead = onsoc_ns as f64 / generic_ns as f64 - 1.0;
@@ -740,6 +718,8 @@ mod tests {
         let mut eng =
             AesOnSocEngine::new(sentry_soc::addr::IRAM_BASE + 64 * 1024, KeyResidency::Iram);
         let mut data = vec![0u8; 16];
-        assert!(eng.encrypt(&mut soc, &[0u8; 16], &mut data).is_err());
+        assert!(eng
+            .crypt(&mut soc, Direction::Encrypt, &[[0u8; 16]], &mut data)
+            .is_err());
     }
 }

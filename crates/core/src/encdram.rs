@@ -203,8 +203,8 @@ impl Pager {
     /// wiped and its mappings re-armed onto that frame here. A page
     /// written through any of its mappings is planned for re-encryption
     /// into its home frame at `epoch` — the lock epoch of the transition
-    /// driving the sweep. Returns those plans and the number of clean
-    /// pages re-armed.
+    /// driving the sweep. Returns those plans, which the lock encrypts in
+    /// its own batch, and the number of clean pages re-armed.
     ///
     /// The FIFO is *not* drained here: a kill mid-sweep must leave the
     /// not-yet-published victims resident, so recovery (and a retried
@@ -256,8 +256,8 @@ impl Pager {
         Ok((pages, reused))
     }
 
-    /// The in-memory tail of a committed lock-time sweep that
-    /// re-encrypted `written` pages: every slot is reclaimed at once.
+    /// The in-memory tail of a committed lock whose batch re-encrypted
+    /// `written` resident pages: every slot is reclaimed at once.
     pub(crate) fn evicted_all(&mut self, written: usize) {
         if written > 0 {
             let n = written as u64;

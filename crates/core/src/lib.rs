@@ -77,8 +77,6 @@ pub use health::{FailureKind, HealthGovernor, HealthState, HealthStats, RetrySta
 pub use integrity::{
     IntegrityPlane, IntegrityStats, QuarantinedPage, SpillAnchor, TagPageState, VerifyOutcome,
 };
-pub use lifecycle::{
-    DeviceState, DeviceStats, LifecycleStats, ParallelStats, RecoveryReport, Sentry,
-};
+pub use lifecycle::{DeviceState, DeviceStats, LifecycleStats, RecoveryReport, Sentry};
 pub use pressure::{PressureConfig, PressureLevel, PressureStats, PressureTracker, SpillRegion};
 pub use txn::{CommitTagger, JournalEntry, TxnJournal, TxnOp};

@@ -17,7 +17,7 @@ use crate::integrity::{IntegrityPlane, VerifyOutcome};
 use crate::keys::VolatileRootKey;
 use crate::onsoc::OnSocStore;
 use crate::pressure::{PressureLevel, PressureStats};
-use crate::transition::{plan, set_page_state, IvSource, Kind, PageState, Route, Transition};
+use crate::transition::{plan, set_page_state, IvSource, PageState, Route, Transition};
 use crate::txn::{CommitTagger, JournalEntry, TxnJournal, TxnOp};
 use sentry_crypto::parallel::BatchReport;
 use sentry_crypto::{Aes, CryptoError, Direction, HealthGovernor, HealthStats, RetryStats};
@@ -173,40 +173,6 @@ pub struct RecoveryReport {
     pub quarantined: usize,
 }
 
-/// Cumulative parallel-engine statistics. Kept separate from
-/// [`LifecycleStats`] because the per-lane byte loads are variable
-/// length (one slot per worker lane ever used).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ParallelStats {
-    /// Batches recorded (sequential fallback included).
-    pub batches: u64,
-    /// Batches that actually fanned out across more than one lane.
-    pub parallel_batches: u64,
-    /// Cumulative bytes transformed by each worker lane (index = lane;
-    /// the sequential path accounts all its bytes to lane 0).
-    pub per_worker_bytes: Vec<u64>,
-}
-
-impl ParallelStats {
-    pub(crate) fn record(&mut self, report: &BatchReport) {
-        self.batches += 1;
-        if !report.sequential_fallback {
-            self.parallel_batches += 1;
-        }
-        if self.per_worker_bytes.len() < report.per_worker_bytes.len() {
-            self.per_worker_bytes
-                .resize(report.per_worker_bytes.len(), 0);
-        }
-        for (acc, lane) in self
-            .per_worker_bytes
-            .iter_mut()
-            .zip(&report.per_worker_bytes)
-        {
-            *acc += *lane;
-        }
-    }
-}
-
 /// One-time device-construction statistics.
 ///
 /// `Sentry::new` is on the fleet harness's critical path — constructing
@@ -245,8 +211,6 @@ pub struct Sentry {
     pub config: SentryConfig,
     /// Cumulative statistics.
     pub stats: LifecycleStats,
-    /// Cumulative parallel-engine statistics (per-lane byte loads).
-    pub parallel: ParallelStats,
     /// One-time construction cost of this device stack (see
     /// [`DeviceStats`]).
     pub device_stats: DeviceStats,
@@ -340,7 +304,6 @@ impl Sentry {
             pager: Pager::new(config.slot_limit),
             config,
             stats: LifecycleStats::default(),
-            parallel: ParallelStats::default(),
             device_stats,
             health: HealthGovernor::default(),
             last_fault: None,
@@ -540,7 +503,6 @@ impl Sentry {
             key: self.volatile_key,
             health: &mut self.health,
             stats: &mut self.stats,
-            parallel: &mut self.parallel,
         }
     }
 
@@ -577,7 +539,7 @@ impl Sentry {
             }
         }
         let epoch = self.lock_epoch;
-        self.transition(op).run(Kind::Decrypt, epoch, pages)
+        self.transition(op).run(TxnOp::Decrypt, epoch, pages)
     }
 
     /// Residual-encrypted-pages gauge: encrypted DRAM mappings across
@@ -706,12 +668,12 @@ impl Sentry {
         }
     }
 
-    /// Transition to the locked state (§7): page out any on-SoC resident
-    /// pages, then walk every sensitive process's page table — skipping
-    /// pages shared with non-sensitive applications — and drain the
-    /// freed-page zeroing thread before the encrypt. On platforms
-    /// without background support, sensitive processes are parked
-    /// unschedulable.
+    /// Transition to the locked state (§7): plan the re-encrypt of every
+    /// written on-SoC resident page, walk every sensitive process's page
+    /// table — skipping pages shared with non-sensitive applications —
+    /// and drain the freed-page zeroing thread, then encrypt every
+    /// planned page in one transition. On platforms without background
+    /// support, sensitive processes are parked unschedulable.
     ///
     /// Only what was written costs cipher work. A clean page that kept
     /// its ciphertext since its decrypt (see `Pte::home_frame`) is
@@ -756,18 +718,15 @@ impl Sentry {
             self.kernel.dropped_kept_frames.pop();
         }
         self.govern_pressure()?;
-        let (written, mut reused) = self.pager.plan_evict_all(&mut self.kernel, epoch)?;
-        let sweep = written.len();
-        self.transition("on_lock")
-            .run(Kind::EvictAll, epoch, written)?;
-        self.pager.evicted_all(sweep);
-
-        // Phase 1: plan every page — private pages of every sensitive
-        // process, then the shared-frame pass — into one batch. The
-        // pages are independent (per-page IVs), so planning first and
-        // dispatching once lets the engine fan them out.
+        // Phase 1: plan every page — the pager's written resident pages
+        // (from their on-SoC slots into their home frames), private pages
+        // of every sensitive process, then the shared-frame pass — into
+        // one batch. The pages are independent (per-page IVs), so
+        // planning first and dispatching once lets the engine fan them
+        // out.
+        let (mut pages, mut reused) = self.pager.plan_evict_all(&mut self.kernel, epoch)?;
+        let sweep = pages.len();
         let mut skipped = 0u64;
-        let mut pages: Vec<JournalEntry> = Vec::new();
         // (kept frame, mapping) of clean pages, the plaintext frames
         // they leave, and the kept frames of written pages.
         let mut rearms: Vec<(u64, (Pid, u64))> = Vec::new();
@@ -891,7 +850,10 @@ impl Sentry {
         // Phase 2: one dispatch for the whole transition — into scratch
         // buffers. DRAM is untouched until each page's journaled
         // publish. Phase 3: publish + flip as a two-phase commit.
-        let report = self.transition("on_lock").run(Kind::Lock, epoch, pages)?;
+        let report = self
+            .transition("on_lock")
+            .run(TxnOp::Encrypt, epoch, pages)?;
+        self.pager.evicted_all(sweep);
 
         // Re-arm-only shared frames (still ciphertext from an earlier
         // cycle): idempotent PTE flips, journal-free.
@@ -1157,7 +1119,7 @@ impl Sentry {
             return Err(err);
         }
         t.crypt(
-            Route::One,
+            Route::Engine,
             Direction::Decrypt,
             &mut [incoming],
             &mut ciphertext,
@@ -1384,7 +1346,7 @@ impl Sentry {
             // DRAM — the same ordering the live path guarantees.
             let mut pages = [*entry];
             let mut page = t.gather(&pages)?;
-            t.crypt(Route::One, Direction::Encrypt, &mut pages, &mut page)?;
+            t.crypt(Route::Engine, Direction::Encrypt, &mut pages, &mut page)?;
             t.store_tags(&pages, &page)?;
             t.kernel.soc.mem_write(entry.frame, &page)?;
             // Fresh ciphertext + fresh tag from the intact source: a
@@ -1447,7 +1409,7 @@ impl Sentry {
             match verdict {
                 VerifyOutcome::Mismatch { expected, got } => {
                     let mut trial = [*entry];
-                    t.crypt(Route::One, Direction::Encrypt, &mut trial, &mut page)?;
+                    t.crypt(Route::Engine, Direction::Encrypt, &mut trial, &mut page)?;
                     if trial[0].tag != entry.tag {
                         let _ = t.quarantine(entry, expected, got);
                         // The publish loop flips PTEs *before* writing
@@ -1472,7 +1434,7 @@ impl Sentry {
             None
         };
         if let Some(mut page) = ciphertext {
-            t.crypt(Route::One, Direction::Decrypt, &mut pages, &mut page)?;
+            t.crypt(Route::Engine, Direction::Decrypt, &mut pages, &mut page)?;
             t.kernel.soc.mem_write(entry.frame, &page)?;
         }
         if tagged {
@@ -1875,6 +1837,52 @@ mod tests {
         assert_eq!(&buf, b"new mail arrived");
     }
 
+    /// A device whose four pages of `pid` paged in while locked and stay
+    /// resident across the unlock that follows.
+    fn resident_after_unlock() -> (Sentry, Pid) {
+        let mut s = tegra_sentry();
+        let pid = s.kernel.spawn("mail");
+        s.mark_sensitive(pid).unwrap();
+        s.write(pid, 0, &[1u8; 8 * 4096]).unwrap();
+        s.on_lock().unwrap();
+        s.touch_pages(pid, &[0, 1, 2, 3]).unwrap();
+        s.on_unlock().unwrap();
+        assert_eq!(s.pager.resident_count(), 4);
+        (s, pid)
+    }
+
+    #[test]
+    fn a_relock_reports_the_pager_pages_it_re_encrypts() {
+        let (mut s, pid) = resident_after_unlock();
+        let k = 3u64;
+        for vpn in 0..k {
+            s.write(pid, vpn * PAGE_SIZE, b"rewritten").unwrap();
+        }
+        let report = s.on_lock().unwrap();
+        assert_eq!(s.pager.stats.evict_batch_pages, k);
+        assert_eq!(report.batch_pages, k, "the written resident pages");
+        assert_eq!(report.bytes_encrypted, k * PAGE_SIZE);
+        assert_eq!(s.pager.resident_count(), 0);
+        s.on_unlock().unwrap();
+        let mut buf = [0u8; 9];
+        s.read(pid, 2 * PAGE_SIZE, &mut buf).unwrap();
+        assert_eq!(&buf, b"rewritten");
+    }
+
+    #[test]
+    fn a_relock_stores_pager_and_lock_tags_in_one_chain() {
+        let (mut s, pid) = resident_after_unlock();
+        assert!(s.integrity.enabled());
+        // k = 2 resident pages and m = 3 DRAM pages, all written.
+        for vpn in [0u64, 1, 4, 5, 6] {
+            s.write(pid, vpn * PAGE_SIZE, b"rewritten").unwrap();
+        }
+        let chains = s.integrity.stats.mac_chains;
+        let report = s.on_lock().unwrap();
+        assert_eq!(s.integrity.stats.mac_chains - chains, 1, "one tag store");
+        assert_eq!(report.batch_pages, 5);
+    }
+
     #[test]
     fn double_lock_is_rejected() {
         let mut s = tegra_sentry();
@@ -2069,8 +2077,8 @@ mod tests {
         s.write(pid, 0, &[3u8; 4 * 4096]).unwrap();
         let report = s.on_lock().unwrap();
         assert_eq!(report.workers_used, 1, "below-floor batch must not fan out");
-        assert_eq!(s.parallel.parallel_batches, 0);
-        assert_eq!(s.parallel.batches, 1);
+        assert_eq!(report.batch_pages, 4);
+        assert_eq!(s.stats.crypt_batches, 1);
         s.on_unlock().unwrap();
         let mut back = vec![0u8; 4 * 4096];
         s.read(pid, 0, &mut back).unwrap();
@@ -2078,7 +2086,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_stats_accumulate_per_worker_bytes() {
+    fn a_parallel_lock_is_one_counted_batch() {
         let mut s = Sentry::new(
             Kernel::new(Soc::tegra3_small()),
             SentryConfig::tegra3_locked_l2(2).with_parallel(crate::config::ParallelConfig {
@@ -2092,15 +2100,11 @@ mod tests {
         s.write(pid, 0, &[5u8; 8 * 4096]).unwrap();
         let report = s.on_lock().unwrap();
         assert_eq!(report.workers_used, 4);
+        assert_eq!(report.batch_pages, 8);
+        assert_eq!(report.bytes_encrypted, 8 * 4096);
         assert_eq!(s.stats.crypt_batches, 1);
         assert_eq!(s.stats.crypt_batch_pages, 8);
         assert_eq!(s.stats.largest_batch_pages, 8);
-        assert_eq!(s.parallel.per_worker_bytes.len(), 4);
-        assert_eq!(
-            s.parallel.per_worker_bytes.iter().sum::<u64>(),
-            8 * 4096,
-            "lane bytes must add up to the batch"
-        );
     }
 
     fn readahead_sentry(cluster: usize, budget: usize) -> Sentry {

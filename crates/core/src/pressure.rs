@@ -289,26 +289,6 @@ struct SpillAesEngine {
     cipher: Option<PageCipher>,
 }
 
-impl SpillAesEngine {
-    fn crypt(
-        &self,
-        soc: &mut Soc,
-        direction: Direction,
-        ivs: &[[u8; 16]],
-        data: &mut [u8],
-    ) -> Result<(), KernelError> {
-        let cipher = self.cipher.as_ref().ok_or(KernelError::NoKeyInstalled {
-            engine: self.name(),
-        })?;
-        cipher.crypt(PageCipherMode::Cbc, direction, ivs, data);
-        soc.clock.advance(
-            soc.costs
-                .aes_ns(data.len() as u64, soc.costs.iram_access_ns),
-        );
-        Ok(())
-    }
-}
-
 impl CipherEngine for SpillAesEngine {
     fn name(&self) -> &'static str {
         "aes-cbc-spill"
@@ -327,22 +307,22 @@ impl CipherEngine for SpillAesEngine {
         Ok(())
     }
 
-    fn encrypt_extent(
+    fn crypt(
         &mut self,
         soc: &mut Soc,
+        direction: Direction,
         ivs: &[[u8; 16]],
         data: &mut [u8],
     ) -> Result<(), KernelError> {
-        self.crypt(soc, Direction::Encrypt, ivs, data)
-    }
-
-    fn decrypt_extent(
-        &mut self,
-        soc: &mut Soc,
-        ivs: &[[u8; 16]],
-        data: &mut [u8],
-    ) -> Result<(), KernelError> {
-        self.crypt(soc, Direction::Decrypt, ivs, data)
+        let cipher = self.cipher.as_ref().ok_or(KernelError::NoKeyInstalled {
+            engine: self.name(),
+        })?;
+        cipher.crypt(PageCipherMode::Cbc, direction, ivs, data);
+        soc.clock.advance(
+            soc.costs
+                .aes_ns(data.len() as u64, soc.costs.iram_access_ns),
+        );
+        Ok(())
     }
 }
 

@@ -9,24 +9,26 @@
 //!    plans one [`JournalEntry`] each: source and target address, IV and
 //!    epoch. Every IV comes from [`page_iv`], the one IV rule.
 //! 2. **Crypt.** `Transition::crypt` transforms the gathered pages in
-//!    host scratch. It is the only code that reaches a cipher: the
-//!    engine's single-page or extent call, the parallel lanes, or the
-//!    accelerator queue. It runs the nonce audit on every encrypt,
-//!    stamps every entry's commit tag, and retries an injected crypt
-//!    fault up to `MAX_CRYPT_RETRIES` attempts.
+//!    host scratch. It is the only code that reaches a cipher: one
+//!    engine call, the parallel lanes, or the accelerator queue. It runs
+//!    the nonce audit on every encrypt, stamps every entry's commit tag,
+//!    and retries an injected crypt fault up to `MAX_CRYPT_RETRIES`
+//!    attempts.
 //! 3. **Commit.** `Transition::commit` owns chunking at [`MAX_ENTRIES`],
 //!    the journal's open / mark-done / close, the integrity tags, the
 //!    direction-dependent publish order, and the PTE flip for every
-//!    sharer of each frame. A locked page fault commits its eviction
-//!    through `Transition::fault`, a one-entry journal that also checks
-//!    the incoming page; the page-in publishes on-SoC and needs no
-//!    journal. Recovery publishes the entry the open journal names.
+//!    sharer of each frame. A lock is one encrypt commit: the pager's
+//!    written resident pages ride in it beside the lock's own pages. A
+//!    locked page fault commits its eviction through `Transition::fault`,
+//!    a one-entry journal that also checks the incoming page; the
+//!    page-in publishes on-SoC and needs no journal. Recovery publishes
+//!    the entry the open journal names.
 
 use crate::config::OnSocBackend;
 use crate::error::SentryError;
 use crate::integrity::{IntegrityPlane, QuarantinedPage, VerifyOutcome, TAG_BYTES};
 use crate::keys::VolatileRootKey;
-use crate::lifecycle::{LifecycleStats, ParallelStats, MAX_CRYPT_RETRIES};
+use crate::lifecycle::{LifecycleStats, MAX_CRYPT_RETRIES};
 use crate::onsoc::OnSocStore;
 use crate::txn::{CommitTagger, JournalEntry, TxnJournal, TxnOp, MAX_ENTRIES};
 use crate::SentryConfig;
@@ -93,24 +95,6 @@ pub(crate) fn plan(
     JournalEntry::new(mapping.0, mapping.1, src, frame, iv, epoch)
 }
 
-/// How a transition publishes its pages: which failpoint sites each
-/// step passes, and where the integrity tags are stored and checked.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Kind {
-    /// Encrypt-on-lock: `txn.publish` before each write, `txn.flip`
-    /// before each PTE flip; all tags stored before the first chunk.
-    Lock,
-    /// The pager's lock-time sweep: one extent call, the page copies
-    /// charged before the tags, `pager.evict` before each write; all tags
-    /// stored before the first chunk.
-    EvictAll,
-    /// Unlock, fault cluster, and sweep: `txn.flip`, then `txn.publish`,
-    /// then an in-place frame's tag is retired. An out-of-place entry
-    /// (`src` ≠ `frame`, placed by the commit) keeps its source frame
-    /// and tag as the page's home frame.
-    Decrypt,
-}
-
 /// How the crypt step hands a run of pages to a cipher.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Route {
@@ -119,11 +103,9 @@ pub(crate) enum Route {
     /// a decrypt takes the accelerator queue when the pipeline accepts
     /// it. Counted in the batch statistics.
     Batch,
-    /// One engine extent call (`crypt.extent`): the pager's sweep.
-    Extent,
-    /// One engine single-page call (`crypt.one`): a locked fault's
-    /// eviction and page-in, a recovery redo.
-    One,
+    /// One engine call: a locked fault's eviction and page-in, a
+    /// recovery redo.
+    Engine,
 }
 
 /// The state a transition leaves every mapping of a frame in.
@@ -166,30 +148,28 @@ pub(crate) struct Transition<'a> {
     /// Watchdog and breaker of the accelerator route.
     pub(crate) health: &'a mut HealthGovernor,
     pub(crate) stats: &'a mut LifecycleStats,
-    pub(crate) parallel: &'a mut ParallelStats,
 }
 
 impl Transition<'_> {
-    /// Gather, crypt and commit planned pages of `kind`; a decrypt
+    /// Gather, crypt as one batch, and commit planned pages; a decrypt
     /// MAC-verifies what it gathered first (see [`Transition::verify`]).
     /// Returns the crypt step's batch report.
     pub(crate) fn run(
         &mut self,
-        kind: Kind,
+        op: TxnOp,
         target_epoch: u64,
         mut pages: Vec<JournalEntry>,
     ) -> Result<BatchReport, SentryError> {
         let mut buf = self.gather(&pages)?;
-        let (route, direction) = match kind {
-            Kind::Lock => (Route::Batch, Direction::Encrypt),
-            Kind::EvictAll => (Route::Extent, Direction::Encrypt),
-            Kind::Decrypt => {
+        let direction = match op {
+            TxnOp::Encrypt => Direction::Encrypt,
+            TxnOp::Decrypt => {
                 self.verify(&mut pages, &mut buf)?;
-                (Route::Batch, Direction::Decrypt)
+                Direction::Decrypt
             }
         };
-        let report = self.crypt(route, direction, &mut pages, &mut buf)?;
-        self.commit(kind, target_epoch, &pages, &buf)?;
+        let report = self.crypt(Route::Batch, direction, &mut pages, &mut buf)?;
+        self.commit(op, target_epoch, &pages, &buf)?;
         Ok(report)
     }
 
@@ -313,8 +293,8 @@ impl Transition<'_> {
         loop {
             attempts += 1;
             let result = match route {
-                Route::One | Route::Extent => self
-                    .engine(direction, ivs, buf, route == Route::One)
+                Route::Engine => self
+                    .engine(direction, ivs, buf)
                     .map(|()| sequential_report(ivs.len(), buf.len())),
                 Route::Batch if direction == Direction::Decrypt && self.config.pipeline.enabled => {
                     self.route_decrypt(ivs, buf)
@@ -343,34 +323,25 @@ impl Transition<'_> {
         }
     }
 
-    /// One call into the registered cipher engine: its single-page
-    /// dispatch (`crypt.one`), or one extent request (`crypt.extent`) —
-    /// one batched kernel stream, one IRQ-critical section.
+    /// One call into the registered cipher engine (`crypt.extent` on AES
+    /// On SoC): one batched kernel stream, one IRQ-critical section.
     fn engine(
         &mut self,
         direction: Direction,
         ivs: &[[u8; 16]],
         buf: &mut [u8],
-        single: bool,
     ) -> Result<(), SentryError> {
         let Kernel { soc, crypto, .. } = &mut *self.kernel;
-        let engine = crypto.preferred_mut()?;
-        match (direction, single) {
-            (Direction::Encrypt, true) => engine.encrypt(soc, &ivs[0], buf)?,
-            (Direction::Decrypt, true) => engine.decrypt(soc, &ivs[0], buf)?,
-            (Direction::Encrypt, false) => engine.encrypt_extent(soc, ivs, buf)?,
-            (Direction::Decrypt, false) => engine.decrypt_extent(soc, ivs, buf)?,
-        }
+        crypto.preferred_mut()?.crypt(soc, direction, ivs, buf)?;
         Ok(())
     }
 
     /// A lifecycle batch on the CPU.
     ///
     /// With `parallel.workers <= 1`, or a batch below
-    /// `parallel.min_batch_pages`, the pages dispatch through the
-    /// registered cipher engine, exactly like the serial prototype: a
-    /// lone page through its single-page call, a run through one extent
-    /// call (the engine charge is linear in bytes, so this is
+    /// `parallel.min_batch_pages`, the pages dispatch through one call
+    /// into the registered cipher engine, exactly like the serial
+    /// prototype (the engine charge is linear in bytes, so this is
     /// cycle-identical to a per-page loop). Otherwise the work fans out
     /// across the scoped worker pool of [`sentry_crypto::parallel`] under
     /// a single AES context expanded once per batch from the volatile
@@ -393,7 +364,7 @@ impl Transition<'_> {
         let workers = self.config.parallel.workers;
         let min_batch = self.config.parallel.min_batch_pages.max(1);
         let report = if workers <= 1 || pages < min_batch {
-            self.engine(direction, ivs, buf, pages == 1)?;
+            self.engine(direction, ivs, buf)?;
             sequential_report(pages, buf.len())
         } else {
             // Expand the key schedule exactly once for the whole batch;
@@ -430,7 +401,6 @@ impl Transition<'_> {
         self.stats.crypt_batches += 1;
         self.stats.crypt_batch_pages += pages as u64;
         self.stats.largest_batch_pages = self.stats.largest_batch_pages.max(pages as u64);
-        self.parallel.record(&report);
         Ok(report)
     }
 
@@ -591,17 +561,21 @@ impl Transition<'_> {
     /// every kill recoverable: a PTE claiming "encrypted" never fronts a
     /// plaintext frame.
     ///
-    /// * **Encrypt** publishes first: the ciphertext lands, *then* the
-    ///   PTE flips. A kill in between leaves a PTE that still says
-    ///   plaintext over a ciphertext frame, which recovery's tag
-    ///   comparison completes by flipping. The integrity tags are on-SoC
-    ///   before any ciphertext is visible in DRAM, so there is no window
-    ///   for unrecorded tampering.
-    /// * **Decrypt** flips first: the PTE's encrypted bit clears *before*
-    ///   the plaintext lands. An in-place frame's tag is retired before
-    ///   the entry is marked done, so a kill in between re-runs the
-    ///   (idempotent) retire rather than leaving a stale tag that would
-    ///   poison the frame's next encrypt cycle. An out-of-place entry
+    /// * **Encrypt** publishes first (`txn.publish`): the ciphertext
+    ///   lands, *then* the PTE flips (`txn.flip`). A kill in between
+    ///   leaves a PTE that still says plaintext, or resident, over a
+    ///   ciphertext frame, which recovery's tag comparison completes by
+    ///   flipping. The integrity tags of the whole run are stored on-SoC
+    ///   in one call before any ciphertext is visible in DRAM, so there is
+    ///   no window for unrecorded tampering. An entry whose source is an
+    ///   on-SoC pager slot (`src` ≠ `frame`, the lock-time sweep) is
+    ///   charged one page copy.
+    /// * **Decrypt** flips first (`txn.flip`): the PTE's encrypted bit
+    ///   clears *before* the plaintext lands (`txn.publish`). An
+    ///   in-place frame's tag is retired before the entry is marked
+    ///   done, so a kill in between re-runs the (idempotent) retire
+    ///   rather than leaving a stale tag that would poison the frame's
+    ///   next encrypt cycle. An out-of-place entry
     ///   publishes into its fresh frame and never writes its source.
     ///   The commit places each chunk (see `Transition::place`) right
     ///   before its journal opens, and gives the fresh frames back if
@@ -612,20 +586,15 @@ impl Transition<'_> {
     /// Propagates journal, memory, and tag-store errors.
     pub(crate) fn commit(
         &mut self,
-        kind: Kind,
+        op: TxnOp,
         target_epoch: u64,
         pages: &[JournalEntry],
         buf: &[u8],
     ) -> Result<(), SentryError> {
-        let op = match kind {
-            Kind::Decrypt => TxnOp::Decrypt,
-            Kind::Lock | Kind::EvictAll => TxnOp::Encrypt,
-        };
-        if kind == Kind::EvictAll {
-            let copy_ns = self.kernel.soc.costs.page_copy_ns * pages.len() as u64;
+        if op == TxnOp::Encrypt {
+            let copies = pages.iter().filter(|e| e.src != e.frame).count() as u64;
+            let copy_ns = self.kernel.soc.costs.page_copy_ns * copies;
             self.kernel.soc.clock.advance(copy_ns);
-        }
-        if matches!(kind, Kind::Lock | Kind::EvictAll) {
             self.store_tags(pages, buf)?;
         }
         let page = PAGE_SIZE as usize;
@@ -633,7 +602,7 @@ impl Transition<'_> {
             .chunks(MAX_ENTRIES)
             .zip(buf.chunks(MAX_ENTRIES * page))
         {
-            let chunk = &self.place(kind, chunk);
+            let chunk = &self.place(op, chunk);
             if let Err(e) = self.txn.open(&mut self.kernel.soc, op, target_epoch, chunk) {
                 let fresh = chunk.iter().rev().filter(|e| e.src != e.frame);
                 self.kernel.frames.give_back(fresh.map(|e| e.frame));
@@ -646,19 +615,14 @@ impl Transition<'_> {
                     let state = PageState::Plaintext { kept };
                     set_page_state(self.kernel, e.frame, (e.pid, e.vpn), state);
                 }
-                let publish_site = match kind {
-                    Kind::Lock | Kind::Decrypt => "txn.publish",
-                    Kind::EvictAll => "pager.evict",
-                };
-                self.kernel.soc.failpoint(publish_site)?;
+                self.kernel.soc.failpoint("txn.publish")?;
                 self.kernel.soc.mem_write(e.frame, data)?;
-                match kind {
-                    Kind::Decrypt if e.src == e.frame => {
+                match op {
+                    TxnOp::Decrypt if e.src == e.frame => {
                         self.integrity.retire_tag(&mut self.kernel.soc, e.frame)?;
                     }
-                    Kind::Decrypt => {}
-                    Kind::Lock => self.kernel.soc.failpoint("txn.flip")?,
-                    Kind::EvictAll => {}
+                    TxnOp::Decrypt => {}
+                    TxnOp::Encrypt => self.kernel.soc.failpoint("txn.flip")?,
                 }
                 self.settle(op, i, e)?;
             }
@@ -735,7 +699,7 @@ impl Transition<'_> {
             "eviction into the faulting frame"
         );
         self.crypt(
-            Route::One,
+            Route::Engine,
             Direction::Encrypt,
             &mut pages[..1],
             &mut buf[..page],
@@ -776,10 +740,11 @@ impl Transition<'_> {
         Ok((buf.split_off(page), verdicts[0]))
     }
 
-    /// Choose where each decrypt entry of `chunk` publishes. A page
-    /// keeps its ciphertext — its entry gets a fresh frame, and `src`
-    /// stays behind with its tag as the page's home frame — unless one
-    /// of four cases decrypts it in place, as every other kind does:
+    /// Choose where each decrypt entry of `chunk` publishes; an encrypt
+    /// entry publishes where it was planned. A page keeps its ciphertext
+    /// — its entry gets a fresh frame, and `src` stays behind with its
+    /// tag as the page's home frame — unless one of four cases decrypts
+    /// it in place:
     ///
     /// * a DMA region: devices address the frame itself and never set
     ///   `dirty`;
@@ -788,8 +753,8 @@ impl Transition<'_> {
     ///   would only add a line fill per cache line to its decrypt;
     /// * a frame shared among sensitive processes;
     /// * every page once the pool has no clean frame — the DRAM cap.
-    fn place(&mut self, kind: Kind, chunk: &[JournalEntry]) -> Vec<JournalEntry> {
-        if kind != Kind::Decrypt {
+    fn place(&mut self, op: TxnOp, chunk: &[JournalEntry]) -> Vec<JournalEntry> {
+        if op != TxnOp::Decrypt {
             return chunk.to_vec();
         }
         let kernel = &mut *self.kernel;

@@ -1,9 +1,11 @@
 //! Crash-consistent transition journal.
 //!
 //! Every state transition that moves sensitive bytes between plaintext
-//! and ciphertext in DRAM — lock, unlock, fault-cluster decrypt, sweep,
-//! pager eviction — commits through one primitive, `Transition::commit`
-//! (see [`crate::transition`]), as a per-page two-phase commit:
+//! and ciphertext in DRAM — lock (the pager's written resident pages
+//! included), unlock, fault-cluster decrypt, sweep — commits through one
+//! primitive, `Transition::commit` (see [`crate::transition`]), and a
+//! locked fault's eviction through `Transition::fault`, each as a
+//! per-page two-phase commit:
 //!
 //! 1. the transition's crypt step computes the transformed page into
 //!    host scratch (no DRAM mutation) and stamps the entry with the

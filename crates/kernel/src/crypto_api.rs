@@ -11,6 +11,13 @@
 //! software AES keeps its key schedule in kernel heap (DRAM), the
 //! hardware accelerator in device registers fed over the bus, and AES On
 //! SoC in iRAM or a locked cache way.
+//!
+//! Where the key lives and what a call costs are the only differences
+//! between engines. Each has one data-path method,
+//! [`CipherEngine::crypt`]: a direction, one IV per extent, and the
+//! extents back-to-back in one buffer. A single page or sector is a
+//! one-extent run, so every caller — dm-crypt, the lifecycle's batches,
+//! a locked fault — reaches an engine through that one call.
 
 use crate::error::KernelError;
 use crate::layout::CRYPTO_KEYS_BASE;
@@ -78,45 +85,15 @@ pub trait CipherEngine: Send {
         PageCipherMode::Cbc
     }
 
-    /// Encrypt `data` in place under the selected mode; `iv` is the CBC
-    /// IV, the XTS tweak, or the initial CTR counter block. By default a
-    /// one-extent [`Self::encrypt_extent`].
+    /// Encrypt or decrypt, in place, a run of `ivs.len()` consecutive
+    /// equal-sized extents laid out back-to-back in `data`, the `i`-th
+    /// keyed from `ivs[i]` (its CBC IV, XTS tweak, or CTR counter base,
+    /// per the selected mode). A single buffer is a one-extent run.
     ///
-    /// # Errors
-    ///
-    /// Fails if no key is installed.
-    fn encrypt(
-        &mut self,
-        soc: &mut Soc,
-        iv: &[u8; 16],
-        data: &mut [u8],
-    ) -> Result<(), KernelError> {
-        self.encrypt_extent(soc, std::slice::from_ref(iv), data)
-    }
-
-    /// Decrypt `data` in place under the selected mode. By default a
-    /// one-extent [`Self::decrypt_extent`].
-    ///
-    /// # Errors
-    ///
-    /// Fails if no key is installed.
-    fn decrypt(
-        &mut self,
-        soc: &mut Soc,
-        iv: &[u8; 16],
-        data: &mut [u8],
-    ) -> Result<(), KernelError> {
-        self.decrypt_extent(soc, std::slice::from_ref(iv), data)
-    }
-
-    /// Encrypt a run of `ivs.len()` consecutive equal-sized extents laid
-    /// out back-to-back in `data`, the `i`-th keyed from `ivs[i]` (its
-    /// CBC IV, XTS tweak, or CTR counter base, per the selected mode).
-    ///
-    /// This is how multi-sector dm-crypt requests and whole-pager sweeps
-    /// reach an engine: one call per request instead of one per unit, so
-    /// the engine's [`PageCipher`] keeps its kernels full across unit
-    /// boundaries. Output bytes are identical to one call per unit.
+    /// This is every engine's one data-path call: a multi-sector dm-crypt
+    /// request, a lifecycle batch or one page reaches the engine as one
+    /// call, so the engine's [`PageCipher`] keeps its kernels full across
+    /// unit boundaries. Output bytes are identical to one call per unit.
     ///
     /// # Errors
     ///
@@ -126,26 +103,10 @@ pub trait CipherEngine: Send {
     ///
     /// Panics if `data` does not divide evenly into `ivs.len()` extents
     /// (an empty `ivs` requires an empty `data`).
-    fn encrypt_extent(
+    fn crypt(
         &mut self,
         soc: &mut Soc,
-        ivs: &[[u8; 16]],
-        data: &mut [u8],
-    ) -> Result<(), KernelError>;
-
-    /// Decrypt a run of consecutive extents; the counterpart of
-    /// [`Self::encrypt_extent`], with the same layout contract.
-    ///
-    /// # Errors
-    ///
-    /// Fails if no key is installed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data` does not divide evenly into `ivs.len()` extents.
-    fn decrypt_extent(
-        &mut self,
-        soc: &mut Soc,
+        direction: Direction,
         ivs: &[[u8; 16]],
         data: &mut [u8],
     ) -> Result<(), KernelError>;
@@ -278,23 +239,6 @@ impl GenericAesEngine {
     pub fn key_material_addr(&self) -> u64 {
         CRYPTO_KEYS_BASE + self.slot * 4096
     }
-
-    fn crypt(
-        &self,
-        soc: &mut Soc,
-        direction: Direction,
-        ivs: &[[u8; 16]],
-        data: &mut [u8],
-    ) -> Result<(), KernelError> {
-        let cipher = self.cipher.as_ref().ok_or(KernelError::NoKeyInstalled {
-            engine: self.name(),
-        })?;
-        cipher.crypt(self.mode, direction, ivs, data);
-        // Generic AES state is cache-resident kernel heap.
-        soc.clock
-            .advance(soc.costs.aes_ns(data.len() as u64, soc.costs.cache_hit_ns));
-        Ok(())
-    }
 }
 
 impl CipherEngine for GenericAesEngine {
@@ -336,22 +280,21 @@ impl CipherEngine for GenericAesEngine {
         self.mode
     }
 
-    fn encrypt_extent(
+    fn crypt(
         &mut self,
         soc: &mut Soc,
+        direction: Direction,
         ivs: &[[u8; 16]],
         data: &mut [u8],
     ) -> Result<(), KernelError> {
-        self.crypt(soc, Direction::Encrypt, ivs, data)
-    }
-
-    fn decrypt_extent(
-        &mut self,
-        soc: &mut Soc,
-        ivs: &[[u8; 16]],
-        data: &mut [u8],
-    ) -> Result<(), KernelError> {
-        self.crypt(soc, Direction::Decrypt, ivs, data)
+        let cipher = self.cipher.as_ref().ok_or(KernelError::NoKeyInstalled {
+            engine: self.name(),
+        })?;
+        cipher.crypt(self.mode, direction, ivs, data);
+        // Generic AES state is cache-resident kernel heap.
+        soc.clock
+            .advance(soc.costs.aes_ns(data.len() as u64, soc.costs.cache_hit_ns));
+        Ok(())
     }
 }
 
@@ -389,55 +332,6 @@ impl AccelAesEngine {
             mode: PageCipherMode::Cbc,
         }
     }
-
-    /// Stage one accelerator operation — one descriptor for the whole
-    /// extent run, so a multi-sector request pays setup once: DMA the
-    /// input through the bounce window (bus-visible), hit the
-    /// `accel.dma` failpoint mid-transfer, transform `data` in place,
-    /// DMA the result back, and charge the engine's calibrated duration.
-    ///
-    /// Timing note: the bounce-window DMA transactions advance the clock
-    /// with generic bus costs; [`sentry_soc::clock::SimClock::set_now_ns`]
-    /// then substitutes the accelerator's calibrated `op_duration_ns`
-    /// (which already folds in descriptor setup and DMA streaming) for
-    /// the whole operation, per the cost-substitution convention.
-    fn run_op(
-        &self,
-        soc: &mut Soc,
-        direction: Direction,
-        ivs: &[[u8; 16]],
-        data: &mut [u8],
-    ) -> Result<(), KernelError> {
-        let cipher = self.cipher.as_ref().ok_or(KernelError::NoKeyInstalled {
-            engine: self.name(),
-        })?;
-        let t0 = soc.clock.now_ns();
-        // Input DMA: the engine masters the bus and pulls the source
-        // buffer through the bounce window. The window is a fixed-size
-        // model; larger requests stream through it in passes, and one
-        // pass is enough to make the traffic observable.
-        let staged = data.len().min(crate::layout::ACCEL_DMA_SIZE as usize);
-        soc.dma_write(
-            crate::layout::ACCEL_DMA_CONTROLLER,
-            crate::layout::ACCEL_DMA_BASE,
-            &data[..staged],
-        )?;
-        // A power cut here — input staged, result not yet produced —
-        // leaves only the staged input (ciphertext, on the read path) in
-        // the window.
-        soc.failpoint("accel.dma")?;
-        cipher.crypt(self.mode, direction, ivs, data);
-        // Result DMA: written back only at operation completion — a kill
-        // before this point never exposes the engine's output.
-        soc.dma_write(
-            crate::layout::ACCEL_DMA_CONTROLLER,
-            crate::layout::ACCEL_DMA_BASE,
-            &data[..staged],
-        )?;
-        soc.clock
-            .set_now_ns(t0 + soc.accel.op_duration_ns(data.len() as u64));
-        Ok(())
-    }
 }
 
 impl Default for AccelAesEngine {
@@ -473,22 +367,53 @@ impl CipherEngine for AccelAesEngine {
         self.mode
     }
 
-    fn encrypt_extent(
+    /// Stage one accelerator operation — one descriptor for the whole
+    /// extent run, so a multi-sector request pays setup once: DMA the
+    /// input through the bounce window (bus-visible), hit the
+    /// `accel.dma` failpoint mid-transfer, transform `data` in place,
+    /// DMA the result back, and charge the engine's calibrated duration.
+    ///
+    /// Timing note: the bounce-window DMA transactions advance the clock
+    /// with generic bus costs; [`sentry_soc::clock::SimClock::set_now_ns`]
+    /// then substitutes the accelerator's calibrated `op_duration_ns`
+    /// (which already folds in descriptor setup and DMA streaming) for
+    /// the whole operation, per the cost-substitution convention.
+    fn crypt(
         &mut self,
         soc: &mut Soc,
+        direction: Direction,
         ivs: &[[u8; 16]],
         data: &mut [u8],
     ) -> Result<(), KernelError> {
-        self.run_op(soc, Direction::Encrypt, ivs, data)
-    }
-
-    fn decrypt_extent(
-        &mut self,
-        soc: &mut Soc,
-        ivs: &[[u8; 16]],
-        data: &mut [u8],
-    ) -> Result<(), KernelError> {
-        self.run_op(soc, Direction::Decrypt, ivs, data)
+        let cipher = self.cipher.as_ref().ok_or(KernelError::NoKeyInstalled {
+            engine: self.name(),
+        })?;
+        let t0 = soc.clock.now_ns();
+        // Input DMA: the engine masters the bus and pulls the source
+        // buffer through the bounce window. The window is a fixed-size
+        // model; larger requests stream through it in passes, and one
+        // pass is enough to make the traffic observable.
+        let staged = data.len().min(crate::layout::ACCEL_DMA_SIZE as usize);
+        soc.dma_write(
+            crate::layout::ACCEL_DMA_CONTROLLER,
+            crate::layout::ACCEL_DMA_BASE,
+            &data[..staged],
+        )?;
+        // A power cut here — input staged, result not yet produced —
+        // leaves only the staged input (ciphertext, on the read path) in
+        // the window.
+        soc.failpoint("accel.dma")?;
+        cipher.crypt(self.mode, direction, ivs, data);
+        // Result DMA: written back only at operation completion — a kill
+        // before this point never exposes the engine's output.
+        soc.dma_write(
+            crate::layout::ACCEL_DMA_CONTROLLER,
+            crate::layout::ACCEL_DMA_BASE,
+            &data[..staged],
+        )?;
+        soc.clock
+            .set_now_ns(t0 + soc.accel.op_duration_ns(data.len() as u64));
+        Ok(())
     }
 }
 
@@ -528,9 +453,11 @@ mod tests {
 
         let mut data = vec![7u8; 64];
         let iv = [1u8; 16];
-        eng.encrypt(&mut soc, &iv, &mut data).unwrap();
+        eng.crypt(&mut soc, Direction::Encrypt, &[iv], &mut data)
+            .unwrap();
         assert_ne!(data, vec![7u8; 64]);
-        eng.decrypt(&mut soc, &iv, &mut data).unwrap();
+        eng.crypt(&mut soc, Direction::Decrypt, &[iv], &mut data)
+            .unwrap();
         assert_eq!(data, vec![7u8; 64]);
 
         // The raw key is now in DRAM, where attacks can find it.
@@ -542,9 +469,9 @@ mod tests {
 
     #[test]
     fn extent_paths_match_per_unit_paths() {
-        // One extent request and a loop of single-buffer calls must agree
+        // One call over a run of extents and one call per unit must agree
         // byte-for-byte, for both the generic engine and the accelerator
-        // (one descriptor per extent request).
+        // (one descriptor per call).
         let mut soc = Soc::tegra3_small();
         let key = [0x9Cu8; 32];
         let units = 8usize;
@@ -559,21 +486,31 @@ mod tests {
 
         let mut expect = pt.clone();
         for (iv, chunk) in ivs.iter().zip(expect.chunks_exact_mut(unit)) {
-            generic.encrypt(&mut soc, iv, chunk).unwrap();
+            generic
+                .crypt(&mut soc, Direction::Encrypt, &[*iv], chunk)
+                .unwrap();
         }
 
         let mut got = pt.clone();
-        generic.encrypt_extent(&mut soc, &ivs, &mut got).unwrap();
+        generic
+            .crypt(&mut soc, Direction::Encrypt, &ivs, &mut got)
+            .unwrap();
         assert_eq!(got, expect, "generic extent encrypt");
-        generic.decrypt_extent(&mut soc, &ivs, &mut got).unwrap();
+        generic
+            .crypt(&mut soc, Direction::Decrypt, &ivs, &mut got)
+            .unwrap();
         assert_eq!(got, pt, "generic extent decrypt");
 
         let mut hw = expect.clone();
-        accel.decrypt_extent(&mut soc, &ivs, &mut hw).unwrap();
+        accel
+            .crypt(&mut soc, Direction::Decrypt, &ivs, &mut hw)
+            .unwrap();
         assert_eq!(hw, pt, "accel extent decrypt");
 
         // Degenerate case.
-        generic.encrypt_extent(&mut soc, &[], &mut []).unwrap();
+        generic
+            .crypt(&mut soc, Direction::Encrypt, &[], &mut [])
+            .unwrap();
     }
 
     #[test]
@@ -589,20 +526,25 @@ mod tests {
             eng.set_mode(mode).unwrap();
             assert_eq!(eng.mode(), mode);
             let mut data = pt.clone();
-            eng.encrypt(&mut soc, &iv, &mut data).unwrap();
+            eng.crypt(&mut soc, Direction::Encrypt, &[iv], &mut data)
+                .unwrap();
             assert_ne!(data, pt, "{mode} encrypt is not a noop");
             per_mode.push(data.clone());
-            eng.decrypt(&mut soc, &iv, &mut data).unwrap();
+            eng.crypt(&mut soc, Direction::Decrypt, &[iv], &mut data)
+                .unwrap();
             assert_eq!(data, pt, "{mode} round-trip");
 
-            // Extent paths agree with the single-buffer path per unit.
+            // A run of extents agrees with one call per unit.
             let ivs = [[1u8; 16], [2u8; 16]];
             let mut ext: Vec<u8> = pt.iter().chain(pt.iter()).copied().collect();
-            eng.encrypt_extent(&mut soc, &ivs, &mut ext).unwrap();
+            eng.crypt(&mut soc, Direction::Encrypt, &ivs, &mut ext)
+                .unwrap();
             let mut want = pt.clone();
-            eng.encrypt(&mut soc, &ivs[1], &mut want).unwrap();
+            eng.crypt(&mut soc, Direction::Encrypt, &[ivs[1]], &mut want)
+                .unwrap();
             assert_eq!(&ext[4096..], &want[..], "{mode} extent vs single");
-            eng.decrypt_extent(&mut soc, &ivs, &mut ext).unwrap();
+            eng.crypt(&mut soc, Direction::Decrypt, &ivs, &mut ext)
+                .unwrap();
             assert!(
                 ext.chunks(4096).all(|c| c == &pt[..]),
                 "{mode} extent round-trip"
@@ -623,9 +565,11 @@ mod tests {
             hw.set_mode(*mode).unwrap();
             assert_eq!(hw.mode(), *mode);
             let mut data = pt.clone();
-            hw.encrypt(&mut soc, &iv, &mut data).unwrap();
+            hw.crypt(&mut soc, Direction::Encrypt, &[iv], &mut data)
+                .unwrap();
             assert_eq!(&data, expect, "{mode} accel matches generic");
-            hw.decrypt(&mut soc, &iv, &mut data).unwrap();
+            hw.crypt(&mut soc, Direction::Decrypt, &[iv], &mut data)
+                .unwrap();
             assert_eq!(data, pt, "{mode} accel round-trip");
         }
     }
@@ -643,7 +587,8 @@ mod tests {
         let mut page = vec![0xABu8; 4096];
 
         let before = soc.bus.bytes_written();
-        hw.decrypt(&mut soc, &[3u8; 16], &mut page).unwrap();
+        hw.crypt(&mut soc, Direction::Decrypt, &[[3u8; 16]], &mut page)
+            .unwrap();
         let accel_traffic = soc.bus.bytes_written() - before;
         assert!(
             accel_traffic >= 2 * 4096,
@@ -654,7 +599,8 @@ mod tests {
         sw.set_key(&mut soc, &[6u8; 16]).unwrap();
         sw.set_mode(PageCipherMode::Ctr).unwrap();
         let before = soc.bus.bytes_written();
-        sw.decrypt(&mut soc, &[3u8; 16], &mut page).unwrap();
+        sw.crypt(&mut soc, Direction::Decrypt, &[[3u8; 16]], &mut page)
+            .unwrap();
         assert_eq!(
             soc.bus.bytes_written(),
             before,
@@ -667,7 +613,9 @@ mod tests {
         let mut soc = Soc::tegra3_small();
         let mut eng = GenericAesEngine::new(0);
         let mut data = vec![0u8; 16];
-        assert!(eng.encrypt(&mut soc, &[0u8; 16], &mut data).is_err());
+        assert!(eng
+            .crypt(&mut soc, Direction::Encrypt, &[[0u8; 16]], &mut data)
+            .is_err());
     }
 
     #[test]
@@ -681,11 +629,13 @@ mod tests {
         let iv = [0u8; 16];
 
         let t0 = soc.clock.now_ns();
-        sw.encrypt(&mut soc, &iv, &mut page).unwrap();
+        sw.crypt(&mut soc, Direction::Encrypt, &[iv], &mut page)
+            .unwrap();
         let sw_ns = soc.clock.now_ns() - t0;
 
         let t0 = soc.clock.now_ns();
-        hw.encrypt(&mut soc, &iv, &mut page).unwrap();
+        hw.crypt(&mut soc, Direction::Encrypt, &[iv], &mut page)
+            .unwrap();
         let hw_ns = soc.clock.now_ns() - t0;
 
         assert!(

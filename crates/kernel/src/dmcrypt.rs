@@ -29,8 +29,8 @@ use sentry_crypto::pipeline::{
     ctr_keystream, xor_keystream, KEYSTREAM_SECTORS, MIN_ACCEL_SECTORS, PRECOMPUTE_AHEAD,
 };
 use sentry_crypto::{
-    Aes, BitslicedAes, Cmac, FailureKind, FallbackReason, HealthGovernor, HealthState, HealthStats,
-    KeystreamCache, KeystreamStats, PageCipherMode, PipelineConfig,
+    Aes, BitslicedAes, Cmac, Direction, FailureKind, FallbackReason, HealthGovernor, HealthState,
+    HealthStats, KeystreamCache, KeystreamStats, PageCipherMode, PipelineConfig,
 };
 use sentry_soc::accel::{AccelPowerState, WaitOutcome};
 use sentry_soc::{Soc, SocError};
@@ -377,7 +377,7 @@ impl DmCrypt {
         // One extent call for the whole request: an engine with a batch
         // backend decrypts the sector run as a single block stream
         // instead of draining its pipeline at every 512-byte boundary.
-        self.engine(api)?.decrypt_extent(soc, &ivs, buf)
+        self.engine(api)?.crypt(soc, Direction::Decrypt, &ivs, buf)
     }
 
     /// The overlapped read path: XOR precomputed keystream into hit
@@ -412,7 +412,7 @@ impl DmCrypt {
             // keystream): typed fallback, decrypt inline as before.
             p.stats.note_fallback(FallbackReason::UnsupportedCipherMode);
             p.stats.inline_sectors += nsect as u64;
-            return engine(api, cipher)?.decrypt_extent(soc, ivs, buf);
+            return engine(api, cipher)?.crypt(soc, Direction::Decrypt, ivs, buf);
         }
         let epoch = p.cache.epoch();
         let ks_cost = Self::keystream_cost_ns(soc, SECTOR_SIZE);
@@ -572,7 +572,12 @@ impl DmCrypt {
                     // engine. CTR under the same (key, sector IV) pairs
                     // is byte-identical to what the engine would have
                     // produced, so callers never see the fault.
-                    engine(api, cipher)?.decrypt_extent(soc, &miss_ivs, &mut gathered)?;
+                    engine(api, cipher)?.crypt(
+                        soc,
+                        Direction::Decrypt,
+                        &miss_ivs,
+                        &mut gathered,
+                    )?;
                     health.note_fallback_crypt(gathered.len() as u64);
                     p.stats.inline_sectors += misses.len() as u64;
                 }
@@ -602,7 +607,7 @@ impl DmCrypt {
             for &i in &misses {
                 gathered.extend_from_slice(&buf[i * SECTOR_SIZE..(i + 1) * SECTOR_SIZE]);
             }
-            engine(api, cipher)?.decrypt_extent(soc, &miss_ivs, &mut gathered)?;
+            engine(api, cipher)?.crypt(soc, Direction::Decrypt, &miss_ivs, &mut gathered)?;
             for (k, &i) in misses.iter().enumerate() {
                 buf[i * SECTOR_SIZE..(i + 1) * SECTOR_SIZE]
                     .copy_from_slice(&gathered[k * SECTOR_SIZE..(k + 1) * SECTOR_SIZE]);
@@ -646,7 +651,8 @@ impl DmCrypt {
         let ivs: Vec<[u8; 16]> = (0..data.len() / SECTOR_SIZE)
             .map(|i| Self::sector_iv(sector + i as u64))
             .collect();
-        self.engine(api)?.encrypt_extent(soc, &ivs, &mut ct)?;
+        self.engine(api)?
+            .crypt(soc, Direction::Encrypt, &ivs, &mut ct)?;
         // Record the tag before the ciphertext reaches the device, so
         // there is no window in which tampered bytes could be accepted.
         if let Some(mac) = self.mac.borrow().as_ref() {

@@ -69,17 +69,16 @@ fn exhaustive_fault_matrix_parallel_engine() {
 fn committed_kill_sites(dram_writes: usize) -> Vec<(&'static str, usize)> {
     vec![
         ("crypt.dispatch", 14),
-        ("crypt.extent", 9),
-        ("crypt.one", 10),
+        ("crypt.extent", 18),
         ("dram.write", dram_writes),
         ("fault.begin", 10),
         ("lock.begin", 4),
-        ("pager.evict", 2),
+        ("pager.evict", 1),
         ("pager.pagein", 3),
         ("pager.readback", 1),
         ("sweep.begin", 3),
-        ("txn.flip", 27),
-        ("txn.publish", 27),
+        ("txn.flip", 28),
+        ("txn.publish", 28),
         ("unlock.begin", 4),
     ]
 }
@@ -416,9 +415,8 @@ fn injected_extent_error_in_sequential_engine_is_retried_transparently() {
     s.on_lock().unwrap();
     s.on_unlock().unwrap();
 
-    // The sequential engine's multi-page path goes through
-    // decrypt_extent; fail inside the engine rather than the
-    // dispatcher. The engine fails cleanly before transforming
+    // The sequential batch makes one engine call; fail inside the
+    // engine rather than the dispatcher. The engine fails cleanly before transforming
     // anything, so the bounded retry heals this too.
     s.kernel.soc.failpoints.arm(FaultPlan::at_site(
         "crypt.extent",
@@ -464,12 +462,14 @@ fn injected_crypt_error_on_a_locked_eviction_is_retried_transparently() {
     s.touch_pages(actors.vault, &[0, 1]).unwrap();
     assert_eq!(s.pager.stats.pageouts, 0);
 
-    // The third page-in evicts vpn 0 first; its single-page encrypt
-    // fails once and is retried inside the open fault.
-    s.kernel
-        .soc
-        .failpoints
-        .arm(FaultPlan::at_site("crypt.one", 0, FaultAction::CryptError));
+    // The third page-in evicts vpn 0 first; its encrypt, the first
+    // engine call of the fault, fails once and is retried inside the
+    // open fault.
+    s.kernel.soc.failpoints.arm(FaultPlan::at_site(
+        "crypt.extent",
+        0,
+        FaultAction::CryptError,
+    ));
     s.touch_pages(actors.vault, &[3]).unwrap();
     assert!(!s.txn_in_flight());
     assert_eq!(s.pager.stats.pageouts, 1, "vpn 0 was evicted");

@@ -62,14 +62,11 @@ fn through(
     data: &[u8],
 ) -> Vec<u8> {
     let mut out = data.to_vec();
-    match direction {
-        Encrypt => engine.encrypt_extent(soc, ivs, &mut out).unwrap(),
-        Decrypt => engine.decrypt_extent(soc, ivs, &mut out).unwrap(),
-    }
+    engine.crypt(soc, direction, ivs, &mut out).unwrap();
     out
 }
 
-/// The same request one unit at a time through the single-buffer entry.
+/// The same request one unit at a time, one engine call per unit.
 fn per_unit(
     engine: &mut dyn CipherEngine,
     soc: &mut Soc,
@@ -80,10 +77,7 @@ fn per_unit(
     let mut out = data.to_vec();
     let unit = data.len() / ivs.len();
     for (iv, chunk) in ivs.iter().zip(out.chunks_exact_mut(unit)) {
-        match direction {
-            Encrypt => engine.encrypt(soc, iv, chunk).unwrap(),
-            Decrypt => engine.decrypt(soc, iv, chunk).unwrap(),
-        }
+        engine.crypt(soc, direction, &[*iv], chunk).unwrap();
     }
     out
 }
