@@ -165,9 +165,10 @@ impl Scenario {
     }
 
     /// The parallel scenario under the XTS page cipher: the lane-filling
-    /// mode plus the commit-CMAC journal tags that replace the
-    /// final-CBC-block scheme (non-chaining modes have tail-collision
-    /// problems the CMAC closes — see `sentry_core::CommitTagger`).
+    /// mode, whose journal commit tags are the pages' integrity MACs
+    /// rather than the final CBC block (non-chaining modes have
+    /// tail-collision problems the MAC closes — see
+    /// `sentry_core::CommitTagger`).
     #[must_use]
     pub fn tegra3_xts(seed: u64) -> Self {
         Scenario {

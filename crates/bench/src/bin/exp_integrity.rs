@@ -109,7 +109,7 @@ fn measure_sweep(config: SentryConfig) -> SweepCost {
 fn measure_pager(config: SentryConfig) -> PagerCost {
     let (mut s, pid) = populated(config);
     s.on_lock().expect("lock");
-    let slots = s.config.slot_limit.expect("slot-capped config") as u64;
+    let slots = s.config().slot_limit.expect("slot-capped config") as u64;
     let vpns: Vec<u64> = (0..SWEEP_PAGES).collect();
     let (fill, faulting) = vpns.split_at(slots as usize);
     s.touch_pages(pid, fill).expect("fill the slots");

@@ -10,12 +10,16 @@
 //! secret, but all of them silently corrupt the plaintext Sentry hands
 //! back after unlock. The integrity plane closes that gap:
 //!
-//! * every ciphertext page gets a CMAC tag (SP 800-38B, AES as the
-//!   primitive — no new cipher state on-SoC) over a 16-byte context
-//!   tweak plus the full ciphertext page. The tweak is the page IV,
+//! * every ciphertext page gets a tag: the first 8 bytes of its page
+//!   MAC, a CMAC (SP 800-38B, AES as the primitive — no new cipher
+//!   state on-SoC) over a 16-byte context tweak plus the full
+//!   ciphertext page (see [`CommitTagger`]). The tweak is the page IV,
 //!   which binds `(pid, vpn, lock-epoch)`, so a stale epoch's
 //!   ciphertext — even with its matching stale tag — fails
-//!   verification after a re-lock;
+//!   verification after a re-lock. Under XTS/CTR the page MAC is also
+//!   the journal's commit tag, so a transition MACs each page once: the
+//!   encrypt's stamp supplies the tag this plane stores, and the MAC
+//!   this plane computes before a decrypt is the entry's commit tag;
 //! * tags live in an **on-SoC tag store** (iRAM, like the transition
 //!   journal): the attacker who can rewrite every DRAM cell still
 //!   cannot forge or swap a tag;
@@ -30,13 +34,15 @@
 //! Tags are 64 bits — the truncation SP 800-38B §5.5 permits — which
 //! doubles the store's page capacity: 512 tags per 4 KiB page, so even
 //! the 48 MB worst-case working set of the app-cycle experiments needs
-//! only 24 iRAM pages of tags.
+//! only 24 iRAM pages of tags. A forged page version passes a check with
+//! probability 2⁻⁶⁴.
 
 use crate::config::{IntegrityConfig, OnSocBackend};
 use crate::error::SentryError;
 use crate::onsoc::OnSocStore;
 use crate::pressure::{SpillRegion, SPILL_SLOTS};
-use sentry_crypto::{Aes, Cmac, RetryStats};
+use crate::txn::{CommitTagger, JournalEntry};
+use sentry_crypto::{Aes, PageCipherMode, RetryStats};
 use sentry_soc::addr::{IRAM_BASE, IRAM_FIRMWARE_RESERVED, IRAM_SIZE, PAGE_SIZE};
 use sentry_soc::Soc;
 use std::collections::{BTreeMap, HashMap};
@@ -81,13 +87,19 @@ pub struct IntegrityStats {
 /// Assert that a tag batch's buffer holds exactly one page per job. A
 /// short buffer would leave the trailing frames untagged (or
 /// unverified), and an untagged frame later decrypts unverified.
-fn check_pages(jobs: &[(u64, [u8; 16])], buf: &[u8]) {
+fn check_pages(jobs: usize, buf: &[u8]) {
     assert_eq!(
         buf.len(),
-        jobs.len() * PAGE_SIZE as usize,
-        "{} tag jobs need exactly one page each",
-        jobs.len()
+        jobs * PAGE_SIZE as usize,
+        "{jobs} tag jobs need exactly one page each"
     );
+}
+
+/// The stored tag of a page MAC: its first [`TAG_BYTES`] bytes.
+fn trunc(mac: &[u8; 16]) -> [u8; TAG_BYTES] {
+    mac[..TAG_BYTES]
+        .try_into()
+        .expect("a MAC has 8 leading bytes")
 }
 
 /// One quarantined page: everything needed to report the violation on
@@ -172,14 +184,16 @@ impl std::fmt::Debug for SpillKey {
     }
 }
 
-/// The integrity plane: a CMAC context keyed off the volatile root key,
-/// the on-SoC tag store, and the quarantine set.
+/// The integrity plane: the page MAC, the on-SoC tag store, and the
+/// quarantine set.
 #[derive(Debug)]
 pub struct IntegrityPlane {
     backend: OnSocBackend,
-    /// CMAC under a domain-separated key derived from the volatile root
-    /// key (`E_rootkey("SENTRY-INTEGRITY")`); `None` when disabled.
-    cmac: Option<Cmac>,
+    /// Whether tags are stored and checked.
+    enabled: bool,
+    /// The page MAC, also the journal's commit tagger; built whether or
+    /// not the plane is enabled, since XTS/CTR commit tags need it.
+    mac: CommitTagger,
     /// Tag-store pages in slot order. The vector never shrinks, so a
     /// slot's page index (`slot / TAGS_PER_PAGE`) is stable across
     /// spill, release, and re-residency.
@@ -215,10 +229,10 @@ pub struct IntegrityPlane {
 }
 
 impl IntegrityPlane {
-    /// Build the plane. When `config.enabled`, the MAC key is derived
-    /// from the volatile root key by one block encryption of a fixed
-    /// domain-separation constant — it inherits the root key's
-    /// lifetime (dies with power) without a second key page on-SoC.
+    /// Build the plane and the page MAC of `mode`. The MAC and spill
+    /// keys derive from the volatile root key by one block encryption of
+    /// a fixed domain-separation constant each — they inherit the root
+    /// key's lifetime (die with power) without a second key page on-SoC.
     ///
     /// # Errors
     ///
@@ -226,18 +240,15 @@ impl IntegrityPlane {
     pub fn new(
         config: IntegrityConfig,
         backend: OnSocBackend,
+        mode: PageCipherMode,
         root_key: &[u8],
     ) -> Result<Self, SentryError> {
         let root = Aes::new(root_key).map_err(sentry_crypto::CryptoError::from)?;
-        IntegrityPlane::with_root(config, backend, &root)
+        IntegrityPlane::with_root(config, backend, mode, &root)
     }
 
-    /// Build the plane from an already-expanded root-key schedule.
-    ///
-    /// `Sentry::new` expands the volatile root key exactly once and
-    /// shares the schedule between the integrity plane and the commit
-    /// tagger; re-expanding it per consumer made per-device setup
-    /// measurably more expensive at fleet scale.
+    /// Build the plane from an already-expanded root-key schedule
+    /// (`Sentry::new` expands the volatile root key exactly once).
     ///
     /// # Errors
     ///
@@ -245,25 +256,18 @@ impl IntegrityPlane {
     pub fn with_root(
         config: IntegrityConfig,
         backend: OnSocBackend,
+        mode: PageCipherMode,
         root: &Aes,
     ) -> Result<Self, SentryError> {
-        let (cmac, spill_key) = if config.enabled {
-            let mut mk = *b"SENTRY-INTEGRITY";
-            root.encrypt_block(&mut mk);
+        let spill_key = config.enabled.then(|| {
             let mut sk = *b"SENTRY-SPILL-KEY";
             root.encrypt_block(&mut sk);
-            (
-                Some(Cmac::new(
-                    Aes::new(&mk).map_err(sentry_crypto::CryptoError::from)?,
-                )),
-                Some(SpillKey(sk)),
-            )
-        } else {
-            (None, None)
-        };
+            SpillKey(sk)
+        });
         Ok(IntegrityPlane {
             backend,
-            cmac,
+            enabled: config.enabled,
+            mac: CommitTagger::with_root(mode, root)?,
             tag_pages: Vec::new(),
             slots: HashMap::new(),
             free_slots: Vec::new(),
@@ -285,7 +289,13 @@ impl IntegrityPlane {
     /// Whether the plane is active.
     #[must_use]
     pub fn enabled(&self) -> bool {
-        self.cmac.is_some()
+        self.enabled
+    }
+
+    /// The page MAC, which also computes the journal's commit tags.
+    #[must_use]
+    pub(crate) fn tagger(&self) -> &CommitTagger {
+        &self.mac
     }
 
     /// Number of on-SoC pages the tag store currently occupies.
@@ -294,43 +304,35 @@ impl IntegrityPlane {
         self.tag_pages.len()
     }
 
-    /// The tag over one ciphertext page: CMAC of the IV tweak block
-    /// followed by the page, truncated to 64 bits. The IV binds
-    /// `(pid, vpn, lock-epoch)`, so a replayed stale-epoch ciphertext
-    /// fails against the current tag even if the attacker also knew the
-    /// stale tag.
-    fn compute_tag(&self, iv: &[u8; 16], page: &[u8]) -> [u8; TAG_BYTES] {
-        self.mac().mac_parts_trunc8(&[iv, page])
+    /// The stored tags of stamped entries, page `i` of `buf` under entry
+    /// `i`'s IV (the host side of what [`IntegrityPlane::charge_mac`]
+    /// charges).
+    fn tags(&self, pages: &[JournalEntry], buf: &[u8]) -> Vec<[u8; TAG_BYTES]> {
+        self.mac.page_macs(pages, buf).iter().map(trunc).collect()
     }
 
-    /// The tags of a batch of ciphertext pages, `buf` holding one page
-    /// per job in job order: one batch CMAC, so independent pages fill
-    /// the bitsliced lanes (the host side of what
-    /// [`IntegrityPlane::charge_mac`] charges).
-    fn compute_tags(&self, jobs: &[(u64, [u8; 16])], buf: &[u8]) -> Vec<[u8; TAG_BYTES]> {
-        let ivs: Vec<[u8; 16]> = jobs.iter().map(|&(_, iv)| iv).collect();
-        self.mac().mac_extents_trunc8(&ivs, buf, PAGE_SIZE as usize)
+    /// Re-stamp `e` from a re-read `page` and return its stored tag.
+    fn retag(&self, e: &mut JournalEntry, page: &[u8]) -> [u8; TAG_BYTES] {
+        let one = std::slice::from_mut(e);
+        self.mac.stamp(one, page);
+        self.tags(one, page)[0]
     }
 
-    /// Write `tags[i]` into the slot of `jobs[i]`'s frame, allocating
+    /// Write `tags[i]` into the slot of `pages[i]`'s frame, allocating
     /// slots as needed.
     fn write_tags(
         &mut self,
         soc: &mut Soc,
         store: &mut OnSocStore,
-        jobs: &[(u64, [u8; 16])],
+        pages: &[JournalEntry],
         tags: &[[u8; TAG_BYTES]],
     ) -> Result<(), SentryError> {
-        for (&(frame, _), tag) in jobs.iter().zip(tags) {
-            let slot = self.slot_for(soc, store, frame)?;
+        for (e, tag) in pages.iter().zip(tags) {
+            let slot = self.slot_for(soc, store, e.frame)?;
             soc.mem_write(self.slot_addr(slot), tag)?;
             self.stats.tags_stored += 1;
         }
         Ok(())
-    }
-
-    fn mac(&self) -> &Cmac {
-        self.cmac.as_ref().expect("MAC on a disabled plane")
     }
 
     /// Charge the simulated clock for MACing `pages` pages, inside one
@@ -611,11 +613,7 @@ impl IntegrityPlane {
             .restore(soc, idx as u64, &mut plain)?;
         let tweak = Self::spill_tweak(anchor.epoch);
         self.charge_mac(soc, 1);
-        let got = self
-            .cmac
-            .as_ref()
-            .expect("restore on a disabled plane")
-            .mac_parts_trunc8(&[&tweak, &plain]);
+        let got = trunc(&self.mac.mac(&tweak, &plain));
         if got != anchor.tag {
             return Err(SentryError::IntegrityViolation {
                 pid: 0,
@@ -646,11 +644,7 @@ impl IntegrityPlane {
         soc.mem_read(addr, &mut plain)?;
         let tweak = Self::spill_tweak(self.spill_epoch);
         self.charge_mac(soc, 1);
-        let tag = self
-            .cmac
-            .as_ref()
-            .expect("spill on a disabled plane")
-            .mac_parts_trunc8(&[&tweak, &plain]);
+        let tag = trunc(&self.mac.mac(&tweak, &plain));
         // Kill point before any byte moves: nothing has changed yet.
         soc.failpoint("spill.stage")?;
         self.spill_region(soc)?.stage(soc, idx as u64, &plain)?;
@@ -768,12 +762,15 @@ impl IntegrityPlane {
         self.reap_empty(soc, store)
     }
 
-    /// Compute and store tags for a batch of freshly encrypted pages.
-    /// `buf` holds the ciphertext pages in job order, exactly one per
-    /// job. The batch's tags come from one batch CMAC; slot allocation
-    /// and tag writes then run page by page. Idempotent:
-    /// re-storing a frame's tag overwrites it in place, so recovery can
-    /// replay an interrupted encrypt without leaking slots.
+    /// Store the tags of freshly encrypted pages, keyed by the frames
+    /// they publish to. `buf` holds the ciphertext pages in entry order,
+    /// exactly one per entry, and each entry carries its commit tag
+    /// (see [`CommitTagger::stamp`]): under XTS/CTR that is the page MAC,
+    /// so nothing is recomputed; under CBC the batch's MACs come from
+    /// one batch CMAC. Slot allocation and tag writes then run page by
+    /// page. Idempotent: re-storing a frame's tag overwrites it in
+    /// place, so recovery can replay an interrupted encrypt without
+    /// leaking slots.
     ///
     /// Callers run this **before** publishing any ciphertext to DRAM: a
     /// frame whose ciphertext is visible in DRAM always has its tag
@@ -786,27 +783,27 @@ impl IntegrityPlane {
     ///
     /// # Panics
     ///
-    /// Panics unless `buf` holds exactly one page per job.
+    /// Panics unless `buf` holds exactly one page per entry.
     pub fn store_tags(
         &mut self,
         soc: &mut Soc,
         store: &mut OnSocStore,
-        jobs: &[(u64, [u8; 16])],
+        pages: &[JournalEntry],
         buf: &[u8],
     ) -> Result<(), SentryError> {
-        check_pages(jobs, buf);
-        if !self.enabled() || jobs.is_empty() {
+        check_pages(pages.len(), buf);
+        if !self.enabled || pages.is_empty() {
             return Ok(());
         }
-        self.charge_mac(soc, jobs.len());
-        let tags = self.compute_tags(jobs, buf);
-        self.write_tags(soc, store, jobs, &tags)
+        self.charge_mac(soc, pages.len());
+        let tags = self.tags(pages, buf);
+        self.write_tags(soc, store, pages, &tags)
     }
 
-    /// Verify a batch of gathered ciphertext pages (exactly one per job,
-    /// in job order) against the tag store, before any of them is
-    /// decrypted: `IntegrityPlane::store_and_verify` with nothing to
-    /// store.
+    /// Verify a batch of gathered ciphertext pages (exactly one per
+    /// entry, in entry order, each read from its entry's `src`) against
+    /// the tag store, before any of them is decrypted:
+    /// `IntegrityPlane::store_and_verify` with nothing to store.
     ///
     /// # Errors
     ///
@@ -814,34 +811,38 @@ impl IntegrityPlane {
     ///
     /// # Panics
     ///
-    /// Panics unless `buf` holds exactly one page per job.
+    /// Panics unless `buf` holds exactly one page per entry.
     pub fn verify_frames(
         &mut self,
         soc: &mut Soc,
         store: &mut OnSocStore,
-        jobs: &[(u64, [u8; 16])],
+        pages: &mut [JournalEntry],
         buf: &mut [u8],
     ) -> Result<Vec<VerifyOutcome>, SentryError> {
-        Ok(self.store_and_verify(soc, store, &[], jobs, buf)?.1)
+        Ok(self.store_and_verify(soc, store, &[], pages, buf)?.1)
     }
 
-    /// One batch CMAC over freshly encrypted pages and gathered
-    /// ciphertext pages: store the tags of the first and verify the
-    /// second. `buf` holds one page per job, the `stores` pages first,
-    /// then the `verifies` pages, each in job order. The stored tags
-    /// land before any of those pages publishes (see
-    /// [`IntegrityPlane::store_tags`]). Returns the stored tags and one
-    /// outcome per verified page.
+    /// One charged MAC chain over freshly encrypted pages and gathered
+    /// ciphertext pages: store the tags of the first (stamped entries,
+    /// as [`IntegrityPlane::store_tags`] takes them) and verify the
+    /// second. `buf` holds one page per entry, the `stores` pages first,
+    /// then the `verifies` pages, each in entry order. The stored tags
+    /// land before any of those pages publishes. Returns the stored tags
+    /// and one outcome per verified page.
+    ///
+    /// Each verified entry is stamped with the commit tag of the bytes
+    /// it verified, so under XTS/CTR the MAC computed here is the
+    /// entry's commit tag too. A disabled plane stamps nothing.
     ///
     /// A locked page fault that evicts runs this once, so the victim's
     /// tag and the incoming page's check share one charged chain.
     ///
-    /// Each verified page's tag-store read and compare run in job order,
-    /// and a retry re-MACs only its own page. On a mismatch the frame is
-    /// re-read (into the caller's buffer — a transient readout glitch
-    /// heals here) up to [`MAX_VERIFY_RETRIES`] times; a page that still
-    /// fails reports [`VerifyOutcome::Mismatch`] and the caller
-    /// quarantines it.
+    /// Each verified page's tag-store read and compare run in entry
+    /// order, and a retry re-MACs only its own page. On a mismatch the
+    /// frame is re-read (into the caller's buffer — a transient readout
+    /// glitch heals here, and the entry is re-stamped) up to
+    /// [`MAX_VERIFY_RETRIES`] times; a page that still fails reports
+    /// [`VerifyOutcome::Mismatch`] and the caller quarantines it.
     ///
     /// # Errors
     ///
@@ -850,32 +851,32 @@ impl IntegrityPlane {
     ///
     /// # Panics
     ///
-    /// Panics unless `buf` holds exactly one page per job.
+    /// Panics unless `buf` holds exactly one page per entry.
     pub(crate) fn store_and_verify(
         &mut self,
         soc: &mut Soc,
         store: &mut OnSocStore,
-        stores: &[(u64, [u8; 16])],
-        verifies: &[(u64, [u8; 16])],
+        stores: &[JournalEntry],
+        verifies: &mut [JournalEntry],
         buf: &mut [u8],
     ) -> Result<(Vec<[u8; TAG_BYTES]>, Vec<VerifyOutcome>), SentryError> {
-        let jobs = [stores, verifies].concat();
-        check_pages(&jobs, buf);
-        if !self.enabled() {
+        check_pages(stores.len() + verifies.len(), buf);
+        if !self.enabled {
             return Ok((Vec::new(), vec![VerifyOutcome::Ok; verifies.len()]));
         }
-        self.charge_mac(soc, jobs.len());
-        let mut tags = self.compute_tags(&jobs, buf);
-        let firsts = tags.split_off(stores.len());
+        let (stored, gathered) = buf.split_at_mut(stores.len() * PAGE_SIZE as usize);
+        self.mac.stamp(verifies, gathered);
+        self.charge_mac(soc, stores.len() + verifies.len());
+        let tags = self.tags(stores, stored);
+        let firsts = self.tags(verifies, gathered);
         self.write_tags(soc, store, stores, &tags)?;
-        let page = PAGE_SIZE as usize;
         let mut outcomes = Vec::with_capacity(verifies.len());
-        for (((frame, iv), chunk), first) in verifies
-            .iter()
-            .zip(buf[stores.len() * page..].chunks_exact_mut(page))
+        for ((e, chunk), first) in verifies
+            .iter_mut()
+            .zip(gathered.chunks_exact_mut(PAGE_SIZE as usize))
             .zip(firsts)
         {
-            let Some(&slot) = self.slots.get(frame) else {
+            let Some(&slot) = self.slots.get(&e.src) else {
                 self.stats.untagged_decrypts += 1;
                 outcomes.push(VerifyOutcome::Untagged);
                 continue;
@@ -887,9 +888,9 @@ impl IntegrityPlane {
             if got != expected {
                 for _ in 0..MAX_VERIFY_RETRIES {
                     self.stats.verify.attempts += 1;
-                    soc.mem_read(*frame, chunk)?;
+                    soc.mem_read(e.src, chunk)?;
                     self.charge_mac(soc, 1);
-                    got = self.compute_tag(iv, chunk);
+                    got = self.retag(e, chunk);
                     if got == expected {
                         self.stats.verify.recovered += 1;
                         break;
@@ -961,28 +962,8 @@ impl IntegrityPlane {
         self.charge_mac(soc, 1);
         Ok(VerifyOutcome::Mismatch {
             expected: stored,
-            got: self.compute_tag(&iv, &readback),
+            got: trunc(&self.mac.mac(&iv, &readback)),
         })
-    }
-
-    /// Verify one gathered page (recovery and the boot audit).
-    ///
-    /// # Errors
-    ///
-    /// Propagates SoC read errors.
-    pub fn verify_one(
-        &mut self,
-        soc: &mut Soc,
-        store: &mut OnSocStore,
-        frame: u64,
-        iv: &[u8; 16],
-        chunk: &mut [u8],
-    ) -> Result<VerifyOutcome, SentryError> {
-        if !self.enabled() {
-            return Ok(VerifyOutcome::Ok);
-        }
-        let jobs = [(frame, *iv)];
-        Ok(self.verify_frames(soc, store, &jobs, chunk)?[0])
     }
 
     /// Quarantine a poisoned page and return the typed violation error
@@ -1089,7 +1070,7 @@ impl IntegrityPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transition::{page_iv, IvSource};
+    use crate::transition::{mac_audit, page_iv, IvSource};
     use sentry_soc::{Platform, SocConfig};
 
     fn soc() -> Soc {
@@ -1097,10 +1078,51 @@ mod tests {
     }
 
     fn plane_and_store(backend: OnSocBackend) -> (IntegrityPlane, OnSocStore, Soc) {
+        plane_in_mode(backend, PageCipherMode::Xts)
+    }
+
+    fn plane_in_mode(
+        backend: OnSocBackend,
+        mode: PageCipherMode,
+    ) -> (IntegrityPlane, OnSocStore, Soc) {
         let mut soc = soc();
         let store = OnSocStore::new(backend, &mut soc).unwrap();
-        let plane = IntegrityPlane::new(IntegrityConfig::default(), backend, &[7u8; 16]).unwrap();
+        let plane =
+            IntegrityPlane::new(IntegrityConfig::default(), backend, mode, &[7u8; 16]).unwrap();
         (plane, store, soc)
+    }
+
+    /// In-place page plans at `(frame, iv)`.
+    fn entries(jobs: &[(u64, [u8; 16])]) -> Vec<JournalEntry> {
+        jobs.iter()
+            .map(|&(frame, iv)| JournalEntry::new(1, 0, frame, frame, iv, 1))
+            .collect()
+    }
+
+    /// Stamp freshly encrypted pages and store their tags, as a lock's
+    /// crypt step and commit do.
+    fn store_tags(
+        plane: &mut IntegrityPlane,
+        soc: &mut Soc,
+        store: &mut OnSocStore,
+        jobs: &[(u64, [u8; 16])],
+        buf: &[u8],
+    ) {
+        let mut pages = entries(jobs);
+        plane.tagger().stamp(&mut pages, buf);
+        plane.store_tags(soc, store, &pages, buf).unwrap();
+    }
+
+    fn verify(
+        plane: &mut IntegrityPlane,
+        soc: &mut Soc,
+        store: &mut OnSocStore,
+        jobs: &[(u64, [u8; 16])],
+        buf: &mut [u8],
+    ) -> Vec<VerifyOutcome> {
+        plane
+            .verify_frames(soc, store, &mut entries(jobs), buf)
+            .unwrap()
     }
 
     fn dram_frame(soc: &Soc, index: u64) -> u64 {
@@ -1115,14 +1137,10 @@ mod tests {
         let iv = [9u8; 16];
         let mut page = vec![0xABu8; PAGE_SIZE as usize];
         soc.mem_write(frame, &page).unwrap();
-        plane
-            .store_tags(&mut soc, &mut store, &[(frame, iv)], &page)
-            .unwrap();
+        store_tags(&mut plane, &mut soc, &mut store, &[(frame, iv)], &page);
         assert!(plane.has_tag(frame));
         assert_eq!(
-            plane
-                .verify_one(&mut soc, &mut store, frame, &iv, &mut page)
-                .unwrap(),
+            verify(&mut plane, &mut soc, &mut store, &[(frame, iv)], &mut page)[0],
             VerifyOutcome::Ok
         );
         plane.retire_tag(&mut soc, frame).unwrap();
@@ -1138,16 +1156,12 @@ mod tests {
         let iv = [3u8; 16];
         let mut page = vec![0x5Au8; PAGE_SIZE as usize];
         soc.mem_write(frame, &page).unwrap();
-        plane
-            .store_tags(&mut soc, &mut store, &[(frame, iv)], &page)
-            .unwrap();
+        store_tags(&mut plane, &mut soc, &mut store, &[(frame, iv)], &page);
         // Tamper one bit in DRAM; re-reads keep seeing the tampered
         // byte, so the bounded retries cannot heal it.
         page[100] ^= 0x04;
         soc.mem_write(frame, &page).unwrap();
-        let outcome = plane
-            .verify_one(&mut soc, &mut store, frame, &iv, &mut page)
-            .unwrap();
+        let outcome = verify(&mut plane, &mut soc, &mut store, &[(frame, iv)], &mut page)[0];
         let VerifyOutcome::Mismatch { expected, got } = outcome else {
             panic!("tamper not detected: {outcome:?}");
         };
@@ -1176,14 +1190,16 @@ mod tests {
         soc.mem_write(frame, &page).unwrap();
         let (old_iv, _) = page_iv((1, 0), IvSource::Encrypt(1));
         let (new_iv, _) = page_iv((1, 0), IvSource::Encrypt(2));
-        plane
-            .store_tags(&mut soc, &mut store, &[(frame, new_iv)], &page)
-            .unwrap();
+        store_tags(&mut plane, &mut soc, &mut store, &[(frame, new_iv)], &page);
         // Same bytes, stale epoch in the tweak: the tag cannot match.
         assert!(matches!(
-            plane
-                .verify_one(&mut soc, &mut store, frame, &old_iv, &mut page)
-                .unwrap(),
+            verify(
+                &mut plane,
+                &mut soc,
+                &mut store,
+                &[(frame, old_iv)],
+                &mut page
+            )[0],
             VerifyOutcome::Mismatch { .. }
         ));
     }
@@ -1195,18 +1211,26 @@ mod tests {
         for i in 0..(TAGS_PER_PAGE + 2) {
             let frame = dram_frame(&soc, i);
             soc.mem_write(frame, &page).unwrap();
-            plane
-                .store_tags(&mut soc, &mut store, &[(frame, [0u8; 16])], &page)
-                .unwrap();
+            store_tags(
+                &mut plane,
+                &mut soc,
+                &mut store,
+                &[(frame, [0u8; 16])],
+                &page,
+            );
         }
         assert_eq!(plane.tag_store_pages(), 2, "513th tag needs a second page");
         let f0 = dram_frame(&soc, 0);
         plane.retire_tag(&mut soc, f0).unwrap();
         let fresh = dram_frame(&soc, 999);
         soc.mem_write(fresh, &page).unwrap();
-        plane
-            .store_tags(&mut soc, &mut store, &[(fresh, [0u8; 16])], &page)
-            .unwrap();
+        store_tags(
+            &mut plane,
+            &mut soc,
+            &mut store,
+            &[(fresh, [0u8; 16])],
+            &page,
+        );
         assert_eq!(plane.tag_store_pages(), 2, "retired slot was recycled");
     }
 
@@ -1217,9 +1241,13 @@ mod tests {
         let frame = dram_frame(&soc, 0);
         let page = vec![2u8; PAGE_SIZE as usize];
         soc.mem_write(frame, &page).unwrap();
-        plane
-            .store_tags(&mut soc, &mut store, &[(frame, [0u8; 16])], &page)
-            .unwrap();
+        store_tags(
+            &mut plane,
+            &mut soc,
+            &mut store,
+            &[(frame, [0u8; 16])],
+            &page,
+        );
         let addr = plane.tag_slot_addr(frame).unwrap();
         assert!(addr >= IRAM_BASE + IRAM_FIRMWARE_RESERVED + PAGE_SIZE);
         assert!(addr < IRAM_BASE + IRAM_SIZE);
@@ -1233,9 +1261,13 @@ mod tests {
         for i in 0..(TAGS_PER_PAGE + 2) {
             let frame = dram_frame(&soc, i);
             soc.mem_write(frame, &page).unwrap();
-            plane
-                .store_tags(&mut soc, &mut store, &[(frame, [0u8; 16])], &page)
-                .unwrap();
+            store_tags(
+                &mut plane,
+                &mut soc,
+                &mut store,
+                &[(frame, [0u8; 16])],
+                &page,
+            );
             frames.push(frame);
         }
         assert_eq!(plane.resident_tag_pages(), 2);
@@ -1246,9 +1278,13 @@ mod tests {
         // Touching a tag on the spilled page restores and verifies it.
         let mut buf = page.clone();
         assert_eq!(
-            plane
-                .verify_one(&mut soc, &mut store, frames[0], &[0u8; 16], &mut buf)
-                .unwrap(),
+            verify(
+                &mut plane,
+                &mut soc,
+                &mut store,
+                &[(frames[0], [0u8; 16])],
+                &mut buf
+            )[0],
             VerifyOutcome::Ok
         );
         assert_eq!(plane.spilled_pages(), 0);
@@ -1264,9 +1300,13 @@ mod tests {
         for i in 0..(TAGS_PER_PAGE + 2) {
             let frame = dram_frame(&soc, i);
             soc.mem_write(frame, &page).unwrap();
-            plane
-                .store_tags(&mut soc, &mut store, &[(frame, [0u8; 16])], &page)
-                .unwrap();
+            store_tags(
+                &mut plane,
+                &mut soc,
+                &mut store,
+                &[(frame, [0u8; 16])],
+                &page,
+            );
             frames.push(frame);
         }
         let held = store.in_use_bytes();
@@ -1279,9 +1319,13 @@ mod tests {
         // The store keeps working after the reap.
         let fresh = dram_frame(&soc, 500);
         soc.mem_write(fresh, &page).unwrap();
-        plane
-            .store_tags(&mut soc, &mut store, &[(fresh, [0u8; 16])], &page)
-            .unwrap();
+        store_tags(
+            &mut plane,
+            &mut soc,
+            &mut store,
+            &[(fresh, [0u8; 16])],
+            &page,
+        );
         assert!(plane.has_tag(fresh));
     }
 
@@ -1289,20 +1333,32 @@ mod tests {
     fn disabled_plane_is_inert() {
         let mut soc = soc();
         let mut store = OnSocStore::new(OnSocBackend::Iram, &mut soc).unwrap();
-        let mut plane =
-            IntegrityPlane::new(IntegrityConfig::disabled(), OnSocBackend::Iram, &[0u8; 16])
-                .unwrap();
+        let mut plane = IntegrityPlane::new(
+            IntegrityConfig::disabled(),
+            OnSocBackend::Iram,
+            PageCipherMode::Xts,
+            &[0u8; 16],
+        )
+        .unwrap();
         assert!(!plane.enabled());
         let frame = dram_frame(&soc, 0);
         let mut page = vec![0u8; PAGE_SIZE as usize];
-        plane
-            .store_tags(&mut soc, &mut store, &[(frame, [0u8; 16])], &page)
-            .unwrap();
+        store_tags(
+            &mut plane,
+            &mut soc,
+            &mut store,
+            &[(frame, [0u8; 16])],
+            &page,
+        );
         assert!(!plane.has_tag(frame));
         assert_eq!(
-            plane
-                .verify_one(&mut soc, &mut store, frame, &[0u8; 16], &mut page)
-                .unwrap(),
+            verify(
+                &mut plane,
+                &mut soc,
+                &mut store,
+                &[(frame, [0u8; 16])],
+                &mut page
+            )[0],
             VerifyOutcome::Ok
         );
         assert_eq!(plane.stats, IntegrityStats::default());
@@ -1319,14 +1375,12 @@ mod tests {
         for (&(frame, _), chunk) in jobs.iter().zip(buf.chunks_exact(page)) {
             soc.mem_write(frame, chunk).unwrap();
         }
-        plane.store_tags(&mut soc, &mut store, &jobs, &buf).unwrap();
+        store_tags(&mut plane, &mut soc, &mut store, &jobs, &buf);
         // Tamper frame 9 in DRAM and in the gathered batch alike, so its
         // re-reads keep seeing the flipped bit.
         buf[9 * page + 100] ^= 0x10;
         soc.mem_write(jobs[9].0, &buf[9 * page..10 * page]).unwrap();
-        let outcomes = plane
-            .verify_frames(&mut soc, &mut store, &jobs, &mut buf)
-            .unwrap();
+        let outcomes = verify(&mut plane, &mut soc, &mut store, &jobs, &mut buf);
         for (i, outcome) in outcomes.iter().enumerate() {
             if i == 9 {
                 assert!(
@@ -1352,15 +1406,25 @@ mod tests {
         );
         let mut buf: Vec<u8> = (0..2 * page).map(|i| (i * 13 + 1) as u8).collect();
         soc.mem_write(incoming.0, &buf[page..]).unwrap();
-        plane
-            .store_tags(&mut soc, &mut store, &[incoming], &buf[page..])
-            .unwrap();
+        store_tags(&mut plane, &mut soc, &mut store, &[incoming], &buf[page..]);
         let chains = plane.stats.mac_chains;
+        let mut stores = entries(&[victim]);
+        plane.tagger().stamp(&mut stores, &buf[..page]);
+        let mut verifies = entries(&[incoming]);
+        mac_audit::arm();
         let (tags, outcomes) = plane
-            .store_and_verify(&mut soc, &mut store, &[victim], &[incoming], &mut buf)
+            .store_and_verify(&mut soc, &mut store, &stores, &mut verifies, &mut buf)
             .unwrap();
+        assert_eq!(mac_audit::disarm(), 1, "the victim's stamp is its tag");
         assert_eq!(outcomes, vec![VerifyOutcome::Ok]);
-        assert_eq!(tags, vec![plane.compute_tag(&victim.1, &buf[..page])]);
+        assert_eq!(
+            verifies[0].tag,
+            plane.tagger().mac(&incoming.1, &buf[page..])
+        );
+        assert_eq!(
+            tags,
+            vec![trunc(&plane.tagger().mac(&victim.1, &buf[..page]))]
+        );
         assert!(plane.has_tag(victim.0));
         assert_eq!(plane.stats.mac_chains - chains, 1, "two pages, one chain");
 
@@ -1374,7 +1438,7 @@ mod tests {
         bad[7] ^= 1;
         soc.mem_write(victim.0, &bad).unwrap();
         let verdict = plane.verify_readback(&mut soc, &mut store, victim, tags[0], image);
-        let expected_got = plane.compute_tag(&victim.1, &bad);
+        let expected_got = trunc(&plane.tagger().mac(&victim.1, &bad));
         assert_eq!(
             verdict.unwrap(),
             VerifyOutcome::Mismatch {
@@ -1387,12 +1451,39 @@ mod tests {
     }
 
     #[test]
+    fn the_stored_tag_is_the_page_mac_and_xts_ctr_reuse_the_commit_tag() {
+        let page = PAGE_SIZE as usize;
+        let buf: Vec<u8> = (0..17 * page).map(|i| (i * 5 + 11) as u8).collect();
+        for mode in PageCipherMode::all() {
+            let (mut plane, mut store, mut soc) = plane_in_mode(OnSocBackend::Iram, mode);
+            let jobs: Vec<(u64, [u8; 16])> = (0..17)
+                .map(|i| (dram_frame(&soc, i), [i as u8 + 1; 16]))
+                .collect();
+            let mut pages = entries(&jobs);
+            plane.tagger().stamp(&mut pages, &buf);
+            mac_audit::arm();
+            plane
+                .store_tags(&mut soc, &mut store, &pages, &buf)
+                .unwrap();
+            let macs = mac_audit::disarm();
+            assert_eq!(macs, if mode.is_chaining() { 17 } else { 0 }, "{mode}");
+            assert_eq!(plane.stats.mac_chains, 2, "{mode}: 17 pages, two chains");
+            for (&(frame, iv), image) in jobs.iter().zip(buf.chunks_exact(page)) {
+                let mut stored = [0u8; TAG_BYTES];
+                soc.mem_read(plane.tag_slot_addr(frame).unwrap(), &mut stored)
+                    .unwrap();
+                assert_eq!(stored, trunc(&plane.tagger().mac(&iv, image)), "{mode}");
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "3 tag jobs need exactly one page each")]
     fn store_tags_rejects_a_short_buffer() {
         let (mut plane, mut store, mut soc) = plane_and_store(OnSocBackend::Iram);
         let jobs: Vec<(u64, [u8; 16])> = (0..3).map(|i| (dram_frame(&soc, i), [0u8; 16])).collect();
         let buf = vec![0u8; 2 * PAGE_SIZE as usize];
-        let _ = plane.store_tags(&mut soc, &mut store, &jobs, &buf);
+        let _ = plane.store_tags(&mut soc, &mut store, &entries(&jobs), &buf);
     }
 
     #[test]
@@ -1401,6 +1492,6 @@ mod tests {
         let (mut plane, mut store, mut soc) = plane_and_store(OnSocBackend::Iram);
         let jobs: Vec<(u64, [u8; 16])> = (0..3).map(|i| (dram_frame(&soc, i), [0u8; 16])).collect();
         let mut buf = vec![0u8; 2 * PAGE_SIZE as usize];
-        let _ = plane.verify_frames(&mut soc, &mut store, &jobs, &mut buf);
+        let _ = plane.verify_frames(&mut soc, &mut store, &mut entries(&jobs), &mut buf);
     }
 }

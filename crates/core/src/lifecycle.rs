@@ -18,7 +18,7 @@ use crate::keys::VolatileRootKey;
 use crate::onsoc::OnSocStore;
 use crate::pressure::{PressureLevel, PressureStats};
 use crate::transition::{plan, set_page_state, IvSource, PageState, Route, Transition};
-use crate::txn::{CommitTagger, JournalEntry, TxnJournal, TxnOp};
+use crate::txn::{JournalEntry, TxnJournal, TxnOp};
 use sentry_crypto::parallel::BatchReport;
 use sentry_crypto::{Aes, CryptoError, Direction, HealthGovernor, HealthStats, RetryStats};
 use sentry_kernel::crypto_api::CipherEngine;
@@ -188,13 +188,12 @@ pub struct DeviceStats {
     /// Host nanoseconds spent in `Sentry::new`.
     pub setup_host_ns: u64,
     /// Expansions of the volatile *root* key schedule during setup.
-    /// One native expansion is shared by the engine, the integrity
-    /// plane, and the commit tagger; the tracked on-SoC expansion is
-    /// the simulated device's own and is counted separately by
-    /// `setup_sim_ns`.
+    /// One native expansion is shared by the engine and the integrity
+    /// plane; the tracked on-SoC expansion is the simulated device's
+    /// own and is counted separately by `setup_sim_ns`.
     pub root_key_schedules: u64,
-    /// Expansions of derived (domain-separated) key schedules: the
-    /// integrity MAC key and the commit-tag key.
+    /// Expansions of derived (domain-separated) key schedules: the page
+    /// MAC key, shared by the integrity tags and the commit tags.
     pub derived_key_schedules: u64,
 }
 
@@ -207,24 +206,16 @@ pub struct Sentry {
     pub store: OnSocStore,
     /// The encrypted-DRAM pager.
     pub pager: Pager,
-    /// Configuration.
-    pub config: SentryConfig,
+    config: SentryConfig,
     /// Cumulative statistics.
     pub stats: LifecycleStats,
-    /// One-time construction cost of this device stack (see
-    /// [`DeviceStats`]).
-    pub device_stats: DeviceStats,
-    /// The most recently resolved on-demand fault (telemetry; `pages >
-    /// 1` means the readahead cluster pulled in encrypted neighbours).
-    pub last_fault: Option<FaultResolution>,
+    device_stats: DeviceStats,
+    last_fault: Option<FaultResolution>,
     /// The authenticated-DRAM integrity plane: per-page CMAC tags in an
     /// on-SoC tag store, verified on every decrypt path, with poisoned
-    /// pages quarantined (see [`crate::integrity`]).
+    /// pages quarantined (see [`crate::integrity`]). Its page MAC also
+    /// computes the journal's commit tags (see [`crate::CommitTagger`]).
     pub integrity: IntegrityPlane,
-    /// Journal commit-tag scheme for the configured cipher mode: the
-    /// final ciphertext block under CBC, a commit CMAC over
-    /// IV ‖ ciphertext under XTS/CTR (see [`CommitTagger`]).
-    commit: CommitTagger,
     /// Health governor for the lifecycle's accelerator dispatch:
     /// watchdog deadlines on routed batch waits, circuit breaker routing
     /// dispatch back to the CPU path while the engine is distrusted, and
@@ -282,21 +273,19 @@ impl Sentry {
         // made per-device construction measurably more expensive at
         // fleet scale (10k devices × 2 redundant expansions).
         let root = Aes::new(&key).map_err(CryptoError::from)?;
-        // The integrity plane's MAC key derives from the volatile root
-        // key, and its tag store sits next to the journal on-SoC: both
-        // die with power, exactly like the ciphertext they authenticate.
-        let mut integrity = IntegrityPlane::with_root(config.integrity, config.backend, &root)?;
+        // The page MAC's key derives from the volatile root key, and the
+        // tag store sits next to the journal on-SoC: both die with power,
+        // exactly like the ciphertext they authenticate.
+        let mut integrity =
+            IntegrityPlane::with_root(config.integrity, config.backend, config.cipher_mode, &root)?;
         integrity.set_spill_allowed(config.pressure.spill);
-        // The journal commit-tag scheme follows the cipher mode: the
-        // CMAC it may need is keyed once here, from the same root key.
-        let commit = CommitTagger::with_root(config.cipher_mode, &root)?;
         let device_stats = DeviceStats {
             setup_sim_ns: kernel.soc.clock.now_ns() - sim_start,
             setup_host_ns: u64::try_from(host_start.elapsed().as_nanos()).unwrap_or(u64::MAX),
             // The engine's native schedule plus the single hoisted
-            // expansion shared by the integrity plane and commit tagger.
+            // expansion the integrity plane derives from.
             root_key_schedules: 2,
-            derived_key_schedules: u64::from(config.integrity.enabled) + 1,
+            derived_key_schedules: 1,
         };
         Ok(Sentry {
             kernel,
@@ -308,7 +297,6 @@ impl Sentry {
             health: HealthGovernor::default(),
             last_fault: None,
             integrity,
-            commit,
             state: DeviceState::Unlocked,
             volatile_key,
             txn: TxnJournal::new(journal_page),
@@ -321,6 +309,26 @@ impl Sentry {
     #[must_use]
     pub fn state(&self) -> DeviceState {
         self.state
+    }
+
+    /// The configuration this device was built with.
+    #[must_use]
+    pub fn config(&self) -> &SentryConfig {
+        &self.config
+    }
+
+    /// One-time construction cost of this device stack (see
+    /// [`DeviceStats`]).
+    #[must_use]
+    pub fn device_stats(&self) -> DeviceStats {
+        self.device_stats
+    }
+
+    /// The most recently resolved on-demand fault (telemetry; `pages >
+    /// 1` means the readahead cluster pulled in encrypted neighbours).
+    #[must_use]
+    pub fn last_fault(&self) -> Option<FaultResolution> {
+        self.last_fault
     }
 
     /// The volatile root key handle (on-SoC address).
@@ -498,7 +506,6 @@ impl Sentry {
             store: &mut self.store,
             txn: &mut self.txn,
             integrity: &mut self.integrity,
-            tagger: &self.commit,
             config: &self.config,
             key: self.volatile_key,
             health: &mut self.health,
@@ -1121,7 +1128,7 @@ impl Sentry {
         t.crypt(
             Route::Engine,
             Direction::Decrypt,
-            &mut [incoming],
+            &[incoming],
             &mut ciphertext,
         )?;
         let mapping = (incoming.pid, incoming.vpn);
@@ -1225,8 +1232,9 @@ impl Sentry {
     /// marked done, idempotently.
     ///
     /// For each undone entry the frame's commit tag is compared against
-    /// the journaled one — the final ciphertext block under CBC, a commit
-    /// CMAC over IV ‖ ciphertext under XTS/CTR (see [`CommitTagger`]).
+    /// the journaled one — the final ciphertext block under CBC, the page
+    /// MAC over IV ‖ ciphertext under XTS/CTR (see
+    /// [`crate::CommitTagger`]).
     /// Every page cipher mode under the journaled IV is deterministic, so
     /// the tag tells recovery exactly which side of the publish the kill
     /// landed on:
@@ -1306,19 +1314,18 @@ impl Sentry {
             }
         }
         let mut quarantined = 0usize;
-        for ((frame, kept), e) in frames {
+        for ((frame, kept), mut e) in frames {
             if !self.integrity.has_tag(frame) || self.integrity.is_quarantined(frame) {
                 continue;
             }
             let mut page = vec![0u8; PAGE_SIZE as usize];
             self.kernel.soc.mem_read(frame, &mut page)?;
-            let verdict = self.integrity.verify_one(
+            let verdict = self.integrity.verify_frames(
                 &mut self.kernel.soc,
                 &mut self.store,
-                frame,
-                &e.iv,
+                std::slice::from_mut(&mut e),
                 &mut page,
-            )?;
+            )?[0];
             let VerifyOutcome::Mismatch { expected, got } = verdict else {
                 continue;
             };
@@ -1343,10 +1350,12 @@ impl Sentry {
             // The publish never landed; the source still holds
             // plaintext. Roll forward: re-encrypt and publish, with the
             // integrity tag stored on-SoC before the ciphertext goes to
-            // DRAM — the same ordering the live path guarantees.
-            let mut pages = [*entry];
+            // DRAM — the same ordering the live path guarantees. The
+            // cipher is deterministic under the journaled IV, so the
+            // journaled tag is the redo's tag: nothing is re-MACed.
+            let pages = [*entry];
             let mut page = t.gather(&pages)?;
-            t.crypt(Route::Engine, Direction::Encrypt, &mut pages, &mut page)?;
+            t.crypt(Route::Engine, Direction::Encrypt, &pages, &mut page)?;
             t.store_tags(&pages, &page)?;
             t.kernel.soc.mem_write(entry.frame, &page)?;
             // Fresh ciphertext + fresh tag from the intact source: a
@@ -1399,17 +1408,14 @@ impl Sentry {
             Some(page)
         } else if tagged {
             let mut page = t.gather(&pages)?;
-            let verdict = t.integrity.verify_one(
-                &mut t.kernel.soc,
-                t.store,
-                entry.frame,
-                &entry.iv,
-                &mut page,
-            )?;
+            let verdict =
+                t.integrity
+                    .verify_frames(&mut t.kernel.soc, t.store, &mut pages, &mut page)?[0];
             match verdict {
                 VerifyOutcome::Mismatch { expected, got } => {
                     let mut trial = [*entry];
-                    t.crypt(Route::Engine, Direction::Encrypt, &mut trial, &mut page)?;
+                    t.crypt(Route::Engine, Direction::Encrypt, &trial, &mut page)?;
+                    t.stamp(&mut trial, &page);
                     if trial[0].tag != entry.tag {
                         let _ = t.quarantine(entry, expected, got);
                         // The publish loop flips PTEs *before* writing
@@ -1434,7 +1440,7 @@ impl Sentry {
             None
         };
         if let Some(mut page) = ciphertext {
-            t.crypt(Route::Engine, Direction::Decrypt, &mut pages, &mut page)?;
+            t.crypt(Route::Engine, Direction::Decrypt, &pages, &mut page)?;
             t.kernel.soc.mem_write(entry.frame, &page)?;
         }
         if tagged {
@@ -1485,11 +1491,14 @@ mod tests {
             root.encrypt_block(&mut key);
             key
         };
-        let mut secrets = vec![derive(b"SENTRY-SPILL-KEY")];
-        for label in [b"SENTRY-INTEGRITY", b"SENTRY-TXNCOMMIT"] {
-            let cmac = sentry_crypto::Cmac::new(Aes::new(&derive(label)).unwrap());
-            secrets.extend([*cmac.subkey1(), *cmac.subkey2()]);
-        }
+        let mac_key = derive(b"SENTRY-INTEGRITY");
+        let cmac = sentry_crypto::Cmac::new(Aes::new(&mac_key).unwrap());
+        let secrets = [
+            derive(b"SENTRY-SPILL-KEY"),
+            mac_key,
+            *cmac.subkey1(),
+            *cmac.subkey2(),
+        ];
         let shown = format!("{s:?}");
         for secret in secrets {
             assert!(
@@ -2404,6 +2413,99 @@ mod tests {
             let (encrypts, reuses) = nonce_audit::disarm();
             assert!(encrypts > 0, "{mode}: the audit saw no encrypt");
             assert!(reuses.is_empty(), "{mode}: IVs reused: {reuses:?}");
+        }
+    }
+
+    /// Every journaled page transition MACs a page once. Under XTS/CTR
+    /// the encrypt's stamp is the page's integrity tag and the decrypt's
+    /// integrity check is its commit tag; under CBC the commit tag is the
+    /// final block and only the integrity plane MACs. A locked page-in
+    /// opens no journal, so it is MACed only to be verified, and a
+    /// recovery redo keeps its journaled tag.
+    #[test]
+    fn each_crypted_page_is_maced_once() {
+        use crate::config::ReadaheadConfig;
+        use crate::transition::mac_audit;
+        use sentry_soc::failpoint::{FaultAction, FaultPlan};
+        fn macs<T>(s: &mut Sentry, op: impl FnOnce(&mut Sentry) -> T) -> (T, usize) {
+            let before = mac_audit::count();
+            let out = op(s);
+            (out, mac_audit::count() - before)
+        }
+        /// The entries and page MACs of replaying the journal `op` left
+        /// open when killed at its first publish: `recover`, less the
+        /// boot audit a second `recover` repeats.
+        fn replay(s: &mut Sentry, op: impl FnOnce(&mut Sentry) -> bool) -> (usize, usize) {
+            let cut = FaultAction::PowerCut { decay: None };
+            let plan = FaultPlan::at_site("txn.publish", 1, cut);
+            s.kernel.soc.failpoints.arm(plan);
+            assert!(op(s), "the kill fired");
+            s.kernel.soc.failpoints.disarm();
+            let (report, n) = macs(s, |s| s.recover().unwrap());
+            let (_, audit) = macs(s, |s| s.recover().unwrap());
+            (report.completed, n - audit)
+        }
+        for mode in PageCipherMode::all() {
+            for integrity in [true, false] {
+                let mut config = SentryConfig::tegra3_locked_l2(2)
+                    .with_cipher_mode(mode)
+                    .with_slot_limit(2)
+                    .with_readahead(ReadaheadConfig::with_cluster(4).sweep_budget(4));
+                if !integrity {
+                    config = config.without_integrity();
+                }
+                let case = format!("{mode}, integrity {integrity}");
+                // Page MACs per page of a journaled transition, and of a
+                // locked page-in.
+                let journaled = usize::from(integrity || !mode.is_chaining());
+                let paged_in = usize::from(integrity);
+                let mut s = Sentry::new(Kernel::new(Soc::tegra3_small()), config).unwrap();
+                let pid = s.kernel.spawn("app");
+                s.mark_sensitive(pid).unwrap();
+                s.write(pid, 0, &vec![0x3Cu8; 16 * 4096]).unwrap();
+                let dma = s.kernel.proc_mut(pid).unwrap().page_table.get_mut(15);
+                dma.unwrap().dma_region = true;
+                mac_audit::arm();
+
+                let (lock, n) = macs(&mut s, |s| s.on_lock().unwrap());
+                let pages = (lock.bytes_encrypted / PAGE_SIZE) as usize;
+                assert_eq!((pages, n), (16, 16 * journaled), "{case}: lock");
+                let mut page = vec![0u8; 4096];
+                for vpn in 0..2 {
+                    let (_, n) = macs(&mut s, |s| s.read(pid, vpn * PAGE_SIZE, &mut page));
+                    assert_eq!(n, paged_in, "{case}: page-in {vpn}");
+                }
+                let (_, n) = macs(&mut s, |s| s.read(pid, 2 * PAGE_SIZE, &mut page));
+                assert_eq!(s.pager.stats.pageouts, 1, "{case}: page 2 evicts page 0");
+                assert_eq!(n, journaled + paged_in, "{case}: evicting page-in");
+
+                let (unlock, n) = macs(&mut s, |s| s.on_unlock().unwrap());
+                assert_eq!(unlock.eager_bytes_decrypted, PAGE_SIZE, "{case}: DMA page");
+                assert_eq!(n, journaled, "{case}: unlock");
+                let (_, n) = macs(&mut s, |s| s.touch_pages(pid, &[4]).unwrap());
+                let cluster = s.last_fault().unwrap().pages;
+                assert_eq!((cluster, n), (4, 4 * journaled), "{case}: fault cluster");
+                let (sweep, n) = macs(&mut s, |s| s.sweep(4).unwrap());
+                assert_eq!((sweep.pages, n), (4, 4 * journaled), "{case}: sweep");
+
+                s.write(pid, 4 * PAGE_SIZE, &vec![0x5Au8; 4 * 4096])
+                    .unwrap();
+                let (redone, n) = replay(&mut s, |s| s.on_lock().is_err());
+                assert!(redone > 0, "{case}: the lock left undone entries");
+                assert_eq!(n, redone * journaled, "{case}: encrypt redo");
+                s.on_lock().unwrap();
+                s.on_unlock().unwrap();
+                let (redone, n) = replay(&mut s, |s| s.sweep(4).is_err());
+                assert!(redone > 0, "{case}: the sweep left undone entries");
+                assert_eq!(n, redone * journaled, "{case}: decrypt redo");
+
+                let total = mac_audit::disarm();
+                if !integrity && mode.is_chaining() {
+                    assert_eq!(total, 0, "{case}: CBC without the plane MACs nothing");
+                } else {
+                    assert!(total > 0, "{case}: the audit saw the MACs");
+                }
+            }
         }
     }
 

@@ -11,9 +11,11 @@
 //! 2. **Crypt.** `Transition::crypt` transforms the gathered pages in
 //!    host scratch. It is the only code that reaches a cipher: one
 //!    engine call, the parallel lanes, or the accelerator queue. It runs
-//!    the nonce audit on every encrypt, stamps every entry's commit tag,
-//!    and retries an injected crypt fault up to `MAX_CRYPT_RETRIES`
-//!    attempts.
+//!    the nonce audit on every encrypt and retries an injected crypt
+//!    fault up to `MAX_CRYPT_RETRIES` attempts. Each journaled page is
+//!    MACed once: an encrypt's output is stamped after the crypt step,
+//!    and a decrypt's input is stamped by `Transition::verify`, whose
+//!    integrity check computes the same MAC.
 //! 3. **Commit.** `Transition::commit` owns chunking at [`MAX_ENTRIES`],
 //!    the journal's open / mark-done / close, the integrity tags, the
 //!    direction-dependent publish order, and the PTE flip for every
@@ -30,7 +32,7 @@ use crate::integrity::{IntegrityPlane, QuarantinedPage, VerifyOutcome, TAG_BYTES
 use crate::keys::VolatileRootKey;
 use crate::lifecycle::{LifecycleStats, MAX_CRYPT_RETRIES};
 use crate::onsoc::OnSocStore;
-use crate::txn::{CommitTagger, JournalEntry, TxnJournal, TxnOp, MAX_ENTRIES};
+use crate::txn::{JournalEntry, TxnJournal, TxnOp, MAX_ENTRIES};
 use crate::SentryConfig;
 use sentry_crypto::parallel::{crypt_batch, BatchReport};
 use sentry_crypto::{
@@ -139,9 +141,8 @@ pub(crate) struct Transition<'a> {
     pub(crate) store: &'a mut OnSocStore,
     pub(crate) txn: &'a mut TxnJournal,
     /// Tags stored before an encrypt publishes, checked before a
-    /// decrypt, retired after it.
+    /// decrypt, retired after it; its page MAC stamps commit tags.
     pub(crate) integrity: &'a mut IntegrityPlane,
-    pub(crate) tagger: &'a CommitTagger,
     pub(crate) config: &'a SentryConfig,
     /// The key the parallel lanes expand their shared context from.
     pub(crate) key: VolatileRootKey,
@@ -152,8 +153,9 @@ pub(crate) struct Transition<'a> {
 
 impl Transition<'_> {
     /// Gather, crypt as one batch, and commit planned pages; a decrypt
-    /// MAC-verifies what it gathered first (see [`Transition::verify`]).
-    /// Returns the crypt step's batch report.
+    /// MAC-verifies what it gathered first (see [`Transition::verify`]),
+    /// an encrypt stamps what the crypt step produced. Returns the crypt
+    /// step's batch report.
     pub(crate) fn run(
         &mut self,
         op: TxnOp,
@@ -161,14 +163,17 @@ impl Transition<'_> {
         mut pages: Vec<JournalEntry>,
     ) -> Result<BatchReport, SentryError> {
         let mut buf = self.gather(&pages)?;
-        let direction = match op {
-            TxnOp::Encrypt => Direction::Encrypt,
+        let report = match op {
+            TxnOp::Encrypt => {
+                let report = self.crypt(Route::Batch, Direction::Encrypt, &pages, &mut buf)?;
+                self.stamp(&mut pages, &buf);
+                report
+            }
             TxnOp::Decrypt => {
                 self.verify(&mut pages, &mut buf)?;
-                Direction::Decrypt
+                self.crypt(Route::Batch, Direction::Decrypt, &pages, &mut buf)?
             }
         };
-        let report = self.crypt(Route::Batch, direction, &mut pages, &mut buf)?;
         self.commit(op, target_epoch, &pages, &buf)?;
         Ok(report)
     }
@@ -186,19 +191,22 @@ impl Transition<'_> {
 
     /// MAC-verify gathered ciphertext (page `i` of `buf` read from
     /// `pages[i].src`) against the on-SoC tag store *before* the block
-    /// cipher runs. Pages that fail (after the bounded re-reads) are
-    /// quarantined and dropped from `pages` and `buf` — their PTEs stay
-    /// encrypted — and the authentic remainder proceeds: graceful
-    /// degradation, not a panic.
+    /// cipher runs, and stamp each entry with its commit tag. Pages that
+    /// fail (after the bounded re-reads) are quarantined and dropped
+    /// from `pages` and `buf` — their PTEs stay encrypted — and the
+    /// authentic remainder proceeds: graceful degradation, not a panic.
     pub(crate) fn verify(
         &mut self,
         pages: &mut Vec<JournalEntry>,
         buf: &mut Vec<u8>,
     ) -> Result<(), SentryError> {
-        let sources: Vec<(u64, [u8; 16])> = pages.iter().map(|e| (e.src, e.iv)).collect();
+        if !self.integrity.enabled() {
+            self.stamp(pages, buf);
+            return Ok(());
+        }
         let outcomes =
             self.integrity
-                .verify_frames(&mut self.kernel.soc, self.store, &sources, buf)?;
+                .verify_frames(&mut self.kernel.soc, self.store, pages, buf)?;
         if !outcomes
             .iter()
             .any(|o| matches!(o, VerifyOutcome::Mismatch { .. }))
@@ -243,10 +251,8 @@ impl Transition<'_> {
     }
 
     /// The crypt step of every transition: transform `buf` (page `i`
-    /// read from `pages[i].src`) in place and stamp each entry with the
-    /// commit tag of its ciphertext image — an encrypt's output, a
-    /// decrypt's input. Every encrypt passes the nonce audit first. DRAM
-    /// is untouched; the caller publishes.
+    /// read from `pages[i].src`) in place. Every encrypt passes the nonce
+    /// audit first. DRAM is untouched; the caller stamps and publishes.
     ///
     /// An injected crypt fault fails the transform before anything is
     /// published, so the step gathers its sources again and retries, up
@@ -258,48 +264,27 @@ impl Transition<'_> {
         &mut self,
         route: Route,
         direction: Direction,
-        pages: &mut [JournalEntry],
+        pages: &[JournalEntry],
         buf: &mut [u8],
     ) -> Result<BatchReport, SentryError> {
         if pages.is_empty() {
             return Ok(sequential_report(0, 0));
         }
         let ivs: Vec<[u8; 16]> = pages.iter().map(|e| e.iv).collect();
-        let encrypted = match direction {
-            Direction::Encrypt => {
-                audit_encrypts(&ivs, buf);
-                Some(self.dispatch(route, direction, pages, &ivs, buf)?)
-            }
-            Direction::Decrypt => None,
-        };
-        self.stamp(pages, buf);
-        match encrypted {
-            Some(report) => Ok(report),
-            None => self.dispatch(route, direction, pages, &ivs, buf),
+        if direction == Direction::Encrypt {
+            audit_encrypts(&ivs, buf);
         }
-    }
-
-    /// Route the transform of the crypt step, under its bounded-retry
-    /// policy.
-    fn dispatch(
-        &mut self,
-        route: Route,
-        direction: Direction,
-        pages: &[JournalEntry],
-        ivs: &[[u8; 16]],
-        buf: &mut [u8],
-    ) -> Result<BatchReport, SentryError> {
         let mut attempts = 0u32;
         loop {
             attempts += 1;
             let result = match route {
                 Route::Engine => self
-                    .engine(direction, ivs, buf)
+                    .engine(direction, &ivs, buf)
                     .map(|()| sequential_report(ivs.len(), buf.len())),
                 Route::Batch if direction == Direction::Decrypt && self.config.pipeline.enabled => {
-                    self.route_decrypt(ivs, buf)
+                    self.route_decrypt(&ivs, buf)
                 }
-                Route::Batch => self.batch(direction, ivs, buf),
+                Route::Batch => self.batch(direction, &ivs, buf),
             };
             match result {
                 Err(e) if e.is_injected_crypt_fault() => {
@@ -528,9 +513,9 @@ impl Transition<'_> {
     }
 
     /// Stamp each entry with the commit tag of its ciphertext image, page
-    /// `i` of `images` — the one place commit tags are computed.
-    fn stamp(&self, pages: &mut [JournalEntry], images: &[u8]) {
-        self.tagger.stamp(pages, images);
+    /// `i` of `images`.
+    pub(crate) fn stamp(&self, pages: &mut [JournalEntry], images: &[u8]) {
+        self.integrity.tagger().stamp(pages, images);
     }
 
     /// Commit tag of the ciphertext image `e.frame` holds now, computed
@@ -539,7 +524,7 @@ impl Transition<'_> {
     /// under XTS/CTR the whole frame is read and tagged under `e.iv`.
     pub(crate) fn frame_tag(&mut self, e: &JournalEntry) -> Result<[u8; 16], SentryError> {
         let mut image = vec![0u8; PAGE_SIZE as usize];
-        let from = if self.tagger.mode().is_chaining() {
+        let from = if self.integrity.tagger().mode().is_chaining() {
             image.len() - 16
         } else {
             0
@@ -655,10 +640,11 @@ impl Transition<'_> {
     /// and its MAC verdict; the caller decrypts it into the slot.
     ///
     /// The incoming page is gathered before the eviction opens its
-    /// one-entry journal. Inside that journal, one integrity call MACs
-    /// both pages — it stores the victim's tag and checks the incoming
-    /// page — so the fault is charged one CMAC chain (see
-    /// `IntegrityPlane::store_and_verify`). The victim then publishes
+    /// one-entry journal. Inside that journal, one integrity call stores
+    /// the victim's tag and checks the incoming page, so the fault is
+    /// charged one CMAC chain (see `IntegrityPlane::store_and_verify`);
+    /// under XTS/CTR the victim's tag is its commit stamp, and only the
+    /// incoming page is MACed there. The victim then publishes
     /// (`pager.evict`), and its frame is read back (`pager.readback`)
     /// and compared byte for byte with the ciphertext just tagged (see
     /// `IntegrityPlane::verify_readback`) before its mappings flip.
@@ -684,12 +670,11 @@ impl Transition<'_> {
         let mut buf = self.gather(&pages)?;
         let copy_ns = self.kernel.soc.costs.page_copy_ns;
         self.kernel.soc.clock.advance(copy_ns);
-        let incoming_job = [(incoming.src, incoming.iv)];
         let Some(victim) = victim else {
             let verdicts = self.integrity.verify_frames(
                 &mut self.kernel.soc,
                 self.store,
-                &incoming_job,
+                &mut pages,
                 &mut buf,
             )?;
             return Ok((buf, verdicts[0]));
@@ -698,25 +683,17 @@ impl Transition<'_> {
             victim.frame, incoming.src,
             "eviction into the faulting frame"
         );
-        self.crypt(
-            Route::Engine,
-            Direction::Encrypt,
-            &mut pages[..1],
-            &mut buf[..page],
-        )?;
-        // Stamped with its commit tag.
-        let victim = pages[0];
-        self.txn.open(
-            &mut self.kernel.soc,
-            TxnOp::Encrypt,
-            victim.epoch,
-            &pages[..1],
-        )?;
+        let (stores, verifies) = pages.split_at_mut(1);
+        self.crypt(Route::Engine, Direction::Encrypt, stores, &mut buf[..page])?;
+        self.stamp(stores, &buf[..page]);
+        let victim = stores[0];
+        self.txn
+            .open(&mut self.kernel.soc, TxnOp::Encrypt, victim.epoch, stores)?;
         let (tags, verdicts) = self.integrity.store_and_verify(
             &mut self.kernel.soc,
             self.store,
-            &[(victim.frame, victim.iv)],
-            &incoming_job,
+            stores,
+            verifies,
             &mut buf,
         )?;
         self.kernel.soc.failpoint("pager.evict")?;
@@ -783,9 +760,8 @@ impl Transition<'_> {
         pages: &[JournalEntry],
         buf: &[u8],
     ) -> Result<(), SentryError> {
-        let targets: Vec<(u64, [u8; 16])> = pages.iter().map(|e| (e.frame, e.iv)).collect();
         self.integrity
-            .store_tags(&mut self.kernel.soc, self.store, &targets, buf)
+            .store_tags(&mut self.kernel.soc, self.store, pages, buf)
     }
 }
 
@@ -921,5 +897,36 @@ pub(crate) mod nonce_audit {
                 }
             }
         });
+    }
+}
+
+/// The unit tests' MAC audit: while armed on a thread, it counts the
+/// CMACs the page MAC computes (see `CommitTagger`), one per page.
+#[cfg(test)]
+pub(crate) mod mac_audit {
+    use std::cell::Cell;
+
+    thread_local! {
+        static MACS: Cell<Option<usize>> = const { Cell::new(None) };
+    }
+
+    /// Start counting this thread's page MACs.
+    pub(crate) fn arm() {
+        MACS.with(|m| m.set(Some(0)));
+    }
+
+    /// The page MACs computed since `arm`.
+    pub(crate) fn count() -> usize {
+        MACS.with(|m| m.get().unwrap_or(0))
+    }
+
+    /// Stop counting; returns the page MACs computed since `arm`.
+    pub(crate) fn disarm() -> usize {
+        MACS.with(|m| m.take().unwrap_or(0))
+    }
+
+    /// Note that `pages` page MACs are being computed.
+    pub(crate) fn record(pages: usize) {
+        MACS.with(|m| m.set(m.get().map(|n| n + pages)));
     }
 }

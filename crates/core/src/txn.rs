@@ -8,9 +8,10 @@
 //! per-page two-phase commit:
 //!
 //! 1. the transition's crypt step computes the transformed page into
-//!    host scratch (no DRAM mutation) and stamps the entry with the
-//!    commit *tag* of the page's ciphertext image (see
-//!    [`CommitTagger`]);
+//!    host scratch (no DRAM mutation), and the entry is stamped with the
+//!    commit *tag* of the page's ciphertext image (see [`CommitTagger`])
+//!    by whichever step sees that image first: the stamp after an
+//!    encrypt, the integrity check before a decrypt;
 //! 2. **journal** the intent: page identity, source address, target
 //!    frame, IV, epoch, and that tag;
 //! 3. per page: publish the frame and flip the PTE, then mark the
@@ -40,9 +41,10 @@
 //!   whenever the versions share their first 16 plaintext bytes.
 //! * **XTS / CTR** (the parallel modes): the final ciphertext block
 //!   depends only on the final *plaintext* block, so two versions of a
-//!   page with the same tail would collide there. The tag becomes a
-//!   full-width CMAC over IV ‖ ciphertext under a commit key derived
-//!   from the volatile root key.
+//!   page with the same tail would collide there. The tag is the page
+//!   MAC instead: a full-width CMAC over IV ‖ ciphertext, the same one
+//!   whose first 8 bytes the integrity plane stores, so each page is
+//!   MACed once per transition.
 
 use crate::error::SentryError;
 use sentry_crypto::{Aes, Cmac, PageCipherMode};
@@ -158,20 +160,26 @@ impl JournalEntry {
     }
 }
 
-/// Computes the 16-byte journal commit tag of a ciphertext page image.
+/// The page MAC, and the 16-byte journal commit tag it yields.
 ///
-/// Under the chaining mode (CBC) the tag is the page's final
-/// ciphertext block, read straight off the image's tail: chaining
-/// makes it depend on every byte of the page, so two ciphertexts of
-/// different page versions under one IV never share it.
+/// The page MAC of a ciphertext page is a full-width CMAC over
+/// IV ‖ ciphertext, keyed with `E_rootkey("SENTRY-INTEGRITY")`, which
+/// dies with power exactly like the journal it guards. Its first 8 bytes
+/// are the integrity plane's stored tag (see [`crate::integrity`]).
 ///
-/// Under the parallel modes (XTS, CTR) the final block depends only on
-/// the final *plaintext* block — two versions of a page with the same
-/// tail would collide, and recovery could mistake a half-published
-/// frame for a committed one. The tag is instead a full-width CMAC
-/// over IV ‖ ciphertext, keyed with `E_rootkey("SENTRY-TXNCOMMIT")` —
-/// domain-separated from the integrity plane's key, and dying with
-/// power exactly like the journal it guards.
+/// Under the parallel modes (XTS, CTR) the commit tag *is* the page
+/// MAC: the final ciphertext block depends only on the final *plaintext*
+/// block, so two versions of a page with the same tail would collide
+/// there, and recovery could mistake a half-published frame for a
+/// committed one. The page's one MAC is computed by whichever step sees
+/// its ciphertext first: the stamp after an encrypt, or the integrity
+/// check before a decrypt.
+///
+/// Under the chaining mode (CBC) the commit tag is the page's final
+/// ciphertext block, read straight off the image's tail: chaining makes
+/// it depend on every byte of the page, so two ciphertexts of different
+/// page versions under one IV never share it. The page MAC is then
+/// computed only for the integrity plane.
 #[derive(Debug)]
 pub struct CommitTagger {
     mode: PageCipherMode,
@@ -179,9 +187,9 @@ pub struct CommitTagger {
 }
 
 impl CommitTagger {
-    /// Build a tagger for `mode`. The commit-CMAC key derives from the
-    /// volatile root key by one block encryption of a fixed
-    /// domain-separation constant, like the integrity plane's key.
+    /// Build the page MAC for `mode`. Its key derives from the volatile
+    /// root key by one block encryption of a fixed domain-separation
+    /// constant.
     ///
     /// # Errors
     ///
@@ -191,23 +199,22 @@ impl CommitTagger {
         CommitTagger::with_root(mode, &root)
     }
 
-    /// Build a tagger from an already-expanded root-key schedule (see
-    /// `IntegrityPlane::with_root` — `Sentry::new` expands the root key
-    /// once and shares it between both derived-key consumers).
+    /// Build the page MAC from an already-expanded root-key schedule
+    /// (`Sentry::new` expands the root key once and shares it).
     ///
     /// # Errors
     ///
-    /// Propagates AES key-schedule errors for the derived commit key.
+    /// Propagates AES key-schedule errors for the derived MAC key.
     pub fn with_root(mode: PageCipherMode, root: &Aes) -> Result<Self, SentryError> {
-        let mut ck = *b"SENTRY-TXNCOMMIT";
-        root.encrypt_block(&mut ck);
+        let mut mk = *b"SENTRY-INTEGRITY";
+        root.encrypt_block(&mut mk);
         Ok(CommitTagger {
             mode,
-            cmac: Cmac::new(Aes::new(&ck).map_err(sentry_crypto::CryptoError::from)?),
+            cmac: Cmac::new(Aes::new(&mk).map_err(sentry_crypto::CryptoError::from)?),
         })
     }
 
-    /// The page cipher mode the tagger computes tags for.
+    /// The page cipher mode the tagger computes commit tags for.
     #[must_use]
     pub fn mode(&self) -> PageCipherMode {
         self.mode
@@ -221,18 +228,30 @@ impl CommitTagger {
     #[must_use]
     pub fn tag(&self, iv: &[u8; 16], page: &[u8]) -> [u8; 16] {
         if self.mode.is_chaining() {
-            page[page.len() - 16..]
-                .try_into()
-                .expect("page has a 16-byte tail")
+            tail(page)
         } else {
-            self.cmac.mac_parts(&[iv, page])
+            self.mac(iv, page)
         }
     }
 
+    /// The page MAC of `page` under its 16-byte tweak.
+    #[must_use]
+    pub(crate) fn mac(&self, tweak: &[u8; 16], page: &[u8]) -> [u8; 16] {
+        #[cfg(test)]
+        crate::transition::mac_audit::record(1);
+        self.cmac.mac_parts(&[tweak, page])
+    }
+
+    /// The page MACs of a run of pages, page `i` of `buf` under `ivs[i]`:
+    /// one batch CMAC, so independent pages fill the bitsliced lanes.
+    fn macs(&self, ivs: &[[u8; 16]], buf: &[u8]) -> Vec<[u8; 16]> {
+        #[cfg(test)]
+        crate::transition::mac_audit::record(ivs.len());
+        self.cmac.mac_extents(ivs, buf, PAGE_SIZE as usize)
+    }
+
     /// Stamp each entry with the commit tag of its ciphertext page
-    /// image: page `i` of `buf`, tagged under entry `i`'s IV. Under
-    /// XTS/CTR the tags come from one batch CMAC, so independent pages
-    /// fill the bitsliced lanes.
+    /// image: page `i` of `buf`, tagged under entry `i`'s IV.
     ///
     /// # Panics
     ///
@@ -246,18 +265,38 @@ impl CommitTagger {
             "{} journal entries need exactly one page each",
             entries.len()
         );
-        if self.mode.is_chaining() {
-            for (e, image) in entries.iter_mut().zip(buf.chunks_exact(page)) {
-                e.tag = self.tag(&e.iv, image);
-            }
+        let tags = if self.mode.is_chaining() {
+            buf.chunks_exact(page).map(tail).collect()
         } else {
-            let ivs: Vec<[u8; 16]> = entries.iter().map(|e| e.iv).collect();
-            let tags = self.cmac.mac_extents(&ivs, buf, page);
-            for (e, tag) in entries.iter_mut().zip(tags) {
-                e.tag = tag;
-            }
+            self.macs(&ivs(entries), buf)
+        };
+        for (e, tag) in entries.iter_mut().zip(tags) {
+            e.tag = tag;
         }
     }
+
+    /// The page MACs of stamped entries, page `i` of `buf` under entry
+    /// `i`'s IV: under XTS/CTR the commit tags themselves, under CBC one
+    /// batch CMAC.
+    pub(crate) fn page_macs(&self, entries: &[JournalEntry], buf: &[u8]) -> Vec<[u8; 16]> {
+        if self.mode.is_chaining() {
+            self.macs(&ivs(entries), buf)
+        } else {
+            entries.iter().map(|e| e.tag).collect()
+        }
+    }
+}
+
+/// The final 16-byte block of a page image.
+fn tail(page: &[u8]) -> [u8; 16] {
+    page[page.len() - 16..]
+        .try_into()
+        .expect("page has a 16-byte tail")
+}
+
+/// The IVs of planned entries, in order.
+fn ivs(entries: &[JournalEntry]) -> Vec<[u8; 16]> {
+    entries.iter().map(|e| e.iv).collect()
 }
 
 /// The journal: one on-SoC (iRAM) page plus an in-memory mirror of

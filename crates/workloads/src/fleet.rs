@@ -652,7 +652,7 @@ impl Device {
             .map_err(SentryError::Kernel)?;
         let outcome = DeviceOutcome {
             index,
-            setup_sim_ns: sentry.device_stats.setup_sim_ns,
+            setup_sim_ns: sentry.device_stats().setup_sim_ns,
             ..DeviceOutcome::default()
         };
         Ok(Device {

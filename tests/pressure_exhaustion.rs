@@ -263,9 +263,9 @@ fn budget_squeeze_walks_watermarks_and_sheds() {
         "no shed recorded under pressure: {:?}",
         s.stats.pressure
     );
-    if s.last_fault.is_some() {
+    if s.last_fault().is_some() {
         assert_eq!(
-            s.last_fault.as_ref().map(|f| f.pages),
+            s.last_fault().map(|f| f.pages),
             Some(1),
             "readahead cluster must shrink to one page under pressure"
         );
@@ -309,7 +309,7 @@ fn sheds_count_only_withheld_work() {
 
         s.scheduler_tick().expect("tick under pressure");
         s.touch_pages(pid, &[3]).expect("fault under pressure");
-        assert_eq!(s.last_fault.as_ref().map(|f| f.pages), Some(1), "{name}");
+        assert_eq!(s.last_fault().map(|f| f.pages), Some(1), "{name}");
         s.sync_pressure();
         assert_eq!(s.stats.pressure.sheds, 0, "{name}: {:?}", s.stats.pressure);
 
