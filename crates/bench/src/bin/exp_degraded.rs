@@ -282,7 +282,7 @@ fn lifecycle_cell() -> LifecycleCell {
     LifecycleCell {
         pages: LIFECYCLE_PAGES,
         identical,
-        breaker_open_batches: sentry.stats.batch_fallback_breaker_open,
+        breaker_open_batches: sentry.stats.batch_fallback.breaker_open,
         health: sentry.stats.health,
     }
 }

@@ -20,7 +20,9 @@ use crate::pressure::{PressureLevel, PressureStats};
 use crate::transition::{plan, set_page_state, IvSource, PageState, Route, Transition};
 use crate::txn::{JournalEntry, TxnJournal, TxnOp};
 use sentry_crypto::parallel::BatchReport;
-use sentry_crypto::{Aes, CryptoError, Direction, HealthGovernor, HealthStats, RetryStats};
+use sentry_crypto::{
+    Aes, CryptoError, Direction, FallbackCounts, HealthGovernor, HealthStats, RetryStats,
+};
 use sentry_kernel::crypto_api::CipherEngine;
 use sentry_kernel::fault::{FaultResolution, PageFault};
 use sentry_kernel::pagetable::{Backing, Pte, Sharing};
@@ -124,19 +126,11 @@ pub struct LifecycleStats {
     pub routed_batch_pages: u64,
     /// Time the CPU stalled waiting on routed batch completions.
     pub routed_stall_ns: u64,
-    /// Batches that fell back inline because the accelerator clock was
-    /// down-scaled (device locked, §8.2).
-    pub batch_fallback_down_scaled: u64,
-    /// Batches that fell back inline because the configured cipher mode
-    /// is chaining (CBC) and the keystream/extent queue path needs a
-    /// counter-style mode.
-    pub batch_fallback_unsupported_mode: u64,
-    /// Batches below the routing threshold (a lone page keeps the exact
-    /// single-page dispatch).
-    pub batch_fallback_below_threshold: u64,
-    /// Batches routed to the CPU path because the health breaker was
-    /// open for the accelerator (see [`crate::health`]).
-    pub batch_fallback_breaker_open: u64,
+    /// Decrypt batches that stayed on the CPU, per reason: a down-scaled
+    /// accelerator clock (device locked, §8.2), a chaining cipher mode
+    /// (CBC), a lone page below the routing threshold, or an open
+    /// health breaker (see [`crate::health`]).
+    pub batch_fallback: FallbackCounts,
     /// Health-governor counters (breaker trips, probes, watchdog
     /// timeouts, abandoned and CPU-fallback bytes), mirrored from
     /// [`Sentry::health`] after every governed dispatch.
@@ -1745,7 +1739,7 @@ mod tests {
         assert_eq!(probe, data);
         assert_eq!(s.stats.routed_batches, 0);
         assert!(
-            s.stats.batch_fallback_down_scaled >= 1,
+            s.stats.batch_fallback.down_scaled >= 1,
             "locked-state batches must record the DownScaled fallback"
         );
     }
@@ -1771,9 +1765,55 @@ mod tests {
         s.on_unlock().unwrap();
         assert_eq!(s.stats.routed_batches, 0);
         assert!(
-            s.stats.batch_fallback_unsupported_mode >= 1,
+            s.stats.batch_fallback.unsupported_mode >= 1,
             "CBC batches must record the UnsupportedCipherMode fallback"
         );
+    }
+
+    #[test]
+    fn a_crypt_fault_in_a_routed_batch_leaves_no_descriptor_queued() {
+        use crate::config::PipelineConfig;
+        use sentry_soc::failpoint::{FaultAction, FaultPlan};
+        let config = SentryConfig::tegra3_locked_l2(2)
+            .with_cipher_mode(PageCipherMode::Ctr)
+            .with_pipeline(PipelineConfig::enabled());
+        let mut s = Sentry::new(Kernel::new(Soc::tegra3_small()), config).unwrap();
+        let pid = s.kernel.spawn("camera");
+        s.mark_sensitive(pid).unwrap();
+        let data: Vec<u8> = (0..253u8).cycle().take(3 * 4096).collect();
+        s.write(pid, 0, &data).unwrap();
+        for vpn in 0..3 {
+            s.kernel
+                .proc_mut(pid)
+                .unwrap()
+                .page_table
+                .get_mut(vpn)
+                .unwrap()
+                .dma_region = true;
+        }
+        s.on_lock().unwrap();
+        // The eager DMA batch is routed; its host transform fails once
+        // and the crypt step retries the batch.
+        s.kernel.soc.failpoints.arm(FaultPlan::at_site(
+            "crypt.dispatch",
+            0,
+            FaultAction::CryptError,
+        ));
+        s.on_unlock().unwrap();
+        s.kernel.soc.failpoints.disarm();
+        assert_eq!(s.stats.crypt.recovered, 1, "{:?}", s.stats.crypt);
+        let queue = &s.kernel.soc.accel_queue;
+        assert_eq!(
+            queue.pending_ops(),
+            0,
+            "the failed attempt's descriptor was retired"
+        );
+        assert_eq!(queue.stats.ops, 2, "one descriptor per attempt");
+        assert_eq!(queue.stats.max_depth, 1, "the retry never queued behind it");
+        assert_eq!(s.stats.routed_batches, 1);
+        let mut back = vec![0u8; data.len()];
+        s.read(pid, 0, &mut back).unwrap();
+        assert_eq!(back, data);
     }
 
     #[test]

@@ -66,7 +66,9 @@ pub use error::{CryptoError, KeyError};
 pub use health::{FailureKind, HealthGovernor, HealthState, HealthStats, RetryStats};
 pub use mac::Cmac;
 pub use modes::{Direction, PageCipher, PageCipherMode};
-pub use pipeline::{FallbackReason, KeystreamCache, KeystreamStats, PipelineConfig};
+pub use pipeline::{
+    FallbackCounts, FallbackReason, KeystreamCache, KeystreamStats, PipelineConfig,
+};
 pub use state::{AesStateLayout, Sensitivity, StateComponent};
 pub use tracked::{
     AccessEvent, InStore, StateStore, TableId, TrackedAes, TrackedBitslicedAes, VecStore,

@@ -17,7 +17,8 @@
 //! * [`PipelineConfig`] — the on/off switch shared by dm-crypt's read
 //!   path and Sentry's readahead/sweeper batch routing.
 //! * [`FallbackReason`] — the typed reasons a request stays on the
-//!   inline CPU path instead of the accelerator queue.
+//!   inline CPU path instead of the accelerator queue, and
+//!   [`FallbackCounts`], one counter per reason.
 //!
 //! # Residency model
 //!
@@ -44,7 +45,8 @@ pub const KEYSTREAM_SECTORS: usize = 128;
 /// footprint small).
 pub const PRECOMPUTE_AHEAD: usize = 64;
 
-/// Miss runs shorter than this many sectors skip the accelerator queue
+/// Runs shorter than this many units — a dm-crypt miss run in sectors,
+/// a lifecycle decrypt batch in pages — skip the accelerator queue
 /// (descriptor setup would dominate) and decrypt on the CPU.
 pub const MIN_ACCEL_SECTORS: usize = 2;
 
@@ -80,7 +82,7 @@ pub enum FallbackReason {
     /// The selected cipher mode is serially chained (CBC): extent
     /// descriptors cannot be decrypted independently by the engine.
     UnsupportedCipherMode,
-    /// The miss run was shorter than [`MIN_ACCEL_SECTORS`]; descriptor
+    /// The run was shorter than [`MIN_ACCEL_SECTORS`] units; descriptor
     /// setup would dominate.
     BelowThreshold,
     /// The health governor's circuit breaker is Open: the accelerator
@@ -101,6 +103,46 @@ impl FallbackReason {
             FallbackReason::BelowThreshold => "below_threshold",
             FallbackReason::BreakerOpen => "breaker_open",
         }
+    }
+}
+
+/// Requests (or batches) that stayed on the inline CPU path, per
+/// [`FallbackReason`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FallbackCounts {
+    /// [`FallbackReason::Disabled`]: the pipeline was disabled or
+    /// unkeyed.
+    pub disabled: u64,
+    /// [`FallbackReason::AccelDownScaled`].
+    pub down_scaled: u64,
+    /// [`FallbackReason::UnsupportedCipherMode`].
+    pub unsupported_mode: u64,
+    /// [`FallbackReason::BelowThreshold`].
+    pub below_threshold: u64,
+    /// [`FallbackReason::BreakerOpen`].
+    pub breaker_open: u64,
+}
+
+impl FallbackCounts {
+    /// Count one fallback for `reason`.
+    pub fn note(&mut self, reason: FallbackReason) {
+        *match reason {
+            FallbackReason::Disabled => &mut self.disabled,
+            FallbackReason::AccelDownScaled => &mut self.down_scaled,
+            FallbackReason::UnsupportedCipherMode => &mut self.unsupported_mode,
+            FallbackReason::BelowThreshold => &mut self.below_threshold,
+            FallbackReason::BreakerOpen => &mut self.breaker_open,
+        } += 1;
+    }
+
+    /// Fallbacks across every reason.
+    #[must_use]
+    pub fn total(&self) -> u64 {
+        self.disabled
+            + self.down_scaled
+            + self.unsupported_mode
+            + self.below_threshold
+            + self.breaker_open
     }
 }
 

@@ -21,6 +21,9 @@
 //!   legacy consumers (dm-crypt) pick it up transparently (§7);
 //! * [`block`]/[`dmcrypt`]/[`bufcache`]/[`vfs`] — the storage stack the
 //!   dm-crypt experiments (Figure 9) run on;
+//! * [`offload`] — the one accelerator offload path (fallback ladder,
+//!   bounce-window staging, watchdog, CPU fallback) that dm-crypt reads
+//!   and Sentry's decrypt batches share;
 //! * [`sched`] — a round-robin scheduler with the unschedulable queue
 //!   Sentry parks encrypted foreground apps in while the device is
 //!   locked.
@@ -37,6 +40,7 @@ pub mod fault;
 pub mod frames;
 pub mod kernel;
 pub mod layout;
+pub mod offload;
 pub mod pagetable;
 pub mod process;
 pub mod sched;

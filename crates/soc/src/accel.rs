@@ -157,6 +157,17 @@ pub enum WaitOutcome {
     },
 }
 
+impl WaitOutcome {
+    /// Nanoseconds the CPU spent at the wait, whatever the outcome.
+    #[must_use]
+    pub fn waited_ns(self) -> u64 {
+        match self {
+            WaitOutcome::Done { stall_ns } | WaitOutcome::Corrupt { stall_ns } => stall_ns,
+            WaitOutcome::TimedOut { waited_ns } => waited_ns,
+        }
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct PendingOp {
     id: u64,

@@ -68,7 +68,7 @@ proptest! {
         let (stats, ks) = dm.pipeline_stats().unwrap();
         prop_assert!(ks.hits <= ks.precomputed, "{:?}", ks);
         prop_assert_eq!(ks.stale_epoch_denied, 0);
-        prop_assert_eq!(stats.fallbacks(), stats.fallback_below_threshold,
+        prop_assert_eq!(stats.fallbacks(), stats.fallback.below_threshold,
             "only short miss runs may fall back on an awake CTR volume");
     }
 
