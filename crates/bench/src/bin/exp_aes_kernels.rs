@@ -29,13 +29,13 @@
 //! Results print as tables and land in `BENCH_aes_kernels.json`. With
 //! `--enforce`, the process exits non-zero unless (a) bitsliced
 //! CBC-decrypt at least matches the scalar baseline — the CI regression
-//! gate for the batch kernels (a `target-cpu=native` run shows ~3.5×;
+//! gate for the batch kernels (a `target-cpu=native` run shows ~3.2×;
 //! the gate only demands parity so feature-poor CI hosts do not flap) —
 //! (b) bitsliced XTS page-encrypt runs at least 8× bitsliced
 //! CBC-encrypt, the gate proving the lane-filling mode removed the
-//! encrypt cliff (a native run shows ~11×), and (c) the batch CMAC over
+//! encrypt cliff (a native run shows ~16×), and (c) the batch CMAC over
 //! full groups of 16 pages runs at least 2× the scalar chain
-//! (`cmac_batch16_over_scalar`, ~4.4× measured).
+//! (`cmac_batch16_over_scalar`, ~4.1× measured).
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -385,7 +385,7 @@ fn main() {
         // The tentpole gate: page encryption through the lane-filling
         // XTS mode must run at least 8x the serially chained CBC
         // encryption on the same bitsliced backend (a native run shows
-        // ~12x; 8x leaves headroom for noisy CI hosts).
+        // ~16x; 8x leaves headroom for noisy CI hosts).
         if xts_enc_ratio < 8.0 {
             eprintln!(
                 "FAIL: bitsliced XTS page-encrypt at only {xts_enc_ratio:.2}x of \
@@ -395,7 +395,7 @@ fn main() {
         }
         println!("enforce: bitsliced XTS-encrypt at {xts_enc_ratio:.2}x of CBC-encrypt — ok");
         // The batch CMAC gate: 16 pages per call on the bitsliced lanes
-        // must run at least 2x the scalar chain (~4.4x measured).
+        // must run at least 2x the scalar chain (~4.1x measured).
         if cmac16_ratio < 2.0 {
             eprintln!(
                 "FAIL: batch CMAC over 16 pages at only {cmac16_ratio:.2}x of the \

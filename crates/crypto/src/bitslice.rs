@@ -583,14 +583,32 @@ pub(crate) fn decrypt16_with(
 /// them out of a closure.
 #[inline]
 pub(crate) fn encrypt16(rks: &[[Bw; 8]], blocks: &mut [Block; PAR_BLOCKS]) {
-    let rounds = rks.len() - 1;
     let mut s = pack16(blocks);
-    add_round_key(&mut s, &rks[0]);
-    for rk in &rks[1..rounds] {
-        enc_round(&mut s, rk);
-    }
-    enc_last_round(&mut s, &rks[rounds]);
+    encrypt_planes(rks, &mut s);
     unpack16(&s, blocks);
+}
+
+/// One chain step on packed chain values: fold in the 16 message
+/// blocks, then encipher. Kept out of line so the rounds compile once,
+/// as in [`encrypt16`], rather than into every caller's feed loop.
+#[inline(never)]
+fn absorb16(rks: &[[Bw; 8]], s: &mut [Bw; 8], msgs: &[Block; PAR_BLOCKS]) {
+    let m = pack16(msgs);
+    for (plane, mp) in s.iter_mut().zip(&m) {
+        *plane = *plane ^ *mp;
+    }
+    encrypt_planes(rks, s);
+}
+
+/// The rounds of [`encrypt16`] on an already packed state.
+#[inline(always)]
+fn encrypt_planes(rks: &[[Bw; 8]], s: &mut [Bw; 8]) {
+    let rounds = rks.len() - 1;
+    add_round_key(s, &rks[0]);
+    for rk in &rks[1..rounds] {
+        enc_round(s, rk);
+    }
+    enc_last_round(s, &rks[rounds]);
 }
 
 /// Fast path of [`decrypt16_with`] over a pre-bitsliced *equivalent
@@ -794,6 +812,58 @@ impl BitslicedAes {
             pad[..tail.len()].copy_from_slice(tail);
             encrypt16(&self.enc, &mut pad);
             tail.copy_from_slice(&pad[..tail.len()]);
+        }
+    }
+
+    /// [`crate::batch::BlockCipherBatch::encrypt_chains`] with the 16
+    /// chains of a group held in bit planes for the whole run.
+    ///
+    /// Packing is linear, so XORing a packed message block into the
+    /// packed chain state equals packing their XOR: each step packs only
+    /// the incoming message blocks, folds them into the planes, and runs
+    /// the rounds. The planes are unpacked only where a chain value must
+    /// leave the lanes: before a step when `every_block` asks for it, and
+    /// after the step that ends a chain.
+    pub(crate) fn encrypt_chains<F>(
+        &self,
+        chains: &mut [Block],
+        lens: &[usize],
+        every_block: bool,
+        mut feed: F,
+    ) where
+        F: FnMut(usize, usize, Option<&Block>) -> Block,
+    {
+        assert_eq!(chains.len(), lens.len(), "one length per chain");
+        for start in (0..chains.len()).step_by(PAR_BLOCKS) {
+            let end = (start + PAR_BLOCKS).min(chains.len());
+            let group = start..end;
+            let mut values = [[0u8; BLOCK_SIZE]; PAR_BLOCKS];
+            values[..group.len()].copy_from_slice(&chains[group.clone()]);
+            let mut s = pack16(&values);
+            let max_blocks = lens[group.clone()].iter().copied().max().unwrap_or(0);
+            let mut msgs = [[0u8; BLOCK_SIZE]; PAR_BLOCKS];
+            // Whether `values` holds the unpacked planes.
+            let mut unpacked = true;
+            for j in 0..max_blocks {
+                if every_block && !unpacked {
+                    unpack16(&s, &mut values);
+                }
+                for (lane, i) in group.clone().enumerate() {
+                    if j < lens[i] {
+                        msgs[lane] = feed(i, j, every_block.then_some(&values[lane]));
+                    }
+                }
+                absorb16(&self.enc, &mut s, &msgs);
+                unpacked = group.clone().any(|i| lens[i] == j + 1);
+                if unpacked {
+                    unpack16(&s, &mut values);
+                    for (lane, i) in group.clone().enumerate() {
+                        if lens[i] == j + 1 {
+                            chains[i] = values[lane];
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -49,112 +49,149 @@ impl Aes {
     }
 
     /// Encrypt a single 16-byte block in place.
-    ///
-    /// The round state lives in four named locals rather than a `[u32; 4]`:
-    /// a contiguous array tempts the SLP vectorizer into packing the four
-    /// independent column chains through XMM insert/extract transfers,
-    /// which sit right on the table-load critical path and cost ~35% on
-    /// AVX2+ targets.
     pub fn encrypt_block(&self, block: &mut Block) {
-        let te = tables::te();
-        let sb = sbox::sbox();
         let rk = self.schedule.enc_words();
-        let rounds = self.schedule.size().rounds();
-
-        let [mut s0, mut s1, mut s2, mut s3] = load_columns(block);
-        s0 ^= rk[0];
-        s1 ^= rk[1];
-        s2 ^= rk[2];
-        s3 ^= rk[3];
-
-        let mix = |a: u32, b: u32, c: u32, d: u32, k: u32| {
-            te[(a >> 24) as usize]
-                ^ te[((b >> 16) & 0xff) as usize].rotate_right(8)
-                ^ te[((c >> 8) & 0xff) as usize].rotate_right(16)
-                ^ te[(d & 0xff) as usize].rotate_right(24)
-                ^ k
-        };
-        for round in 1..rounds {
-            let k = &rk[4 * round..4 * round + 4];
-            let t0 = mix(s0, s1, s2, s3, k[0]);
-            let t1 = mix(s1, s2, s3, s0, k[1]);
-            let t2 = mix(s2, s3, s0, s1, k[2]);
-            let t3 = mix(s3, s0, s1, s2, k[3]);
-            (s0, s1, s2, s3) = (t0, t1, t2, t3);
+        match self.schedule.size() {
+            KeySize::Aes128 => encrypt_rounds::<44>(rk.try_into().expect("44 words"), block),
+            KeySize::Aes192 => encrypt_rounds::<52>(rk.try_into().expect("52 words"), block),
+            KeySize::Aes256 => encrypt_rounds::<60>(rk.try_into().expect("60 words"), block),
         }
-        // Final round: SubBytes + ShiftRows + AddRoundKey (no MixColumns).
-        let last = |a: u32, b: u32, c: u32, d: u32, k: u32| {
-            ((u32::from(sb[(a >> 24) as usize]) << 24)
-                | (u32::from(sb[((b >> 16) & 0xff) as usize]) << 16)
-                | (u32::from(sb[((c >> 8) & 0xff) as usize]) << 8)
-                | u32::from(sb[(d & 0xff) as usize]))
-                ^ k
-        };
-        let k = &rk[4 * rounds..4 * rounds + 4];
-        let t0 = last(s0, s1, s2, s3, k[0]);
-        let t1 = last(s1, s2, s3, s0, k[1]);
-        let t2 = last(s2, s3, s0, s1, k[2]);
-        let t3 = last(s3, s0, s1, s2, k[3]);
-        store_columns(&[t0, t1, t2, t3], block);
     }
 
-    /// Decrypt a single 16-byte block in place (same named-locals shape as
-    /// [`Aes::encrypt_block`], for the same SLP reason).
+    /// Decrypt a single 16-byte block in place (the equivalent inverse
+    /// cipher, in the same shape as [`Aes::encrypt_block`]).
     pub fn decrypt_block(&self, block: &mut Block) {
-        let td = tables::td();
-        let isb = sbox::inv_sbox();
         let rk = self.schedule.dec_words();
-        let rounds = self.schedule.size().rounds();
-
-        let [mut s0, mut s1, mut s2, mut s3] = load_columns(block);
-        s0 ^= rk[0];
-        s1 ^= rk[1];
-        s2 ^= rk[2];
-        s3 ^= rk[3];
-
-        let mix = |a: u32, b: u32, c: u32, d: u32, k: u32| {
-            td[(a >> 24) as usize]
-                ^ td[((b >> 16) & 0xff) as usize].rotate_right(8)
-                ^ td[((c >> 8) & 0xff) as usize].rotate_right(16)
-                ^ td[(d & 0xff) as usize].rotate_right(24)
-                ^ k
-        };
-        for round in 1..rounds {
-            let k = &rk[4 * round..4 * round + 4];
-            let t0 = mix(s0, s3, s2, s1, k[0]);
-            let t1 = mix(s1, s0, s3, s2, k[1]);
-            let t2 = mix(s2, s1, s0, s3, k[2]);
-            let t3 = mix(s3, s2, s1, s0, k[3]);
-            (s0, s1, s2, s3) = (t0, t1, t2, t3);
+        match self.schedule.size() {
+            KeySize::Aes128 => decrypt_rounds::<44>(rk.try_into().expect("44 words"), block),
+            KeySize::Aes192 => decrypt_rounds::<52>(rk.try_into().expect("52 words"), block),
+            KeySize::Aes256 => decrypt_rounds::<60>(rk.try_into().expect("60 words"), block),
         }
-        let last = |a: u32, b: u32, c: u32, d: u32, k: u32| {
-            ((u32::from(isb[(a >> 24) as usize]) << 24)
-                | (u32::from(isb[((b >> 16) & 0xff) as usize]) << 16)
-                | (u32::from(isb[((c >> 8) & 0xff) as usize]) << 8)
-                | u32::from(isb[(d & 0xff) as usize]))
-                ^ k
-        };
-        let k = &rk[4 * rounds..4 * rounds + 4];
-        let t0 = last(s0, s3, s2, s1, k[0]);
-        let t1 = last(s1, s0, s3, s2, k[1]);
-        let t2 = last(s2, s1, s0, s3, k[2]);
-        let t3 = last(s3, s2, s1, s0, k[3]);
-        store_columns(&[t0, t1, t2, t3], block);
     }
 }
 
-fn load_columns(block: &Block) -> [u32; 4] {
-    let mut s = [0u32; 4];
-    for (c, chunk) in block.chunks_exact(4).enumerate() {
-        s[c] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-    }
-    s
+// The scalar rounds hold the state as two u64 halves, columns 0‖1 and
+// 2‖3 (column `c` big-endian, as FIPS-197 loads it), and take the round
+// keys as a fixed-size array per key size. Every table index is then a
+// shift-and-mask of a general-purpose register, and the round loop has
+// a constant trip count with no bounds checks, so the chain stays in
+// registers: four separate `u32` columns instead tempt LLVM's SLP
+// vectorizer into packing them into one vector and fetching the 16
+// lookups of a round with `vpgatherdd`, which is slower than scalar
+// loads. The one rotating 1 KiB `Te`/`Td` table stays, so the on-SoC
+// table accounting (Table 4) is unchanged.
+
+/// Byte `n` (0 = least significant) of `x`, as a table index.
+#[inline(always)]
+fn byte(x: u64, n: u32) -> usize {
+    ((x >> (8 * n)) & 0xff) as usize
 }
 
-fn store_columns(s: &[u32; 4], block: &mut Block) {
-    for (c, word) in s.iter().enumerate() {
-        block[4 * c..4 * c + 4].copy_from_slice(&word.to_be_bytes());
+/// Round key `round` as the two state halves it is XORed into.
+#[inline(always)]
+fn round_key<const W: usize>(rk: &[u32; W], round: usize) -> (u64, u64) {
+    let k = &rk[4 * round..4 * round + 4];
+    (
+        (u64::from(k[0]) << 32) | u64::from(k[1]),
+        (u64::from(k[2]) << 32) | u64::from(k[3]),
+    )
+}
+
+fn load_halves(block: &Block) -> (u64, u64) {
+    let (hi, lo) = block.split_at(8);
+    (
+        u64::from_be_bytes(hi.try_into().expect("8 bytes")),
+        u64::from_be_bytes(lo.try_into().expect("8 bytes")),
+    )
+}
+
+fn store_halves(hi: u64, lo: u64, block: &mut Block) {
+    block[..8].copy_from_slice(&hi.to_be_bytes());
+    block[8..].copy_from_slice(&lo.to_be_bytes());
+}
+
+/// Two output columns in one half: `(a << 32) | b`.
+#[inline(always)]
+fn join(a: u32, b: u32) -> u64 {
+    (u64::from(a) << 32) | u64::from(b)
+}
+
+#[inline(always)]
+fn encrypt_rounds<const W: usize>(rk: &[u32; W], block: &mut Block) {
+    let te = tables::te();
+    let sb = sbox::sbox();
+    let rounds = W / 4 - 1;
+    let (mut h, mut l) = load_halves(block);
+    let (k0, k1) = round_key(rk, 0);
+    h ^= k0;
+    l ^= k1;
+
+    // Output column `c` reads row 0 of column `c`, row 1 of `c + 1`, row
+    // 2 of `c + 2` and row 3 of `c + 3`; column 0 is the top word of `h`
+    // and row 0 the top byte of a column.
+    let t = |i: usize, rot: u32| te[i].rotate_right(rot);
+    let mix = |h: u64, l: u64| {
+        let c0 = t(byte(h, 7), 0) ^ t(byte(h, 2), 8) ^ t(byte(l, 5), 16) ^ t(byte(l, 0), 24);
+        let c1 = t(byte(h, 3), 0) ^ t(byte(l, 6), 8) ^ t(byte(l, 1), 16) ^ t(byte(h, 4), 24);
+        let c2 = t(byte(l, 7), 0) ^ t(byte(l, 2), 8) ^ t(byte(h, 5), 16) ^ t(byte(h, 0), 24);
+        let c3 = t(byte(l, 3), 0) ^ t(byte(h, 6), 8) ^ t(byte(h, 1), 16) ^ t(byte(l, 4), 24);
+        (join(c0, c1), join(c2, c3))
+    };
+    for round in 1..rounds {
+        let (m0, m1) = mix(h, l);
+        let (k0, k1) = round_key(rk, round);
+        (h, l) = (m0 ^ k0, m1 ^ k1);
     }
+    // Final round: SubBytes + ShiftRows + AddRoundKey (no MixColumns).
+    let s = |i: usize, n: u32| u32::from(sb[i]) << (8 * n);
+    let last = |h: u64, l: u64| {
+        let c0 = s(byte(h, 7), 3) | s(byte(h, 2), 2) | s(byte(l, 5), 1) | s(byte(l, 0), 0);
+        let c1 = s(byte(h, 3), 3) | s(byte(l, 6), 2) | s(byte(l, 1), 1) | s(byte(h, 4), 0);
+        let c2 = s(byte(l, 7), 3) | s(byte(l, 2), 2) | s(byte(h, 5), 1) | s(byte(h, 0), 0);
+        let c3 = s(byte(l, 3), 3) | s(byte(h, 6), 2) | s(byte(h, 1), 1) | s(byte(l, 4), 0);
+        (join(c0, c1), join(c2, c3))
+    };
+    let (m0, m1) = last(h, l);
+    let (k0, k1) = round_key(rk, rounds);
+    store_halves(m0 ^ k0, m1 ^ k1, block);
+}
+
+#[inline(always)]
+fn decrypt_rounds<const W: usize>(rk: &[u32; W], block: &mut Block) {
+    let td = tables::td();
+    let isb = sbox::inv_sbox();
+    let rounds = W / 4 - 1;
+    let (mut h, mut l) = load_halves(block);
+    let (k0, k1) = round_key(rk, 0);
+    h ^= k0;
+    l ^= k1;
+
+    // InvShiftRows: output column `c` reads row 0 of column `c`, row 1
+    // of `c + 3`, row 2 of `c + 2` and row 3 of `c + 1`.
+    let t = |i: usize, rot: u32| td[i].rotate_right(rot);
+    let mix = |h: u64, l: u64| {
+        let c0 = t(byte(h, 7), 0) ^ t(byte(l, 2), 8) ^ t(byte(l, 5), 16) ^ t(byte(h, 0), 24);
+        let c1 = t(byte(h, 3), 0) ^ t(byte(h, 6), 8) ^ t(byte(l, 1), 16) ^ t(byte(l, 4), 24);
+        let c2 = t(byte(l, 7), 0) ^ t(byte(h, 2), 8) ^ t(byte(h, 5), 16) ^ t(byte(l, 0), 24);
+        let c3 = t(byte(l, 3), 0) ^ t(byte(l, 6), 8) ^ t(byte(h, 1), 16) ^ t(byte(h, 4), 24);
+        (join(c0, c1), join(c2, c3))
+    };
+    for round in 1..rounds {
+        let (m0, m1) = mix(h, l);
+        let (k0, k1) = round_key(rk, round);
+        (h, l) = (m0 ^ k0, m1 ^ k1);
+    }
+    let s = |i: usize, n: u32| u32::from(isb[i]) << (8 * n);
+    let last = |h: u64, l: u64| {
+        let c0 = s(byte(h, 7), 3) | s(byte(l, 2), 2) | s(byte(l, 5), 1) | s(byte(h, 0), 0);
+        let c1 = s(byte(h, 3), 3) | s(byte(h, 6), 2) | s(byte(l, 1), 1) | s(byte(l, 4), 0);
+        let c2 = s(byte(l, 7), 3) | s(byte(h, 2), 2) | s(byte(h, 5), 1) | s(byte(l, 0), 0);
+        let c3 = s(byte(l, 3), 3) | s(byte(l, 6), 2) | s(byte(h, 1), 1) | s(byte(h, 4), 0);
+        (join(c0, c1), join(c2, c3))
+    };
+    let (m0, m1) = last(h, l);
+    let (k0, k1) = round_key(rk, rounds);
+    store_halves(m0 ^ k0, m1 ^ k1, block);
 }
 
 /// Reference AES: a direct transcription of the FIPS-197 round steps.

@@ -36,7 +36,7 @@ use std::sync::OnceLock;
 
 use crate::bitslice::{BitslicedAes, PAR_BLOCKS};
 use crate::block::{Aes, Block};
-use crate::modes::cbc_chain_lanes;
+use crate::modes::xor_block;
 use crate::BLOCK_SIZE;
 
 /// The smallest group of messages [`Cmac::mac_extents`] runs on the
@@ -46,10 +46,9 @@ use crate::BLOCK_SIZE;
 /// live, so a group of `n` messages runs at about `n/16` of the
 /// full-width rate, while the table-driven scalar chain runs at about a
 /// quarter of it. `exp_aes_kernels` measures the lane path against the
-/// scalar chain over 4 KiB pages (`BENCH_aes_kernels.json`): 4.9×, 2.4×,
-/// 1.25×, 1.00× and 0.56× at 16, 8, 4, 3 and 2 messages per group. Four
-/// is the smallest group that beats the scalar chain; three only breaks
-/// even.
+/// scalar chain over 4 KiB pages (`BENCH_aes_kernels.json`): 4.1×, 2.2×,
+/// 1.18×, 0.93× and 0.59× at 16, 8, 4, 3 and 2 messages per group. Four
+/// is the smallest group that beats the scalar chain; three loses to it.
 pub const MIN_LANE_MESSAGES: usize = 4;
 
 /// Double a 128-bit value in GF(2^128) (the `dbl` of SP 800-38B §6.1).
@@ -65,12 +64,6 @@ fn dbl(block: &Block) -> Block {
         out[BLOCK_SIZE - 1] ^= 0x87;
     }
     out
-}
-
-fn xor_into(dst: &mut Block, src: &[u8]) {
-    for (d, s) in dst.iter_mut().zip(src.iter()) {
-        *d ^= *s;
-    }
 }
 
 /// The 64-bit truncation of a tag (most-significant bytes first, per
@@ -150,10 +143,10 @@ impl Cmac {
         let mut out = [0u8; BLOCK_SIZE];
         out[..tail.len()].copy_from_slice(tail);
         if tail.len() == BLOCK_SIZE {
-            xor_into(&mut out, &self.k1);
+            xor_block(&mut out, &self.k1);
         } else {
             out[tail.len()] = 0x80;
-            xor_into(&mut out, &self.k2);
+            xor_block(&mut out, &self.k2);
         }
         out
     }
@@ -167,23 +160,37 @@ impl Cmac {
     #[must_use]
     pub fn mac_parts(&self, parts: &[&[u8]]) -> Block {
         let mut x = [0u8; BLOCK_SIZE];
+        // The most recent (possibly final) block stays buffered so the
+        // subkey XOR can be applied before the last cipher call, per
+        // SP 800-38B step 6: a block is absorbed only once a byte after
+        // it has arrived.
         let mut buf = [0u8; BLOCK_SIZE];
         let mut buf_len = 0usize;
         for part in parts {
-            for &byte in *part {
-                // Keep the most recent (possibly final) block buffered so
-                // the subkey XOR can be applied before the last cipher
-                // call, per SP 800-38B step 6.
+            let mut rest = *part;
+            while !rest.is_empty() {
                 if buf_len == BLOCK_SIZE {
-                    xor_into(&mut x, &buf);
+                    xor_block(&mut x, &buf);
                     self.cipher.encrypt_block(&mut x);
                     buf_len = 0;
                 }
-                buf[buf_len] = byte;
-                buf_len += 1;
+                if buf_len == 0 {
+                    // Whole blocks with more input behind them go
+                    // straight into the chain.
+                    while rest.len() > BLOCK_SIZE {
+                        let (block, tail) = rest.split_at(BLOCK_SIZE);
+                        xor_block(&mut x, block.try_into().expect("a block"));
+                        self.cipher.encrypt_block(&mut x);
+                        rest = tail;
+                    }
+                }
+                let take = rest.len().min(BLOCK_SIZE - buf_len);
+                buf[buf_len..buf_len + take].copy_from_slice(&rest[..take]);
+                buf_len += take;
+                rest = &rest[take..];
             }
         }
-        xor_into(&mut x, &self.last_block(&buf[..buf_len]));
+        xor_block(&mut x, &self.last_block(&buf[..buf_len]));
         self.cipher.encrypt_block(&mut x);
         x
     }
@@ -276,13 +283,15 @@ impl Cmac {
             .collect();
         let mut chains = vec![[0u8; BLOCK_SIZE]; tweaks.len()];
         let lens = vec![blocks; tweaks.len()];
-        cbc_chain_lanes(lanes, &mut chains, &lens, |i, j, x| {
+        lanes.encrypt_chains(&mut chains, &lens, false, |i, j, _| {
             if j + 1 == blocks {
-                xor_into(x, &lasts[i]);
+                lasts[i]
             } else if j == 0 {
-                xor_into(x, &tweaks[i]);
+                tweaks[i]
             } else {
-                xor_into(x, &extent(i)[(j - 1) * BLOCK_SIZE..j * BLOCK_SIZE]);
+                extent(i)[(j - 1) * BLOCK_SIZE..j * BLOCK_SIZE]
+                    .try_into()
+                    .expect("block")
             }
         });
         chains

@@ -284,54 +284,10 @@ pub fn ecb_decrypt<C: BlockCipher>(cipher: &C, data: &mut [u8]) {
 pub fn cbc_encrypt<C: BlockCipher>(cipher: &C, iv: &Block, data: &mut [u8]) {
     check_aligned(data);
     let mut chain = *iv;
-    for chunk in data.chunks_exact_mut(BLOCK_SIZE) {
-        for (b, c) in chunk.iter_mut().zip(chain.iter()) {
-            *b ^= c;
-        }
-        let block: &mut Block = chunk.try_into().expect("chunk is block sized");
+    for block in data.as_chunks_mut::<BLOCK_SIZE>().0 {
+        xor_block(block, &chain);
         cipher.encrypt_block(block);
         chain = *block;
-    }
-}
-
-/// The lane loop under every batch of independent CBC-style chains:
-/// [`cbc_encrypt_batch`] and the multi-message CMAC
-/// ([`crate::mac::Cmac::mac_extents`]).
-///
-/// Chain `i` runs `lens[i]` blocks starting from the value `chains[i]`.
-/// For block `j` of chain `i`, `feed(i, j, x)` is handed the chain value
-/// `x` (the previous block's output, or the start value when `j == 0`)
-/// and XORs that block's input into it; block position `j` of up to
-/// [`BlockCipherBatch::batch_width`] chains then goes through one
-/// `encrypt_blocks` call. Chains of different lengths share a group;
-/// shorter ones drop out of the batch once exhausted. On return
-/// `chains[i]` holds chain `i`'s last output block.
-pub(crate) fn cbc_chain_lanes<C: BlockCipherBatch>(
-    cipher: &C,
-    chains: &mut [Block],
-    lens: &[usize],
-    mut feed: impl FnMut(usize, usize, &mut Block),
-) {
-    assert_eq!(chains.len(), lens.len(), "one length per chain");
-    let width = cipher.batch_width().clamp(1, SCRATCH_BLOCKS);
-    let mut scratch = [[0u8; BLOCK_SIZE]; SCRATCH_BLOCKS];
-    let mut live = [0usize; SCRATCH_BLOCKS];
-    for start in (0..chains.len()).step_by(width) {
-        let end = (start + width).min(chains.len());
-        let max_blocks = lens[start..end].iter().copied().max().unwrap_or(0);
-        for j in 0..max_blocks {
-            let mut n = 0;
-            for i in (start..end).filter(|&i| j < lens[i]) {
-                scratch[n] = chains[i];
-                feed(i, j, &mut scratch[n]);
-                live[n] = i;
-                n += 1;
-            }
-            cipher.encrypt_blocks(&mut scratch[..n]);
-            for (out, &i) in scratch[..n].iter().zip(&live[..n]) {
-                chains[i] = *out;
-            }
-        }
     }
 }
 
@@ -343,10 +299,11 @@ pub(crate) fn cbc_chain_lanes<C: BlockCipherBatch>(
 /// loses to the scalar one on single-page `cbc_encrypt`. But chains from
 /// *different* buffers are independent, so this routine runs block
 /// position `j` of up to [`BlockCipherBatch::batch_width`] buffers through
-/// one `encrypt_blocks` call, keeping all 16 bitsliced lanes busy. Buffers
-/// may have different (block-aligned) lengths; shorter ones simply drop
-/// out of the batch once exhausted. Byte-identical to calling
-/// [`cbc_encrypt`] on each buffer separately, for every backend.
+/// one kernel call ([`BlockCipherBatch::encrypt_chains`]), keeping all 16
+/// bitsliced lanes busy. Buffers may have different (block-aligned)
+/// lengths; shorter ones simply drop out of the batch once exhausted.
+/// Byte-identical to calling [`cbc_encrypt`] on each buffer separately,
+/// for every backend.
 ///
 /// # Panics
 ///
@@ -372,16 +329,13 @@ pub fn cbc_encrypt_batch<C: BlockCipherBatch>(
     let mut chains = ivs.to_vec();
     let lens: Vec<usize> = buffers.iter().map(|b| b.len() / BLOCK_SIZE).collect();
     // The chain value handed in for block `j` is ciphertext block `j-1`:
-    // store it, then fold in plaintext block `j`.
-    cbc_chain_lanes(cipher, &mut chains, &lens, |i, j, x| {
+    // store it, then hand over plaintext block `j`.
+    cipher.encrypt_chains(&mut chains, &lens, true, |i, j, prev| {
         let off = j * BLOCK_SIZE;
         if j > 0 {
-            buffers[i][off - BLOCK_SIZE..off].copy_from_slice(x);
+            buffers[i][off - BLOCK_SIZE..off].copy_from_slice(prev.expect("every block"));
         }
-        xor_block(
-            x,
-            buffers[i][off..off + BLOCK_SIZE].try_into().expect("block"),
-        );
+        buffers[i][off..off + BLOCK_SIZE].try_into().expect("block")
     });
     // Each chain's final output is its last ciphertext block.
     for ((buf, last), len) in buffers.iter_mut().zip(&chains).zip(lens) {
@@ -436,10 +390,7 @@ pub fn cbc_decrypt<C: BlockCipherBatch>(cipher: &C, iv: &Block, data: &mut [u8])
         saved[..n].copy_from_slice(chunk);
         cipher.decrypt_blocks(chunk);
         for (i, block) in chunk.iter_mut().enumerate() {
-            let prev = if i == 0 { &chain } else { &saved[i - 1] };
-            for (b, p) in block.iter_mut().zip(prev.iter()) {
-                *b ^= p;
-            }
+            xor_block(block, if i == 0 { &chain } else { &saved[i - 1] });
         }
         chain = saved[n - 1];
     }
@@ -485,9 +436,7 @@ pub fn cbc_decrypt_extents<C: BlockCipherBatch>(cipher: &C, ivs: &[[u8; 16]], da
             } else {
                 &saved[i - 1]
             };
-            for (b, p) in block.iter_mut().zip(prev.iter()) {
-                *b ^= p;
-            }
+            xor_block(block, prev);
         }
         carry = saved[n - 1];
     }
@@ -525,38 +474,31 @@ pub fn ctr_xor<C: BlockCipherBatch>(
 
 /// Multiply an element of GF(2^128) by `x` (the XTS tweak step), using
 /// the IEEE P1619 convention: byte 0 holds the lowest-order coefficients,
-/// the carry shifts out of byte 15's MSB, and the reduction polynomial
+/// so the tweak block read as a little-endian `u128` is the polynomial.
+/// The carry shifts out of byte 15's MSB and the reduction polynomial
 /// `x^128 + x^7 + x^2 + x + 1` feeds back as `0x87` into byte 0.
-fn xts_mul_alpha(t: &mut [u8; 16]) {
-    let mut carry = 0u8;
-    for b in t.iter_mut() {
-        let next = *b >> 7;
-        *b = (*b << 1) | carry;
-        carry = next;
-    }
-    if carry != 0 {
-        t[0] ^= 0x87;
-    }
+fn xts_mul_alpha(t: u128) -> u128 {
+    (t << 1) ^ ((t >> 127) * 0x87)
 }
 
-fn xor_block(block: &mut Block, mask: &Block) {
-    for (b, m) in block.iter_mut().zip(mask.iter()) {
-        *b ^= m;
-    }
+/// XOR `mask` into `block`.
+pub(crate) fn xor_block(block: &mut Block, mask: &Block) {
+    *block = (u128::from_ne_bytes(*block) ^ u128::from_ne_bytes(*mask)).to_ne_bytes();
 }
 
 /// The shared XTS data path: given the already-encrypted tweak `t0`,
 /// walk the GF(2^128) tweak chain (serial but cipher-free, a shift and a
 /// conditional XOR per block) and run the actual block cipher
 /// `SCRATCH_BLOCKS` at a time. Every lane fills in both directions.
-fn xts_apply<C: BlockCipherBatch>(cipher: &C, encrypt: bool, mut t: Block, data: &mut [u8]) {
+fn xts_apply<C: BlockCipherBatch>(cipher: &C, encrypt: bool, t0: Block, data: &mut [u8]) {
     let (blocks, _) = data.as_chunks_mut::<BLOCK_SIZE>();
     let mut tweaks = [[0u8; BLOCK_SIZE]; SCRATCH_BLOCKS];
+    let mut t = u128::from_le_bytes(t0);
     for chunk in blocks.chunks_mut(SCRATCH_BLOCKS) {
         let n = chunk.len();
         for tw in tweaks[..n].iter_mut() {
-            *tw = t;
-            xts_mul_alpha(&mut t);
+            *tw = t.to_le_bytes();
+            t = xts_mul_alpha(t);
         }
         for (block, tw) in chunk.iter_mut().zip(&tweaks) {
             xor_block(block, tw);
@@ -671,16 +613,16 @@ pub fn xts_crypt_extents<C: BlockCipherBatch>(
 
     let (blocks, _) = data.as_chunks_mut::<BLOCK_SIZE>();
     let mut tweaks = [[0u8; BLOCK_SIZE]; SCRATCH_BLOCKS];
-    let mut t = [0u8; BLOCK_SIZE];
+    let mut t = 0u128;
     for (chunk_no, chunk) in blocks.chunks_mut(SCRATCH_BLOCKS).enumerate() {
         let n = chunk.len();
         for (i, tw) in tweaks[..n].iter_mut().enumerate() {
             let global = chunk_no * SCRATCH_BLOCKS + i;
             if global.is_multiple_of(blocks_per_unit) {
-                t = bases[global / blocks_per_unit];
+                t = u128::from_le_bytes(bases[global / blocks_per_unit]);
             }
-            *tw = t;
-            xts_mul_alpha(&mut t);
+            *tw = t.to_le_bytes();
+            t = xts_mul_alpha(t);
         }
         for (block, tw) in chunk.iter_mut().zip(&tweaks) {
             xor_block(block, tw);
@@ -696,15 +638,11 @@ pub fn xts_crypt_extents<C: BlockCipherBatch>(
     }
 }
 
-/// Increment a full 16-byte counter block, big-endian (the NIST
-/// SP 800-38A standard incrementing function over all 128 bits).
-fn ctr_increment(block: &mut Block) {
-    for b in block.iter_mut().rev() {
-        *b = b.wrapping_add(1);
-        if *b != 0 {
-            break;
-        }
-    }
+/// The counter block after `counter`, which is a full 16-byte block read
+/// big-endian (the NIST SP 800-38A standard incrementing function over
+/// all 128 bits, wrapping at 2^128).
+fn ctr_increment(counter: u128) -> u128 {
+    counter.wrapping_add(1)
 }
 
 /// Encrypt or decrypt `data` in place in CTR mode, treating the full
@@ -720,13 +658,13 @@ fn ctr_increment(block: &mut Block) {
 /// independent, so all lanes fill; arbitrary (non-block-aligned) lengths
 /// are handled.
 pub fn ctr_crypt<C: BlockCipherBatch>(cipher: &C, iv: &[u8; 16], data: &mut [u8]) {
-    let mut counter = *iv;
+    let mut counter = u128::from_be_bytes(*iv);
     let mut ks = [[0u8; BLOCK_SIZE]; SCRATCH_BLOCKS];
     for chunk in data.chunks_mut(SCRATCH_BLOCKS * BLOCK_SIZE) {
         let nblocks = chunk.len().div_ceil(BLOCK_SIZE);
         for k in ks[..nblocks].iter_mut() {
-            *k = counter;
-            ctr_increment(&mut counter);
+            *k = counter.to_be_bytes();
+            counter = ctr_increment(counter);
         }
         cipher.encrypt_blocks(&mut ks[..nblocks]);
         for (b, k) in chunk.iter_mut().zip(ks.iter().flatten()) {
@@ -755,16 +693,16 @@ pub fn ctr_crypt_extents<C: BlockCipherBatch>(cipher: &C, ivs: &[[u8; 16]], data
     let blocks_per_unit = unit / BLOCK_SIZE;
     let (blocks, _) = data.as_chunks_mut::<BLOCK_SIZE>();
     let mut ks = [[0u8; BLOCK_SIZE]; SCRATCH_BLOCKS];
-    let mut counter = [0u8; BLOCK_SIZE];
+    let mut counter = 0u128;
     for (chunk_no, chunk) in blocks.chunks_mut(SCRATCH_BLOCKS).enumerate() {
         let n = chunk.len();
         for (i, k) in ks[..n].iter_mut().enumerate() {
             let global = chunk_no * SCRATCH_BLOCKS + i;
             if global.is_multiple_of(blocks_per_unit) {
-                counter = ivs[global / blocks_per_unit];
+                counter = u128::from_be_bytes(ivs[global / blocks_per_unit]);
             }
-            *k = counter;
-            ctr_increment(&mut counter);
+            *k = counter.to_be_bytes();
+            counter = ctr_increment(counter);
         }
         cipher.encrypt_blocks(&mut ks[..n]);
         for (block, k) in chunk.iter_mut().zip(&ks) {
@@ -1029,22 +967,21 @@ mod tests {
 
     #[test]
     fn xts_mul_alpha_matches_p1619_convention() {
+        let double = |t: [u8; 16]| xts_mul_alpha(u128::from_le_bytes(t)).to_le_bytes();
         // x * 1 = x: bit 1 of byte 0.
         let mut t = [0u8; 16];
         t[0] = 1;
-        xts_mul_alpha(&mut t);
-        assert_eq!(t[0], 2);
+        assert_eq!(double(t)[0], 2);
         // Carry out of byte 15's MSB reduces with 0x87 into byte 0.
         let mut t = [0u8; 16];
         t[15] = 0x80;
-        xts_mul_alpha(&mut t);
         let mut expect = [0u8; 16];
         expect[0] = 0x87;
-        assert_eq!(t, expect);
+        assert_eq!(double(t), expect);
         // Cross-byte carry: byte 0's MSB moves into byte 1's LSB.
         let mut t = [0u8; 16];
         t[0] = 0x80;
-        xts_mul_alpha(&mut t);
+        let t = double(t);
         assert_eq!(t[0], 0);
         assert_eq!(t[1], 1);
     }

@@ -53,24 +53,18 @@ pub struct MemPath<'a> {
     pub costs: &'a CostModel,
 }
 
-#[derive(Debug, Clone, Copy)]
+/// A line's payload. Its tag and valid bit live in the set's tag array
+/// ([`Pl310`]'s `tags`), so a lookup reads one host cache line of tags
+/// instead of every way's line.
+#[derive(Debug, Clone, Copy, Default)]
 struct Line {
-    valid: bool,
     dirty: bool,
-    tag: u64,
     data: [u8; LINE_SIZE],
 }
 
-impl Default for Line {
-    fn default() -> Self {
-        Line {
-            valid: false,
-            dirty: false,
-            tag: 0,
-            data: [0u8; LINE_SIZE],
-        }
-    }
-}
+/// The tag-array entry of an invalid line. Real tags are line addresses
+/// divided by [`NUM_SETS`], so they never reach it.
+const INVALID: u64 = u64::MAX;
 
 /// Running hit/miss/traffic statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -87,6 +81,8 @@ pub struct CacheStats {
 
 /// The PL310 L2 cache controller and its data arrays.
 pub struct Pl310 {
+    /// Per set, each way's tag, or [`INVALID`].
+    tags: Vec<[u64; NUM_WAYS]>,
     lines: Vec<Line>,
     alloc_mask: u8,
     flush_mask: u8,
@@ -118,6 +114,7 @@ impl Pl310 {
     #[must_use]
     pub fn new() -> Self {
         Pl310 {
+            tags: vec![[INVALID; NUM_WAYS]; NUM_SETS],
             lines: vec![Line::default(); NUM_SETS * NUM_WAYS],
             alloc_mask: ALL_WAYS,
             flush_mask: ALL_WAYS,
@@ -190,10 +187,7 @@ impl Pl310 {
     #[must_use]
     pub fn lookup_way(&self, addr: u64) -> Option<usize> {
         let (set, tag) = Self::set_and_tag(addr);
-        (0..NUM_WAYS).find(|&w| {
-            let line = &self.lines[Self::idx(set, w)];
-            line.valid && line.tag == tag
-        })
+        self.tags[set].iter().position(|&t| t == tag)
     }
 
     /// Number of valid lines currently resident in `way`.
@@ -204,9 +198,7 @@ impl Pl310 {
     #[must_use]
     pub fn valid_lines_in_way(&self, way: usize) -> usize {
         assert!(way < NUM_WAYS);
-        (0..NUM_SETS)
-            .filter(|&s| self.lines[Self::idx(s, way)].valid)
-            .count()
+        self.tags.iter().filter(|t| t[way] != INVALID).count()
     }
 
     /// CPU read of `buf.len()` bytes at `addr` through the cache.
@@ -260,8 +252,6 @@ impl Pl310 {
                         // No way is allocatable: perform the access
                         // uncached, directly against DRAM.
                         self.stats.uncached += 1;
-                        let base = addr - line_off as u64;
-                        let _ = base;
                         self.uncached_span(addr, buf_off, n, buf, path);
                         return;
                     }
@@ -287,14 +277,8 @@ impl Pl310 {
             return None;
         }
         // Prefer an invalid enabled way.
-        let enabled = (0..NUM_WAYS).filter(|&w| self.alloc_mask & (1 << w) != 0);
-        let mut victim = None;
-        for w in enabled {
-            if !self.lines[Self::idx(set, w)].valid {
-                victim = Some(w);
-                break;
-            }
-        }
+        let victim = (0..NUM_WAYS)
+            .find(|&w| self.alloc_mask & (1 << w) != 0 && self.tags[set][w] == INVALID);
         let way = victim.unwrap_or_else(|| {
             // Round-robin over enabled ways.
             let mut v = self.victims[set] as usize;
@@ -325,18 +309,16 @@ impl Pl310 {
             &data,
         );
 
-        let line = &mut self.lines[Self::idx(set, way)];
-        line.valid = true;
-        line.dirty = false;
-        line.tag = tag;
-        line.data = data;
+        self.tags[set][way] = tag;
+        self.lines[Self::idx(set, way)] = Line { dirty: false, data };
         Some(way)
     }
 
     fn evict_line(&mut self, set: usize, way: usize, path: &mut MemPath<'_>) {
+        let tag = std::mem::replace(&mut self.tags[set][way], INVALID);
         let line = &mut self.lines[Self::idx(set, way)];
-        if line.valid && line.dirty {
-            let base = Self::line_base(set, line.tag);
+        if tag != INVALID && line.dirty {
+            let base = Self::line_base(set, tag);
             if path.dram.contains(base, LINE_SIZE) {
                 path.dram.write(base, &line.data);
             }
@@ -350,8 +332,6 @@ impl Pl310 {
             );
             self.stats.writebacks += 1;
         }
-        let line = &mut self.lines[Self::idx(set, way)];
-        line.valid = false;
         line.dirty = false;
     }
 
@@ -419,7 +399,9 @@ impl Pl310 {
             }
             path.clock.advance(path.costs.cache_flush_way_ns);
             for set in 0..NUM_SETS {
-                self.evict_line(set, way, path);
+                if self.tags[set][way] != INVALID {
+                    self.evict_line(set, way, path);
+                }
             }
         }
     }
@@ -432,9 +414,8 @@ impl Pl310 {
         let (set, _) = Self::set_and_tag(addr);
         match self.lookup_way(addr) {
             Some(way) => {
-                let line = &mut self.lines[Self::idx(set, way)];
-                line.valid = false;
-                line.dirty = false;
+                self.tags[set][way] = INVALID;
+                self.lines[Self::idx(set, way)].dirty = false;
                 true
             }
             None => false,
@@ -446,9 +427,8 @@ impl Pl310 {
     /// them), and reset masks. Matches the firmware behaviour that makes
     /// locked-cache contents unrecoverable by cold boot (§4.3).
     pub fn power_on_reset(&mut self) {
-        for line in &mut self.lines {
-            *line = Line::default();
-        }
+        self.tags.fill([INVALID; NUM_WAYS]);
+        self.lines.fill(Line::default());
         self.alloc_mask = ALL_WAYS;
         self.flush_mask = ALL_WAYS;
         self.victims.fill(0);
@@ -460,11 +440,13 @@ impl Pl310 {
     #[must_use]
     pub fn dump_way(&self, way: usize) -> Vec<(u64, [u8; LINE_SIZE])> {
         assert!(way < NUM_WAYS);
-        (0..NUM_SETS)
-            .filter_map(|set| {
-                let line = &self.lines[Self::idx(set, way)];
-                line.valid
-                    .then(|| (Self::line_base(set, line.tag), line.data))
+        self.tags
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| t[way] != INVALID)
+            .map(|(set, t)| {
+                let data = self.lines[Self::idx(set, way)].data;
+                (Self::line_base(set, t[way]), data)
             })
             .collect()
     }
