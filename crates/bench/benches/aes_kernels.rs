@@ -7,7 +7,7 @@
 //! cost instead.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use sentry_crypto::modes::{cbc_decrypt, cbc_encrypt, ctr_xor};
+use sentry_crypto::modes::{cbc_decrypt, cbc_encrypt, ctr_crypt};
 use sentry_crypto::{Aes, BitslicedAes};
 
 const PAGE: usize = 4096;
@@ -38,8 +38,8 @@ fn bench_kernels(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("ctr", backend), &backend, |b, &be| {
             b.iter_with_setup(mk_page, |mut page| match be {
-                "table" => ctr_xor(&aes, &[1u8; 8], 0, &mut page),
-                _ => ctr_xor(&bits, &[1u8; 8], 0, &mut page),
+                "table" => ctr_crypt(&aes, &iv, &mut page),
+                _ => ctr_crypt(&bits, &iv, &mut page),
             });
         });
     }

@@ -10,8 +10,9 @@
 //!
 //! The scalar contexts implement the trait by looping, which keeps every
 //! mode byte-identical across backends: a batch is *defined* as the
-//! concatenation of independent single-block operations (ECB over the
-//! batch; chaining belongs to [`crate::modes`]).
+//! concatenation of independent single-block operations (chaining
+//! belongs to [`crate::modes`] and to the lane loop
+//! [`BlockCipherBatch::encrypt_chains`]).
 
 use crate::bitslice::{BitslicedAes, PAR_BLOCKS};
 use crate::block::{Aes, AesRef, Block};
@@ -39,52 +40,38 @@ pub trait BlockCipherBatch: BlockCipher {
     }
 
     /// The lane loop under every batch of independent CBC-style chains:
-    /// [`crate::modes::cbc_encrypt_batch`] and the multi-message CMAC
+    /// [`crate::modes::cbc_encrypt_extents`] and the multi-message CMAC
     /// ([`crate::mac::Cmac::mac_extents`]).
     ///
-    /// Chain `i` runs `lens[i]` blocks from the start value `chains[i]`:
-    /// block `j` enciphers the chain value XOR `feed(i, j, prev)`, the
-    /// chain's message block `j`. `prev` is the chain value entering
-    /// block `j` (the start value, or block `j - 1`'s output) when
-    /// `every_block` is set, and `None` otherwise. On return `chains[i]`
-    /// holds chain `i`'s last output block.
+    /// Every chain runs `blocks` blocks; chain `i` starts from
+    /// `chains[i]`, and its block `j` enciphers the chain value XOR
+    /// `feed(i, j, prev)`, the chain's message block `j`. `prev` is the
+    /// chain value entering block `j` (the start value, or block `j - 1`'s
+    /// output) when `every_block` is set, and `None` otherwise. On return
+    /// `chains[i]` holds chain `i`'s last output block.
     ///
     /// Block position `j` of up to [`BlockCipherBatch::batch_width`]
     /// chains goes through one [`BlockCipherBatch::encrypt_blocks`] call.
-    /// Chains of different lengths share a group; shorter ones drop out
-    /// once exhausted. The tracked (AES On SoC) kernels run this default,
-    /// whose per-step kernel calls are what their store trace charges;
-    /// the bitsliced context overrides it to keep the chains in bit
-    /// planes between steps.
-    fn encrypt_chains<F>(
-        &self,
-        chains: &mut [Block],
-        lens: &[usize],
-        every_block: bool,
-        mut feed: F,
-    ) where
+    /// The tracked (AES On SoC) kernels run this default, whose per-step
+    /// kernel calls are what their store trace charges; the bitsliced
+    /// context overrides it to keep the chains in bit planes between
+    /// steps.
+    fn encrypt_chains<F>(&self, chains: &mut [Block], blocks: usize, every_block: bool, mut feed: F)
+    where
         F: FnMut(usize, usize, Option<&Block>) -> Block,
         Self: Sized,
     {
-        assert_eq!(chains.len(), lens.len(), "one length per chain");
         let width = self.batch_width().clamp(1, 2 * PAR_BLOCKS);
         let mut scratch = [[0u8; BLOCK_SIZE]; 2 * PAR_BLOCKS];
-        let mut live = [0usize; 2 * PAR_BLOCKS];
-        for start in (0..chains.len()).step_by(width) {
-            let end = (start + width).min(chains.len());
-            let max_blocks = lens[start..end].iter().copied().max().unwrap_or(0);
-            for j in 0..max_blocks {
-                let mut n = 0;
-                for i in (start..end).filter(|&i| j < lens[i]) {
-                    scratch[n] = feed(i, j, every_block.then_some(&chains[i]));
-                    xor_block(&mut scratch[n], &chains[i]);
-                    live[n] = i;
-                    n += 1;
+        for (g, group) in chains.chunks_mut(width).enumerate() {
+            let n = group.len();
+            for j in 0..blocks {
+                for (lane, (s, chain)) in scratch.iter_mut().zip(group.iter()).enumerate() {
+                    *s = feed(g * width + lane, j, every_block.then_some(chain));
+                    xor_block(s, chain);
                 }
                 self.encrypt_blocks(&mut scratch[..n]);
-                for (out, &i) in scratch[..n].iter().zip(&live[..n]) {
-                    chains[i] = *out;
-                }
+                group.copy_from_slice(&scratch[..n]);
             }
         }
     }
@@ -131,11 +118,11 @@ impl BlockCipherBatch for BitslicedAes {
         PAR_BLOCKS
     }
 
-    fn encrypt_chains<F>(&self, chains: &mut [Block], lens: &[usize], every_block: bool, feed: F)
+    fn encrypt_chains<F>(&self, chains: &mut [Block], blocks: usize, every_block: bool, feed: F)
     where
         F: FnMut(usize, usize, Option<&Block>) -> Block,
     {
-        BitslicedAes::encrypt_chains(self, chains, lens, every_block, feed);
+        BitslicedAes::encrypt_chains(self, chains, blocks, every_block, feed);
     }
 }
 

@@ -821,49 +821,39 @@ impl BitslicedAes {
     /// Packing is linear, so XORing a packed message block into the
     /// packed chain state equals packing their XOR: each step packs only
     /// the incoming message blocks, folds them into the planes, and runs
-    /// the rounds. The planes are unpacked only where a chain value must
-    /// leave the lanes: before a step when `every_block` asks for it, and
-    /// after the step that ends a chain.
+    /// the rounds. The planes are unpacked only where chain values must
+    /// leave the lanes: before each later step when `every_block` asks
+    /// for them, and once after the last step.
     pub(crate) fn encrypt_chains<F>(
         &self,
         chains: &mut [Block],
-        lens: &[usize],
+        blocks: usize,
         every_block: bool,
         mut feed: F,
     ) where
         F: FnMut(usize, usize, Option<&Block>) -> Block,
     {
-        assert_eq!(chains.len(), lens.len(), "one length per chain");
-        for start in (0..chains.len()).step_by(PAR_BLOCKS) {
-            let end = (start + PAR_BLOCKS).min(chains.len());
-            let group = start..end;
+        for (g, group) in chains.chunks_mut(PAR_BLOCKS).enumerate() {
+            let n = group.len();
             let mut values = [[0u8; BLOCK_SIZE]; PAR_BLOCKS];
-            values[..group.len()].copy_from_slice(&chains[group.clone()]);
+            values[..n].copy_from_slice(group);
             let mut s = pack16(&values);
-            let max_blocks = lens[group.clone()].iter().copied().max().unwrap_or(0);
             let mut msgs = [[0u8; BLOCK_SIZE]; PAR_BLOCKS];
-            // Whether `values` holds the unpacked planes.
-            let mut unpacked = true;
-            for j in 0..max_blocks {
-                if every_block && !unpacked {
+            for j in 0..blocks {
+                if every_block && j > 0 {
                     unpack16(&s, &mut values);
                 }
-                for (lane, i) in group.clone().enumerate() {
-                    if j < lens[i] {
-                        msgs[lane] = feed(i, j, every_block.then_some(&values[lane]));
-                    }
+                for (lane, msg) in msgs[..n].iter_mut().enumerate() {
+                    *msg = feed(
+                        g * PAR_BLOCKS + lane,
+                        j,
+                        every_block.then_some(&values[lane]),
+                    );
                 }
                 absorb16(&self.enc, &mut s, &msgs);
-                unpacked = group.clone().any(|i| lens[i] == j + 1);
-                if unpacked {
-                    unpack16(&s, &mut values);
-                    for (lane, i) in group.clone().enumerate() {
-                        if lens[i] == j + 1 {
-                            chains[i] = values[lane];
-                        }
-                    }
-                }
             }
+            unpack16(&s, &mut values);
+            group.copy_from_slice(&values[..n]);
         }
     }
 

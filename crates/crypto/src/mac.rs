@@ -46,9 +46,12 @@ use crate::BLOCK_SIZE;
 /// live, so a group of `n` messages runs at about `n/16` of the
 /// full-width rate, while the table-driven scalar chain runs at about a
 /// quarter of it. `exp_aes_kernels` measures the lane path against the
-/// scalar chain over 4 KiB pages (`BENCH_aes_kernels.json`): 4.1×, 2.2×,
-/// 1.18×, 0.93× and 0.59× at 16, 8, 4, 3 and 2 messages per group. Four
+/// scalar chain over 4 KiB pages (`BENCH_aes_kernels.json`): 4.0×, 2.0×,
+/// 1.04×, 0.76× and 0.49× at 16, 8, 4, 3 and 2 messages per group. Four
 /// is the smallest group that beats the scalar chain; three loses to it.
+/// The scalar chain's speed varies between processes on a shared host,
+/// so the four-message ratio moves (0.75–1.34× over six runs); three
+/// messages never reached 1×.
 pub const MIN_LANE_MESSAGES: usize = 4;
 
 /// Double a 128-bit value in GF(2^128) (the `dbl` of SP 800-38B §6.1).
@@ -282,8 +285,7 @@ impl Cmac {
             })
             .collect();
         let mut chains = vec![[0u8; BLOCK_SIZE]; tweaks.len()];
-        let lens = vec![blocks; tweaks.len()];
-        lanes.encrypt_chains(&mut chains, &lens, false, |i, j, _| {
+        lanes.encrypt_chains(&mut chains, blocks, false, |i, j, _| {
             if j + 1 == blocks {
                 lasts[i]
             } else if j == 0 {

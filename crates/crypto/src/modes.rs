@@ -1,4 +1,4 @@
-//! Block cipher modes of operation: ECB, CBC, XTS, and CTR.
+//! Block cipher modes of operation: CBC, XTS, and CTR.
 //!
 //! Sentry originally used CBC — the default AES mode on Android and Linux
 //! at the time of the paper — for both the encrypted-DRAM pager and
@@ -7,10 +7,17 @@
 //! runs it one lane out of sixteen. [`xts_encrypt`]/[`xts_decrypt`]
 //! (IEEE P1619) and [`ctr_crypt`] are the parallel per-page alternatives:
 //! every block is independent given a cheap GF(2^128) tweak chain (XTS) or
-//! a counter (CTR), so both directions fill every lane. All block-mode
-//! functions operate on whole blocks; callers (the pager works in 4 KiB
-//! pages, dm-crypt in 512-byte sectors) always supply block-aligned
-//! buffers. [`PageCipher`] is the keyed context the engines hold;
+//! a counter (CTR), so both directions fill every lane.
+//!
+//! Each mode's algorithm is written once, as a kernel over a run of
+//! equal-sized extents laid out back to back, each under its own IV:
+//! [`cbc_encrypt_extents`], [`cbc_decrypt_extents`], [`xts_crypt_extents`]
+//! and [`ctr_crypt_extents`], plus the scalar CBC chain [`cbc_encrypt`].
+//! The single-buffer calls ([`cbc_decrypt`], [`xts_encrypt`],
+//! [`xts_decrypt`], [`ctr_crypt`]) are one-extent calls of those kernels.
+//! The kernels take whole blocks — the pager works in 4 KiB pages,
+//! dm-crypt in 512-byte sectors — and only [`ctr_crypt`] also takes a
+//! ragged tail. [`PageCipher`] is the keyed context the engines hold;
 //! [`crypt_extents`] picks the kernel for each mode and direction, for
 //! it and for AES On SoC's store-bound kernels alike.
 
@@ -246,315 +253,9 @@ fn check_aligned(data: &[u8]) {
     );
 }
 
-/// Encrypt `data` in place in ECB mode.
-///
-/// ECB is provided for completeness and microbenchmarks only; it leaks
-/// equal-plaintext-block structure and is never used by Sentry proper.
-///
-/// # Panics
-///
-/// Panics if `data` is not block-aligned.
-pub fn ecb_encrypt<C: BlockCipher>(cipher: &C, data: &mut [u8]) {
-    check_aligned(data);
-    for chunk in data.chunks_exact_mut(BLOCK_SIZE) {
-        let block: &mut Block = chunk.try_into().expect("chunk is block sized");
-        cipher.encrypt_block(block);
-    }
-}
-
-/// Decrypt `data` in place in ECB mode.
-///
-/// # Panics
-///
-/// Panics if `data` is not block-aligned.
-pub fn ecb_decrypt<C: BlockCipher>(cipher: &C, data: &mut [u8]) {
-    check_aligned(data);
-    for chunk in data.chunks_exact_mut(BLOCK_SIZE) {
-        let block: &mut Block = chunk.try_into().expect("chunk is block sized");
-        cipher.decrypt_block(block);
-    }
-}
-
-/// Encrypt `data` in place in CBC mode with the given initialization
-/// vector.
-///
-/// # Panics
-///
-/// Panics if `data` is not block-aligned.
-pub fn cbc_encrypt<C: BlockCipher>(cipher: &C, iv: &Block, data: &mut [u8]) {
-    check_aligned(data);
-    let mut chain = *iv;
-    for block in data.as_chunks_mut::<BLOCK_SIZE>().0 {
-        xor_block(block, &chain);
-        cipher.encrypt_block(block);
-        chain = *block;
-    }
-}
-
-/// CBC-encrypt several *independent* buffers at once, the `i`-th chained
-/// from `ivs[i]`, filling the batch kernel's lanes with one chain each.
-///
-/// A single CBC encryption chain is inherently serial — block `j` cannot
-/// start until block `j-1` is done — which is why the bitsliced backend
-/// loses to the scalar one on single-page `cbc_encrypt`. But chains from
-/// *different* buffers are independent, so this routine runs block
-/// position `j` of up to [`BlockCipherBatch::batch_width`] buffers through
-/// one kernel call ([`BlockCipherBatch::encrypt_chains`]), keeping all 16
-/// bitsliced lanes busy. Buffers may have different (block-aligned)
-/// lengths; shorter ones simply drop out of the batch once exhausted.
-/// Byte-identical to calling [`cbc_encrypt`] on each buffer separately,
-/// for every backend.
-///
-/// # Panics
-///
-/// Panics if `ivs.len() != buffers.len()` or any buffer is not
-/// block-aligned.
-pub fn cbc_encrypt_batch<C: BlockCipherBatch>(
-    cipher: &C,
-    ivs: &[[u8; 16]],
-    buffers: &mut [&mut [u8]],
-) {
-    assert_eq!(ivs.len(), buffers.len(), "one IV per buffer");
-    for buf in buffers.iter() {
-        check_aligned(buf);
-    }
-    if cipher.batch_width() <= 1 {
-        // Scalar backend: lane-filling buys nothing, keep the fast
-        // serial-chain loop.
-        for (iv, buf) in ivs.iter().zip(buffers.iter_mut()) {
-            cbc_encrypt(cipher, iv, buf);
-        }
-        return;
-    }
-    let mut chains = ivs.to_vec();
-    let lens: Vec<usize> = buffers.iter().map(|b| b.len() / BLOCK_SIZE).collect();
-    // The chain value handed in for block `j` is ciphertext block `j-1`:
-    // store it, then hand over plaintext block `j`.
-    cipher.encrypt_chains(&mut chains, &lens, true, |i, j, prev| {
-        let off = j * BLOCK_SIZE;
-        if j > 0 {
-            buffers[i][off - BLOCK_SIZE..off].copy_from_slice(prev.expect("every block"));
-        }
-        buffers[i][off..off + BLOCK_SIZE].try_into().expect("block")
-    });
-    // Each chain's final output is its last ciphertext block.
-    for ((buf, last), len) in buffers.iter_mut().zip(&chains).zip(lens) {
-        if len > 0 {
-            buf[(len - 1) * BLOCK_SIZE..].copy_from_slice(last);
-        }
-    }
-}
-
-/// CBC-encrypt a run of consecutive equal-sized extents laid out
-/// back-to-back in `data`, the `i`-th chained from `ivs[i]`.
-///
-/// Encrypt-side counterpart of [`cbc_decrypt_extents`]: the extents are
-/// independent chains, so they are fanned across the batch kernel's lanes
-/// by [`cbc_encrypt_batch`]. This is what lets the pager's lock-time
-/// sweep and the lock path feed the bitsliced backend 16 pages' chains at once instead
-/// of one serial chain at a time. Byte-identical to encrypting each
-/// extent separately.
-///
-/// # Panics
-///
-/// Panics if `data` does not divide evenly into `ivs.len()` block-aligned
-/// extents (an empty `ivs` requires an empty `data`).
-pub fn cbc_encrypt_extents<C: BlockCipherBatch>(cipher: &C, ivs: &[[u8; 16]], data: &mut [u8]) {
-    let unit = extent_unit(ivs, data);
-    if unit == 0 {
-        return;
-    }
-    let mut buffers: Vec<&mut [u8]> = data.chunks_exact_mut(unit).collect();
-    cbc_encrypt_batch(cipher, ivs, &mut buffers);
-}
-
-/// Decrypt `data` in place in CBC mode with the given initialization
-/// vector.
-///
-/// CBC decryption is data-parallel — `pt[i] = D(ct[i]) ^ ct[i-1]` needs
-/// only two ciphertext blocks — so this drives the batch API: blocks are
-/// block-decrypted `SCRATCH_BLOCKS` at a time and the chaining XOR is
-/// applied afterwards from a saved copy of the ciphertext. Byte-identical
-/// to the serial formulation for every backend.
-///
-/// # Panics
-///
-/// Panics if `data` is not block-aligned.
-pub fn cbc_decrypt<C: BlockCipherBatch>(cipher: &C, iv: &Block, data: &mut [u8]) {
-    check_aligned(data);
-    let (blocks, _) = data.as_chunks_mut::<BLOCK_SIZE>();
-    let mut chain = *iv;
-    let mut saved = [[0u8; BLOCK_SIZE]; SCRATCH_BLOCKS];
-    for chunk in blocks.chunks_mut(SCRATCH_BLOCKS) {
-        let n = chunk.len();
-        saved[..n].copy_from_slice(chunk);
-        cipher.decrypt_blocks(chunk);
-        for (i, block) in chunk.iter_mut().enumerate() {
-            xor_block(block, if i == 0 { &chain } else { &saved[i - 1] });
-        }
-        chain = saved[n - 1];
-    }
-}
-
-/// CBC-decrypt a run of consecutive equal-sized extents laid out
-/// back-to-back in `data`, the `i`-th chained from `ivs[i]`.
-///
-/// Because CBC decryption needs only a ciphertext block and its
-/// predecessor (or, at an extent head, that extent's IV), the *entire
-/// multi-extent run* is data-parallel — the batch kernel streams across
-/// extent boundaries. That matters when the unit is smaller than the
-/// scratch: a 512-byte dm-crypt sector is 32 blocks, but a 4 KiB buffer
-/// cache block is 8 sectors decrypted here as one 256-block stream with
-/// no pipeline drain between sectors. Byte-identical to decrypting each
-/// extent separately.
-///
-/// # Panics
-///
-/// Panics if `data` does not divide evenly into `ivs.len()` block-aligned
-/// extents (an empty `ivs` requires an empty `data`).
-pub fn cbc_decrypt_extents<C: BlockCipherBatch>(cipher: &C, ivs: &[[u8; 16]], data: &mut [u8]) {
-    let unit = extent_unit(ivs, data);
-    if unit == 0 {
-        return;
-    }
-    let blocks_per_unit = unit / BLOCK_SIZE;
-    let (blocks, _) = data.as_chunks_mut::<BLOCK_SIZE>();
-    let mut saved = [[0u8; BLOCK_SIZE]; SCRATCH_BLOCKS];
-    // Last ciphertext block of the previous scratch chunk, for chains
-    // that straddle a chunk boundary.
-    let mut carry = [0u8; BLOCK_SIZE];
-    for (chunk_no, chunk) in blocks.chunks_mut(SCRATCH_BLOCKS).enumerate() {
-        let n = chunk.len();
-        saved[..n].copy_from_slice(chunk);
-        cipher.decrypt_blocks(chunk);
-        for (i, block) in chunk.iter_mut().enumerate() {
-            let global = chunk_no * SCRATCH_BLOCKS + i;
-            let prev = if global.is_multiple_of(blocks_per_unit) {
-                &ivs[global / blocks_per_unit]
-            } else if i == 0 {
-                &carry
-            } else {
-                &saved[i - 1]
-            };
-            xor_block(block, prev);
-        }
-        carry = saved[n - 1];
-    }
-}
-
-/// Encrypt or decrypt `data` in place in CTR mode (the operations are
-/// identical). The counter occupies the last 8 bytes of the nonce block,
-/// big-endian, starting from `initial_counter`.
-///
-/// Keystream blocks are independent, so they are generated
-/// `SCRATCH_BLOCKS` at a time through the batch API.
-///
-/// Unlike CBC, CTR handles arbitrary (non-block-aligned) lengths.
-pub fn ctr_xor<C: BlockCipherBatch>(
-    cipher: &C,
-    nonce: &[u8; 8],
-    initial_counter: u64,
-    data: &mut [u8],
-) {
-    let mut counter = initial_counter;
-    let mut ks = [[0u8; BLOCK_SIZE]; SCRATCH_BLOCKS];
-    for chunk in data.chunks_mut(SCRATCH_BLOCKS * BLOCK_SIZE) {
-        let nblocks = chunk.len().div_ceil(BLOCK_SIZE);
-        for k in ks[..nblocks].iter_mut() {
-            k[..8].copy_from_slice(nonce);
-            k[8..].copy_from_slice(&counter.to_be_bytes());
-            counter = counter.wrapping_add(1);
-        }
-        cipher.encrypt_blocks(&mut ks[..nblocks]);
-        for (b, k) in chunk.iter_mut().zip(ks.iter().flatten()) {
-            *b ^= k;
-        }
-    }
-}
-
-/// Multiply an element of GF(2^128) by `x` (the XTS tweak step), using
-/// the IEEE P1619 convention: byte 0 holds the lowest-order coefficients,
-/// so the tweak block read as a little-endian `u128` is the polynomial.
-/// The carry shifts out of byte 15's MSB and the reduction polynomial
-/// `x^128 + x^7 + x^2 + x + 1` feeds back as `0x87` into byte 0.
-fn xts_mul_alpha(t: u128) -> u128 {
-    (t << 1) ^ ((t >> 127) * 0x87)
-}
-
 /// XOR `mask` into `block`.
 pub(crate) fn xor_block(block: &mut Block, mask: &Block) {
     *block = (u128::from_ne_bytes(*block) ^ u128::from_ne_bytes(*mask)).to_ne_bytes();
-}
-
-/// The shared XTS data path: given the already-encrypted tweak `t0`,
-/// walk the GF(2^128) tweak chain (serial but cipher-free, a shift and a
-/// conditional XOR per block) and run the actual block cipher
-/// `SCRATCH_BLOCKS` at a time. Every lane fills in both directions.
-fn xts_apply<C: BlockCipherBatch>(cipher: &C, encrypt: bool, t0: Block, data: &mut [u8]) {
-    let (blocks, _) = data.as_chunks_mut::<BLOCK_SIZE>();
-    let mut tweaks = [[0u8; BLOCK_SIZE]; SCRATCH_BLOCKS];
-    let mut t = u128::from_le_bytes(t0);
-    for chunk in blocks.chunks_mut(SCRATCH_BLOCKS) {
-        let n = chunk.len();
-        for tw in tweaks[..n].iter_mut() {
-            *tw = t.to_le_bytes();
-            t = xts_mul_alpha(t);
-        }
-        for (block, tw) in chunk.iter_mut().zip(&tweaks) {
-            xor_block(block, tw);
-        }
-        if encrypt {
-            cipher.encrypt_blocks(chunk);
-        } else {
-            cipher.decrypt_blocks(chunk);
-        }
-        for (block, tw) in chunk.iter_mut().zip(&tweaks) {
-            xor_block(block, tw);
-        }
-    }
-}
-
-/// Encrypt `data` in place in XTS mode (IEEE P1619).
-///
-/// `tweak` is the data unit's 16-byte tweak value (Sentry: the page IV;
-/// dm-crypt: the sector IV), encrypted once under `tweak_cipher` to seed
-/// the per-block GF(2^128) doubling chain. IEEE P1619 splits the key as
-/// K1 ∥ K2 with independent schedules for data and tweak; Sentry's
-/// engines pass the same cipher for both (XEX-style single-key XTS), so
-/// the tracked full-simulation path — which owns exactly one keyed
-/// context — stays byte-identical to the fast path.
-///
-/// # Panics
-///
-/// Panics if `data` is not block-aligned.
-pub fn xts_encrypt<C: BlockCipherBatch>(
-    cipher: &C,
-    tweak_cipher: &impl BlockCipher,
-    tweak: &[u8; 16],
-    data: &mut [u8],
-) {
-    check_aligned(data);
-    let mut t0 = *tweak;
-    tweak_cipher.encrypt_block(&mut t0);
-    xts_apply(cipher, true, t0, data);
-}
-
-/// Decrypt `data` in place in XTS mode. See [`xts_encrypt`]; the tweak
-/// chain always uses the *encrypt* direction of `tweak_cipher`.
-///
-/// # Panics
-///
-/// Panics if `data` is not block-aligned.
-pub fn xts_decrypt<C: BlockCipherBatch>(
-    cipher: &C,
-    tweak_cipher: &impl BlockCipher,
-    tweak: &[u8; 16],
-    data: &mut [u8],
-) {
-    check_aligned(data);
-    let mut t0 = *tweak;
-    tweak_cipher.encrypt_block(&mut t0);
-    xts_apply(cipher, false, t0, data);
 }
 
 /// Validate the extent layout every `*_extents` kernel shares and return
@@ -580,16 +281,205 @@ pub fn extent_unit(ivs: &[[u8; 16]], data: &[u8]) -> usize {
     unit
 }
 
+/// The extent heads among blocks `start..start + n` of a run of
+/// `blocks_per_unit`-block extents: each head's offset from `start`, and
+/// the value its extent starts from (`ivs[i]` for extent `i`).
+fn heads_in(
+    ivs: &[Block],
+    blocks_per_unit: usize,
+    start: usize,
+    n: usize,
+) -> impl Iterator<Item = (usize, &Block)> {
+    (start.next_multiple_of(blocks_per_unit)..start + n)
+        .step_by(blocks_per_unit)
+        .map(move |g| (g - start, &ivs[g / blocks_per_unit]))
+}
+
+/// Encrypt `data` in place in CBC mode with the given initialization
+/// vector: the one serial chain, for a single extent with nothing to
+/// batch against.
+///
+/// # Panics
+///
+/// Panics if `data` is not block-aligned.
+pub fn cbc_encrypt<C: BlockCipher>(cipher: &C, iv: &Block, data: &mut [u8]) {
+    check_aligned(data);
+    let mut chain = *iv;
+    for block in data.as_chunks_mut::<BLOCK_SIZE>().0 {
+        xor_block(block, &chain);
+        cipher.encrypt_block(block);
+        chain = *block;
+    }
+}
+
+/// CBC-encrypt a run of consecutive equal-sized extents laid out
+/// back-to-back in `data`, the `i`-th chained from `ivs[i]`.
+///
+/// A single CBC encryption chain is inherently serial — block `j` cannot
+/// start until block `j-1` is done. But the extents are independent
+/// chains, so block position `j` of up to
+/// [`BlockCipherBatch::batch_width`] extents goes through one kernel call
+/// ([`BlockCipherBatch::encrypt_chains`]), keeping all 16 bitsliced lanes
+/// busy. This is what lets the pager's lock-time sweep and the lock path
+/// feed the bitsliced backend 16 pages' chains at once. A scalar backend
+/// (width 1) runs [`cbc_encrypt`] per extent instead. Byte-identical to
+/// encrypting each extent separately, for every backend.
+///
+/// # Panics
+///
+/// Panics if `data` does not divide evenly into `ivs.len()` block-aligned
+/// extents (an empty `ivs` requires an empty `data`).
+pub fn cbc_encrypt_extents<C: BlockCipherBatch>(cipher: &C, ivs: &[[u8; 16]], data: &mut [u8]) {
+    let unit = extent_unit(ivs, data);
+    if unit == 0 {
+        return;
+    }
+    if cipher.batch_width() <= 1 {
+        for (iv, extent) in ivs.iter().zip(data.chunks_exact_mut(unit)) {
+            cbc_encrypt(cipher, iv, extent);
+        }
+        return;
+    }
+    let blocks = unit / BLOCK_SIZE;
+    let (all, _) = data.as_chunks_mut::<BLOCK_SIZE>();
+    let mut chains = ivs.to_vec();
+    // The chain value handed in for block `j` is ciphertext block `j-1`:
+    // store it, then hand over plaintext block `j`.
+    cipher.encrypt_chains(&mut chains, blocks, true, |i, j, prev| {
+        let k = i * blocks + j;
+        if j > 0 {
+            all[k - 1] = *prev.expect("every block");
+        }
+        all[k]
+    });
+    // Each chain's final output is its last ciphertext block.
+    for (extent, last) in all.chunks_exact_mut(blocks).zip(&chains) {
+        extent[blocks - 1] = *last;
+    }
+}
+
+/// Decrypt `data` in place in CBC mode with the given initialization
+/// vector: [`cbc_decrypt_extents`] over one extent.
+///
+/// # Panics
+///
+/// Panics if `data` is not block-aligned.
+pub fn cbc_decrypt<C: BlockCipherBatch>(cipher: &C, iv: &Block, data: &mut [u8]) {
+    cbc_decrypt_extents(cipher, std::slice::from_ref(iv), data);
+}
+
+/// CBC-decrypt a run of consecutive equal-sized extents laid out
+/// back-to-back in `data`, the `i`-th chained from `ivs[i]`.
+///
+/// CBC decryption is data-parallel — `pt[i] = D(ct[i]) ^ ct[i-1]` needs
+/// only a ciphertext block and its predecessor (or, at an extent head,
+/// that extent's IV) — so blocks are block-decrypted `SCRATCH_BLOCKS` at a
+/// time and the chaining XOR is applied afterwards from a saved copy of
+/// the ciphertext. The batch kernel streams across extent boundaries:
+/// a 512-byte dm-crypt sector is 32 blocks, but a 4 KiB buffer cache
+/// block is 8 sectors decrypted here as one 256-block stream with no
+/// pipeline drain between sectors. Byte-identical to the serial
+/// formulation over each extent, for every backend.
+///
+/// # Panics
+///
+/// Panics if `data` does not divide evenly into `ivs.len()` block-aligned
+/// extents (an empty `ivs` requires an empty `data`).
+pub fn cbc_decrypt_extents<C: BlockCipherBatch>(cipher: &C, ivs: &[[u8; 16]], data: &mut [u8]) {
+    let unit = extent_unit(ivs, data);
+    if unit == 0 {
+        return;
+    }
+    let blocks_per_unit = unit / BLOCK_SIZE;
+    let (blocks, _) = data.as_chunks_mut::<BLOCK_SIZE>();
+    // `prev[i]` is what chunk block `i` chains from: the ciphertext block
+    // before it, or at an extent head the extent's IV. `prev[n]` carries
+    // the chunk's last ciphertext block into the next chunk.
+    let mut prev = [[0u8; BLOCK_SIZE]; SCRATCH_BLOCKS + 1];
+    for (c, chunk) in blocks.chunks_mut(SCRATCH_BLOCKS).enumerate() {
+        let n = chunk.len();
+        prev[1..=n].copy_from_slice(chunk);
+        for (h, iv) in heads_in(ivs, blocks_per_unit, c * SCRATCH_BLOCKS, n) {
+            prev[h] = *iv;
+        }
+        cipher.decrypt_blocks(chunk);
+        for (block, p) in chunk.iter_mut().zip(&prev) {
+            xor_block(block, p);
+        }
+        prev[0] = prev[n];
+    }
+}
+
+/// Multiply an element of GF(2^128) by `x` (the XTS tweak step), using
+/// the IEEE P1619 convention: byte 0 holds the lowest-order coefficients,
+/// so the tweak block read as a little-endian `u128` is the polynomial.
+/// The carry shifts out of byte 15's MSB and the reduction polynomial
+/// `x^128 + x^7 + x^2 + x + 1` feeds back as `0x87` into byte 0.
+fn xts_mul_alpha(t: u128) -> u128 {
+    (t << 1) ^ ((t >> 127) * 0x87)
+}
+
+/// Encrypt `data` in place in XTS mode (IEEE P1619):
+/// [`xts_crypt_extents`] over one extent.
+///
+/// `tweak` is the data unit's 16-byte tweak value (Sentry: the page IV;
+/// dm-crypt: the sector IV), encrypted once under `tweak_cipher` to seed
+/// the per-block GF(2^128) doubling chain. IEEE P1619 splits the key as
+/// K1 ∥ K2 with independent schedules for data and tweak; Sentry's
+/// engines pass the same cipher for both (XEX-style single-key XTS), so
+/// the tracked full-simulation path — which owns exactly one keyed
+/// context — stays byte-identical to the fast path.
+///
+/// # Panics
+///
+/// Panics if `data` is not block-aligned.
+pub fn xts_encrypt<C: BlockCipherBatch>(
+    cipher: &C,
+    tweak_cipher: &impl BlockCipherBatch,
+    tweak: &[u8; 16],
+    data: &mut [u8],
+) {
+    xts_crypt_extents(
+        cipher,
+        tweak_cipher,
+        true,
+        std::slice::from_ref(tweak),
+        data,
+    );
+}
+
+/// Decrypt `data` in place in XTS mode. See [`xts_encrypt`]; the tweak
+/// chain always uses the *encrypt* direction of `tweak_cipher`.
+///
+/// # Panics
+///
+/// Panics if `data` is not block-aligned.
+pub fn xts_decrypt<C: BlockCipherBatch>(
+    cipher: &C,
+    tweak_cipher: &impl BlockCipherBatch,
+    tweak: &[u8; 16],
+    data: &mut [u8],
+) {
+    xts_crypt_extents(
+        cipher,
+        tweak_cipher,
+        false,
+        std::slice::from_ref(tweak),
+        data,
+    );
+}
+
 /// XTS over a run of consecutive equal-sized extents laid out
 /// back-to-back in `data`, the `i`-th tweaked from `ivs[i]`; `encrypt`
 /// picks the direction (the tweak chain is direction-agnostic).
 ///
-/// Every block of every extent is independent, so the batch kernel
-/// streams across extent boundaries with no pipeline drain — a 512-byte
-/// dm-crypt sector is only 32 blocks, but 8 sectors of a 4 KiB buffer
-/// cache block run here as one 256-block stream. The per-extent tweak
-/// bases are themselves encrypted as one batched call. Byte-identical to
-/// ciphering each extent separately.
+/// The per-extent tweak bases are encrypted as one batched call; the
+/// GF(2^128) tweak chain after them is serial but cipher-free (a shift
+/// and a conditional XOR per block). Every block of every extent is then
+/// independent, so the batch kernel streams across extent boundaries
+/// with no pipeline drain — a 512-byte dm-crypt sector is only 32
+/// blocks, but 8 sectors of a 4 KiB buffer cache block run here as one
+/// 256-block stream. Byte-identical to ciphering each extent separately.
 ///
 /// # Panics
 ///
@@ -606,20 +496,19 @@ pub fn xts_crypt_extents<C: BlockCipherBatch>(
     if unit == 0 {
         return;
     }
-    let blocks_per_unit = unit / BLOCK_SIZE;
-    // Encrypt every extent's tweak base in one batched pass.
     let mut bases: Vec<Block> = ivs.to_vec();
     tweak_cipher.encrypt_blocks(&mut bases);
 
     let (blocks, _) = data.as_chunks_mut::<BLOCK_SIZE>();
+    let blocks_per_unit = unit / BLOCK_SIZE;
     let mut tweaks = [[0u8; BLOCK_SIZE]; SCRATCH_BLOCKS];
     let mut t = 0u128;
-    for (chunk_no, chunk) in blocks.chunks_mut(SCRATCH_BLOCKS).enumerate() {
+    for (c, chunk) in blocks.chunks_mut(SCRATCH_BLOCKS).enumerate() {
         let n = chunk.len();
+        let mut heads = heads_in(&bases, blocks_per_unit, c * SCRATCH_BLOCKS, n).peekable();
         for (i, tw) in tweaks[..n].iter_mut().enumerate() {
-            let global = chunk_no * SCRATCH_BLOCKS + i;
-            if global.is_multiple_of(blocks_per_unit) {
-                t = u128::from_le_bytes(bases[global / blocks_per_unit]);
+            if let Some((_, base)) = heads.next_if(|&(h, _)| h == i) {
+                t = u128::from_le_bytes(*base);
             }
             *tw = t.to_le_bytes();
             t = xts_mul_alpha(t);
@@ -638,36 +527,25 @@ pub fn xts_crypt_extents<C: BlockCipherBatch>(
     }
 }
 
-/// The counter block after `counter`, which is a full 16-byte block read
-/// big-endian (the NIST SP 800-38A standard incrementing function over
-/// all 128 bits, wrapping at 2^128).
-fn ctr_increment(counter: u128) -> u128 {
-    counter.wrapping_add(1)
-}
-
 /// Encrypt or decrypt `data` in place in CTR mode, treating the full
 /// 16-byte `iv` as the initial counter block (incremented big-endian per
 /// block, as in NIST SP 800-38A). The operations are identical.
 ///
 /// This is the page-mode CTR driver: Sentry passes the same page IV
 /// (`sentry_core::transition::page_iv`) it uses as the CBC IV and XTS
-/// tweak, so
-/// the epoch discipline that prevents IV reuse across lock cycles
-/// carries over unchanged. Compare [`ctr_xor`], the nonce + 64-bit
-/// counter variant used by stream consumers. Keystream blocks are
-/// independent, so all lanes fill; arbitrary (non-block-aligned) lengths
-/// are handled.
+/// tweak, so the epoch discipline that prevents IV reuse across lock
+/// cycles carries over unchanged. The whole blocks are
+/// [`ctr_crypt_extents`] over one extent; a ragged 1–15-byte tail after
+/// `n` whole blocks takes one more keystream block, at counter `iv + n`.
 pub fn ctr_crypt<C: BlockCipherBatch>(cipher: &C, iv: &[u8; 16], data: &mut [u8]) {
-    let mut counter = u128::from_be_bytes(*iv);
-    let mut ks = [[0u8; BLOCK_SIZE]; SCRATCH_BLOCKS];
-    for chunk in data.chunks_mut(SCRATCH_BLOCKS * BLOCK_SIZE) {
-        let nblocks = chunk.len().div_ceil(BLOCK_SIZE);
-        for k in ks[..nblocks].iter_mut() {
-            *k = counter.to_be_bytes();
-            counter = ctr_increment(counter);
-        }
-        cipher.encrypt_blocks(&mut ks[..nblocks]);
-        for (b, k) in chunk.iter_mut().zip(ks.iter().flatten()) {
+    let whole = data.len() - data.len() % BLOCK_SIZE;
+    let (body, tail) = data.split_at_mut(whole);
+    ctr_crypt_extents(cipher, std::slice::from_ref(iv), body);
+    if !tail.is_empty() {
+        let counter = u128::from_be_bytes(*iv).wrapping_add((whole / BLOCK_SIZE) as u128);
+        let mut ks = [counter.to_be_bytes()];
+        cipher.encrypt_blocks(&mut ks);
+        for (b, k) in tail.iter_mut().zip(ks[0]) {
             *b ^= k;
         }
     }
@@ -677,8 +555,11 @@ pub fn ctr_crypt<C: BlockCipherBatch>(cipher: &C, iv: &[u8; 16], data: &mut [u8]
 /// back-to-back in `data`, the `i`-th counting from `ivs[i]`
 /// (encrypt and decrypt are the same operation).
 ///
-/// Like [`xts_crypt_extents`], the whole run streams through the batch
-/// kernel with no drain at extent boundaries. Byte-identical to calling
+/// The counter is the full 16-byte block read big-endian and incremented
+/// over all 128 bits, wrapping at 2^128 (the NIST SP 800-38A standard
+/// incrementing function). Keystream blocks are independent, so like
+/// [`xts_crypt_extents`] the whole run streams through the batch kernel
+/// with no drain at extent boundaries. Byte-identical to calling
 /// [`ctr_crypt`] on each extent separately.
 ///
 /// # Panics
@@ -694,15 +575,15 @@ pub fn ctr_crypt_extents<C: BlockCipherBatch>(cipher: &C, ivs: &[[u8; 16]], data
     let (blocks, _) = data.as_chunks_mut::<BLOCK_SIZE>();
     let mut ks = [[0u8; BLOCK_SIZE]; SCRATCH_BLOCKS];
     let mut counter = 0u128;
-    for (chunk_no, chunk) in blocks.chunks_mut(SCRATCH_BLOCKS).enumerate() {
+    for (c, chunk) in blocks.chunks_mut(SCRATCH_BLOCKS).enumerate() {
         let n = chunk.len();
+        let mut heads = heads_in(ivs, blocks_per_unit, c * SCRATCH_BLOCKS, n).peekable();
         for (i, k) in ks[..n].iter_mut().enumerate() {
-            let global = chunk_no * SCRATCH_BLOCKS + i;
-            if global.is_multiple_of(blocks_per_unit) {
-                counter = u128::from_be_bytes(ivs[global / blocks_per_unit]);
+            if let Some((_, iv)) = heads.next_if(|&(h, _)| h == i) {
+                counter = u128::from_be_bytes(*iv);
             }
             *k = counter.to_be_bytes();
-            counter = ctr_increment(counter);
+            counter = counter.wrapping_add(1);
         }
         cipher.encrypt_blocks(&mut ks[..n]);
         for (block, k) in chunk.iter_mut().zip(&ks) {
@@ -755,37 +636,6 @@ mod tests {
     }
 
     #[test]
-    fn ctr_matches_nist_sp800_38a_f5_1() {
-        // NIST SP 800-38A F.5.1 CTR-AES128. The standard's full 16-byte
-        // counter block f0f1..ff splits into our 8-byte nonce and 8-byte
-        // big-endian counter.
-        let key = hex("2b7e151628aed2a6abf7158809cf4f3c");
-        let nonce: [u8; 8] = hex("f0f1f2f3f4f5f6f7").try_into().unwrap();
-        let counter = u64::from_be_bytes(hex("f8f9fafbfcfdfeff").try_into().unwrap());
-        let mut data = hex("6bc1bee22e409f96e93d7e117393172a");
-        let aes = Aes::new(&key).unwrap();
-        ctr_xor(&aes, &nonce, counter, &mut data);
-        assert_eq!(data, hex("874d6191b620e3261bef6864990db6ce"));
-
-        let bits = crate::bitslice::BitslicedAes::new(&key).unwrap();
-        let mut data = hex("6bc1bee22e409f96e93d7e117393172a");
-        ctr_xor(&bits, &nonce, counter, &mut data);
-        assert_eq!(data, hex("874d6191b620e3261bef6864990db6ce"));
-    }
-
-    #[test]
-    fn ecb_roundtrip_and_structure_leak() {
-        let aes = Aes::new(&[7u8; 16]).unwrap();
-        let mut data = vec![0xABu8; 64];
-        ecb_encrypt(&aes, &mut data);
-        // ECB leaks structure: identical plaintext blocks yield identical
-        // ciphertext blocks.
-        assert_eq!(&data[0..16], &data[16..32]);
-        ecb_decrypt(&aes, &mut data);
-        assert_eq!(data, vec![0xABu8; 64]);
-    }
-
-    #[test]
     fn cbc_hides_equal_blocks() {
         let aes = Aes::new(&[7u8; 16]).unwrap();
         let iv = [3u8; 16];
@@ -799,9 +649,9 @@ mod tests {
         let aes = Aes::new(&[9u8; 16]).unwrap();
         let mut data = vec![0x5Au8; 21];
         let orig = data.clone();
-        ctr_xor(&aes, &[0u8; 8], 0, &mut data);
+        ctr_crypt(&aes, &[0u8; 16], &mut data);
         assert_ne!(data, orig);
-        ctr_xor(&aes, &[0u8; 8], 0, &mut data);
+        ctr_crypt(&aes, &[0u8; 16], &mut data);
         assert_eq!(data, orig);
     }
 
@@ -851,9 +701,9 @@ mod tests {
             a.truncate(nblocks * BLOCK_SIZE - 5);
             let mut b = a.clone();
             let mut c = a.clone();
-            ctr_xor(&table, &[9u8; 8], 7, &mut a);
-            ctr_xor(&reference, &[9u8; 8], 7, &mut b);
-            ctr_xor(&bitsliced, &[9u8; 8], 7, &mut c);
+            ctr_crypt(&table, &[9u8; 16], &mut a);
+            ctr_crypt(&reference, &[9u8; 16], &mut b);
+            ctr_crypt(&bitsliced, &[9u8; 16], &mut c);
             assert_eq!(a, b, "ctr table vs reference, {nblocks} blocks");
             assert_eq!(a, c, "ctr table vs bitsliced, {nblocks} blocks");
         }
@@ -924,32 +774,6 @@ mod tests {
         }
         // Degenerate case: no extents.
         cbc_encrypt_extents(&table, &[], &mut []);
-    }
-
-    #[test]
-    fn encrypt_batch_handles_ragged_buffer_lengths() {
-        use crate::bitslice::BitslicedAes;
-        let key = [0x29u8; 16];
-        let table = Aes::new(&key).unwrap();
-        let bitsliced = BitslicedAes::from_schedule(table.schedule());
-        // Buffers of different lengths share one batch group: short ones
-        // must drop out of the lanes without corrupting the others.
-        let lens = [
-            1usize, 7, 2, 0, 32, 5, 1, 16, 3, 40, 8, 8, 2, 19, 33, 4, 6, 1,
-        ];
-        let ivs: Vec<[u8; 16]> = (0..lens.len()).map(|i| [(i * 17 + 9) as u8; 16]).collect();
-        let mut bufs: Vec<Vec<u8>> = lens
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| (0..n * BLOCK_SIZE).map(|j| (i * 37 + j) as u8).collect())
-            .collect();
-        let mut expect = bufs.clone();
-        for (iv, buf) in ivs.iter().zip(expect.iter_mut()) {
-            cbc_encrypt(&table, iv, buf);
-        }
-        let mut views: Vec<&mut [u8]> = bufs.iter_mut().map(|b| b.as_mut_slice()).collect();
-        cbc_encrypt_batch(&bitsliced, &ivs, &mut views);
-        assert_eq!(bufs, expect);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Identity tests for the chain-shaped data paths: the batch CMAC, the
 //! lane-filling CBC encryption, and the XTS tweak and CTR counter
-//! arithmetic of the extent streams.
+//! arithmetic of the extent streams and of the CTR tail.
 //!
 //! Each path is checked against a slower formulation that shares none of
 //! its machinery: the batch CMAC against one `mac_parts` call per
@@ -10,11 +10,11 @@
 //! (AES On SoC) kernels' store trace holds their accesses in place.
 
 use sentry_crypto::modes::{
-    cbc_encrypt, cbc_encrypt_extents, ctr_crypt_extents, xts_crypt_extents,
+    cbc_encrypt, cbc_encrypt_extents, ctr_crypt, ctr_crypt_extents, xts_crypt_extents,
 };
 use sentry_crypto::{
-    Aes, AesRef, AesStateLayout, BitslicedAes, Cmac, InStore, KeySize, TrackedBitslicedAes,
-    VecStore,
+    Aes, AesRef, AesStateLayout, BitslicedAes, Cmac, InStore, KeySize, TrackedAes,
+    TrackedBitslicedAes, VecStore,
 };
 
 /// The page key is the 32-byte root key, so AES-256 is the size to cover.
@@ -122,10 +122,11 @@ fn xts_reference(aes: &AesRef, encrypt: bool, iv: &[u8; 16], extent: &mut [u8]) 
     }
 }
 
-/// CTR over one extent, a block at a time on the reference AES.
+/// CTR over one extent, a block at a time on the reference AES; a
+/// ragged last chunk takes the head of the next keystream block.
 fn ctr_reference(aes: &AesRef, iv: &[u8; 16], extent: &mut [u8]) {
     let mut counter = *iv;
-    for chunk in extent.chunks_exact_mut(16) {
+    for chunk in extent.chunks_mut(16) {
         let mut ks = counter;
         aes.encrypt_block(&mut ks);
         chunk.iter_mut().zip(&ks).for_each(|(b, k)| *b ^= k);
@@ -182,6 +183,39 @@ fn xts_and_ctr_extent_runs_carry_across_the_scratch_boundary() {
             );
         }
     }
+}
+
+#[test]
+fn ctr_tail_takes_the_counter_after_the_whole_blocks() {
+    // Three whole blocks from 2^128 - 2 wrap the counter to 0 at the
+    // third; the 5-byte tail then runs at counter 1 (`iv + 3`), not `iv`.
+    let mut iv = [0xff; 16];
+    iv[15] = 0xfe;
+    let pt = bytes(3 * 16 + 5, 0x7c);
+    let mut want = pt.clone();
+    ctr_reference(&AesRef::new(&KEY).unwrap(), &iv, &mut want);
+
+    let aes = Aes::new(&KEY).unwrap();
+    let mut got = pt.clone();
+    ctr_crypt(&aes, &iv, &mut got);
+    assert_eq!(got, want, "table");
+
+    let bits = BitslicedAes::from_schedule(aes.schedule());
+    let mut got = pt.clone();
+    ctr_crypt(&bits, &iv, &mut got);
+    assert_eq!(got, want, "bitsliced");
+
+    let mut store = VecStore::new(AesStateLayout::for_key_size(KeySize::Aes256).total_bytes());
+    let tracked = TrackedAes::init(&mut store, &KEY).unwrap();
+    let mut got = pt.clone();
+    ctr_crypt(&InStore::new(&tracked, &mut store), &iv, &mut got);
+    assert_eq!(got, want, "tracked table");
+
+    let mut store = VecStore::new(AesStateLayout::bitsliced(KeySize::Aes256).total_bytes());
+    let tracked = TrackedBitslicedAes::init(&mut store, &KEY).unwrap();
+    let mut got = pt;
+    ctr_crypt(&InStore::new(&tracked, &mut store), &iv, &mut got);
+    assert_eq!(got, want, "tracked bitsliced");
 }
 
 /// 64-bit FNV-1a.

@@ -1084,75 +1084,6 @@ pub fn run_device(config: &FleetConfig, index: u64) -> Result<DeviceOutcome, Sen
 // The sharded fleet
 // ---------------------------------------------------------------------
 
-/// What one shard accumulated over its devices.
-#[derive(Debug, Clone, Default)]
-struct ShardFold {
-    devices: u64,
-    events: u64,
-    locks: u64,
-    unlocks: u64,
-    unlock_hist: LatencyHistogram,
-    power_cuts_fired: u64,
-    recoveries: u64,
-    recovered_entries: u64,
-    tampers_planted: u64,
-    tampers_detected: u64,
-    quarantined_pages: u64,
-    silent_corruptions: u64,
-    io_bytes: u64,
-    accel_storms: u64,
-    flaky_disk_intervals: u64,
-    pressure_events: u64,
-    exit_reclaimed_pages: u64,
-    pressure: PressureStats,
-    health: HealthStats,
-    sim_ns: u64,
-    setup_sim_ns: u64,
-    device_errors: u64,
-    digests: Vec<(u64, u64)>,
-    degradation: Vec<(u64, u64, u64, u64)>,
-    pressure_columns: Vec<(u64, u64, u64, u64)>,
-}
-
-impl ShardFold {
-    fn add(&mut self, outcome: &DeviceOutcome) {
-        self.devices += 1;
-        self.events += outcome.events;
-        self.locks += outcome.locks;
-        self.unlocks += outcome.unlocks;
-        self.unlock_hist.merge(&outcome.unlock_hist);
-        self.power_cuts_fired += outcome.power_cuts_fired;
-        self.recoveries += outcome.recoveries;
-        self.recovered_entries += outcome.recovered_entries;
-        self.tampers_planted += outcome.tampers_planted;
-        self.tampers_detected += outcome.tampers_detected;
-        self.quarantined_pages += outcome.quarantined_pages;
-        self.silent_corruptions += outcome.silent_corruptions;
-        self.io_bytes += outcome.io_bytes;
-        self.accel_storms += outcome.accel_storms;
-        self.flaky_disk_intervals += outcome.flaky_disk_intervals;
-        self.pressure_events += outcome.pressure_events;
-        self.exit_reclaimed_pages += outcome.exit_reclaimed_pages;
-        self.pressure.merge(&outcome.pressure);
-        self.health.merge(&outcome.health);
-        self.sim_ns += outcome.sim_ns;
-        self.setup_sim_ns += outcome.setup_sim_ns;
-        self.digests.push((outcome.index, outcome.digest));
-        self.degradation.push((
-            outcome.index,
-            outcome.health.trips,
-            outcome.health.fallback_crypt_bytes,
-            outcome.health.time_degraded_ns,
-        ));
-        self.pressure_columns.push((
-            outcome.index,
-            outcome.pressure.sheds,
-            outcome.pressure.spills,
-            outcome.pressure.denied,
-        ));
-    }
-}
-
 /// The aggregated fleet report.
 ///
 /// Throughput comes in two honesties: `host_elapsed_ns` is real wall
@@ -1235,6 +1166,46 @@ pub struct FleetReport {
 }
 
 impl FleetReport {
+    /// Fold one device's outcome into the fleet totals. The per-device
+    /// columns (`digests`, `degradation`, `pressure_columns`) are
+    /// appended in arrival order; [`run_fleet`] sorts them by index.
+    fn add(&mut self, outcome: &DeviceOutcome) {
+        self.devices += 1;
+        self.events += outcome.events;
+        self.locks += outcome.locks;
+        self.unlocks += outcome.unlocks;
+        self.unlock_hist.merge(&outcome.unlock_hist);
+        self.power_cuts_fired += outcome.power_cuts_fired;
+        self.recoveries += outcome.recoveries;
+        self.recovered_entries += outcome.recovered_entries;
+        self.tampers_planted += outcome.tampers_planted;
+        self.tampers_detected += outcome.tampers_detected;
+        self.quarantined_pages += outcome.quarantined_pages;
+        self.silent_corruptions += outcome.silent_corruptions;
+        self.io_bytes += outcome.io_bytes;
+        self.accel_storms += outcome.accel_storms;
+        self.flaky_disk_intervals += outcome.flaky_disk_intervals;
+        self.pressure_events += outcome.pressure_events;
+        self.exit_reclaimed_pages += outcome.exit_reclaimed_pages;
+        self.pressure.merge(&outcome.pressure);
+        self.health.merge(&outcome.health);
+        self.sim_busy_ns += outcome.sim_ns;
+        self.setup_sim_ns += outcome.setup_sim_ns;
+        self.digests.push((outcome.index, outcome.digest));
+        self.degradation.push((
+            outcome.index,
+            outcome.health.trips,
+            outcome.health.fallback_crypt_bytes,
+            outcome.health.time_degraded_ns,
+        ));
+        self.pressure_columns.push((
+            outcome.index,
+            outcome.pressure.sheds,
+            outcome.pressure.spills,
+            outcome.pressure.denied,
+        ));
+    }
+
     /// Fleet throughput in events per simulated second (computed over
     /// the shard makespan — the number the scaling gate uses).
     #[must_use]
@@ -1264,75 +1235,48 @@ impl FleetReport {
 ///
 /// Shards are shared-nothing — each builds, drives, verifies, and drops
 /// its own devices (one at a time, so peak memory is one device per
-/// shard) and keeps private statistics; merging happens once, after the
-/// scope joins. A panicking shard is contained and counted, mirroring
+/// shard) and sends each outcome to the calling thread, which folds it
+/// with `FleetReport::add` and keeps each shard's simulated total for
+/// the makespan. A panicking shard is contained and counted, mirroring
 /// `sentry_crypto::parallel::crypt_batch`.
 #[must_use]
 pub fn run_fleet(config: &FleetConfig) -> FleetReport {
     let shards = config.shards.max(1).min(config.devices.max(1));
     let host_start = std::time::Instant::now();
-    let mut folds: Vec<Option<ShardFold>> = Vec::with_capacity(shards);
+    let mut report = FleetReport {
+        shards: shards as u64,
+        ..FleetReport::default()
+    };
+    let mut shard_sim_ns = vec![0u64; shards];
     std::thread::scope(|scope| {
+        let (tx, rx) = std::sync::mpsc::channel();
         let handles: Vec<_> = (0..shards)
             .map(|shard| {
+                let tx = tx.clone();
                 scope.spawn(move || {
-                    let mut fold = ShardFold::default();
-                    let mut index = shard;
-                    while index < config.devices {
-                        match run_device(config, index as u64) {
-                            Ok(outcome) => fold.add(&outcome),
-                            Err(_) => fold.device_errors += 1,
-                        }
-                        index += shards;
+                    for index in (shard..config.devices).step_by(shards) {
+                        tx.send((shard, run_device(config, index as u64)))
+                            .expect("the receiver drains until the last shard is done");
                     }
-                    fold
                 })
             })
             .collect();
+        drop(tx);
+        for (shard, outcome) in rx {
+            match outcome {
+                Ok(outcome) => {
+                    shard_sim_ns[shard] += outcome.sim_ns;
+                    report.add(&outcome);
+                }
+                Err(_) => report.device_errors += 1,
+            }
+        }
         for handle in handles {
-            folds.push(handle.join().ok());
+            report.shard_panics += u64::from(handle.join().is_err());
         }
     });
-    let host_elapsed_ns = u64::try_from(host_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-
-    let mut report = FleetReport {
-        devices: 0,
-        shards: shards as u64,
-        host_elapsed_ns,
-        ..FleetReport::default()
-    };
-    for fold in folds {
-        let Some(fold) = fold else {
-            report.shard_panics += 1;
-            continue;
-        };
-        report.devices += fold.devices;
-        report.events += fold.events;
-        report.locks += fold.locks;
-        report.unlocks += fold.unlocks;
-        report.unlock_hist.merge(&fold.unlock_hist);
-        report.power_cuts_fired += fold.power_cuts_fired;
-        report.recoveries += fold.recoveries;
-        report.recovered_entries += fold.recovered_entries;
-        report.tampers_planted += fold.tampers_planted;
-        report.tampers_detected += fold.tampers_detected;
-        report.quarantined_pages += fold.quarantined_pages;
-        report.silent_corruptions += fold.silent_corruptions;
-        report.io_bytes += fold.io_bytes;
-        report.accel_storms += fold.accel_storms;
-        report.flaky_disk_intervals += fold.flaky_disk_intervals;
-        report.pressure_events += fold.pressure_events;
-        report.exit_reclaimed_pages += fold.exit_reclaimed_pages;
-        report.pressure.merge(&fold.pressure);
-        report.health.merge(&fold.health);
-        report.device_errors += fold.device_errors;
-        report.sim_busy_ns += fold.sim_ns;
-        report.sim_makespan_ns = report.sim_makespan_ns.max(fold.sim_ns);
-        report.setup_sim_ns += fold.setup_sim_ns;
-        report.digests.extend(fold.digests);
-        report.degradation.extend(fold.degradation);
-        report.pressure_columns.extend(fold.pressure_columns);
-    }
+    report.host_elapsed_ns = u64::try_from(host_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    report.sim_makespan_ns = shard_sim_ns.into_iter().max().unwrap_or(0);
     report.digests.sort_unstable();
     report.degradation.sort_unstable();
     report.pressure_columns.sort_unstable();
