@@ -1,6 +1,7 @@
-//! AES kernel comparison: scalar table-driven vs batched bitsliced.
+//! AES kernel comparison: scalar table-driven, batched bitsliced, and
+//! the host's AES-NI kernel.
 //!
-//! Three views of the two software AES backends:
+//! Four views of the AES backends:
 //!
 //! * **Host throughput** — MiB/s over 4 KiB pages (each page its own
 //!   CBC/XTS/CTR stream, as in the pager) for {CBC-encrypt,
@@ -10,7 +11,10 @@
 //!   encryption is serially chained and shows the bitsliced backend at
 //!   its worst (one block occupying a 16-lane kernel). The XTS-encrypt
 //!   over CBC-encrypt ratio is the cliff the per-page XTS mode
-//!   removes from the lock path.
+//!   removes from the lock path. CBC encryption over 16 pages' chains at
+//!   once (the lock path's lane-filling form) gets a row per batched
+//!   kernel, and where the CPU has AES-NI every mode gets an `aesni` row:
+//!   the kernel `PageCipher` and `Cmac` run on such a host.
 //! * **Table 4 accounting** — the on-SoC state arena of the tracked
 //!   variant of each backend, by sensitivity class. The table-driven
 //!   variant must access-protect its 2.5 KiB of lookup tables; the
@@ -19,25 +23,37 @@
 //! * **Simulated on-SoC engine time** — per-4 KiB-page simulated cost of
 //!   the generic (DRAM-state) engine and AES On SoC with each backend,
 //!   confirming the backend swap does not perturb the calibrated model.
-//! * **CMAC over IV ‖ page** — the scalar chain one page at a time
-//!   (`Cmac::mac_parts_trunc8`) against the batch CMAC on the bitsliced
-//!   lanes (`Cmac::mac_extents_lanes`) in groups of 16, 8, 4, 3 and 2
-//!   pages. A bitsliced call costs the same with 1 or 16 lanes live, so
-//!   these rows locate the group size below which the scalar chain wins
-//!   — the source of `sentry_crypto::mac::MIN_LANE_MESSAGES`.
+//! * **CMAC over IV ‖ page** — the portable scalar chain one page at a
+//!   time (`Cmac::mac_parts_trunc8`) against the batch CMAC on the
+//!   bitsliced lanes (`Cmac::mac_extents_lanes`) in groups of 16, 8, 4, 3
+//!   and 2 pages. A bitsliced call costs the same with 1 or 16 lanes
+//!   live, so these rows locate the group size below which the scalar
+//!   chain wins — the source of `sentry_crypto::mac::MIN_LANE_MESSAGES`,
+//!   which only the portable kernel consults. The AES-NI lanes get rows
+//!   at groups of 1, 2, 4, 8 and 16.
 //!
-//! Results print as tables and land in `BENCH_aes_kernels.json`. With
-//! `--enforce`, the process exits non-zero unless (a) bitsliced
-//! CBC-decrypt at least matches the scalar baseline — the CI regression
-//! gate for the batch kernels (a `target-cpu=native` run shows ~3.0×;
-//! the gate only demands parity so feature-poor CI hosts do not flap) —
-//! (b) bitsliced XTS page-encrypt runs at least 8× bitsliced
+//! The table-driven kernel runs at one of two speeds per process on a
+//! shared host, so one process's ratios are not stable. The host rows are
+//! therefore measured in [`RUNS`] child processes (the binary re-executes
+//! itself with the internal `--one-round` flag, one child at a time), and
+//! every row and ratio is reported as the median and the min–max over the
+//! runs. Results print as tables and land in `BENCH_aes_kernels.json`.
+//!
+//! With `--enforce`, the process exits non-zero unless, on the medians,
+//! (a) bitsliced CBC-decrypt at least matches the scalar baseline — the
+//! CI regression gate for the batch kernels (a `target-cpu=native` run
+//! shows ~3.0×; the gate only demands parity so feature-poor CI hosts do
+//! not flap) — (b) bitsliced XTS page-encrypt runs at least 8× bitsliced
 //! CBC-encrypt, the gate proving the lane-filling mode removed the
-//! encrypt cliff (a native run shows ~15×), and (c) the batch CMAC over
-//! full groups of 16 pages runs at least 2× the scalar chain
-//! (`cmac_batch16_over_scalar`, ~4.0× measured).
+//! encrypt cliff (a native run shows ~15×), (c) the batch CMAC over full
+//! groups of 16 pages runs at least 2× the scalar chain
+//! (`cmac_batch16_over_scalar`, ~4.0× measured), and (d) where AES-NI is
+//! detected, every batched `aesni` row at least matches its bitsliced
+//! row.
 
+use std::collections::BTreeMap;
 use std::hint::black_box;
+use std::process::Command;
 use std::time::Instant;
 
 use sentry_bench::print_table;
@@ -45,20 +61,34 @@ use sentry_core::aes_onsoc::{build_engine_with_backend, OnSocCipherBackend};
 use sentry_core::config::OnSocBackend;
 use sentry_core::onsoc::OnSocStore;
 use sentry_crypto::mac::MIN_LANE_MESSAGES;
-use sentry_crypto::modes::{cbc_decrypt, cbc_encrypt, ctr_crypt, xts_decrypt, xts_encrypt};
-use sentry_crypto::{Aes, AesStateLayout, BitslicedAes, Cmac, Direction, KeySize, Sensitivity};
+use sentry_crypto::modes::{
+    cbc_decrypt, cbc_encrypt, cbc_encrypt_extents, ctr_crypt, xts_decrypt, xts_encrypt, BlockCipher,
+};
+use sentry_crypto::{
+    Aes, AesStateLayout, BitslicedAes, BlockCipherBatch, Cmac, Direction, KeySize, PageCipher,
+    Sensitivity,
+};
 use sentry_kernel::crypto_api::{CipherEngine, GenericAesEngine};
 use sentry_soc::Soc;
 
 const PAGE: usize = 4096;
 const PAGES: usize = 64;
 const REPS: usize = 11;
+/// Child processes the host rows are measured in.
+const RUNS: usize = 5;
+/// The internal flag a child runs under: one round of host rows, printed
+/// as `key value` lines.
+const ONE_ROUND: &str = "--one-round";
 const KEY: [u8; 32] = [0x6Bu8; 32];
 /// Pages per CMAC pass: divisible by every measured group size, so each
 /// group runs full.
 const CMAC_PAGES: usize = 48;
 /// CMAC group sizes measured on the bitsliced lanes.
 const CMAC_GROUPS: [usize; 5] = [16, 8, 4, 3, 2];
+/// CMAC group sizes measured on the AES-NI lanes.
+const AESNI_CMAC_GROUPS: [usize; 5] = [1, 2, 4, 8, 16];
+/// Pages whose CBC chains one lane-filling call encrypts.
+const CHAINS: usize = 16;
 
 #[derive(Clone, Copy, PartialEq)]
 enum Mode {
@@ -90,26 +120,43 @@ impl Mode {
     }
 }
 
-fn run_pages(aes: &Aes, bits: &BitslicedAes, bitsliced: bool, mode: Mode, buf: &mut [u8]) {
+/// Every row's key: `backend/mode/chains` for the mode rows (`chains`
+/// is 1 except for CBC encryption over [`CHAINS`] pages at once), and
+/// `cmac/path/group` for the CMAC rows.
+fn mode_key(backend: &str, mode: Mode, chains: usize) -> String {
+    format!("{backend}/{}/{chains}", mode.name())
+}
+
+fn cmac_key(path: &str, group: usize) -> String {
+    format!("cmac/{path}/{group}")
+}
+
+/// Run `mode` over every page of `buf` on `kernel`, one page per call;
+/// CBC encryption goes through the scalar chain driver, so that row
+/// measures the kernel's single-block cost.
+fn run_pages<C: BlockCipher + BlockCipherBatch>(kernel: &C, mode: Mode, buf: &mut [u8]) {
     for (i, page) in buf.chunks_exact_mut(PAGE).enumerate() {
         let iv = [i as u8; 16];
-        match (mode, bitsliced) {
-            // CBC encryption is serially chained; both backends go
-            // through the same serial driver, so this row measures the
-            // single-block cost of each backend.
-            (Mode::CbcEnc, false) => cbc_encrypt(aes, &iv, page),
-            (Mode::CbcEnc, true) => cbc_encrypt(bits, &iv, page),
-            (Mode::CbcDec, false) => cbc_decrypt(aes, &iv, page),
-            (Mode::CbcDec, true) => cbc_decrypt(bits, &iv, page),
+        match mode {
+            Mode::CbcEnc => cbc_encrypt(kernel, &iv, page),
+            Mode::CbcDec => cbc_decrypt(kernel, &iv, page),
             // XTS fills the lanes in both directions: the tweak chain is
             // computed up front, every block is independent after it.
-            (Mode::XtsEnc, false) => xts_encrypt(aes, aes, &iv, page),
-            (Mode::XtsEnc, true) => xts_encrypt(bits, bits, &iv, page),
-            (Mode::XtsDec, false) => xts_decrypt(aes, aes, &iv, page),
-            (Mode::XtsDec, true) => xts_decrypt(bits, bits, &iv, page),
-            (Mode::Ctr, false) => ctr_crypt(aes, &iv, page),
-            (Mode::Ctr, true) => ctr_crypt(bits, &iv, page),
+            Mode::XtsEnc => xts_encrypt(kernel, kernel, &iv, page),
+            Mode::XtsDec => xts_decrypt(kernel, kernel, &iv, page),
+            Mode::Ctr => ctr_crypt(kernel, &iv, page),
         }
+    }
+}
+
+/// CBC-encrypt every page of `buf`, `chains` pages' chains per call of
+/// the lane loop.
+fn run_chains<C: BlockCipherBatch>(kernel: &C, chains: usize, buf: &mut [u8]) {
+    for (c, pages) in buf.chunks_mut(chains * PAGE).enumerate() {
+        let ivs: Vec<[u8; 16]> = (0..pages.len() / PAGE)
+            .map(|i| [(c * chains + i) as u8; 16])
+            .collect();
+        cbc_encrypt_extents(kernel, &ivs, pages);
     }
 }
 
@@ -117,8 +164,7 @@ fn run_pages(aes: &Aes, bits: &BitslicedAes, bitsliced: bool, mode: Mode, buf: &
 /// Timing noise on a shared builder is one-sided — scheduler steal and
 /// frequency dips only ever *slow* a rep, never speed one up — so the
 /// minimum elapsed time is the most stable estimate of the kernel's
-/// actual cost (a median still flaps when more than half the reps land
-/// inside a noisy window, which the enforce ratios cannot tolerate).
+/// actual cost within one process.
 fn fastest_mib_s(bytes: usize, mut run: impl FnMut()) -> f64 {
     let mut best = u64::MAX;
     for rep in 0..=REPS {
@@ -133,17 +179,15 @@ fn fastest_mib_s(bytes: usize, mut run: impl FnMut()) -> f64 {
     bytes as f64 / (1 << 20) as f64 / (best as f64 * 1e-9)
 }
 
-/// MiB/s of one backend × mode over the page set.
-fn host_mib_s(aes: &Aes, bits: &BitslicedAes, bitsliced: bool, mode: Mode) -> f64 {
+/// MiB/s of `run` over the page set.
+fn pages_mib_s(mut run: impl FnMut(&mut [u8])) -> f64 {
     let mut buf: Vec<u8> = (0..PAGES * PAGE).map(|i| (i * 31) as u8).collect();
-    fastest_mib_s(PAGES * PAGE, || {
-        run_pages(aes, bits, bitsliced, mode, &mut buf);
-    })
+    fastest_mib_s(PAGES * PAGE, || run(&mut buf))
 }
 
-/// MiB/s of CMAC-trunc8 over IV ‖ page across `CMAC_PAGES` pages: the
-/// scalar chain one page at a time (`group == None`), or the bitsliced
-/// lanes `group` pages per batch call.
+/// MiB/s of CMAC-trunc8 over IV ‖ page across `CMAC_PAGES` pages: one
+/// page per `mac_parts` call (`group == None`), or `group` pages per
+/// lane call.
 fn cmac_mib_s(cmac: &Cmac, group: Option<usize>) -> f64 {
     let buf: Vec<u8> = (0..CMAC_PAGES * PAGE).map(|i| (i * 29) as u8).collect();
     let ivs: Vec<[u8; 16]> = (0..CMAC_PAGES).map(|i| [i as u8; 16]).collect();
@@ -159,6 +203,149 @@ fn cmac_mib_s(cmac: &Cmac, group: Option<usize>) -> f64 {
             }
         }
     })
+}
+
+/// The AES-NI kernel under `aes`'s key, where the CPU has it.
+#[cfg(target_arch = "x86_64")]
+fn aes_ni(aes: &Aes) -> Option<sentry_crypto::aesni::AesNi> {
+    sentry_crypto::aesni::AesNi::from_schedule(aes.schedule())
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn aes_ni(_: &Aes) -> Option<Aes> {
+    None
+}
+
+/// One round of every host row, in this process.
+fn one_round() -> Vec<(String, f64)> {
+    let aes = Aes::new(&KEY).expect("valid key length");
+    let bits = BitslicedAes::from_schedule(aes.schedule());
+    let mut rows = Vec::new();
+    for mode in Mode::all() {
+        rows.push((
+            mode_key("table", mode, 1),
+            pages_mib_s(|b| run_pages(&aes, mode, b)),
+        ));
+        rows.push((
+            mode_key("bitsliced", mode, 1),
+            pages_mib_s(|b| run_pages(&bits, mode, b)),
+        ));
+    }
+    rows.push((
+        mode_key("bitsliced", Mode::CbcEnc, CHAINS),
+        pages_mib_s(|b| run_chains(&bits, CHAINS, b)),
+    ));
+    let portable = Cmac::portable(aes.clone());
+    rows.push((cmac_key("scalar", 1), cmac_mib_s(&portable, None)));
+    for g in CMAC_GROUPS {
+        rows.push((cmac_key("lanes", g), cmac_mib_s(&portable, Some(g))));
+    }
+    if let Some(ni) = aes_ni(&aes) {
+        // A lone CBC chain runs on the one-chain lane loop, as
+        // `PageCipher` runs it.
+        rows.push((
+            mode_key("aesni", Mode::CbcEnc, 1),
+            pages_mib_s(|b| run_chains(&ni, 1, b)),
+        ));
+        rows.push((
+            mode_key("aesni", Mode::CbcEnc, CHAINS),
+            pages_mib_s(|b| run_chains(&ni, CHAINS, b)),
+        ));
+        for mode in [Mode::CbcDec, Mode::XtsEnc, Mode::XtsDec, Mode::Ctr] {
+            rows.push((
+                mode_key("aesni", mode, 1),
+                pages_mib_s(|b| run_pages(&ni, mode, b)),
+            ));
+        }
+        let cmac = Cmac::new(aes.clone());
+        assert_eq!(cmac.kernel_name(), "aesni");
+        for g in AESNI_CMAC_GROUPS {
+            rows.push((cmac_key("aesni", g), cmac_mib_s(&cmac, Some(g))));
+        }
+    }
+    rows
+}
+
+/// Median and range of one row or ratio over the runs.
+#[derive(Clone, Copy)]
+struct Spread {
+    median: f64,
+    min: f64,
+    max: f64,
+}
+
+impl Spread {
+    fn of(mut values: Vec<f64>) -> Spread {
+        values.sort_by(f64::total_cmp);
+        let n = values.len();
+        let median = if n % 2 == 1 {
+            values[n / 2]
+        } else {
+            (values[n / 2 - 1] + values[n / 2]) / 2.0
+        };
+        Spread {
+            median,
+            min: values[0],
+            max: values[n - 1],
+        }
+    }
+
+    /// `median (min–max)` with `digits` decimals.
+    fn show(self, digits: usize) -> String {
+        format!(
+            "{:.digits$} ({:.digits$}–{:.digits$})",
+            self.median, self.min, self.max
+        )
+    }
+
+    fn json(self, digits: usize) -> String {
+        format!(
+            "{{\"median\": {:.digits$}, \"min\": {:.digits$}, \"max\": {:.digits$}}}",
+            self.median, self.min, self.max
+        )
+    }
+}
+
+/// The host rows of every run, by key.
+struct Runs(Vec<BTreeMap<String, f64>>);
+
+impl Runs {
+    /// Measure [`RUNS`] rounds, each in a fresh child process.
+    fn measure() -> Runs {
+        let exe = std::env::current_exe().expect("own executable");
+        Runs(
+            (0..RUNS)
+                .map(|_| {
+                    let out = Command::new(&exe)
+                        .arg(ONE_ROUND)
+                        .output()
+                        .expect("run a measurement round");
+                    assert!(out.status.success(), "a measurement round failed");
+                    String::from_utf8(out.stdout)
+                        .expect("utf-8 rows")
+                        .lines()
+                        .map(|line| {
+                            let (key, value) = line.split_once(' ').expect("`key value`");
+                            (key.to_string(), value.parse().expect("a number"))
+                        })
+                        .collect()
+                })
+                .collect(),
+        )
+    }
+
+    fn has(&self, key: &str) -> bool {
+        self.0[0].contains_key(key)
+    }
+
+    fn row(&self, key: &str) -> Spread {
+        Spread::of(self.0.iter().map(|run| run[key]).collect())
+    }
+
+    /// `num / den`, taken within each run.
+    fn ratio(&self, num: &str, den: &str) -> Spread {
+        Spread::of(self.0.iter().map(|run| run[num] / run[den]).collect())
+    }
 }
 
 struct Accounting {
@@ -193,62 +380,74 @@ fn sim_page_ns(engine: &mut dyn CipherEngine, soc: &mut Soc) -> u64 {
     soc.clock.now_ns() - t0
 }
 
+/// The batched rows AES-NI must at least match: each `aesni` row and
+/// the bitsliced row it replaces on the host.
+fn parity_pairs() -> Vec<(String, String)> {
+    let mut pairs = vec![(
+        mode_key("aesni", Mode::CbcEnc, CHAINS),
+        mode_key("bitsliced", Mode::CbcEnc, CHAINS),
+    )];
+    for mode in [Mode::CbcDec, Mode::XtsEnc, Mode::XtsDec, Mode::Ctr] {
+        pairs.push((mode_key("aesni", mode, 1), mode_key("bitsliced", mode, 1)));
+    }
+    for g in AESNI_CMAC_GROUPS.into_iter().filter(|&g| g > 1) {
+        pairs.push((cmac_key("aesni", g), cmac_key("lanes", g)));
+    }
+    pairs
+}
+
 fn main() {
+    if std::env::args().any(|a| a == ONE_ROUND) {
+        for (key, value) in one_round() {
+            println!("{key} {value}");
+        }
+        return;
+    }
     let enforce = std::env::args().any(|a| a == "--enforce");
+    let host_kernel = PageCipher::new(&KEY)
+        .expect("valid key length")
+        .kernel_name();
+    let runs = Runs::measure();
+    let aesni = runs.has(&mode_key("aesni", Mode::Ctr, 1));
 
-    let aes = Aes::new(&KEY).expect("valid key length");
-    let bits = BitslicedAes::from_schedule(aes.schedule());
-
-    // Host throughput sweep.
-    let mut host: Vec<(&'static str, &'static str, f64)> = Vec::new();
+    // Host throughput.
+    let mut mode_rows: Vec<(&str, Mode, usize)> = Vec::new();
     for mode in Mode::all() {
-        for bitsliced in [false, true] {
-            let backend = if bitsliced { "bitsliced" } else { "table" };
-            host.push((
-                backend,
-                mode.name(),
-                host_mib_s(&aes, &bits, bitsliced, mode),
-            ));
+        mode_rows.push(("table", mode, 1));
+        mode_rows.push(("bitsliced", mode, 1));
+        if aesni {
+            mode_rows.push(("aesni", mode, 1));
         }
     }
-    let thr = |backend: &str, mode: Mode| {
-        host.iter()
-            .find(|(b, m, _)| *b == backend && *m == mode.name())
-            .map(|&(_, _, v)| v)
-            .expect("swept")
-    };
-    let rows: Vec<Vec<String>> = Mode::all()
+    mode_rows.push(("bitsliced", Mode::CbcEnc, CHAINS));
+    if aesni {
+        mode_rows.push(("aesni", Mode::CbcEnc, CHAINS));
+    }
+    let table_rows: Vec<Vec<String>> = mode_rows
         .iter()
-        .map(|&mode| {
-            let t = thr("table", mode);
-            let b = thr("bitsliced", mode);
+        .map(|&(backend, mode, chains)| {
             vec![
                 mode.name().to_string(),
-                format!("{t:.1}"),
-                format!("{b:.1}"),
-                format!("{:.2}x", b / t),
+                chains.to_string(),
+                backend.to_string(),
+                runs.row(&mode_key(backend, mode, chains)).show(1),
             ]
         })
         .collect();
     print_table(
-        "Host AES kernels over 4 KiB pages (MiB/s, fastest rep)",
-        &["Mode", "Table", "Bitsliced", "Bitsliced/Table"],
-        &rows,
+        &format!("Host AES kernels over 4 KiB pages (MiB/s, fastest rep; median (min–max) of {RUNS} processes)"),
+        &["Mode", "Chains", "Kernel", "MiB/s"],
+        &table_rows,
     );
 
     // CMAC: the scalar chain against the lanes at each group size.
-    let cmac = Cmac::new(aes.clone());
-    let cmac_scalar = cmac_mib_s(&cmac, None);
-    let cmac_lanes: Vec<(usize, f64)> = CMAC_GROUPS
-        .iter()
-        .map(|&g| (g, cmac_mib_s(&cmac, Some(g))))
-        .collect();
+    let scalar = cmac_key("scalar", 1);
     let mut cmac_rows = vec![vec![
         "scalar, 1 page per call".to_string(),
-        format!("{cmac_scalar:.1}"),
+        runs.row(&scalar).show(1),
         "1.00x".to_string(),
     ]];
-    cmac_rows.extend(cmac_lanes.iter().map(|&(g, v)| {
+    cmac_rows.extend(CMAC_GROUPS.iter().map(|&g| {
         let path = if g >= MIN_LANE_MESSAGES {
             "lanes"
         } else {
@@ -256,12 +455,21 @@ fn main() {
         };
         vec![
             format!("{path}, {g} pages per call"),
-            format!("{v:.1}"),
-            format!("{:.2}x", v / cmac_scalar),
+            runs.row(&cmac_key("lanes", g)).show(1),
+            runs.ratio(&cmac_key("lanes", g), &scalar).show(2),
         ]
     }));
+    if aesni {
+        cmac_rows.extend(AESNI_CMAC_GROUPS.iter().map(|&g| {
+            vec![
+                format!("aesni, {g} pages per call"),
+                runs.row(&cmac_key("aesni", g)).show(1),
+                runs.ratio(&cmac_key("aesni", g), &scalar).show(2),
+            ]
+        }));
+    }
     print_table(
-        "Host CMAC over IV ‖ 4 KiB page (MiB/s, fastest rep)",
+        "Host CMAC over IV ‖ 4 KiB page (MiB/s, fastest rep; median (min–max))",
         &["Path", "MiB/s", "Over scalar"],
         &cmac_rows,
     );
@@ -317,11 +525,44 @@ fn main() {
         &sim_rows,
     );
 
+    // The gate ratios, each taken within a run.
+    let dec_ratio = runs.ratio(
+        &mode_key("bitsliced", Mode::CbcDec, 1),
+        &mode_key("table", Mode::CbcDec, 1),
+    );
+    let xts_enc_ratio = runs.ratio(
+        &mode_key("bitsliced", Mode::XtsEnc, 1),
+        &mode_key("bitsliced", Mode::CbcEnc, 1),
+    );
+    let cmac16_ratio = runs.ratio(&cmac_key("lanes", 16), &scalar);
+    let parity: Vec<(String, String, Spread)> = if aesni {
+        parity_pairs()
+            .into_iter()
+            .map(|(ni, bits)| {
+                let r = runs.ratio(&ni, &bits);
+                (ni, bits, r)
+            })
+            .collect()
+    } else {
+        Vec::new()
+    };
+
     // JSON.
-    let host_json: Vec<String> = host
+    let host_json: Vec<String> = mode_rows
         .iter()
-        .map(|(b, m, v)| {
-            format!("    {{\"backend\": \"{b}\", \"mode\": \"{m}\", \"mib_s\": {v:.1}}}")
+        .map(|&(backend, mode, chains)| {
+            let key = mode_key(backend, mode, chains);
+            let over = parity
+                .iter()
+                .find(|(ni, _, _)| *ni == key)
+                .map(|(_, _, r)| format!(", \"over_bitsliced\": {}", r.json(2)))
+                .unwrap_or_default();
+            format!(
+                "    {{\"backend\": \"{backend}\", \"mode\": \"{}\", \"chains\": {chains}, \
+                 \"mib_s\": {}{over}}}",
+                mode.name(),
+                runs.row(&key).json(1),
+            )
         })
         .collect();
     let acct_json: Vec<String> = acct
@@ -338,71 +579,100 @@ fn main() {
         .iter()
         .map(|&(name, ns)| format!("    {{\"engine\": \"{name}\", \"page_ns\": {ns}}}"))
         .collect();
-    let cmac_json: Vec<String> = std::iter::once(format!(
-        "    {{\"path\": \"scalar\", \"group\": 1, \"mib_s\": {cmac_scalar:.1}}}"
-    ))
-    .chain(cmac_lanes.iter().map(|&(g, v)| {
-        format!(
-            "    {{\"path\": \"lanes\", \"group\": {g}, \"mib_s\": {v:.1}, \
-             \"over_scalar\": {:.2}}}",
-            v / cmac_scalar
-        )
-    }))
-    .collect();
-    let cmac16_ratio = cmac_lanes[0].1 / cmac_scalar;
-    let dec_ratio = thr("bitsliced", Mode::CbcDec) / thr("table", Mode::CbcDec);
-    let xts_enc_ratio = thr("bitsliced", Mode::XtsEnc) / thr("bitsliced", Mode::CbcEnc);
+    let mut cmac_json = vec![format!(
+        "    {{\"path\": \"scalar\", \"group\": 1, \"mib_s\": {}}}",
+        runs.row(&scalar).json(1)
+    )];
+    let aesni_groups: &[usize] = if aesni { &AESNI_CMAC_GROUPS } else { &[] };
+    for (path, g) in CMAC_GROUPS
+        .iter()
+        .map(|&g| ("lanes", g))
+        .chain(aesni_groups.iter().map(|&g| ("aesni", g)))
+    {
+        let key = cmac_key(path, g);
+        let over = parity
+            .iter()
+            .find(|(ni, _, _)| *ni == key)
+            .map(|(_, _, r)| format!(", \"over_lanes\": {}", r.json(2)))
+            .unwrap_or_default();
+        cmac_json.push(format!(
+            "    {{\"path\": \"{path}\", \"group\": {g}, \"mib_s\": {}, \"over_scalar\": {}{over}}}",
+            runs.row(&key).json(1),
+            runs.ratio(&key, &scalar).json(2)
+        ));
+    }
     let json = format!(
-        "{{\n  \"experiment\": \"aes_kernels\",\n  \"page_bytes\": {PAGE},\n  \
-         \"pages\": {PAGES},\n  \"reps\": {REPS},\n  \
-         \"cbc_dec_bitsliced_over_table\": {dec_ratio:.2},\n  \
-         \"xts_enc_over_cbc_enc\": {xts_enc_ratio:.2},\n  \
-         \"cmac_batch16_over_scalar\": {cmac16_ratio:.2},\n  \
+        "{{\n  \"experiment\": \"aes_kernels\",\n  \"host_kernel\": \"{host_kernel}\",\n  \
+         \"page_bytes\": {PAGE},\n  \"pages\": {PAGES},\n  \"reps\": {REPS},\n  \
+         \"runs\": {RUNS},\n  \
+         \"cbc_dec_bitsliced_over_table\": {},\n  \
+         \"xts_enc_over_cbc_enc\": {},\n  \
+         \"cmac_batch16_over_scalar\": {},\n  \
          \"cmac_min_lane_messages\": {MIN_LANE_MESSAGES},\n  \
          \"host\": [\n{}\n  ],\n  \"cmac\": [\n{}\n  ],\n  \"table4\": [\n{}\n  ],\n  \
          \"sim\": [\n{}\n  ]\n}}\n",
+        dec_ratio.json(2),
+        xts_enc_ratio.json(2),
+        cmac16_ratio.json(2),
         host_json.join(",\n"),
         cmac_json.join(",\n"),
         acct_json.join(",\n"),
         sim_json.join(",\n"),
     );
     std::fs::write("BENCH_aes_kernels.json", &json).expect("write BENCH_aes_kernels.json");
-    println!("\nwrote BENCH_aes_kernels.json");
+    println!("\nhost AES kernel: {host_kernel}");
+    println!("wrote BENCH_aes_kernels.json");
 
     if enforce {
         assert!(
             acct[1].access_protected == 0,
             "bitsliced variant must have zero access-protected state"
         );
-        if dec_ratio < 1.0 {
+        let (dec, xts, cmac16) = (dec_ratio.median, xts_enc_ratio.median, cmac16_ratio.median);
+        if dec < 1.0 {
             eprintln!(
                 "FAIL: bitsliced CBC-decrypt regressed below the scalar-table \
-                 baseline ({dec_ratio:.2}x)"
+                 baseline (median {dec:.2}x)"
             );
             std::process::exit(1);
         }
-        println!("enforce: bitsliced CBC-decrypt at {dec_ratio:.2}x of scalar — ok");
+        println!("enforce: bitsliced CBC-decrypt at {dec:.2}x of scalar — ok");
         // The tentpole gate: page encryption through the lane-filling
         // XTS mode must run at least 8x the serially chained CBC
         // encryption on the same bitsliced backend (a native run shows
         // ~15x; 8x leaves headroom for noisy CI hosts).
-        if xts_enc_ratio < 8.0 {
+        if xts < 8.0 {
             eprintln!(
-                "FAIL: bitsliced XTS page-encrypt at only {xts_enc_ratio:.2}x of \
-                 bitsliced CBC-encrypt (gate: >= 8x)"
+                "FAIL: bitsliced XTS page-encrypt at only {xts:.2}x of \
+                 bitsliced CBC-encrypt (median; gate: >= 8x)"
             );
             std::process::exit(1);
         }
-        println!("enforce: bitsliced XTS-encrypt at {xts_enc_ratio:.2}x of CBC-encrypt — ok");
+        println!("enforce: bitsliced XTS-encrypt at {xts:.2}x of CBC-encrypt — ok");
         // The batch CMAC gate: 16 pages per call on the bitsliced lanes
         // must run at least 2x the scalar chain (~4.0x measured).
-        if cmac16_ratio < 2.0 {
+        if cmac16 < 2.0 {
             eprintln!(
-                "FAIL: batch CMAC over 16 pages at only {cmac16_ratio:.2}x of the \
-                 scalar chain (gate: >= 2x)"
+                "FAIL: batch CMAC over 16 pages at only {cmac16:.2}x of the \
+                 scalar chain (median; gate: >= 2x)"
             );
             std::process::exit(1);
         }
-        println!("enforce: batch CMAC (16 pages) at {cmac16_ratio:.2}x of scalar — ok");
+        println!("enforce: batch CMAC (16 pages) at {cmac16:.2}x of scalar — ok");
+        // The AES-NI parity gate: the kernel the host runs must not be
+        // slower than the bitsliced kernel it replaces on any batched
+        // path.
+        for (ni, bits, r) in &parity {
+            if r.median < 1.0 {
+                eprintln!(
+                    "FAIL: {ni} at only {:.2}x of {bits} (median; gate: >= 1x)",
+                    r.median
+                );
+                std::process::exit(1);
+            }
+        }
+        if aesni {
+            println!("enforce: every batched aesni row at least matches its bitsliced row — ok");
+        }
     }
 }

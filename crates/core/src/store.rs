@@ -45,7 +45,7 @@ impl StateStore for CachedSocStore<'_> {
     }
 }
 
-/// DRAM-resident AES state with bus-visible accesses (the unsafe
+/// DRAM-resident AES state with bus-visible accesses (the leaky
 /// baseline the attacks exploit).
 pub struct UncachedSocStore<'a> {
     soc: &'a mut Soc,

@@ -53,9 +53,10 @@ pub trait BlockCipherBatch: BlockCipher {
     /// Block position `j` of up to [`BlockCipherBatch::batch_width`]
     /// chains goes through one [`BlockCipherBatch::encrypt_blocks`] call.
     /// The tracked (AES On SoC) kernels run this default, whose per-step
-    /// kernel calls are what their store trace charges; the bitsliced
-    /// context overrides it to keep the chains in bit planes between
-    /// steps.
+    /// kernel calls are what their store trace charges. The AES-NI kernel
+    /// overrides it to keep up to eight chains in registers from the
+    /// first block to the last, and the bitsliced context (the portable
+    /// fallback's lanes) to keep them in bit planes between steps.
     fn encrypt_chains<F>(&self, chains: &mut [Block], blocks: usize, every_block: bool, mut feed: F)
     where
         F: FnMut(usize, usize, Option<&Block>) -> Block,

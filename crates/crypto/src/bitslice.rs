@@ -823,7 +823,9 @@ impl BitslicedAes {
     /// the incoming message blocks, folds them into the planes, and runs
     /// the rounds. The planes are unpacked only where chain values must
     /// leave the lanes: before each later step when `every_block` asks
-    /// for them, and once after the last step.
+    /// for them, and once after the last step. On a host with AES-NI the
+    /// page cipher and CMAC never build a bitsliced context, so this
+    /// serves the portable fallback only.
     pub(crate) fn encrypt_chains<F>(
         &self,
         chains: &mut [Block],

@@ -5,11 +5,13 @@
 //! Attacks", ASPLOS 2015) cannot use a generic cryptographic library: a
 //! generic library spills key schedules, stack temporaries, and lookup
 //! tables into DRAM, where cold-boot, bus-monitoring, and DMA attacks can
-//! observe them. This crate therefore provides AES in three forms:
+//! observe them. This crate therefore provides AES in three forms, plus
+//! the host's hardware kernel:
 //!
 //! 1. [`block::Aes`] — a fast, table-driven implementation operating on
-//!    native memory. This models the *generic* ("unsafe") AES of the paper:
-//!    OpenSSL AES in user space or the Linux Crypto API's software AES.
+//!    native memory. This models the *generic* (DRAM-resident) AES of the
+//!    paper: OpenSSL AES in user space or the Linux Crypto API's software
+//!    AES.
 //! 2. [`block::AesRef`] — a slow, straight-from-the-spec reference used to
 //!    cross-check the table-driven code.
 //! 3. [`tracked::TrackedAes`] — an implementation whose *entire* state
@@ -18,6 +20,13 @@
 //!    store with simulated iRAM or a locked L2 cache way yields the paper's
 //!    *AES On SoC*; backing it with simulated DRAM reproduces the leaky
 //!    baseline that bus monitors exploit.
+//! 4. `aesni::AesNi` (x86-64 only) — the same cipher on the CPU's AES-NI
+//!    instructions. It models nothing: the untracked host contexts
+//!    ([`modes::PageCipher`], [`mac::Cmac`]) run on it wherever the CPU
+//!    has it, so the reproduction runs faster while the simulated clock
+//!    keeps charging the modelled cost. Without AES-NI they run the
+//!    portable pair, [`block::Aes`] for lone chains and
+//!    [`bitslice::BitslicedAes`] for lanes and streams.
 //!
 //! The [`state`] module gives a byte-accurate breakdown of AES state by
 //! sensitivity class (secret / public / access-protected), regenerating
@@ -40,9 +49,14 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
+// `aesni` is the one module exempt from `unsafe_code`: see its docs for the
+// safety argument. Every other module keeps the crate-wide denial.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+pub mod aesni;
 pub mod batch;
 pub mod bitslice;
 pub mod block;

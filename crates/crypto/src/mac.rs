@@ -16,31 +16,33 @@
 //!   tag store keeps 64-bit tags to double its page capacity, which
 //!   SP 800-38B §5.5 explicitly permits).
 //!
-//! The chain runs two ways, with byte-identical tags:
+//! Every message is one CBC chain, and a batch of messages of one shape
+//! — [`Cmac::mac_extents`], a 16-byte tweak followed by one equal-sized
+//! extent of a buffer each (IV ‖ page for the integrity plane and the
+//! journal commit tags, IV ‖ sector for dm-crypt) — is a batch of
+//! independent chains. Both run on the lane loop of the context's
+//! [`PageCipher`], with byte-identical tags on either kernel:
 //!
-//! * one message — [`Cmac::mac_parts`] — on the scalar table-driven
-//!   cipher, one block after another;
-//! * a batch of messages of one shape — [`Cmac::mac_extents`], a 16-byte
-//!   tweak followed by one equal-sized extent of a buffer each (IV ‖ page
-//!   for the integrity plane and the journal commit tags, IV ‖ sector for
-//!   dm-crypt). Each message's chain is independent of the others, so
-//!   block `j` of up to 16 messages goes through one call of the
-//!   bitsliced kernel, on the lane loop CBC batch encryption also runs
-//!   on. A group smaller than [`MIN_LANE_MESSAGES`] keeps the scalar
-//!   chain, which is faster there.
+//! * on AES-NI every group of up to eight messages, a lone one included,
+//!   keeps its chains in registers from the first block to the last;
+//! * on the portable kernel block `j` of up to 16 messages goes through
+//!   one call of the bitsliced kernel, and a group smaller than
+//!   [`MIN_LANE_MESSAGES`] (a lone message from [`Cmac::mac_parts`], say)
+//!   keeps the scalar table-driven chain, which is faster there.
 //!
 //! Verified against the NIST AES-128 CMAC examples.
 
 use std::fmt;
-use std::sync::OnceLock;
 
-use crate::bitslice::{BitslicedAes, PAR_BLOCKS};
+use crate::batch::BlockCipherBatch;
+use crate::bitslice::PAR_BLOCKS;
 use crate::block::{Aes, Block};
-use crate::modes::xor_block;
+use crate::modes::{xor_block, HostKernel, PageCipher};
 use crate::BLOCK_SIZE;
 
-/// The smallest group of messages [`Cmac::mac_extents`] runs on the
-/// bitsliced lanes; a smaller group keeps the scalar chain.
+/// The smallest group of messages the portable kernel runs on the
+/// bitsliced lanes; a smaller group keeps the scalar chain. AES-NI runs
+/// every group on its own lanes and ignores this.
 ///
 /// One bitsliced call costs the same whether 1 or 16 of its lanes are
 /// live, so a group of `n` messages runs at about `n/16` of the
@@ -85,18 +87,25 @@ fn check_extents(tweaks: &[Block], data: &[u8], unit: usize) {
     );
 }
 
-/// A CMAC context: the AES key, its bitsliced form, and the subkeys.
+/// Block `j` of a whole-block-aligned byte run.
+fn block_at(bytes: &[u8], j: usize) -> Block {
+    bytes[j * BLOCK_SIZE..(j + 1) * BLOCK_SIZE]
+        .try_into()
+        .expect("block")
+}
+
+/// A CMAC context: the AES key in its host [`PageCipher`], and the
+/// subkeys.
 ///
 /// The context borrows nothing and owns the cipher, so callers that
 /// already hold an expanded AES key (e.g. the on-SoC engine) construct
-/// one `Cmac` per key and reuse it for every page. The bitsliced context
-/// is built from the same key schedule on the first lane-wide batch,
-/// once per key; a user that only ever MACs one message at a time never
-/// pays for it.
+/// one `Cmac` per key and reuse it for every page. On the portable
+/// kernel the bitsliced context is built from the same key schedule on
+/// the first lane-wide batch, once per key; a user that only ever MACs
+/// one message at a time never pays for it.
 #[derive(Clone)]
 pub struct Cmac {
-    cipher: Aes,
-    lanes: OnceLock<BitslicedAes>,
+    cipher: PageCipher,
     k1: Block,
     k2: Block,
 }
@@ -104,7 +113,8 @@ pub struct Cmac {
 impl fmt::Debug for Cmac {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         // The subkeys are key material: `dbl` is invertible, so K1
-        // reveals E_K(0). Print only what the cipher prints (its size).
+        // reveals E_K(0). Print only what the cipher prints (its size
+        // and kernel).
         f.debug_struct("Cmac")
             .field("cipher", &self.cipher)
             .finish_non_exhaustive()
@@ -112,18 +122,30 @@ impl fmt::Debug for Cmac {
 }
 
 impl Cmac {
-    /// Build a CMAC context, deriving the two subkeys from `cipher`.
+    /// Build a CMAC context on the fastest kernel this CPU has,
+    /// deriving the two subkeys from `cipher`.
     pub fn new(cipher: Aes) -> Self {
+        Cmac::with_cipher(PageCipher::from_aes(cipher, true))
+    }
+
+    /// [`Cmac::new`] on the portable kernel whatever the CPU has, so the
+    /// fallback stays testable on a host with AES-NI.
+    pub fn portable(cipher: Aes) -> Self {
+        Cmac::with_cipher(PageCipher::from_aes(cipher, false))
+    }
+
+    fn with_cipher(cipher: PageCipher) -> Self {
         let mut l = [0u8; BLOCK_SIZE];
-        cipher.encrypt_block(&mut l);
+        cipher.aes.encrypt_block(&mut l);
         let k1 = dbl(&l);
         let k2 = dbl(&k1);
-        Cmac {
-            cipher,
-            lanes: OnceLock::new(),
-            k1,
-            k2,
-        }
+        Cmac { cipher, k1, k2 }
+    }
+
+    /// The kernel the chains run on: `"aesni"` or `"portable"`.
+    #[must_use]
+    pub fn kernel_name(&self) -> &'static str {
+        self.cipher.kernel_name()
     }
 
     /// The first subkey (`K1`), exposed for known-answer tests.
@@ -154,48 +176,62 @@ impl Cmac {
         out
     }
 
+    /// Run `n` messages of `blocks` blocks each, `block(i, j)` being
+    /// block `j` of message `i` (the last one pre-folded with its
+    /// subkey), and return their tags. On the portable kernel a last
+    /// group below [`MIN_LANE_MESSAGES`] keeps the scalar chain unless
+    /// `all_lanes` is set.
+    fn chains(
+        &self,
+        n: usize,
+        blocks: usize,
+        all_lanes: bool,
+        mut block: impl FnMut(usize, usize) -> Block,
+    ) -> Vec<Block> {
+        let mut tags = vec![[0u8; BLOCK_SIZE]; n];
+        let mut feed = |i: usize, j: usize, _: Option<&Block>| block(i, j);
+        match &self.cipher.kernel {
+            #[cfg(target_arch = "x86_64")]
+            HostKernel::AesNi(ni) => ni.encrypt_chains(&mut tags, blocks, false, feed),
+            HostKernel::Portable(cell) => {
+                let rest = n % PAR_BLOCKS;
+                let wide = if all_lanes || rest >= MIN_LANE_MESSAGES {
+                    n
+                } else {
+                    n - rest
+                };
+                if wide > 0 {
+                    let lanes = self.cipher.bits(cell);
+                    lanes.encrypt_chains(&mut tags[..wide], blocks, false, &mut feed);
+                }
+                let scalar = &self.cipher.aes;
+                scalar.encrypt_chains(&mut tags[wide..], blocks, false, |i, j, p| {
+                    feed(wide + i, j, p)
+                });
+            }
+        }
+        tags
+    }
+
     /// MAC a message supplied as a list of byte slices, treated as their
-    /// concatenation, on the scalar chain. Returns the full 128-bit tag.
+    /// concatenation: one chain. Returns the full 128-bit tag.
     ///
     /// The multi-part form lets the integrity plane prepend a 16-byte
     /// context tweak (derived from the page IV) to a ciphertext page
-    /// without copying the page.
+    /// without building the message itself.
     #[must_use]
     pub fn mac_parts(&self, parts: &[&[u8]]) -> Block {
-        let mut x = [0u8; BLOCK_SIZE];
-        // The most recent (possibly final) block stays buffered so the
-        // subkey XOR can be applied before the last cipher call, per
-        // SP 800-38B step 6: a block is absorbed only once a byte after
-        // it has arrived.
-        let mut buf = [0u8; BLOCK_SIZE];
-        let mut buf_len = 0usize;
-        for part in parts {
-            let mut rest = *part;
-            while !rest.is_empty() {
-                if buf_len == BLOCK_SIZE {
-                    xor_block(&mut x, &buf);
-                    self.cipher.encrypt_block(&mut x);
-                    buf_len = 0;
-                }
-                if buf_len == 0 {
-                    // Whole blocks with more input behind them go
-                    // straight into the chain.
-                    while rest.len() > BLOCK_SIZE {
-                        let (block, tail) = rest.split_at(BLOCK_SIZE);
-                        xor_block(&mut x, block.try_into().expect("a block"));
-                        self.cipher.encrypt_block(&mut x);
-                        rest = tail;
-                    }
-                }
-                let take = rest.len().min(BLOCK_SIZE - buf_len);
-                buf[buf_len..buf_len + take].copy_from_slice(&rest[..take]);
-                buf_len += take;
-                rest = &rest[take..];
+        let msg = parts.concat();
+        let blocks = msg.len().div_ceil(BLOCK_SIZE).max(1);
+        let last = self.last_block(&msg[(blocks - 1) * BLOCK_SIZE..]);
+        let tags = self.chains(1, blocks, false, |_, j| {
+            if j + 1 == blocks {
+                last
+            } else {
+                block_at(&msg, j)
             }
-        }
-        xor_block(&mut x, &self.last_block(&buf[..buf_len]));
-        self.cipher.encrypt_block(&mut x);
-        x
+        });
+        tags[0]
     }
 
     /// MAC a single contiguous message. Returns the full 128-bit tag.
@@ -216,7 +252,8 @@ impl Cmac {
     /// tags in order, byte-identical to
     /// `mac_parts(&[&tweaks[i], extent_i])` for each message.
     ///
-    /// Every full group of 16 messages, and a last group of at least
+    /// On AES-NI every message runs on the lanes. On the portable kernel
+    /// every full group of 16 messages, and a last group of at least
     /// [`MIN_LANE_MESSAGES`], runs on the bitsliced lanes; a smaller last
     /// group (a single page, say) keeps the scalar chain.
     ///
@@ -227,19 +264,7 @@ impl Cmac {
     /// tag.
     #[must_use]
     pub fn mac_extents(&self, tweaks: &[Block], data: &[u8], unit: usize) -> Vec<Block> {
-        check_extents(tweaks, data, unit);
-        let n = tweaks.len();
-        let rest = n % PAR_BLOCKS;
-        let wide = if rest >= MIN_LANE_MESSAGES {
-            n
-        } else {
-            n - rest
-        };
-        let mut tags = self.mac_extents_lanes(&tweaks[..wide], &data[..wide * unit], unit);
-        tags.extend(
-            (wide..n).map(|i| self.mac_parts(&[&tweaks[i], &data[i * unit..(i + 1) * unit]])),
-        );
-        tags
+        self.extent_chains(tweaks, data, unit, false)
     }
 
     /// [`Cmac::mac_extents`] truncated to 64-bit tags.
@@ -255,22 +280,27 @@ impl Cmac {
             .collect()
     }
 
-    /// [`Cmac::mac_extents`] with every group on the bitsliced lanes,
-    /// however small. Callers want [`Cmac::mac_extents`]; this entry
-    /// exists so the crossover can be measured and tested.
+    /// [`Cmac::mac_extents`] with every group on the lanes, however
+    /// small (on AES-NI the two are the same). Callers want
+    /// [`Cmac::mac_extents`]; this entry exists so the portable
+    /// crossover can be measured and tested.
     ///
     /// # Panics
     ///
     /// As [`Cmac::mac_extents`].
     #[must_use]
     pub fn mac_extents_lanes(&self, tweaks: &[Block], data: &[u8], unit: usize) -> Vec<Block> {
+        self.extent_chains(tweaks, data, unit, true)
+    }
+
+    fn extent_chains(
+        &self,
+        tweaks: &[Block],
+        data: &[u8],
+        unit: usize,
+        all_lanes: bool,
+    ) -> Vec<Block> {
         check_extents(tweaks, data, unit);
-        if tweaks.is_empty() {
-            return Vec::new();
-        }
-        let lanes = self
-            .lanes
-            .get_or_init(|| BitslicedAes::from_schedule(self.cipher.schedule()));
         // Block 0 of a message is its tweak and block `j >= 1` is block
         // `j - 1` of its extent; the last block is pre-folded with its
         // subkey.
@@ -284,19 +314,15 @@ impl Cmac {
                 _ => self.last_block(&extent(i)[(blocks - 2) * BLOCK_SIZE..]),
             })
             .collect();
-        let mut chains = vec![[0u8; BLOCK_SIZE]; tweaks.len()];
-        lanes.encrypt_chains(&mut chains, blocks, false, |i, j, _| {
+        self.chains(tweaks.len(), blocks, all_lanes, |i, j| {
             if j + 1 == blocks {
                 lasts[i]
             } else if j == 0 {
                 tweaks[i]
             } else {
-                extent(i)[(j - 1) * BLOCK_SIZE..j * BLOCK_SIZE]
-                    .try_into()
-                    .expect("block")
+                block_at(extent(i), j - 1)
             }
-        });
-        chains
+        })
     }
 }
 
@@ -407,13 +433,42 @@ mod tests {
         assert!(c.mac_extents(&[], &[], 4096).is_empty());
     }
 
+    /// Whether the portable kernel's bitsliced context has been built
+    /// (`None` when the context runs another kernel).
+    fn lanes_built(c: &Cmac) -> Option<bool> {
+        match &c.cipher.kernel {
+            HostKernel::Portable(cell) => Some(cell.get().is_some()),
+            #[cfg(target_arch = "x86_64")]
+            HostKernel::AesNi(_) => None,
+        }
+    }
+
     #[test]
     fn the_lanes_are_built_on_the_first_lane_wide_group() {
-        let c = nist_cmac();
+        let c = Cmac::portable(nist_cmac().cipher.aes);
+        let _ = c.mac(&MSG);
         let _ = c.mac_extents(&[[0u8; 16]; 3], &[0u8; 3 * 32], 32);
-        assert!(c.lanes.get().is_none(), "three messages stay scalar");
+        assert_eq!(lanes_built(&c), Some(false), "three messages stay scalar");
         let _ = c.mac_extents(&[[0u8; 16]; 4], &[0u8; 4 * 32], 32);
-        assert!(c.lanes.get().is_some());
+        assert_eq!(lanes_built(&c), Some(true));
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn an_aes_ni_context_never_builds_the_bitsliced_lanes() {
+        let c = nist_cmac();
+        if c.kernel_name() != "aesni" {
+            eprintln!("skipped: this CPU has no AES-NI");
+            return;
+        }
+        for n in [1usize, 3, 4, 16, 17] {
+            let _ = c.mac_extents(&vec![[0u8; 16]; n], &vec![0u8; n * 32], 32);
+        }
+        let _ = c.mac_extents_lanes(&[[0u8; 16]; 2], &[0u8; 2 * 32], 32);
+        assert_eq!(lanes_built(&c), None, "no bitsliced context to build");
+        let pages = PageCipher::new(&[7u8; 32]).unwrap();
+        assert_eq!(pages.kernel_name(), "aesni");
+        assert!(matches!(pages.kernel, HostKernel::AesNi(_)));
     }
 
     #[test]

@@ -25,6 +25,7 @@ use crate::batch::BlockCipherBatch;
 use crate::bitslice::BitslicedAes;
 use crate::block::{Aes, AesRef, Block};
 use crate::BLOCK_SIZE;
+use std::sync::OnceLock;
 
 /// The per-page cipher mode a Sentry engine runs.
 ///
@@ -95,18 +96,51 @@ pub enum Direction {
     Decrypt,
 }
 
-/// One keyed page-cipher context: the key is expanded once into a scalar
-/// table-driven context and a bitsliced context sharing its schedule.
+/// One keyed page-cipher context: the host's untracked AES. The key is
+/// expanded once, and the one schedule feeds whichever kernel the CPU
+/// runs fastest.
 ///
 /// The paper's three kernel ciphers (generic AES, the accelerator, and
 /// AES On SoC) differ in where the key lives and what an operation
 /// costs, not in the mode arithmetic; each holds one `PageCipher`, as do
-/// the spill region's engine and the parallel lock lanes.
-/// [`crypt_extents`] is the one place a page-cipher mode picks a kernel.
+/// the spill region's engine, the parallel lock lanes, dm-crypt's
+/// keystream context and every [`crate::mac::Cmac`]. The simulated
+/// device charges its calibrated cost whatever runs here, so the kernel
+/// choice moves host time only. [`crypt_extents`] is the one place a
+/// page-cipher mode picks a kernel.
 #[derive(Clone)]
 pub struct PageCipher {
-    aes: Aes,
-    bits: BitslicedAes,
+    /// The table-driven context: the schedule, one-off derivations and
+    /// the portable kernel's serial chains.
+    pub(crate) aes: Aes,
+    pub(crate) kernel: HostKernel,
+}
+
+/// The kernel behind a [`PageCipher`], chosen once per key.
+#[derive(Clone)]
+pub(crate) enum HostKernel {
+    /// AES-NI for every path: single chains, lanes and streams. Boxed,
+    /// as its round keys are most of the context's size.
+    #[cfg(target_arch = "x86_64")]
+    AesNi(Box<crate::aesni::AesNi>),
+    /// The table-driven chain plus a bitsliced context, built from the
+    /// same schedule on first use, for lanes and streams.
+    Portable(OnceLock<BitslicedAes>),
+}
+
+impl HostKernel {
+    /// The hardware kernel for `schedule`, if this CPU has one.
+    fn accelerated(schedule: &crate::key_schedule::KeySchedule) -> Option<HostKernel> {
+        #[cfg(target_arch = "x86_64")]
+        let kernel =
+            crate::aesni::AesNi::from_schedule(schedule).map(|ni| HostKernel::AesNi(Box::new(ni)));
+        #[cfg(not(target_arch = "x86_64"))]
+        let kernel = {
+            let _ = schedule;
+            None
+        };
+        kernel
+    }
 }
 
 impl std::fmt::Debug for PageCipher {
@@ -114,21 +148,52 @@ impl std::fmt::Debug for PageCipher {
         // Never print key material.
         f.debug_struct("PageCipher")
             .field("size", &self.aes.key_size())
+            .field("kernel", &self.kernel_name())
             .finish_non_exhaustive()
     }
 }
 
 impl PageCipher {
-    /// Expand `key` once and build both contexts from the one schedule.
+    /// Expand `key` once and load it into the fastest kernel this CPU
+    /// has.
     ///
     /// # Errors
     ///
     /// Returns [`crate::KeyError::InvalidLength`] for keys that are not
     /// 16, 24, or 32 bytes.
     pub fn new(key: &[u8]) -> Result<Self, crate::KeyError> {
-        let aes = Aes::new(key)?;
-        let bits = BitslicedAes::from_schedule(aes.schedule());
-        Ok(PageCipher { aes, bits })
+        Ok(PageCipher::from_aes(Aes::new(key)?, true))
+    }
+
+    /// [`PageCipher::new`] on the portable kernel (table-driven chain
+    /// and bitsliced lanes) whatever the CPU has, so the fallback stays
+    /// testable on a host with AES-NI.
+    ///
+    /// # Errors
+    ///
+    /// As [`PageCipher::new`].
+    pub fn portable(key: &[u8]) -> Result<Self, crate::KeyError> {
+        Ok(PageCipher::from_aes(Aes::new(key)?, false))
+    }
+
+    /// The one kernel selection: AES-NI when `detect` is set and the CPU
+    /// has it, else the portable pair.
+    pub(crate) fn from_aes(aes: Aes, detect: bool) -> Self {
+        let kernel = detect
+            .then(|| HostKernel::accelerated(aes.schedule()))
+            .flatten()
+            .unwrap_or_else(|| HostKernel::Portable(OnceLock::new()));
+        PageCipher { aes, kernel }
+    }
+
+    /// The kernel this context runs: `"aesni"` or `"portable"`.
+    #[must_use]
+    pub fn kernel_name(&self) -> &'static str {
+        match self.kernel {
+            #[cfg(target_arch = "x86_64")]
+            HostKernel::AesNi(_) => "aesni",
+            HostKernel::Portable(_) => "portable",
+        }
     }
 
     /// The expanded key schedule (the generic engine models it as kernel
@@ -138,9 +203,14 @@ impl PageCipher {
         self.aes.schedule()
     }
 
+    /// The portable kernel's bitsliced context, built on first use.
+    pub(crate) fn bits<'a>(&'a self, cell: &'a OnceLock<BitslicedAes>) -> &'a BitslicedAes {
+        cell.get_or_init(|| BitslicedAes::from_schedule(self.aes.schedule()))
+    }
+
     /// Transform `ivs.len()` equal-sized extents laid out back to back in
     /// `data`, the `i`-th under `ivs[i]`, in place, with this context's
-    /// scalar and bitsliced kernels (see [`crypt_extents`]).
+    /// kernel (see [`crypt_extents`]).
     ///
     /// # Panics
     ///
@@ -154,7 +224,22 @@ impl PageCipher {
         ivs: &[[u8; 16]],
         data: &mut [u8],
     ) {
-        crypt_extents(&self.aes, &self.bits, mode, direction, ivs, data);
+        match &self.kernel {
+            // A lone CBC chain runs on the lane loop too: it keeps the
+            // chain value in a register, where the per-block scalar call
+            // stores and reloads it.
+            #[cfg(target_arch = "x86_64")]
+            HostKernel::AesNi(ni)
+                if (mode, direction) == (PageCipherMode::Cbc, Direction::Encrypt) =>
+            {
+                cbc_encrypt_extents(&**ni, ivs, data);
+            }
+            #[cfg(target_arch = "x86_64")]
+            HostKernel::AesNi(ni) => crypt_extents(&**ni, &**ni, mode, direction, ivs, data),
+            HostKernel::Portable(cell) => {
+                crypt_extents(&self.aes, self.bits(cell), mode, direction, ivs, data);
+            }
+        }
     }
 }
 
@@ -163,9 +248,11 @@ impl PageCipher {
 /// tweak, or initial CTR counter block), in place.
 ///
 /// `scalar` runs the one serial chain that has nothing to batch against;
-/// `batch` runs everything else. [`PageCipher`] passes its table-driven
-/// and bitsliced contexts; AES On SoC's tracked data path passes its
-/// store-bound kernel ([`crate::tracked::InStore`]) as both.
+/// `batch` runs everything else. [`PageCipher`] on the portable kernel
+/// passes its table-driven and bitsliced contexts, and on AES-NI passes
+/// that kernel as both (and sends a lone CBC chain to its lane loop);
+/// AES On SoC's tracked data path passes its store-bound kernel
+/// ([`crate::tracked::InStore`]) as both.
 ///
 /// | mode | direction | extents | kernel |
 /// |------|-----------|---------|--------|

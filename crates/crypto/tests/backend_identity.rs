@@ -3,10 +3,12 @@
 //! tracked (store-resident) variants.
 //!
 //! This is the safety net under the batch/bitslice layer: the pager,
-//! dm-crypt, and the parallel lock path all swap backends per direction
-//! (scalar for chained encryption, bitsliced for data-parallel
+//! dm-crypt, and the parallel lock path all run the host's AES-NI kernel
+//! where the CPU has it and otherwise swap portable backends per
+//! direction (scalar for chained encryption, bitsliced for data-parallel
 //! decryption), so any divergence between backends would corrupt user
-//! data, not just fail a benchmark.
+//! data, not just fail a benchmark. On a CPU without AES-NI its cases
+//! print a skip line and pass.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -18,6 +20,23 @@ use sentry_crypto::{
     Aes, AesRef, AesStateLayout, BitslicedAes, Cmac, InStore, KeySize, TrackedAes,
     TrackedBitslicedAes, VecStore,
 };
+
+/// The AES-NI kernel under `aes`'s key, or `None` (with one skip line
+/// per process) on a CPU without it.
+#[cfg(target_arch = "x86_64")]
+fn aes_ni(aes: &Aes) -> Option<sentry_crypto::aesni::AesNi> {
+    let ni = sentry_crypto::aesni::AesNi::from_schedule(aes.schedule());
+    if ni.is_none() {
+        static SKIP: std::sync::Once = std::sync::Once::new();
+        SKIP.call_once(|| eprintln!("skipped: this CPU has no AES-NI"));
+    }
+    ni
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn aes_ni(_: &Aes) -> Option<Aes> {
+    None
+}
 
 fn key_strategy() -> impl Strategy<Value = Vec<u8>> {
     prop_oneof![
@@ -63,6 +82,15 @@ proptest! {
         let mut d = ct.clone();
         cbc_decrypt(&bits, &iv, &mut d);
         prop_assert_eq!(&d, &pt, "bitsliced");
+
+        if let Some(ni) = aes_ni(&table) {
+            let mut d = ct.clone();
+            cbc_decrypt(&ni, &iv, &mut d);
+            prop_assert_eq!(&d, &pt, "aes-ni");
+            let mut e = pt.clone();
+            cbc_encrypt(&ni, &iv, &mut e);
+            prop_assert_eq!(&e, &ct, "aes-ni encrypt");
+        }
 
         let key_size = KeySize::from_key_len(key.len()).unwrap();
         let mut store = VecStore::new(AesStateLayout::for_key_size(key_size).total_bytes());
@@ -140,6 +168,15 @@ proptest! {
         xts_decrypt(&bits, &bits, &tweak, &mut d);
         prop_assert_eq!(&d, &pt, "bitsliced decrypt");
 
+        if let Some(ni) = aes_ni(&table) {
+            let mut e = pt.clone();
+            xts_encrypt(&ni, &ni, &tweak, &mut e);
+            prop_assert_eq!(&e, &ct, "aes-ni encrypt");
+            let mut d = ct.clone();
+            xts_decrypt(&ni, &ni, &tweak, &mut d);
+            prop_assert_eq!(&d, &pt, "aes-ni decrypt");
+        }
+
         let key_size = KeySize::from_key_len(key.len()).unwrap();
         let mut store = VecStore::new(AesStateLayout::for_key_size(key_size).total_bytes());
         let tracked = TrackedAes::init(&mut store, &key).unwrap();
@@ -186,6 +223,12 @@ proptest! {
         let mut other = pt.clone();
         ctr_crypt(&bits, &iv, &mut other);
         prop_assert_eq!(&other, &ct, "bitsliced");
+
+        if let Some(ni) = aes_ni(&table) {
+            let mut other = pt.clone();
+            ctr_crypt(&ni, &iv, &mut other);
+            prop_assert_eq!(&other, &ct, "aes-ni");
+        }
 
         let key_size = KeySize::from_key_len(key.len()).unwrap();
         let mut store = VecStore::new(AesStateLayout::for_key_size(key_size).total_bytes());
@@ -243,6 +286,21 @@ proptest! {
         prop_assert_eq!(&got, &expect, "ctr extents");
         ctr_crypt_extents(&bits, &ivs, &mut got);
         prop_assert_eq!(&got, &pt, "ctr extents round-trip");
+
+        if let Some(ni) = aes_ni(&table) {
+            let mut got = pt.clone();
+            ctr_crypt_extents(&ni, &ivs, &mut got);
+            prop_assert_eq!(&got, &expect, "aes-ni ctr extents");
+            let mut expect = pt.clone();
+            for (iv, chunk) in ivs.iter().zip(expect.chunks_exact_mut(unit)) {
+                xts_encrypt(&table, &table, iv, chunk);
+            }
+            let mut got = pt.clone();
+            xts_crypt_extents(&ni, &ni, true, &ivs, &mut got);
+            prop_assert_eq!(&got, &expect, "aes-ni xts extents encrypt");
+            xts_crypt_extents(&ni, &ni, false, &ivs, &mut got);
+            prop_assert_eq!(&got, &pt, "aes-ni xts extents round-trip");
+        }
     }
 
     /// The cross-extent batched decrypt equals per-extent decryption for
@@ -269,6 +327,11 @@ proptest! {
         let mut got = ct.clone();
         cbc_decrypt_extents(&bits, &ivs, &mut got);
         prop_assert_eq!(&got, &pt, "batched extents");
+        if let Some(ni) = aes_ni(&table) {
+            let mut got = ct.clone();
+            cbc_decrypt_extents(&ni, &ivs, &mut got);
+            prop_assert_eq!(&got, &pt, "aes-ni extents");
+        }
         let mut per = ct;
         for (iv, chunk) in ivs.iter().zip(per.chunks_exact_mut(unit)) {
             cbc_decrypt(&table, iv, chunk);
@@ -306,13 +369,21 @@ proptest! {
         let mut back = got;
         cbc_decrypt_extents(&bits, &ivs, &mut back);
         prop_assert_eq!(&back, &pt, "extent round-trip");
+
+        if let Some(ni) = aes_ni(&table) {
+            let mut got = pt.clone();
+            cbc_encrypt_extents(&ni, &ivs, &mut got);
+            prop_assert_eq!(&got, &expect, "aes-ni lanes diverged from serial CBC");
+        }
     }
 
-    /// The batch CMAC equals per-message `mac_parts` over tweak ‖ body:
-    /// 0–40 messages, so the last lane group falls on both sides of the
-    /// scalar crossover, with page-, sector-, empty- and odd-sized bodies
-    /// (the last one ends in a partial block), through both the
-    /// dispatching entry and the forced-lane entry.
+    /// The batch CMAC equals per-message `mac_parts` over tweak ‖ body
+    /// on the portable scalar chain: 0–40 messages, so the last lane
+    /// group falls on both sides of the scalar crossover, with page-,
+    /// sector-, empty- and odd-sized bodies (the last one ends in a
+    /// partial block), through both the dispatching entry and the
+    /// forced-lane entry, on the portable kernel and on the detected
+    /// one.
     #[test]
     fn batch_cmac_equals_per_message(
         key in key_strategy(),
@@ -320,7 +391,7 @@ proptest! {
         unit in prop_oneof![Just(4096usize), Just(512), Just(0), 1usize..100],
         seed in any::<u8>(),
     ) {
-        let cmac = Cmac::new(Aes::new(&key).unwrap());
+        let cmac = Cmac::portable(Aes::new(&key).unwrap());
         let tweaks: Vec<[u8; 16]> = (0..count)
             .map(|i| [seed.wrapping_add((i * 61) as u8); 16])
             .collect();
@@ -330,9 +401,16 @@ proptest! {
         let expect: Vec<[u8; 16]> = (0..count)
             .map(|i| cmac.mac_parts(&[&tweaks[i], &data[i * unit..(i + 1) * unit]]))
             .collect();
-        prop_assert_eq!(&cmac.mac_extents(&tweaks, &data, unit), &expect, "mac_extents");
-        prop_assert_eq!(&cmac.mac_extents_lanes(&tweaks, &data, unit), &expect, "lanes");
         let short: Vec<[u8; 8]> = expect.iter().map(|t| t[..8].try_into().unwrap()).collect();
-        prop_assert_eq!(&cmac.mac_extents_trunc8(&tweaks, &data, unit), &short, "trunc8");
+        for cmac in [cmac, Cmac::new(Aes::new(&key).unwrap())] {
+            let kernel = cmac.kernel_name();
+            prop_assert_eq!(&cmac.mac_extents(&tweaks, &data, unit), &expect, "{} mac_extents", kernel);
+            prop_assert_eq!(&cmac.mac_extents_lanes(&tweaks, &data, unit), &expect, "{} lanes", kernel);
+            prop_assert_eq!(&cmac.mac_extents_trunc8(&tweaks, &data, unit), &short, "{} trunc8", kernel);
+            for i in 0..count {
+                let one = cmac.mac_parts(&[&tweaks[i], &data[i * unit..(i + 1) * unit]]);
+                prop_assert_eq!(&one, &expect[i], "{} mac_parts", kernel);
+            }
+        }
     }
 }

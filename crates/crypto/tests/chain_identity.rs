@@ -6,16 +6,34 @@
 //! its machinery: the batch CMAC against one `mac_parts` call per
 //! message, the lanes against one serial CBC chain per extent, and the
 //! XTS/CTR streams against a byte-at-a-time tweak doubling and counter
-//! increment over the reference AES. A pinned digest of the tracked
-//! (AES On SoC) kernels' store trace holds their accesses in place.
+//! increment over the reference AES. Every path runs on the AES-NI
+//! kernel (where the CPU has it; a skip line otherwise) and on the
+//! portable one. A pinned digest of the tracked (AES On SoC) kernels'
+//! store trace holds their accesses in place.
 
 use sentry_crypto::modes::{
     cbc_encrypt, cbc_encrypt_extents, ctr_crypt, ctr_crypt_extents, xts_crypt_extents,
 };
 use sentry_crypto::{
-    Aes, AesRef, AesStateLayout, BitslicedAes, Cmac, InStore, KeySize, TrackedAes,
-    TrackedBitslicedAes, VecStore,
+    Aes, AesRef, AesStateLayout, BitslicedAes, Cmac, Direction, InStore, KeySize, PageCipher,
+    PageCipherMode, TrackedAes, TrackedBitslicedAes, VecStore,
 };
+
+/// The AES-NI kernel under `aes`'s key, or `None` (with a skip line) on
+/// a CPU without it.
+#[cfg(target_arch = "x86_64")]
+fn aes_ni(aes: &Aes) -> Option<sentry_crypto::aesni::AesNi> {
+    let ni = sentry_crypto::aesni::AesNi::from_schedule(aes.schedule());
+    if ni.is_none() {
+        eprintln!("skipped: this CPU has no AES-NI");
+    }
+    ni
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn aes_ni(_: &Aes) -> Option<Aes> {
+    None
+}
 
 /// The page key is the 32-byte root key, so AES-256 is the size to cover.
 const KEY: [u8; 32] = [
@@ -43,19 +61,26 @@ fn ivs(n: usize, salt: u8) -> Vec<[u8; 16]> {
 
 #[test]
 fn mac_extents_equals_mac_parts_for_every_group_size() {
-    let cmac = Cmac::new(Aes::new(&KEY).unwrap());
+    // The reference is the portable kernel's one-message path, the
+    // scalar table-driven chain.
+    let scalar = Cmac::portable(Aes::new(&KEY).unwrap());
+    let detected = Cmac::new(Aes::new(&KEY).unwrap());
     for unit in [16usize, 20, 512, 4096] {
         for n in 1..=33 {
             let tweaks = ivs(n, unit as u8);
             let data = bytes(n * unit, n as u8);
-            let want: Vec<[u8; 16]> = (0..n)
-                .map(|i| cmac.mac_parts(&[&tweaks[i], &data[i * unit..(i + 1) * unit]]))
-                .collect();
-            assert_eq!(
-                cmac.mac_extents(&tweaks, &data, unit),
-                want,
-                "{n} messages of 16 + {unit} bytes"
-            );
+            let message = |i: usize| [&tweaks[i][..], &data[i * unit..(i + 1) * unit]];
+            let want: Vec<[u8; 16]> = (0..n).map(|i| scalar.mac_parts(&message(i))).collect();
+            for cmac in [&scalar, &detected] {
+                let kernel = cmac.kernel_name();
+                assert_eq!(
+                    cmac.mac_extents(&tweaks, &data, unit),
+                    want,
+                    "{kernel}: {n} messages of 16 + {unit} bytes"
+                );
+                let one: Vec<[u8; 16]> = (0..n).map(|i| cmac.mac_parts(&message(i))).collect();
+                assert_eq!(one, want, "{kernel}: mac_parts, 16 + {unit} bytes");
+            }
         }
     }
 }
@@ -64,17 +89,36 @@ fn mac_extents_equals_mac_parts_for_every_group_size() {
 fn cbc_encrypt_extents_equals_one_chain_per_extent() {
     let aes = Aes::new(&KEY).unwrap();
     let bits = BitslicedAes::from_schedule(aes.schedule());
+    let ni = aes_ni(&aes);
+    let contexts = [
+        PageCipher::new(&KEY).unwrap(),
+        PageCipher::portable(&KEY).unwrap(),
+    ];
     for unit in [16usize, 48, 512, 4096] {
-        for n in 2..=33 {
+        for n in 1..=33 {
             let ivs = ivs(n, unit as u8 ^ 0x33);
             let pt = bytes(n * unit, n as u8 ^ 0x44);
             let mut want = pt.clone();
             for (iv, extent) in ivs.iter().zip(want.chunks_exact_mut(unit)) {
                 cbc_encrypt(&aes, iv, extent);
             }
-            let mut got = pt;
+            let mut got = pt.clone();
             cbc_encrypt_extents(&bits, &ivs, &mut got);
-            assert_eq!(got, want, "{n} chains of {unit} bytes");
+            assert_eq!(got, want, "bitsliced: {n} chains of {unit} bytes");
+            if let Some(ni) = &ni {
+                let mut got = pt.clone();
+                cbc_encrypt_extents(ni, &ivs, &mut got);
+                assert_eq!(got, want, "aes-ni: {n} chains of {unit} bytes");
+            }
+            for cipher in &contexts {
+                let mut got = pt.clone();
+                cipher.crypt(PageCipherMode::Cbc, Direction::Encrypt, &ivs, &mut got);
+                let kernel = cipher.kernel_name();
+                assert_eq!(
+                    got, want,
+                    "{kernel} page cipher: {n} chains of {unit} bytes"
+                );
+            }
         }
     }
 }
@@ -152,6 +196,7 @@ fn carrying_counters() -> Vec<[u8; 16]> {
 fn xts_and_ctr_extent_runs_carry_across_the_scratch_boundary() {
     let aes = Aes::new(&KEY).unwrap();
     let bits = BitslicedAes::from_schedule(aes.schedule());
+    let ni = aes_ni(&aes);
     let reference = AesRef::new(&KEY).unwrap();
     // Extents of 40 and 48 blocks straddle the 32-block scratch chunk,
     // 3 and 33 blocks put extent heads on either side of it.
@@ -168,6 +213,11 @@ fn xts_and_ctr_extent_runs_carry_across_the_scratch_boundary() {
         let mut got = pt.clone();
         ctr_crypt_extents(&bits, &starts, &mut got);
         assert_eq!(got, want, "CTR, {n} extents of {blocks} blocks");
+        if let Some(ni) = &ni {
+            let mut got = pt.clone();
+            ctr_crypt_extents(ni, &starts, &mut got);
+            assert_eq!(got, want, "aes-ni CTR, {n} extents of {blocks} blocks");
+        }
 
         for encrypt in [true, false] {
             let tweaks = ivs(n, blocks as u8);
@@ -181,6 +231,14 @@ fn xts_and_ctr_extent_runs_carry_across_the_scratch_boundary() {
                 got, want,
                 "XTS (encrypt: {encrypt}), {n} extents of {blocks} blocks"
             );
+            if let Some(ni) = &ni {
+                let mut got = pt.clone();
+                xts_crypt_extents(ni, ni, encrypt, &tweaks, &mut got);
+                assert_eq!(
+                    got, want,
+                    "aes-ni XTS (encrypt: {encrypt}), {n} extents of {blocks} blocks"
+                );
+            }
         }
     }
 }
@@ -204,6 +262,12 @@ fn ctr_tail_takes_the_counter_after_the_whole_blocks() {
     let mut got = pt.clone();
     ctr_crypt(&bits, &iv, &mut got);
     assert_eq!(got, want, "bitsliced");
+
+    if let Some(ni) = aes_ni(&aes) {
+        let mut got = pt.clone();
+        ctr_crypt(&ni, &iv, &mut got);
+        assert_eq!(got, want, "aes-ni");
+    }
 
     let mut store = VecStore::new(AesStateLayout::for_key_size(KeySize::Aes256).total_bytes());
     let tracked = TrackedAes::init(&mut store, &KEY).unwrap();

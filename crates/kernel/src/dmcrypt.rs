@@ -31,13 +31,10 @@ use crate::crypto_api::{CipherEngine, CryptoApi};
 use crate::error::KernelError;
 use crate::offload::{offload, Offload, Outcome, Path};
 use sentry_crypto::health::MAX_DISK_RETRIES;
-use sentry_crypto::modes::ctr_crypt_extents;
-use sentry_crypto::pipeline::{
-    ctr_keystream, xor_keystream, FallbackCounts, KEYSTREAM_SECTORS, PRECOMPUTE_AHEAD,
-};
+use sentry_crypto::pipeline::{xor_keystream, FallbackCounts, KEYSTREAM_SECTORS, PRECOMPUTE_AHEAD};
 use sentry_crypto::{
-    Aes, BitslicedAes, Cmac, Direction, HealthGovernor, HealthState, HealthStats, KeystreamCache,
-    KeystreamStats, PageCipherMode, PipelineConfig,
+    Aes, Cmac, Direction, HealthGovernor, HealthState, HealthStats, KeystreamCache, KeystreamStats,
+    PageCipher, PageCipherMode, PipelineConfig,
 };
 use sentry_soc::accel::WaitOutcome;
 use sentry_soc::{Soc, SocError};
@@ -85,7 +82,7 @@ impl ReadOverlapStats {
 }
 
 /// Per-volume state of the asynchronous read pipeline: the keystream
-/// cache, the volume-keyed bitsliced cipher that fills it, and counters.
+/// cache, the volume-keyed host cipher that fills it, and counters.
 #[derive(Debug, Clone)]
 pub struct ReadPipeline {
     cache: KeystreamCache,
@@ -93,10 +90,10 @@ pub struct ReadPipeline {
     /// the cache past this many resident sectors (existing entries stay
     /// usable). `None` leaves the cache's own capacity in charge.
     fill_cap: Option<usize>,
-    /// Bitsliced cipher under the volume key — same key the engine was
+    /// Host cipher under the volume key — same key the engine was
     /// given, so its CTR output is byte-identical to the engine's.
     /// `None` until `set_key` runs with the pipeline enabled.
-    bits: Option<BitslicedAes>,
+    cipher: Option<PageCipher>,
     /// Cumulative counters.
     pub stats: ReadOverlapStats,
 }
@@ -106,7 +103,7 @@ impl ReadPipeline {
         ReadPipeline {
             cache: KeystreamCache::new(SECTOR_SIZE, KEYSTREAM_SECTORS),
             fill_cap: None,
-            bits: None,
+            cipher: None,
             stats: ReadOverlapStats::default(),
         }
     }
@@ -116,7 +113,7 @@ impl ReadPipeline {
         // from the old key — zeroize the lot and bump the epoch so no
         // in-flight consumer can hit.
         self.cache.rotate_epoch();
-        self.bits = BitslicedAes::new(key).ok();
+        self.cipher = PageCipher::new(key).ok();
     }
 
     /// Precompute keystream for the uncached sectors of `sectors`, in
@@ -125,7 +122,7 @@ impl ReadPipeline {
     /// Charges nothing — the caller decides what the time was hidden
     /// under. Returns how many sectors it precomputed.
     fn precompute(&mut self, sectors: Range<u64>, mut budget_ns: u64, ks_cost: u64) -> u64 {
-        let Some(bits) = &self.bits else {
+        let Some(cipher) = &self.cipher else {
             return 0;
         };
         let mut filled = 0;
@@ -141,7 +138,10 @@ impl ReadPipeline {
                 break;
             }
             budget_ns -= ks_cost;
-            let ks = ctr_keystream(bits, &DmCrypt::sector_iv(s), SECTOR_SIZE);
+            // CTR over zeroes is the keystream.
+            let mut ks = vec![0u8; SECTOR_SIZE];
+            let iv = [DmCrypt::sector_iv(s)];
+            cipher.crypt(PageCipherMode::Ctr, Direction::Encrypt, &iv, &mut ks);
             self.cache.insert(s, ks);
             filled += 1;
         }
@@ -167,7 +167,7 @@ impl ReadPipeline {
         // CBC chains serially and XTS has no data-independent keystream.
         let ctr = engine.mode() == PageCipherMode::Ctr;
         let end = sector + (buf.len() / SECTOR_SIZE) as u64;
-        // One sector of keystream on the bitsliced lanes: the generic
+        // One sector of keystream on the host cipher: the generic
         // engine's per-block charge.
         let ks_cost = soc.costs.aes_ns(SECTOR_SIZE as u64, soc.costs.cache_hit_ns);
         if ctr {
@@ -188,7 +188,7 @@ impl ReadPipeline {
                 None => misses.push(i),
             }
         }
-        let keyed = self.bits.is_some();
+        let keyed = self.cipher.is_some();
         let mut read = Overlap {
             p: self,
             engine,
@@ -543,7 +543,7 @@ impl Offload for Overlap<'_> {
     }
 
     /// The engine's output is CTR under the same (key, sector IV) pairs
-    /// as the volume's bitsliced lanes; the CPU fallback is the
+    /// as the volume's host cipher; the CPU fallback is the
     /// registered engine, so callers never see a fault.
     fn transform(
         &mut self,
@@ -553,8 +553,8 @@ impl Offload for Overlap<'_> {
     ) -> Result<(), KernelError> {
         match path {
             Path::Accel => {
-                let bits = self.p.bits.as_ref().expect("offloaded only when keyed");
-                ctr_crypt_extents(bits, ivs, buf);
+                let cipher = self.p.cipher.as_ref().expect("offloaded only when keyed");
+                cipher.crypt(PageCipherMode::Ctr, Direction::Decrypt, ivs, buf);
                 Ok(())
             }
             Path::Cpu => self.engine.crypt(self.soc, Direction::Decrypt, ivs, buf),
@@ -581,7 +581,7 @@ mod tests {
     #[test]
     fn debug_never_prints_the_sector_mac_subkeys() {
         let (mut api, mut soc, mut disk, dm) = setup();
-        // A 16-sector write builds the MAC's bitsliced context too.
+        // A 16-sector write runs the MAC's lanes too.
         let data = vec![0x5Au8; SECTOR_SIZE * 16];
         dm.write(&mut api, &mut soc, &mut disk, 0, &data).unwrap();
         let shown = format!("{dm:?}");

@@ -43,7 +43,7 @@ pub const ACCEL_DMA_SIZE: u64 = 1 << 20;
 /// peripherals; giving the accelerator its own id keeps traces legible.)
 pub const ACCEL_DMA_CONTROLLER: u8 = 1;
 
-/// Where the generic (unsafe) AES engine keeps its key schedule — kernel
+/// Where the generic (DRAM-resident) AES engine keeps its key schedule — kernel
 /// heap, in DRAM.
 pub const CRYPTO_KEYS_BASE: u64 = KERNEL_BASE + (8 << 20);
 

@@ -1,7 +1,9 @@
 //! Cross-crate cryptographic conformance: every AES path in the
-//! workspace (fast, reference, bitsliced, tracked, the generic and
-//! accelerator kernel engines, AES On SoC in both backends, and the
-//! parallel lock batch) must produce identical bytes.
+//! workspace (fast, reference, bitsliced, AES-NI, tracked, the host page
+//! cipher on each kernel, the generic and accelerator kernel engines,
+//! AES On SoC in both backends, and the parallel lock batch) must
+//! produce identical bytes. On a CPU without AES-NI its cases print a
+//! skip line and pass.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -27,6 +29,23 @@ fn opposite(direction: Direction) -> Direction {
         Encrypt => Decrypt,
         Decrypt => Encrypt,
     }
+}
+
+/// The AES-NI kernel under `aes`'s key, or `None` (with one skip line
+/// per process) on a CPU without it.
+#[cfg(target_arch = "x86_64")]
+fn aes_ni(aes: &Aes) -> Option<sentry::crypto::aesni::AesNi> {
+    let ni = sentry::crypto::aesni::AesNi::from_schedule(aes.schedule());
+    if ni.is_none() {
+        static SKIP: std::sync::Once = std::sync::Once::new();
+        SKIP.call_once(|| eprintln!("skipped: this CPU has no AES-NI"));
+    }
+    ni
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn aes_ni(_: &Aes) -> Option<Aes> {
+    None
 }
 
 /// The per-extent reference: each extent on its own through the
@@ -83,7 +102,9 @@ fn per_unit(
 
 /// Every page-cipher implementation in the workspace equals the
 /// per-extent scalar reference for one mode, direction, extent count
-/// and unit: the reference and bitsliced contexts, the tracked context,
+/// and unit: the reference, bitsliced and AES-NI contexts, the host
+/// page cipher on the detected and on the portable kernel, the tracked
+/// context,
 /// the generic and accelerator kernel engines (extent and per-unit
 /// entries), AES On SoC on both on-SoC stores and both cipher backends
 /// with the native and the fully simulated data path, and the parallel
@@ -127,6 +148,22 @@ fn all_implementations_agree(
         &expect,
         "bitsliced"
     );
+    if let Some(ni) = aes_ni(&aes) {
+        prop_assert_eq!(
+            &per_extent(&ni, mode, direction, &ivs, &data),
+            &expect,
+            "aes-ni"
+        );
+    }
+
+    // The host page cipher on each kernel, one call over every extent.
+    let detected = PageCipher::new(key).unwrap();
+    let portable = PageCipher::portable(key).unwrap();
+    for cipher in [&detected, &portable] {
+        let mut got = data.clone();
+        cipher.crypt(mode, direction, &ivs, &mut got);
+        prop_assert_eq!(&got, &expect, "{} page cipher", cipher.kernel_name());
+    }
 
     // Tracked through a plain store, bound as a block cipher, per extent.
     let layout = AesStateLayout::for_key_size(KeySize::Aes128);
@@ -209,12 +246,15 @@ fn all_implementations_agree(
         );
     }
 
-    // The parallel lock batch: one context shared by every lane.
-    let cipher = PageCipher::new(key).unwrap();
-    for workers in [1usize, 2, 4] {
-        let mut got = data.clone();
-        crypt_batch(&cipher, mode, direction, &ivs, &mut got, workers, 1).unwrap();
-        prop_assert_eq!(&got, &expect, "crypt_batch, {} workers", workers);
+    // The parallel lock batch: one context shared by every lane, on
+    // each kernel.
+    for cipher in [&detected, &portable] {
+        for workers in [1usize, 2, 4] {
+            let mut got = data.clone();
+            crypt_batch(cipher, mode, direction, &ivs, &mut got, workers, 1).unwrap();
+            let kernel = cipher.kernel_name();
+            prop_assert_eq!(&got, &expect, "{} crypt_batch, {} workers", kernel, workers);
+        }
     }
     Ok(())
 }
