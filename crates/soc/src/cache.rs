@@ -22,6 +22,17 @@
 //! All DRAM-side traffic (line fills, write-backs) is routed through the
 //! [`crate::bus::Bus`], so a bus monitor sees exactly what a probe on the
 //! memory bus would see.
+//!
+//! # Line storage
+//!
+//! Tags live in one array per set, so a lookup compares the set's eight
+//! tags in one pass; the set's dirty bits are one `u8` mask beside them.
+//! Line data is stored way-major: the line of `(set, way)` sits at
+//! `way * NUM_SETS + set`, so the 128 lines of a page resident in one
+//! way are contiguous, and an access walks them as one run. An access
+//! charges its hits to the clock in one sum, at the first miss (whose
+//! eviction and fill stamp the bus with the clock) and at its end, so
+//! every bus timestamp is what per-line charging would give.
 
 use crate::bus::{Bus, BusMaster, BusOp};
 use crate::clock::{CostModel, SimClock};
@@ -53,14 +64,8 @@ pub struct MemPath<'a> {
     pub costs: &'a CostModel,
 }
 
-/// A line's payload. Its tag and valid bit live in the set's tag array
-/// ([`Pl310`]'s `tags`), so a lookup reads one host cache line of tags
-/// instead of every way's line.
-#[derive(Debug, Clone, Copy, Default)]
-struct Line {
-    dirty: bool,
-    data: [u8; LINE_SIZE],
-}
+/// A line's payload.
+type Line = [u8; LINE_SIZE];
 
 /// The tag-array entry of an invalid line. Real tags are line addresses
 /// divided by [`NUM_SETS`], so they never reach it.
@@ -83,6 +88,9 @@ pub struct CacheStats {
 pub struct Pl310 {
     /// Per set, each way's tag, or [`INVALID`].
     tags: Vec<[u64; NUM_WAYS]>,
+    /// Per set, bit `w` set = way `w`'s line is dirty.
+    dirty: Vec<u8>,
+    /// Line data, way-major (see [`Pl310::idx`]).
     lines: Vec<Line>,
     alloc_mask: u8,
     flush_mask: u8,
@@ -115,7 +123,8 @@ impl Pl310 {
     pub fn new() -> Self {
         Pl310 {
             tags: vec![[INVALID; NUM_WAYS]; NUM_SETS],
-            lines: vec![Line::default(); NUM_SETS * NUM_WAYS],
+            dirty: vec![0; NUM_SETS],
+            lines: vec![[0; LINE_SIZE]; NUM_SETS * NUM_WAYS],
             alloc_mask: ALL_WAYS,
             flush_mask: ALL_WAYS,
             victims: vec![0u8; NUM_SETS],
@@ -179,15 +188,26 @@ impl Pl310 {
         (tag * NUM_SETS as u64 + set as u64) * LINE_SIZE as u64
     }
 
+    /// Way-major: a way's lines are contiguous, in set order.
     fn idx(set: usize, way: usize) -> usize {
-        set * NUM_WAYS + way
+        way * NUM_SETS + set
+    }
+
+    /// The way of `set` holding `tag`: one compare per way into a hit
+    /// mask, then its lowest set bit.
+    fn find(&self, set: usize, tag: u64) -> Option<usize> {
+        let hit = self.tags[set]
+            .iter()
+            .enumerate()
+            .fold(0u32, |m, (w, &t)| m | u32::from(t == tag) << w);
+        (hit != 0).then(|| hit.trailing_zeros() as usize)
     }
 
     /// Which way (if any) currently holds the line containing `addr`.
     #[must_use]
     pub fn lookup_way(&self, addr: u64) -> Option<usize> {
         let (set, tag) = Self::set_and_tag(addr);
-        self.tags[set].iter().position(|&t| t == tag)
+        self.find(set, tag)
     }
 
     /// Number of valid lines currently resident in `way`.
@@ -212,62 +232,75 @@ impl Pl310 {
         self.access(addr, AccessBuf::Write(data), path);
     }
 
+    /// Walk the lines of `addr..addr + buf.len()` once, from the first
+    /// line's set and tag on.
     fn access(&mut self, addr: u64, mut buf: AccessBuf<'_, '_>, path: &mut MemPath<'_>) {
+        let len = buf.len();
         if !self.enabled {
-            self.uncached_access(addr, &mut buf, path);
+            self.stats.uncached += 1;
+            Self::uncached_span(addr, 0, len, &mut buf, path);
             return;
         }
-        let len = buf.len();
+        let (mut set, mut tag) = Self::set_and_tag(addr);
+        let mut line_off = (addr % LINE_SIZE as u64) as usize;
         let mut done = 0usize;
+        let mut hits = 0u64;
         while done < len {
-            let cur = addr + done as u64;
-            let line_off = (cur % LINE_SIZE as u64) as usize;
             let n = (LINE_SIZE - line_off).min(len - done);
-            self.access_line(cur, line_off, done, n, &mut buf, path);
-            done += n;
-        }
-    }
-
-    fn access_line(
-        &mut self,
-        addr: u64,
-        line_off: usize,
-        buf_off: usize,
-        n: usize,
-        buf: &mut AccessBuf<'_, '_>,
-        path: &mut MemPath<'_>,
-    ) {
-        let (set, tag) = Self::set_and_tag(addr);
-        let way = match self.lookup_way(addr) {
-            Some(w) => {
-                self.stats.hits += 1;
-                path.clock.advance(path.costs.cache_hit_ns);
-                w
-            }
-            None => {
-                self.stats.misses += 1;
-                match self.allocate(set, tag, path) {
-                    Some(w) => w,
-                    None => {
-                        // No way is allocatable: perform the access
-                        // uncached, directly against DRAM.
-                        self.stats.uncached += 1;
-                        self.uncached_span(addr, buf_off, n, buf, path);
-                        return;
+            let way = match self.find(set, tag) {
+                Some(w) => {
+                    hits += 1;
+                    Some(w)
+                }
+                None => {
+                    // The miss's eviction and fill read the clock, so
+                    // the hits before it are charged first.
+                    self.charge_hits(&mut hits, path);
+                    self.stats.misses += 1;
+                    self.allocate(set, tag, path)
+                }
+            };
+            match (way, &mut buf) {
+                // No way is allocatable: perform the access uncached,
+                // directly against DRAM.
+                (None, buf) => {
+                    self.stats.uncached += 1;
+                    Self::uncached_span(addr + done as u64, done, n, buf, path);
+                }
+                (Some(way), AccessBuf::Read(out)) => {
+                    let line = &self.lines[Self::idx(set, way)];
+                    match out[done..].first_chunk_mut::<LINE_SIZE>() {
+                        Some(full) if n == LINE_SIZE => *full = *line,
+                        _ => out[done..done + n].copy_from_slice(&line[line_off..line_off + n]),
                     }
                 }
+                (Some(way), AccessBuf::Write(input)) => {
+                    let line = &mut self.lines[Self::idx(set, way)];
+                    match input[done..].first_chunk::<LINE_SIZE>() {
+                        Some(full) if n == LINE_SIZE => *line = *full,
+                        _ => line[line_off..line_off + n].copy_from_slice(&input[done..done + n]),
+                    }
+                    self.dirty[set] |= 1 << way;
+                }
             }
-        };
-        let line = &mut self.lines[Self::idx(set, way)];
-        match buf {
-            AccessBuf::Read(out) => {
-                out[buf_off..buf_off + n].copy_from_slice(&line.data[line_off..line_off + n]);
-            }
-            AccessBuf::Write(input) => {
-                line.data[line_off..line_off + n].copy_from_slice(&input[buf_off..buf_off + n]);
-                line.dirty = true;
+            done += n;
+            line_off = 0;
+            set += 1;
+            if set == NUM_SETS {
+                set = 0;
+                tag += 1;
             }
         }
+        self.charge_hits(&mut hits, path);
+    }
+
+    /// Count `hits` and charge them to the clock as one sum, then zero
+    /// it. `SimClock::advance` saturates, so the sum lands where
+    /// per-hit charges would have.
+    fn charge_hits(&mut self, hits: &mut u64, path: &mut MemPath<'_>) {
+        self.stats.hits += *hits;
+        path.clock.advance(*hits * path.costs.cache_hit_ns);
+        *hits = 0;
     }
 
     /// Pick a victim way in `set` (enabled ways only), evict it, and fill
@@ -294,55 +327,43 @@ impl Pl310 {
 
         self.evict_line(set, way, path);
 
-        // Fill from DRAM over the bus.
+        // Fill the victim line from DRAM over the bus.
         let base = Self::line_base(set, tag);
-        let mut data = [0u8; LINE_SIZE];
+        let line = &mut self.lines[Self::idx(set, way)];
         if path.dram.contains(base, LINE_SIZE) {
-            path.dram.read(base, &mut data);
+            path.dram.read_line(base, line);
+        } else {
+            *line = [0; LINE_SIZE];
         }
-        path.clock.advance(path.costs.dram_line_ns);
-        path.bus.transact(
-            path.clock.now_ns(),
-            BusOp::Read,
-            BusMaster::Cache,
-            base,
-            &data,
-        );
-
+        Self::line_on_bus(BusOp::Read, base, line, path);
         self.tags[set][way] = tag;
-        self.lines[Self::idx(set, way)] = Line { dirty: false, data };
         Some(way)
     }
 
     fn evict_line(&mut self, set: usize, way: usize, path: &mut MemPath<'_>) {
         let tag = std::mem::replace(&mut self.tags[set][way], INVALID);
-        let line = &mut self.lines[Self::idx(set, way)];
-        if tag != INVALID && line.dirty {
+        let bit = 1u8 << way;
+        if tag != INVALID && self.dirty[set] & bit != 0 {
             let base = Self::line_base(set, tag);
+            let line = &self.lines[Self::idx(set, way)];
             if path.dram.contains(base, LINE_SIZE) {
-                path.dram.write(base, &line.data);
+                path.dram.write_line(base, line);
             }
-            path.clock.advance(path.costs.dram_line_ns);
-            path.bus.transact(
-                path.clock.now_ns(),
-                BusOp::Write,
-                BusMaster::Cache,
-                base,
-                &line.data,
-            );
+            Self::line_on_bus(BusOp::Write, base, line, path);
             self.stats.writebacks += 1;
         }
-        line.dirty = false;
+        self.dirty[set] &= !bit;
     }
 
-    fn uncached_access(&mut self, addr: u64, buf: &mut AccessBuf<'_, '_>, path: &mut MemPath<'_>) {
-        let len = buf.len();
-        self.stats.uncached += 1;
-        self.uncached_span(addr, 0, len, buf, path);
+    /// Charge one line's DRAM transfer and show it on the bus.
+    fn line_on_bus(op: BusOp, base: u64, line: &Line, path: &mut MemPath<'_>) {
+        path.clock.advance(path.costs.dram_line_ns);
+        path.bus
+            .transact(path.clock.now_ns(), op, BusMaster::Cache, base, line);
     }
 
+    /// `buf[buf_off..buf_off + n]` straight to or from DRAM at `addr`.
     fn uncached_span(
-        &mut self,
         addr: u64,
         buf_off: usize,
         n: usize,
@@ -350,29 +371,20 @@ impl Pl310 {
         path: &mut MemPath<'_>,
     ) {
         path.clock.advance(path.costs.dram_line_ns);
-        match buf {
+        let (op, data): (BusOp, &[u8]) = match buf {
             AccessBuf::Read(out) => {
-                path.dram.read(addr, &mut out[buf_off..buf_off + n]);
-                let shown = out[buf_off..buf_off + n].to_vec();
-                path.bus.transact(
-                    path.clock.now_ns(),
-                    BusOp::Read,
-                    BusMaster::CpuUncached,
-                    addr,
-                    &shown,
-                );
+                let out = &mut out[buf_off..buf_off + n];
+                path.dram.read(addr, out);
+                (BusOp::Read, out)
             }
             AccessBuf::Write(input) => {
-                path.dram.write(addr, &input[buf_off..buf_off + n]);
-                path.bus.transact(
-                    path.clock.now_ns(),
-                    BusOp::Write,
-                    BusMaster::CpuUncached,
-                    addr,
-                    &input[buf_off..buf_off + n],
-                );
+                let input = &input[buf_off..buf_off + n];
+                path.dram.write(addr, input);
+                (BusOp::Write, input)
             }
-        }
+        };
+        path.bus
+            .transact(path.clock.now_ns(), op, BusMaster::CpuUncached, addr, data);
     }
 
     /// Maintenance clean-and-invalidate of the ways selected by the flush
@@ -411,11 +423,11 @@ impl Pl310 {
     /// back: the stale line is discarded so the next access refills from
     /// the (tampered) DRAM contents. Returns whether a line was dropped.
     pub fn invalidate_line(&mut self, addr: u64) -> bool {
-        let (set, _) = Self::set_and_tag(addr);
-        match self.lookup_way(addr) {
+        let (set, tag) = Self::set_and_tag(addr);
+        match self.find(set, tag) {
             Some(way) => {
                 self.tags[set][way] = INVALID;
-                self.lines[Self::idx(set, way)].dirty = false;
+                self.dirty[set] &= !(1 << way);
                 true
             }
             None => false,
@@ -428,7 +440,8 @@ impl Pl310 {
     /// locked-cache contents unrecoverable by cold boot (§4.3).
     pub fn power_on_reset(&mut self) {
         self.tags.fill([INVALID; NUM_WAYS]);
-        self.lines.fill(Line::default());
+        self.dirty.fill(0);
+        self.lines.fill([0; LINE_SIZE]);
         self.alloc_mask = ALL_WAYS;
         self.flush_mask = ALL_WAYS;
         self.victims.fill(0);
@@ -445,8 +458,10 @@ impl Pl310 {
             .enumerate()
             .filter(|(_, t)| t[way] != INVALID)
             .map(|(set, t)| {
-                let data = self.lines[Self::idx(set, way)].data;
-                (Self::line_base(set, t[way]), data)
+                (
+                    Self::line_base(set, t[way]),
+                    self.lines[Self::idx(set, way)],
+                )
             })
             .collect()
     }

@@ -5,8 +5,14 @@
 //! traffic crosses an exposed bus (bus monitoring), and DMA controllers
 //! read it without CPU cooperation (DMA attacks).
 //!
-//! Storage is a sparse map of 4 KiB frames so experiments can model a
-//! 1–2 GB device cheaply while only touching a few megabytes.
+//! Storage is a frame table: one slot per 4 KiB frame, indexed by frame
+//! number, each empty until its frame is first written. The table is
+//! allocated zeroed (an empty slot is a null pointer), so an unwritten
+//! frame costs one slot, and a 1–2 GB device whose experiments touch a
+//! few megabytes costs a few megabytes plus its 2–4 MiB table. Every walk
+//! over the populated frames ([`Dram::iter_frames`],
+//! [`Dram::count_pattern`], [`Dram::apply_power_event`]) visits them in
+//! ascending address order, whatever order they were written in.
 //!
 //! # Remanence model
 //!
@@ -20,7 +26,9 @@
 
 use crate::addr::{DRAM_BASE, PAGE_SIZE};
 use crate::rng::DetRng;
-use std::collections::BTreeMap;
+
+/// Bytes per frame.
+const FRAME: usize = PAGE_SIZE as usize;
 
 /// A power event a device (and its DRAM) can be subjected to.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -90,15 +98,15 @@ impl RemanenceModel {
     }
 }
 
-/// Sparse, frame-granular DRAM.
+/// Frame-granular DRAM.
 #[derive(Debug, Clone)]
 pub struct Dram {
     size: u64,
-    frames: BTreeMap<u64, Box<[u8]>>,
+    /// Frame `i` (at `DRAM_BASE + i * PAGE_SIZE`), or `None` while it
+    /// has never been written.
+    frames: Vec<Option<Box<[u8; FRAME]>>>,
     remanence: RemanenceModel,
     rng: DetRng,
-    reads: u64,
-    writes: u64,
 }
 
 impl Dram {
@@ -116,11 +124,9 @@ impl Dram {
         );
         Dram {
             size,
-            frames: BTreeMap::new(),
+            frames: vec![None; (size / PAGE_SIZE) as usize],
             remanence,
             rng: DetRng::new(seed),
-            reads: 0,
-            writes: 0,
         }
     }
 
@@ -136,8 +142,20 @@ impl Dram {
         addr >= DRAM_BASE && addr + len as u64 <= DRAM_BASE + self.size
     }
 
-    fn frame_index(addr: u64) -> u64 {
-        (addr - DRAM_BASE) / PAGE_SIZE
+    /// The frame index and in-frame offset of `addr`.
+    fn locate(addr: u64) -> (usize, usize) {
+        let rel = addr - DRAM_BASE;
+        ((rel / PAGE_SIZE) as usize, (rel % PAGE_SIZE) as usize)
+    }
+
+    /// Frame `index`, allocated zeroed on first write.
+    fn frame_mut(&mut self, index: usize) -> &mut [u8; FRAME] {
+        self.frames[index].get_or_insert_with(|| {
+            vec![0u8; FRAME]
+                .into_boxed_slice()
+                .try_into()
+                .expect("one frame")
+        })
     }
 
     /// Read raw DRAM contents. Unwritten frames read as zero.
@@ -149,16 +167,13 @@ impl Dram {
     ///
     /// Panics if the span falls outside DRAM; the caller (the SoC router)
     /// validates addresses first.
-    pub fn read(&mut self, addr: u64, buf: &mut [u8]) {
+    pub fn read(&self, addr: u64, buf: &mut [u8]) {
         assert!(self.contains(addr, buf.len()), "DRAM read out of range");
-        self.reads += 1;
         let mut done = 0usize;
         while done < buf.len() {
-            let cur = addr + done as u64;
-            let frame = Self::frame_index(cur);
-            let off = ((cur - DRAM_BASE) % PAGE_SIZE) as usize;
-            let n = ((PAGE_SIZE as usize - off).min(buf.len() - done)).max(1);
-            match self.frames.get(&frame) {
+            let (index, off) = Self::locate(addr + done as u64);
+            let n = (FRAME - off).min(buf.len() - done);
+            match self.frames[index].as_deref() {
                 Some(data) => buf[done..done + n].copy_from_slice(&data[off..off + n]),
                 None => buf[done..done + n].fill(0),
             }
@@ -173,32 +188,43 @@ impl Dram {
     /// Panics if the span falls outside DRAM.
     pub fn write(&mut self, addr: u64, data: &[u8]) {
         assert!(self.contains(addr, data.len()), "DRAM write out of range");
-        self.writes += 1;
         let mut done = 0usize;
         while done < data.len() {
-            let cur = addr + done as u64;
-            let frame = Self::frame_index(cur);
-            let off = ((cur - DRAM_BASE) % PAGE_SIZE) as usize;
-            let n = ((PAGE_SIZE as usize - off).min(data.len() - done)).max(1);
-            let slot = self
-                .frames
-                .entry(frame)
-                .or_insert_with(|| vec![0u8; PAGE_SIZE as usize].into_boxed_slice());
-            slot[off..off + n].copy_from_slice(&data[done..done + n]);
+            let (index, off) = Self::locate(addr + done as u64);
+            let n = (FRAME - off).min(data.len() - done);
+            self.frame_mut(index)[off..off + n].copy_from_slice(&data[done..done + n]);
             done += n;
         }
     }
 
-    /// Number of read transactions served.
-    #[must_use]
-    pub fn read_count(&self) -> u64 {
-        self.reads
+    /// Read the `N`-byte line at `addr` into `line`: the cache's fill.
+    /// A line never crosses a frame.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the line falls outside DRAM or crosses a frame.
+    pub fn read_line<const N: usize>(&self, addr: u64, line: &mut [u8; N]) {
+        assert!(self.contains(addr, N), "DRAM read out of range");
+        let (index, off) = Self::locate(addr);
+        *line = match self.frames[index].as_deref() {
+            Some(data) => data[off..off + N].try_into().expect("line within a frame"),
+            None => [0; N],
+        };
     }
 
-    /// Number of write transactions served.
-    #[must_use]
-    pub fn write_count(&self) -> u64 {
-        self.writes
+    /// Write the `N`-byte line `line` at `addr`: the cache's write-back.
+    /// A line never crosses a frame.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the line falls outside DRAM or crosses a frame.
+    pub fn write_line<const N: usize>(&mut self, addr: u64, line: &[u8; N]) {
+        assert!(self.contains(addr, N), "DRAM write out of range");
+        let (index, off) = Self::locate(addr);
+        let dst: &mut [u8; N] = (&mut self.frame_mut(index)[off..off + N])
+            .try_into()
+            .expect("line within a frame");
+        *dst = *line;
     }
 
     /// Apply a power event: every written 8-byte cell survives with the
@@ -206,7 +232,7 @@ impl Dram {
     /// garbage.
     ///
     /// Determinism: frames are visited in ascending address order (the
-    /// `BTreeMap` iteration order), and every cell of every populated
+    /// frame table's index order), and every cell of every populated
     /// frame draws from the seeded RNG exactly once, so two DRAMs with
     /// the same seed, same frame population, and same event sequence
     /// decay byte-identically. A certain-survival event (probability
@@ -216,7 +242,7 @@ impl Dram {
         if survival >= 1.0 {
             return;
         }
-        for data in self.frames.values_mut() {
+        for data in self.frames.iter_mut().flatten() {
             for cell in data.chunks_mut(8) {
                 if self.rng.next_f64() >= survival {
                     self.rng.fill(cell);
@@ -228,9 +254,9 @@ impl Dram {
     /// Iterate over all populated frames as `(base_addr, bytes)`, in
     /// ascending address order (deterministic — never hash order).
     pub fn iter_frames(&self) -> impl Iterator<Item = (u64, &[u8])> + '_ {
-        self.frames
-            .iter()
-            .map(|(frame, data)| (DRAM_BASE + frame * PAGE_SIZE, data.as_ref()))
+        self.frames.iter().zip(0u64..).filter_map(|(data, index)| {
+            Some((DRAM_BASE + index * PAGE_SIZE, &data.as_deref()?[..]))
+        })
     }
 
     /// Count non-overlapping 8-byte-aligned occurrences of `pattern` in
@@ -243,7 +269,8 @@ impl Dram {
     #[must_use]
     pub fn count_pattern(&self, pattern: &[u8; 8]) -> u64 {
         self.frames
-            .values()
+            .iter()
+            .flatten()
             .flat_map(|data| data.chunks_exact(8))
             .filter(|cell| cell == pattern)
             .count() as u64
@@ -260,7 +287,7 @@ mod tests {
 
     #[test]
     fn read_of_unwritten_memory_is_zero() {
-        let mut d = dram();
+        let d = dram();
         let mut buf = [0xAAu8; 64];
         d.read(DRAM_BASE + 12345, &mut buf);
         assert_eq!(buf, [0u8; 64]);
@@ -281,7 +308,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn read_outside_dram_panics() {
-        let mut d = dram();
+        let d = dram();
         let mut buf = [0u8; 4];
         d.read(DRAM_BASE + d.size(), &mut buf);
     }
@@ -365,6 +392,51 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
+    }
+
+    /// The decay of a 64 MiB DRAM whose frames were written out of
+    /// address order, the first and the last frame among them, pinned
+    /// as one digest over every populated frame and the surviving
+    /// pattern count: the frame store must visit frames in address
+    /// order, or the decay stream lands on different cells.
+    #[test]
+    fn decay_digest_is_pinned() {
+        let mut d = Dram::new(64 << 20, RemanenceModel::default(), 0x5eed);
+        let last = d.size() / PAGE_SIZE - 1;
+        for (i, frame) in [700u64, 3, last, 0, 9000, 1, last - 1, 42]
+            .into_iter()
+            .enumerate()
+        {
+            let base = DRAM_BASE + frame * PAGE_SIZE;
+            for cell in 0..PAGE_SIZE / 8 {
+                let pattern = if (cell + i as u64).is_multiple_of(3) {
+                    *b"SENTRYOK"
+                } else {
+                    [i as u8; 8]
+                };
+                d.write(base + cell * 8, &pattern);
+            }
+        }
+        // A span that runs from frame 9000 into frame 9001, and a
+        // partial write into a fresh frame.
+        d.write(DRAM_BASE + 9001 * PAGE_SIZE - 100, &[0x5Au8; 300]);
+        d.write(DRAM_BASE + 5 * PAGE_SIZE + 17, b"partial");
+        d.apply_power_event(PowerEvent::ReflashTap);
+        d.apply_power_event(PowerEvent::HardReset { seconds: 0.5 });
+
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut fnv = |data: &[u8]| {
+            for &b in data {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for (addr, bytes) in d.iter_frames() {
+            fnv(&addr.to_le_bytes());
+            fnv(bytes);
+        }
+        fnv(&d.count_pattern(b"SENTRYOK").to_le_bytes());
+        assert_eq!(h, 12_329_859_288_955_567_070);
     }
 
     #[test]

@@ -158,14 +158,14 @@ proptest! {
 }
 
 mod pinned_trace {
-    //! The PL310 model's observable behaviour, pinned as one digest over
-    //! a seeded trace: a change to how the cache stores its lines must
-    //! leave every hit, miss, write-back, bus transaction and clock
-    //! charge exactly where it was.
+    //! The PL310 model's observable behaviour, pinned as digests over
+    //! seeded traces: a change to how the cache stores or walks its
+    //! lines must leave every hit, miss, write-back, bus transaction and
+    //! clock charge exactly where it was.
 
-    use sentry_soc::addr::DRAM_BASE;
+    use sentry_soc::addr::{DRAM_BASE, PAGE_SIZE};
     use sentry_soc::bus::{Bus, BusMaster, BusObserver, BusOp, BusTransaction};
-    use sentry_soc::cache::{MemPath, Pl310, LINE_SIZE, NUM_SETS, NUM_WAYS};
+    use sentry_soc::cache::{MemPath, Pl310, LINE_SIZE, NUM_SETS, NUM_WAYS, WAY_BYTES};
     use sentry_soc::dram::{Dram, RemanenceModel};
     use sentry_soc::{CostModel, SimClock};
     use std::sync::{Arc, Mutex};
@@ -195,8 +195,15 @@ mod pinned_trace {
         }
     }
 
-    /// Run the trace and digest what it left observable.
-    fn trace_digest(seed: u64, steps: usize) -> u64 {
+    /// Run `steps` steps of a seeded trace, each one `step(step, r, ..)`
+    /// with a fresh xorshift draw `r`, and digest what the trace left
+    /// observable: whatever the steps hashed, then the stats, the clock,
+    /// the masks, every bus transaction and every way's contents.
+    fn digest(
+        seed: u64,
+        steps: usize,
+        mut step: impl FnMut(usize, u64, &mut Pl310, &mut MemPath<'_>, &mut Fnv),
+    ) -> u64 {
         let mut cache = Pl310::new();
         let mut dram = Dram::new(16 << 20, RemanenceModel::default(), 1);
         let mut bus = Bus::new();
@@ -207,53 +214,17 @@ mod pinned_trace {
         let mut h = Fnv(0xcbf2_9ce4_8422_2325);
 
         let mut state = seed;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        // Ten tags over 64 sets: every set sees more lines than it
-        // has ways, so evictions, round-robin victims and write-backs
-        // all happen.
-        let addr = |r: u64| {
-            let tag = r % 10;
-            let set = (r >> 8) % 64;
-            let off = (r >> 16) % LINE_SIZE as u64;
-            DRAM_BASE + (tag * NUM_SETS as u64 + set) * LINE_SIZE as u64 + off
-        };
-        for step in 0..steps {
+        for i in 0..steps {
             let mut path = MemPath {
                 dram: &mut dram,
                 bus: &mut bus,
                 clock: &mut clock,
                 costs: &costs,
             };
-            let r = next();
-            match r % 1000 {
-                0..=399 => {
-                    let len = 1 + (r >> 40) as usize % 80;
-                    let data: Vec<u8> = (0..len).map(|i| (step + i) as u8).collect();
-                    cache.write(addr(r >> 8), &data, &mut path);
-                }
-                400..=799 => {
-                    let len = 1 + (r >> 40) as usize % 80;
-                    let mut buf = vec![0u8; len];
-                    cache.read(addr(r >> 8), &mut buf, &mut path);
-                    h.bytes(&buf);
-                }
-                // Lockdown-style masks (one way, all but one, none,
-                // all) as well as arbitrary ones.
-                800..=879 => {
-                    let masks = [0x01, 0xFE, 0x00, 0xFF, (r >> 16) as u8];
-                    cache.set_alloc_mask(masks[(r >> 8) as usize % masks.len()]);
-                }
-                880..=939 => cache.set_flush_mask((r >> 8) as u8),
-                940..=942 => cache.maintenance_flush(&mut path),
-                943 => cache.flush_all_raw(&mut path),
-                944..=998 => h.u64(u64::from(cache.invalidate_line(addr(r >> 8)))),
-                _ => cache.power_on_reset(),
-            }
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            step(i, state, &mut cache, &mut path, &mut h);
         }
 
         let stats = cache.stats();
@@ -292,13 +263,138 @@ mod pinned_trace {
         h.0
     }
 
-    /// The digest the line-array layout produced; the tag-array layout
+    /// Write `len` bytes derived from `step` at `at`, or read them and
+    /// hash what came back.
+    fn rw(
+        write: bool,
+        at: u64,
+        len: usize,
+        step: usize,
+        cache: &mut Pl310,
+        path: &mut MemPath<'_>,
+        h: &mut Fnv,
+    ) {
+        if write {
+            let data: Vec<u8> = (0..len).map(|i| (step + i) as u8).collect();
+            cache.write(at, &data, path);
+        } else {
+            let mut buf = vec![0u8; len];
+            cache.read(at, &mut buf, path);
+            h.bytes(&buf);
+        }
+    }
+
+    /// Short accesses: ten tags over 64 sets, so every set sees more
+    /// lines than it has ways, and evictions, round-robin victims and
+    /// write-backs all happen.
+    fn line_trace_digest(seed: u64, steps: usize) -> u64 {
+        let addr = |r: u64| {
+            let tag = r % 10;
+            let set = (r >> 8) % 64;
+            let off = (r >> 16) % LINE_SIZE as u64;
+            DRAM_BASE + (tag * NUM_SETS as u64 + set) * LINE_SIZE as u64 + off
+        };
+        digest(seed, steps, |step, r, cache, path, h| match r % 1000 {
+            0..=799 => {
+                let len = 1 + (r >> 40) as usize % 80;
+                rw(r % 1000 < 400, addr(r >> 8), len, step, cache, path, h);
+            }
+            // Lockdown-style masks (one way, all but one, none, all) as
+            // well as arbitrary ones.
+            800..=879 => {
+                let masks = [0x01, 0xFE, 0x00, 0xFF, (r >> 16) as u8];
+                cache.set_alloc_mask(masks[(r >> 8) as usize % masks.len()]);
+            }
+            880..=939 => cache.set_flush_mask((r >> 8) as u8),
+            940..=942 => cache.maintenance_flush(path),
+            943 => cache.flush_all_raw(path),
+            944..=998 => h.u64(u64::from(cache.invalidate_line(addr(r >> 8)))),
+            _ => cache.power_on_reset(),
+        })
+    }
+
+    /// Page-granular traffic, the shape paging and page crypto produce:
+    /// page-aligned 4 KiB and 8 KiB accesses over ten tags (so whole
+    /// pages evict each other), unaligned spans of one to five lines,
+    /// and spans that wrap from set 4095 to set 0 of the next tag.
+    fn page_trace_digest(seed: u64, steps: usize) -> u64 {
+        const TAGS: u64 = 10;
+        // Three accesses in four go to a hot set of 48 pages, the rest
+        // anywhere: hits, misses and evictions all stay common.
+        let page = |r: u64| {
+            let pages = if r & 3 == 0 {
+                TAGS * WAY_BYTES as u64 / PAGE_SIZE
+            } else {
+                48
+            };
+            DRAM_BASE + ((r >> 2) % pages) * PAGE_SIZE
+        };
+        let line = |r: u64| DRAM_BASE + (r % ((TAGS - 1) * NUM_SETS as u64)) * LINE_SIZE as u64;
+        digest(seed, steps, |step, r, cache, path, h| {
+            let write = (r >> 60) & 1 == 1;
+            match r % 1000 {
+                0..=549 => rw(
+                    write,
+                    page(r >> 8),
+                    PAGE_SIZE as usize,
+                    step,
+                    cache,
+                    path,
+                    h,
+                ),
+                550..=619 => {
+                    let at =
+                        page(r >> 8).min(DRAM_BASE + (TAGS * WAY_BYTES as u64) - 2 * PAGE_SIZE);
+                    rw(write, at, 2 * PAGE_SIZE as usize, step, cache, path, h);
+                }
+                620..=719 => {
+                    let at = line(r >> 8) + (r >> 24) % LINE_SIZE as u64;
+                    let len = 1 + (r >> 32) as usize % (5 * LINE_SIZE);
+                    rw(write, at, len, step, cache, path, h);
+                }
+                // The last lines of one tag's set 4095 run on into set 0
+                // of the next tag: a few lines, or a whole page.
+                720..=769 => {
+                    let tag = (r >> 8) % (TAGS - 1);
+                    let back = 1 + (r >> 16) % (5 * LINE_SIZE as u64);
+                    let at = DRAM_BASE + (tag + 1) * WAY_BYTES as u64 - back;
+                    let len = if (r >> 40) & 1 == 1 {
+                        PAGE_SIZE as usize
+                    } else {
+                        back as usize + 1 + (r >> 44) as usize % (2 * LINE_SIZE)
+                    };
+                    rw(write, at, len, step, cache, path, h);
+                }
+                770..=829 => {
+                    let masks = [0x00, 0x01, 0xFE, 0xFF, (r >> 16) as u8];
+                    cache.set_alloc_mask(masks[(r >> 8) as usize % masks.len()]);
+                }
+                830..=869 => cache.set_flush_mask((r >> 8) as u8),
+                870..=879 => cache.maintenance_flush(path),
+                880 => cache.flush_all_raw(path),
+                881..=998 => h.u64(u64::from(cache.invalidate_line(line(r >> 8)))),
+                _ => cache.power_on_reset(),
+            }
+        })
+    }
+
+    /// The digest the line-array layout produced; every later layout
     /// must reproduce it bit for bit.
     #[test]
     fn seeded_trace_digest_is_pinned() {
         assert_eq!(
-            trace_digest(0x5eed_ca11_ab1e_0001, 6_000),
+            line_trace_digest(0x5eed_ca11_ab1e_0001, 6_000),
             1_257_832_023_198_736_023
+        );
+    }
+
+    /// The digest the per-line walk produced on page-granular traffic;
+    /// the single line walk with batched hit charges must reproduce it.
+    #[test]
+    fn seeded_page_trace_digest_is_pinned() {
+        assert_eq!(
+            page_trace_digest(0x5eed_ca11_ab1e_0002, 3_000),
+            2_073_478_454_498_901_651
         );
     }
 }
