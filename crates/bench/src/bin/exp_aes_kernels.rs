@@ -14,7 +14,11 @@
 //!   removes from the lock path. CBC encryption over 16 pages' chains at
 //!   once (the lock path's lane-filling form) gets a row per batched
 //!   kernel, and where the CPU has AES-NI every mode gets an `aesni` row:
-//!   the kernel `PageCipher` and `Cmac` run on such a host.
+//!   the kernel `PageCipher` and `Cmac` run on such a host. An `aesni`
+//!   `blocks` row runs the raw kernel (`encrypt_blocks`, no mode) over
+//!   the same pages, and each `aesni` CBC-decrypt, XTS and CTR row
+//!   records its throughput over that row (`over_blocks`): the share of
+//!   the raw kernel's speed the mode's whitening leaves.
 //! * **Table 4 accounting** — the on-SoC state arena of the tracked
 //!   variant of each backend, by sensitivity class. The table-driven
 //!   variant must access-protect its 2.5 KiB of lookup tables; the
@@ -92,6 +96,8 @@ const CHAINS: usize = 16;
 
 #[derive(Clone, Copy, PartialEq)]
 enum Mode {
+    /// No mode: independent blocks through `encrypt_blocks`.
+    Blocks,
     CbcEnc,
     CbcDec,
     XtsEnc,
@@ -102,6 +108,7 @@ enum Mode {
 impl Mode {
     fn name(self) -> &'static str {
         match self {
+            Mode::Blocks => "blocks",
             Mode::CbcEnc => "cbc_enc",
             Mode::CbcDec => "cbc_dec",
             Mode::XtsEnc => "xts_enc",
@@ -138,6 +145,7 @@ fn run_pages<C: BlockCipher + BlockCipherBatch>(kernel: &C, mode: Mode, buf: &mu
     for (i, page) in buf.chunks_exact_mut(PAGE).enumerate() {
         let iv = [i as u8; 16];
         match mode {
+            Mode::Blocks => kernel.encrypt_blocks(page.as_chunks_mut().0),
             Mode::CbcEnc => cbc_encrypt(kernel, &iv, page),
             Mode::CbcDec => cbc_decrypt(kernel, &iv, page),
             // XTS fills the lanes in both directions: the tweak chain is
@@ -251,7 +259,13 @@ fn one_round() -> Vec<(String, f64)> {
             mode_key("aesni", Mode::CbcEnc, CHAINS),
             pages_mib_s(|b| run_chains(&ni, CHAINS, b)),
         ));
-        for mode in [Mode::CbcDec, Mode::XtsEnc, Mode::XtsDec, Mode::Ctr] {
+        for mode in [
+            Mode::Blocks,
+            Mode::CbcDec,
+            Mode::XtsEnc,
+            Mode::XtsDec,
+            Mode::Ctr,
+        ] {
             rows.push((
                 mode_key("aesni", mode, 1),
                 pages_mib_s(|b| run_pages(&ni, mode, b)),
@@ -412,6 +426,9 @@ fn main() {
 
     // Host throughput.
     let mut mode_rows: Vec<(&str, Mode, usize)> = Vec::new();
+    if aesni {
+        mode_rows.push(("aesni", Mode::Blocks, 1));
+    }
     for mode in Mode::all() {
         mode_rows.push(("table", mode, 1));
         mode_rows.push(("bitsliced", mode, 1));
@@ -423,6 +440,12 @@ fn main() {
     if aesni {
         mode_rows.push(("aesni", Mode::CbcEnc, CHAINS));
     }
+    // The AES-NI stream modes over the raw kernel on the same pages.
+    let blocks = mode_key("aesni", Mode::Blocks, 1);
+    let over_blocks = |backend: &str, mode: Mode| {
+        let stream = matches!(mode, Mode::CbcDec | Mode::XtsEnc | Mode::XtsDec | Mode::Ctr);
+        (backend == "aesni" && stream).then(|| runs.ratio(&mode_key(backend, mode, 1), &blocks))
+    };
     let table_rows: Vec<Vec<String>> = mode_rows
         .iter()
         .map(|&(backend, mode, chains)| {
@@ -431,12 +454,13 @@ fn main() {
                 chains.to_string(),
                 backend.to_string(),
                 runs.row(&mode_key(backend, mode, chains)).show(1),
+                over_blocks(backend, mode).map_or_else(String::new, |r| r.show(2)),
             ]
         })
         .collect();
     print_table(
         &format!("Host AES kernels over 4 KiB pages (MiB/s, fastest rep; median (min–max) of {RUNS} processes)"),
-        &["Mode", "Chains", "Kernel", "MiB/s"],
+        &["Mode", "Chains", "Kernel", "MiB/s", "Over blocks"],
         &table_rows,
     );
 
@@ -557,9 +581,12 @@ fn main() {
                 .find(|(ni, _, _)| *ni == key)
                 .map(|(_, _, r)| format!(", \"over_bitsliced\": {}", r.json(2)))
                 .unwrap_or_default();
+            let over_blocks = over_blocks(backend, mode)
+                .map(|r| format!(", \"over_blocks\": {}", r.json(2)))
+                .unwrap_or_default();
             format!(
                 "    {{\"backend\": \"{backend}\", \"mode\": \"{}\", \"chains\": {chains}, \
-                 \"mib_s\": {}{over}}}",
+                 \"mib_s\": {}{over}{over_blocks}}}",
                 mode.name(),
                 runs.row(&key).json(1),
             )

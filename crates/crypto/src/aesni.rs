@@ -25,10 +25,10 @@
 
 use std::arch::x86_64::{
     __m128i, _mm_aesdec_si128, _mm_aesdeclast_si128, _mm_aesenc_si128, _mm_aesenclast_si128,
-    _mm_loadu_si128, _mm_setzero_si128, _mm_storeu_si128, _mm_xor_si128,
+    _mm_loadu_si128, _mm_set_epi64x, _mm_setzero_si128, _mm_storeu_si128, _mm_xor_si128,
 };
 
-use crate::batch::BlockCipherBatch;
+use crate::batch::{BlockCipherBatch, Stream, Whitening};
 use crate::block::Block;
 use crate::key_schedule::KeySchedule;
 use crate::modes::BlockCipher;
@@ -111,6 +111,13 @@ fn store(value: __m128i, block: &mut Block) {
     unsafe { _mm_storeu_si128(block.as_mut_ptr().cast(), value) }
 }
 
+/// The block whose little-endian bytes are `v`, built in registers.
+#[target_feature(enable = "aes,sse2")]
+#[inline]
+fn load_u128(v: u128) -> __m128i {
+    _mm_set_epi64x((v >> 64) as i64, v as i64)
+}
+
 #[target_feature(enable = "aes,sse2")]
 fn load_keys(keys: &[Block; MAX_ROUND_KEYS]) -> [__m128i; MAX_ROUND_KEYS] {
     let mut out = [_mm_setzero_si128(); MAX_ROUND_KEYS];
@@ -176,20 +183,24 @@ fn crypt_group<const N: usize>(keys: &[__m128i], encrypt: bool, blocks: &mut [Bl
     }
 }
 
-/// Transform every block in place, [`LANES`] at a time.
+/// Transform every block in place, [`LANES`] at a time. The full groups
+/// are arrays, so their loads and stores compile to straight register
+/// moves rather than a copy through a stack buffer.
 #[target_feature(enable = "aes,sse2")]
 fn crypt_blocks(keys: &[__m128i], encrypt: bool, blocks: &mut [Block]) {
-    for group in blocks.chunks_mut(LANES) {
-        match group.len() {
-            1 => crypt_group::<1>(keys, encrypt, group),
-            2 => crypt_group::<2>(keys, encrypt, group),
-            3 => crypt_group::<3>(keys, encrypt, group),
-            4 => crypt_group::<4>(keys, encrypt, group),
-            5 => crypt_group::<5>(keys, encrypt, group),
-            6 => crypt_group::<6>(keys, encrypt, group),
-            7 => crypt_group::<7>(keys, encrypt, group),
-            _ => crypt_group::<LANES>(keys, encrypt, group),
-        }
+    let (groups, tail) = blocks.as_chunks_mut::<LANES>();
+    for group in groups {
+        crypt_group::<LANES>(keys, encrypt, group);
+    }
+    match tail.len() {
+        1 => crypt_group::<1>(keys, encrypt, tail),
+        2 => crypt_group::<2>(keys, encrypt, tail),
+        3 => crypt_group::<3>(keys, encrypt, tail),
+        4 => crypt_group::<4>(keys, encrypt, tail),
+        5 => crypt_group::<5>(keys, encrypt, tail),
+        6 => crypt_group::<6>(keys, encrypt, tail),
+        7 => crypt_group::<7>(keys, encrypt, tail),
+        _ => {}
     }
 }
 
@@ -259,6 +270,82 @@ fn encrypt_chains<F>(
     }
 }
 
+/// One group of exactly `N` blocks of a stream (see
+/// [`BlockCipherBatch::crypt_stream`]): every block is loaded once,
+/// whitened, ciphered and whitened again in registers, and stored once.
+/// `carry` is the ciphertext block the group's first block chains from
+/// under CBC, and on return the group's last.
+#[target_feature(enable = "aes,sse2")]
+#[inline]
+fn stream_group<const N: usize>(
+    ni: &AesNi,
+    stream: Stream,
+    whitening: &mut Whitening<'_>,
+    carry: &mut __m128i,
+    group: &mut [Block],
+) {
+    let mut s = [_mm_setzero_si128(); N];
+    match stream {
+        Stream::Xts { encrypt } => {
+            let mut tweaks = [_mm_setzero_si128(); N];
+            for ((x, t), b) in s.iter_mut().zip(&mut tweaks).zip(group.iter()) {
+                *t = load_u128(whitening.next_tweak());
+                *x = _mm_xor_si128(load(b), *t);
+            }
+            if encrypt {
+                encrypt_lanes(ni.enc_keys(), &mut s);
+            } else {
+                decrypt_lanes(ni.dec_keys(), &mut s);
+            }
+            for ((x, t), b) in s.iter().zip(&tweaks).zip(group.iter_mut()) {
+                store(_mm_xor_si128(*x, *t), b);
+            }
+        }
+        Stream::Ctr => {
+            for x in s.iter_mut() {
+                *x = load_u128(whitening.next_counter());
+            }
+            encrypt_lanes(ni.enc_keys(), &mut s);
+            for (x, b) in s.iter().zip(group.iter_mut()) {
+                store(_mm_xor_si128(*x, load(b)), b);
+            }
+        }
+        Stream::CbcDecrypt => {
+            let mut prev = [_mm_setzero_si128(); N];
+            for ((x, p), b) in s.iter_mut().zip(&mut prev).zip(group.iter()) {
+                *x = load(b);
+                *p = whitening.next_head().map_or(*carry, |iv| load(iv));
+                *carry = *x;
+            }
+            decrypt_lanes(ni.dec_keys(), &mut s);
+            for ((x, p), b) in s.iter().zip(&prev).zip(group.iter_mut()) {
+                store(_mm_xor_si128(*x, *p), b);
+            }
+        }
+    }
+}
+
+/// The stream loop: every group of up to [`LANES`] blocks in registers,
+/// dispatched to a lane count known at compile time.
+#[target_feature(enable = "aes,sse2")]
+fn crypt_stream(ni: &AesNi, stream: Stream, starts: &[Block], blocks: &mut [Block]) {
+    let mut whitening = Whitening::new(starts, blocks.len());
+    let mut carry = _mm_setzero_si128();
+    let (w, c) = (&mut whitening, &mut carry);
+    for group in blocks.chunks_mut(LANES) {
+        match group.len() {
+            1 => stream_group::<1>(ni, stream, w, c, group),
+            2 => stream_group::<2>(ni, stream, w, c, group),
+            3 => stream_group::<3>(ni, stream, w, c, group),
+            4 => stream_group::<4>(ni, stream, w, c, group),
+            5 => stream_group::<5>(ni, stream, w, c, group),
+            6 => stream_group::<6>(ni, stream, w, c, group),
+            7 => stream_group::<7>(ni, stream, w, c, group),
+            _ => stream_group::<LANES>(ni, stream, w, c, group),
+        }
+    }
+}
+
 impl BlockCipher for AesNi {
     fn encrypt_block(&self, block: &mut Block) {
         // SAFETY: an `AesNi` exists only where `aes` was detected.
@@ -292,5 +379,10 @@ impl BlockCipherBatch for AesNi {
     {
         // SAFETY: an `AesNi` exists only where `aes` was detected.
         unsafe { encrypt_chains(self.enc_keys(), chains, blocks, every_block, &mut feed) }
+    }
+
+    fn crypt_stream(&self, stream: Stream, starts: &[Block], blocks: &mut [Block]) {
+        // SAFETY: an `AesNi` exists only where `aes` was detected.
+        unsafe { crypt_stream(self, stream, starts, blocks) }
     }
 }

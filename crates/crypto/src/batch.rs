@@ -11,13 +11,106 @@
 //! The scalar contexts implement the trait by looping, which keeps every
 //! mode byte-identical across backends: a batch is *defined* as the
 //! concatenation of independent single-block operations (chaining
-//! belongs to [`crate::modes`] and to the lane loop
-//! [`BlockCipherBatch::encrypt_chains`]).
+//! belongs to [`crate::modes`] and to the two loops a backend may
+//! specialize: the lane loop [`BlockCipherBatch::encrypt_chains`] and
+//! the stream loop [`BlockCipherBatch::crypt_stream`]).
 
 use crate::bitslice::{BitslicedAes, PAR_BLOCKS};
 use crate::block::{Aes, AesRef, Block};
-use crate::modes::{xor_block, BlockCipher};
+use crate::modes::{xor_block, xts_mul_alpha, BlockCipher};
 use crate::BLOCK_SIZE;
+
+/// Blocks per kernel call of the default stream loop: two bitsliced
+/// batches, so the scratch stays on the stack (512 bytes).
+const SCRATCH_BLOCKS: usize = 2 * PAR_BLOCKS;
+
+/// The stream modes: each block of a run of extents is ciphered on its
+/// own, between whitening XORs that depend only on the block's position
+/// in its extent and the extent's start block (see
+/// [`BlockCipherBatch::crypt_stream`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stream {
+    /// XTS: the block is XORed with its tweak, enciphered (or
+    /// deciphered), and XORed with the tweak again. The start block is
+    /// the extent's encrypted tweak; each later tweak doubles the one
+    /// before in GF(2^128).
+    Xts {
+        /// The cipher direction.
+        encrypt: bool,
+    },
+    /// CTR: the block is XORed with the encryption of its counter block.
+    /// The start block is the extent's first counter, read big-endian
+    /// and incremented over all 128 bits.
+    Ctr,
+    /// CBC decryption: the block is deciphered and XORed with the
+    /// ciphertext block before it, or with the start block (the
+    /// extent's IV) at the extent's head.
+    CbcDecrypt,
+}
+
+/// A stream's whitening, one block at a time: the extent heads, where
+/// it restarts from the extent's start block, and the tweak or counter
+/// it carries between them. The tweaks and counters come out as the
+/// `u128` whose little-endian bytes are the block, so a kernel can move
+/// one into a vector register without a trip through memory.
+pub(crate) struct Whitening<'a> {
+    starts: std::slice::Iter<'a, Block>,
+    per_extent: usize,
+    /// Blocks left in the current extent.
+    left: usize,
+    /// The tweak or counter of the next block.
+    value: u128,
+}
+
+impl<'a> Whitening<'a> {
+    /// The whitening of `blocks` blocks split evenly among
+    /// `starts.len()` extents.
+    pub(crate) fn new(starts: &'a [Block], blocks: usize) -> Whitening<'a> {
+        Whitening {
+            starts: starts.iter(),
+            per_extent: blocks.checked_div(starts.len()).unwrap_or(0),
+            left: 0,
+            value: 0,
+        }
+    }
+
+    /// Step one block: its extent's start block if it is the extent's
+    /// head. A CBC stream needs only this.
+    #[inline]
+    pub(crate) fn next_head(&mut self) -> Option<&'a Block> {
+        if self.left == 0 {
+            self.left = self.per_extent - 1;
+            self.starts.next()
+        } else {
+            self.left -= 1;
+            None
+        }
+    }
+
+    /// Step one block of an XTS stream: its tweak. The tweak read
+    /// little-endian is the GF(2^128) element (IEEE P1619).
+    #[inline]
+    pub(crate) fn next_tweak(&mut self) -> u128 {
+        if let Some(start) = self.next_head() {
+            self.value = u128::from_le_bytes(*start);
+        }
+        let tweak = self.value;
+        self.value = xts_mul_alpha(tweak);
+        tweak
+    }
+
+    /// Step one block of a CTR stream: its counter block, which read
+    /// big-endian is the counter.
+    #[inline]
+    pub(crate) fn next_counter(&mut self) -> u128 {
+        if let Some(start) = self.next_head() {
+            self.value = u128::from_be_bytes(*start);
+        }
+        let counter = self.value;
+        self.value = counter.wrapping_add(1);
+        counter.swap_bytes()
+    }
+}
 
 /// A cipher that can encrypt or decrypt many independent blocks per call.
 ///
@@ -74,6 +167,66 @@ pub trait BlockCipherBatch: BlockCipher {
                 self.encrypt_blocks(&mut scratch[..n]);
                 group.copy_from_slice(&scratch[..n]);
             }
+        }
+    }
+
+    /// The stream loop under [`crate::modes::xts_crypt_extents`],
+    /// [`crate::modes::ctr_crypt_extents`] and
+    /// [`crate::modes::cbc_decrypt_extents`]: transform `blocks` in place
+    /// as `starts.len()` equal-sized extents back to back, extent `i`
+    /// whitened from `starts[i]` as `stream` says.
+    ///
+    /// Every block is independent once its whitening is known, so the
+    /// stream runs across extent boundaries with no drain. The blocks go
+    /// through the kernel 32 at a time (`SCRATCH_BLOCKS`), their tweaks,
+    /// counters or chaining blocks staged in scratch beside them. The
+    /// tracked (AES On SoC) kernels run this default, whose kernel calls
+    /// are what their store trace charges, as does the bitsliced context.
+    /// The AES-NI kernel overrides it to whiten eight blocks at a time in
+    /// registers around the rounds.
+    ///
+    /// `blocks.len()` must be a multiple of `starts.len()`; the mode
+    /// functions check it ([`crate::modes::extent_unit`]) before they
+    /// call.
+    fn crypt_stream(&self, stream: Stream, starts: &[Block], blocks: &mut [Block]) {
+        // `mask[i]` whitens chunk block `i`; under CBC `mask[n]` carries
+        // the chunk's last ciphertext block into the next chunk.
+        let mut mask = [[0u8; BLOCK_SIZE]; SCRATCH_BLOCKS + 1];
+        let mut whitening = Whitening::new(starts, blocks.len());
+        for chunk in blocks.chunks_mut(SCRATCH_BLOCKS) {
+            let n = chunk.len();
+            match stream {
+                Stream::Xts { encrypt } => {
+                    for (block, m) in chunk.iter_mut().zip(&mut mask) {
+                        *m = whitening.next_tweak().to_le_bytes();
+                        xor_block(block, m);
+                    }
+                    if encrypt {
+                        self.encrypt_blocks(chunk);
+                    } else {
+                        self.decrypt_blocks(chunk);
+                    }
+                }
+                Stream::Ctr => {
+                    for m in &mut mask[..n] {
+                        *m = whitening.next_counter().to_le_bytes();
+                    }
+                    self.encrypt_blocks(&mut mask[..n]);
+                }
+                Stream::CbcDecrypt => {
+                    mask[1..=n].copy_from_slice(chunk);
+                    for m in &mut mask[..n] {
+                        if let Some(iv) = whitening.next_head() {
+                            *m = *iv;
+                        }
+                    }
+                    self.decrypt_blocks(chunk);
+                }
+            }
+            for (block, m) in chunk.iter_mut().zip(&mask) {
+                xor_block(block, m);
+            }
+            mask[0] = mask[n];
         }
     }
 }

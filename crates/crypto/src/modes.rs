@@ -17,11 +17,17 @@
 //! [`xts_decrypt`], [`ctr_crypt`]) are one-extent calls of those kernels.
 //! The kernels take whole blocks — the pager works in 4 KiB pages,
 //! dm-crypt in 512-byte sectors — and only [`ctr_crypt`] also takes a
-//! ragged tail. [`PageCipher`] is the keyed context the engines hold;
+//! ragged tail. The block loops under them belong to the cipher: CBC
+//! encryption over several extents runs one chain per lane
+//! ([`BlockCipherBatch::encrypt_chains`]), and CBC decryption, XTS and
+//! CTR run as one stream of independent blocks
+//! ([`BlockCipherBatch::crypt_stream`]), so a kernel that keeps the
+//! whitening in registers (AES-NI) needs no mode code of its own here.
+//! [`PageCipher`] is the keyed context the engines hold;
 //! [`crypt_extents`] picks the kernel for each mode and direction, for
 //! it and for AES On SoC's store-bound kernels alike.
 
-use crate::batch::BlockCipherBatch;
+use crate::batch::{BlockCipherBatch, Stream};
 use crate::bitslice::BitslicedAes;
 use crate::block::{Aes, AesRef, Block};
 use crate::BLOCK_SIZE;
@@ -256,11 +262,19 @@ impl PageCipher {
 ///
 /// | mode | direction | extents | kernel |
 /// |------|-----------|---------|--------|
-/// | CBC  | encrypt   | 1       | scalar chain ([`cbc_encrypt`]) |
-/// | CBC  | encrypt   | ≥ 2     | one chain per bitsliced lane ([`cbc_encrypt_extents`]) |
-/// | CBC  | decrypt   | any     | bitsliced stream ([`cbc_decrypt_extents`]) |
-/// | XTS  | both      | any     | bitsliced stream, single-key XEX ([`xts_crypt_extents`]) |
-/// | CTR  | both      | any     | bitsliced stream ([`ctr_crypt_extents`]) |
+/// | CBC  | encrypt   | 1       | `scalar`'s chain ([`cbc_encrypt`]) |
+/// | CBC  | encrypt   | ≥ 2     | `batch`'s lane loop, one chain per lane ([`cbc_encrypt_extents`]) |
+/// | CBC  | decrypt   | any     | `batch`'s stream loop ([`cbc_decrypt_extents`]) |
+/// | XTS  | both      | any     | `batch`'s stream loop, single-key XEX ([`xts_crypt_extents`]) |
+/// | CTR  | both      | any     | `batch`'s stream loop ([`ctr_crypt_extents`]) |
+///
+/// The lane loop is [`BlockCipherBatch::encrypt_chains`] and the stream
+/// loop [`BlockCipherBatch::crypt_stream`]. On the portable kernel
+/// `batch` is the bitsliced context, which streams 32 blocks per call
+/// with the whitening staged in scratch; on AES-NI it is the AES-NI
+/// kernel, which keeps eight chains, or eight blocks and their
+/// whitening, in registers; on AES On SoC it is the tracked kernel,
+/// which runs the trait's default loops.
 ///
 /// Every choice is byte-identical to running each extent on its own
 /// through the scalar context.
@@ -290,11 +304,6 @@ pub fn crypt_extents(
         (PageCipherMode::Ctr, _, _) => ctr_crypt_extents(batch, ivs, data),
     }
 }
-
-/// Scratch blocks used by the batched modes below: two bitsliced batches,
-/// so the batch backend streams at full width while the scratch stays on
-/// the stack (512 bytes).
-const SCRATCH_BLOCKS: usize = 2 * crate::bitslice::PAR_BLOCKS;
 
 /// A single-block cipher, the building block for the modes below.
 ///
@@ -366,20 +375,6 @@ pub fn extent_unit(ivs: &[[u8; 16]], data: &[u8]) -> usize {
     let unit = data.len() / ivs.len();
     check_aligned(&data[..unit]);
     unit
-}
-
-/// The extent heads among blocks `start..start + n` of a run of
-/// `blocks_per_unit`-block extents: each head's offset from `start`, and
-/// the value its extent starts from (`ivs[i]` for extent `i`).
-fn heads_in(
-    ivs: &[Block],
-    blocks_per_unit: usize,
-    start: usize,
-    n: usize,
-) -> impl Iterator<Item = (usize, &Block)> {
-    (start.next_multiple_of(blocks_per_unit)..start + n)
-        .step_by(blocks_per_unit)
-        .map(move |g| (g - start, &ivs[g / blocks_per_unit]))
 }
 
 /// Encrypt `data` in place in CBC mode with the given initialization
@@ -460,12 +455,11 @@ pub fn cbc_decrypt<C: BlockCipherBatch>(cipher: &C, iv: &Block, data: &mut [u8])
 ///
 /// CBC decryption is data-parallel — `pt[i] = D(ct[i]) ^ ct[i-1]` needs
 /// only a ciphertext block and its predecessor (or, at an extent head,
-/// that extent's IV) — so blocks are block-decrypted `SCRATCH_BLOCKS` at a
-/// time and the chaining XOR is applied afterwards from a saved copy of
-/// the ciphertext. The batch kernel streams across extent boundaries:
-/// a 512-byte dm-crypt sector is 32 blocks, but a 4 KiB buffer cache
-/// block is 8 sectors decrypted here as one 256-block stream with no
-/// pipeline drain between sectors. Byte-identical to the serial
+/// that extent's IV) — so the run is one stream
+/// ([`BlockCipherBatch::crypt_stream`] with [`Stream::CbcDecrypt`]) that
+/// crosses extent boundaries with no pipeline drain: a 512-byte dm-crypt
+/// sector is 32 blocks, but a 4 KiB buffer cache block is 8 sectors
+/// decrypted here as one 256-block stream. Byte-identical to the serial
 /// formulation over each extent, for every backend.
 ///
 /// # Panics
@@ -473,28 +467,8 @@ pub fn cbc_decrypt<C: BlockCipherBatch>(cipher: &C, iv: &Block, data: &mut [u8])
 /// Panics if `data` does not divide evenly into `ivs.len()` block-aligned
 /// extents (an empty `ivs` requires an empty `data`).
 pub fn cbc_decrypt_extents<C: BlockCipherBatch>(cipher: &C, ivs: &[[u8; 16]], data: &mut [u8]) {
-    let unit = extent_unit(ivs, data);
-    if unit == 0 {
-        return;
-    }
-    let blocks_per_unit = unit / BLOCK_SIZE;
-    let (blocks, _) = data.as_chunks_mut::<BLOCK_SIZE>();
-    // `prev[i]` is what chunk block `i` chains from: the ciphertext block
-    // before it, or at an extent head the extent's IV. `prev[n]` carries
-    // the chunk's last ciphertext block into the next chunk.
-    let mut prev = [[0u8; BLOCK_SIZE]; SCRATCH_BLOCKS + 1];
-    for (c, chunk) in blocks.chunks_mut(SCRATCH_BLOCKS).enumerate() {
-        let n = chunk.len();
-        prev[1..=n].copy_from_slice(chunk);
-        for (h, iv) in heads_in(ivs, blocks_per_unit, c * SCRATCH_BLOCKS, n) {
-            prev[h] = *iv;
-        }
-        cipher.decrypt_blocks(chunk);
-        for (block, p) in chunk.iter_mut().zip(&prev) {
-            xor_block(block, p);
-        }
-        prev[0] = prev[n];
-    }
+    extent_unit(ivs, data);
+    cipher.crypt_stream(Stream::CbcDecrypt, ivs, data.as_chunks_mut().0);
 }
 
 /// Multiply an element of GF(2^128) by `x` (the XTS tweak step), using
@@ -502,7 +476,7 @@ pub fn cbc_decrypt_extents<C: BlockCipherBatch>(cipher: &C, ivs: &[[u8; 16]], da
 /// so the tweak block read as a little-endian `u128` is the polynomial.
 /// The carry shifts out of byte 15's MSB and the reduction polynomial
 /// `x^128 + x^7 + x^2 + x + 1` feeds back as `0x87` into byte 0.
-fn xts_mul_alpha(t: u128) -> u128 {
+pub(crate) fn xts_mul_alpha(t: u128) -> u128 {
     (t << 1) ^ ((t >> 127) * 0x87)
 }
 
@@ -563,10 +537,12 @@ pub fn xts_decrypt<C: BlockCipherBatch>(
 /// The per-extent tweak bases are encrypted as one batched call; the
 /// GF(2^128) tweak chain after them is serial but cipher-free (a shift
 /// and a conditional XOR per block). Every block of every extent is then
-/// independent, so the batch kernel streams across extent boundaries
-/// with no pipeline drain — a 512-byte dm-crypt sector is only 32
-/// blocks, but 8 sectors of a 4 KiB buffer cache block run here as one
-/// 256-block stream. Byte-identical to ciphering each extent separately.
+/// independent, so the run is one stream
+/// ([`BlockCipherBatch::crypt_stream`] with [`Stream::Xts`]) with no
+/// pipeline drain at extent boundaries — a 512-byte dm-crypt sector is
+/// only 32 blocks, but 8 sectors of a 4 KiB buffer cache block run here
+/// as one 256-block stream. Byte-identical to ciphering each extent
+/// separately.
 ///
 /// # Panics
 ///
@@ -579,39 +555,12 @@ pub fn xts_crypt_extents<C: BlockCipherBatch>(
     ivs: &[[u8; 16]],
     data: &mut [u8],
 ) {
-    let unit = extent_unit(ivs, data);
-    if unit == 0 {
+    if extent_unit(ivs, data) == 0 {
         return;
     }
     let mut bases: Vec<Block> = ivs.to_vec();
     tweak_cipher.encrypt_blocks(&mut bases);
-
-    let (blocks, _) = data.as_chunks_mut::<BLOCK_SIZE>();
-    let blocks_per_unit = unit / BLOCK_SIZE;
-    let mut tweaks = [[0u8; BLOCK_SIZE]; SCRATCH_BLOCKS];
-    let mut t = 0u128;
-    for (c, chunk) in blocks.chunks_mut(SCRATCH_BLOCKS).enumerate() {
-        let n = chunk.len();
-        let mut heads = heads_in(&bases, blocks_per_unit, c * SCRATCH_BLOCKS, n).peekable();
-        for (i, tw) in tweaks[..n].iter_mut().enumerate() {
-            if let Some((_, base)) = heads.next_if(|&(h, _)| h == i) {
-                t = u128::from_le_bytes(*base);
-            }
-            *tw = t.to_le_bytes();
-            t = xts_mul_alpha(t);
-        }
-        for (block, tw) in chunk.iter_mut().zip(&tweaks) {
-            xor_block(block, tw);
-        }
-        if encrypt {
-            cipher.encrypt_blocks(chunk);
-        } else {
-            cipher.decrypt_blocks(chunk);
-        }
-        for (block, tw) in chunk.iter_mut().zip(&tweaks) {
-            xor_block(block, tw);
-        }
-    }
+    cipher.crypt_stream(Stream::Xts { encrypt }, &bases, data.as_chunks_mut().0);
 }
 
 /// Encrypt or decrypt `data` in place in CTR mode, treating the full
@@ -645,38 +594,18 @@ pub fn ctr_crypt<C: BlockCipherBatch>(cipher: &C, iv: &[u8; 16], data: &mut [u8]
 /// The counter is the full 16-byte block read big-endian and incremented
 /// over all 128 bits, wrapping at 2^128 (the NIST SP 800-38A standard
 /// incrementing function). Keystream blocks are independent, so like
-/// [`xts_crypt_extents`] the whole run streams through the batch kernel
-/// with no drain at extent boundaries. Byte-identical to calling
-/// [`ctr_crypt`] on each extent separately.
+/// [`xts_crypt_extents`] the whole run is one stream
+/// ([`BlockCipherBatch::crypt_stream`] with [`Stream::Ctr`]) with no
+/// drain at extent boundaries. Byte-identical to calling [`ctr_crypt`]
+/// on each extent separately.
 ///
 /// # Panics
 ///
 /// Panics if `data` does not divide evenly into `ivs.len()` block-aligned
 /// extents (an empty `ivs` requires an empty `data`).
 pub fn ctr_crypt_extents<C: BlockCipherBatch>(cipher: &C, ivs: &[[u8; 16]], data: &mut [u8]) {
-    let unit = extent_unit(ivs, data);
-    if unit == 0 {
-        return;
-    }
-    let blocks_per_unit = unit / BLOCK_SIZE;
-    let (blocks, _) = data.as_chunks_mut::<BLOCK_SIZE>();
-    let mut ks = [[0u8; BLOCK_SIZE]; SCRATCH_BLOCKS];
-    let mut counter = 0u128;
-    for (c, chunk) in blocks.chunks_mut(SCRATCH_BLOCKS).enumerate() {
-        let n = chunk.len();
-        let mut heads = heads_in(ivs, blocks_per_unit, c * SCRATCH_BLOCKS, n).peekable();
-        for (i, k) in ks[..n].iter_mut().enumerate() {
-            if let Some((_, iv)) = heads.next_if(|&(h, _)| h == i) {
-                counter = u128::from_be_bytes(*iv);
-            }
-            *k = counter.to_be_bytes();
-            counter = counter.wrapping_add(1);
-        }
-        cipher.encrypt_blocks(&mut ks[..n]);
-        for (block, k) in chunk.iter_mut().zip(&ks) {
-            xor_block(block, k);
-        }
-    }
+    extent_unit(ivs, data);
+    cipher.crypt_stream(Stream::Ctr, ivs, data.as_chunks_mut().0);
 }
 
 #[cfg(test)]
@@ -803,8 +732,8 @@ mod tests {
         let table = Aes::new(&key).unwrap();
         let bitsliced = BitslicedAes::from_schedule(table.schedule());
         // Unit sizes exercising sub-batch extents (1 and 2 blocks), the
-        // dm-crypt sector (32 blocks), and units that straddle scratch
-        // chunk boundaries (3 blocks does for SCRATCH_BLOCKS = 32).
+        // dm-crypt sector (32 blocks), and units that straddle the
+        // default stream loop's 32-block scratch chunks (3 blocks does).
         for (unit_blocks, units) in [(1usize, 5usize), (2, 9), (3, 23), (32, 8), (48, 3)] {
             let unit = unit_blocks * BLOCK_SIZE;
             let ivs: Vec<[u8; 16]> = (0..units).map(|i| [(i * 29 + 1) as u8; 16]).collect();

@@ -5,18 +5,21 @@
 //! Each path is checked against a slower formulation that shares none of
 //! its machinery: the batch CMAC against one `mac_parts` call per
 //! message, the lanes against one serial CBC chain per extent, and the
-//! XTS/CTR streams against a byte-at-a-time tweak doubling and counter
-//! increment over the reference AES. Every path runs on the AES-NI
-//! kernel (where the CPU has it; a skip line otherwise) and on the
-//! portable one. A pinned digest of the tracked (AES On SoC) kernels'
-//! store trace holds their accesses in place.
+//! XTS/CTR streams and CBC decryption against a byte-at-a-time tweak
+//! doubling, counter increment and chaining XOR over the reference AES,
+//! with extent heads inside the AES-NI stream's register groups. Every
+//! path runs on the AES-NI kernel (where the CPU has it; a skip line
+//! otherwise) and on the portable one. Pinned digests of the tracked
+//! (AES On SoC) kernels' store traces, under the lanes and under the
+//! streams, hold their accesses in place.
 
 use sentry_crypto::modes::{
-    cbc_encrypt, cbc_encrypt_extents, ctr_crypt, ctr_crypt_extents, xts_crypt_extents,
+    cbc_decrypt_extents, cbc_encrypt, cbc_encrypt_extents, ctr_crypt, ctr_crypt_extents,
+    xts_crypt_extents,
 };
 use sentry_crypto::{
-    Aes, AesRef, AesStateLayout, BitslicedAes, Cmac, Direction, InStore, KeySize, PageCipher,
-    PageCipherMode, TrackedAes, TrackedBitslicedAes, VecStore,
+    Aes, AesRef, AesStateLayout, BitslicedAes, BlockCipherBatch, Cmac, Direction, InStore, KeySize,
+    PageCipher, PageCipherMode, TrackedAes, TrackedBitslicedAes, VecStore,
 };
 
 /// The AES-NI kernel under `aes`'s key, or `None` (with a skip line) on
@@ -243,6 +246,88 @@ fn xts_and_ctr_extent_runs_carry_across_the_scratch_boundary() {
     }
 }
 
+/// CBC decryption over one extent, a block at a time on the reference
+/// AES.
+fn cbc_decrypt_reference(aes: &AesRef, iv: &[u8; 16], extent: &mut [u8]) {
+    let mut prev = *iv;
+    for chunk in extent.chunks_exact_mut(16) {
+        let block: &mut [u8; 16] = chunk.try_into().unwrap();
+        let ct = *block;
+        aes.decrypt_block(block);
+        block.iter_mut().zip(&prev).for_each(|(b, p)| *b ^= p);
+        prev = ct;
+    }
+}
+
+#[test]
+fn aesni_streams_restart_at_extent_heads_inside_a_lane_group() {
+    // The AES-NI stream loop whitens eight blocks per register group;
+    // extents of an odd number of blocks put extent heads at every lane
+    // of a group, where the tweak, counter or chaining block restarts.
+    let aes = Aes::new(&KEY).unwrap();
+    let ni = aes_ni(&aes);
+    let page = PageCipher::new(&KEY).unwrap();
+    let reference = AesRef::new(&KEY).unwrap();
+    const EXTENTS: usize = 11;
+    for blocks in [1usize, 3, 5, 7, 9, 17] {
+        let unit = 16 * blocks;
+        let pt = bytes(EXTENTS * unit, blocks as u8 ^ 0x3c);
+        let ivs = ivs(EXTENTS, blocks as u8);
+        // Counters that carry out of the low 64 bits, or wrap all 128,
+        // one to three blocks into their extent.
+        let counters: Vec<[u8; 16]> = (0..EXTENTS as u128)
+            .map(|i| {
+                let before = 1 + i % 3;
+                let at = if i % 2 == 0 { 1u128 << 64 } else { 0 };
+                at.wrapping_sub(before).to_be_bytes()
+            })
+            .collect();
+        let each = |starts: &[[u8; 16]], f: &dyn Fn(&[u8; 16], &mut [u8])| {
+            let mut want = pt.clone();
+            for (iv, extent) in starts.iter().zip(want.chunks_exact_mut(unit)) {
+                f(iv, extent);
+            }
+            want
+        };
+        let what = format!("{EXTENTS} extents of {blocks} blocks");
+
+        let want = each(&counters, &|iv, e| ctr_reference(&reference, iv, e));
+        if let Some(ni) = &ni {
+            let mut got = pt.clone();
+            ctr_crypt_extents(ni, &counters, &mut got);
+            assert_eq!(got, want, "aes-ni CTR, {what}");
+        }
+        for direction in [Direction::Encrypt, Direction::Decrypt] {
+            let mut got = pt.clone();
+            page.crypt(PageCipherMode::Ctr, direction, &counters, &mut got);
+            assert_eq!(got, want, "page cipher CTR ({direction:?}), {what}");
+        }
+
+        for direction in [Direction::Encrypt, Direction::Decrypt] {
+            let encrypt = direction == Direction::Encrypt;
+            let want = each(&ivs, &|iv, e| xts_reference(&reference, encrypt, iv, e));
+            if let Some(ni) = &ni {
+                let mut got = pt.clone();
+                xts_crypt_extents(ni, ni, encrypt, &ivs, &mut got);
+                assert_eq!(got, want, "aes-ni XTS ({direction:?}), {what}");
+            }
+            let mut got = pt.clone();
+            page.crypt(PageCipherMode::Xts, direction, &ivs, &mut got);
+            assert_eq!(got, want, "page cipher XTS ({direction:?}), {what}");
+        }
+
+        let want = each(&ivs, &|iv, e| cbc_decrypt_reference(&reference, iv, e));
+        if let Some(ni) = &ni {
+            let mut got = pt.clone();
+            cbc_decrypt_extents(ni, &ivs, &mut got);
+            assert_eq!(got, want, "aes-ni CBC decrypt, {what}");
+        }
+        let mut got = pt.clone();
+        page.crypt(PageCipherMode::Cbc, Direction::Decrypt, &ivs, &mut got);
+        assert_eq!(got, want, "page cipher CBC decrypt, {what}");
+    }
+}
+
 #[test]
 fn ctr_tail_takes_the_counter_after_the_whole_blocks() {
     // Three whole blocks from 2^128 - 2 wrap the counter to 0 at the
@@ -312,4 +397,50 @@ fn tracked_lane_chains_keep_their_store_trace() {
         }
     }
     assert_eq!(fnv(&digest), 13_240_713_610_802_304_536);
+}
+
+/// Stream `stream` over `data`: XTS encryption, XTS decryption, CTR or
+/// CBC decryption.
+fn run_stream(cipher: &impl BlockCipherBatch, stream: u8, ivs: &[[u8; 16]], data: &mut [u8]) {
+    match stream {
+        0 => xts_crypt_extents(cipher, cipher, true, ivs, data),
+        1 => xts_crypt_extents(cipher, cipher, false, ivs, data),
+        2 => ctr_crypt_extents(cipher, ivs, data),
+        _ => cbc_decrypt_extents(cipher, ivs, data),
+    }
+}
+
+#[test]
+fn tracked_streams_keep_their_store_trace() {
+    // XTS both ways, CTR and CBC decryption through both tracked
+    // kernels, over extents that end inside and across the stream's
+    // scratch chunks. The digest covers the output and every store
+    // access.
+    let mut digest = Vec::new();
+    let mut record = |data: &[u8], store: &VecStore| {
+        digest.extend_from_slice(&fnv(data).to_le_bytes());
+        digest.extend_from_slice(&(store.touch_log.len() as u64).to_le_bytes());
+        for &(offset, len, write) in &store.touch_log {
+            digest.extend_from_slice(&(offset as u64).to_le_bytes());
+            digest.extend_from_slice(&(len as u64).to_le_bytes());
+            digest.push(u8::from(write));
+        }
+    };
+    for (n, unit) in [(3usize, 48usize), (5, 512), (2, 4096)] {
+        let ivs = ivs(n, 0x6b);
+        for stream in 0..4 {
+            let mut store = VecStore::recording(&AesStateLayout::bitsliced(KeySize::Aes256));
+            let kernel = TrackedBitslicedAes::init(&mut store, &KEY).unwrap();
+            let mut data = bytes(n * unit, 0xb6 ^ stream);
+            run_stream(&InStore::new(&kernel, &mut store), stream, &ivs, &mut data);
+            record(&data, &store);
+
+            let mut store = VecStore::recording(&AesStateLayout::for_key_size(KeySize::Aes256));
+            let kernel = TrackedAes::init(&mut store, &KEY).unwrap();
+            let mut data = bytes(n * unit, 0xb6 ^ stream);
+            run_stream(&InStore::new(&kernel, &mut store), stream, &ivs, &mut data);
+            record(&data, &store);
+        }
+    }
+    assert_eq!(fnv(&digest), 14_809_192_482_619_420_300);
 }

@@ -29,10 +29,17 @@
 //! tags in one pass; the set's dirty bits are one `u8` mask beside them.
 //! Line data is stored way-major: the line of `(set, way)` sits at
 //! `way * NUM_SETS + set`, so the 128 lines of a page resident in one
-//! way are contiguous, and an access walks them as one run. An access
-//! charges its hits to the clock in one sum, at the first miss (whose
-//! eviction and fill stamp the bus with the clock) and at its end, so
-//! every bus timestamp is what per-line charging would give.
+//! way are contiguous. An access moves them in runs: once a line
+//! resolves to a way, by a hit or by a miss's fill, the run extends over
+//! the following sets whose same way holds the same tag, and its bytes
+//! move as one copy (a write sets the run's dirty bits in one pass). A
+//! run stops at a miss, at a line another way holds, and at set 4095,
+//! where the next line belongs to the next tag; a partial head or tail
+//! line is a run of one at an offset. This is exact because a line sits
+//! in at most one way: `allocate` runs only when `find` missed. An
+//! access charges its hits to the clock in one sum, at the first miss
+//! (whose eviction and fill stamp the bus with the clock) and at its
+//! end, so every bus timestamp is what per-line charging would give.
 
 use crate::bus::{Bus, BusMaster, BusOp};
 use crate::clock::{CostModel, SimClock};
@@ -193,13 +200,18 @@ impl Pl310 {
         way * NUM_SETS + set
     }
 
-    /// The way of `set` holding `tag`: one compare per way into a hit
-    /// mask, then its lowest set bit.
-    fn find(&self, set: usize, tag: u64) -> Option<usize> {
-        let hit = self.tags[set]
+    /// The ways of `set` whose tag is `tag`, as a bit mask: one compare
+    /// per way.
+    fn ways_with(&self, set: usize, tag: u64) -> u32 {
+        self.tags[set]
             .iter()
             .enumerate()
-            .fold(0u32, |m, (w, &t)| m | u32::from(t == tag) << w);
+            .fold(0u32, |m, (w, &t)| m | u32::from(t == tag) << w)
+    }
+
+    /// The way of `set` holding `tag`: the lowest bit of its hit mask.
+    fn find(&self, set: usize, tag: u64) -> Option<usize> {
+        let hit = self.ways_with(set, tag);
         (hit != 0).then(|| hit.trailing_zeros() as usize)
     }
 
@@ -233,7 +245,7 @@ impl Pl310 {
     }
 
     /// Walk the lines of `addr..addr + buf.len()` once, from the first
-    /// line's set and tag on.
+    /// line's set and tag on, one run of lines at a time.
     fn access(&mut self, addr: u64, mut buf: AccessBuf<'_, '_>, path: &mut MemPath<'_>) {
         let len = buf.len();
         if !self.enabled {
@@ -246,7 +258,6 @@ impl Pl310 {
         let mut done = 0usize;
         let mut hits = 0u64;
         while done < len {
-            let n = (LINE_SIZE - line_off).min(len - done);
             let way = match self.find(set, tag) {
                 Some(w) => {
                     hits += 1;
@@ -260,6 +271,20 @@ impl Pl310 {
                     self.allocate(set, tag, path)
                 }
             };
+            // The run: this line, then every following line of the span
+            // that the same way holds, up to the end of the way. A line
+            // sits in at most one way (`allocate` runs only after `find`
+            // missed), so each of those lines is a hit in this way.
+            let mut run = 1;
+            if let Some(way) = way {
+                let lines = (line_off + len - done).div_ceil(LINE_SIZE);
+                let last = lines.min(NUM_SETS - set);
+                while run < last && self.tags[set + run][way] == tag {
+                    run += 1;
+                }
+                hits += run as u64 - 1;
+            }
+            let n = (run * LINE_SIZE - line_off).min(len - done);
             match (way, &mut buf) {
                 // No way is allocatable: perform the access uncached,
                 // directly against DRAM.
@@ -268,24 +293,26 @@ impl Pl310 {
                     Self::uncached_span(addr + done as u64, done, n, buf, path);
                 }
                 (Some(way), AccessBuf::Read(out)) => {
-                    let line = &self.lines[Self::idx(set, way)];
-                    match out[done..].first_chunk_mut::<LINE_SIZE>() {
-                        Some(full) if n == LINE_SIZE => *full = *line,
-                        _ => out[done..done + n].copy_from_slice(&line[line_off..line_off + n]),
-                    }
+                    let lines = &self.lines[Self::idx(set, way)..][..run];
+                    copy(
+                        &mut out[done..done + n],
+                        &lines.as_flattened()[line_off..][..n],
+                    );
                 }
                 (Some(way), AccessBuf::Write(input)) => {
-                    let line = &mut self.lines[Self::idx(set, way)];
-                    match input[done..].first_chunk::<LINE_SIZE>() {
-                        Some(full) if n == LINE_SIZE => *line = *full,
-                        _ => line[line_off..line_off + n].copy_from_slice(&input[done..done + n]),
+                    let lines = &mut self.lines[Self::idx(set, way)..][..run];
+                    copy(
+                        &mut lines.as_flattened_mut()[line_off..][..n],
+                        &input[done..done + n],
+                    );
+                    for dirty in &mut self.dirty[set..set + run] {
+                        *dirty |= 1 << way;
                     }
-                    self.dirty[set] |= 1 << way;
                 }
             }
             done += n;
             line_off = 0;
-            set += 1;
+            set += run;
             if set == NUM_SETS {
                 set = 0;
                 tag += 1;
@@ -309,9 +336,9 @@ impl Pl310 {
         if self.alloc_mask == 0 {
             return None;
         }
-        // Prefer an invalid enabled way.
-        let victim = (0..NUM_WAYS)
-            .find(|&w| self.alloc_mask & (1 << w) != 0 && self.tags[set][w] == INVALID);
+        // Prefer the lowest invalid enabled way.
+        let free = self.ways_with(set, INVALID) & u32::from(self.alloc_mask);
+        let victim = (free != 0).then(|| free.trailing_zeros() as usize);
         let way = victim.unwrap_or_else(|| {
             // Round-robin over enabled ways.
             let mut v = self.victims[set] as usize;
@@ -464,6 +491,16 @@ impl Pl310 {
                 )
             })
             .collect()
+    }
+}
+
+/// Copy `src` into `dst`, of the same length: one whole line as a
+/// fixed-size move (a miss's run is one line, and a slice copy of it
+/// would be a `memcpy` call), anything else as a slice copy.
+fn copy(dst: &mut [u8], src: &[u8]) {
+    match (<&mut Line>::try_from(&mut *dst), <&Line>::try_from(src)) {
+        (Ok(dst), Ok(src)) => *dst = *src,
+        _ => dst.copy_from_slice(src),
     }
 }
 

@@ -168,6 +168,7 @@ mod pinned_trace {
     use sentry_soc::cache::{MemPath, Pl310, LINE_SIZE, NUM_SETS, NUM_WAYS, WAY_BYTES};
     use sentry_soc::dram::{Dram, RemanenceModel};
     use sentry_soc::{CostModel, SimClock};
+    use std::collections::HashSet;
     use std::sync::{Arc, Mutex};
 
     /// Records every bus transaction in order.
@@ -198,12 +199,13 @@ mod pinned_trace {
     /// Run `steps` steps of a seeded trace, each one `step(step, r, ..)`
     /// with a fresh xorshift draw `r`, and digest what the trace left
     /// observable: whatever the steps hashed, then the stats, the clock,
-    /// the masks, every bus transaction and every way's contents.
+    /// the masks, every bus transaction and every way's contents. The
+    /// cache comes back too, for the invariants.
     fn digest(
         seed: u64,
         steps: usize,
         mut step: impl FnMut(usize, u64, &mut Pl310, &mut MemPath<'_>, &mut Fnv),
-    ) -> u64 {
+    ) -> (u64, Pl310) {
         let mut cache = Pl310::new();
         let mut dram = Dram::new(16 << 20, RemanenceModel::default(), 1);
         let mut bus = Bus::new();
@@ -260,7 +262,7 @@ mod pinned_trace {
                 h.bytes(&data);
             }
         }
-        h.0
+        (h.0, cache)
     }
 
     /// Write `len` bytes derived from `step` at `at`, or read them and
@@ -287,7 +289,7 @@ mod pinned_trace {
     /// Short accesses: ten tags over 64 sets, so every set sees more
     /// lines than it has ways, and evictions, round-robin victims and
     /// write-backs all happen.
-    fn line_trace_digest(seed: u64, steps: usize) -> u64 {
+    fn line_trace_digest(seed: u64, steps: usize) -> (u64, Pl310) {
         let addr = |r: u64| {
             let tag = r % 10;
             let set = (r >> 8) % 64;
@@ -317,7 +319,7 @@ mod pinned_trace {
     /// page-aligned 4 KiB and 8 KiB accesses over ten tags (so whole
     /// pages evict each other), unaligned spans of one to five lines,
     /// and spans that wrap from set 4095 to set 0 of the next tag.
-    fn page_trace_digest(seed: u64, steps: usize) -> u64 {
+    fn page_trace_digest(seed: u64, steps: usize) -> (u64, Pl310) {
         const TAGS: u64 = 10;
         // Three accesses in four go to a hot set of 48 pages, the rest
         // anywhere: hits, misses and evictions all stay common.
@@ -383,7 +385,7 @@ mod pinned_trace {
     #[test]
     fn seeded_trace_digest_is_pinned() {
         assert_eq!(
-            line_trace_digest(0x5eed_ca11_ab1e_0001, 6_000),
+            line_trace_digest(0x5eed_ca11_ab1e_0001, 6_000).0,
             1_257_832_023_198_736_023
         );
     }
@@ -393,8 +395,238 @@ mod pinned_trace {
     #[test]
     fn seeded_page_trace_digest_is_pinned() {
         assert_eq!(
-            page_trace_digest(0x5eed_ca11_ab1e_0002, 3_000),
+            page_trace_digest(0x5eed_ca11_ab1e_0002, 3_000).0,
             2_073_478_454_498_901_651
         );
+    }
+
+    /// An access moves the lines one way holds in consecutive sets as one
+    /// run, which is exact only while a line address sits in at most one
+    /// way: a second copy would make the run's way ambiguous.
+    #[test]
+    fn no_set_holds_a_tag_in_two_ways() {
+        let (_, lines) = line_trace_digest(0x5eed_ca11_ab1e_0001, 6_000);
+        let (_, pages) = page_trace_digest(0x5eed_ca11_ab1e_0002, 3_000);
+        for (name, cache) in [("line trace", lines), ("page trace", pages)] {
+            let mut seen = HashSet::new();
+            for way in 0..NUM_WAYS {
+                for (base, _) in cache.dump_way(way) {
+                    assert!(seen.insert(base), "{name}: line {base:#x} in two ways");
+                }
+            }
+            assert!(!seen.is_empty(), "{name}: the trace left lines resident");
+        }
+    }
+
+    /// A cache, its memory path and a bus transcript, with a flat copy
+    /// of every byte written, for the run-boundary tests.
+    struct Rig {
+        cache: Pl310,
+        dram: Dram,
+        bus: Bus,
+        clock: SimClock,
+        costs: CostModel,
+        transcript: Arc<Transcript>,
+        flat: Vec<u8>,
+    }
+
+    impl Rig {
+        fn new() -> Rig {
+            let mut bus = Bus::new();
+            let transcript = Arc::new(Transcript::default());
+            bus.attach(transcript.clone());
+            Rig {
+                cache: Pl310::new(),
+                dram: Dram::new(1 << 20, RemanenceModel::default(), 1),
+                bus,
+                clock: SimClock::new(),
+                costs: CostModel::tegra3(),
+                transcript,
+                flat: vec![0; 1 << 20],
+            }
+        }
+
+        fn path(&mut self) -> (&mut Pl310, MemPath<'_>) {
+            let path = MemPath {
+                dram: &mut self.dram,
+                bus: &mut self.bus,
+                clock: &mut self.clock,
+                costs: &self.costs,
+            };
+            (&mut self.cache, path)
+        }
+
+        /// Write `len` bytes derived from `salt` at `DRAM_BASE + off`.
+        fn write(&mut self, off: u64, len: usize, salt: u8) {
+            let data: Vec<u8> = (0..len).map(|i| (i as u8).wrapping_mul(7) ^ salt).collect();
+            let (cache, mut path) = self.path();
+            cache.write(DRAM_BASE + off, &data, &mut path);
+            self.flat[off as usize..][..len].copy_from_slice(&data);
+        }
+
+        /// Read `len` bytes at `DRAM_BASE + off` and check them against
+        /// every byte written.
+        fn read(&mut self, off: u64, len: usize) {
+            let mut buf = vec![0u8; len];
+            let (cache, mut path) = self.path();
+            cache.read(DRAM_BASE + off, &mut buf, &mut path);
+            assert!(
+                buf == self.flat[off as usize..][..len],
+                "read of {len} bytes at {off:#x}"
+            );
+        }
+
+        fn flush(&mut self) {
+            let (cache, mut path) = self.path();
+            cache.maintenance_flush(&mut path);
+        }
+
+        /// Hits, misses, write-backs and the clock, then the transcript's
+        /// length and digest.
+        fn observed(&self) -> [u64; 6] {
+            let stats = self.cache.stats();
+            let txs = self.transcript.0.lock().unwrap();
+            let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+            for tx in txs.iter() {
+                h.u64(tx.at_ns);
+                h.u64(u64::from(tx.op == BusOp::Write));
+                h.u64(u64::from(tx.master == BusMaster::Cache));
+                h.u64(tx.addr);
+                h.bytes(&tx.data);
+            }
+            [
+                stats.hits,
+                stats.misses,
+                stats.writebacks,
+                self.clock.now_ns(),
+                txs.len() as u64,
+                h.0,
+            ]
+        }
+
+        /// The way holding line `line` (counted from `DRAM_BASE`).
+        fn way_of(&self, line: u64) -> Option<usize> {
+            self.cache.lookup_way(DRAM_BASE + line * LINE_SIZE as u64)
+        }
+    }
+
+    /// The observable figures below were produced by the per-line walk;
+    /// moving runs of lines must reproduce them.
+    #[test]
+    fn a_page_split_between_a_locked_and_an_unlocked_way() {
+        let mut rig = Rig::new();
+        let page = 5 * PAGE_SIZE;
+        let first = page / LINE_SIZE as u64;
+        // Lock the first half of the page into way 0, and every fourth
+        // line of the second half.
+        rig.cache.set_alloc_mask(0b0000_0001);
+        rig.write(page, PAGE_SIZE as usize / 2, 1);
+        for line in (64..128).step_by(4) {
+            rig.write(page + line * LINE_SIZE as u64, LINE_SIZE, line as u8);
+        }
+        // Way 0 also holds line 101's set for the next tag, so a way-0
+        // run from line 100 must stop at the tag, not at an invalid line.
+        let other = WAY_BYTES as u64 + page + 101 * LINE_SIZE as u64;
+        rig.write(other, LINE_SIZE, 0x65);
+        rig.cache.set_alloc_mask(0b1111_1110);
+        rig.cache.set_flush_mask(0b1111_1110);
+        // The rest of the page misses and fills way 1; then whole-page
+        // and unaligned accesses hit, switching ways every few lines.
+        rig.read(page, PAGE_SIZE as usize);
+        rig.write(page, PAGE_SIZE as usize, 9);
+        rig.read(page + 3, PAGE_SIZE as usize - 6);
+        rig.write(page + 2000, 300, 17);
+        rig.read(page, PAGE_SIZE as usize);
+        for line in 0..128 {
+            let locked = line < 64 || line % 4 == 0;
+            let want = if locked { 0 } else { 1 };
+            assert_eq!(rig.way_of(first + line), Some(want), "line {line}");
+        }
+        assert_eq!(
+            rig.observed(),
+            [474, 129, 0, 8_688, 129, 12_315_894_972_921_315_925]
+        );
+        // The masked flush writes back the unlocked way's 48 lines only.
+        rig.flush();
+        assert_eq!(
+            rig.observed(),
+            [474, 129, 48, 186_568, 177, 15_800_110_419_548_066_671]
+        );
+        assert_eq!(rig.way_of(first + 1), Some(0));
+        assert_eq!(rig.way_of(first + 65), None);
+        rig.read(page, PAGE_SIZE as usize);
+        rig.read(other, LINE_SIZE);
+    }
+
+    #[test]
+    fn reads_and_writes_that_start_and_end_mid_line() {
+        let mut rig = Rig::new();
+        let base = 7 * PAGE_SIZE;
+        // Line 2 sits in locked way 0, so spans over it change way twice.
+        rig.cache.set_alloc_mask(0b0000_0001);
+        rig.write(base + 2 * LINE_SIZE as u64, LINE_SIZE, 3);
+        rig.cache.set_alloc_mask(0b1111_1110);
+        rig.write(base + 5, 3 * LINE_SIZE + 7, 4);
+        rig.write(base + 40, 10, 5);
+        rig.read(base + 13, 100);
+        rig.read(base + 31, 2);
+        rig.write(base + 4 * LINE_SIZE as u64 - 1, 1, 6);
+        rig.read(base + 4 * LINE_SIZE as u64 - 1, 2);
+        rig.write(base + 70, 3 * LINE_SIZE, 7);
+        rig.read(base, 6 * LINE_SIZE);
+        assert_eq!(
+            rig.observed(),
+            [19, 6, 0, 398, 6, 3_932_089_538_076_598_325]
+        );
+    }
+
+    #[test]
+    fn a_run_crossing_from_set_4095_into_set_0_of_the_next_tag() {
+        let mut rig = Rig::new();
+        let wrap = WAY_BYTES as u64;
+        // Set 0 of the next tag is resident in way 0 before the span
+        // arrives, set 4095 of this one is not.
+        rig.write(wrap + 8, 16, 1);
+        rig.write(wrap - 2 * LINE_SIZE as u64 - 3, 200, 2);
+        rig.write(wrap - 2 * LINE_SIZE as u64 - 3, 200, 3);
+        rig.read(wrap - 100, 300);
+        rig.write(wrap - PAGE_SIZE / 2 - 5, PAGE_SIZE as usize, 4);
+        rig.read(wrap - PAGE_SIZE / 2 - 5, PAGE_SIZE as usize);
+        let last = wrap / LINE_SIZE as u64 - 1;
+        assert_eq!(rig.way_of(last), Some(0));
+        assert_eq!(rig.way_of(last + 1), Some(0));
+        assert_eq!(
+            rig.observed(),
+            [157, 129, 0, 8_054, 129, 7_313_079_080_774_766_382]
+        );
+    }
+
+    #[test]
+    fn a_write_run_then_a_flush_writes_back_the_runs_lines() {
+        let mut rig = Rig::new();
+        let page = 9 * PAGE_SIZE;
+        // A clean page fill, then a write over lines 10..=20 (starting
+        // and ending mid-line) dirties exactly those lines.
+        rig.read(page, PAGE_SIZE as usize);
+        rig.write(page + 10 * LINE_SIZE as u64 + 4, 10 * LINE_SIZE + 20, 5);
+        let before = rig.transcript.0.lock().unwrap().len();
+        rig.flush();
+        let txs = rig.transcript.0.lock().unwrap()[before..].to_vec();
+        let lines: Vec<u64> = txs
+            .iter()
+            .map(|tx| {
+                assert_eq!(tx.op, BusOp::Write);
+                assert_eq!(tx.master, BusMaster::Cache);
+                let off = (tx.addr - DRAM_BASE) as usize;
+                assert_eq!(tx.data, rig.flat[off..][..LINE_SIZE]);
+                (tx.addr - DRAM_BASE - page) / LINE_SIZE as u64
+            })
+            .collect();
+        assert_eq!(lines, (10..=20).collect::<Vec<_>>());
+        assert_eq!(
+            rig.observed(),
+            [11, 128, 11, 208_362, 139, 11_343_870_565_450_942_368]
+        );
+        rig.read(page, PAGE_SIZE as usize);
     }
 }
