@@ -147,8 +147,8 @@ impl Scenario {
         }
     }
 
-    /// Same schedule through the parallel crypt engine (worker pool,
-    /// minimum batch of 2 pages).
+    /// Same schedule on two modelled lock lanes (a batch of at least
+    /// the default 8 pages is charged over both).
     #[must_use]
     pub fn tegra3_parallel(seed: u64) -> Self {
         Scenario {

@@ -278,12 +278,11 @@ fn lifecycle_cell() -> LifecycleCell {
         }
     }
     sentry.kernel.soc.failpoints.disarm();
-    sentry.sync_health();
     LifecycleCell {
         pages: LIFECYCLE_PAGES,
         identical,
         breaker_open_batches: sentry.stats.batch_fallback.breaker_open,
-        health: sentry.stats.health,
+        health: sentry.health_stats(),
     }
 }
 

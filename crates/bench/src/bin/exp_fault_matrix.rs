@@ -1,7 +1,7 @@
 //! Exhaustive fault-injection matrix over the Sentry lifecycle.
 //!
-//! For each scenario (sequential locked-L2, parallel locked-L2, the
-//! parallel engine under the XTS and CTR page ciphers with their
+//! For each scenario (sequential locked-L2, locked-L2 on two modelled
+//! lock lanes, the lanes under the XTS and CTR page ciphers with their
 //! commit-CMAC journal tags, and the iRAM backend) this runs the
 //! [`sentry_attacks::faultmatrix`] sweep: record
 //! the reachable failpoint steps of a fixed lock/unlock/fault/sweep

@@ -2,7 +2,7 @@
 //! background decrypt sweeper.
 //!
 //! Two questions, both over a 256-page (1 MiB) sensitive working set on
-//! the Tegra 3 model with the parallel crypt engine at 4 workers:
+//! the Tegra 3 model with 4 modelled lock lanes:
 //!
 //! * **Part A — time to fully decrypted.** After unlock, how long until
 //!   the whole working set is plaintext again? Fault-driven paging

@@ -18,20 +18,25 @@ pub enum OnSocBackend {
     },
 }
 
-/// Tuning for the parallel page-crypt engine used by the DRAM-side bulk
-/// lock/unlock path (see `sentry_crypto::parallel`).
+/// The device's cores as the bulk lock/unlock path sees them: how many
+/// lanes a DRAM-side crypt batch spreads over in simulated time.
 ///
-/// The default (`workers = 1`) is the paper's serial prototype and is
-/// byte- and cycle-identical to dispatching pages one at a time; raising
-/// `workers` fans the per-page CBC jobs across a scoped worker pool.
-/// AES On SoC itself always stays single-lane — its state page cannot be
-/// replicated — only the bulk DRAM transitions parallelize.
+/// Each lane models one core's register-resident AES context derived
+/// from the volatile root key. A batch of at least `min_batch_pages`
+/// pages runs on `workers.min(pages)` lanes and is charged the serial
+/// AES cost divided by that count; the host still runs it on the calling
+/// thread. The default (`workers = 1`) is the paper's serial prototype:
+/// one call into the registered cipher engine, cycle-identical to
+/// dispatching pages one at a time. AES On SoC itself always stays
+/// single-lane — its state page cannot be replicated — so only the bulk
+/// DRAM transitions take more lanes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelConfig {
-    /// Worker lanes for bulk lock/unlock batches. `1` means sequential.
+    /// Cores the device spreads a bulk lock/unlock batch over. `1`
+    /// means the serial engine.
     pub workers: usize,
-    /// Batches smaller than this many pages skip the thread fan-out and
-    /// run sequentially (the fan-out costs more than it saves).
+    /// Batches smaller than this many pages stay on one core (on the
+    /// device, waking the other cores costs more than it saves).
     pub min_batch_pages: usize,
 }
 
@@ -138,7 +143,7 @@ impl IntegrityConfig {
 pub struct SentryConfig {
     /// Where secrets live on the SoC.
     pub backend: OnSocBackend,
-    /// Parallel page-crypt tuning for bulk lock/unlock transitions.
+    /// The cores a bulk lock/unlock batch spreads over (a sim-time model).
     pub parallel: ParallelConfig,
     /// Unlock-latency tuning: fault-cluster readahead and the background
     /// decrypt sweeper.
@@ -146,7 +151,7 @@ pub struct SentryConfig {
     /// Authenticated-DRAM integrity plane tuning.
     pub integrity: IntegrityConfig,
     /// Per-page cipher mode for every page/sector crypt path: the pager,
-    /// the parallel lock batch, dm-crypt, readahead, and the sweeper.
+    /// the lock batch, dm-crypt, readahead, and the sweeper.
     /// CBC is the paper's mode; XTS and CTR fill every bitsliced lane on
     /// encrypt as well as decrypt (see `sentry_crypto::modes`).
     pub cipher_mode: PageCipherMode,
@@ -240,7 +245,7 @@ impl SentryConfig {
         self
     }
 
-    /// Set the parallel page-crypt tuning (see [`ParallelConfig`]).
+    /// Set the modelled lock/unlock lanes (see [`ParallelConfig`]).
     #[must_use]
     pub fn with_parallel(mut self, parallel: ParallelConfig) -> Self {
         self.parallel = parallel;

@@ -1,6 +1,6 @@
 //! Sentry error types.
 
-use sentry_crypto::CryptoError;
+use sentry_crypto::KeyError;
 use sentry_kernel::KernelError;
 use sentry_soc::SocError;
 use std::error::Error;
@@ -13,8 +13,8 @@ pub enum SentryError {
     Kernel(KernelError),
     /// An error from the SoC layer.
     Soc(SocError),
-    /// An error from the bulk crypt machinery (parallel worker pool).
-    Crypto(CryptoError),
+    /// An AES context could not be built from the supplied key.
+    Crypto(KeyError),
     /// On-SoC storage (iRAM or lockable cache ways) is exhausted.
     OnSocExhausted,
     /// The operation applies only to processes marked sensitive.
@@ -159,8 +159,8 @@ impl Error for SentryError {
     }
 }
 
-impl From<CryptoError> for SentryError {
-    fn from(e: CryptoError) -> Self {
+impl From<KeyError> for SentryError {
+    fn from(e: KeyError) -> Self {
         SentryError::Crypto(e)
     }
 }
@@ -209,12 +209,9 @@ mod tests {
 
     #[test]
     fn crypto_errors_convert_and_chain() {
-        let e: SentryError = CryptoError::WorkerPanicked {
-            lane: 1,
-            detail: "x".into(),
-        }
-        .into();
+        let e: SentryError = KeyError::InvalidLength(5).into();
         assert!(e.to_string().contains("crypto"));
-        assert!(Error::source(&e).is_some());
+        let src = Error::source(&e).expect("key errors carry a source");
+        assert!(src.to_string().contains('5'));
     }
 }

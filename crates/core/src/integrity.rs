@@ -243,7 +243,7 @@ impl IntegrityPlane {
         mode: PageCipherMode,
         root_key: &[u8],
     ) -> Result<Self, SentryError> {
-        let root = Aes::new(root_key).map_err(sentry_crypto::CryptoError::from)?;
+        let root = Aes::new(root_key)?;
         IntegrityPlane::with_root(config, backend, mode, &root)
     }
 

@@ -17,12 +17,11 @@ use crate::integrity::{IntegrityPlane, VerifyOutcome};
 use crate::keys::VolatileRootKey;
 use crate::onsoc::OnSocStore;
 use crate::pressure::{PressureLevel, PressureStats};
-use crate::transition::{plan, set_page_state, IvSource, PageState, Route, Transition};
-use crate::txn::{JournalEntry, TxnJournal, TxnOp};
-use sentry_crypto::parallel::BatchReport;
-use sentry_crypto::{
-    Aes, CryptoError, Direction, FallbackCounts, HealthGovernor, HealthStats, RetryStats,
+use crate::transition::{
+    plan, set_page_state, BatchReport, IvSource, PageState, Route, Transition,
 };
+use crate::txn::{JournalEntry, TxnJournal, TxnOp};
+use sentry_crypto::{Aes, Direction, FallbackCounts, HealthGovernor, HealthStats, RetryStats};
 use sentry_kernel::crypto_api::CipherEngine;
 use sentry_kernel::fault::{FaultResolution, PageFault};
 use sentry_kernel::pagetable::{Backing, Pte, Sharing};
@@ -131,10 +130,6 @@ pub struct LifecycleStats {
     /// (CBC), a lone page below the routing threshold, or an open
     /// health breaker (see [`crate::health`]).
     pub batch_fallback: FallbackCounts,
-    /// Health-governor counters (breaker trips, probes, watchdog
-    /// timeouts, abandoned and CPU-fallback bytes), mirrored from
-    /// [`Sentry::health`] after every governed dispatch.
-    pub health: HealthStats,
     /// On-SoC pressure telemetry (occupancy, high-water mark, watermark
     /// transitions, shed/spill/reclaim counters), mirrored from the
     /// store's tracker by [`Sentry::sync_pressure`].
@@ -266,7 +261,7 @@ impl Sentry {
         // every derived-key consumer below; re-expanding it per consumer
         // made per-device construction measurably more expensive at
         // fleet scale (10k devices × 2 redundant expansions).
-        let root = Aes::new(&key).map_err(CryptoError::from)?;
+        let root = Aes::new(&key)?;
         // The page MAC's key derives from the volatile root key, and the
         // tag store sits next to the journal on-SoC: both die with power,
         // exactly like the ciphertext they authenticate.
@@ -337,14 +332,15 @@ impl Sentry {
         self.lock_epoch
     }
 
-    /// Fold any still-open degraded interval up to the current sim time
-    /// and mirror the governor's counters onto
-    /// [`LifecycleStats::health`]. Call before reading
-    /// `stats.health.time_degraded_ns` at a report boundary.
-    pub fn sync_health(&mut self) {
+    /// Snapshot of the accelerator-route governor's counters (breaker
+    /// trips, probes, watchdog timeouts, abandoned and CPU-fallback
+    /// bytes), folding any still-open degraded interval up to the
+    /// current sim time into `time_degraded_ns`.
+    #[must_use]
+    pub fn health_stats(&mut self) -> HealthStats {
         let now = self.kernel.soc.clock.now_ns();
         self.health.finalize(now);
-        self.stats.health = self.health.stats;
+        self.health.stats
     }
 
     /// Re-derive on-SoC occupancy and mirror the pressure tracker's

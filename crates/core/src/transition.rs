@@ -10,7 +10,7 @@
 //!    epoch. Every IV comes from [`page_iv`], the one IV rule.
 //! 2. **Crypt.** `Transition::crypt` transforms the gathered pages in
 //!    host scratch. It is the only code that reaches a cipher: one
-//!    engine call, the parallel lanes, or — for a decrypt batch with the
+//!    engine call, the modelled lanes, or — for a decrypt batch with the
 //!    pipeline enabled — the accelerator through
 //!    [`sentry_kernel::offload`], dm-crypt's offload path too. It runs
 //!    the nonce audit on every encrypt and retries an injected crypt
@@ -36,8 +36,7 @@ use crate::lifecycle::{LifecycleStats, MAX_CRYPT_RETRIES};
 use crate::onsoc::OnSocStore;
 use crate::txn::{JournalEntry, TxnJournal, TxnOp, MAX_ENTRIES};
 use crate::SentryConfig;
-use sentry_crypto::parallel::{crypt_batch, BatchReport};
-use sentry_crypto::{CryptoError, Direction, HealthGovernor, PageCipher};
+use sentry_crypto::{Direction, HealthGovernor, PageCipher};
 use sentry_kernel::offload::{offload, Offload, Outcome, Path};
 use sentry_kernel::pagetable::{Backing, Pte, Sharing};
 use sentry_kernel::{Kernel, Pid};
@@ -102,7 +101,7 @@ pub(crate) fn plan(
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Route {
     /// A lifecycle batch (lock, unlock, fault cluster, sweep): the
-    /// `crypt.dispatch` site, then the parallel lanes or one engine call;
+    /// `crypt.dispatch` site, then the modelled lanes or one engine call;
     /// a decrypt takes the accelerator queue when the pipeline accepts
     /// it. Counted in the batch statistics.
     Batch,
@@ -145,7 +144,7 @@ pub(crate) struct Transition<'a> {
     /// decrypt, retired after it; its page MAC stamps commit tags.
     pub(crate) integrity: &'a mut IntegrityPlane,
     pub(crate) config: &'a SentryConfig,
-    /// The key the parallel lanes expand their shared context from.
+    /// The key the modelled lanes expand their context from.
     pub(crate) key: VolatileRootKey,
     /// Watchdog and breaker of the accelerator route.
     pub(crate) health: &'a mut HealthGovernor,
@@ -322,22 +321,21 @@ impl Transition<'_> {
         Ok(())
     }
 
-    /// A lifecycle batch on the CPU.
+    /// A lifecycle batch on the CPU, over the lanes
+    /// [`crate::config::ParallelConfig`] models.
     ///
-    /// With `parallel.workers <= 1`, or a batch below
-    /// `parallel.min_batch_pages`, the pages dispatch through one call
+    /// One lane (`parallel.workers <= 1`, or a batch below
+    /// `parallel.min_batch_pages`) dispatches the pages through one call
     /// into the registered cipher engine, exactly like the serial
     /// prototype (the engine charge is linear in bytes, so this is
-    /// cycle-identical to a per-page loop). Otherwise the work fans out
-    /// across the scoped worker pool of [`sentry_crypto::parallel`] under
-    /// a single AES context expanded once per batch from the volatile
-    /// root key, and the simulated clock is charged the serial AES cost
-    /// divided by the lane count (one IRQ-disabled critical section for
-    /// the whole batch; the page copies to and from DRAM still run
-    /// through the SoC at full cost). AES On SoC itself stays
-    /// single-lane — its state page cannot be replicated — so the
-    /// parallel path models per-core register-resident contexts derived
-    /// from the same key.
+    /// cycle-identical to a per-page loop). More lanes model per-core
+    /// register-resident contexts derived from the volatile root key —
+    /// AES On SoC itself stays single-lane, its state page cannot be
+    /// replicated — and the simulated clock is charged the serial AES
+    /// cost divided by the lane count, in one IRQ-disabled critical
+    /// section for the whole batch; the page copies to and from DRAM
+    /// still run through the SoC at full cost. Either way the host work
+    /// runs on the calling thread.
     fn batch(
         &mut self,
         direction: Direction,
@@ -346,48 +344,42 @@ impl Transition<'_> {
     ) -> Result<BatchReport, SentryError> {
         self.kernel.soc.failpoint("crypt.dispatch")?;
         let pages = ivs.len();
-        let bytes = buf.len() as u64;
-        let workers = self.config.parallel.workers;
-        let min_batch = self.config.parallel.min_batch_pages.max(1);
-        let report = if workers <= 1 || pages < min_batch {
-            self.engine(direction, ivs, buf)?;
-            sequential_report(pages, buf.len())
+        let parallel = self.config.parallel;
+        let lanes = if parallel.workers <= 1 || pages < parallel.min_batch_pages.max(1) {
+            1
         } else {
-            // Expand the key schedule exactly once for the whole batch;
-            // worker lanes share the one context by reference and run the
-            // same kernel choice as every engine.
+            parallel.workers.min(pages)
+        };
+        if lanes == 1 {
+            self.engine(direction, ivs, buf)?;
+        } else {
             let key = self.key.read(&mut self.kernel.soc)?;
-            let cipher =
-                PageCipher::new(&key).map_err(|e| SentryError::Crypto(CryptoError::Key(e)))?;
-            let report = crypt_batch(
-                &cipher,
-                self.config.cipher_mode,
-                direction,
-                ivs,
-                buf,
-                workers,
-                min_batch,
-            )
-            .map_err(SentryError::Crypto)?;
-
+            PageCipher::new(&key)?.crypt(self.config.cipher_mode, direction, ivs, buf);
             // Same calibrated per-block cost as the AES-On-SoC engine,
-            // spread across the lanes that actually ran.
+            // spread across the lanes.
             let state_access = match self.config.backend {
                 OnSocBackend::Iram => self.kernel.soc.costs.iram_access_ns,
                 OnSocBackend::LockedL2 { .. } => self.kernel.soc.costs.cache_hit_ns,
             };
-            let serial_ns = self.kernel.soc.costs.aes_ns(bytes, state_access);
-            let charged_ns = serial_ns.div_ceil(report.workers_used as u64);
+            let charged_ns = self
+                .kernel
+                .soc
+                .costs
+                .aes_ns(buf.len() as u64, state_access)
+                .div_ceil(lanes as u64);
             let soc = &mut self.kernel.soc;
             let was_enabled = soc.cpu.begin_critical();
             soc.clock.advance(charged_ns);
             soc.cpu.end_critical(was_enabled, charged_ns);
-            report
-        };
+        }
         self.stats.crypt_batches += 1;
         self.stats.crypt_batch_pages += pages as u64;
         self.stats.largest_batch_pages = self.stats.largest_batch_pages.max(pages as u64);
-        Ok(report)
+        Ok(BatchReport {
+            pages,
+            bytes: buf.len() as u64,
+            workers_used: lanes,
+        })
     }
 
     /// A decrypt batch through [`offload`]: the accelerator queue, or the
@@ -411,7 +403,6 @@ impl Transition<'_> {
             }
             Outcome::Retired(_) => {}
         }
-        self.stats.health = self.health.stats;
         Ok(report)
     }
 
@@ -688,14 +679,24 @@ impl Offload for Transition<'_> {
     }
 }
 
+/// What a crypt step did: its batch size and the lanes its simulated
+/// AES charge was spread over.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct BatchReport {
+    /// Pages in the batch.
+    pub(crate) pages: usize,
+    /// Total bytes transformed.
+    pub(crate) bytes: u64,
+    /// Lanes the batch was charged over (1 on the engine path).
+    pub(crate) workers_used: usize,
+}
+
 /// The report of an engine call over `pages` pages (`bytes` bytes).
 fn sequential_report(pages: usize, bytes: usize) -> BatchReport {
     BatchReport {
         pages,
         bytes: bytes as u64,
         workers_used: 1,
-        per_worker_bytes: vec![bytes as u64],
-        sequential_fallback: true,
     }
 }
 

@@ -195,7 +195,7 @@ impl CommitTagger {
     ///
     /// Propagates AES key-schedule errors.
     pub fn new(mode: PageCipherMode, root_key: &[u8]) -> Result<Self, SentryError> {
-        let root = Aes::new(root_key).map_err(sentry_crypto::CryptoError::from)?;
+        let root = Aes::new(root_key)?;
         CommitTagger::with_root(mode, &root)
     }
 
@@ -210,7 +210,7 @@ impl CommitTagger {
         root.encrypt_block(&mut mk);
         Ok(CommitTagger {
             mode,
-            cmac: Cmac::new(Aes::new(&mk).map_err(sentry_crypto::CryptoError::from)?),
+            cmac: Cmac::new(Aes::new(&mk)?),
         })
     }
 

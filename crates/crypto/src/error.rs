@@ -25,49 +25,6 @@ impl fmt::Display for KeyError {
 
 impl Error for KeyError {}
 
-/// Errors raised by the bulk crypt machinery.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CryptoError {
-    /// A worker lane of the parallel page-crypt pool panicked. The
-    /// batch's buffers are in an unspecified state and must be
-    /// discarded, but the pool itself is contained: the panic does not
-    /// propagate and the remaining lanes run to completion.
-    WorkerPanicked {
-        /// Index of the lane that panicked.
-        lane: usize,
-        /// The panic payload, when it was a string.
-        detail: String,
-    },
-    /// An AES context could not be built from the supplied key.
-    Key(KeyError),
-}
-
-impl fmt::Display for CryptoError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CryptoError::WorkerPanicked { lane, detail } => {
-                write!(f, "crypt worker lane {lane} panicked: {detail}")
-            }
-            CryptoError::Key(_) => write!(f, "invalid crypt key"),
-        }
-    }
-}
-
-impl Error for CryptoError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            CryptoError::WorkerPanicked { .. } => None,
-            CryptoError::Key(e) => Some(e),
-        }
-    }
-}
-
-impl From<KeyError> for CryptoError {
-    fn from(e: KeyError) -> Self {
-        CryptoError::Key(e)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -77,20 +34,5 @@ mod tests {
         let msg = KeyError::InvalidLength(7).to_string();
         assert!(msg.contains('7'));
         assert!(msg.starts_with("invalid"));
-    }
-
-    #[test]
-    fn crypto_error_sources_chain_to_the_key_error() {
-        let e = CryptoError::from(KeyError::InvalidLength(5));
-        let src = e.source().expect("key errors carry a source");
-        assert!(src.to_string().contains('5'));
-
-        let e = CryptoError::WorkerPanicked {
-            lane: 3,
-            detail: "boom".into(),
-        };
-        assert!(e.source().is_none());
-        assert!(e.to_string().contains("lane 3"));
-        assert!(e.to_string().contains("boom"));
     }
 }

@@ -66,7 +66,6 @@ pub mod health;
 pub mod key_schedule;
 pub mod mac;
 pub mod modes;
-pub mod parallel;
 pub mod pipeline;
 pub mod sbox;
 pub mod state;
@@ -76,7 +75,7 @@ pub mod tracked;
 pub use batch::BlockCipherBatch;
 pub use bitslice::BitslicedAes;
 pub use block::{Aes, AesRef};
-pub use error::{CryptoError, KeyError};
+pub use error::KeyError;
 pub use health::{FailureKind, HealthGovernor, HealthState, HealthStats, RetryStats};
 pub use mac::Cmac;
 pub use modes::{Direction, PageCipher, PageCipherMode};

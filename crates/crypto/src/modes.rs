@@ -36,7 +36,7 @@ use std::sync::OnceLock;
 /// The per-page cipher mode a Sentry engine runs.
 ///
 /// Selected on `SentryConfig` and threaded through every producer and
-/// consumer of page ciphertext: the kernel engines, the parallel lock
+/// consumer of page ciphertext: the kernel engines, the multi-lane lock
 /// batch, the pager's extent streams, dm-crypt sectors, and the txn
 /// journal's commit-tag scheme (non-chaining modes switch the tag from
 /// "final CBC block" to the integrity CMAC, since the last XTS/CTR block
@@ -109,7 +109,7 @@ pub enum Direction {
 /// The paper's three kernel ciphers (generic AES, the accelerator, and
 /// AES On SoC) differ in where the key lives and what an operation
 /// costs, not in the mode arithmetic; each holds one `PageCipher`, as do
-/// the spill region's engine, the parallel lock lanes, dm-crypt's
+/// the spill region's engine, the multi-lane lock batch, dm-crypt's
 /// keystream context and every [`crate::mac::Cmac`]. The simulated
 /// device charges its calibrated cost whatever runs here, so the kernel
 /// choice moves host time only. [`crypt_extents`] is the one place a

@@ -17,8 +17,10 @@
 //!   `i % shards` and is built, driven, verified, and dropped entirely
 //!   inside that shard's worker thread. No lock, channel, or atomic is
 //!   touched on the hot path; shards only meet at the final fold. The
-//!   pool shape mirrors `sentry_crypto::parallel::crypt_batch`: scoped
-//!   threads, panic containment per worker, deterministic results.
+//!   shards are scoped threads with panic containment per worker, and
+//!   their results are deterministic. A shard runs whole devices, each
+//!   milliseconds of host work; the lock path inside a device runs on
+//!   its caller's thread.
 //! * **Standalone replay.** Device `i`'s workload, failpoint, tamper,
 //!   and SoC seeds are split from one fleet master seed
 //!   ([`DeviceSeeds::split`]), so any failing cell reproduces outside
@@ -1024,10 +1026,9 @@ impl Device {
         }
         // Fold both governors' views (lifecycle accel + dm-crypt
         // accel/disk) into the outcome's degradation columns.
-        self.sentry.sync_health();
+        let mut health = self.sentry.health_stats();
         self.sentry.sync_pressure();
         let now = self.sentry.kernel.soc.clock.now_ns();
-        let mut health = self.sentry.stats.health;
         health.merge(&self.dm.health_stats(now));
         self.outcome.health = health;
         self.outcome.pressure = self.sentry.stats.pressure;
@@ -1237,8 +1238,7 @@ impl FleetReport {
 /// its own devices (one at a time, so peak memory is one device per
 /// shard) and sends each outcome to the calling thread, which folds it
 /// with `FleetReport::add` and keeps each shard's simulated total for
-/// the makespan. A panicking shard is contained and counted, mirroring
-/// `sentry_crypto::parallel::crypt_batch`.
+/// the makespan. A panicking shard is contained and counted.
 #[must_use]
 pub fn run_fleet(config: &FleetConfig) -> FleetReport {
     let shards = config.shards.max(1).min(config.devices.max(1));

@@ -1,9 +1,8 @@
 //! Cross-crate cryptographic conformance: every AES path in the
 //! workspace (fast, reference, bitsliced, AES-NI, tracked, the host page
 //! cipher on each kernel, the generic and accelerator kernel engines,
-//! AES On SoC in both backends, and the parallel lock batch) must
-//! produce identical bytes. On a CPU without AES-NI its cases print a
-//! skip line and pass.
+//! and AES On SoC in both backends) must produce identical bytes. On a
+//! CPU without AES-NI its cases print a skip line and pass.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -15,7 +14,6 @@ use sentry::core::onsoc::OnSocStore;
 use sentry::crypto::modes::{
     cbc_decrypt, cbc_encrypt, ctr_crypt, xts_decrypt, xts_encrypt, BlockCipher,
 };
-use sentry::crypto::parallel::crypt_batch;
 use sentry::crypto::{
     Aes, AesRef, AesStateLayout, BitslicedAes, BlockCipherBatch, Direction, InStore, KeySize,
     PageCipher, PageCipherMode, TrackedAes, VecStore,
@@ -104,11 +102,9 @@ fn per_unit(
 /// per-extent scalar reference for one mode, direction, extent count
 /// and unit: the reference, bitsliced and AES-NI contexts, the host
 /// page cipher on the detected and on the portable kernel, the tracked
-/// context,
-/// the generic and accelerator kernel engines (extent and per-unit
-/// entries), AES On SoC on both on-SoC stores and both cipher backends
-/// with the native and the fully simulated data path, and the parallel
-/// lock batch at 1, 2 and 4 workers.
+/// context, the generic and accelerator kernel engines (extent and
+/// per-unit entries), and AES On SoC on both on-SoC stores and both
+/// cipher backends with the native and the fully simulated data path.
 fn all_implementations_agree(
     key: &[u8],
     mode: PageCipherMode,
@@ -244,17 +240,6 @@ fn all_implementations_agree(
             cipher_backend,
             full_sim
         );
-    }
-
-    // The parallel lock batch: one context shared by every lane, on
-    // each kernel.
-    for cipher in [&detected, &portable] {
-        for workers in [1usize, 2, 4] {
-            let mut got = data.clone();
-            crypt_batch(cipher, mode, direction, &ivs, &mut got, workers, 1).unwrap();
-            let kernel = cipher.kernel_name();
-            prop_assert_eq!(&got, &expect, "{} crypt_batch, {} workers", kernel, workers);
-        }
     }
     Ok(())
 }

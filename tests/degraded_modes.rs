@@ -286,9 +286,9 @@ fn lifecycle_breaker_routes_unlock_batches() {
         assert_eq!(&buf, img);
     }
     sentry.kernel.soc.failpoints.disarm();
-    sentry.sync_health();
-    assert_eq!(sentry.stats.health.timeouts, u64::from(TRIP_FAILURES));
-    assert_eq!(sentry.stats.health.trips, 1);
+    let health = sentry.health_stats();
+    assert_eq!(health.timeouts, u64::from(TRIP_FAILURES));
+    assert_eq!(health.trips, 1);
     assert!(
         sentry.stats.batch_fallback.breaker_open >= 1,
         "post-trip batches must route over the open breaker"
@@ -317,8 +317,7 @@ fn routed_batch_over_the_bounce_window_counts_every_abandoned_byte() {
     }
     sentry.on_lock().expect("lock");
     sentry.on_unlock().expect("unlock");
-    sentry.sync_health();
-    let before = sentry.stats.health;
+    let before = sentry.health_stats();
     sentry.kernel.soc.failpoints.arm(FaultPlan::at_rate(
         "accel.submit",
         1,
@@ -327,8 +326,7 @@ fn routed_batch_over_the_bounce_window_counts_every_abandoned_byte() {
     let report = sentry.sweep(PAGES as usize).expect("sweep under a wedge");
     sentry.kernel.soc.failpoints.disarm();
     assert_eq!(report.pages as u64, PAGES, "one batch carries every page");
-    sentry.sync_health();
-    let after = sentry.stats.health;
+    let after = sentry.health_stats();
     assert_eq!(
         after.timeouts,
         before.timeouts + 1,

@@ -1,56 +1,88 @@
-//! Properties of the parallel page-crypt engine: the worker count is an
-//! implementation detail that must never show up in the bytes.
+//! Properties of the modelled lock lanes: the worker count models the
+//! device's cores and must never show up in the bytes. Each test drives
+//! whole `Sentry` lock/unlock cycles; the lanes change only the
+//! simulated AES charge.
 
-use proptest::collection::vec;
 use proptest::prelude::*;
 use sentry::core::config::ParallelConfig;
 use sentry::core::{Sentry, SentryConfig};
-use sentry::crypto::parallel::{crypt_batch, BatchReport};
-use sentry::crypto::{Direction, PageCipher, PageCipherMode};
+use sentry::crypto::PageCipherMode;
 use sentry::kernel::Kernel;
 use sentry::soc::Soc;
 
+const PAGE: usize = 4096;
+
 fn pages_from_seed(count: usize, seed: u64) -> Vec<u8> {
-    (0..count * 4096)
+    (0..count * PAGE)
         .map(|b| {
             (seed as u8)
                 .wrapping_mul(7)
-                .wrapping_add((b / 4096 * 131 + b % 4096) as u8)
+                .wrapping_add((b / PAGE * 131 + b % PAGE) as u8)
         })
         .collect()
 }
 
-fn ivs(pages: usize, stride: u8) -> Vec<[u8; 16]> {
-    (0..pages)
-        .map(|i| [(i as u8).wrapping_mul(stride); 16])
+/// Every DRAM frame, after a cache flush.
+fn dram_image(s: &mut Sentry) -> Vec<(u64, Vec<u8>)> {
+    s.kernel.soc.cache_maintenance_flush();
+    s.kernel
+        .soc
+        .dram
+        .iter_frames()
+        .map(|(addr, frame)| (addr, frame.to_vec()))
         .collect()
 }
 
-/// One `crypt_batch` call over `data` (page `i` under `[i * stride; 16]`).
-fn crypt(
-    cipher: &PageCipher,
-    mode: PageCipherMode,
-    direction: Direction,
-    stride: u8,
-    data: &mut [u8],
-    workers: usize,
-    min_batch: usize,
-) -> BatchReport {
-    let ivs = ivs(data.len() / 4096, stride);
-    crypt_batch(cipher, mode, direction, &ivs, data, workers, min_batch).unwrap()
+/// What one lock, unlock and sweep of a working set left behind.
+#[derive(Debug, PartialEq)]
+struct Cycle {
+    /// Every DRAM frame while locked.
+    locked: Vec<(u64, Vec<u8>)>,
+    /// Every DRAM frame once the sweeper decrypted the set in one batch.
+    swept: Vec<(u64, Vec<u8>)>,
+    /// Lanes the lock batch was charged over.
+    lock_lanes: usize,
+    /// Simulated lock latency.
+    lock_ns: u64,
 }
 
-fn run_batch(
-    pages: &[u8],
-    key: &[u8],
-    mode: PageCipherMode,
-    direction: Direction,
-    workers: usize,
-) -> Vec<u8> {
-    let cipher = PageCipher::new(key).unwrap();
-    let mut work = pages.to_vec();
-    crypt(&cipher, mode, direction, 17, &mut work, workers, 1);
-    work
+/// Lock `plain` under `mode` on `parallel`'s lanes, unlock, decrypt
+/// every page in one sweep batch (the decrypt lanes) and check that the
+/// app reads `plain` back.
+fn cycle(plain: &[u8], mode: PageCipherMode, parallel: ParallelConfig) -> Cycle {
+    let pages = plain.len() / PAGE;
+    let mut s = Sentry::new(
+        Kernel::new(Soc::tegra3_small()),
+        SentryConfig::tegra3_locked_l2(2)
+            .with_cipher_mode(mode)
+            .with_parallel(parallel),
+    )
+    .unwrap();
+    let pid = s.kernel.spawn("app");
+    s.mark_sensitive(pid).unwrap();
+    s.write(pid, 0, plain).unwrap();
+    let lock = s.on_lock().unwrap();
+    assert_eq!(lock.batch_pages as usize, pages, "one lock batch");
+    let locked = dram_image(&mut s);
+    s.on_unlock().unwrap();
+    assert_eq!(s.sweep(pages).unwrap().pages, pages, "one sweep batch");
+    let swept = dram_image(&mut s);
+    let mut back = vec![0u8; plain.len()];
+    s.read(pid, 0, &mut back).unwrap();
+    assert_eq!(back, plain, "{parallel:?} under {mode} lost bytes");
+    Cycle {
+        locked,
+        swept,
+        lock_lanes: lock.workers_used,
+        lock_ns: lock.duration_ns,
+    }
+}
+
+fn lanes(workers: usize) -> ParallelConfig {
+    ParallelConfig {
+        workers,
+        min_batch_pages: 1,
+    }
 }
 
 proptest! {
@@ -58,21 +90,19 @@ proptest! {
 
     #[test]
     fn every_worker_count_produces_identical_ciphertext(
-        key in vec(any::<u8>(), 32..=32),
         pages in 1usize..33,
         seed in any::<u64>(),
     ) {
         let plain = pages_from_seed(pages, seed);
         for mode in PageCipherMode::all() {
-            let reference = run_batch(&plain, &key, mode, Direction::Encrypt, 1);
+            let reference = cycle(&plain, mode, lanes(1));
+            prop_assert_eq!(reference.lock_lanes, 1);
             for workers in [2usize, 4, 8] {
-                let got = run_batch(&plain, &key, mode, Direction::Encrypt, workers);
-                prop_assert_eq!(&got, &reference, "{} workers diverged under {}", workers, mode);
+                let got = cycle(&plain, mode, lanes(workers));
+                prop_assert_eq!(got.lock_lanes, workers.min(pages));
+                prop_assert_eq!(&got.locked, &reference.locked, "{} workers diverged under {}", workers, mode);
+                prop_assert_eq!(&got.swept, &reference.swept, "{} workers decrypted differently under {}", workers, mode);
             }
-            // And the inverse direction agrees too, across a different
-            // worker count than the one that encrypted.
-            let back = run_batch(&reference, &key, mode, Direction::Decrypt, 4);
-            prop_assert_eq!(&back, &plain, "decrypt under {} lost bytes", mode);
         }
     }
 
@@ -83,53 +113,47 @@ proptest! {
         seed in any::<u64>(),
     ) {
         // Odd, prime, and sub-worker batch sizes all preserve every
-        // byte: the contiguous split never drops or duplicates a page.
+        // byte and use at most one lane per page.
         let plain = pages_from_seed(pages, seed);
-        let cipher = PageCipher::new(&[0x42u8; 16]).unwrap();
-        let mut work = plain.clone();
-        let rep = crypt(&cipher, PageCipherMode::Cbc, Direction::Encrypt, 1, &mut work, workers, 1);
-        prop_assert_eq!(rep.pages, pages);
-        prop_assert_eq!(rep.bytes, pages as u64 * 4096);
-        prop_assert_eq!(rep.per_worker_bytes.iter().sum::<u64>(), rep.bytes);
-        prop_assert_eq!(rep.workers_used, workers.min(pages));
-
-        crypt(&cipher, PageCipherMode::Cbc, Direction::Decrypt, 1, &mut work, workers, 1);
-        prop_assert_eq!(work, plain);
+        let reference = cycle(&plain, PageCipherMode::Cbc, lanes(1));
+        let got = cycle(&plain, PageCipherMode::Cbc, lanes(workers));
+        prop_assert_eq!(got.lock_lanes, workers.min(pages));
+        prop_assert!(got.lock_ns <= reference.lock_ns);
+        prop_assert_eq!(&got.locked, &reference.locked);
+        prop_assert_eq!(&got.swept, &reference.swept);
     }
 }
 
 #[test]
 fn below_floor_batches_take_the_sequential_fallback() {
     let plain = pages_from_seed(5, 99);
-    let cipher = PageCipher::new(&[7u8; 16]).unwrap();
-    let mut work = plain.clone();
-    let rep = crypt(
-        &cipher,
+    let serial = cycle(&plain, PageCipherMode::Cbc, lanes(1));
+    let below = cycle(
+        &plain,
         PageCipherMode::Cbc,
-        Direction::Encrypt,
-        1,
-        &mut work,
-        8,
-        6,
+        ParallelConfig {
+            workers: 8,
+            min_batch_pages: 6,
+        },
     );
-    assert!(
-        rep.sequential_fallback,
-        "5 pages < floor of 6 must not fan out"
+    assert_eq!(
+        below.lock_lanes, 1,
+        "5 pages < floor of 6 must stay on one lane"
     );
-    assert_eq!(rep.workers_used, 1);
-    // Identical bytes to a genuinely parallel run of the same batch.
-    let mut par = plain.clone();
-    let rep2 = crypt(
-        &cipher,
-        PageCipherMode::Cbc,
-        Direction::Encrypt,
-        1,
-        &mut par,
-        5,
-        1,
+    assert_eq!(
+        below, serial,
+        "below the floor is the serial engine, charge included"
     );
-    assert!(!rep2.sequential_fallback);
-    assert_eq!(work, par, "fallback and fan-out bytes differ");
+    // Identical bytes to a batch that does spread over the lanes, which
+    // is charged less.
+    let spread = cycle(&plain, PageCipherMode::Cbc, lanes(5));
+    assert_eq!(spread.lock_lanes, 5);
+    assert!(spread.lock_ns < serial.lock_ns);
+    assert_eq!(spread.locked, below.locked, "one lane and five differ");
+    assert_eq!(
+        spread.swept, below.swept,
+        "one lane and five decrypt differently"
+    );
 }
 
 #[test]
@@ -142,25 +166,15 @@ fn full_lock_path_is_worker_invariant_end_to_end() {
             Kernel::new(Soc::tegra3_small()),
             SentryConfig::tegra3_locked_l2(2)
                 .with_cipher_mode(mode)
-                .with_parallel(ParallelConfig {
-                    workers,
-                    min_batch_pages: 1,
-                }),
+                .with_parallel(lanes(workers)),
         )
         .unwrap();
         let pid = s.kernel.spawn("app");
         s.mark_sensitive(pid).unwrap();
-        let data: Vec<u8> = (0..=254u8).cycle().take(17 * 4096).collect();
+        let data: Vec<u8> = (0..=254u8).cycle().take(17 * PAGE).collect();
         s.write(pid, 0, &data).unwrap();
         s.on_lock().unwrap();
-        s.kernel.soc.cache_maintenance_flush();
-        let image: Vec<(u64, Vec<u8>)> = s
-            .kernel
-            .soc
-            .dram
-            .iter_frames()
-            .map(|(addr, frame)| (addr, frame.to_vec()))
-            .collect();
+        let image = dram_image(&mut s);
         s.on_unlock().unwrap();
         let mut back = vec![0u8; data.len()];
         s.read(pid, 0, &mut back).unwrap();
