@@ -29,7 +29,7 @@
 use crate::coldboot;
 use sentry_core::transition::{page_iv, IvSource};
 use sentry_core::{
-    DeviceState, QuarantinedPage, RecoveryReport, Sentry, SentryConfig, SentryError,
+    DeviceState, ParallelConfig, QuarantinedPage, RecoveryReport, Sentry, SentryConfig, SentryError,
 };
 use sentry_crypto::Direction;
 use sentry_kernel::pagetable::{Backing, Pte, Sharing};
@@ -114,6 +114,13 @@ pub enum Op {
     TouchAll,
 }
 
+/// The lock lanes of the lane scenarios: two workers, with a floor the
+/// vault's 4-page batches clear.
+const LANES: ParallelConfig = ParallelConfig {
+    workers: 2,
+    min_batch_pages: 2,
+};
+
 /// A reproducible world + schedule: everything a kill cell needs to
 /// rebuild the exact run the record pass measured.
 #[derive(Debug, Clone)]
@@ -147,15 +154,16 @@ impl Scenario {
         }
     }
 
-    /// Same schedule on two modelled lock lanes (a batch of at least
-    /// the default 8 pages is charged over both).
+    /// Same schedule on two modelled lock lanes. The batch floor is
+    /// lowered to 2 pages so the vault's 4-page lock takes both lanes;
+    /// under the default floor of 8 it would stay on one.
     #[must_use]
     pub fn tegra3_parallel(seed: u64) -> Self {
         Scenario {
             name: "tegra3-l2-par",
             config: SentryConfig::tegra3_locked_l2(2)
                 .with_slot_limit(2)
-                .with_parallel_workers(2)
+                .with_parallel(LANES)
                 .with_readahead(
                     sentry_core::config::ReadaheadConfig::with_cluster(2).sweep_budget(2),
                 ),
@@ -176,7 +184,7 @@ impl Scenario {
             config: SentryConfig::tegra3_locked_l2(2)
                 .with_cipher_mode(sentry_core::PageCipherMode::Xts)
                 .with_slot_limit(2)
-                .with_parallel_workers(2)
+                .with_parallel(LANES)
                 .with_readahead(
                     sentry_core::config::ReadaheadConfig::with_cluster(2).sweep_budget(2),
                 ),
@@ -194,7 +202,7 @@ impl Scenario {
             config: SentryConfig::tegra3_locked_l2(2)
                 .with_cipher_mode(sentry_core::PageCipherMode::Ctr)
                 .with_slot_limit(2)
-                .with_parallel_workers(2)
+                .with_parallel(LANES)
                 .with_readahead(
                     sentry_core::config::ReadaheadConfig::with_cluster(2).sweep_budget(2),
                 ),
@@ -370,14 +378,15 @@ pub fn public_page() -> Vec<u8> {
     page
 }
 
-/// Apply one op. Errors are returned, not panicked, so the kill-run
-/// driver can classify the injected power cut.
-fn apply(s: &mut Sentry, scn: &Scenario, actors: &Actors, op: &Op) -> Result<(), SentryError> {
+/// Apply one op and return the lanes a lock used (0 for any other op).
+/// Errors are returned, not panicked, so the kill-run driver can
+/// classify the injected power cut.
+fn apply(s: &mut Sentry, scn: &Scenario, actors: &Actors, op: &Op) -> Result<usize, SentryError> {
     match op {
-        Op::Lock => s.on_lock().map(drop),
-        Op::Unlock => s.on_unlock().map(drop),
-        Op::Tick => s.scheduler_tick().map(drop),
-        Op::Touch { who, vpns } => s.touch_pages(actors.pid(*who), vpns),
+        Op::Lock => s.on_lock().map(|report| report.workers_used),
+        Op::Unlock => s.on_unlock().map(|_| 0),
+        Op::Tick => s.scheduler_tick().map(|_| 0),
+        Op::Touch { who, vpns } => s.touch_pages(actors.pid(*who), vpns).map(|()| 0),
         Op::Write { who, vpn, fill } => {
             let page = if *who == Actor::Vault {
                 secret_page(*vpn, *fill)
@@ -385,28 +394,31 @@ fn apply(s: &mut Sentry, scn: &Scenario, actors: &Actors, op: &Op) -> Result<(),
                 public_page()
             };
             s.write(actors.pid(*who), vpn * PAGE_SIZE, &page)
+                .map(|()| 0)
         }
         Op::TouchAll => {
             for (who, vpn) in scn.all_pages() {
                 s.touch_pages(actors.pid(who), &[vpn])?;
             }
-            Ok(())
+            Ok(0)
         }
     }
 }
 
-/// Drive `ops[from..]`; on failure, report which op index failed.
+/// Drive `ops[from..]` and return the most lanes any lock used; on
+/// failure, report which op index failed.
 fn drive(
     s: &mut Sentry,
     scn: &Scenario,
     actors: &Actors,
     ops: &[Op],
     from: usize,
-) -> Result<(), (usize, SentryError)> {
+) -> Result<usize, (usize, SentryError)> {
+    let mut lock_lanes = 0;
     for (ix, op) in ops.iter().enumerate().skip(from) {
-        apply(s, scn, actors, op).map_err(|e| (ix, e))?;
+        lock_lanes = lock_lanes.max(apply(s, scn, actors, op).map_err(|e| (ix, e))?);
     }
-    Ok(())
+    Ok(lock_lanes)
 }
 
 /// A normalized page-table entry for cross-run comparison. On-SoC slot
@@ -530,6 +542,8 @@ pub struct Reference {
     pub steps: u64,
     /// `(site, step)` trace from the record pass.
     pub sites: Vec<(&'static str, u64)>,
+    /// The most lanes any lock of the uninterrupted run used.
+    pub lock_lanes: usize,
     /// End state of the uninterrupted run.
     pub end: EndState,
 }
@@ -545,12 +559,17 @@ pub fn record(scn: &Scenario) -> Result<Reference, SentryError> {
     // index the schedule, not the setup.
     s.kernel.soc.failpoints.record();
     let ops = scn.schedule();
-    drive(&mut s, scn, &actors, &ops, 0).map_err(|(_, e)| e)?;
+    let lock_lanes = drive(&mut s, scn, &actors, &ops, 0).map_err(|(_, e)| e)?;
     let steps = s.kernel.soc.failpoints.steps();
     let sites = s.kernel.soc.failpoints.trace().to_vec();
     s.kernel.soc.failpoints.disarm();
     let end = EndState::capture(&mut s);
-    Ok(Reference { steps, sites, end })
+    Ok(Reference {
+        steps,
+        sites,
+        lock_lanes,
+        end,
+    })
 }
 
 /// What one kill cell observed.
@@ -647,7 +666,7 @@ pub fn run_cell(
         FaultAction::PowerCut { decay: None },
     ));
     match drive(&mut s, scn, &actors, &ops, 0) {
-        Ok(()) => {
+        Ok(_) => {
             // The plan never fired (step beyond the armed run's reach);
             // the run is just the reference run again.
             s.kernel.soc.failpoints.disarm();
@@ -676,7 +695,7 @@ pub fn run_cell(
             let recovery = s.recover()?;
             let (torn_b, leaks_post_recovery) = scan(&mut s, killed_mid_unlock);
             let (retry_error, converged, end) = match drive(&mut s, scn, &actors, &ops, ix) {
-                Ok(()) => {
+                Ok(_) => {
                     let end = EndState::capture(&mut s);
                     let converged = end == reference.end;
                     (None, converged, (!converged).then(|| Box::new(end)))
@@ -883,7 +902,7 @@ fn drive_tolerant(
         };
         if per_page.is_empty() {
             match apply(s, scn, actors, op) {
-                Ok(()) => {}
+                Ok(_) => {}
                 Err(e) if e.is_integrity_violation() => {}
                 Err(e) => return Err((ix, e)),
             }
@@ -922,7 +941,7 @@ pub fn run_decay_cell(
         FaultAction::PowerCut { decay: None },
     ));
     let (ix, err) = match drive(&mut s, scn, &actors, &ops, 0) {
-        Ok(()) => {
+        Ok(_) => {
             s.kernel.soc.failpoints.disarm();
             let end = EndState::capture(&mut s);
             return Ok(DecayCellOutcome {
@@ -1003,6 +1022,10 @@ pub struct MatrixOutcome {
     pub scenario: String,
     /// Total reachable steps (= number of cells).
     pub total_steps: u64,
+    /// Lock lanes the scenario configures.
+    pub workers: usize,
+    /// The most lanes any lock of the clean run used.
+    pub lock_lanes: usize,
     /// Every cell's observations, in step order.
     pub cells: Vec<CellOutcome>,
 }
@@ -1050,10 +1073,20 @@ impl MatrixOutcome {
         self.cells.iter().map(|c| c.recovery.completed).sum()
     }
 
-    /// The whole matrix is clean: every cell passed every assertion.
+    /// The clean run reached what distinguishes the scenario: a lane
+    /// scenario (more than one configured worker) must have locked a
+    /// batch on more than one lane, or its kill cells never enter the
+    /// multi-lane arm of the transition.
+    #[must_use]
+    pub fn reached(&self) -> bool {
+        self.workers <= 1 || self.lock_lanes > 1
+    }
+
+    /// The whole matrix is clean: the scenario reached its arm and every
+    /// cell passed every assertion.
     #[must_use]
     pub fn clean(&self) -> bool {
-        self.cells.iter().all(CellOutcome::clean)
+        self.reached() && self.cells.iter().all(CellOutcome::clean)
     }
 
     /// Kill counts per failpoint site, sorted by site name.
@@ -1085,6 +1118,8 @@ pub fn run_matrix(scn: &Scenario) -> Result<MatrixOutcome, SentryError> {
     Ok(MatrixOutcome {
         scenario: scn.name.to_string(),
         total_steps: reference.steps,
+        workers: scn.config.parallel.workers,
+        lock_lanes: reference.lock_lanes,
         cells,
     })
 }

@@ -602,7 +602,6 @@ fn main() {
         // 8. Chaos fleet: degradation everywhere, corruption nowhere.
         if fleet.silent_corruptions != 0
             || fleet.device_errors != 0
-            || fleet.shard_panics != 0
             || fleet.accel_storms == 0
             || fleet.flaky_disk_intervals == 0
             || fleet.health.trips == 0

@@ -15,7 +15,9 @@
 //! `--enforce`, the run fails unless every cell of every matrix is
 //! clean: zero leaks, zero torn PTEs, zero retry failures, zero
 //! divergence — and at least one kill landed inside an open journal, so
-//! the matrix demonstrably exercised recovery.
+//! the matrix demonstrably exercised recovery. A lane scenario must also
+//! show a lock batch taking more than one lane in its clean run, or its
+//! cells never reach the multi-lane arm.
 
 use sentry_attacks::faultmatrix::{run_matrix, MatrixOutcome, Scenario};
 use sentry_bench::print_table;
@@ -44,11 +46,12 @@ fn emit_json(matrices: &[MatrixOutcome]) -> String {
                 .map(|(site, n)| format!("{{\"site\": \"{site}\", \"kills\": {n}}}"))
                 .collect();
             format!(
-                "    {{\"scenario\": \"{}\", \"cells\": {}, \"kills\": {}, \
+                "    {{\"scenario\": \"{}\", \"lock_lanes\": {}, \"cells\": {}, \"kills\": {}, \
                  \"recovered_journal_entries\": {}, \"torn_ptes\": {}, \
                  \"coldboot_leaks\": {}, \"retry_failures\": {}, \
                  \"diverged\": {}, \"clean\": {},\n     \"kill_sites\": [{}]}}",
                 m.scenario,
+                m.lock_lanes,
                 m.cells.len(),
                 m.kills(),
                 m.recovered_entries(),
@@ -177,6 +180,14 @@ fn main() {
                     "FAIL [{}]: {} cells diverged from the reference run",
                     m.scenario,
                     m.diverged()
+                );
+                failed = true;
+            }
+            if !m.reached() {
+                eprintln!(
+                    "FAIL [{}]: configures {} lock lanes, but no lock of the clean run \
+                     used more than {}",
+                    m.scenario, m.workers, m.lock_lanes
                 );
                 failed = true;
             }

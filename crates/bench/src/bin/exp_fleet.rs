@@ -1,51 +1,35 @@
-//! Fleet-scale experiment: N independent device stacks under a
-//! heavy-traffic event stream, sharded shared-nothing, with aggregated
-//! percentile metrics.
+//! Fleet corpus experiment: N independent device stacks under a
+//! heavy-traffic event stream, with aggregated percentile metrics.
 //!
-//! For each fleet size (default 1k and 10k devices) the same seeded
-//! traffic — lock/unlock churn, background paging, dm-crypt bursts,
-//! power cuts, DRAM tampers — is replayed at 1, 2, and 4 shards. The
-//! device streams are identical across shard counts (every device's
-//! seeds split from the fleet master seed), so the runs differ *only*
-//! in how the work is spread over workers, and the merged reports must
-//! be bit-identical.
+//! For each fleet size (default 1k and 10k devices) the seeded traffic
+//! — lock/unlock churn, background paging, dm-crypt bursts, power cuts,
+//! DRAM tampers, accelerator storms, flaky disks, memory squeezes —
+//! runs once, one device at a time on one host thread. The simulated
+//! makespan of a fleet host with 1, 2 and 4 cores is arithmetic over
+//! the report's per-device simulated time: device `i` runs on core
+//! `i % partitions`, so the makespan is the busiest core's summed
+//! device time ([`FleetReport::makespan_ns`]), and sim events/sec
+//! divides the fleet's events by it. With `--enforce`:
 //!
-//! Throughput is reported with two honesties, following
-//! `exp_lock_scaling`: host events/sec is real wall clock (flat on a
-//! single-core host), while sim events/sec divides fleet events by the
-//! simulated makespan — the busiest shard's summed device time, i.e.
-//! the modeled fleet-host with one core per shard. With `--enforce`:
-//!
-//! * sim events/sec at 4 shards must be ≥ 2× the 1-shard run per N;
+//! * sim events/sec at 4 partitions must be ≥ 2× that at 1, per N;
 //! * every injected fault must be accounted for: zero silent
 //!   corruptions, zero device errors, every planted tamper detected,
 //!   and at least one power cut and one tamper actually fired
-//!   (otherwise the zero-corruption claim is vacuous);
-//! * the merged report must be identical across shard counts.
+//!   (otherwise the zero-corruption claim is vacuous).
 //!
-//! Results land in `BENCH_fleet.json`. Small-N smoke runs for CI:
-//! `exp_fleet --enforce --devices 48 --events 12`.
+//! Results land in `BENCH_fleet.json`, which holds simulated time only,
+//! so the same sizes and `--events` regenerate it byte for byte. The
+//! host rate of the one-thread run is printed, never written.
 
 use sentry_bench::print_table;
 use sentry_workloads::fleet::{run_fleet, FleetConfig, FleetReport};
 
-/// Enforced floor on the 1→4 shard sim-throughput scaling.
+/// Enforced floor on the 1→4 partition sim-throughput scaling.
 const MIN_SCALING: f64 = 2.0;
 
-/// Shard counts swept per fleet size (first must be 1; last is the
-/// scaling gate's numerator).
-const SHARDS: &[usize] = &[1, 2, 4];
-
-fn host_cores() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
-/// One (devices, shards) run.
-struct Cell {
-    devices: usize,
-    shards: usize,
-    report: FleetReport,
-}
+/// Partition counts reported per fleet size (first must be 1; last is
+/// the scaling gate's numerator).
+const PARTITIONS: &[usize] = &[1, 2, 4];
 
 fn flag_value(args: &[String], flag: &str) -> Option<String> {
     args.iter()
@@ -65,6 +49,12 @@ fn parse_sizes(args: &[String]) -> Vec<usize> {
     )
 }
 
+/// Sim events/sec at the last partition count over that at 1.
+fn sim_scaling(r: &FleetReport) -> f64 {
+    r.events_per_sim_sec(*PARTITIONS.last().expect("partitions"))
+        / r.events_per_sim_sec(PARTITIONS[0])
+}
+
 #[allow(clippy::too_many_lines)]
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -73,29 +63,17 @@ fn main() {
     let events: usize =
         flag_value(&args, "--events").map_or(24, |v| v.parse().expect("--events takes an integer"));
 
-    let mut cells: Vec<Cell> = Vec::new();
-    for &devices in &sizes {
-        for &shards in SHARDS {
-            let config = FleetConfig::new(devices, shards).with_events_per_device(events);
-            let report = run_fleet(&config);
-            cells.push(Cell {
-                devices,
-                shards,
-                report,
-            });
-        }
-    }
-
-    let rows: Vec<Vec<String>> = cells
+    let reports: Vec<FleetReport> = sizes
         .iter()
-        .map(|c| {
-            let r = &c.report;
+        .map(|&devices| run_fleet(&FleetConfig::new(devices, 1).with_events_per_device(events)))
+        .collect();
+
+    let rows: Vec<Vec<String>> = reports
+        .iter()
+        .map(|r| {
             vec![
-                c.devices.to_string(),
-                c.shards.to_string(),
+                r.devices.to_string(),
                 r.events.to_string(),
-                format!("{:.0}", r.events_per_sim_sec()),
-                format!("{:.0}", r.events_per_host_sec()),
                 format!("{:.1}", r.unlock_hist.percentile(0.50) as f64 / 1000.0),
                 format!("{:.1}", r.unlock_hist.percentile(0.95) as f64 / 1000.0),
                 format!("{:.1}", r.unlock_hist.percentile(0.99) as f64 / 1000.0),
@@ -106,13 +84,10 @@ fn main() {
         })
         .collect();
     print_table(
-        "Fleet throughput and unlock latency",
+        "Fleet unlock latency",
         &[
             "Devices",
-            "Shards",
             "Events",
-            "Ev/s (sim)",
-            "Ev/s (host)",
             "p50 (us)",
             "p95 (us)",
             "p99 (us)",
@@ -123,13 +98,37 @@ fn main() {
         &rows,
     );
 
-    let fault_rows: Vec<Vec<String>> = cells
+    let partition_rows: Vec<Vec<String>> = reports
         .iter()
-        .filter(|c| c.shards == 1)
-        .map(|c| {
-            let r = &c.report;
+        .flat_map(|r| {
+            PARTITIONS.iter().map(move |&p| {
+                vec![
+                    r.devices.to_string(),
+                    p.to_string(),
+                    format!("{:.3}", r.makespan_ns(p) as f64 / 1e9),
+                    format!("{:.0}", r.events_per_sim_sec(p)),
+                    format!("{:.2}x", r.events_per_sim_sec(p) / r.events_per_sim_sec(1)),
+                ]
+            })
+        })
+        .collect();
+    print_table(
+        "Simulated makespan over modelled cores (device i on core i % partitions)",
+        &[
+            "Devices",
+            "Partitions",
+            "Makespan (s)",
+            "Ev/s (sim)",
+            "Sim scaling",
+        ],
+        &partition_rows,
+    );
+
+    let fault_rows: Vec<Vec<String>> = reports
+        .iter()
+        .map(|r| {
             vec![
-                c.devices.to_string(),
+                r.devices.to_string(),
                 r.power_cuts_fired.to_string(),
                 r.recoveries.to_string(),
                 r.recovered_entries.to_string(),
@@ -141,7 +140,7 @@ fn main() {
         })
         .collect();
     print_table(
-        "Injected faults and per-device setup (1-shard runs)",
+        "Injected faults and per-device setup",
         &[
             "Devices",
             "Cuts fired",
@@ -155,12 +154,11 @@ fn main() {
         &fault_rows,
     );
 
-    // Per-device degradation columns for the smallest 1-shard run: the
-    // devices the health governor actually pulled through hardware
-    // trouble (breaker trips, CPU-fallback bytes, time degraded).
-    if let Some(cell) = cells.iter().find(|c| c.shards == 1) {
-        let mut degraded: Vec<_> = cell
-            .report
+    // Per-device degradation columns for the first fleet: the devices
+    // the health governor actually pulled through hardware trouble
+    // (breaker trips, CPU-fallback bytes, time degraded).
+    if let Some(report) = reports.first() {
+        let mut degraded: Vec<_> = report
             .degradation
             .iter()
             .filter(|&&(_, trips, fallback, _)| trips > 0 || fallback > 0)
@@ -181,10 +179,9 @@ fn main() {
         if !degraded_rows.is_empty() {
             print_table(
                 &format!(
-                    "Degraded devices ({} of {} — top 8 by trips, {} devices/1 shard)",
+                    "Degraded devices ({} of {} — top 8 by trips)",
                     degraded.len(),
-                    cell.report.devices,
-                    cell.devices
+                    report.devices
                 ),
                 &["Device", "Trips", "Fallback KiB", "Degraded (us)"],
                 &degraded_rows,
@@ -192,12 +189,11 @@ fn main() {
         }
     }
 
-    // Per-device pressure columns for the smallest 1-shard run: the
-    // devices the pressure governor actually squeezed (memory-pressure
-    // chaos events — sheds, encrypted spills, typed denials).
-    if let Some(cell) = cells.iter().find(|c| c.shards == 1) {
-        let mut pressured: Vec<_> = cell
-            .report
+    // Per-device pressure columns for the first fleet: the devices the
+    // pressure governor actually squeezed (memory-pressure chaos events
+    // — sheds, encrypted spills, typed denials).
+    if let Some(report) = reports.first() {
+        let mut pressured: Vec<_> = report
             .pressure_columns
             .iter()
             .filter(|&&(_, sheds, spills, denied)| sheds > 0 || spills > 0 || denied > 0)
@@ -219,10 +215,9 @@ fn main() {
         if !pressure_rows.is_empty() {
             print_table(
                 &format!(
-                    "Pressured devices ({} of {} — top 8 by spills, {} devices/1 shard)",
+                    "Pressured devices ({} of {} — top 8 by spills)",
                     pressured.len(),
-                    cell.report.devices,
-                    cell.devices
+                    report.devices
                 ),
                 &["Device", "Sheds", "Spills", "Denied"],
                 &pressure_rows,
@@ -230,73 +225,51 @@ fn main() {
         }
     }
 
-    // Scaling per fleet size: last shard count vs the 1-shard baseline.
-    let mut scalings: Vec<(usize, f64, f64)> = Vec::new();
-    for &devices in &sizes {
-        let base = cells
-            .iter()
-            .find(|c| c.devices == devices && c.shards == SHARDS[0])
-            .expect("baseline cell");
-        let top = cells
-            .iter()
-            .find(|c| c.devices == devices && c.shards == *SHARDS.last().expect("shards"))
-            .expect("top cell");
-        let sim = top.report.events_per_sim_sec() / base.report.events_per_sim_sec();
-        let host = top.report.events_per_host_sec() / base.report.events_per_host_sec();
-        scalings.push((devices, sim, host));
-    }
-    let scale_rows: Vec<Vec<String>> = scalings
+    let host: Vec<String> = reports
         .iter()
-        .map(|(devices, sim, host)| {
-            vec![
-                devices.to_string(),
-                format!("{}→{}", SHARDS[0], SHARDS.last().expect("shards")),
-                format!("{sim:.2}x"),
-                format!("{host:.2}x"),
-            ]
+        .map(|r| {
+            format!(
+                "{} devices {:.0} events/s",
+                r.devices,
+                r.events_per_host_sec()
+            )
         })
         .collect();
-    print_table(
-        "Shard scaling (events/sec)",
-        &["Devices", "Shards", "Sim scaling", "Host scaling"],
-        &scale_rows,
-    );
+    println!("\nhost, one thread: {}", host.join(", "));
 
-    if host_cores() == 1 {
-        println!(
-            "\nnote: single host core — every shard shares one lane, so host scaling \
-             is pinned at ~1.0 by construction; sim scaling models the fleet host's \
-             cores (one per shard), like exp_lock_scaling's sim_speedup"
-        );
-    }
-
-    let cell_json: Vec<String> = cells
+    let cell_json: Vec<String> = reports
         .iter()
-        .map(|c| {
-            let r = &c.report;
+        .map(|r| {
+            let partitions: Vec<String> = PARTITIONS
+                .iter()
+                .map(|&p| {
+                    format!(
+                        "{{\"partitions\": {p}, \"sim_makespan_ns\": {}, \
+                         \"events_per_sim_sec\": {:.1}}}",
+                        r.makespan_ns(p),
+                        r.events_per_sim_sec(p)
+                    )
+                })
+                .collect();
             format!(
-                "    {{\"devices\": {}, \"shards\": {}, \"events\": {}, \
-                 \"events_per_sim_sec\": {:.1}, \"events_per_host_sec\": {:.1}, \
+                "    {{\"devices\": {}, \"events\": {}, \
                  \"unlock_p50_ns\": {}, \"unlock_p95_ns\": {}, \"unlock_p99_ns\": {}, \
                  \"unlock_mean_ns\": {:.1}, \"unlock_max_ns\": {}, \"unlocks\": {}, \
                  \"locks\": {}, \"power_cuts_fired\": {}, \"recoveries\": {}, \
                  \"recovered_entries\": {}, \"tampers_planted\": {}, \
                  \"tampers_detected\": {}, \"quarantined_pages\": {}, \
                  \"silent_corruptions\": {}, \"device_errors\": {}, \
-                 \"shard_panics\": {}, \"io_bytes\": {}, \"sim_makespan_ns\": {}, \
-                 \"sim_busy_ns\": {}, \"setup_sim_ns\": {}, \"host_elapsed_ns\": {}, \
+                 \"io_bytes\": {}, \"sim_busy_ns\": {}, \"setup_sim_ns\": {}, \
                  \"accel_storms\": {}, \"flaky_disk_intervals\": {}, \
                  \"breaker_trips\": {}, \"watchdog_timeouts\": {}, \
                  \"fallback_crypt_bytes\": {}, \"time_degraded_ns\": {}, \
                  \"disk_retries_recovered\": {}, \"pressure_events\": {}, \
                  \"exit_reclaimed_pages\": {}, \"pressure_sheds\": {}, \
                  \"pressure_spills\": {}, \"pressure_restores\": {}, \
-                 \"pressure_denied\": {}, \"pressure_high_water_bytes\": {}}}",
-                c.devices,
-                c.shards,
+                 \"pressure_denied\": {}, \"pressure_high_water_bytes\": {},\n     \
+                 \"partitions\": [{}], \"sim_scaling\": {:.3}}}",
+                r.devices,
                 r.events,
-                r.events_per_sim_sec(),
-                r.events_per_host_sec(),
                 r.unlock_hist.percentile(0.50),
                 r.unlock_hist.percentile(0.95),
                 r.unlock_hist.percentile(0.99),
@@ -312,12 +285,9 @@ fn main() {
                 r.quarantined_pages,
                 r.silent_corruptions,
                 r.device_errors,
-                r.shard_panics,
                 r.io_bytes,
-                r.sim_makespan_ns,
                 r.sim_busy_ns,
                 r.setup_sim_ns,
-                r.host_elapsed_ns,
                 r.accel_storms,
                 r.flaky_disk_intervals,
                 r.health.trips,
@@ -332,34 +302,23 @@ fn main() {
                 r.pressure.spill_restores,
                 r.pressure.denied,
                 r.pressure.high_water_bytes,
-            )
-        })
-        .collect();
-    let scaling_json: Vec<String> = scalings
-        .iter()
-        .map(|(devices, sim, host)| {
-            format!(
-                "    {{\"devices\": {devices}, \"sim_scaling\": {sim:.3}, \
-                 \"host_scaling\": {host:.3}}}"
+                partitions.join(", "),
+                sim_scaling(r),
             )
         })
         .collect();
     let json = format!(
         "{{\n  \"experiment\": \"fleet\",\n  \"min_scaling\": {MIN_SCALING:.1},\n  \
-         \"events_per_device\": {events},\n  \"host_cores\": {},\n  \"cells\": [\n{}\n  ],\n  \
-         \"scaling\": [\n{}\n  ]\n}}\n",
-        host_cores(),
+         \"events_per_device\": {events},\n  \"cells\": [\n{}\n  ]\n}}\n",
         cell_json.join(",\n"),
-        scaling_json.join(",\n"),
     );
     std::fs::write("BENCH_fleet.json", &json).expect("write BENCH_fleet.json");
     println!("\nwrote BENCH_fleet.json");
 
     if enforce {
         let mut failed = false;
-        for c in &cells {
-            let r = &c.report;
-            let name = format!("{} devices / {} shards", c.devices, c.shards);
+        for r in &reports {
+            let name = format!("{} devices", r.devices);
             if r.silent_corruptions != 0 {
                 eprintln!(
                     "FAIL [{name}]: {} reads returned wrong bytes without an error",
@@ -367,11 +326,8 @@ fn main() {
                 );
                 failed = true;
             }
-            if r.device_errors != 0 || r.shard_panics != 0 {
-                eprintln!(
-                    "FAIL [{name}]: {} device errors, {} shard panics",
-                    r.device_errors, r.shard_panics
-                );
+            if r.device_errors != 0 {
+                eprintln!("FAIL [{name}]: {} device errors", r.device_errors);
                 failed = true;
             }
             if r.tampers_detected != r.tampers_planted {
@@ -389,47 +345,12 @@ fn main() {
                 );
                 failed = true;
             }
-        }
-        // Same N ⇒ identical merged report, whatever the shard count.
-        for &devices in &sizes {
-            let group: Vec<&Cell> = cells.iter().filter(|c| c.devices == devices).collect();
-            for pair in group.windows(2) {
-                if pair[0].report.digests != pair[1].report.digests {
-                    eprintln!(
-                        "FAIL [{devices} devices]: end-state digests differ between \
-                         {} and {} shards — sharding changed device behaviour",
-                        pair[0].shards, pair[1].shards
-                    );
-                    failed = true;
-                }
-                if pair[0].report.degradation != pair[1].report.degradation
-                    || pair[0].report.health != pair[1].report.health
-                {
-                    eprintln!(
-                        "FAIL [{devices} devices]: degradation columns differ between \
-                         {} and {} shards — health accounting is shard-dependent",
-                        pair[0].shards, pair[1].shards
-                    );
-                    failed = true;
-                }
-                if pair[0].report.pressure_columns != pair[1].report.pressure_columns
-                    || pair[0].report.pressure != pair[1].report.pressure
-                {
-                    eprintln!(
-                        "FAIL [{devices} devices]: pressure columns differ between \
-                         {} and {} shards — pressure accounting is shard-dependent",
-                        pair[0].shards, pair[1].shards
-                    );
-                    failed = true;
-                }
-            }
-        }
-        for (devices, sim, _host) in &scalings {
-            if *sim < MIN_SCALING {
+            let sim = sim_scaling(r);
+            if sim < MIN_SCALING {
                 eprintln!(
-                    "FAIL [{devices} devices]: sim scaling {sim:.2}x below \
-                     {MIN_SCALING:.1}x going 1→{} shards",
-                    SHARDS.last().expect("shards")
+                    "FAIL [{name}]: sim scaling {sim:.2}x below {MIN_SCALING:.1}x going \
+                     1→{} partitions",
+                    PARTITIONS.last().expect("partitions")
                 );
                 failed = true;
             }
@@ -437,13 +358,13 @@ fn main() {
         if failed {
             std::process::exit(1);
         }
-        let worst = scalings
+        let worst = reports
             .iter()
-            .map(|(_, sim, _)| *sim)
+            .map(sim_scaling)
             .fold(f64::INFINITY, f64::min);
         println!(
             "enforce: worst sim scaling {worst:.2}x >= {MIN_SCALING:.1}x, all faults \
-             detected, zero silent corruptions, reports shard-count invariant"
+             detected, zero silent corruptions"
         );
     }
 }

@@ -708,7 +708,7 @@ fn main() {
          \"restores\": {}, \"byte_identical\": {}}},\n  \
          \"fleet\": {{\"devices\": {}, \"events\": {}, \"pressure_events\": {}, \
          \"exit_reclaimed_pages\": {}, \"silent_corruptions\": {}, \
-         \"device_errors\": {}, \"shard_panics\": {}, \"pressure\": {}}}\n}}\n",
+         \"device_errors\": {}, \"pressure\": {}}}\n}}\n",
         sweep_json.join(",\n"),
         soak.events,
         soak.squeezes,
@@ -737,7 +737,6 @@ fn main() {
         fleet.exit_reclaimed_pages,
         fleet.silent_corruptions,
         fleet.device_errors,
-        fleet.shard_panics,
         pressure_json(&fleet.pressure),
     );
     std::fs::write("BENCH_pressure.json", &json).expect("write BENCH_pressure.json");
@@ -811,10 +810,10 @@ fn main() {
             failed = true;
         }
         // 5. Fleet: chaos squeezes drawn and absorbed cleanly.
-        if fleet.silent_corruptions != 0 || fleet.device_errors != 0 || fleet.shard_panics != 0 {
+        if fleet.silent_corruptions != 0 || fleet.device_errors != 0 {
             eprintln!(
-                "FAIL [fleet]: {} silent corruptions, {} device errors, {} shard panics",
-                fleet.silent_corruptions, fleet.device_errors, fleet.shard_panics
+                "FAIL [fleet]: {} silent corruptions, {} device errors",
+                fleet.silent_corruptions, fleet.device_errors
             );
             failed = true;
         }

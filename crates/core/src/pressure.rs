@@ -23,7 +23,7 @@
 //!
 //! The same tracker carries the occupancy telemetry (bytes resident,
 //! high-water mark, level transitions, shed/spill counters) that the
-//! fleet harness folds into its shard-invariant per-device columns.
+//! fleet harness folds into its per-device columns.
 
 use crate::error::SentryError;
 use sentry_crypto::{Direction, PageCipher, PageCipherMode};
@@ -120,8 +120,8 @@ impl PressureConfig {
     }
 }
 
-/// Cumulative pressure telemetry, shard-invariant under the fleet
-/// harness's merge discipline.
+/// Cumulative pressure telemetry; the fleet harness merges it across
+/// devices.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PressureStats {
     /// On-SoC bytes currently resident (claimed minus free-listed).

@@ -40,12 +40,7 @@ pub enum KeyResidency {
 }
 
 /// A block cipher implementation registered with the kernel.
-///
-/// Engines are `Send` so a whole kernel (and the `Sentry` wrapping it)
-/// can move across threads — the fleet harness builds thousands of
-/// independent device stacks and drives each one entirely inside one
-/// shard worker, shared-nothing.
-pub trait CipherEngine: Send {
+pub trait CipherEngine {
     /// Registry name, e.g. `"aes-cbc-generic"`.
     fn name(&self) -> &'static str;
     /// Selection priority; highest wins.

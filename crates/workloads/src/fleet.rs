@@ -1,32 +1,30 @@
-//! Fleet-scale Sentry: thousands of independent device stacks driven by
-//! a deterministic heavy-traffic event stream, sharded shared-nothing
-//! across worker threads, folded into one aggregated percentile report.
+//! The fleet corpus: many independent device stacks driven by a
+//! deterministic heavy-traffic event stream and folded into one
+//! aggregated percentile report.
 //!
 //! Every other workload in this crate drives *one* simulated SoC. The
-//! fleet harness is the layer above it — the "million users" of the
-//! ROADMAP's north star: `N` fully independent device+Sentry stacks
-//! (own SoC, kernel, pager, keys, dm-crypt volume), each replaying a
-//! seeded event mix of lock/unlock churn, background-app paging under
-//! the lock, dm-crypt I/O bursts, random power cuts (failpoint plane →
+//! fleet harness runs `N` fully independent device+Sentry stacks (own
+//! SoC, kernel, pager, keys, dm-crypt volume), each replaying a seeded
+//! event mix of lock/unlock churn, background-app paging under the
+//! lock, dm-crypt I/O bursts, random power cuts (failpoint plane →
 //! [`Sentry::recover`]), and active DRAM tampers (integrity plane →
-//! quarantine).
+//! quarantine). It is a workload and regression corpus: every number
+//! it reports but the host wall-clock is a pure function of its
+//! [`FleetConfig`].
 //!
 //! Three properties the design commits to:
 //!
-//! * **Shared-nothing sharding.** Device `i` is assigned to shard
-//!   `i % shards` and is built, driven, verified, and dropped entirely
-//!   inside that shard's worker thread. No lock, channel, or atomic is
-//!   touched on the hot path; shards only meet at the final fold. The
-//!   shards are scoped threads with panic containment per worker, and
-//!   their results are deterministic. A shard runs whole devices, each
-//!   milliseconds of host work; the lock path inside a device runs on
-//!   its caller's thread.
+//! * **One thread, partitions by arithmetic.** [`run_fleet`] builds,
+//!   drives, verifies, and drops the devices one after another on the
+//!   calling thread. The report keeps each device's simulated time, so
+//!   [`FleetReport::makespan_ns`] gives the makespan of a modelled
+//!   fleet host that runs device `i` on core `i % partitions`, for any
+//!   partition count, without running a device again.
 //! * **Standalone replay.** Device `i`'s workload, failpoint, tamper,
 //!   and SoC seeds are split from one fleet master seed
 //!   ([`DeviceSeeds::split`]), so any failing cell reproduces outside
 //!   the fleet from just `(master_seed, device_index)` — see
-//!   [`run_device`]. Because devices never interact, the merged report
-//!   is bit-identical for every shard count.
+//!   [`run_device`].
 //! * **Allocation-free metrics.** Unlock latencies stream into a
 //!   fixed-bucket [`LatencyHistogram`] (exact below 16 ns, then
 //!   4 sub-buckets per power of two — ≤ 25 % relative bucket width);
@@ -95,7 +93,8 @@ pub const HISTOGRAM_BUCKETS: usize = 16 + 60 * 4;
 /// 4` lands in one of four sub-buckets of `[2^o, 2^(o+1))` selected by
 /// its next two bits, so the relative bucket width never exceeds 25 %.
 /// Recording allocates nothing; merging is a bucket-wise sum, which is
-/// what lets every shard keep a private histogram and fold at the end.
+/// what lets every device keep a private histogram that the fleet
+/// report folds in.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LatencyHistogram {
     buckets: [u64; HISTOGRAM_BUCKETS],
@@ -372,14 +371,14 @@ pub enum FleetEvent {
 }
 
 /// The full fleet configuration. A fleet run is a pure function of this
-/// value: same config, same report (host timings aside), regardless of
-/// shard count.
+/// value: same config, same report (host timings aside).
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// Devices in the fleet.
     pub devices: usize,
-    /// Shared-nothing worker shards (device `i` belongs to shard
-    /// `i % shards`).
+    /// Partitions the report's `sim_makespan_ns` models: device `i`
+    /// runs on core `i % shards` of the modelled fleet host. The host
+    /// drives every device on one thread whatever this is.
     pub shards: usize,
     /// Events drawn per device.
     pub events_per_device: usize,
@@ -392,8 +391,9 @@ pub struct FleetConfig {
 }
 
 impl FleetConfig {
-    /// A fleet of `devices` across `shards` with the default traffic
-    /// mix and a readahead-enabled Tegra 3 Sentry on every device.
+    /// A fleet of `devices`, modelled over `shards` partitions, with the
+    /// default traffic mix and a readahead-enabled Tegra 3 Sentry on
+    /// every device.
     #[must_use]
     pub fn new(devices: usize, shards: usize) -> Self {
         FleetConfig {
@@ -418,13 +418,6 @@ impl FleetConfig {
     #[must_use]
     pub fn with_master_seed(mut self, seed: u64) -> Self {
         self.master_seed = seed;
-        self
-    }
-
-    /// Builder: shard count.
-    #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
         self
     }
 }
@@ -507,8 +500,8 @@ pub fn event_stream(config: &FleetConfig, index: u64) -> Vec<FleetEvent> {
 // ---------------------------------------------------------------------
 
 /// Everything one device's run produced. All fields are deterministic
-/// functions of `(config, index)` — host wall-clock is aggregated at
-/// the shard level, never here — which is what makes the N=1
+/// functions of `(config, index)` — host wall-clock is measured over
+/// the whole fleet, never here — which is what makes the N=1
 /// fleet-vs-direct identity test exact.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct DeviceOutcome {
@@ -1082,24 +1075,15 @@ pub fn run_device(config: &FleetConfig, index: u64) -> Result<DeviceOutcome, Sen
 }
 
 // ---------------------------------------------------------------------
-// The sharded fleet
+// The fleet
 // ---------------------------------------------------------------------
 
-/// The aggregated fleet report.
-///
-/// Throughput comes in two honesties: `host_elapsed_ns` is real wall
-/// clock on however many host cores exist (a single-core host pins it
-/// flat), while `sim_makespan_ns` is the modeled fleet-host time — each
-/// shard's devices run back-to-back on that shard's core, shards run in
-/// parallel, so the makespan is the busiest shard's simulated total.
-/// The scaling gate is defined over the simulated makespan, like
-/// `exp_lock_scaling`'s `sim_speedup`.
+/// The aggregated fleet report. Every field but `host_elapsed_ns` is a
+/// pure function of the [`FleetConfig`].
 #[derive(Debug, Clone, Default)]
 pub struct FleetReport {
     /// Devices driven.
     pub devices: u64,
-    /// Shards used.
-    pub shards: u64,
     /// Events applied fleet-wide.
     pub events: u64,
     /// Lock transitions fleet-wide.
@@ -1140,36 +1124,37 @@ pub struct FleetReport {
     /// governors (lifecycle and dm-crypt): trips, timeouts, fallback
     /// crypt bytes, time degraded, disk retries.
     pub health: HealthStats,
-    /// Per-device degradation columns, sorted by device index:
+    /// Per-device degradation columns, in device order:
     /// `(index, breaker trips, fallback crypt bytes, time degraded
     /// ns)` — the fleet report's view of which devices rode out
     /// hardware trouble and for how long.
     pub degradation: Vec<(u64, u64, u64, u64)>,
-    /// Per-device pressure columns, sorted by device index:
+    /// Per-device pressure columns, in device order:
     /// `(index, sheds, spills, denied)` — which devices hit the
     /// watermarks and what the governor did about it.
     pub pressure_columns: Vec<(u64, u64, u64, u64)>,
     /// Devices whose run aborted with an unexpected error (gated at
     /// zero).
     pub device_errors: u64,
-    /// Shard workers that panicked (gated at zero).
-    pub shard_panics: u64,
     /// Summed simulated ns across all devices.
     pub sim_busy_ns: u64,
-    /// Simulated fleet makespan: the busiest shard's summed device ns.
+    /// Each device's simulated ns, in device order (0 for a device whose
+    /// run aborted).
+    pub device_sim_ns: Vec<u64>,
+    /// Simulated fleet makespan over the configured partitions:
+    /// [`makespan_ns`](Self::makespan_ns)`(config.shards)`.
     pub sim_makespan_ns: u64,
     /// Summed simulated `Sentry::new` ns across all devices.
     pub setup_sim_ns: u64,
-    /// Host wall-clock of the whole sharded run.
+    /// Host wall-clock of the whole run, on one thread.
     pub host_elapsed_ns: u64,
-    /// Per-device end-state digests, sorted by device index.
+    /// Per-device end-state digests, in device order.
     pub digests: Vec<(u64, u64)>,
 }
 
 impl FleetReport {
-    /// Fold one device's outcome into the fleet totals. The per-device
-    /// columns (`digests`, `degradation`, `pressure_columns`) are
-    /// appended in arrival order; [`run_fleet`] sorts them by index.
+    /// Fold one device's outcome into the fleet totals. Outcomes arrive
+    /// in device order, so the per-device columns stay in it.
     fn add(&mut self, outcome: &DeviceOutcome) {
         self.devices += 1;
         self.events += outcome.events;
@@ -1191,6 +1176,7 @@ impl FleetReport {
         self.pressure.merge(&outcome.pressure);
         self.health.merge(&outcome.health);
         self.sim_busy_ns += outcome.sim_ns;
+        self.device_sim_ns.push(outcome.sim_ns);
         self.setup_sim_ns += outcome.setup_sim_ns;
         self.digests.push((outcome.index, outcome.digest));
         self.degradation.push((
@@ -1207,19 +1193,34 @@ impl FleetReport {
         ));
     }
 
-    /// Fleet throughput in events per simulated second (computed over
-    /// the shard makespan — the number the scaling gate uses).
+    /// The simulated makespan of a fleet host that runs device `i` on
+    /// core `i % partitions`: each core runs its devices back to back
+    /// and the cores run side by side, so the makespan is the largest
+    /// per-core sum of device `sim_ns`. One partition gives
+    /// `sim_busy_ns`.
     #[must_use]
-    pub fn events_per_sim_sec(&self) -> f64 {
-        if self.sim_makespan_ns == 0 {
+    pub fn makespan_ns(&self, partitions: usize) -> u64 {
+        let partitions = partitions.max(1);
+        (0..partitions)
+            .map(|p| self.device_sim_ns.iter().skip(p).step_by(partitions).sum())
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Fleet throughput in events per simulated second over
+    /// [`makespan_ns`](Self::makespan_ns)`(partitions)`.
+    #[must_use]
+    pub fn events_per_sim_sec(&self, partitions: usize) -> f64 {
+        let makespan_ns = self.makespan_ns(partitions);
+        if makespan_ns == 0 {
             0.0
         } else {
-            self.events as f64 * 1e9 / self.sim_makespan_ns as f64
+            self.events as f64 * 1e9 / makespan_ns as f64
         }
     }
 
-    /// Fleet throughput in events per host second (flat on a
-    /// single-core host — reported, never gated).
+    /// Fleet throughput in events per host second on one thread
+    /// (reported, never gated).
     #[must_use]
     pub fn events_per_host_sec(&self) -> f64 {
         if self.host_elapsed_ns == 0 {
@@ -1230,56 +1231,25 @@ impl FleetReport {
     }
 }
 
-/// Run the fleet: `config.devices` independent devices, sharded
-/// round-robin over `config.shards` scoped worker threads, folded into
-/// one [`FleetReport`].
-///
-/// Shards are shared-nothing — each builds, drives, verifies, and drops
-/// its own devices (one at a time, so peak memory is one device per
-/// shard) and sends each outcome to the calling thread, which folds it
-/// with `FleetReport::add` and keeps each shard's simulated total for
-/// the makespan. A panicking shard is contained and counted.
+/// Run the fleet: devices `0..config.devices`, one at a time on the
+/// calling thread (so peak memory is one device), folded into one
+/// [`FleetReport`]. A device whose run aborts counts in
+/// `device_errors`.
 #[must_use]
 pub fn run_fleet(config: &FleetConfig) -> FleetReport {
-    let shards = config.shards.max(1).min(config.devices.max(1));
     let host_start = std::time::Instant::now();
-    let mut report = FleetReport {
-        shards: shards as u64,
-        ..FleetReport::default()
-    };
-    let mut shard_sim_ns = vec![0u64; shards];
-    std::thread::scope(|scope| {
-        let (tx, rx) = std::sync::mpsc::channel();
-        let handles: Vec<_> = (0..shards)
-            .map(|shard| {
-                let tx = tx.clone();
-                scope.spawn(move || {
-                    for index in (shard..config.devices).step_by(shards) {
-                        tx.send((shard, run_device(config, index as u64)))
-                            .expect("the receiver drains until the last shard is done");
-                    }
-                })
-            })
-            .collect();
-        drop(tx);
-        for (shard, outcome) in rx {
-            match outcome {
-                Ok(outcome) => {
-                    shard_sim_ns[shard] += outcome.sim_ns;
-                    report.add(&outcome);
-                }
-                Err(_) => report.device_errors += 1,
+    let mut report = FleetReport::default();
+    for index in 0..config.devices {
+        match run_device(config, index as u64) {
+            Ok(outcome) => report.add(&outcome),
+            Err(_) => {
+                report.device_errors += 1;
+                report.device_sim_ns.push(0);
             }
         }
-        for handle in handles {
-            report.shard_panics += u64::from(handle.join().is_err());
-        }
-    });
+    }
     report.host_elapsed_ns = u64::try_from(host_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    report.sim_makespan_ns = shard_sim_ns.into_iter().max().unwrap_or(0);
-    report.digests.sort_unstable();
-    report.degradation.sort_unstable();
-    report.pressure_columns.sort_unstable();
+    report.sim_makespan_ns = report.makespan_ns(config.shards);
     report
 }
 
@@ -1292,27 +1262,32 @@ mod tests {
     }
 
     #[test]
-    fn fleet_is_deterministic_across_shard_counts() {
-        let one = run_fleet(&small_config().with_shards(1));
-        let three = run_fleet(&small_config().with_shards(3));
-        assert_eq!(one.digests, three.digests);
-        assert_eq!(one.events, three.events);
-        assert_eq!(one.unlock_hist, three.unlock_hist);
-        assert_eq!(one.silent_corruptions, 0);
-        assert_eq!(one.device_errors, 0);
-        assert_eq!(one.shard_panics, 0);
-        assert_eq!(one.sim_busy_ns, three.sim_busy_ns);
-        // Degradation accounting is part of the deterministic report:
-        // same trips, fallback bytes, and time-in-degraded per device
-        // regardless of shard count.
-        assert_eq!(one.health, three.health);
-        assert_eq!(one.degradation, three.degradation);
-        // So is pressure accounting: watermark transitions, sheds,
-        // spills, and denials are shard-count invariant.
-        assert_eq!(one.pressure, three.pressure);
-        assert_eq!(one.pressure_columns, three.pressure_columns);
-        assert_eq!(one.pressure_events, three.pressure_events);
-        assert_eq!(one.exit_reclaimed_pages, three.exit_reclaimed_pages);
+    fn makespan_is_the_busiest_partition() {
+        let config = small_config();
+        let report = run_fleet(&config);
+        assert_eq!(report.silent_corruptions, 0);
+        assert_eq!(report.device_errors, 0);
+        let solo: Vec<u64> = (0..config.devices as u64)
+            .map(|index| run_device(&config, index).expect("device runs").sim_ns)
+            .collect();
+        assert_eq!(report.device_sim_ns, solo);
+        assert_eq!(report.makespan_ns(1), report.sim_busy_ns);
+        assert_eq!(report.sim_makespan_ns, report.makespan_ns(config.shards));
+        for partitions in 1..6 {
+            let busiest = (0..partitions)
+                .map(|p| {
+                    let group = solo.iter().enumerate().filter(|(i, _)| i % partitions == p);
+                    group.map(|(_, ns)| ns).sum::<u64>()
+                })
+                .max()
+                .unwrap_or(0);
+            assert_eq!(report.makespan_ns(partitions), busiest, "{partitions}");
+        }
+        // A partition count past the fleet leaves empty partitions.
+        assert_eq!(
+            report.makespan_ns(config.devices + 3),
+            solo.iter().copied().max().unwrap_or(0)
+        );
     }
 
     #[test]
@@ -1367,12 +1342,5 @@ mod tests {
             let slot = usize::try_from(index).expect("index fits");
             assert_eq!(fleet.digests[slot], (index, solo.digest));
         }
-    }
-
-    #[test]
-    fn sentry_stacks_are_send() {
-        fn assert_send<T: Send>() {}
-        assert_send::<Device>();
-        assert_send::<Sentry>();
     }
 }

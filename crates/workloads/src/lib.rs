@@ -16,9 +16,9 @@
 //!   under reduced effective cache, producing Figure 10;
 //! * [`fleet`] — beyond the paper: N independent device stacks driven
 //!   by a seeded heavy-traffic event stream (lock/unlock churn,
-//!   background paging, dm-crypt bursts, power cuts, tampers), sharded
-//!   shared-nothing across worker threads with aggregated percentile
-//!   metrics.
+//!   background paging, dm-crypt bursts, power cuts, tampers), one
+//!   device at a time, with aggregated percentile metrics and a
+//!   partitioned simulated makespan.
 //!
 //! The footprint numbers (resident megabytes, DMA-region sizes, script
 //! durations) come from the paper's text where stated (e.g., DMA regions

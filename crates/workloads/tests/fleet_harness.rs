@@ -1,7 +1,8 @@
 //! Fleet-harness correctness: the N=1 fleet is byte- and
 //! stats-identical to driving the same device directly with the same
-//! event sequence, the merged report is shard-count invariant, and the
-//! streaming histogram's percentile math is exact at bucket edges.
+//! event sequence, the report's partitioned makespan is the busiest
+//! `i % p` group of standalone device runs, and the streaming
+//! histogram's percentile math is exact at bucket edges.
 
 use proptest::prelude::*;
 use sentry_workloads::fleet::{
@@ -33,7 +34,6 @@ proptest! {
         let fleet = run_fleet(&cfg);
         prop_assert_eq!(fleet.devices, 1);
         prop_assert_eq!(fleet.device_errors, 0);
-        prop_assert_eq!(fleet.shard_panics, 0);
 
         // The same Sentry, driven directly.
         let stream = event_stream(&cfg, 0);
@@ -71,29 +71,30 @@ proptest! {
         prop_assert_eq!(replay, direct);
     }
 
-    /// The merged fleet report does not depend on the shard count.
+    /// The makespan over `p` partitions is the busiest group of devices
+    /// `i` with `i % p` equal, each device's time taken from its own
+    /// standalone run.
     #[test]
-    fn report_is_shard_count_invariant(
-        master_seed in any::<u64>(),
-        shards in 2usize..6,
-    ) {
-        let base = FleetConfig::new(8, 1)
+    fn makespan_matches_standalone_partitions(master_seed in any::<u64>()) {
+        let cfg = FleetConfig::new(8, 3)
             .with_master_seed(master_seed)
             .with_events_per_device(10);
-        let one = run_fleet(&base);
-        let many = run_fleet(&base.clone().with_shards(shards));
-        prop_assert_eq!(&one.digests, &many.digests);
-        prop_assert_eq!(&one.unlock_hist, &many.unlock_hist);
-        prop_assert_eq!(one.events, many.events);
-        prop_assert_eq!(one.sim_busy_ns, many.sim_busy_ns);
-        prop_assert_eq!(one.recoveries, many.recoveries);
-        prop_assert_eq!(one.quarantined_pages, many.quarantined_pages);
-        // Degradation accounting (breaker trips, fallback bytes,
-        // time-in-degraded per device) is part of the invariant report.
-        prop_assert_eq!(&one.health, &many.health);
-        prop_assert_eq!(&one.degradation, &many.degradation);
-        prop_assert_eq!(one.accel_storms, many.accel_storms);
-        prop_assert_eq!(one.flaky_disk_intervals, many.flaky_disk_intervals);
+        let fleet = run_fleet(&cfg);
+        let solo: Vec<u64> = (0..cfg.devices as u64)
+            .map(|index| run_device(&cfg, index).expect("standalone replay").sim_ns)
+            .collect();
+        prop_assert_eq!(fleet.makespan_ns(1), fleet.sim_busy_ns);
+        prop_assert_eq!(fleet.sim_makespan_ns, fleet.makespan_ns(3));
+        for partitions in 1..6 {
+            let busiest = (0..partitions)
+                .map(|p| {
+                    let group = solo.iter().enumerate().filter(|(i, _)| i % partitions == p);
+                    group.map(|(_, ns)| ns).sum::<u64>()
+                })
+                .max()
+                .unwrap_or(0);
+            prop_assert_eq!(fleet.makespan_ns(partitions), busiest);
+        }
     }
 
     /// Bucket round trip: every value maps to a bucket whose bounds

@@ -44,7 +44,7 @@ fn exhaustive_fault_matrix_locked_l2() {
         "no kill ever landed inside an open journal — the matrix is not \
          exercising recovery"
     );
-    assert_eq!(matrix.site_histogram(), committed_kill_sites(38));
+    assert_eq!(matrix.site_histogram(), committed_kill_sites(18, 38));
 }
 
 #[test]
@@ -53,23 +53,26 @@ fn exhaustive_fault_matrix_iram_backend() {
     assert!(matrix.clean(), "iram matrix dirty");
     assert!(matrix.recovered_entries() > 0);
     // On-SoC pages live in iRAM, whose writes pass no `dram.write` site.
-    assert_eq!(matrix.site_histogram(), committed_kill_sites(33));
+    assert_eq!(matrix.site_histogram(), committed_kill_sites(18, 33));
 }
 
 #[test]
 fn exhaustive_fault_matrix_parallel_engine() {
     let matrix = run_matrix(&Scenario::tegra3_parallel(0xFA11)).unwrap();
     assert!(matrix.clean(), "parallel-engine matrix dirty");
-    assert_eq!(matrix.site_histogram(), committed_kill_sites(38));
+    assert_eq!(matrix.lock_lanes, 2, "no lock took both lanes");
+    // A two-lane batch crypts its pages in one call, past no
+    // `crypt.extent` site.
+    assert_eq!(matrix.site_histogram(), committed_kill_sites(10, 38));
 }
 
 /// Kills per failpoint site, as committed in `BENCH_fault_matrix.json`.
 /// The kills spread across the whole lifecycle, and a refactor that
 /// drops, adds, or moves a failpoint changes these counts.
-fn committed_kill_sites(dram_writes: usize) -> Vec<(&'static str, usize)> {
+fn committed_kill_sites(extents: usize, dram_writes: usize) -> Vec<(&'static str, usize)> {
     vec![
         ("crypt.dispatch", 14),
-        ("crypt.extent", 18),
+        ("crypt.extent", extents),
         ("dram.write", dram_writes),
         ("fault.begin", 10),
         ("lock.begin", 4),
