@@ -440,8 +440,8 @@ pub struct PteView {
     pub dma_region: bool,
     /// Sharing classification.
     pub sharing: Sharing,
-    /// IV epoch of the current ciphertext.
-    pub crypt_epoch: u64,
+    /// IV version of the current ciphertext.
+    pub crypt_version: u64,
     /// `Some(frame)` for DRAM backing, `None` for on-SoC.
     pub dram_frame: Option<u64>,
     /// The DRAM home frame while resident on-SoC.
@@ -458,7 +458,7 @@ impl PteView {
             dirty: pte.dirty,
             dma_region: pte.dma_region,
             sharing: pte.sharing,
-            crypt_epoch: pte.crypt_epoch,
+            crypt_version: pte.crypt_version,
             dram_frame: match pte.backing {
                 Backing::Dram(f) => Some(f),
                 Backing::OnSoc(_) => None,

@@ -539,10 +539,12 @@ pub fn run_tamper_matrix(scn: &Scenario) -> Result<TamperOutcome, SentryError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sentry_core::transition::nonce_audit::audited;
 
     #[test]
     fn every_tamper_cell_is_detected_with_no_silent_corruption() {
-        let outcome = run_tamper_matrix(&Scenario::tegra3(11)).unwrap();
+        let scn = Scenario::tegra3(11);
+        let outcome = audited(scn.name, || run_tamper_matrix(&scn).unwrap());
         assert_eq!(outcome.cells.len(), 16);
         for cell in &outcome.cells {
             assert!(
@@ -562,18 +564,19 @@ mod tests {
 
     #[test]
     fn parallel_engine_detects_tampers_too() {
-        let outcome = run_tamper_matrix(&Scenario::tegra3_parallel(12)).unwrap();
+        let scn = Scenario::tegra3_parallel(12);
+        let outcome = audited(scn.name, || run_tamper_matrix(&scn).unwrap());
         assert!(outcome.clean(), "{:#?}", outcome.cells);
     }
 
     #[test]
     fn xts_and_ctr_modes_detect_every_tamper() {
         // The non-chaining page ciphers must hold the same 16/16 line:
-        // the integrity CMAC binds (pid, vpn, epoch) through the IV
+        // the integrity CMAC binds (pid, vpn, version) through the IV
         // regardless of mode, so bit flips, frame splices, and
         // stale-epoch replays all still break the tag.
         for scn in [Scenario::tegra3_xts(14), Scenario::tegra3_ctr(15)] {
-            let outcome = run_tamper_matrix(&scn).unwrap();
+            let outcome = audited(scn.name, || run_tamper_matrix(&scn).unwrap());
             assert_eq!(outcome.cells.len(), 16);
             assert!(
                 outcome.clean(),

@@ -60,6 +60,7 @@ use std::hint::black_box;
 use std::process::Command;
 use std::time::Instant;
 
+use sentry_bench::json::{rounded, write_bench, Json};
 use sentry_bench::print_table;
 use sentry_core::aes_onsoc::{build_engine_with_backend, OnSocCipherBackend};
 use sentry_core::config::OnSocBackend;
@@ -312,11 +313,22 @@ impl Spread {
         )
     }
 
-    fn json(self, digits: usize) -> String {
-        format!(
-            "{{\"median\": {:.digits$}, \"min\": {:.digits$}, \"max\": {:.digits$}}}",
-            self.median, self.min, self.max
-        )
+    /// Each value rounded to the `digits` decimals the file states.
+    fn rounded(self, digits: usize) -> Spread {
+        Spread {
+            median: rounded(self.median, digits),
+            min: rounded(self.min, digits),
+            max: rounded(self.max, digits),
+        }
+    }
+}
+
+impl From<Spread> for Json {
+    fn from(s: Spread) -> Json {
+        Json::obj()
+            .field("median", s.median)
+            .field("min", s.min)
+            .field("max", s.max)
     }
 }
 
@@ -571,45 +583,43 @@ fn main() {
         Vec::new()
     };
 
-    // JSON.
-    let host_json: Vec<String> = mode_rows
+    let host_json: Json = mode_rows
         .iter()
         .map(|&(backend, mode, chains)| {
             let key = mode_key(backend, mode, chains);
-            let over = parity
-                .iter()
-                .find(|(ni, _, _)| *ni == key)
-                .map(|(_, _, r)| format!(", \"over_bitsliced\": {}", r.json(2)))
-                .unwrap_or_default();
-            let over_blocks = over_blocks(backend, mode)
-                .map(|r| format!(", \"over_blocks\": {}", r.json(2)))
-                .unwrap_or_default();
-            format!(
-                "    {{\"backend\": \"{backend}\", \"mode\": \"{}\", \"chains\": {chains}, \
-                 \"mib_s\": {}{over}{over_blocks}}}",
-                mode.name(),
-                runs.row(&key).json(1),
-            )
+            let mut row = Json::obj()
+                .field("backend", backend)
+                .field("mode", mode.name())
+                .field("chains", chains)
+                .field("mib_s", runs.row(&key).rounded(1));
+            if let Some((_, _, r)) = parity.iter().find(|(ni, _, _)| *ni == key) {
+                row = row.field("over_bitsliced", r.rounded(2));
+            }
+            if let Some(r) = over_blocks(backend, mode) {
+                row = row.field("over_blocks", r.rounded(2));
+            }
+            row
         })
         .collect();
-    let acct_json: Vec<String> = acct
+    let acct_json: Json = acct
         .iter()
         .map(|a| {
-            format!(
-                "    {{\"variant\": \"{}\", \"secret\": {}, \"access_protected\": {}, \
-                 \"public\": {}, \"arena\": {}}}",
-                a.variant, a.secret, a.access_protected, a.public, a.arena
-            )
+            Json::obj()
+                .field("variant", a.variant)
+                .field("secret", a.secret)
+                .field("access_protected", a.access_protected)
+                .field("public", a.public)
+                .field("arena", a.arena)
         })
         .collect();
-    let sim_json: Vec<String> = sim
+    let sim_json: Json = sim
         .iter()
-        .map(|&(name, ns)| format!("    {{\"engine\": \"{name}\", \"page_ns\": {ns}}}"))
+        .map(|&(name, ns)| Json::obj().field("engine", name).field("page_ns", ns))
         .collect();
-    let mut cmac_json = vec![format!(
-        "    {{\"path\": \"scalar\", \"group\": 1, \"mib_s\": {}}}",
-        runs.row(&scalar).json(1)
-    )];
+    let mut cmac_json = vec![Json::obj()
+        .field("path", "scalar")
+        .field("group", 1u64)
+        .field("mib_s", runs.row(&scalar).rounded(1))];
     let aesni_groups: &[usize] = if aesni { &AESNI_CMAC_GROUPS } else { &[] };
     for (path, g) in CMAC_GROUPS
         .iter()
@@ -617,38 +627,35 @@ fn main() {
         .chain(aesni_groups.iter().map(|&g| ("aesni", g)))
     {
         let key = cmac_key(path, g);
-        let over = parity
-            .iter()
-            .find(|(ni, _, _)| *ni == key)
-            .map(|(_, _, r)| format!(", \"over_lanes\": {}", r.json(2)))
-            .unwrap_or_default();
-        cmac_json.push(format!(
-            "    {{\"path\": \"{path}\", \"group\": {g}, \"mib_s\": {}, \"over_scalar\": {}{over}}}",
-            runs.row(&key).json(1),
-            runs.ratio(&key, &scalar).json(2)
-        ));
+        let mut row = Json::obj()
+            .field("path", path)
+            .field("group", g)
+            .field("mib_s", runs.row(&key).rounded(1))
+            .field("over_scalar", runs.ratio(&key, &scalar).rounded(2));
+        if let Some((_, _, r)) = parity.iter().find(|(ni, _, _)| *ni == key) {
+            row = row.field("over_lanes", r.rounded(2));
+        }
+        cmac_json.push(row);
     }
-    let json = format!(
-        "{{\n  \"experiment\": \"aes_kernels\",\n  \"host_kernel\": \"{host_kernel}\",\n  \
-         \"page_bytes\": {PAGE},\n  \"pages\": {PAGES},\n  \"reps\": {REPS},\n  \
-         \"runs\": {RUNS},\n  \
-         \"cbc_dec_bitsliced_over_table\": {},\n  \
-         \"xts_enc_over_cbc_enc\": {},\n  \
-         \"cmac_batch16_over_scalar\": {},\n  \
-         \"cmac_min_lane_messages\": {MIN_LANE_MESSAGES},\n  \
-         \"host\": [\n{}\n  ],\n  \"cmac\": [\n{}\n  ],\n  \"table4\": [\n{}\n  ],\n  \
-         \"sim\": [\n{}\n  ]\n}}\n",
-        dec_ratio.json(2),
-        xts_enc_ratio.json(2),
-        cmac16_ratio.json(2),
-        host_json.join(",\n"),
-        cmac_json.join(",\n"),
-        acct_json.join(",\n"),
-        sim_json.join(",\n"),
-    );
-    std::fs::write("BENCH_aes_kernels.json", &json).expect("write BENCH_aes_kernels.json");
     println!("\nhost AES kernel: {host_kernel}");
-    println!("wrote BENCH_aes_kernels.json");
+    write_bench(
+        "BENCH_aes_kernels.json",
+        &Json::obj()
+            .field("experiment", "aes_kernels")
+            .field("host_kernel", host_kernel)
+            .field("page_bytes", PAGE)
+            .field("pages", PAGES)
+            .field("reps", REPS)
+            .field("runs", RUNS)
+            .field("cbc_dec_bitsliced_over_table", dec_ratio.rounded(2))
+            .field("xts_enc_over_cbc_enc", xts_enc_ratio.rounded(2))
+            .field("cmac_batch16_over_scalar", cmac16_ratio.rounded(2))
+            .field("cmac_min_lane_messages", MIN_LANE_MESSAGES)
+            .field("host", host_json)
+            .field("cmac", cmac_json)
+            .field("table4", acct_json)
+            .field("sim", sim_json),
+    );
 
     if enforce {
         assert!(

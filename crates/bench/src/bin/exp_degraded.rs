@@ -33,6 +33,7 @@
 //! `--enforce`, any surfaced fault, non-identical read, missed trip,
 //! blown latency budget, or failed recovery fails the run.
 
+use sentry_bench::json::{rounded, write_bench, Json};
 use sentry_bench::print_table;
 use sentry_core::config::{PageCipherMode, PipelineConfig, ReadaheadConfig};
 use sentry_core::health::{PROBE_AFTER_NS, PROBE_SUCCESSES, TRIP_FAILURES};
@@ -319,24 +320,19 @@ fn flaky_cell() -> FlakyCell {
     }
 }
 
-fn health_json(h: &HealthStats) -> String {
-    format!(
-        "{{\"trips\": {}, \"probes\": {}, \"timeouts\": {}, \"corrupt_ops\": {}, \
-         \"abandoned_bytes\": {}, \"fallback_crypt_bytes\": {}, \"recoveries\": {}, \
-         \"time_degraded_ns\": {}, \"disk_attempts\": {}, \"disk_recovered\": {}, \
-         \"disk_exhausted\": {}}}",
-        h.trips,
-        h.probes,
-        h.timeouts,
-        h.corrupt_ops,
-        h.abandoned_bytes,
-        h.fallback_crypt_bytes,
-        h.recoveries,
-        h.time_degraded_ns,
-        h.disk.attempts,
-        h.disk.recovered,
-        h.disk.exhausted,
-    )
+fn health_json(h: &HealthStats) -> Json {
+    Json::obj()
+        .field("trips", h.trips)
+        .field("probes", h.probes)
+        .field("timeouts", h.timeouts)
+        .field("corrupt_ops", h.corrupt_ops)
+        .field("abandoned_bytes", h.abandoned_bytes)
+        .field("fallback_crypt_bytes", h.fallback_crypt_bytes)
+        .field("recoveries", h.recoveries)
+        .field("time_degraded_ns", h.time_degraded_ns)
+        .field("disk_attempts", h.disk.attempts)
+        .field("disk_recovered", h.disk.recovered)
+        .field("disk_exhausted", h.disk.exhausted)
 }
 
 #[allow(clippy::too_many_lines)]
@@ -466,53 +462,52 @@ fn main() {
         ]],
     );
 
-    let json = format!(
-        "{{\n  \"experiment\": \"degraded\",\n  \"max_open_inflation\": {MAX_OPEN_INFLATION:.1},\n  \
-         \"trip_failures\": {},\n  \"probe_successes\": {},\n  \
-         \"storm\": {{\"reads\": {}, \"identical\": {}, \"open_reads\": {}, \
-         \"time_to_open_ns\": {}, \"watchdog_ns\": {}, \"healthy_mean_ns\": {:.1}, \
-         \"open_mean_ns\": {:.1}, \"inflation\": {:.3}, \"recovery_reads\": {}, \
-         \"recovered\": {}, \"health\": {}}},\n  \
-         \"corrupt\": {{\"reads\": {}, \"identical\": {}, \"health\": {}}},\n  \
-         \"lifecycle\": {{\"pages\": {}, \"identical\": {}, \"breaker_open_batches\": {}, \
-         \"health\": {}}},\n  \
-         \"flaky_disk\": {{\"reads\": {}, \"identical\": {}, \"health\": {}}},\n  \
-         \"fleet\": {{\"devices\": {}, \"events\": {}, \"accel_storms\": {}, \
-         \"flaky_disk_intervals\": {}, \"silent_corruptions\": {}, \"device_errors\": {}, \
-         \"health\": {}}}\n}}\n",
-        TRIP_FAILURES,
-        PROBE_SUCCESSES,
-        storm.reads,
-        storm.identical,
-        storm.open_reads,
-        storm.time_to_open_ns,
-        storm.watchdog_ns,
-        storm.healthy_mean_ns,
-        storm.open_mean_ns,
-        storm.inflation(),
-        storm.recovery_reads,
-        storm.recovered,
-        health_json(&storm.health),
-        corrupt.reads,
-        corrupt.identical,
-        health_json(&corrupt.health),
-        lifecycle.pages,
-        lifecycle.identical,
-        lifecycle.breaker_open_batches,
-        health_json(&lifecycle.health),
-        flaky.reads,
-        flaky.identical,
-        health_json(&flaky.health),
-        fleet.devices,
-        fleet.events,
-        fleet.accel_storms,
-        fleet.flaky_disk_intervals,
-        fleet.silent_corruptions,
-        fleet.device_errors,
-        health_json(&fleet.health),
+    let storm_json = Json::obj()
+        .field("reads", storm.reads)
+        .field("identical", storm.identical)
+        .field("open_reads", storm.open_reads)
+        .field("time_to_open_ns", storm.time_to_open_ns)
+        .field("watchdog_ns", storm.watchdog_ns)
+        .field("healthy_mean_ns", rounded(storm.healthy_mean_ns, 1))
+        .field("open_mean_ns", rounded(storm.open_mean_ns, 1))
+        .field("inflation", rounded(storm.inflation(), 3))
+        .field("recovery_reads", storm.recovery_reads)
+        .field("recovered", storm.recovered)
+        .field("health", health_json(&storm.health));
+    let corrupt_json = Json::obj()
+        .field("reads", corrupt.reads)
+        .field("identical", corrupt.identical)
+        .field("health", health_json(&corrupt.health));
+    let lifecycle_json = Json::obj()
+        .field("pages", lifecycle.pages)
+        .field("identical", lifecycle.identical)
+        .field("breaker_open_batches", lifecycle.breaker_open_batches)
+        .field("health", health_json(&lifecycle.health));
+    let flaky_json = Json::obj()
+        .field("reads", flaky.reads)
+        .field("identical", flaky.identical)
+        .field("health", health_json(&flaky.health));
+    let fleet_json = Json::obj()
+        .field("devices", fleet.devices)
+        .field("events", fleet.events)
+        .field("accel_storms", fleet.accel_storms)
+        .field("flaky_disk_intervals", fleet.flaky_disk_intervals)
+        .field("silent_corruptions", fleet.silent_corruptions)
+        .field("device_errors", fleet.device_errors)
+        .field("health", health_json(&fleet.health));
+    write_bench(
+        "BENCH_degraded.json",
+        &Json::obj()
+            .field("experiment", "degraded")
+            .field("max_open_inflation", MAX_OPEN_INFLATION)
+            .field("trip_failures", TRIP_FAILURES)
+            .field("probe_successes", PROBE_SUCCESSES)
+            .field("storm", storm_json)
+            .field("corrupt", corrupt_json)
+            .field("lifecycle", lifecycle_json)
+            .field("flaky_disk", flaky_json)
+            .field("fleet", fleet_json),
     );
-    std::fs::write("BENCH_degraded.json", &json).expect("write BENCH_degraded.json");
-    println!("\nwrote BENCH_degraded.json");
 
     if enforce {
         let mut failed = false;

@@ -20,6 +20,7 @@
 //! cells never reach the multi-lane arm.
 
 use sentry_attacks::faultmatrix::{run_matrix, MatrixOutcome, Scenario};
+use sentry_bench::json::{write_bench, Json};
 use sentry_bench::print_table;
 
 /// Scenario constructor paired with its fixed seed.
@@ -35,39 +36,32 @@ const SCENARIOS: [SeededScenario; 5] = [
     (Scenario::iram, 0xB007),
 ];
 
-fn emit_json(matrices: &[MatrixOutcome]) -> String {
-    // Hand-rolled JSON: fixed schema, numbers and plain names only.
-    let entries: Vec<String> = matrices
+fn to_json(matrices: &[MatrixOutcome]) -> Json {
+    let rows: Json = matrices
         .iter()
         .map(|m| {
-            let hist: Vec<String> = m
+            let sites: Json = m
                 .site_histogram()
                 .iter()
-                .map(|(site, n)| format!("{{\"site\": \"{site}\", \"kills\": {n}}}"))
+                .map(|&(site, n)| Json::obj().field("site", site).field("kills", n))
                 .collect();
-            format!(
-                "    {{\"scenario\": \"{}\", \"lock_lanes\": {}, \"cells\": {}, \"kills\": {}, \
-                 \"recovered_journal_entries\": {}, \"torn_ptes\": {}, \
-                 \"coldboot_leaks\": {}, \"retry_failures\": {}, \
-                 \"diverged\": {}, \"clean\": {},\n     \"kill_sites\": [{}]}}",
-                m.scenario,
-                m.lock_lanes,
-                m.cells.len(),
-                m.kills(),
-                m.recovered_entries(),
-                m.torn(),
-                m.leaks(),
-                m.retry_failures(),
-                m.diverged(),
-                m.clean(),
-                hist.join(", ")
-            )
+            Json::obj()
+                .field("scenario", m.scenario.as_str())
+                .field("lock_lanes", m.lock_lanes)
+                .field("cells", m.cells.len())
+                .field("kills", m.kills())
+                .field("recovered_journal_entries", m.recovered_entries())
+                .field("torn_ptes", m.torn())
+                .field("coldboot_leaks", m.leaks())
+                .field("retry_failures", m.retry_failures())
+                .field("diverged", m.diverged())
+                .field("clean", m.clean())
+                .field("kill_sites", sites)
         })
         .collect();
-    format!(
-        "{{\n  \"experiment\": \"fault_matrix\",\n  \"matrices\": [\n{}\n  ]\n}}\n",
-        entries.join(",\n")
-    )
+    Json::obj()
+        .field("experiment", "fault_matrix")
+        .field("matrices", rows)
 }
 
 fn main() {
@@ -139,9 +133,7 @@ fn main() {
         &rows,
     );
 
-    let json = emit_json(&matrices);
-    std::fs::write("BENCH_fault_matrix.json", &json).expect("write BENCH_fault_matrix.json");
-    println!("\nwrote BENCH_fault_matrix.json");
+    write_bench("BENCH_fault_matrix.json", &to_json(&matrices));
 
     if enforce {
         let mut failed = false;

@@ -21,6 +21,7 @@
 //! so the same sizes and `--events` regenerate it byte for byte. The
 //! host rate of the one-thread run is printed, never written.
 
+use sentry_bench::json::{rounded, write_bench, Json};
 use sentry_bench::print_table;
 use sentry_workloads::fleet::{run_fleet, FleetConfig, FleetReport};
 
@@ -237,83 +238,65 @@ fn main() {
         .collect();
     println!("\nhost, one thread: {}", host.join(", "));
 
-    let cell_json: Vec<String> = reports
+    let cells: Json = reports
         .iter()
         .map(|r| {
-            let partitions: Vec<String> = PARTITIONS
+            let partitions: Json = PARTITIONS
                 .iter()
                 .map(|&p| {
-                    format!(
-                        "{{\"partitions\": {p}, \"sim_makespan_ns\": {}, \
-                         \"events_per_sim_sec\": {:.1}}}",
-                        r.makespan_ns(p),
-                        r.events_per_sim_sec(p)
-                    )
+                    Json::obj()
+                        .field("partitions", p)
+                        .field("sim_makespan_ns", r.makespan_ns(p))
+                        .field("events_per_sim_sec", rounded(r.events_per_sim_sec(p), 1))
                 })
                 .collect();
-            format!(
-                "    {{\"devices\": {}, \"events\": {}, \
-                 \"unlock_p50_ns\": {}, \"unlock_p95_ns\": {}, \"unlock_p99_ns\": {}, \
-                 \"unlock_mean_ns\": {:.1}, \"unlock_max_ns\": {}, \"unlocks\": {}, \
-                 \"locks\": {}, \"power_cuts_fired\": {}, \"recoveries\": {}, \
-                 \"recovered_entries\": {}, \"tampers_planted\": {}, \
-                 \"tampers_detected\": {}, \"quarantined_pages\": {}, \
-                 \"silent_corruptions\": {}, \"device_errors\": {}, \
-                 \"io_bytes\": {}, \"sim_busy_ns\": {}, \"setup_sim_ns\": {}, \
-                 \"accel_storms\": {}, \"flaky_disk_intervals\": {}, \
-                 \"breaker_trips\": {}, \"watchdog_timeouts\": {}, \
-                 \"fallback_crypt_bytes\": {}, \"time_degraded_ns\": {}, \
-                 \"disk_retries_recovered\": {}, \"pressure_events\": {}, \
-                 \"exit_reclaimed_pages\": {}, \"pressure_sheds\": {}, \
-                 \"pressure_spills\": {}, \"pressure_restores\": {}, \
-                 \"pressure_denied\": {}, \"pressure_high_water_bytes\": {},\n     \
-                 \"partitions\": [{}], \"sim_scaling\": {:.3}}}",
-                r.devices,
-                r.events,
-                r.unlock_hist.percentile(0.50),
-                r.unlock_hist.percentile(0.95),
-                r.unlock_hist.percentile(0.99),
-                r.unlock_hist.mean(),
-                r.unlock_hist.max(),
-                r.unlocks,
-                r.locks,
-                r.power_cuts_fired,
-                r.recoveries,
-                r.recovered_entries,
-                r.tampers_planted,
-                r.tampers_detected,
-                r.quarantined_pages,
-                r.silent_corruptions,
-                r.device_errors,
-                r.io_bytes,
-                r.sim_busy_ns,
-                r.setup_sim_ns,
-                r.accel_storms,
-                r.flaky_disk_intervals,
-                r.health.trips,
-                r.health.timeouts,
-                r.health.fallback_crypt_bytes,
-                r.health.time_degraded_ns,
-                r.health.disk.recovered,
-                r.pressure_events,
-                r.exit_reclaimed_pages,
-                r.pressure.sheds,
-                r.pressure.spills,
-                r.pressure.spill_restores,
-                r.pressure.denied,
-                r.pressure.high_water_bytes,
-                partitions.join(", "),
-                sim_scaling(r),
-            )
+            Json::obj()
+                .field("devices", r.devices)
+                .field("events", r.events)
+                .field("unlock_p50_ns", r.unlock_hist.percentile(0.50))
+                .field("unlock_p95_ns", r.unlock_hist.percentile(0.95))
+                .field("unlock_p99_ns", r.unlock_hist.percentile(0.99))
+                .field("unlock_mean_ns", rounded(r.unlock_hist.mean(), 1))
+                .field("unlock_max_ns", r.unlock_hist.max())
+                .field("unlocks", r.unlocks)
+                .field("locks", r.locks)
+                .field("power_cuts_fired", r.power_cuts_fired)
+                .field("recoveries", r.recoveries)
+                .field("recovered_entries", r.recovered_entries)
+                .field("tampers_planted", r.tampers_planted)
+                .field("tampers_detected", r.tampers_detected)
+                .field("quarantined_pages", r.quarantined_pages)
+                .field("silent_corruptions", r.silent_corruptions)
+                .field("device_errors", r.device_errors)
+                .field("io_bytes", r.io_bytes)
+                .field("sim_busy_ns", r.sim_busy_ns)
+                .field("setup_sim_ns", r.setup_sim_ns)
+                .field("accel_storms", r.accel_storms)
+                .field("flaky_disk_intervals", r.flaky_disk_intervals)
+                .field("breaker_trips", r.health.trips)
+                .field("watchdog_timeouts", r.health.timeouts)
+                .field("fallback_crypt_bytes", r.health.fallback_crypt_bytes)
+                .field("time_degraded_ns", r.health.time_degraded_ns)
+                .field("disk_retries_recovered", r.health.disk.recovered)
+                .field("pressure_events", r.pressure_events)
+                .field("exit_reclaimed_pages", r.exit_reclaimed_pages)
+                .field("pressure_sheds", r.pressure.sheds)
+                .field("pressure_spills", r.pressure.spills)
+                .field("pressure_restores", r.pressure.spill_restores)
+                .field("pressure_denied", r.pressure.denied)
+                .field("pressure_high_water_bytes", r.pressure.high_water_bytes)
+                .field("partitions", partitions)
+                .field("sim_scaling", rounded(sim_scaling(r), 3))
         })
         .collect();
-    let json = format!(
-        "{{\n  \"experiment\": \"fleet\",\n  \"min_scaling\": {MIN_SCALING:.1},\n  \
-         \"events_per_device\": {events},\n  \"cells\": [\n{}\n  ]\n}}\n",
-        cell_json.join(",\n"),
+    write_bench(
+        "BENCH_fleet.json",
+        &Json::obj()
+            .field("experiment", "fleet")
+            .field("min_scaling", MIN_SCALING)
+            .field("events_per_device", events)
+            .field("cells", cells),
     );
-    std::fs::write("BENCH_fleet.json", &json).expect("write BENCH_fleet.json");
-    println!("\nwrote BENCH_fleet.json");
 
     if enforce {
         let mut failed = false;

@@ -26,6 +26,7 @@
 
 use sentry_attacks::faultmatrix::Scenario;
 use sentry_attacks::tamper::{run_tamper_matrix, TamperOutcome};
+use sentry_bench::json::{rounded, write_bench, Json};
 use sentry_bench::print_table;
 use sentry_core::config::ReadaheadConfig;
 use sentry_core::{Sentry, SentryConfig};
@@ -135,52 +136,49 @@ fn overhead_pct(on: u64, off: u64) -> f64 {
     }
 }
 
-fn emit_json(
+fn to_json(
     matrices: &[TamperOutcome],
     (on, off): (&SweepCost, &SweepCost),
     lock_pct: f64,
     unlock_pct: f64,
     (pager_on, pager_off): (&PagerCost, &PagerCost),
-) -> String {
-    // Hand-rolled JSON: fixed schema, numbers and plain names only.
-    let detection: Vec<String> = matrices
+) -> Json {
+    let detection: Json = matrices
         .iter()
         .map(|m| {
-            format!(
-                "    {{\"scenario\": \"{}\", \"cells\": {}, \"detected\": {}, \
-                 \"silent_corruptions\": {}, \"detection_rate\": {:.3}, \"clean\": {}}}",
-                m.scenario,
-                m.cells.len(),
-                m.cells.iter().filter(|c| c.detected).count(),
-                m.silent_corruptions(),
-                m.detection_rate(),
-                m.clean()
-            )
+            Json::obj()
+                .field("scenario", m.scenario.as_str())
+                .field("cells", m.cells.len())
+                .field("detected", m.cells.iter().filter(|c| c.detected).count())
+                .field("silent_corruptions", m.silent_corruptions())
+                .field("detection_rate", rounded(m.detection_rate(), 3))
+                .field("clean", m.clean())
         })
         .collect();
-    format!(
-        "{{\n  \"experiment\": \"integrity\",\n  \"detection\": [\n{}\n  ],\n  \
-         \"overhead\": {{\"pages\": {}, \"lock_ns_off\": {}, \"lock_ns_on\": {}, \
-         \"unlock_ns_off\": {}, \"unlock_ns_on\": {}, \"lock_overhead_pct\": {:.2}, \
-         \"unlock_overhead_pct\": {:.2}, \"max_unlock_overhead_pct\": {:.1}}},\n  \
-         \"pager\": {{\"faults\": {}, \"fault_ns_off\": {}, \"fault_ns_on\": {}, \
-         \"ratio\": {:.2}, \"mac_chains_per_fault\": {:.2}, \"max_ratio\": {:.1}}}\n}}\n",
-        detection.join(",\n"),
-        SWEEP_PAGES,
-        off.lock_ns,
-        on.lock_ns,
-        off.unlock_ns,
-        on.unlock_ns,
-        lock_pct,
-        unlock_pct,
-        MAX_UNLOCK_OVERHEAD_PCT,
-        pager_on.faults,
-        pager_off.ns_per_fault,
-        pager_on.ns_per_fault,
-        pager_ratio(pager_on, pager_off),
-        chains_per_fault(pager_on),
-        MAX_PAGER_RATIO,
-    )
+    let overhead = Json::obj()
+        .field("pages", SWEEP_PAGES)
+        .field("lock_ns_off", off.lock_ns)
+        .field("lock_ns_on", on.lock_ns)
+        .field("unlock_ns_off", off.unlock_ns)
+        .field("unlock_ns_on", on.unlock_ns)
+        .field("lock_overhead_pct", rounded(lock_pct, 2))
+        .field("unlock_overhead_pct", rounded(unlock_pct, 2))
+        .field("max_unlock_overhead_pct", MAX_UNLOCK_OVERHEAD_PCT);
+    let pager = Json::obj()
+        .field("faults", pager_on.faults)
+        .field("fault_ns_off", pager_off.ns_per_fault)
+        .field("fault_ns_on", pager_on.ns_per_fault)
+        .field("ratio", rounded(pager_ratio(pager_on, pager_off), 2))
+        .field(
+            "mac_chains_per_fault",
+            rounded(chains_per_fault(pager_on), 2),
+        )
+        .field("max_ratio", MAX_PAGER_RATIO);
+    Json::obj()
+        .field("experiment", "integrity")
+        .field("detection", detection)
+        .field("overhead", overhead)
+        .field("pager", pager)
 }
 
 #[allow(clippy::cast_precision_loss)]
@@ -284,15 +282,16 @@ fn main() {
         ]],
     );
 
-    let json = emit_json(
-        &matrices,
-        (&on, &off),
-        lock_pct,
-        unlock_pct,
-        (&pager_on, &pager_off),
+    write_bench(
+        "BENCH_integrity.json",
+        &to_json(
+            &matrices,
+            (&on, &off),
+            lock_pct,
+            unlock_pct,
+            (&pager_on, &pager_off),
+        ),
     );
-    std::fs::write("BENCH_integrity.json", &json).expect("write BENCH_integrity.json");
-    println!("\nwrote BENCH_integrity.json");
 
     if enforce {
         let mut failed = false;

@@ -12,6 +12,7 @@
 //! Results print as a table and are written to `BENCH_lock_scaling.json`,
 //! which CI regenerates and diffs against the committed file.
 
+use sentry_bench::json::{rounded, write_bench, Json};
 use sentry_bench::print_table;
 use sentry_core::config::ParallelConfig;
 use sentry_core::lifecycle::LockReport;
@@ -56,28 +57,23 @@ fn sim_point(mode: PageCipherMode, workers: usize) -> LockReport {
     report
 }
 
-fn to_json(points: &[Point]) -> String {
-    // Hand-rolled JSON: fixed schema, numbers and mode names only — no
-    // serde needed.
-    let entries: Vec<String> = points
+fn to_json(points: &[Point]) -> Json {
+    let sweep: Json = points
         .iter()
         .map(|p| {
-            format!(
-                "    {{\"mode\": \"{}\", \"workers\": {}, \"workers_used\": {}, \
-                 \"sim_lock_ns\": {}, \"sim_speedup\": {:.2}}}",
-                p.mode.name(),
-                p.workers,
-                p.workers_used,
-                p.sim_lock_ns,
-                p.sim_speedup
-            )
+            Json::obj()
+                .field("mode", p.mode.name())
+                .field("workers", p.workers)
+                .field("workers_used", p.workers_used)
+                .field("sim_lock_ns", p.sim_lock_ns)
+                .field("sim_speedup", rounded(p.sim_speedup, 2))
         })
         .collect();
-    format!(
-        "{{\n  \"experiment\": \"lock_scaling\",\n  \"batch_pages\": {BATCH_PAGES},\n  \
-         \"page_bytes\": {PAGE},\n  \"sweep\": [\n{}\n  ]\n}}\n",
-        entries.join(",\n")
-    )
+    Json::obj()
+        .field("experiment", "lock_scaling")
+        .field("batch_pages", BATCH_PAGES)
+        .field("page_bytes", PAGE)
+        .field("sweep", sweep)
 }
 
 fn main() {
@@ -118,7 +114,5 @@ fn main() {
         &rows,
     );
 
-    std::fs::write("BENCH_lock_scaling.json", to_json(&points))
-        .expect("write BENCH_lock_scaling.json");
-    println!("\nwrote BENCH_lock_scaling.json");
+    write_bench("BENCH_lock_scaling.json", &to_json(&points));
 }

@@ -34,6 +34,7 @@
 //! budget, plaintext sighting, or failed recovery fails the run.
 
 use sentry_attacks::tamper::frame_of;
+use sentry_bench::json::{rounded, write_bench, Json};
 use sentry_bench::print_table;
 use sentry_core::config::ReadaheadConfig;
 use sentry_core::{DeviceState, PressureStats, Sentry, SentryConfig, SentryError};
@@ -521,22 +522,17 @@ fn spill_cell() -> SpillCell {
 
 // ───────────────────────── output ─────────────────────────
 
-fn pressure_json(p: &PressureStats) -> String {
-    format!(
-        "{{\"bytes_resident\": {}, \"high_water_bytes\": {}, \
-         \"transitions_high\": {}, \"transitions_critical\": {}, \
-         \"sheds\": {}, \"spills\": {}, \"spill_restores\": {}, \
-         \"reclaimed_pages\": {}, \"denied\": {}}}",
-        p.bytes_resident,
-        p.high_water_bytes,
-        p.transitions_high,
-        p.transitions_critical,
-        p.sheds,
-        p.spills,
-        p.spill_restores,
-        p.reclaimed_pages,
-        p.denied,
-    )
+fn pressure_json(p: &PressureStats) -> Json {
+    Json::obj()
+        .field("bytes_resident", p.bytes_resident)
+        .field("high_water_bytes", p.high_water_bytes)
+        .field("transitions_high", p.transitions_high)
+        .field("transitions_critical", p.transitions_critical)
+        .field("sheds", p.sheds)
+        .field("spills", p.spills)
+        .field("spill_restores", p.spill_restores)
+        .field("reclaimed_pages", p.reclaimed_pages)
+        .field("denied", p.denied)
 }
 
 #[allow(clippy::too_many_lines, clippy::cast_precision_loss)]
@@ -676,71 +672,66 @@ fn main() {
         ]],
     );
 
-    let sweep_json: Vec<String> = sweep
+    let sweep_json: Json = sweep
         .iter()
         .map(|r| {
-            format!(
-                "    {{\"entry\": \"{}\", \"runs\": {}, \"completed\": {}, \
-                 \"denied\": {}, \"untyped\": {}, \"recoveries\": {}, \
-                 \"retry_failures\": {}, \"settle_failures\": {}}}",
-                r.entry.name(),
-                r.runs,
-                r.completed,
-                r.denied,
-                r.untyped,
-                r.recoveries,
-                r.retry_failures,
-                r.settle_failures,
-            )
+            Json::obj()
+                .field("entry", r.entry.name())
+                .field("runs", r.runs)
+                .field("completed", r.completed)
+                .field("denied", r.denied)
+                .field("untyped", r.untyped)
+                .field("recoveries", r.recoveries)
+                .field("retry_failures", r.retry_failures)
+                .field("settle_failures", r.settle_failures)
         })
         .collect();
-    let json = format!(
-        "{{\n  \"experiment\": \"pressure\",\n  \
-         \"max_critical_inflation\": {MAX_CRITICAL_INFLATION:.1},\n  \
-         \"sweep\": [\n{}\n  ],\n  \
-         \"soak\": {{\"events\": {}, \"squeezes\": {}, \"baseline_bytes\": {}, \
-         \"final_bytes\": {}, \"leaked_pages\": {}, \"exit_reclaimed_pages\": {}, \
-         \"byte_identical\": {}, \"pressure\": {}}},\n  \
-         \"latency\": {{\"baseline_mean_ns\": {:.1}, \"pressure_mean_ns\": {:.1}, \
-         \"inflation\": {:.3}, \"restores\": {}, \"identical\": {}}},\n  \
-         \"spill\": {{\"spills\": {}, \"spilled_pages\": {}, \"scan_bytes\": {}, \
-         \"plaintext_hits\": {}, \"kill_sites\": {}, \"kill_recovered\": {}, \
-         \"restores\": {}, \"byte_identical\": {}}},\n  \
-         \"fleet\": {{\"devices\": {}, \"events\": {}, \"pressure_events\": {}, \
-         \"exit_reclaimed_pages\": {}, \"silent_corruptions\": {}, \
-         \"device_errors\": {}, \"pressure\": {}}}\n}}\n",
-        sweep_json.join(",\n"),
-        soak.events,
-        soak.squeezes,
-        soak.baseline_bytes,
-        soak.final_bytes,
-        soak.leaked_pages,
-        soak.exit_reclaimed_pages,
-        soak.byte_identical,
-        pressure_json(&soak.pressure),
-        latency.baseline_mean_ns,
-        latency.pressure_mean_ns,
-        latency.inflation(),
-        latency.restores,
-        latency.baseline_identical && latency.pressure_identical,
-        spill.spills,
-        spill.spilled_pages,
-        spill.scan_bytes,
-        spill.plaintext_hits,
-        spill.kill_sites,
-        spill.kill_recovered,
-        spill.restores,
-        spill.byte_identical,
-        fleet.devices,
-        fleet.events,
-        fleet.pressure_events,
-        fleet.exit_reclaimed_pages,
-        fleet.silent_corruptions,
-        fleet.device_errors,
-        pressure_json(&fleet.pressure),
+    let soak_json = Json::obj()
+        .field("events", soak.events)
+        .field("squeezes", soak.squeezes)
+        .field("baseline_bytes", soak.baseline_bytes)
+        .field("final_bytes", soak.final_bytes)
+        .field("leaked_pages", soak.leaked_pages)
+        .field("exit_reclaimed_pages", soak.exit_reclaimed_pages)
+        .field("byte_identical", soak.byte_identical)
+        .field("pressure", pressure_json(&soak.pressure));
+    let latency_json = Json::obj()
+        .field("baseline_mean_ns", rounded(latency.baseline_mean_ns, 1))
+        .field("pressure_mean_ns", rounded(latency.pressure_mean_ns, 1))
+        .field("inflation", rounded(latency.inflation(), 3))
+        .field("restores", latency.restores)
+        .field(
+            "identical",
+            latency.baseline_identical && latency.pressure_identical,
+        );
+    let spill_json = Json::obj()
+        .field("spills", spill.spills)
+        .field("spilled_pages", spill.spilled_pages)
+        .field("scan_bytes", spill.scan_bytes)
+        .field("plaintext_hits", spill.plaintext_hits)
+        .field("kill_sites", spill.kill_sites)
+        .field("kill_recovered", spill.kill_recovered)
+        .field("restores", spill.restores)
+        .field("byte_identical", spill.byte_identical);
+    let fleet_json = Json::obj()
+        .field("devices", fleet.devices)
+        .field("events", fleet.events)
+        .field("pressure_events", fleet.pressure_events)
+        .field("exit_reclaimed_pages", fleet.exit_reclaimed_pages)
+        .field("silent_corruptions", fleet.silent_corruptions)
+        .field("device_errors", fleet.device_errors)
+        .field("pressure", pressure_json(&fleet.pressure));
+    write_bench(
+        "BENCH_pressure.json",
+        &Json::obj()
+            .field("experiment", "pressure")
+            .field("max_critical_inflation", MAX_CRITICAL_INFLATION)
+            .field("sweep", sweep_json)
+            .field("soak", soak_json)
+            .field("latency", latency_json)
+            .field("spill", spill_json)
+            .field("fleet", fleet_json),
     );
-    std::fs::write("BENCH_pressure.json", &json).expect("write BENCH_pressure.json");
-    println!("\nwrote BENCH_pressure.json");
 
     if enforce {
         let mut failed = false;

@@ -24,6 +24,7 @@
 //! keystream-discipline violation, or any cold-boot hit fails the run.
 
 use sentry_attacks::coldboot::{dump_dram, dump_iram, search};
+use sentry_bench::json::{rounded, write_bench, Json};
 use sentry_bench::print_table;
 use sentry_core::config::{PageCipherMode, PipelineConfig};
 use sentry_crypto::pipeline::ctr_keystream;
@@ -217,50 +218,44 @@ fn main() {
         ]],
     );
 
-    // Hand-rolled JSON: fixed schema, numbers and plain names only.
-    let cell_json: Vec<String> = cells
+    let cell_json: Json = cells
         .iter()
         .map(|c| {
             let (stats, ks) = c.overlapped.pipeline.expect("pipeline stats");
-            format!(
-                "    {{\"workload\": \"{}\", \"ops\": {}, \"bytes\": {}, \
-                 \"inline_mean_ns\": {:.1}, \"overlapped_mean_ns\": {:.1}, \
-                 \"speedup\": {:.3}, \"identical\": {}, \
-                 \"keystream_precomputed\": {}, \"keystream_hits\": {}, \
-                 \"keystream_stale_denied\": {}, \"routed_extents\": {}, \
-                 \"routed_sectors\": {}, \"inline_sectors\": {}, \
-                 \"fallbacks\": {}, \"accel_stall_ns\": {}, \
-                 \"resident_after_lock\": {}}}",
-                c.name,
-                c.overlapped.ops,
-                c.overlapped.bytes,
-                c.inline.mean_read_ns,
-                c.overlapped.mean_read_ns,
-                c.speedup(),
-                c.identical(),
-                ks.precomputed,
-                ks.hits,
-                ks.stale_epoch_denied,
-                stats.routed_extents,
-                stats.routed_sectors,
-                stats.inline_sectors,
-                stats.fallbacks(),
-                stats.accel_stall_ns,
-                c.overlapped.keystream_resident_after_lock,
-            )
+            Json::obj()
+                .field("workload", c.name)
+                .field("ops", c.overlapped.ops)
+                .field("bytes", c.overlapped.bytes)
+                .field("inline_mean_ns", rounded(c.inline.mean_read_ns, 1))
+                .field("overlapped_mean_ns", rounded(c.overlapped.mean_read_ns, 1))
+                .field("speedup", rounded(c.speedup(), 3))
+                .field("identical", c.identical())
+                .field("keystream_precomputed", ks.precomputed)
+                .field("keystream_hits", ks.hits)
+                .field("keystream_stale_denied", ks.stale_epoch_denied)
+                .field("routed_extents", stats.routed_extents)
+                .field("routed_sectors", stats.routed_sectors)
+                .field("inline_sectors", stats.inline_sectors)
+                .field("fallbacks", stats.fallbacks())
+                .field("accel_stall_ns", stats.accel_stall_ns)
+                .field(
+                    "resident_after_lock",
+                    c.overlapped.keystream_resident_after_lock,
+                )
         })
         .collect();
-    let json = format!(
-        "{{\n  \"experiment\": \"read_overlap\",\n  \"min_speedup\": {MIN_SPEEDUP:.1},\n  \
-         \"cells\": [\n{}\n  ],\n  \"cold_boot\": {{\"killed_mid_dma\": {}, \
-         \"keystream_hits\": {}, \"plaintext_hits\": {}}}\n}}\n",
-        cell_json.join(",\n"),
-        cold.killed,
-        cold.keystream_hits,
-        cold.plaintext_hits,
+    let cold_json = Json::obj()
+        .field("killed_mid_dma", cold.killed)
+        .field("keystream_hits", cold.keystream_hits)
+        .field("plaintext_hits", cold.plaintext_hits);
+    write_bench(
+        "BENCH_read_overlap.json",
+        &Json::obj()
+            .field("experiment", "read_overlap")
+            .field("min_speedup", MIN_SPEEDUP)
+            .field("cells", cell_json)
+            .field("cold_boot", cold_json),
     );
-    std::fs::write("BENCH_read_overlap.json", &json).expect("write BENCH_read_overlap.json");
-    println!("\nwrote BENCH_read_overlap.json");
 
     if enforce {
         let mut failed = false;

@@ -25,6 +25,7 @@
 //! * a DRAM scan right after every lock finds no plaintext page image.
 
 use sentry_attacks::coldboot;
+use sentry_bench::json::{write_bench, Json};
 use sentry_bench::print_table;
 use sentry_core::config::ReadaheadConfig;
 use sentry_core::{PageCipherMode, Sentry, SentryConfig};
@@ -168,35 +169,29 @@ fn run(rewrite_pct: u64) -> Row {
     }
 }
 
-fn emit_json(rows: &[Row]) -> String {
-    let mut out = String::from("{\n  \"experiment\": \"relock\",\n");
-    out.push_str(&format!(
-        "  \"scale\": {SCALE},\n  \"slack_pct\": {SLACK_PCT},\n  \"full_rewrite_pct\": {FULL_REWRITE_PCT},\n  \"rows\": [\n"
-    ));
-    let lines: Vec<String> = rows
+fn to_json(rows: &[Row]) -> Json {
+    let rows: Json = rows
         .iter()
         .map(|r| {
-            format!(
-                "    {{\"rewrite_pct\": {}, \"resident_pages\": {}, \"dma_pages\": {}, \
-                 \"rewritten_pages\": {}, \"first_lock_ns\": {}, \"relock_ns\": {}, \
-                 \"encrypted_pages\": {}, \"reused_pages\": {}, \"kept_kib\": {}, \
-                 \"plaintext_hits\": {}}}",
-                r.rewrite_pct,
-                r.resident,
-                r.dma,
-                r.rewritten,
-                r.first_ns,
-                r.relock_ns,
-                r.encrypted,
-                r.reused,
-                r.kept_kib,
-                r.plaintext_hits
-            )
+            Json::obj()
+                .field("rewrite_pct", r.rewrite_pct)
+                .field("resident_pages", r.resident)
+                .field("dma_pages", r.dma)
+                .field("rewritten_pages", r.rewritten)
+                .field("first_lock_ns", r.first_ns)
+                .field("relock_ns", r.relock_ns)
+                .field("encrypted_pages", r.encrypted)
+                .field("reused_pages", r.reused)
+                .field("kept_kib", r.kept_kib)
+                .field("plaintext_hits", r.plaintext_hits)
         })
         .collect();
-    out.push_str(&lines.join(",\n"));
-    out.push_str("\n  ]\n}\n");
-    out
+    Json::obj()
+        .field("experiment", "relock")
+        .field("scale", SCALE)
+        .field("slack_pct", SLACK_PCT)
+        .field("full_rewrite_pct", FULL_REWRITE_PCT)
+        .field("rows", rows)
 }
 
 /// Every gate a row misses, as messages.
@@ -263,8 +258,7 @@ fn main() {
         &table,
     );
 
-    std::fs::write("BENCH_relock.json", emit_json(&rows)).expect("write BENCH_relock.json");
-    println!("\nwrote BENCH_relock.json");
+    write_bench("BENCH_relock.json", &to_json(&rows));
 
     if enforce {
         let failed: Vec<String> = rows.iter().flat_map(failures).collect();

@@ -21,6 +21,7 @@
 //! first-touch cost at cluster 8 beats cluster 1 by ≥2× — the headline
 //! wins of the unlock-latency engine.
 
+use sentry_bench::json::{rounded, write_bench, Json};
 use sentry_bench::print_table;
 use sentry_core::config::{ParallelConfig, ReadaheadConfig};
 use sentry_core::{Sentry, SentryConfig};
@@ -129,38 +130,38 @@ fn touch_sweep(cluster: usize) -> TouchPoint {
     }
 }
 
-fn emit_json(drains: &[DrainPoint], touches: &[TouchPoint], drain_speedup: f64) -> String {
-    // Hand-rolled JSON: fixed schema, numbers only — no serde needed.
-    let drain_entries: Vec<String> = drains
+fn to_json(drains: &[DrainPoint], touches: &[TouchPoint], drain_speedup: f64) -> Json {
+    let drains: Json = drains
         .iter()
         .map(|d| {
-            format!(
-                "    {{\"strategy\": \"{}\", \"total_ns\": {}, \"faults\": {}, \
-                 \"sweep_runs\": {}}}",
-                d.label, d.total_ns, d.faults, d.sweep_runs
-            )
+            Json::obj()
+                .field("strategy", d.label)
+                .field("total_ns", d.total_ns)
+                .field("faults", d.faults)
+                .field("sweep_runs", d.sweep_runs)
         })
         .collect();
-    let touch_entries: Vec<String> = touches
+    let touches: Json = touches
         .iter()
         .map(|t| {
-            format!(
-                "    {{\"cluster_pages\": {}, \"faults\": {}, \"mean_touch_ns\": {:.0}, \
-                 \"p99_touch_ns\": {}, \"max_touch_ns\": {}, \"mean_speedup\": {:.2}}}",
-                t.cluster, t.faults, t.mean_ns, t.p99_ns, t.max_ns, t.speedup
-            )
+            Json::obj()
+                .field("cluster_pages", t.cluster)
+                .field("faults", t.faults)
+                .field("mean_touch_ns", rounded(t.mean_ns, 0))
+                .field("p99_touch_ns", t.p99_ns)
+                .field("max_touch_ns", t.max_ns)
+                .field("mean_speedup", rounded(t.speedup, 2))
         })
         .collect();
-    format!(
-        "{{\n  \"experiment\": \"unlock_latency\",\n  \"set_pages\": {SET_PAGES},\n  \
-         \"page_bytes\": {PAGE},\n  \"workers\": {WORKERS},\n  \
-         \"sweep_budget_pages\": {SWEEP_BUDGET},\n  \
-         \"time_to_decrypted\": [\n{}\n  ],\n  \"drain_speedup\": {:.2},\n  \
-         \"first_touch\": [\n{}\n  ]\n}}\n",
-        drain_entries.join(",\n"),
-        drain_speedup,
-        touch_entries.join(",\n")
-    )
+    Json::obj()
+        .field("experiment", "unlock_latency")
+        .field("set_pages", SET_PAGES)
+        .field("page_bytes", PAGE)
+        .field("workers", WORKERS)
+        .field("sweep_budget_pages", SWEEP_BUDGET)
+        .field("time_to_decrypted", drains)
+        .field("drain_speedup", rounded(drain_speedup, 2))
+        .field("first_touch", touches)
 }
 
 fn main() {
@@ -219,9 +220,10 @@ fn main() {
         &rows,
     );
 
-    let json = emit_json(&drains, &touches, drain_speedup);
-    std::fs::write("BENCH_unlock_latency.json", &json).expect("write BENCH_unlock_latency.json");
-    println!("\nwrote BENCH_unlock_latency.json");
+    write_bench(
+        "BENCH_unlock_latency.json",
+        &to_json(&drains, &touches, drain_speedup),
+    );
 
     if enforce {
         let cluster8 = touches

@@ -5,10 +5,12 @@
 //! prints the same rows/series the paper reports (see DESIGN.md's
 //! experiment index and EXPERIMENTS.md for paper-vs-measured values).
 //! This library holds the shared plumbing: table formatting and the
-//! experiment registry.
+//! [`json`] writer of every committed `BENCH_*.json` file.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod json;
 
 /// Print a formatted experiment table.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {

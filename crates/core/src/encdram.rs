@@ -101,7 +101,9 @@ impl Pager {
     /// while the slot limit allows. When every slot is taken, the oldest
     /// resident page must be evicted first (Figure 1 in reverse): its
     /// slot is returned with the plan that encrypts it back into its home
-    /// DRAM frame at `epoch`.
+    /// DRAM frame in lock epoch `epoch`, the current one: a page rewritten
+    /// between two evictions gets a new version each time (see
+    /// [`crate::transition::page_iv`]).
     ///
     /// The victim stays at the FIFO head until [`Pager::evicted`], so a
     /// kill inside the eviction leaves recovery (and the retried fault)
@@ -137,13 +139,15 @@ impl Pager {
         let victim = *self.resident.front().ok_or(SentryError::OnSocExhausted)?;
         let slot = self.slots[victim];
         let (pid, vpn) = slot.occupant.expect("evicting an empty slot");
-        let home = kernel
+        let pte = kernel
             .proc(pid)?
             .page_table
             .get(vpn)
-            .and_then(|pte| pte.home_frame)
             .ok_or(SentryError::Unresolvable { pid, vpn })?;
-        let entry = plan((pid, vpn), slot.addr, home, IvSource::Encrypt(epoch));
+        let home = pte
+            .home_frame
+            .ok_or(SentryError::Unresolvable { pid, vpn })?;
+        let entry = plan((pid, vpn), slot.addr, home, IvSource::Encrypt(pte, epoch));
         Ok((victim, Some(entry)))
     }
 
@@ -202,8 +206,8 @@ impl Pager {
     /// page's home frame still holds its ciphertext, so its slot is
     /// wiped and its mappings re-armed onto that frame here. A page
     /// written through any of its mappings is planned for re-encryption
-    /// into its home frame at `epoch` — the lock epoch of the transition
-    /// driving the sweep. Returns those plans, which the lock encrypts in
+    /// into its home frame in lock epoch `epoch` — the target epoch of
+    /// the lock driving the sweep. Returns those plans, which the lock encrypts in
     /// its own batch, and the number of clean pages re-armed.
     ///
     /// The FIFO is *not* drained here: a kill mid-sweep must leave the
@@ -242,7 +246,12 @@ impl Pager {
                         .is_some_and(Pte::written)
                 });
             if written {
-                pages.push(plan((pid, vpn), slot.addr, home, IvSource::Encrypt(epoch)));
+                pages.push(plan(
+                    (pid, vpn),
+                    slot.addr,
+                    home,
+                    IvSource::Encrypt(&pte, epoch),
+                ));
             } else {
                 // Wipe, then re-arm: a kill at the wipe leaves the page
                 // resident for the retried lock.

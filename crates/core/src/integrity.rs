@@ -14,9 +14,9 @@
 //!   MAC, a CMAC (SP 800-38B, AES as the primitive — no new cipher
 //!   state on-SoC) over a 16-byte context tweak plus the full
 //!   ciphertext page (see [`CommitTagger`]). The tweak is the page IV,
-//!   which binds `(pid, vpn, lock-epoch)`, so a stale epoch's
+//!   which binds `(pid, vpn, version)`, so a stale version's
 //!   ciphertext — even with its matching stale tag — fails
-//!   verification after a re-lock. Under XTS/CTR the page MAC is also
+//!   verification after a re-encrypt. Under XTS/CTR the page MAC is also
 //!   the journal's commit tag, so a transition MACs each page once: the
 //!   encrypt's stamp supplies the tag this plane stores, and the MAC
 //!   this plane computes before a decrypt is the entry's commit tag;
@@ -112,8 +112,8 @@ pub struct QuarantinedPage {
     pub vpn: u64,
     /// The poisoned DRAM frame.
     pub frame: u64,
-    /// Lock epoch of the ciphertext that failed.
-    pub epoch: u64,
+    /// Page version of the ciphertext that failed.
+    pub version: u64,
     /// The tag the on-SoC store holds.
     pub tag_expected: [u8; TAG_BYTES],
     /// The tag recomputed over the frame's current contents.
@@ -1169,7 +1169,7 @@ mod tests {
             pid: 1,
             vpn: 0,
             frame,
-            epoch: 1,
+            version: 1,
             tag_expected: expected,
             tag_got: got,
         });
@@ -1188,10 +1188,11 @@ mod tests {
         let frame = dram_frame(&soc, 2);
         let mut page = vec![0xEEu8; PAGE_SIZE as usize];
         soc.mem_write(frame, &page).unwrap();
-        let (old_iv, _) = page_iv((1, 0), IvSource::Encrypt(1));
-        let (new_iv, _) = page_iv((1, 0), IvSource::Encrypt(2));
+        let pte = sentry_kernel::pagetable::Pte::resident(frame);
+        let (old_iv, _) = page_iv((1, 0), IvSource::Encrypt(&pte, 1));
+        let (new_iv, _) = page_iv((1, 0), IvSource::Encrypt(&pte, 2));
         store_tags(&mut plane, &mut soc, &mut store, &[(frame, new_iv)], &page);
-        // Same bytes, stale epoch in the tweak: the tag cannot match.
+        // Same bytes, stale version in the tweak: the tag cannot match.
         assert!(matches!(
             verify(
                 &mut plane,

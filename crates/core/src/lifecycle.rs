@@ -18,7 +18,7 @@ use crate::keys::VolatileRootKey;
 use crate::onsoc::OnSocStore;
 use crate::pressure::{PressureLevel, PressureStats};
 use crate::transition::{
-    plan, set_page_state, BatchReport, IvSource, PageState, Route, Transition,
+    audit_ciphertext, plan, set_page_state, BatchReport, IvSource, PageState, Route, Transition,
 };
 use crate::txn::{JournalEntry, TxnJournal, TxnOp};
 use sentry_crypto::{Aes, Direction, FallbackCounts, HealthGovernor, HealthStats, RetryStats};
@@ -243,6 +243,8 @@ impl Sentry {
         let key_page = store.alloc_page(&mut kernel.soc)?;
         let volatile_key =
             VolatileRootKey::generate(&mut kernel.soc, key_page, 0xB007_0000 ^ key_page)?;
+        #[cfg(debug_assertions)]
+        crate::transition::nonce_audit::new_machine();
         let key = volatile_key.read(&mut kernel.soc)?;
         let mut engine = build_engine(&mut store, &mut kernel.soc, &key)?;
         engine
@@ -535,8 +537,7 @@ impl Sentry {
                 pages.push(e);
             }
         }
-        let epoch = self.lock_epoch;
-        self.transition(op).run(TxnOp::Decrypt, epoch, pages)
+        self.transition(op).run(TxnOp::Decrypt, pages)
     }
 
     /// Residual-encrypted-pages gauge: encrypted DRAM mappings across
@@ -676,7 +677,7 @@ impl Sentry {
     /// its ciphertext since its decrypt (see `Pte::home_frame`) is
     /// re-armed onto it, journal-free, and its plaintext frame is freed
     /// ahead of the drain; a dirty page retires its kept frame's tag,
-    /// frees that frame, and is encrypted in place under the new epoch.
+    /// frees that frame, and is encrypted in place under a new version.
     ///
     /// # Errors
     ///
@@ -701,9 +702,9 @@ impl Sentry {
         // This cycle's epoch, computed locally and committed only in the
         // atomic tail: a transition killed mid-flight leaves lock_epoch
         // untouched, so a retry recomputes the *same* target epoch —
-        // hence the same IVs and byte-identical ciphertext — and
-        // converges with the uninterrupted run. The pager's eviction
-        // sweep belongs to this cycle's IV namespace too.
+        // hence the same versions, IVs and byte-identical ciphertext —
+        // and converges with the uninterrupted run. The pager's eviction
+        // sweep takes its versions from this epoch's floor too.
         let epoch = self.lock_epoch + 1;
         // Spill anchors written during this transition bind to the new
         // epoch; a replayed old-epoch blob then fails its anchor CMAC.
@@ -752,7 +753,12 @@ impl Sentry {
                     None => {}
                 }
                 if private {
-                    pages.push(plan((pid, vpn), frame, frame, IvSource::Encrypt(epoch)));
+                    pages.push(plan(
+                        (pid, vpn),
+                        frame,
+                        frame,
+                        IvSource::Encrypt(pte, epoch),
+                    ));
                 }
             }
             skipped += proc
@@ -804,7 +810,19 @@ impl Sentry {
                     // happens after the journaled publishes).
                     shared_rearms.push((frame, sharers[0]));
                 } else {
-                    pages.push(plan(sharers[0], frame, frame, IvSource::Encrypt(epoch)));
+                    let (pid, vpn) = sharers[0];
+                    let pte = *self
+                        .kernel
+                        .proc(pid)?
+                        .page_table
+                        .get(vpn)
+                        .ok_or(SentryError::Unresolvable { pid, vpn })?;
+                    pages.push(plan(
+                        sharers[0],
+                        frame,
+                        frame,
+                        IvSource::Encrypt(&pte, epoch),
+                    ));
                 }
             } else {
                 skipped += 1;
@@ -847,9 +865,7 @@ impl Sentry {
         // Phase 2: one dispatch for the whole transition — into scratch
         // buffers. DRAM is untouched until each page's journaled
         // publish. Phase 3: publish + flip as a two-phase commit.
-        let report = self
-            .transition("on_lock")
-            .run(TxnOp::Encrypt, epoch, pages)?;
+        let report = self.transition("on_lock").run(TxnOp::Encrypt, pages)?;
         self.pager.evicted_all(sweep);
 
         // Re-arm-only shared frames (still ciphertext from an earlier
@@ -1252,7 +1268,7 @@ impl Sentry {
     /// Propagates memory and cipher errors.
     pub fn recover(&mut self) -> Result<RecoveryReport, SentryError> {
         let mut report = RecoveryReport::default();
-        if let Some((op, _target_epoch, entries)) = self.txn.load(&mut self.kernel.soc)? {
+        if let Some((op, entries)) = self.txn.load(&mut self.kernel.soc)? {
             report.journaled = entries.len();
             for (i, entry) in entries.iter().enumerate() {
                 if entry.done {
@@ -1348,11 +1364,14 @@ impl Sentry {
             t.crypt(Route::Engine, Direction::Encrypt, &pages, &mut page)?;
             t.store_tags(&pages, &page)?;
             t.kernel.soc.mem_write(entry.frame, &page)?;
+            audit_ciphertext(entry, &page);
             // Fresh ciphertext + fresh tag from the intact source: a
             // frame quarantined mid-eviction is healed by this replay.
             t.integrity.release(entry.frame);
         }
-        let state = PageState::Encrypted { epoch: entry.epoch };
+        let state = PageState::Encrypted {
+            version: entry.version,
+        };
         set_page_state(t.kernel, entry.frame, (entry.pid, entry.vpn), state);
         Ok(())
     }
@@ -1996,9 +2015,9 @@ mod tests {
     #[test]
     fn same_plaintext_encrypts_differently_across_lock_cycles() {
         // IV-reuse regression: the volatile key survives a
-        // lock→unlock→lock sequence, so the IV must not. With the lock
-        // epoch mixed in, identical plaintext in the same page yields
-        // different ciphertext on each cycle.
+        // lock→unlock→lock sequence, so the IV must not. With a new
+        // version per encrypt, identical plaintext in the same page
+        // yields different ciphertext on each cycle.
         let mut s = tegra_sentry();
         let pid = s.kernel.spawn("notes");
         s.mark_sensitive(pid).unwrap();
@@ -2013,7 +2032,7 @@ mod tests {
         let second = frame_bytes(&mut s, pid, 0);
         assert_ne!(first, second, "ciphertext repeated across lock cycles");
 
-        // And the page still decrypts correctly under the new epoch.
+        // And the page still decrypts correctly under the new version.
         s.on_unlock().unwrap();
         let mut back = vec![0u8; 4096];
         s.read(pid, 0, &mut back).unwrap();
@@ -2023,7 +2042,7 @@ mod tests {
     #[test]
     fn pages_left_encrypted_across_cycles_still_decrypt() {
         // A page nobody touches between unlock and the next lock keeps
-        // its old-epoch ciphertext; its PTE must remember that epoch.
+        // its old ciphertext; its PTE must remember that version.
         let mut s = tegra_sentry();
         let pid = s.kernel.spawn("vault");
         s.mark_sensitive(pid).unwrap();
@@ -2360,17 +2379,21 @@ mod tests {
     }
 
     /// Three lock/unlock cycles under each page cipher mode, with the
-    /// nonce audit watching every lifecycle encrypt: no IV may ever
-    /// encrypt two different plaintexts. The world has clean, dirty,
-    /// DMA-region and sensitive-shared pages, and the third lock — the
-    /// first with kept frames to re-arm — is killed mid-publish and
-    /// retried after recovery. DRAM holds no plaintext right after any
-    /// lock.
+    /// nonce audit watching every page ciphertext that reaches DRAM: no
+    /// IV may ever encrypt two different plaintexts. The world has
+    /// clean, dirty, DMA-region, sensitive-shared and remapped pages,
+    /// and the third lock — the first with kept frames to re-arm — is
+    /// killed mid-publish and retried after recovery. DRAM holds no
+    /// plaintext right after any lock.
     ///
-    /// The pager stays idle here on purpose: a page rewritten in an
-    /// on-SoC slot and evicted FIFO inside one locked period is encrypted
-    /// again under that period's epoch — the open nonce defect of the
-    /// eviction path, which the epoch/version work addresses separately.
+    /// While each lock holds, a background write pages vpn 2 into the
+    /// one on-SoC slot, a read of vpn 4 evicts it, a second write
+    /// rewrites it and a second read evicts it again: the two
+    /// ciphertexts of vpn 2's home frame must share no more bytes of
+    /// `C1 ⊕ C2` with `P1 ⊕ P2` than chance, which a reused CTR
+    /// keystream would match on every byte. Between locks, vpn 6 is
+    /// freed and mapped afresh, so its next encrypt starts from a new
+    /// PTE.
     #[test]
     fn lifecycle_encrypts_never_reuse_an_iv() {
         use crate::transition::nonce_audit;
@@ -2381,22 +2404,35 @@ mod tests {
             page[..16].copy_from_slice(NEEDLE);
             page
         };
+        // vpn 2's home frame, read straight from the DRAM array.
+        let home_image = |s: &mut Sentry, app: Pid| {
+            let Backing::Dram(frame) = pte_of(s, app, 2).backing else {
+                panic!("vpn 2 was not evicted");
+            };
+            s.kernel.soc.cache_maintenance_flush();
+            let mut image = vec![0u8; 4096];
+            s.kernel.soc.dram.read(frame, &mut image);
+            image
+        };
         for mode in [
             PageCipherMode::Cbc,
             PageCipherMode::Xts,
             PageCipherMode::Ctr,
         ] {
-            let config = SentryConfig::tegra3_locked_l2(2).with_cipher_mode(mode);
+            let config = SentryConfig::tegra3_locked_l2(2)
+                .with_cipher_mode(mode)
+                .with_slot_limit(1);
             let mut s = Sentry::new(Kernel::new(Soc::tegra3_small()), config).unwrap();
             let app = s.kernel.spawn("app");
             let peer = s.kernel.spawn("peer");
             s.mark_sensitive(app).unwrap();
             s.mark_sensitive(peer).unwrap();
             // vpn 0: DMA region; vpn 1: shared with the sensitive peer;
-            // vpn 2: rewritten every cycle; vpn 3: rewritten with its
-            // own bytes every cycle; vpns 4..6: only ever read.
-            let mut versions = [0u8; 6];
-            for vpn in 0..6 {
+            // vpn 2: rewritten while locked and while unlocked; vpn 3:
+            // rewritten with its own bytes every cycle; vpns 4 and 5:
+            // only ever read; vpn 6: remapped every cycle.
+            let mut versions = [0u8; 7];
+            for vpn in 0..7 {
                 s.write(app, vpn * PAGE_SIZE, &image(vpn, 0)).unwrap();
             }
             s.kernel.map_shared(app, 1, peer, 0).unwrap();
@@ -2408,47 +2444,69 @@ mod tests {
                 .unwrap()
                 .dma_region = true;
 
-            nonce_audit::arm();
-            for cycle in 0..3u8 {
-                // The third lock is the first with kept frames: kill it
-                // after its re-arms, mid-publish.
-                if cycle == 2 {
-                    s.kernel.soc.failpoints.arm(FaultPlan::at_site(
-                        "txn.publish",
-                        1,
-                        FaultAction::PowerCut { decay: None },
-                    ));
-                    assert!(s.on_lock().unwrap_err().is_power_loss());
-                    s.kernel.soc.failpoints.disarm();
-                    s.recover().unwrap();
-                }
-                s.on_lock().unwrap();
-                if cycle == 2 {
-                    for vpn in [4, 5] {
-                        let epoch = pte_of(&s, app, vpn).crypt_epoch;
-                        assert!(epoch < s.lock_epoch, "{mode}: vpn {vpn} was re-armed");
+            nonce_audit::audited(mode.name(), || {
+                for cycle in 0..3u8 {
+                    // The third lock is the first with kept frames: kill it
+                    // after its re-arms, mid-publish.
+                    if cycle == 2 {
+                        s.kernel.soc.failpoints.arm(FaultPlan::at_site(
+                            "txn.publish",
+                            1,
+                            FaultAction::PowerCut { decay: None },
+                        ));
+                        assert!(s.on_lock().unwrap_err().is_power_loss());
+                        s.kernel.soc.failpoints.disarm();
+                        s.recover().unwrap();
                     }
-                }
-                s.kernel.soc.cache_maintenance_flush();
-                for (_addr, frame) in s.kernel.soc.dram.iter_frames() {
+                    s.on_lock().unwrap();
+                    if cycle == 2 {
+                        for vpn in [4, 5] {
+                            let version = pte_of(&s, app, vpn).crypt_version;
+                            assert!(
+                                version < s.lock_epoch << 32,
+                                "{mode}: vpn {vpn} was re-armed"
+                            );
+                        }
+                    }
+                    s.kernel.soc.cache_maintenance_flush();
+                    for (_addr, frame) in s.kernel.soc.dram.iter_frames() {
+                        assert!(
+                            !frame.windows(16).any(|w| w == NEEDLE),
+                            "{mode}: plaintext in DRAM after lock {cycle}"
+                        );
+                    }
+                    let mut sink = vec![0u8; 4096];
+                    let p1 = image(2, versions[2] + 1);
+                    let p2 = image(2, versions[2] + 2);
+                    versions[2] += 2;
+                    s.write(app, 2 * PAGE_SIZE, &p1).unwrap();
+                    s.read(app, 4 * PAGE_SIZE, &mut sink).unwrap();
+                    let c1 = home_image(&mut s, app);
+                    s.write(app, 2 * PAGE_SIZE, &p2).unwrap();
+                    s.read(app, 4 * PAGE_SIZE, &mut sink).unwrap();
+                    let c2 = home_image(&mut s, app);
+                    let matching = (0..4096)
+                        .filter(|&i| c1[i] ^ c2[i] == p1[i] ^ p2[i])
+                        .count();
                     assert!(
-                        !frame.windows(16).any(|w| w == NEEDLE),
-                        "{mode}: plaintext in DRAM after lock {cycle}"
+                        matching < 64,
+                        "{mode}: two evictions of vpn 2 match P1 ⊕ P2 on {matching} of 4096 bytes"
                     );
+                    s.on_unlock().unwrap();
+                    for vpn in 0..7 {
+                        let mut back = vec![0u8; 4096];
+                        s.read(app, vpn * PAGE_SIZE, &mut back).unwrap();
+                        assert_eq!(back, image(vpn, versions[vpn as usize]), "{mode} vpn {vpn}");
+                    }
+                    versions[2] += 1;
+                    s.write(app, 2 * PAGE_SIZE, &image(2, versions[2])).unwrap();
+                    s.write(app, 3 * PAGE_SIZE, &image(3, versions[3])).unwrap();
+                    versions[6] += 1;
+                    s.kernel.free_page(app, 6).unwrap();
+                    s.kernel.map_anon(app, 6, 1).unwrap();
+                    s.write(app, 6 * PAGE_SIZE, &image(6, versions[6])).unwrap();
                 }
-                s.on_unlock().unwrap();
-                for vpn in 0..6 {
-                    let mut back = vec![0u8; 4096];
-                    s.read(app, vpn * PAGE_SIZE, &mut back).unwrap();
-                    assert_eq!(back, image(vpn, versions[vpn as usize]), "{mode} vpn {vpn}");
-                }
-                versions[2] += 1;
-                s.write(app, 2 * PAGE_SIZE, &image(2, versions[2])).unwrap();
-                s.write(app, 3 * PAGE_SIZE, &image(3, versions[3])).unwrap();
-            }
-            let (encrypts, reuses) = nonce_audit::disarm();
-            assert!(encrypts > 0, "{mode}: the audit saw no encrypt");
-            assert!(reuses.is_empty(), "{mode}: IVs reused: {reuses:?}");
+            });
         }
     }
 

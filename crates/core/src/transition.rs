@@ -7,17 +7,19 @@
 //!
 //! 1. **Plan.** The entry point (or the pager) picks the pages and
 //!    plans one [`JournalEntry`] each: source and target address, IV and
-//!    epoch. Every IV comes from [`page_iv`], the one IV rule.
+//!    the page version it binds. Every IV comes from [`page_iv`], the
+//!    one IV rule.
 //! 2. **Crypt.** `Transition::crypt` transforms the gathered pages in
 //!    host scratch. It is the only code that reaches a cipher: one
 //!    engine call, the modelled lanes, or — for a decrypt batch with the
 //!    pipeline enabled — the accelerator through
-//!    [`sentry_kernel::offload`], dm-crypt's offload path too. It runs
-//!    the nonce audit on every encrypt and retries an injected crypt
-//!    fault up to `MAX_CRYPT_RETRIES` attempts. Each journaled page is
-//!    MACed once: an encrypt's output is stamped after the crypt step,
-//!    and a decrypt's input is stamped by `Transition::verify`, whose
-//!    integrity check computes the same MAC.
+//!    [`sentry_kernel::offload`], dm-crypt's offload path too. It
+//!    retries an injected crypt fault up to `MAX_CRYPT_RETRIES`
+//!    attempts. Each journaled page is MACed once: an encrypt's output
+//!    is stamped after the crypt step, and a decrypt's input is stamped
+//!    by `Transition::verify`, whose integrity check computes the same
+//!    MAC. Every page ciphertext that reaches DRAM passes the nonce
+//!    audit of debug builds (see [`nonce_audit`]).
 //! 3. **Commit.** `Transition::commit` owns chunking at [`MAX_ENTRIES`],
 //!    the journal's open / mark-done / close, the integrity tags, the
 //!    direction-dependent publish order, and the PTE flip for every
@@ -44,45 +46,70 @@ use sentry_soc::accel::WaitOutcome;
 use sentry_soc::addr::PAGE_SIZE;
 use sentry_soc::Soc;
 
-/// Whose identity and which epoch a planned page's IV binds.
+/// Whose identity and which version a planned page's IV binds.
 #[derive(Debug, Clone, Copy)]
 pub enum IvSource<'a> {
-    /// A fresh encrypt at this target epoch, under the planned mapping's
-    /// own identity.
-    Encrypt(u64),
+    /// A fresh encrypt of the page `Pte` describes, in lock epoch `u64`
+    /// (a lock's target epoch, or the current one for a locked
+    /// eviction), under the planned mapping's own identity.
+    Encrypt(&'a Pte, u64),
     /// The ciphertext a mapping's PTE describes: the IV owner and the
-    /// epoch the PTE recorded when that ciphertext was produced.
+    /// version the PTE recorded when that ciphertext was produced.
     Stored(&'a Pte),
 }
 
-/// The one IV rule: the IV of `mapping`'s page and the epoch it binds.
+/// The one IV rule: the IV of `mapping`'s page and the version it binds.
 ///
-/// The IV binds a `(pid, vpn)` identity, so every page encrypts
-/// differently under the volatile root key, and the lock epoch, so the
-/// same page never reuses an IV across successive lock cycles. (The
-/// volatile key survives lock→unlock→lock — it dies only on power-off —
-/// so without the epoch a CBC IV would repeat, and an attacker comparing
-/// two lock cycles could detect unchanged pages and recover XORs of
-/// first blocks that changed.)
+/// The IV is `pid | vpn | version | block index`, big-endian, in 4, 4,
+/// 6 and 2 bytes. The `(pid, vpn)` identity makes every page encrypt
+/// differently under the volatile root key. The version makes one page
+/// never encrypt two plaintexts under one IV: the volatile key survives
+/// lock→unlock→lock and dies only on power-off, and a locked device
+/// evicts a page again each time a background app rewrites it, so
+/// without it a CTR page would reuse keystream (C1⊕C2 = P1⊕P2) and a
+/// CBC or XTS page would show which blocks did not change.
+///
+/// A fresh encrypt takes version `max(recorded + 1, epoch << 32)`:
+/// above every version the PTE recorded, and at least the lock epoch's
+/// floor. The floor keeps versions rising when `free_page` and
+/// `map_anon` give the same `(pid, vpn)` a fresh PTE between locks, and
+/// it keeps a retried lock at the versions the killed one planned. A
+/// re-armed page encrypts nothing and keeps its version. The block
+/// index starts at 0 in the low two bytes, alone, because CTR
+/// increments the whole block big-endian: a page's 256 blocks never
+/// carry into the version.
 ///
 /// An encrypt binds the planned mapping — for a shared frame, its first
-/// sharer — and the target epoch; the publish records both in every
-/// mapping of the frame (`Pte::iv_owner`, `Pte::crypt_epoch`). Every
-/// later use of that ciphertext — decrypt, page-in, re-arm, boot audit —
-/// reads them back, so a shared frame still decrypts after its IV owner
-/// exits.
+/// sharer — and the version; the publish records both in every mapping
+/// of the frame (`Pte::iv_owner`, `Pte::crypt_version`). Every later
+/// use of that ciphertext — decrypt, page-in, re-arm, boot audit — reads
+/// them back, so a shared frame still decrypts after its IV owner exits.
+///
+/// # Panics
+///
+/// A vpn past 32 bits or a version past 48 bits (65,536 lock epochs),
+/// which the IV cannot hold.
 #[must_use]
 pub fn page_iv(mapping: (Pid, u64), source: IvSource<'_>) -> ([u8; 16], u64) {
-    let ((pid, vpn), epoch) = match source {
-        IvSource::Encrypt(epoch) => (mapping, epoch),
-        IvSource::Stored(pte) => (pte.iv_owner.unwrap_or(mapping), pte.crypt_epoch),
+    let ((pid, vpn), version) = match source {
+        IvSource::Encrypt(pte, epoch) => {
+            let floor = epoch
+                .checked_mul(1 << 32)
+                .expect("the lock epoch fits in the IV");
+            (mapping, (pte.crypt_version + 1).max(floor))
+        }
+        IvSource::Stored(pte) => (pte.iv_owner.unwrap_or(mapping), pte.crypt_version),
     };
+    let vpn = u32::try_from(vpn).expect("a vpn fits in the IV's 32 bits");
+    assert!(
+        version < 1 << 48,
+        "page version {version:#x} overflows the IV"
+    );
     let mut iv = [0u8; 16];
-    iv[..4].copy_from_slice(&pid.to_le_bytes());
-    iv[4..12].copy_from_slice(&vpn.to_le_bytes());
-    let tag = u32::from_le_bytes(*b"SNTR") ^ (epoch as u32) ^ ((epoch >> 32) as u32);
-    iv[12..].copy_from_slice(&tag.to_le_bytes());
-    (iv, epoch)
+    iv[..4].copy_from_slice(&pid.to_be_bytes());
+    iv[4..8].copy_from_slice(&vpn.to_be_bytes());
+    iv[8..14].copy_from_slice(&version.to_be_bytes()[2..]);
+    (iv, version)
 }
 
 /// Plan `mapping`'s page moving from `src` to `frame` under the IV
@@ -93,8 +120,8 @@ pub(crate) fn plan(
     frame: u64,
     source: IvSource<'_>,
 ) -> JournalEntry {
-    let (iv, epoch) = page_iv(mapping, source);
-    JournalEntry::new(mapping.0, mapping.1, src, frame, iv, epoch)
+    let (iv, version) = page_iv(mapping, source);
+    JournalEntry::new(mapping.0, mapping.1, src, frame, iv, version)
 }
 
 /// How the crypt step hands a run of pages to a cipher.
@@ -113,10 +140,10 @@ pub(crate) enum Route {
 /// The state a transition leaves every mapping of a frame in.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum PageState {
-    /// Fresh ciphertext in DRAM, encrypted at `epoch` under the IV of
+    /// Fresh ciphertext in DRAM, encrypted at `version` under the IV of
     /// the mapping `set_page_state` is given: every mapping of the frame
     /// records both, and every access traps.
-    Encrypted { epoch: u64 },
+    Encrypted { version: u64 },
     /// Back onto the ciphertext the frame still holds, under the IV
     /// identity its mappings recorded at that encrypt: every access
     /// traps.
@@ -159,7 +186,6 @@ impl Transition<'_> {
     pub(crate) fn run(
         &mut self,
         op: TxnOp,
-        target_epoch: u64,
         mut pages: Vec<JournalEntry>,
     ) -> Result<BatchReport, SentryError> {
         let mut buf = self.gather(&pages)?;
@@ -174,7 +200,7 @@ impl Transition<'_> {
                 self.crypt(Route::Batch, Direction::Decrypt, &pages, &mut buf)?
             }
         };
-        self.commit(op, target_epoch, &pages, &buf)?;
+        self.commit(op, &pages, &buf)?;
         Ok(report)
     }
 
@@ -244,15 +270,15 @@ impl Transition<'_> {
             pid: e.pid,
             vpn: e.vpn,
             frame: e.frame,
-            epoch: e.epoch,
+            version: e.version,
             tag_expected: expected,
             tag_got: got,
         })
     }
 
     /// The crypt step of every transition: transform `buf` (page `i`
-    /// read from `pages[i].src`) in place. Every encrypt passes the nonce
-    /// audit first. DRAM is untouched; the caller stamps and publishes.
+    /// read from `pages[i].src`) in place. DRAM is untouched; the caller
+    /// stamps and publishes.
     ///
     /// An injected crypt fault fails the transform before anything is
     /// published, so the step gathers its sources again and retries, up
@@ -271,9 +297,6 @@ impl Transition<'_> {
             return Ok(sequential_report(0, 0));
         }
         let ivs: Vec<[u8; 16]> = pages.iter().map(|e| e.iv).collect();
-        if direction == Direction::Encrypt {
-            audit_encrypts(&ivs, buf);
-        }
         let mut attempts = 0u32;
         loop {
             attempts += 1;
@@ -466,7 +489,6 @@ impl Transition<'_> {
     pub(crate) fn commit(
         &mut self,
         op: TxnOp,
-        target_epoch: u64,
         pages: &[JournalEntry],
         buf: &[u8],
     ) -> Result<(), SentryError> {
@@ -482,7 +504,7 @@ impl Transition<'_> {
             .zip(buf.chunks(MAX_ENTRIES * page))
         {
             let chunk = &self.place(op, chunk);
-            if let Err(e) = self.txn.open(&mut self.kernel.soc, op, target_epoch, chunk) {
+            if let Err(e) = self.txn.open(&mut self.kernel.soc, op, chunk) {
                 let fresh = chunk.iter().rev().filter(|e| e.src != e.frame);
                 self.kernel.frames.give_back(fresh.map(|e| e.frame));
                 return Err(e);
@@ -496,6 +518,9 @@ impl Transition<'_> {
                 }
                 self.kernel.soc.failpoint("txn.publish")?;
                 self.kernel.soc.mem_write(e.frame, data)?;
+                if op == TxnOp::Encrypt {
+                    audit_ciphertext(e, data);
+                }
                 match op {
                     TxnOp::Decrypt if e.src == e.frame => {
                         self.integrity.retire_tag(&mut self.kernel.soc, e.frame)?;
@@ -515,7 +540,7 @@ impl Transition<'_> {
     /// byte count grows, and the entry is marked done.
     fn settle(&mut self, op: TxnOp, i: usize, e: &JournalEntry) -> Result<(), SentryError> {
         if op == TxnOp::Encrypt {
-            let state = PageState::Encrypted { epoch: e.epoch };
+            let state = PageState::Encrypted { version: e.version };
             set_page_state(self.kernel, e.frame, (e.pid, e.vpn), state);
         }
         if let Some(proc) = self.kernel.procs.get_mut(&e.pid) {
@@ -582,7 +607,7 @@ impl Transition<'_> {
         self.stamp(stores, &buf[..page]);
         let victim = stores[0];
         self.txn
-            .open(&mut self.kernel.soc, TxnOp::Encrypt, victim.epoch, stores)?;
+            .open(&mut self.kernel.soc, TxnOp::Encrypt, stores)?;
         let (tags, verdicts) = self.integrity.store_and_verify(
             &mut self.kernel.soc,
             self.store,
@@ -593,6 +618,7 @@ impl Transition<'_> {
         self.kernel.soc.failpoint("pager.evict")?;
         self.kernel.soc.clock.advance(copy_ns);
         self.kernel.soc.mem_write(victim.frame, &buf[..page])?;
+        audit_ciphertext(&victim, &buf[..page]);
         if let Some(&tag) = tags.first() {
             self.kernel.soc.failpoint("pager.readback")?;
             let verdict = self.integrity.verify_readback(
@@ -733,8 +759,8 @@ pub(crate) fn set_page_state(
                 pte.home_frame = None;
                 pte.encrypted = true;
                 pte.young = false;
-                if let PageState::Encrypted { epoch } = state {
-                    pte.crypt_epoch = epoch;
+                if let PageState::Encrypted { version } = state {
+                    pte.crypt_version = version;
                     pte.iv_owner = Some(mapping);
                 }
                 if shared {
@@ -760,20 +786,30 @@ pub(crate) fn set_page_state(
     }
 }
 
-/// Hand every page encrypt — its IVs and the plaintext about to be
-/// encrypted under them — to the unit tests' nonce audit. Compiled to
-/// nothing outside `cfg(test)`.
-#[cfg(not(test))]
-fn audit_encrypts(_ivs: &[[u8; 16]], _plaintext: &[u8]) {}
+/// Hand fresh ciphertext that has just reached `e.frame` to the nonce
+/// audit. Compiled to nothing in release builds.
+pub(crate) fn audit_ciphertext(e: &JournalEntry, ciphertext: &[u8]) {
+    #[cfg(debug_assertions)]
+    nonce_audit::record(&e.iv, ciphertext);
+    #[cfg(not(debug_assertions))]
+    let _ = (e, ciphertext);
+}
 
-#[cfg(test)]
-use nonce_audit::record as audit_encrypts;
-
-/// The unit tests' nonce audit: while armed on a thread, it remembers a
-/// digest of the plaintext each IV encrypted and flags an IV that
-/// encrypts a second, different plaintext.
-#[cfg(test)]
-pub(crate) mod nonce_audit {
+/// The nonce audit of debug builds: while armed on a thread, it
+/// remembers a digest of the ciphertext each page IV put in DRAM and
+/// flags an IV that puts a second, different one there. Under one key
+/// and IV the cipher is a bijection, so a second ciphertext is a second
+/// plaintext: a reused nonce. A crash redo re-encrypts the same
+/// plaintext and passes; a trial encrypt that never reaches DRAM is
+/// never seen.
+///
+/// Every [`crate::Sentry`] is a machine with its own volatile key (a
+/// device's TRNG would draw it), so constructing one starts a fresh IV
+/// map; the counts run on to the end of the audited run. A test hands
+/// [`nonce_audit::audited`] a run that drives its matrix cells or fleet
+/// devices one after another on its thread.
+#[cfg(debug_assertions)]
+pub mod nonce_audit {
     use sentry_soc::addr::PAGE_SIZE;
     use std::cell::RefCell;
     use std::collections::HashMap;
@@ -790,37 +826,60 @@ pub(crate) mod nonce_audit {
         static AUDIT: RefCell<Option<Audit>> = const { RefCell::new(None) };
     }
 
-    /// Start auditing this thread's encrypts.
-    pub(crate) fn arm() {
+    /// Run `what` under the audit and check that it put ciphertext in
+    /// DRAM and never reused an IV.
+    ///
+    /// # Panics
+    ///
+    /// The run encrypted nothing, or reused an IV.
+    pub fn audited<T>(what: &str, run: impl FnOnce() -> T) -> T {
         AUDIT.with(|a| *a.borrow_mut() = Some(Audit::default()));
+        let out = run();
+        let audit = AUDIT
+            .with(|a| a.borrow_mut().take())
+            .expect("armed for the run");
+        assert!(audit.encrypts > 0, "{what}: the nonce audit saw no encrypt");
+        assert!(
+            audit.reuses.is_empty(),
+            "{what}: {} IV reuses, the first {:02x?}",
+            audit.reuses.len(),
+            audit.reuses[0]
+        );
+        out
     }
 
-    /// Stop auditing; returns the encrypts seen and every IV that
-    /// encrypted two different plaintexts.
-    pub(crate) fn disarm() -> (usize, Vec<[u8; 16]>) {
+    /// A new machine, with a new key: forget the IVs seen so far.
+    pub(crate) fn new_machine() {
         AUDIT.with(|a| {
-            a.borrow_mut()
-                .take()
-                .map_or((0, Vec::new()), |a| (a.encrypts, a.reuses))
-        })
+            if let Some(audit) = a.borrow_mut().as_mut() {
+                audit.seen.clear();
+            }
+        });
     }
 
-    /// Note that page `i` of `plaintext` is about to be encrypted under
-    /// `ivs[i]`.
-    pub(crate) fn record(ivs: &[[u8; 16]], plaintext: &[u8]) {
+    /// Note that `ciphertext`, one page, reached DRAM under `iv`.
+    pub(crate) fn record(iv: &[u8; 16], ciphertext: &[u8]) {
+        debug_assert_eq!(ciphertext.len(), PAGE_SIZE as usize);
         AUDIT.with(|a| {
             let mut a = a.borrow_mut();
             let Some(audit) = a.as_mut() else { return };
-            for (iv, image) in ivs.iter().zip(plaintext.chunks_exact(PAGE_SIZE as usize)) {
-                let mut h = DefaultHasher::new();
-                image.hash(&mut h);
-                let digest = h.finish();
-                audit.encrypts += 1;
-                if *audit.seen.entry(*iv).or_insert(digest) != digest {
-                    audit.reuses.push(*iv);
-                }
+            let mut h = DefaultHasher::new();
+            ciphertext.hash(&mut h);
+            let digest = h.finish();
+            audit.encrypts += 1;
+            if *audit.seen.entry(*iv).or_insert(digest) != digest {
+                audit.reuses.push(*iv);
             }
         });
+    }
+}
+
+/// Release builds leave the nonce audit out; an audited run just runs.
+#[cfg(not(debug_assertions))]
+pub mod nonce_audit {
+    /// Run `what` unaudited.
+    pub fn audited<T>(_what: &str, run: impl FnOnce() -> T) -> T {
+        run()
     }
 }
 
@@ -852,5 +911,38 @@ pub(crate) mod mac_audit {
     /// Note that `pages` page MACs are being computed.
     pub(crate) fn record(pages: usize) {
         MACS.with(|m| m.set(m.get().map(|n| n + pages)));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_iv_is_pid_vpn_version_and_a_zero_block_index() {
+        let mapping = (0x0102_0304, 0x0A0B_0C0D);
+        let mut pte = Pte::resident(0);
+        pte.crypt_version = (1 << 32) + 6;
+        let (iv, version) = page_iv(mapping, IvSource::Encrypt(&pte, 1));
+        assert_eq!(version, (1 << 32) + 7, "above the recorded version");
+        assert_eq!(iv, [1, 2, 3, 4, 0xA, 0xB, 0xC, 0xD, 0, 1, 0, 0, 0, 7, 0, 0]);
+        let (_, next_epoch) = page_iv(mapping, IvSource::Encrypt(&pte, 2));
+        assert_eq!(next_epoch, 2 << 32, "at least the epoch's floor");
+        // The ciphertext's later uses read the same IV back.
+        pte.crypt_version = version;
+        pte.iv_owner = Some(mapping);
+        assert_eq!(page_iv((7, 7), IvSource::Stored(&pte)), (iv, version));
+    }
+
+    #[test]
+    #[should_panic(expected = "a vpn fits in the IV")]
+    fn a_vpn_past_32_bits_is_refused() {
+        let _ = page_iv((1, 1 << 32), IvSource::Encrypt(&Pte::resident(0), 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows the IV")]
+    fn a_version_past_48_bits_is_refused() {
+        let _ = page_iv((1, 0), IvSource::Encrypt(&Pte::resident(0), 1 << 16));
     }
 }

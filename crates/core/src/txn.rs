@@ -13,7 +13,7 @@
 //!    by whichever step sees that image first: the stamp after an
 //!    encrypt, the integrity check before a decrypt;
 //! 2. **journal** the intent: page identity, source address, target
-//!    frame, IV, epoch, and that tag;
+//!    frame, IV, the page version the IV binds, and that tag;
 //! 3. per page: publish the frame and flip the PTE, then mark the
 //!    journal entry done;
 //! 4. close the journal, then commit the in-memory tail (epoch, device
@@ -53,7 +53,8 @@ use sentry_soc::{Soc, PAGE_SIZE};
 /// Journal magic: a valid, open journal starts with these bytes.
 pub const MAGIC: [u8; 4] = *b"SJRN";
 
-/// Header bytes at the journal page's base.
+/// Header bytes at the journal page's base: magic, op and entry count
+/// in the first eight; the last eight are reserved and written as zero.
 const HEADER_LEN: u64 = 16;
 
 /// Serialized entry size in bytes.
@@ -103,9 +104,9 @@ pub struct JournalEntry {
     pub src: u64,
     /// The DRAM frame being published to.
     pub frame: u64,
-    /// The crypt epoch the IV was derived under — what the PTE's
-    /// `crypt_epoch` must read once the entry commits.
-    pub epoch: u64,
+    /// The page version the IV was derived under — what the PTE's
+    /// `crypt_version` must read once the entry commits.
+    pub version: u64,
     /// The per-page IV (CBC IV, XTS tweak, or CTR counter base).
     pub iv: [u8; 16],
     /// The commit tag of the frame's *ciphertext* image — what
@@ -120,13 +121,13 @@ impl JournalEntry {
     /// A not-yet-done entry; its commit tag is stamped once the page's
     /// ciphertext image exists (see [`CommitTagger::stamp`]).
     #[must_use]
-    pub fn new(pid: u32, vpn: u64, src: u64, frame: u64, iv: [u8; 16], epoch: u64) -> Self {
+    pub fn new(pid: u32, vpn: u64, src: u64, frame: u64, iv: [u8; 16], version: u64) -> Self {
         JournalEntry {
             pid,
             vpn,
             src,
             frame,
-            epoch,
+            version,
             iv,
             tag: [0u8; 16],
             done: false,
@@ -140,7 +141,7 @@ impl JournalEntry {
         b[8..16].copy_from_slice(&self.vpn.to_le_bytes());
         b[16..24].copy_from_slice(&self.src.to_le_bytes());
         b[24..32].copy_from_slice(&self.frame.to_le_bytes());
-        b[32..40].copy_from_slice(&self.epoch.to_le_bytes());
+        b[32..40].copy_from_slice(&self.version.to_le_bytes());
         b[40..56].copy_from_slice(&self.iv);
         b[56..72].copy_from_slice(&self.tag);
         b
@@ -153,7 +154,7 @@ impl JournalEntry {
             vpn: u64::from_le_bytes(b[8..16].try_into().unwrap()),
             src: u64::from_le_bytes(b[16..24].try_into().unwrap()),
             frame: u64::from_le_bytes(b[24..32].try_into().unwrap()),
-            epoch: u64::from_le_bytes(b[32..40].try_into().unwrap()),
+            version: u64::from_le_bytes(b[32..40].try_into().unwrap()),
             iv: b[40..56].try_into().unwrap(),
             tag: b[56..72].try_into().unwrap(),
         }
@@ -347,7 +348,6 @@ impl TxnJournal {
         &mut self,
         soc: &mut Soc,
         op: TxnOp,
-        target_epoch: u64,
         entries: &[JournalEntry],
     ) -> Result<(), SentryError> {
         assert!(entries.len() <= MAX_ENTRIES, "journal chunk too large");
@@ -360,7 +360,6 @@ impl TxnJournal {
         header[0..4].copy_from_slice(&MAGIC);
         header[4] = op.code();
         header[6..8].copy_from_slice(&(entries.len() as u16).to_le_bytes());
-        header[8..16].copy_from_slice(&target_epoch.to_le_bytes());
         soc.mem_write(self.base, &header)
             .map_err(SentryError::Soc)?;
         self.open_op = Some(op);
@@ -399,11 +398,10 @@ impl TxnJournal {
     /// # Errors
     ///
     /// Propagates iRAM read failures.
-    #[allow(clippy::type_complexity)]
     pub fn load(
         &mut self,
         soc: &mut Soc,
-    ) -> Result<Option<(TxnOp, u64, Vec<JournalEntry>)>, SentryError> {
+    ) -> Result<Option<(TxnOp, Vec<JournalEntry>)>, SentryError> {
         let mut header = [0u8; HEADER_LEN as usize];
         soc.mem_read(self.base, &mut header)
             .map_err(SentryError::Soc)?;
@@ -417,7 +415,6 @@ impl TxnJournal {
             self.open_op = None;
             return Ok(None);
         };
-        let target_epoch = u64::from_le_bytes(header[8..16].try_into().unwrap());
         let mut entries = Vec::with_capacity(count);
         for i in 0..count {
             let mut b = [0u8; ENTRY_LEN as usize];
@@ -426,7 +423,7 @@ impl TxnJournal {
             entries.push(JournalEntry::from_bytes(&b));
         }
         self.open_op = Some(op);
-        Ok(Some((op, target_epoch, entries)))
+        Ok(Some((op, entries)))
     }
 
     fn entry_addr(&self, index: usize) -> u64 {
@@ -449,7 +446,7 @@ mod tests {
             vpn: u64::from(i) * 3,
             src: 0x8000_0000 + u64::from(i) * 4096,
             frame: 0x8000_0000 + u64::from(i) * 4096,
-            epoch: 7,
+            version: 7,
             iv: [i; 16],
             tag: [i ^ 0xFF; 16],
             done: false,
@@ -470,16 +467,15 @@ mod tests {
         assert_eq!(j.load(&mut soc).unwrap(), None, "fresh iRAM parses idle");
 
         let entries: Vec<JournalEntry> = (0..5).map(entry).collect();
-        j.open(&mut soc, TxnOp::Encrypt, 42, &entries).unwrap();
+        j.open(&mut soc, TxnOp::Encrypt, &entries).unwrap();
         assert!(j.in_flight());
         j.mark_done(&mut soc, 2).unwrap();
 
         // A second journal instance over the same page (a recovering
         // boot) reads the same transition back.
         let mut j2 = TxnJournal::new(journal_page());
-        let (op, epoch, read) = j2.load(&mut soc).unwrap().expect("open transition");
+        let (op, read) = j2.load(&mut soc).unwrap().expect("open transition");
         assert_eq!(op, TxnOp::Encrypt);
-        assert_eq!(epoch, 42);
         assert_eq!(read.len(), 5);
         assert!(read[2].done);
         assert!(!read[0].done && !read[4].done);
@@ -497,8 +493,8 @@ mod tests {
         let mut soc = Soc::tegra3_small();
         let mut j = TxnJournal::new(journal_page());
         let entries: Vec<JournalEntry> = (0..MAX_ENTRIES as u8).map(entry).collect();
-        j.open(&mut soc, TxnOp::Decrypt, 1, &entries).unwrap();
-        let (_, _, read) = j.load(&mut soc).unwrap().unwrap();
+        j.open(&mut soc, TxnOp::Decrypt, &entries).unwrap();
+        let (_, read) = j.load(&mut soc).unwrap().unwrap();
         assert_eq!(read.len(), MAX_ENTRIES);
         assert_eq!(read.last().unwrap().iv, [(MAX_ENTRIES - 1) as u8; 16]);
     }

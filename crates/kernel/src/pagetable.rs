@@ -66,18 +66,18 @@ pub struct Pte {
     pub dma_region: bool,
     /// While the page's plaintext lives elsewhere — in an on-SoC pager
     /// slot or a fresh DRAM frame — the DRAM frame that still holds its
-    /// ciphertext at `crypt_epoch`, with its integrity tag still stored.
+    /// ciphertext at `crypt_version`, with its integrity tag still stored.
     /// A clean page returns to it at lock without any cipher work; a
     /// dirty one is encrypted anew. A DRAM-resident page's kept frame
     /// is a cache: the kernel takes it back when its pool runs dry.
     pub home_frame: Option<u64>,
-    /// The lock-epoch counter mixed into the IV when the page's current
-    /// ciphertext was produced (meaningful while `encrypted`, or while
-    /// `home_frame` holds that ciphertext). Kept
-    /// per-PTE because a page may stay ciphertext across an
-    /// unlock→lock boundary and must decrypt under the IV it was
-    /// actually encrypted with.
-    pub crypt_epoch: u64,
+    /// The version the IV binds for the page's current ciphertext
+    /// (meaningful while `encrypted`, or while `home_frame` holds that
+    /// ciphertext). Every fresh encrypt of the page takes a higher one,
+    /// so one IV never encrypts two plaintexts; a page that stays
+    /// ciphertext across an unlock→lock boundary keeps it, and
+    /// decrypts under the IV it was actually encrypted with.
+    pub crypt_version: u64,
     /// The `(pid, vpn)` mapping whose identity the IV of that same
     /// ciphertext binds: the page's own for a private page, the first
     /// sharer's for a shared frame. Recorded in every mapping of the
@@ -98,7 +98,7 @@ impl Pte {
             sharing: Sharing::Private,
             dma_region: false,
             home_frame: None,
-            crypt_epoch: 0,
+            crypt_version: 0,
             iv_owner: None,
         }
     }

@@ -376,9 +376,10 @@ pub enum FleetEvent {
 pub struct FleetConfig {
     /// Devices in the fleet.
     pub devices: usize,
-    /// Partitions the report's `sim_makespan_ns` models: device `i`
-    /// runs on core `i % shards` of the modelled fleet host. The host
-    /// drives every device on one thread whatever this is.
+    /// Partitions of the modelled fleet host, kept for callers of
+    /// [`FleetConfig::new`]. The report does not depend on it:
+    /// [`FleetReport::makespan_ns`] takes the partition count, and the
+    /// host drives every device on one thread.
     pub shards: usize,
     /// Events drawn per device.
     pub events_per_device: usize,
@@ -1141,9 +1142,6 @@ pub struct FleetReport {
     /// Each device's simulated ns, in device order (0 for a device whose
     /// run aborted).
     pub device_sim_ns: Vec<u64>,
-    /// Simulated fleet makespan over the configured partitions:
-    /// [`makespan_ns`](Self::makespan_ns)`(config.shards)`.
-    pub sim_makespan_ns: u64,
     /// Summed simulated `Sentry::new` ns across all devices.
     pub setup_sim_ns: u64,
     /// Host wall-clock of the whole run, on one thread.
@@ -1249,7 +1247,6 @@ pub fn run_fleet(config: &FleetConfig) -> FleetReport {
         }
     }
     report.host_elapsed_ns = u64::try_from(host_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    report.sim_makespan_ns = report.makespan_ns(config.shards);
     report
 }
 
@@ -1272,7 +1269,6 @@ mod tests {
             .collect();
         assert_eq!(report.device_sim_ns, solo);
         assert_eq!(report.makespan_ns(1), report.sim_busy_ns);
-        assert_eq!(report.sim_makespan_ns, report.makespan_ns(config.shards));
         for partitions in 1..6 {
             let busiest = (0..partitions)
                 .map(|p| {

@@ -16,6 +16,7 @@
 use sentry::attacks::faultmatrix::{
     record, run_cell, run_decay_cell, run_matrix, secret_page, EndState, Scenario, SECRET,
 };
+use sentry::core::transition::nonce_audit::audited;
 use sentry::core::{RecoveryReport, SentryError, TxnJournal, TxnOp};
 use sentry::soc::addr::{IRAM_BASE, IRAM_FIRMWARE_RESERVED};
 use sentry::soc::dram::PowerEvent;
@@ -24,7 +25,7 @@ use sentry::soc::failpoint::{FaultAction, FaultPlan};
 #[test]
 fn exhaustive_fault_matrix_locked_l2() {
     let scn = Scenario::tegra3(0xC0FFEE);
-    let matrix = run_matrix(&scn).unwrap();
+    let matrix = audited(scn.name, || run_matrix(&scn).unwrap());
     assert!(matrix.total_steps > 20, "schedule too shallow");
     assert_eq!(
         matrix.kills(),
@@ -49,7 +50,8 @@ fn exhaustive_fault_matrix_locked_l2() {
 
 #[test]
 fn exhaustive_fault_matrix_iram_backend() {
-    let matrix = run_matrix(&Scenario::iram(0xB007)).unwrap();
+    let scn = Scenario::iram(0xB007);
+    let matrix = audited(scn.name, || run_matrix(&scn).unwrap());
     assert!(matrix.clean(), "iram matrix dirty");
     assert!(matrix.recovered_entries() > 0);
     // On-SoC pages live in iRAM, whose writes pass no `dram.write` site.
@@ -58,7 +60,8 @@ fn exhaustive_fault_matrix_iram_backend() {
 
 #[test]
 fn exhaustive_fault_matrix_parallel_engine() {
-    let matrix = run_matrix(&Scenario::tegra3_parallel(0xFA11)).unwrap();
+    let scn = Scenario::tegra3_parallel(0xFA11);
+    let matrix = audited(scn.name, || run_matrix(&scn).unwrap());
     assert!(matrix.clean(), "parallel-engine matrix dirty");
     assert_eq!(matrix.lock_lanes, 2, "no lock took both lanes");
     // A two-lane batch crypts its pages in one call, past no
@@ -99,13 +102,15 @@ fn decay_matrix_quarantines_rot_and_converges_on_the_survivors() {
     let mut fired = 0usize;
     let mut decayed_cells = 0usize;
     let mut quarantined_total = 0usize;
-    for step in 0..reference.steps {
-        let cell = run_decay_cell(&scn, &reference, step, 2).unwrap();
-        assert!(cell.clean(), "step {step} dirty: {cell:?}");
-        fired += usize::from(cell.fired);
-        decayed_cells += usize::from(!cell.decayed_frames.is_empty());
-        quarantined_total += cell.quarantined_final;
-    }
+    audited("decay matrix", || {
+        for step in 0..reference.steps {
+            let cell = run_decay_cell(&scn, &reference, step, 2).unwrap();
+            assert!(cell.clean(), "step {step} dirty: {cell:?}");
+            fired += usize::from(cell.fired);
+            decayed_cells += usize::from(!cell.decayed_frames.is_empty());
+            quarantined_total += cell.quarantined_final;
+        }
+    });
     assert_eq!(fired as u64, reference.steps, "every step must kill");
     assert!(
         decayed_cells > 0,
@@ -206,14 +211,14 @@ fn recovery_is_idempotent() {
         .touch_pages(actors.vault, &[0])
         .unwrap_err()
         .is_power_loss());
-    // Every decrypt entry journals the epoch its IV was derived under —
-    // what recovery writes back if it must re-arm the page — not the
-    // device's current epoch.
+    // Every decrypt entry journals the version its IV was derived under
+    // — what recovery writes back if it must re-arm the page: the first
+    // lock's, at epoch 1's floor, not one of the device's current epoch.
     let mut journal = TxnJournal::new(IRAM_BASE + IRAM_FIRMWARE_RESERVED);
-    let (op, target_epoch, entries) = journal.load(&mut fault_killed.kernel.soc).unwrap().unwrap();
-    assert_eq!((op, target_epoch), (TxnOp::Decrypt, 2));
+    let (op, entries) = journal.load(&mut fault_killed.kernel.soc).unwrap().unwrap();
+    assert_eq!(op, TxnOp::Decrypt);
     assert!(entries.iter().any(|e| e.pid == actors.vault && e.vpn == 0));
-    assert!(entries.iter().all(|e| e.epoch == 1), "{entries:?}");
+    assert!(entries.iter().all(|e| e.version == 1 << 32), "{entries:?}");
 
     for mut s in [lock_killed, fault_killed] {
         assert!(s.txn_in_flight());

@@ -109,7 +109,7 @@ proptest! {
 
     /// Readahead + sweeper paging ends in exactly the state pure
     /// single-page fault-driven paging ends in — same plaintext, same
-    /// DRAM frames, same PTE backing/crypt_epoch/young/encrypted bits —
+    /// DRAM frames, same PTE backing/crypt_version/young/encrypted bits —
     /// for every cluster size, sweep budget, and interleaving of faults
     /// with sweeper ticks.
     #[test]
