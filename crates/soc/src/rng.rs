@@ -46,11 +46,18 @@ impl DetRng {
         ((u128::from(self.next_u64()) * u128::from(bound)) >> 64) as u64
     }
 
-    /// Fill `buf` with random bytes.
+    /// Fill `buf` with random bytes: each whole 8-byte word is one
+    /// [`DetRng::next_u64`], little-endian, and a shorter tail takes the
+    /// low bytes of one more.
     pub fn fill(&mut self, buf: &mut [u8]) {
-        for chunk in buf.chunks_mut(8) {
+        let mut words = buf.chunks_exact_mut(8);
+        for word in &mut words {
+            word.copy_from_slice(&self.next_u64().to_le_bytes());
+        }
+        let tail = words.into_remainder();
+        if !tail.is_empty() {
             let bytes = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&bytes[..chunk.len()]);
+            tail.copy_from_slice(&bytes[..tail.len()]);
         }
     }
 }
@@ -159,6 +166,21 @@ mod tests {
     #[test]
     fn device_seeds_vary_with_master() {
         assert_ne!(DeviceSeeds::split(1, 0), DeviceSeeds::split(2, 0));
+    }
+
+    /// `fill`'s byte stream: each whole 8-byte word is one `next_u64`,
+    /// little-endian, and a short tail the low bytes of one more.
+    #[test]
+    fn fill_stream_is_pinned() {
+        let digest = |len: usize| {
+            let mut buf = vec![0u8; len];
+            DetRng::new(0x9A6E_0000).fill(&mut buf);
+            buf.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        };
+        assert_eq!(digest(4096), 16_435_179_743_890_101_229);
+        assert_eq!(digest(13), 6_184_191_029_939_272_085);
     }
 
     #[test]

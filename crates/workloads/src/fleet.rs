@@ -580,13 +580,30 @@ pub struct Device {
     outcome: DeviceOutcome,
 }
 
+/// One vault page's bytes.
+type Page = [u8; PAGE_SIZE as usize];
+
+/// The generator of page `vpn`'s image at `version` on device `index`.
+fn image_rng(index: u64, vpn: u64, version: u64) -> DetRng {
+    DetRng::new(0x9A6E_0000 ^ index.rotate_left(24) ^ vpn.rotate_left(8) ^ version)
+}
+
 /// The deterministic image of page `vpn` at `version` on device
 /// `index`.
 #[must_use]
 pub fn page_image(index: u64, vpn: u64, version: u64) -> Vec<u8> {
-    let mut img = vec![0u8; usize::try_from(PAGE_SIZE).expect("page fits usize")];
-    DetRng::new(0x9A6E_0000 ^ index.rotate_left(24) ^ vpn.rotate_left(8) ^ version).fill(&mut img);
+    let mut img = vec![0u8; PAGE_SIZE as usize];
+    image_rng(index, vpn, version).fill(&mut img);
     img
+}
+
+/// Whether `page` is [`page_image`]`(index, vpn, version)`, compared
+/// word by word as the generator produces it, without building the
+/// image.
+fn is_page_image(page: &Page, index: u64, vpn: u64, version: u64) -> bool {
+    let mut rng = image_rng(index, vpn, version);
+    page.chunks_exact(8)
+        .all(|word| *word == rng.next_u64().to_le_bytes())
 }
 
 /// The deterministic payload of dm-crypt burst number `burst` on device
@@ -701,11 +718,11 @@ impl Device {
         if self.quarantined[Device::vpn_slot(vpn)] {
             return Ok(());
         }
-        let mut buf = vec![0u8; usize::try_from(PAGE_SIZE).expect("page fits usize")];
+        let mut buf: Page = [0; PAGE_SIZE as usize];
         match self.sentry.read(self.vault, vpn * PAGE_SIZE, &mut buf) {
             Ok(()) => {
-                let expected = page_image(self.index, vpn, self.versions[Device::vpn_slot(vpn)]);
-                if buf != expected {
+                let version = self.versions[Device::vpn_slot(vpn)];
+                if !is_page_image(&buf, self.index, vpn, version) {
                     self.outcome.silent_corruptions += 1;
                 }
                 Ok(())
@@ -1027,17 +1044,16 @@ impl Device {
         self.outcome.health = health;
         self.outcome.pressure = self.sentry.stats.pressure;
         let mut digest = 0xCBF2_9CE4_8422_2325u64;
-        let page_len = usize::try_from(PAGE_SIZE).expect("page fits usize");
+        let mut buf: Page = [0; PAGE_SIZE as usize];
         for vpn in 0..SECRET_PAGES {
             let slot = Device::vpn_slot(vpn);
             if self.quarantined[slot] {
                 fnv1a(&mut digest, b"quarantined");
                 continue;
             }
-            let mut buf = vec![0u8; page_len];
             match self.sentry.read(self.vault, vpn * PAGE_SIZE, &mut buf) {
                 Ok(()) => {
-                    if buf != page_image(self.index, vpn, self.versions[slot]) {
+                    if !is_page_image(&buf, self.index, vpn, self.versions[slot]) {
                         self.outcome.silent_corruptions += 1;
                     }
                     fnv1a(&mut digest, &buf);
@@ -1256,6 +1272,23 @@ mod tests {
 
     fn small_config() -> FleetConfig {
         FleetConfig::new(6, 2).with_events_per_device(12)
+    }
+
+    /// The shadow checks' in-place comparison accepts exactly the image
+    /// `page_image` builds.
+    #[test]
+    fn is_page_image_matches_exactly_the_built_image() {
+        let mut page: Page = [0; PAGE_SIZE as usize];
+        page.copy_from_slice(&page_image(3, 5, 7));
+        assert!(is_page_image(&page, 3, 5, 7));
+        for (index, vpn, version) in [(4, 5, 7), (3, 6, 7), (3, 5, 8)] {
+            assert!(!is_page_image(&page, index, vpn, version));
+        }
+        for at in [0, 7, 8, 4095] {
+            let mut flipped = page;
+            flipped[at] ^= 1;
+            assert!(!is_page_image(&flipped, 3, 5, 7), "byte {at}");
+        }
     }
 
     #[test]
