@@ -29,7 +29,7 @@
 use crate::coldboot;
 use sentry_core::transition::{page_iv, IvSource};
 use sentry_core::{
-    DeviceState, ParallelConfig, QuarantinedPage, RecoveryReport, Sentry, SentryConfig, SentryError,
+    DeviceState, QuarantinedPage, RecoveryReport, Sentry, SentryConfig, SentryError,
 };
 use sentry_crypto::Direction;
 use sentry_kernel::pagetable::{Backing, Pte, Sharing};
@@ -114,13 +114,6 @@ pub enum Op {
     TouchAll,
 }
 
-/// The lock lanes of the lane scenarios: two workers, with a floor the
-/// vault's 4-page batches clear.
-const LANES: ParallelConfig = ParallelConfig {
-    workers: 2,
-    min_batch_pages: 2,
-};
-
 /// A reproducible world + schedule: everything a kill cell needs to
 /// rebuild the exact run the record pass measured.
 #[derive(Debug, Clone)]
@@ -154,16 +147,15 @@ impl Scenario {
         }
     }
 
-    /// Same schedule on two modelled lock lanes. The batch floor is
-    /// lowered to 2 pages so the vault's 4-page lock takes both lanes;
-    /// under the default floor of 8 it would stay on one.
+    /// Same schedule on two modelled lock lanes: the vault's 4-page
+    /// lock takes both.
     #[must_use]
     pub fn tegra3_parallel(seed: u64) -> Self {
         Scenario {
             name: "tegra3-l2-par",
             config: SentryConfig::tegra3_locked_l2(2)
                 .with_slot_limit(2)
-                .with_parallel(LANES)
+                .with_parallel_workers(2)
                 .with_readahead(
                     sentry_core::config::ReadaheadConfig::with_cluster(2).sweep_budget(2),
                 ),
@@ -184,7 +176,7 @@ impl Scenario {
             config: SentryConfig::tegra3_locked_l2(2)
                 .with_cipher_mode(sentry_core::PageCipherMode::Xts)
                 .with_slot_limit(2)
-                .with_parallel(LANES)
+                .with_parallel_workers(2)
                 .with_readahead(
                     sentry_core::config::ReadaheadConfig::with_cluster(2).sweep_budget(2),
                 ),
@@ -202,7 +194,7 @@ impl Scenario {
             config: SentryConfig::tegra3_locked_l2(2)
                 .with_cipher_mode(sentry_core::PageCipherMode::Ctr)
                 .with_slot_limit(2)
-                .with_parallel(LANES)
+                .with_parallel_workers(2)
                 .with_readahead(
                     sentry_core::config::ReadaheadConfig::with_cluster(2).sweep_budget(2),
                 ),
@@ -1118,7 +1110,7 @@ pub fn run_matrix(scn: &Scenario) -> Result<MatrixOutcome, SentryError> {
     Ok(MatrixOutcome {
         scenario: scn.name.to_string(),
         total_steps: reference.steps,
-        workers: scn.config.parallel.workers,
+        workers: scn.config.parallel_workers,
         lock_lanes: reference.lock_lanes,
         cells,
     })

@@ -14,7 +14,6 @@
 
 use sentry_bench::json::{rounded, write_bench, Json};
 use sentry_bench::print_table;
-use sentry_core::config::ParallelConfig;
 use sentry_core::lifecycle::LockReport;
 use sentry_core::{Sentry, SentryConfig};
 use sentry_crypto::PageCipherMode;
@@ -39,10 +38,7 @@ fn sim_point(mode: PageCipherMode, workers: usize) -> LockReport {
         Kernel::new(Soc::tegra3_small()),
         SentryConfig::tegra3_locked_l2(2)
             .with_cipher_mode(mode)
-            .with_parallel(ParallelConfig {
-                workers,
-                min_batch_pages: 1,
-            }),
+            .with_parallel_workers(workers),
     )
     .expect("sentry builds");
     let pid = s.kernel.spawn("sweep");

@@ -23,7 +23,7 @@
 
 use sentry_bench::json::{rounded, write_bench, Json};
 use sentry_bench::print_table;
-use sentry_core::config::{ParallelConfig, ReadaheadConfig};
+use sentry_core::config::ReadaheadConfig;
 use sentry_core::{Sentry, SentryConfig};
 use sentry_kernel::Kernel;
 use sentry_soc::Soc;
@@ -53,10 +53,7 @@ struct TouchPoint {
 }
 
 fn unlocked_sentry(readahead: Option<ReadaheadConfig>) -> (Sentry, u32) {
-    let mut config = SentryConfig::tegra3_locked_l2(2).with_parallel(ParallelConfig {
-        workers: WORKERS,
-        min_batch_pages: 2,
-    });
+    let mut config = SentryConfig::tegra3_locked_l2(2).with_parallel_workers(WORKERS);
     if let Some(ra) = readahead {
         config = config.with_readahead(ra);
     }

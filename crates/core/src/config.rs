@@ -1,6 +1,5 @@
 //! Sentry configuration.
 
-pub use crate::pressure::PressureConfig;
 pub use sentry_crypto::{PageCipherMode, PipelineConfig};
 
 /// Which on-SoC storage backs Sentry's secrets (§4).
@@ -18,56 +17,15 @@ pub enum OnSocBackend {
     },
 }
 
-/// The device's cores as the bulk lock/unlock path sees them: how many
-/// lanes a DRAM-side crypt batch spreads over in simulated time.
-///
-/// Each lane models one core's register-resident AES context derived
-/// from the volatile root key. A batch of at least `min_batch_pages`
-/// pages runs on `workers.min(pages)` lanes and is charged the serial
-/// AES cost divided by that count; the host still runs it on the calling
-/// thread. The default (`workers = 1`) is the paper's serial prototype:
-/// one call into the registered cipher engine, cycle-identical to
-/// dispatching pages one at a time. AES On SoC itself always stays
-/// single-lane — its state page cannot be replicated — so only the bulk
-/// DRAM transitions take more lanes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParallelConfig {
-    /// Cores the device spreads a bulk lock/unlock batch over. `1`
-    /// means the serial engine.
-    pub workers: usize,
-    /// Batches smaller than this many pages stay on one core (on the
-    /// device, waking the other cores costs more than it saves).
-    pub min_batch_pages: usize,
-}
-
-impl Default for ParallelConfig {
-    fn default() -> Self {
-        ParallelConfig {
-            workers: 1,
-            min_batch_pages: 8,
-        }
-    }
-}
-
-impl ParallelConfig {
-    /// A configuration with `workers` lanes and the default batch floor.
-    #[must_use]
-    pub fn with_workers(workers: usize) -> Self {
-        ParallelConfig {
-            workers: workers.max(1),
-            ..ParallelConfig::default()
-        }
-    }
-}
-
 /// Tuning for the unlock-latency engine: fault-cluster readahead plus
 /// the background decrypt sweeper (see `Sentry::handle_fault` and
 /// `Sentry::sweep`).
 ///
 /// The paper decrypts on demand after unlock and "decrypts the rest in
-/// the background" (§7); this config controls both halves. Disabled (the
-/// default), every first touch costs a full single-page fault→decrypt
-/// round trip, exactly the pre-readahead behaviour.
+/// the background" (§7); this config controls both halves. The default
+/// (a cluster of one page, no sweep budget) makes every first touch a
+/// full single-page fault→decrypt round trip, the pre-readahead
+/// behaviour.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReadaheadConfig {
     /// Pages decrypted per fault: the faulting page plus its spatially
@@ -75,32 +33,27 @@ pub struct ReadaheadConfig {
     /// batched kernel call. `1` degenerates to single-page faulting.
     pub cluster_pages: usize,
     /// Pages the background sweeper drains per scheduler tick. `0`
-    /// disables sweeping even when readahead is enabled.
+    /// disables sweeping.
     pub sweep_budget_pages: usize,
-    /// Master switch; when false the fault path and scheduler tick
-    /// behave exactly as if this config did not exist.
-    pub enabled: bool,
 }
 
 impl Default for ReadaheadConfig {
     fn default() -> Self {
         ReadaheadConfig {
-            cluster_pages: 8,
-            sweep_budget_pages: 32,
-            enabled: false,
+            cluster_pages: 1,
+            sweep_budget_pages: 0,
         }
     }
 }
 
 impl ReadaheadConfig {
-    /// An enabled configuration with the given cluster size and the
-    /// default sweep budget.
+    /// A configuration with the given cluster size and a sweep budget
+    /// of 32 pages per tick.
     #[must_use]
     pub fn with_cluster(cluster_pages: usize) -> Self {
         ReadaheadConfig {
             cluster_pages: cluster_pages.max(1),
-            enabled: true,
-            ..ReadaheadConfig::default()
+            sweep_budget_pages: 32,
         }
     }
 
@@ -143,8 +96,17 @@ impl IntegrityConfig {
 pub struct SentryConfig {
     /// Where secrets live on the SoC.
     pub backend: OnSocBackend,
-    /// The cores a bulk lock/unlock batch spreads over (a sim-time model).
-    pub parallel: ParallelConfig,
+    /// The device's cores as the bulk lock/unlock path sees them: a
+    /// DRAM-side crypt batch of `pages` pages runs on
+    /// `parallel_workers.min(pages)` lanes and is charged the serial AES
+    /// cost divided by that count; the host still runs it on the calling
+    /// thread. Each lane models one core's register-resident AES context
+    /// derived from the volatile root key. `1` (the default) is the
+    /// paper's serial prototype: one call into the registered cipher
+    /// engine, cycle-identical to dispatching pages one at a time. AES
+    /// On SoC itself always stays single-lane — its state page cannot be
+    /// replicated — so only the bulk DRAM transitions take more lanes.
+    pub parallel_workers: usize,
     /// Unlock-latency tuning: fault-cluster readahead and the background
     /// decrypt sweeper.
     pub readahead: ReadaheadConfig,
@@ -160,12 +122,6 @@ pub struct SentryConfig {
     /// decrypt batches (see `sentry_crypto::pipeline`). Disabled by
     /// default — the paper's fully inline behaviour.
     pub pipeline: PipelineConfig,
-    /// Pressure-governor switches: occupancy watermarks over the on-SoC
-    /// store, elective-load shedding at High pressure, and the
-    /// encrypted spill path at Critical (see `sentry_core::pressure`).
-    /// Enabled by default — exhaustion degrades instead of failing
-    /// closed.
-    pub pressure: PressureConfig,
     /// Whether sensitive apps may run in the background while locked
     /// (requires the encrypted-DRAM pager; the paper's Tegra prototype).
     /// Without it, sensitive apps are parked unschedulable on lock (the
@@ -192,12 +148,11 @@ impl SentryConfig {
         assert!((1..=7).contains(&max_ways), "lockable ways must be 1..=7");
         SentryConfig {
             backend: OnSocBackend::LockedL2 { max_ways },
-            parallel: ParallelConfig::default(),
+            parallel_workers: 1,
             readahead: ReadaheadConfig::default(),
             integrity: IntegrityConfig::default(),
             cipher_mode: PageCipherMode::Cbc,
             pipeline: PipelineConfig::default(),
-            pressure: PressureConfig::default(),
             background_support: true,
             slot_limit: None,
         }
@@ -208,12 +163,11 @@ impl SentryConfig {
     pub fn tegra3_iram() -> Self {
         SentryConfig {
             backend: OnSocBackend::Iram,
-            parallel: ParallelConfig::default(),
+            parallel_workers: 1,
             readahead: ReadaheadConfig::default(),
             integrity: IntegrityConfig::default(),
             cipher_mode: PageCipherMode::Cbc,
             pipeline: PipelineConfig::default(),
-            pressure: PressureConfig::default(),
             background_support: true,
             slot_limit: None,
         }
@@ -226,12 +180,11 @@ impl SentryConfig {
     pub fn nexus4() -> Self {
         SentryConfig {
             backend: OnSocBackend::Iram,
-            parallel: ParallelConfig::default(),
+            parallel_workers: 1,
             readahead: ReadaheadConfig::default(),
             integrity: IntegrityConfig::default(),
             cipher_mode: PageCipherMode::Cbc,
             pipeline: PipelineConfig::default(),
-            pressure: PressureConfig::default(),
             background_support: false,
             slot_limit: None,
         }
@@ -245,17 +198,11 @@ impl SentryConfig {
         self
     }
 
-    /// Set the modelled lock/unlock lanes (see [`ParallelConfig`]).
-    #[must_use]
-    pub fn with_parallel(mut self, parallel: ParallelConfig) -> Self {
-        self.parallel = parallel;
-        self
-    }
-
-    /// Shorthand: `workers` lanes with the default batch floor.
+    /// Set the modelled lock/unlock lanes (see
+    /// [`SentryConfig::parallel_workers`]); `0` counts as `1`.
     #[must_use]
     pub fn with_parallel_workers(mut self, workers: usize) -> Self {
-        self.parallel = ParallelConfig::with_workers(workers);
+        self.parallel_workers = workers.max(1);
         self
     }
 
@@ -293,13 +240,6 @@ impl SentryConfig {
     #[must_use]
     pub fn without_integrity(mut self) -> Self {
         self.integrity = IntegrityConfig::disabled();
-        self
-    }
-
-    /// Set the pressure-governor switches (see [`PressureConfig`]).
-    #[must_use]
-    pub fn with_pressure(mut self, pressure: PressureConfig) -> Self {
-        self.pressure = pressure;
         self
     }
 }

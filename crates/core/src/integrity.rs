@@ -211,13 +211,11 @@ pub struct IntegrityPlane {
     /// or reap, available for re-claim.
     fixed_free: Vec<u64>,
     /// Spill key derived from the volatile root key
-    /// (`E_rootkey("SENTRY-SPILL-KEY")`); `None` when disabled.
+    /// (`E_rootkey("SENTRY-SPILL-KEY")`); `None` when the plane is
+    /// disabled.
     spill_key: Option<SpillKey>,
     /// The dm-crypt-backed spill region, created on first spill.
     spill: Option<SpillRegion>,
-    /// Whether Critical pressure may spill (the pressure config's
-    /// `spill` switch, pushed down by `Sentry::new`).
-    spill_allowed: bool,
     /// Current lock epoch, bound into every spill anchor.
     spill_epoch: u64,
     /// Monotonic access clock feeding each page's `touch` ordinal.
@@ -278,7 +276,6 @@ impl IntegrityPlane {
             fixed_free: Vec::new(),
             spill_key,
             spill: None,
-            spill_allowed: true,
             spill_epoch: 0,
             touch_clock: 0,
             quarantine: BTreeMap::new(),
@@ -506,16 +503,6 @@ impl IntegrityPlane {
         Ok(self.spill.as_mut().expect("just created"))
     }
 
-    /// Whether the encrypted spill path may run.
-    fn spill_active(&self) -> bool {
-        self.spill_allowed && self.spill_key.is_some()
-    }
-
-    /// Allow or forbid spilling (pushed down from the pressure config).
-    pub fn set_spill_allowed(&mut self, allowed: bool) {
-        self.spill_allowed = allowed;
-    }
-
     /// Record the current lock epoch for spill-anchor binding.
     pub fn set_epoch(&mut self, epoch: u64) {
         self.spill_epoch = epoch;
@@ -679,7 +666,7 @@ impl IntegrityPlane {
         if self.reap_one(soc, store)? {
             return Ok(true);
         }
-        if !self.spill_active() {
+        if self.spill_key.is_none() {
             return Ok(false);
         }
         let coldest = self

@@ -70,7 +70,7 @@ pub mod store;
 pub mod transition;
 pub mod txn;
 
-pub use config::{IntegrityConfig, OnSocBackend, PageCipherMode, ParallelConfig, SentryConfig};
+pub use config::{IntegrityConfig, OnSocBackend, PageCipherMode, SentryConfig};
 pub use device::{DeviceAgent, ScreenState, UnlockOutcome};
 pub use error::SentryError;
 pub use health::{FailureKind, HealthGovernor, HealthState, HealthStats, RetryStats};
@@ -78,5 +78,5 @@ pub use integrity::{
     IntegrityPlane, IntegrityStats, QuarantinedPage, SpillAnchor, TagPageState, VerifyOutcome,
 };
 pub use lifecycle::{DeviceState, DeviceStats, LifecycleStats, RecoveryReport, Sentry};
-pub use pressure::{PressureConfig, PressureLevel, PressureStats, PressureTracker, SpillRegion};
+pub use pressure::{PressureLevel, PressureStats, PressureTracker, SpillRegion};
 pub use txn::{CommitTagger, JournalEntry, TxnJournal, TxnOp};

@@ -166,24 +166,13 @@ pub struct RecoveryReport {
 ///
 /// `Sentry::new` is on the fleet harness's critical path — constructing
 /// 10k devices means 10k key generations, key-schedule expansions, and
-/// on-SoC allocations — so its cost is measured, not guessed. The
-/// simulated cost covers everything `new` charges to the SoC clock
-/// (tracked key expansion in the IRQ-critical section, on-SoC stores);
-/// the host cost is the wall-clock price of one stack.
+/// on-SoC allocations — so its simulated cost is measured, not guessed.
+/// It covers everything `new` charges to the SoC clock (tracked key
+/// expansion in the IRQ-critical section, on-SoC stores).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeviceStats {
     /// Simulated nanoseconds consumed building the device stack.
     pub setup_sim_ns: u64,
-    /// Host nanoseconds spent in `Sentry::new`.
-    pub setup_host_ns: u64,
-    /// Expansions of the volatile *root* key schedule during setup.
-    /// One native expansion is shared by the engine and the integrity
-    /// plane; the tracked on-SoC expansion is the simulated device's
-    /// own and is counted separately by `setup_sim_ns`.
-    pub root_key_schedules: u64,
-    /// Expansions of derived (domain-separated) key schedules: the page
-    /// MAC key, shared by the integrity tags and the commit tags.
-    pub derived_key_schedules: u64,
 }
 
 /// The Sentry system: the kernel plus Sentry's storage, pager, and keys.
@@ -236,10 +225,8 @@ impl Sentry {
     /// locked-L2 backend on a platform whose firmware disables cache
     /// locking).
     pub fn new(mut kernel: Kernel, config: SentryConfig) -> Result<Self, SentryError> {
-        let host_start = std::time::Instant::now();
         let sim_start = kernel.soc.clock.now_ns();
-        let mut store =
-            OnSocStore::with_pressure(config.backend, config.pressure, &mut kernel.soc)?;
+        let mut store = OnSocStore::new(config.backend, &mut kernel.soc)?;
         let key_page = store.alloc_page(&mut kernel.soc)?;
         let volatile_key =
             VolatileRootKey::generate(&mut kernel.soc, key_page, 0xB007_0000 ^ key_page)?;
@@ -254,7 +241,8 @@ impl Sentry {
         // The transition journal lives in iRAM — on-SoC, so it dies with
         // power exactly like the volatile key. With the iRAM backend it
         // is an allocated page; with locked L2, iRAM is otherwise unused
-        // and the first post-firmware page is taken directly.
+        // and the first post-firmware page is taken directly (the store
+        // has DMA-protected all of usable iRAM either way).
         let journal_page = match config.backend {
             OnSocBackend::Iram => store.alloc_page(&mut kernel.soc)?,
             OnSocBackend::LockedL2 { .. } => IRAM_BASE + IRAM_FIRMWARE_RESERVED,
@@ -267,16 +255,10 @@ impl Sentry {
         // The page MAC's key derives from the volatile root key, and the
         // tag store sits next to the journal on-SoC: both die with power,
         // exactly like the ciphertext they authenticate.
-        let mut integrity =
+        let integrity =
             IntegrityPlane::with_root(config.integrity, config.backend, config.cipher_mode, &root)?;
-        integrity.set_spill_allowed(config.pressure.spill);
         let device_stats = DeviceStats {
             setup_sim_ns: kernel.soc.clock.now_ns() - sim_start,
-            setup_host_ns: u64::try_from(host_start.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            // The engine's native schedule plus the single hoisted
-            // expansion the integrity plane derives from.
-            root_key_schedules: 2,
-            derived_key_schedules: 1,
         };
         Ok(Sentry {
             kernel,
@@ -632,8 +614,8 @@ impl Sentry {
     }
 
     /// Deliver one scheduler timer tick: bump the kernel scheduler's
-    /// tick counter and, when readahead is enabled and the device is
-    /// unlocked, run one budgeted sweeper step.
+    /// tick counter and, when the sweep budget is non-zero and the device
+    /// is unlocked, run one budgeted sweeper step.
     ///
     /// # Errors
     ///
@@ -645,25 +627,19 @@ impl Sentry {
         // High or Critical pressure its decrypt batches would only add
         // on-SoC traffic while the governor is trying to reclaim, so the
         // tick skips it until pressure falls back to Normal.
-        if self.store.pressure_level() >= PressureLevel::High {
+        let budget = self.config.readahead.sweep_budget_pages;
+        let sweeps = budget > 0 && self.state == DeviceState::Unlocked;
+        if sweeps && self.store.pressure_level() < PressureLevel::High {
+            return self.sweep(budget);
+        }
+        if sweeps {
             // Count a shed only when a sweep would actually have run.
-            let ra = self.config.readahead;
-            if ra.enabled && ra.sweep_budget_pages > 0 && self.state == DeviceState::Unlocked {
-                self.store.pressure_mut().note_shed();
-            }
-            return Ok(SweepReport {
-                residual_pages: self.residual_encrypted_pages(),
-                ..SweepReport::default()
-            });
+            self.store.pressure_mut().note_shed();
         }
-        if self.config.readahead.enabled && self.state == DeviceState::Unlocked {
-            self.sweep(self.config.readahead.sweep_budget_pages)
-        } else {
-            Ok(SweepReport {
-                residual_pages: self.residual_encrypted_pages(),
-                ..SweepReport::default()
-            })
-        }
+        Ok(SweepReport {
+            residual_pages: self.residual_encrypted_pages(),
+            ..SweepReport::default()
+        })
     }
 
     /// Transition to the locked state (§7): plan the re-encrypt of every
@@ -990,12 +966,7 @@ impl Sentry {
                         // encrypted DRAM neighbours in the same aligned
                         // window and decrypt them in one batched kernel
                         // call — N first-touch faults become 1.
-                        let ra = self.config.readahead;
-                        let mut cluster = if ra.enabled {
-                            ra.cluster_pages.max(1)
-                        } else {
-                            1
-                        };
+                        let mut cluster = self.config.readahead.cluster_pages.max(1);
                         if cluster > 1 && self.store.pressure_level() >= PressureLevel::High {
                             // Shed lever: under High pressure readahead
                             // companions are elective — the cluster
@@ -1031,11 +1002,9 @@ impl Sentry {
                             pages: decrypted,
                             duration_ns,
                         });
-                        if self.config.readahead.enabled {
-                            // Recency hint: the sweeper resumes right
-                            // past this cluster's window.
-                            self.sweep_cursor = Some((fault.pid, base + cluster as u64));
-                        }
+                        // Recency hint: the sweeper resumes right past
+                        // this cluster's window.
+                        self.sweep_cursor = Some((fault.pid, base + cluster as u64));
                         Ok(())
                     }
                     _ => {
@@ -1442,8 +1411,9 @@ impl Sentry {
                 VerifyOutcome::Ok | VerifyOutcome::Untagged => Some(page),
             }
         } else if t.frame_tag(entry)? == entry.tag {
-            // Legacy path (plane disabled, or a frame encrypted before it
-            // was enabled): the frame still holds ciphertext.
+            // No tag to check (the plane is disabled, or the dying
+            // transition published and retired it): the commit tag shows
+            // whether the frame still holds ciphertext.
             Some(t.gather(&pages)?)
         } else {
             None
@@ -2076,10 +2046,7 @@ mod tests {
         // instances driven identically produce comparable DRAM images.
         let mut s = Sentry::new(
             Kernel::new(Soc::tegra3_small()),
-            SentryConfig::tegra3_locked_l2(2).with_parallel(crate::config::ParallelConfig {
-                workers,
-                min_batch_pages: 1,
-            }),
+            SentryConfig::tegra3_locked_l2(2).with_parallel_workers(workers),
         )
         .unwrap();
         let pid = s.kernel.spawn("app");
@@ -2127,36 +2094,10 @@ mod tests {
     }
 
     #[test]
-    fn small_batches_fall_back_to_the_engine_path() {
-        let mut s = Sentry::new(
-            Kernel::new(Soc::tegra3_small()),
-            SentryConfig::tegra3_locked_l2(2).with_parallel(crate::config::ParallelConfig {
-                workers: 8,
-                min_batch_pages: 16,
-            }),
-        )
-        .unwrap();
-        let pid = s.kernel.spawn("tiny");
-        s.mark_sensitive(pid).unwrap();
-        s.write(pid, 0, &[3u8; 4 * 4096]).unwrap();
-        let report = s.on_lock().unwrap();
-        assert_eq!(report.workers_used, 1, "below-floor batch must not fan out");
-        assert_eq!(report.batch_pages, 4);
-        assert_eq!(s.stats.crypt_batches, 1);
-        s.on_unlock().unwrap();
-        let mut back = vec![0u8; 4 * 4096];
-        s.read(pid, 0, &mut back).unwrap();
-        assert_eq!(back, vec![3u8; 4 * 4096]);
-    }
-
-    #[test]
     fn a_parallel_lock_is_one_counted_batch() {
         let mut s = Sentry::new(
             Kernel::new(Soc::tegra3_small()),
-            SentryConfig::tegra3_locked_l2(2).with_parallel(crate::config::ParallelConfig {
-                workers: 4,
-                min_batch_pages: 1,
-            }),
+            SentryConfig::tegra3_locked_l2(2).with_parallel_workers(4),
         )
         .unwrap();
         let pid = s.kernel.spawn("app");

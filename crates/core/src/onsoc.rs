@@ -4,10 +4,12 @@
 //! [`OnSocStore`] are physically on the SoC:
 //!
 //! * **iRAM pages** come from the 192 KiB above the firmware-reserved
-//!   region; on first use the whole range is registered with TrustZone
-//!   as DMA-denied, because "iRAM can only be protected from DMA attacks
-//!   when software in the TrustZone takes explicit steps to protect it"
-//!   (§4.4).
+//!   region. With either backend the store registers that whole range
+//!   with TrustZone as DMA-denied when it is built, because "iRAM can
+//!   only be protected from DMA attacks when software in the TrustZone
+//!   takes explicit steps to protect it" (§4.4). The locked-L2 backend
+//!   hands out no iRAM pages, but the transition journal and the
+//!   integrity tag store live there.
 //! * **Locked-way pages** are addresses in a reserved DRAM *window* whose
 //!   cache lines are pinned in a locked way. Locking follows §4.5's
 //!   four-step pseudocode (flush; enable one way; warm the window;
@@ -18,7 +20,7 @@
 
 use crate::config::OnSocBackend;
 use crate::error::SentryError;
-use crate::pressure::{PressureConfig, PressureLevel, PressureTracker};
+use crate::pressure::{PressureLevel, PressureTracker};
 use sentry_kernel::layout::{LOCKED_WINDOW_BASE, LOCKED_WINDOW_SIZE};
 use sentry_soc::addr::{IRAM_BASE, IRAM_FIRMWARE_RESERVED, IRAM_SIZE, PAGE_SIZE};
 use sentry_soc::cache::{ALL_WAYS, WAY_BYTES};
@@ -44,52 +46,41 @@ pub struct OnSocStore {
     iram_next: u64,
     locked: Vec<LockedWay>,
     locked_mask: u8,
-    dma_protected: bool,
     /// On-SoC bytes consumers claimed *outside* `alloc_page` (the
-    /// locked-L2 backend's journal page and fixed iRAM tag pages),
-    /// charged via [`OnSocStore::charge_external`] so the pressure
-    /// tracker sees every scarce byte.
+    /// locked-L2 backend's fixed iRAM tag pages), charged via
+    /// [`OnSocStore::charge_external`]. The locked-L2 journal page is
+    /// taken directly and is not charged.
     external_bytes: u64,
     /// The pressure governor over this store's bytes.
     pressure: PressureTracker,
 }
 
 impl OnSocStore {
-    /// Create a store for `backend` with the default pressure governor.
-    /// For iRAM, registers the usable range as DMA-protected via
-    /// TrustZone.
+    /// Create a store for `backend` and register the usable iRAM range
+    /// as DMA-protected via TrustZone. The locked-L2 backend needs it
+    /// too: its journal and tag pages are iRAM.
     ///
     /// # Errors
     ///
     /// Propagates SoC errors from the TrustZone programming.
     pub fn new(backend: OnSocBackend, soc: &mut Soc) -> Result<Self, SentryError> {
-        OnSocStore::with_pressure(backend, PressureConfig::default(), soc)
-    }
-
-    /// Create a store for `backend` governed by `pressure`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates SoC errors from the TrustZone programming.
-    pub fn with_pressure(
-        backend: OnSocBackend,
-        pressure: PressureConfig,
-        soc: &mut Soc,
-    ) -> Result<Self, SentryError> {
-        let mut store = OnSocStore {
+        soc.in_secure_world(|soc| {
+            let ok = soc.trustzone.protect(ProtectedRange {
+                range: IRAM_BASE + IRAM_FIRMWARE_RESERVED..IRAM_BASE + IRAM_SIZE,
+                deny_dma: true,
+                deny_normal_cpu: false,
+            });
+            debug_assert!(ok, "secure world protect cannot fail");
+        });
+        Ok(OnSocStore {
             backend,
             free: Vec::new(),
             iram_next: IRAM_BASE + IRAM_FIRMWARE_RESERVED,
             locked: Vec::new(),
             locked_mask: 0,
-            dma_protected: false,
             external_bytes: 0,
-            pressure: PressureTracker::new(pressure, Self::capacity_bytes(backend)),
-        };
-        if backend == OnSocBackend::Iram {
-            store.protect_iram(soc);
-        }
-        Ok(store)
+            pressure: PressureTracker::new(Self::capacity_bytes(backend)),
+        })
     }
 
     /// Physical capacity of the scarce bytes this store governs: the
@@ -127,7 +118,7 @@ impl OnSocStore {
     }
 
     /// On-SoC bytes actually in use: claimed bytes minus the free list,
-    /// plus externally charged pages (journal, fixed tag pages).
+    /// plus externally charged pages (the locked-L2 fixed tag pages).
     #[must_use]
     pub fn in_use_bytes(&self) -> u64 {
         self.claimed_bytes() - self.free.len() as u64 * PAGE_SIZE + self.external_bytes
@@ -158,8 +149,8 @@ impl OnSocStore {
         self.pressure.note_usage(in_use);
     }
 
-    /// Charge one externally claimed on-SoC page (locked-L2 journal or
-    /// fixed tag page) against the budget.
+    /// Charge one externally claimed on-SoC page (a locked-L2 fixed tag
+    /// page) against the budget.
     ///
     /// # Errors
     ///
@@ -179,21 +170,6 @@ impl OnSocStore {
     pub fn release_external(&mut self, bytes: u64) {
         self.external_bytes = self.external_bytes.saturating_sub(bytes);
         self.refresh_pressure();
-    }
-
-    fn protect_iram(&mut self, soc: &mut Soc) {
-        if self.dma_protected {
-            return;
-        }
-        soc.in_secure_world(|soc| {
-            let ok = soc.trustzone.protect(ProtectedRange {
-                range: IRAM_BASE + IRAM_FIRMWARE_RESERVED..IRAM_BASE + IRAM_SIZE,
-                deny_dma: true,
-                deny_normal_cpu: false,
-            });
-            debug_assert!(ok, "secure world protect cannot fail");
-        });
-        self.dma_protected = true;
     }
 
     /// Allocate one on-SoC page, locking a fresh cache way if needed.

@@ -78,48 +78,6 @@ pub const CRITICAL_PCT: u64 = 90;
 /// Critical (the cache's own capacity applies when Normal).
 pub const KEYSTREAM_CAP_HIGH: usize = 16;
 
-/// The pressure governor's switches. Its watermarks ([`HIGH_PCT`],
-/// [`CRITICAL_PCT`]) and the keystream cap ([`KEYSTREAM_CAP_HIGH`]) are
-/// fixed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PressureConfig {
-    /// Master switch. When false the tracker still accounts occupancy
-    /// but always reports [`PressureLevel::Normal`] and never denies an
-    /// allocation — exactly the pre-governor behaviour.
-    pub enabled: bool,
-    /// Whether Critical pressure may reclaim cold tag-store pages
-    /// through the encrypted spill region.
-    pub spill: bool,
-}
-
-impl Default for PressureConfig {
-    fn default() -> Self {
-        PressureConfig {
-            enabled: true,
-            spill: true,
-        }
-    }
-}
-
-impl PressureConfig {
-    /// A disabled governor: occupancy is tracked, nothing is ever shed,
-    /// spilled, or denied beyond physical exhaustion.
-    #[must_use]
-    pub fn disabled() -> Self {
-        PressureConfig {
-            enabled: false,
-            ..PressureConfig::default()
-        }
-    }
-
-    /// Builder: enable or disable the encrypted spill path.
-    #[must_use]
-    pub fn with_spill(mut self, spill: bool) -> Self {
-        self.spill = spill;
-        self
-    }
-}
-
 /// Cumulative pressure telemetry; the fleet harness merges it across
 /// devices.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -164,8 +122,6 @@ impl PressureStats {
 /// Watermark tracker over one store's scarce on-SoC bytes.
 #[derive(Debug)]
 pub struct PressureTracker {
-    /// [`PressureConfig::enabled`]: a disabled tracker stays Normal.
-    enabled: bool,
     /// Physical capacity of the tracked store, in bytes.
     capacity: u64,
     /// Chaos/test knob: a budget tighter than the physical capacity.
@@ -178,9 +134,8 @@ pub struct PressureTracker {
 impl PressureTracker {
     /// A tracker over `capacity` bytes.
     #[must_use]
-    pub fn new(config: PressureConfig, capacity: u64) -> Self {
+    pub fn new(capacity: u64) -> Self {
         PressureTracker {
-            enabled: config.enabled,
             capacity,
             budget_override: None,
             level: PressureLevel::Normal,
@@ -212,11 +167,10 @@ impl PressureTracker {
     }
 
     /// Whether charging `bytes_after` total resident bytes would exceed
-    /// the effective budget. Only an enabled governor denies — a
-    /// disabled one leaves exhaustion to the physical allocators.
+    /// the effective budget.
     #[must_use]
     pub fn would_deny(&self, bytes_after: u64) -> bool {
-        self.enabled && bytes_after > self.effective_budget()
+        bytes_after > self.effective_budget()
     }
 
     /// Record the current resident byte count and reclassify, counting
@@ -228,18 +182,14 @@ impl PressureTracker {
     }
 
     fn reclassify(&mut self) {
-        let level = if !self.enabled {
-            PressureLevel::Normal
+        let budget = self.effective_budget().max(1);
+        let pct = self.stats.bytes_resident.saturating_mul(100) / budget;
+        let level = if pct >= CRITICAL_PCT {
+            PressureLevel::Critical
+        } else if pct >= HIGH_PCT {
+            PressureLevel::High
         } else {
-            let budget = self.effective_budget().max(1);
-            let pct = self.stats.bytes_resident.saturating_mul(100) / budget;
-            if pct >= CRITICAL_PCT {
-                PressureLevel::Critical
-            } else if pct >= HIGH_PCT {
-                PressureLevel::High
-            } else {
-                PressureLevel::Normal
-            }
+            PressureLevel::Normal
         };
         if level > self.level {
             if self.level < PressureLevel::High && level >= PressureLevel::High {
@@ -444,7 +394,7 @@ mod tests {
 
     #[test]
     fn watermarks_classify_and_count_transitions() {
-        let mut t = PressureTracker::new(PressureConfig::default(), 100);
+        let mut t = PressureTracker::new(100);
         t.note_usage(10);
         assert_eq!(t.level(), PressureLevel::Normal);
         t.note_usage(75);
@@ -464,7 +414,7 @@ mod tests {
 
     #[test]
     fn budget_override_tightens_denials() {
-        let mut t = PressureTracker::new(PressureConfig::default(), 100);
+        let mut t = PressureTracker::new(100);
         assert!(!t.would_deny(100));
         assert!(t.would_deny(101));
         t.set_budget_override(Some(40));
@@ -474,15 +424,6 @@ mod tests {
         assert!(t.would_deny(101));
         t.set_budget_override(None);
         assert!(!t.would_deny(100));
-    }
-
-    #[test]
-    fn disabled_tracker_never_denies_or_leaves_normal() {
-        let mut t = PressureTracker::new(PressureConfig::disabled(), 100);
-        t.note_usage(99);
-        assert_eq!(t.level(), PressureLevel::Normal);
-        assert!(!t.would_deny(1_000_000));
-        assert_eq!(t.stats.high_water_bytes, 99, "occupancy still tracked");
     }
 
     #[test]

@@ -344,14 +344,14 @@ impl Transition<'_> {
         Ok(())
     }
 
-    /// A lifecycle batch on the CPU, over the lanes
-    /// [`crate::config::ParallelConfig`] models.
+    /// A lifecycle batch on the CPU, over
+    /// `parallel_workers.min(pages)` modelled lanes (see
+    /// [`crate::SentryConfig::parallel_workers`]).
     ///
-    /// One lane (`parallel.workers <= 1`, or a batch below
-    /// `parallel.min_batch_pages`) dispatches the pages through one call
-    /// into the registered cipher engine, exactly like the serial
-    /// prototype (the engine charge is linear in bytes, so this is
-    /// cycle-identical to a per-page loop). More lanes model per-core
+    /// One lane (one worker, or a one-page batch) dispatches the pages
+    /// through one call into the registered cipher engine, exactly like
+    /// the serial prototype (the engine charge is linear in bytes, so
+    /// this is cycle-identical to a per-page loop). More lanes model per-core
     /// register-resident contexts derived from the volatile root key —
     /// AES On SoC itself stays single-lane, its state page cannot be
     /// replicated — and the simulated clock is charged the serial AES
@@ -367,12 +367,7 @@ impl Transition<'_> {
     ) -> Result<BatchReport, SentryError> {
         self.kernel.soc.failpoint("crypt.dispatch")?;
         let pages = ivs.len();
-        let parallel = self.config.parallel;
-        let lanes = if parallel.workers <= 1 || pages < parallel.min_batch_pages.max(1) {
-            1
-        } else {
-            parallel.workers.min(pages)
-        };
+        let lanes = self.config.parallel_workers.min(pages).max(1);
         if lanes == 1 {
             self.engine(direction, ivs, buf)?;
         } else {

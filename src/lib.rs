@@ -24,3 +24,9 @@ pub use sentry_energy as energy;
 pub use sentry_kernel as kernel;
 pub use sentry_soc as soc;
 pub use sentry_workloads as workloads;
+
+/// The README's Rust snippets, compiled as `no_run` doctests so that a
+/// snippet naming a removed API fails `cargo test`.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;

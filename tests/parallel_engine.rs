@@ -4,7 +4,6 @@
 //! simulated AES charge.
 
 use proptest::prelude::*;
-use sentry::core::config::ParallelConfig;
 use sentry::core::{Sentry, SentryConfig};
 use sentry::crypto::PageCipherMode;
 use sentry::kernel::Kernel;
@@ -46,16 +45,16 @@ struct Cycle {
     lock_ns: u64,
 }
 
-/// Lock `plain` under `mode` on `parallel`'s lanes, unlock, decrypt
-/// every page in one sweep batch (the decrypt lanes) and check that the
-/// app reads `plain` back.
-fn cycle(plain: &[u8], mode: PageCipherMode, parallel: ParallelConfig) -> Cycle {
+/// Lock `plain` under `mode` on `workers` lanes, unlock, decrypt every
+/// page in one sweep batch (the decrypt lanes) and check that the app
+/// reads `plain` back.
+fn cycle(plain: &[u8], mode: PageCipherMode, workers: usize) -> Cycle {
     let pages = plain.len() / PAGE;
     let mut s = Sentry::new(
         Kernel::new(Soc::tegra3_small()),
         SentryConfig::tegra3_locked_l2(2)
             .with_cipher_mode(mode)
-            .with_parallel(parallel),
+            .with_parallel_workers(workers),
     )
     .unwrap();
     let pid = s.kernel.spawn("app");
@@ -69,19 +68,12 @@ fn cycle(plain: &[u8], mode: PageCipherMode, parallel: ParallelConfig) -> Cycle 
     let swept = dram_image(&mut s);
     let mut back = vec![0u8; plain.len()];
     s.read(pid, 0, &mut back).unwrap();
-    assert_eq!(back, plain, "{parallel:?} under {mode} lost bytes");
+    assert_eq!(back, plain, "{workers} workers under {mode} lost bytes");
     Cycle {
         locked,
         swept,
         lock_lanes: lock.workers_used,
         lock_ns: lock.duration_ns,
-    }
-}
-
-fn lanes(workers: usize) -> ParallelConfig {
-    ParallelConfig {
-        workers,
-        min_batch_pages: 1,
     }
 }
 
@@ -95,10 +87,10 @@ proptest! {
     ) {
         let plain = pages_from_seed(pages, seed);
         for mode in PageCipherMode::all() {
-            let reference = cycle(&plain, mode, lanes(1));
+            let reference = cycle(&plain, mode, 1);
             prop_assert_eq!(reference.lock_lanes, 1);
             for workers in [2usize, 4, 8] {
-                let got = cycle(&plain, mode, lanes(workers));
+                let got = cycle(&plain, mode, workers);
                 prop_assert_eq!(got.lock_lanes, workers.min(pages));
                 prop_assert_eq!(&got.locked, &reference.locked, "{} workers diverged under {}", workers, mode);
                 prop_assert_eq!(&got.swept, &reference.swept, "{} workers decrypted differently under {}", workers, mode);
@@ -115,8 +107,8 @@ proptest! {
         // Odd, prime, and sub-worker batch sizes all preserve every
         // byte and use at most one lane per page.
         let plain = pages_from_seed(pages, seed);
-        let reference = cycle(&plain, PageCipherMode::Cbc, lanes(1));
-        let got = cycle(&plain, PageCipherMode::Cbc, lanes(workers));
+        let reference = cycle(&plain, PageCipherMode::Cbc, 1);
+        let got = cycle(&plain, PageCipherMode::Cbc, workers);
         prop_assert_eq!(got.lock_lanes, workers.min(pages));
         prop_assert!(got.lock_ns <= reference.lock_ns);
         prop_assert_eq!(&got.locked, &reference.locked);
@@ -125,34 +117,14 @@ proptest! {
 }
 
 #[test]
-fn below_floor_batches_take_the_sequential_fallback() {
-    let plain = pages_from_seed(5, 99);
-    let serial = cycle(&plain, PageCipherMode::Cbc, lanes(1));
-    let below = cycle(
-        &plain,
-        PageCipherMode::Cbc,
-        ParallelConfig {
-            workers: 8,
-            min_batch_pages: 6,
-        },
-    );
+fn one_page_batches_take_the_serial_engine() {
+    let plain = pages_from_seed(1, 99);
+    let serial = cycle(&plain, PageCipherMode::Cbc, 1);
+    let eight = cycle(&plain, PageCipherMode::Cbc, 8);
+    assert_eq!(eight.lock_lanes, 1, "one page takes one lane");
     assert_eq!(
-        below.lock_lanes, 1,
-        "5 pages < floor of 6 must stay on one lane"
-    );
-    assert_eq!(
-        below, serial,
-        "below the floor is the serial engine, charge included"
-    );
-    // Identical bytes to a batch that does spread over the lanes, which
-    // is charged less.
-    let spread = cycle(&plain, PageCipherMode::Cbc, lanes(5));
-    assert_eq!(spread.lock_lanes, 5);
-    assert!(spread.lock_ns < serial.lock_ns);
-    assert_eq!(spread.locked, below.locked, "one lane and five differ");
-    assert_eq!(
-        spread.swept, below.swept,
-        "one lane and five decrypt differently"
+        eight, serial,
+        "one lane is the serial engine, charge included"
     );
 }
 
@@ -166,7 +138,7 @@ fn full_lock_path_is_worker_invariant_end_to_end() {
             Kernel::new(Soc::tegra3_small()),
             SentryConfig::tegra3_locked_l2(2)
                 .with_cipher_mode(mode)
-                .with_parallel(lanes(workers)),
+                .with_parallel_workers(workers),
         )
         .unwrap();
         let pid = s.kernel.spawn("app");

@@ -281,45 +281,37 @@ fn budget_squeeze_walks_watermarks_and_sheds() {
     assert_eq!(back, data);
 }
 
-/// A shed counts only work the shed lever actually withholds. With
-/// readahead disabled a fault's cluster is one page either way and no
-/// tick would sweep; with a sweep budget of 0, or while locked, no tick
-/// would sweep either — none of these is a shed under High pressure.
+/// A shed counts only work the shed lever actually withholds. With the
+/// default readahead (a cluster of one page, a sweep budget of 0) a
+/// fault's cluster is one page either way and no tick would sweep;
+/// while locked no tick would sweep either — none of these is a shed
+/// under High pressure.
 #[test]
 fn sheds_count_only_withheld_work() {
-    use sentry::core::config::ReadaheadConfig;
-    for (name, readahead) in [
-        ("readahead disabled", ReadaheadConfig::default()),
-        (
-            "sweep budget 0",
-            ReadaheadConfig::with_cluster(1).sweep_budget(0),
-        ),
-    ] {
-        let config = SentryConfig::tegra3_locked_l2(2).with_readahead(readahead);
-        let mut s = Sentry::new(Kernel::new(Soc::tegra3_small()), config).expect("sentry");
-        let pid = s.kernel.spawn("vault");
-        s.mark_sensitive(pid).expect("mark sensitive");
-        let data = working_set(0x3C);
-        s.write(pid, 0, &data).expect("write vault");
-        s.on_lock().expect("lock");
-        s.on_unlock().expect("unlock");
-        let resident = s.store.in_use_bytes();
-        s.set_onsoc_budget(Some(resident * 5 / 4)).expect("squeeze");
-        assert_eq!(s.pressure_level(), PressureLevel::High, "{name}");
+    let config = SentryConfig::tegra3_locked_l2(2);
+    let mut s = Sentry::new(Kernel::new(Soc::tegra3_small()), config).expect("sentry");
+    let pid = s.kernel.spawn("vault");
+    s.mark_sensitive(pid).expect("mark sensitive");
+    let data = working_set(0x3C);
+    s.write(pid, 0, &data).expect("write vault");
+    s.on_lock().expect("lock");
+    s.on_unlock().expect("unlock");
+    let resident = s.store.in_use_bytes();
+    s.set_onsoc_budget(Some(resident * 5 / 4)).expect("squeeze");
+    assert_eq!(s.pressure_level(), PressureLevel::High);
 
-        s.scheduler_tick().expect("tick under pressure");
-        s.touch_pages(pid, &[3]).expect("fault under pressure");
-        assert_eq!(s.last_fault().map(|f| f.pages), Some(1), "{name}");
-        s.sync_pressure();
-        assert_eq!(s.stats.pressure.sheds, 0, "{name}: {:?}", s.stats.pressure);
+    s.scheduler_tick().expect("tick under pressure");
+    s.touch_pages(pid, &[3]).expect("fault under pressure");
+    assert_eq!(s.last_fault().map(|f| f.pages), Some(1));
+    s.sync_pressure();
+    assert_eq!(s.stats.pressure.sheds, 0, "{:?}", s.stats.pressure);
 
-        s.set_onsoc_budget(None).expect("relief");
-        let vpns: Vec<u64> = (0..PAGES as u64).collect();
-        s.touch_pages(pid, &vpns).expect("drain");
-        let mut back = vec![0u8; data.len()];
-        s.read(pid, 0, &mut back).expect("read");
-        assert_eq!(back, data, "{name}");
-    }
+    s.set_onsoc_budget(None).expect("relief");
+    let vpns: Vec<u64> = (0..PAGES as u64).collect();
+    s.touch_pages(pid, &vpns).expect("drain");
+    let mut back = vec![0u8; data.len()];
+    s.read(pid, 0, &mut back).expect("read");
+    assert_eq!(back, data);
 
     // A locked device's tick never sweeps, budget or not.
     let (mut s, _pid, _data) = build(0x3D);
@@ -331,25 +323,4 @@ fn sheds_count_only_withheld_work() {
     s.scheduler_tick().expect("locked tick");
     s.sync_pressure();
     assert_eq!(s.stats.pressure.sheds, before, "{:?}", s.stats.pressure);
-}
-
-/// A disabled governor is the pre-governor machine: no denials beyond
-/// physical exhaustion, level pinned at Normal, occupancy still tracked.
-#[test]
-fn disabled_governor_never_denies_or_sheds() {
-    let config =
-        SentryConfig::tegra3_locked_l2(2).with_pressure(sentry::core::PressureConfig::disabled());
-    let mut s = Sentry::new(Kernel::new(Soc::tegra3_small()), config).expect("sentry");
-    let pid = s.kernel.spawn("vault");
-    s.mark_sensitive(pid).expect("sensitive");
-    s.write(pid, 0, &vec![0xEE; PAGE]).expect("write");
-    // A budget override is inert while the governor is off.
-    s.set_onsoc_budget(Some(PAGE as u64)).expect("budget");
-    assert_eq!(s.pressure_level(), PressureLevel::Normal);
-    s.on_lock().expect("lock");
-    s.on_unlock().expect("unlock");
-    s.sync_pressure();
-    assert_eq!(s.stats.pressure.denied, 0);
-    assert_eq!(s.stats.pressure.spills, 0);
-    assert!(s.stats.pressure.high_water_bytes > 0, "occupancy untracked");
 }

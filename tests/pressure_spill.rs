@@ -10,7 +10,7 @@
 //! a machine that recovers to byte-identical application data.
 
 use sentry::attacks::tamper::frame_of;
-use sentry::core::{PressureLevel, Sentry, SentryConfig, SentryError};
+use sentry::core::{Sentry, SentryConfig, SentryError};
 use sentry::kernel::Kernel;
 use sentry::soc::failpoint::{FaultAction, FaultPlan};
 use sentry::soc::Soc;
@@ -215,33 +215,4 @@ fn power_cut_mid_restore_leaves_the_blob_intact() {
     assert_eq!(back, data);
     s.sync_pressure();
     assert!(s.stats.pressure.spill_restores >= 1);
-}
-
-/// The spill lever is bounded by configuration: with spill disabled the
-/// squeeze still sheds and denies with typed errors, but the region is
-/// never created and the store never silently loses a tag page.
-#[test]
-fn spill_disabled_squeeze_degrades_without_a_region() {
-    let config = SentryConfig::tegra3_locked_l2(2)
-        .with_pressure(sentry::core::PressureConfig::default().with_spill(false));
-    let mut s = Sentry::new(Kernel::new(Soc::tegra3_small()), config).expect("sentry");
-    let pid = s.kernel.spawn("vault");
-    s.mark_sensitive(pid).expect("sensitive");
-    let data = working_set(0x66);
-    s.write(pid, 0, &data).expect("write");
-    s.on_lock().expect("lock");
-    s.set_onsoc_budget(Some(sentry::soc::addr::PAGE_SIZE))
-        .expect("squeeze");
-    s.sync_pressure();
-    assert_eq!(s.stats.pressure.spills, 0, "spill ran while disabled");
-    assert!(s.integrity.spill_region_raw().is_none(), "region created");
-    assert!(s.pressure_level() >= PressureLevel::High);
-    // Still fully functional after relief.
-    s.set_onsoc_budget(None).expect("relief");
-    s.on_unlock().expect("unlock");
-    let vpns: Vec<u64> = (0..PAGES as u64).collect();
-    s.touch_pages(pid, &vpns).expect("drain");
-    let mut back = vec![0u8; data.len()];
-    s.read(pid, 0, &mut back).expect("read");
-    assert_eq!(back, data);
 }

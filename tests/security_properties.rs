@@ -9,9 +9,10 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use sentry::core::{Sentry, SentryConfig};
+use sentry::kernel::pagetable::Backing;
 use sentry::kernel::Kernel;
-use sentry::soc::addr::{DRAM_BASE, PAGE_SIZE};
-use sentry::soc::Soc;
+use sentry::soc::addr::{DRAM_BASE, IRAM_BASE, IRAM_FIRMWARE_RESERVED, PAGE_SIZE};
+use sentry::soc::{Soc, SocError};
 
 /// A recognisable sentinel embedded in every page of app data, so DRAM
 /// scans have something unambiguous to look for.
@@ -145,4 +146,39 @@ fn sentinel_is_detectable_when_unprotected() {
     let pid = sentry.kernel.spawn("unprotected");
     sentry.write(pid, 0, &page_with_sentinel(1)).unwrap();
     assert!(scan_dram_for_sentinel(&mut sentry));
+}
+
+/// The locked-L2 backend hands out no iRAM pages, but its transition
+/// journal and integrity tag store live in iRAM: a DMA controller must
+/// neither read the journal page nor rewrite a page's stored tag.
+#[test]
+fn locked_l2_iram_is_dma_protected() {
+    let kernel = Kernel::new(Soc::tegra3_small());
+    let mut sentry = Sentry::new(kernel, SentryConfig::tegra3_locked_l2(2)).unwrap();
+    let pid = sentry.kernel.spawn("app");
+    sentry.mark_sensitive(pid).unwrap();
+    sentry.write(pid, 0, &page_with_sentinel(9)).unwrap();
+    sentry.on_lock().unwrap();
+    let Backing::Dram(frame) = sentry.kernel.procs[&pid].page_table.get(0).unwrap().backing else {
+        panic!("a locked page lives in DRAM");
+    };
+    let slot = sentry
+        .integrity
+        .tag_slot_addr(frame)
+        .expect("a locked page has a stored tag");
+    let soc = &mut sentry.kernel.soc;
+    let journal = IRAM_BASE + IRAM_FIRMWARE_RESERVED;
+    assert!(matches!(
+        soc.dma_read(0, journal, PAGE_SIZE as usize),
+        Err(SocError::DmaDenied { .. })
+    ));
+    assert!(matches!(
+        soc.dma_write(0, slot, &[0u8; 8]),
+        Err(SocError::DmaDenied { .. })
+    ));
+
+    sentry.on_unlock().unwrap();
+    let mut back = vec![0u8; PAGE_SIZE as usize];
+    sentry.read(pid, 0, &mut back).unwrap();
+    assert_eq!(back, page_with_sentinel(9), "the tag store was left intact");
 }
