@@ -77,17 +77,6 @@ impl BusMonitor {
             .map(|tx| ((tx.addr - table_base) / entry_size) as u8)
             .collect()
     }
-
-    /// Total bytes observed crossing the bus.
-    #[must_use]
-    pub fn bytes_observed(&self) -> u64 {
-        self.log
-            .lock()
-            .expect("bus monitor lock poisoned")
-            .iter()
-            .map(|tx| tx.data.len() as u64)
-            .sum()
-    }
 }
 
 impl BusObserver for BusMonitor {
@@ -162,7 +151,6 @@ mod tests {
         let mut soc = Soc::tegra3_small();
         let mon = BusMonitor::attach_new(&mut soc.bus);
         soc.mem_write_uncached(DRAM_BASE, &[1u8; 64]).unwrap();
-        assert_eq!(mon.bytes_observed(), 64);
         assert_eq!(mon.len(), 1);
         mon.clear();
         assert!(mon.is_empty());

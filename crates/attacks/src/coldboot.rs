@@ -171,7 +171,7 @@ impl ColdBootFindings {
 /// Number of cells used by the default Table 2 trial (a scaled-down
 /// stand-in for the paper's 1 GB fill; remanence is per-cell i.i.d., so
 /// the fraction estimate only needs enough cells for tight variance).
-pub const DEFAULT_TRIAL_CELLS: u64 = 200_000;
+pub(crate) const DEFAULT_TRIAL_CELLS: u64 = 200_000;
 
 /// Run the full Table 2 experiment: `trials` repetitions of each reset
 /// type, averaged.

@@ -58,7 +58,7 @@ impl DmaDump {
 
     /// Total bytes successfully read.
     #[must_use]
-    pub fn bytes_read(&self) -> u64 {
+    pub(crate) fn bytes_read(&self) -> u64 {
         self.data.iter().map(|(_, b)| b.len() as u64).sum()
     }
 }
@@ -102,7 +102,7 @@ mod tests {
         use sentry_core::config::OnSocBackend;
         use sentry_core::onsoc::OnSocStore;
         let mut soc = Soc::tegra3_small();
-        let mut store = OnSocStore::new(OnSocBackend::LockedL2 { max_ways: 1 }, &mut soc).unwrap();
+        let mut store = OnSocStore::new(OnSocBackend::LockedL2 { max_ways: 1 }, &mut soc);
         let page = store.alloc_page(&mut soc).unwrap();
         soc.mem_write(page, b"decrypted page contents").unwrap();
         // DMA bypasses the cache entirely: the locked line's data never

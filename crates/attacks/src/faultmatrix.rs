@@ -45,12 +45,12 @@ pub const SECRET: &[u8; 16] = b"SENTRY-TOPSECRET";
 /// Harmless filler for pages shared with non-sensitive processes (the
 /// §7 policy deliberately leaves them plaintext, so they must not carry
 /// the needle).
-pub const PUBLIC: &[u8; 16] = b"public-harmless!";
+pub(crate) const PUBLIC: &[u8; 16] = b"public-harmless!";
 
 /// Which process an [`Op`] acts on, resolved against [`Actors`] so a
 /// schedule is independent of any particular `Sentry` instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Actor {
+pub(crate) enum Actor {
     /// The sensitive process whose pages carry [`SECRET`].
     Vault,
     /// A second sensitive process sharing one frame with the vault.
@@ -67,13 +67,13 @@ pub struct Actors {
     /// Pid of the sensitive sharer.
     pub peer: Pid,
     /// Pid of the non-sensitive process.
-    pub browser: Pid,
+    pub(crate) browser: Pid,
 }
 
 impl Actors {
     /// Resolve an [`Actor`] to its pid.
     #[must_use]
-    pub fn pid(&self, who: Actor) -> Pid {
+    pub(crate) fn pid(&self, who: Actor) -> Pid {
         match who {
             Actor::Vault => self.vault,
             Actor::Peer => self.peer,
@@ -84,7 +84,7 @@ impl Actors {
 
 /// One step of a fault-matrix schedule.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Op {
+pub(crate) enum Op {
     /// `Sentry::on_lock`.
     Lock,
     /// `Sentry::on_unlock`.
@@ -121,10 +121,10 @@ pub struct Scenario {
     /// Display name (bench tables, JSON).
     pub name: &'static str,
     /// Sentry configuration under test.
-    pub config: SentryConfig,
+    pub(crate) config: SentryConfig,
     /// SoC RNG seed (DRAM decay etc.); fixed per scenario so every
     /// rebuild is bit-identical.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Number of secret-carrying private pages in the vault (≥ 3; page
     /// 1 is additionally shared with the peer, page 2 is a DMA region).
     pub secret_pages: u64,
@@ -278,7 +278,7 @@ impl Scenario {
     /// re-arms a clean page onto its kept DRAM frame), each ending in a
     /// full touch, so every run ends at the same fixed point.
     #[must_use]
-    pub fn schedule(&self) -> Vec<Op> {
+    pub(crate) fn schedule(&self) -> Vec<Op> {
         vec![
             Op::Lock,
             Op::Touch {
@@ -341,7 +341,7 @@ impl Scenario {
 
     /// Every `(actor, vpn)` the scenario maps (used by [`Op::TouchAll`]).
     #[must_use]
-    pub fn all_pages(&self) -> Vec<(Actor, u64)> {
+    pub(crate) fn all_pages(&self) -> Vec<(Actor, u64)> {
         let mut pages: Vec<(Actor, u64)> = (0..=self.secret_pages)
             .map(|vpn| (Actor::Vault, vpn))
             .collect();
@@ -362,7 +362,7 @@ pub fn secret_page(vpn: u64, fill: u8) -> Vec<u8> {
     page
 }
 
-/// A public page image carrying [`PUBLIC`] and never [`SECRET`].
+/// A public page image carrying `PUBLIC` and never [`SECRET`].
 #[must_use]
 pub fn public_page() -> Vec<u8> {
     let mut page = vec![0x50u8; PAGE_SIZE as usize];
@@ -417,27 +417,27 @@ fn drive(
 /// addresses are erased (slot *assignment* may legally differ after a
 /// recovery; slot *contents* are compared separately by `(pid, vpn)`).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PteView {
+pub(crate) struct PteView {
     /// Owning process.
-    pub pid: Pid,
+    pub(crate) pid: Pid,
     /// Virtual page number.
-    pub vpn: u64,
+    pub(crate) vpn: u64,
     /// Ciphertext bit.
-    pub encrypted: bool,
+    pub(crate) encrypted: bool,
     /// Accessed bit.
-    pub young: bool,
+    pub(crate) young: bool,
     /// Dirty bit.
-    pub dirty: bool,
+    pub(crate) dirty: bool,
     /// DMA-region flag.
-    pub dma_region: bool,
+    pub(crate) dma_region: bool,
     /// Sharing classification.
-    pub sharing: Sharing,
+    pub(crate) sharing: Sharing,
     /// IV version of the current ciphertext.
-    pub crypt_version: u64,
+    pub(crate) crypt_version: u64,
     /// `Some(frame)` for DRAM backing, `None` for on-SoC.
-    pub dram_frame: Option<u64>,
+    pub(crate) dram_frame: Option<u64>,
     /// The DRAM home frame while resident on-SoC.
-    pub home_frame: Option<u64>,
+    pub(crate) home_frame: Option<u64>,
 }
 
 impl PteView {
@@ -468,15 +468,15 @@ impl PteView {
 #[derive(Debug, Clone, PartialEq)]
 pub struct EndState {
     /// Committed lock epoch.
-    pub lock_epoch: u64,
+    pub(crate) lock_epoch: u64,
     /// Committed device state.
-    pub state: DeviceState,
+    pub(crate) state: DeviceState,
     /// Populated DRAM frames after a cache maintenance flush.
-    pub dram: Vec<(u64, Vec<u8>)>,
+    pub(crate) dram: Vec<(u64, Vec<u8>)>,
     /// Normalized page-table views, sorted by `(pid, vpn)`.
-    pub ptes: Vec<PteView>,
+    pub(crate) ptes: Vec<PteView>,
     /// Contents of on-SoC-resident pages, keyed by `(pid, vpn)`.
-    pub onsoc: Vec<(Pid, u64, Vec<u8>)>,
+    pub(crate) onsoc: Vec<(Pid, u64, Vec<u8>)>,
 }
 
 impl EndState {
@@ -535,9 +535,9 @@ pub struct Reference {
     /// `(site, step)` trace from the record pass.
     pub sites: Vec<(&'static str, u64)>,
     /// The most lanes any lock of the uninterrupted run used.
-    pub lock_lanes: usize,
+    pub(crate) lock_lanes: usize,
     /// End state of the uninterrupted run.
-    pub end: EndState,
+    pub(crate) end: EndState,
 }
 
 /// Run the schedule once in record mode.
@@ -567,25 +567,23 @@ pub fn record(scn: &Scenario) -> Result<Reference, SentryError> {
 /// What one kill cell observed.
 #[derive(Debug, Clone)]
 pub struct CellOutcome {
-    /// The step index the power cut was armed at.
-    pub step: u64,
     /// The failpoint site that fired (None if the plan never fired).
     pub site: Option<&'static str>,
     /// Schedule index of the op that died.
     pub killed_op: Option<usize>,
     /// Torn PTEs (encrypted PTE over a plaintext frame), post-kill +
     /// post-recovery.
-    pub torn_ptes: usize,
+    pub(crate) torn_ptes: usize,
     /// Cold-boot needle hits in DRAM while nominally locked, post-kill.
-    pub leaks_post_kill: usize,
+    pub(crate) leaks_post_kill: usize,
     /// Same scan, after recovery.
-    pub leaks_post_recovery: usize,
+    pub(crate) leaks_post_recovery: usize,
     /// What recovery found and did.
     pub recovery: RecoveryReport,
     /// Error from the retried schedule, if any (must be None).
-    pub retry_error: Option<String>,
+    pub(crate) retry_error: Option<String>,
     /// End state equals the reference end state.
-    pub converged: bool,
+    pub(crate) converged: bool,
     /// The diverging end state, kept only when `converged` is false so
     /// failures can be diffed against the reference.
     pub end: Option<Box<EndState>>,
@@ -665,7 +663,6 @@ pub fn run_cell(
             let end = EndState::capture(&mut s);
             let converged = end == reference.end;
             Ok(CellOutcome {
-                step,
                 site: None,
                 killed_op: None,
                 torn_ptes: 0,
@@ -695,7 +692,6 @@ pub fn run_cell(
                 Err((_, e)) => (Some(e.to_string()), false, None),
             };
             Ok(CellOutcome {
-                step,
                 site,
                 killed_op: Some(ix),
                 torn_ptes: torn_a + torn_b,
@@ -716,8 +712,6 @@ pub fn run_cell(
 /// with the reference *on the surviving set*.
 #[derive(Debug, Clone)]
 pub struct DecayCellOutcome {
-    /// The step index the power cut was armed at.
-    pub step: u64,
     /// Whether the armed plan actually fired.
     pub fired: bool,
     /// Frames whose ciphertext decayed while power was out.
@@ -730,15 +724,15 @@ pub struct DecayCellOutcome {
     /// Frames in quarantine after the full retried schedule.
     pub quarantined_final: usize,
     /// Torn PTEs + cold-boot needle hits across both scans.
-    pub torn_ptes: usize,
+    pub(crate) torn_ptes: usize,
     /// Cold-boot needle hits (post-kill + post-recovery).
-    pub leaks: usize,
+    pub(crate) leaks: usize,
     /// Unexpected (non-violation) error from the retried schedule.
-    pub retry_error: Option<String>,
+    pub(crate) retry_error: Option<String>,
     /// The end state, with quarantined frames and the pages and frames
     /// they touch masked out, equals the masked reference end state, and
     /// every kept frame still decrypts to its page's plaintext.
-    pub survivors_converged: bool,
+    pub(crate) survivors_converged: bool,
 }
 
 impl DecayCellOutcome {
@@ -937,7 +931,6 @@ pub fn run_decay_cell(
             s.kernel.soc.failpoints.disarm();
             let end = EndState::capture(&mut s);
             return Ok(DecayCellOutcome {
-                step,
                 fired: false,
                 decayed_frames: Vec::new(),
                 quarantined_by_recovery: 0,
@@ -994,7 +987,6 @@ pub fn run_decay_cell(
         .is_some_and(|end| survivors_converge(end, &reference.end, &quarantined))
         && kept_frames_hold_current_ciphertext(&mut s)?;
     Ok(DecayCellOutcome {
-        step,
         fired: true,
         decayed_frames: decayed,
         quarantined_by_recovery: recovery.quarantined,

@@ -51,7 +51,7 @@ pub struct AttackReport {
 impl AttackReport {
     /// Shorthand for a failed attack (the defence held).
     #[must_use]
-    pub fn safe(
+    pub(crate) fn safe(
         attack: impl Into<String>,
         target: impl Into<String>,
         why: impl Into<String>,
@@ -66,7 +66,7 @@ impl AttackReport {
 
     /// Shorthand for a successful attack.
     #[must_use]
-    pub fn broken(
+    pub(crate) fn broken(
         attack: impl Into<String>,
         target: impl Into<String>,
         what: impl Into<String>,

@@ -58,13 +58,13 @@ fn place_secret(option: StorageOption) -> Result<(Soc, u64), sentry_core::Sentry
             addr
         }
         StorageOption::Iram => {
-            let mut store = OnSocStore::new(OnSocBackend::Iram, &mut soc)?;
+            let mut store = OnSocStore::new(OnSocBackend::Iram, &mut soc);
             let slot = store.alloc_page(&mut soc)?;
             soc.mem_write(slot, &page)?;
             slot
         }
         StorageOption::LockedL2 => {
-            let mut store = OnSocStore::new(OnSocBackend::LockedL2 { max_ways: 1 }, &mut soc)?;
+            let mut store = OnSocStore::new(OnSocBackend::LockedL2 { max_ways: 1 }, &mut soc);
             let slot = store.alloc_page(&mut soc)?;
             soc.mem_write(slot, &page)?;
             slot
@@ -78,7 +78,9 @@ fn place_secret(option: StorageOption) -> Result<(Soc, u64), sentry_core::Sentry
 /// # Errors
 ///
 /// Propagates SoC errors from the power cycle.
-pub fn cold_boot_cell(option: StorageOption) -> Result<AttackReport, sentry_core::SentryError> {
+pub(crate) fn cold_boot_cell(
+    option: StorageOption,
+) -> Result<AttackReport, sentry_core::SentryError> {
     let (mut soc, _addr) = place_secret(option)?;
     let findings = coldboot::attack(&mut soc, PowerEvent::ReflashTap, SECRET)
         .map_err(sentry_core::SentryError::Soc)?;
@@ -103,7 +105,9 @@ pub fn cold_boot_cell(option: StorageOption) -> Result<AttackReport, sentry_core
 /// # Errors
 ///
 /// Propagates SoC errors.
-pub fn bus_monitor_cell(option: StorageOption) -> Result<AttackReport, sentry_core::SentryError> {
+pub(crate) fn bus_monitor_cell(
+    option: StorageOption,
+) -> Result<AttackReport, sentry_core::SentryError> {
     let (mut soc, addr) = place_secret(option)?;
     let mon = BusMonitor::attach_new(&mut soc.bus);
     // The device keeps using the secret while the probe listens.
@@ -142,7 +146,7 @@ pub fn bus_monitor_cell(option: StorageOption) -> Result<AttackReport, sentry_co
 /// # Errors
 ///
 /// Propagates SoC errors.
-pub fn dma_cell(option: StorageOption) -> Result<AttackReport, sentry_core::SentryError> {
+pub(crate) fn dma_cell(option: StorageOption) -> Result<AttackReport, sentry_core::SentryError> {
     let (mut soc, _addr) = place_secret(option)?;
     let dram_size = soc.dram.size();
     let mut dump = dma_dump(&mut soc, DRAM_BASE, dram_size, 4096);

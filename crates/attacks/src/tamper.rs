@@ -26,7 +26,6 @@
 //!   lock/unlock cycle still succeeds after the quarantine.
 
 use crate::faultmatrix::{public_page, secret_page, Actors, Scenario};
-use crate::AttackReport;
 use sentry_core::{Sentry, SentryError};
 use sentry_kernel::pagetable::Backing;
 use sentry_kernel::Pid;
@@ -121,7 +120,7 @@ impl TamperCell {
     /// The defence held: detected, nothing silently corrupted, rest of
     /// the system alive.
     #[must_use]
-    pub fn clean(&self) -> bool {
+    pub(crate) fn clean(&self) -> bool {
         self.detected && self.silent_corruptions == 0 && self.survivors_intact
     }
 }
@@ -163,36 +162,8 @@ impl TamperOutcome {
     pub fn clean(&self) -> bool {
         self.cells.iter().all(TamperCell::clean)
     }
-
-    /// Summarize as an [`AttackReport`] row (the Table 3 idiom).
-    #[must_use]
-    pub fn report(&self) -> AttackReport {
-        if self.clean() {
-            AttackReport::safe(
-                "active DRAM tamper",
-                self.scenario.clone(),
-                format!(
-                    "{} tampers across {} decrypt paths: all detected, \
-                     0 silent corruptions",
-                    self.cells.len(),
-                    DECRYPT_PATHS.len() + 1
-                ),
-            )
-        } else {
-            let missed = self.cells.iter().filter(|c| !c.clean()).count();
-            AttackReport::broken(
-                "active DRAM tamper",
-                self.scenario.clone(),
-                format!(
-                    "{missed}/{} cells leaked or corrupted silently",
-                    self.cells.len()
-                ),
-            )
-        }
-    }
 }
 
-/// The DRAM frame currently backing `(pid, vpn)`.
 /// The DRAM frame currently backing `(pid, vpn)`.
 ///
 /// Public so other harnesses (the fleet event stream) can aim the same
@@ -373,7 +344,7 @@ fn plant(
 ///
 /// Panics if a target page is unmapped or on-SoC when the tamper is
 /// planted (scenario invariants).
-pub fn run_cell(
+pub(crate) fn run_cell(
     scn: &Scenario,
     path: DecryptPath,
     vector: TamperVector,
@@ -559,7 +530,7 @@ mod tests {
             );
         }
         assert!((outcome.detection_rate() - 1.0).abs() < f64::EPSILON);
-        assert!(!outcome.report().recovered, "defence must hold");
+        assert!(outcome.clean(), "defence must hold");
     }
 
     #[test]

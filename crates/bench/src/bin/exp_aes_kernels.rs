@@ -535,7 +535,7 @@ fn main() {
     let mut soc = Soc::tegra3_small();
     let mut generic = GenericAesEngine::new(0);
     generic.set_key(&mut soc, &KEY).expect("generic keys");
-    let mut store = OnSocStore::new(OnSocBackend::Iram, &mut soc).expect("iram store");
+    let mut store = OnSocStore::new(OnSocBackend::Iram, &mut soc);
     let mut onsoc_table =
         build_engine_with_backend(&mut store, &mut soc, &KEY, OnSocCipherBackend::TableDriven)
             .expect("onsoc table engine");

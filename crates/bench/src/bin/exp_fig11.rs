@@ -78,12 +78,12 @@ fn main() {
     generic.set_key(&mut soc, &[1u8; 16]).unwrap();
     let generic_mb = measure(&mut soc, &mut generic, 0);
 
-    let mut store = OnSocStore::new(OnSocBackend::LockedL2 { max_ways: 1 }, &mut soc).unwrap();
+    let mut store = OnSocStore::new(OnSocBackend::LockedL2 { max_ways: 1 }, &mut soc);
     let mut locked = build_engine(&mut store, &mut soc, &[1u8; 16]).unwrap();
     let locked_mb = measure(&mut soc, &mut locked, 0);
 
     let mut soc = Soc::tegra3_small();
-    let mut store = OnSocStore::new(OnSocBackend::Iram, &mut soc).unwrap();
+    let mut store = OnSocStore::new(OnSocBackend::Iram, &mut soc);
     let mut iram = build_engine(&mut store, &mut soc, &[1u8; 16]).unwrap();
     let iram_mb = measure(&mut soc, &mut iram, 0);
 

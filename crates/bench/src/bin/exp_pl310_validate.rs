@@ -14,8 +14,7 @@ use sentry_soc::Soc;
 
 fn main() {
     let mut soc = Soc::tegra3_small();
-    let mut store = OnSocStore::new(OnSocBackend::LockedL2 { max_ways: 1 }, &mut soc)
-        .expect("tegra supports locking");
+    let mut store = OnSocStore::new(OnSocBackend::LockedL2 { max_ways: 1 }, &mut soc);
     let page = store.alloc_page(&mut soc).expect("way locks");
 
     let pattern = *b"\x7E\x57\xC0\xDE\xBA\x5E\xBA\x11";

@@ -36,8 +36,7 @@ fn main() {
 
     // --- AES On SoC.
     let mut soc = Soc::tegra3_small();
-    let mut store =
-        OnSocStore::new(OnSocBackend::LockedL2 { max_ways: 1 }, &mut soc).expect("locks");
+    let mut store = OnSocStore::new(OnSocBackend::LockedL2 { max_ways: 1 }, &mut soc);
     let mut onsoc = build_engine(&mut store, &mut soc, &KEY).expect("keys");
     onsoc.set_full_simulation(true);
     let mon = BusMonitor::attach_new(&mut soc.bus);

@@ -43,7 +43,7 @@ use sentry_soc::Soc;
 
 /// Registration priority — above the generic engine (100), so the
 /// Crypto API transparently favours AES On SoC (§7).
-pub const AES_ONSOC_PRIORITY: i32 = 300;
+pub(crate) const AES_ONSOC_PRIORITY: i32 = 300;
 
 /// Which cipher implementation backs the on-SoC state page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -118,16 +118,10 @@ impl std::fmt::Debug for AesOnSocEngine {
 impl AesOnSocEngine {
     /// Create an engine whose state page is the on-SoC page at
     /// `state_base` (allocated from a [`crate::onsoc::OnSocStore`]),
-    /// with the matching residency for reporting.
+    /// with the matching residency for reporting and the cipher backend
+    /// for the state page (see [`OnSocCipherBackend`]).
     #[must_use]
-    pub fn new(state_base: u64, residency: KeyResidency) -> Self {
-        Self::with_backend(state_base, residency, OnSocCipherBackend::default())
-    }
-
-    /// Like [`AesOnSocEngine::new`], but selecting the cipher backend for
-    /// the on-SoC state page (see [`OnSocCipherBackend`]).
-    #[must_use]
-    pub fn with_backend(
+    pub(crate) fn with_backend(
         state_base: u64,
         residency: KeyResidency,
         backend: OnSocCipherBackend,
@@ -143,22 +137,10 @@ impl AesOnSocEngine {
         }
     }
 
-    /// The cipher backend this engine was built with.
-    #[must_use]
-    pub fn backend(&self) -> OnSocCipherBackend {
-        self.backend
-    }
-
     /// Route every data-path state access through the simulated store
     /// (see the type-level docs). Slow; intended for security tests.
     pub fn set_full_simulation(&mut self, on: bool) {
         self.full_sim = on;
-    }
-
-    /// The physical address of the engine's state page.
-    #[must_use]
-    pub fn state_base(&self) -> u64 {
-        self.state_base
     }
 }
 
@@ -315,7 +297,7 @@ mod tests {
 
     fn engine(backend: OnSocBackend) -> (Soc, AesOnSocEngine) {
         let mut soc = Soc::tegra3_small();
-        let mut store = OnSocStore::new(backend, &mut soc).unwrap();
+        let mut store = OnSocStore::new(backend, &mut soc);
         let eng = build_engine(&mut store, &mut soc, &[0x42u8; 16]).unwrap();
         (soc, eng)
     }
@@ -346,7 +328,7 @@ mod tests {
         // the table-driven one, in fast and full-simulation mode alike,
         // and the same calibrated time charge.
         let mut soc = Soc::tegra3_small();
-        let mut store = OnSocStore::new(OnSocBackend::Iram, &mut soc).unwrap();
+        let mut store = OnSocStore::new(OnSocBackend::Iram, &mut soc);
         let mut eng = build_engine_with_backend(
             &mut store,
             &mut soc,
@@ -354,7 +336,7 @@ mod tests {
             OnSocCipherBackend::BitslicedTableFree,
         )
         .unwrap();
-        assert_eq!(eng.backend(), OnSocCipherBackend::BitslicedTableFree);
+        assert_eq!(eng.backend, OnSocCipherBackend::BitslicedTableFree);
 
         let reference = Aes::new(&[0x42u8; 16]).unwrap();
         let iv = [9u8; 16];
@@ -379,7 +361,7 @@ mod tests {
         // batch staging area, round keys, and every intermediate all
         // live in iRAM, and there are no tables to look up at all.
         let mut soc = Soc::tegra3_small();
-        let mut store = OnSocStore::new(OnSocBackend::Iram, &mut soc).unwrap();
+        let mut store = OnSocStore::new(OnSocBackend::Iram, &mut soc);
         let mut eng = build_engine_with_backend(
             &mut store,
             &mut soc,
@@ -524,7 +506,7 @@ mod tests {
         ] {
             for mode in PageCipherMode::all() {
                 let mut soc = Soc::tegra3_small();
-                let mut store = OnSocStore::new(OnSocBackend::Iram, &mut soc).unwrap();
+                let mut store = OnSocStore::new(OnSocBackend::Iram, &mut soc);
                 let mut eng =
                     build_engine_with_backend(&mut store, &mut soc, &key, cipher_backend).unwrap();
                 eng.set_mode(mode).unwrap();
@@ -612,7 +594,7 @@ mod tests {
             for mode in PageCipherMode::all() {
                 let observe = |full_sim: bool| {
                     let mut soc = Soc::tegra3_small();
-                    let mut store = OnSocStore::new(OnSocBackend::Iram, &mut soc).unwrap();
+                    let mut store = OnSocStore::new(OnSocBackend::Iram, &mut soc);
                     let mut eng = build_engine_with_backend(
                         &mut store,
                         &mut soc,
@@ -715,8 +697,11 @@ mod tests {
     #[test]
     fn unkeyed_engine_refuses_to_encrypt() {
         let mut soc = Soc::tegra3_small();
-        let mut eng =
-            AesOnSocEngine::new(sentry_soc::addr::IRAM_BASE + 64 * 1024, KeyResidency::Iram);
+        let mut eng = AesOnSocEngine::with_backend(
+            sentry_soc::addr::IRAM_BASE + 64 * 1024,
+            KeyResidency::Iram,
+            OnSocCipherBackend::default(),
+        );
         let mut data = vec![0u8; 16];
         assert!(eng
             .crypt(&mut soc, Direction::Encrypt, &[[0u8; 16]], &mut data)

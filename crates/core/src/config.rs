@@ -31,10 +31,10 @@ pub struct ReadaheadConfig {
     /// Pages decrypted per fault: the faulting page plus its spatially
     /// adjacent encrypted neighbours in the same aligned window, in one
     /// batched kernel call. `1` degenerates to single-page faulting.
-    pub cluster_pages: usize,
+    pub(crate) cluster_pages: usize,
     /// Pages the background sweeper drains per scheduler tick. `0`
     /// disables sweeping.
-    pub sweep_budget_pages: usize,
+    pub(crate) sweep_budget_pages: usize,
 }
 
 impl Default for ReadaheadConfig {
@@ -86,7 +86,7 @@ impl IntegrityConfig {
     /// A disabled integrity plane (confidentiality-only DRAM, the
     /// paper's original behaviour).
     #[must_use]
-    pub fn disabled() -> Self {
+    pub(crate) fn disabled() -> Self {
         IntegrityConfig { enabled: false }
     }
 }
@@ -95,7 +95,7 @@ impl IntegrityConfig {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SentryConfig {
     /// Where secrets live on the SoC.
-    pub backend: OnSocBackend,
+    pub(crate) backend: OnSocBackend,
     /// The device's cores as the bulk lock/unlock path sees them: a
     /// DRAM-side crypt batch of `pages` pages runs on
     /// `parallel_workers.min(pages)` lanes and is charged the serial AES
@@ -109,24 +109,24 @@ pub struct SentryConfig {
     pub parallel_workers: usize,
     /// Unlock-latency tuning: fault-cluster readahead and the background
     /// decrypt sweeper.
-    pub readahead: ReadaheadConfig,
+    pub(crate) readahead: ReadaheadConfig,
     /// Authenticated-DRAM integrity plane tuning.
     pub integrity: IntegrityConfig,
     /// Per-page cipher mode for every page/sector crypt path: the pager,
     /// the lock batch, dm-crypt, readahead, and the sweeper.
     /// CBC is the paper's mode; XTS and CTR fill every bitsliced lane on
     /// encrypt as well as decrypt (see `sentry_crypto::modes`).
-    pub cipher_mode: PageCipherMode,
+    pub(crate) cipher_mode: PageCipherMode,
     /// Asynchronous crypt-pipeline switch: keystream precompute for the
     /// dm-crypt read path and accelerator-queue routing for lifecycle
     /// decrypt batches (see `sentry_crypto::pipeline`). Disabled by
     /// default — the paper's fully inline behaviour.
-    pub pipeline: PipelineConfig,
+    pub(crate) pipeline: PipelineConfig,
     /// Whether sensitive apps may run in the background while locked
     /// (requires the encrypted-DRAM pager; the paper's Tegra prototype).
     /// Without it, sensitive apps are parked unschedulable on lock (the
     /// Nexus 4 prototype).
-    pub background_support: bool,
+    pub(crate) background_support: bool,
     /// Optional cap on the pager's on-SoC page slots. `Some(1)` plus the
     /// AES state page reproduces the paper's minimum-footprint
     /// configuration — "the minimum amount of on-SoC memory required to
@@ -210,13 +210,6 @@ impl SentryConfig {
     #[must_use]
     pub fn with_readahead(mut self, readahead: ReadaheadConfig) -> Self {
         self.readahead = readahead;
-        self
-    }
-
-    /// Set the integrity-plane tuning (see [`IntegrityConfig`]).
-    #[must_use]
-    pub fn with_integrity(mut self, integrity: IntegrityConfig) -> Self {
-        self.integrity = integrity;
         self
     }
 

@@ -18,7 +18,7 @@ use sentry_energy::{AesVariant, EnergyModel};
 
 /// Screen/lock state of the device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScreenState {
+pub(crate) enum ScreenState {
     /// Screen on, user authenticated.
     Unlocked,
     /// Screen locked; a correct PIN unlocks.
@@ -30,7 +30,7 @@ pub enum ScreenState {
 
 /// Outcome of a PIN attempt.
 #[derive(Debug, Clone, PartialEq)]
-pub enum UnlockOutcome {
+pub(crate) enum UnlockOutcome {
     /// Correct PIN; the device unlocked (report attached).
     Unlocked(UnlockReport),
     /// Wrong PIN; `remaining` attempts before deep lock.
@@ -61,7 +61,7 @@ pub struct DayReport {
 #[derive(Debug)]
 pub struct DeviceAgent {
     /// The underlying Sentry system.
-    pub sentry: Sentry,
+    pub(crate) sentry: Sentry,
     pin: String,
     failed_attempts: u32,
     max_attempts: u32,
@@ -82,12 +82,6 @@ impl DeviceAgent {
         }
     }
 
-    /// Current screen state.
-    #[must_use]
-    pub fn screen(&self) -> ScreenState {
-        self.screen
-    }
-
     /// The screen turns off (idle timeout or power button): Sentry
     /// encrypts sensitive memory and the device suspends.
     ///
@@ -95,7 +89,7 @@ impl DeviceAgent {
     ///
     /// Propagates Sentry errors; locking a deep-locked or already
     /// locked device is a no-op returning a default report.
-    pub fn lock_screen(&mut self) -> Result<LockReport, SentryError> {
+    pub(crate) fn lock_screen(&mut self) -> Result<LockReport, SentryError> {
         if self.screen != ScreenState::Unlocked {
             return Ok(LockReport::default());
         }
@@ -109,7 +103,7 @@ impl DeviceAgent {
     /// # Errors
     ///
     /// Propagates Sentry errors from the unlock path.
-    pub fn try_unlock(&mut self, pin: &str) -> Result<UnlockOutcome, SentryError> {
+    pub(crate) fn try_unlock(&mut self, pin: &str) -> Result<UnlockOutcome, SentryError> {
         match self.screen {
             ScreenState::DeepLocked => Ok(UnlockOutcome::DeepLocked),
             ScreenState::Unlocked => Ok(UnlockOutcome::Unlocked(UnlockReport::default())),
@@ -132,28 +126,6 @@ impl DeviceAgent {
                 }
             }
         }
-    }
-
-    /// Factory-reset a deep-locked device: all user memory is wiped
-    /// (the deep-lock escape hatch; "the unlocking process requires
-    /// device reflashing which wipes all user data", §3.1 fn. 1).
-    ///
-    /// # Errors
-    ///
-    /// Propagates SoC errors from the reflash.
-    pub fn factory_reset(&mut self) -> Result<(), SentryError> {
-        self.sentry
-            .kernel
-            .soc
-            .power_cycle(sentry_soc::dram::PowerEvent::ReflashTap)?;
-        // Wipe the user partition: drop every process's address space.
-        let pids: Vec<u32> = self.sentry.kernel.procs.keys().copied().collect();
-        for pid in pids {
-            self.sentry.kernel.procs.remove(&pid);
-        }
-        self.failed_attempts = 0;
-        self.screen = ScreenState::Unlocked;
-        Ok(())
     }
 
     /// Simulate a day: `cycles` lock/unlock pairs where each unlock is
@@ -203,6 +175,7 @@ mod tests {
     use crate::config::SentryConfig;
     use sentry_kernel::Kernel;
     use sentry_soc::addr::PAGE_SIZE;
+    use sentry_soc::dram::PowerEvent;
     use sentry_soc::Soc;
 
     fn agent() -> (DeviceAgent, u32) {
@@ -222,7 +195,7 @@ mod tests {
     fn correct_pin_unlocks_wrong_pin_counts_down() {
         let (mut agent, _) = agent();
         agent.lock_screen().unwrap();
-        assert_eq!(agent.screen(), ScreenState::Locked);
+        assert_eq!(agent.screen, ScreenState::Locked);
         assert!(matches!(
             agent.try_unlock("0000").unwrap(),
             UnlockOutcome::WrongPin { remaining: 4 }
@@ -231,7 +204,7 @@ mod tests {
             agent.try_unlock("4521").unwrap(),
             UnlockOutcome::Unlocked(_)
         ));
-        assert_eq!(agent.screen(), ScreenState::Unlocked);
+        assert_eq!(agent.screen, ScreenState::Unlocked);
     }
 
     #[test]
@@ -245,19 +218,34 @@ mod tests {
         assert_eq!(agent.try_unlock("9999").unwrap(), UnlockOutcome::DeepLocked);
         // Even the correct PIN is refused now.
         assert_eq!(agent.try_unlock("4521").unwrap(), UnlockOutcome::DeepLocked);
-        assert_eq!(agent.screen(), ScreenState::DeepLocked);
+        assert_eq!(agent.screen, ScreenState::DeepLocked);
     }
 
     #[test]
-    fn factory_reset_recovers_the_device_but_wipes_data() {
-        let (mut agent, pid) = agent();
+    fn a_deep_locked_device_reflashes_to_no_user_data() {
+        // §3.1 fn. 1: unlocking a deep-locked device "requires device
+        // reflashing which wipes all user data".
+        let (mut agent, _) = agent();
         agent.lock_screen().unwrap();
         for _ in 0..5 {
             let _ = agent.try_unlock("9999").unwrap();
         }
-        agent.factory_reset().unwrap();
-        assert_eq!(agent.screen(), ScreenState::Unlocked);
-        assert!(agent.sentry.kernel.proc(pid).is_err(), "user data wiped");
+        assert_eq!(agent.screen, ScreenState::DeepLocked);
+        let soc = &mut agent.sentry.kernel.soc;
+        soc.power_cycle(PowerEvent::ReflashTap).unwrap();
+        assert!(
+            soc.iram.as_bytes().iter().all(|&b| b == 0),
+            "the firmware zeroes the on-SoC key state"
+        );
+        soc.cache_maintenance_flush();
+        for (_addr, frame) in soc.dram.iter_frames() {
+            for vpn in 1..8u8 {
+                assert!(
+                    !frame.windows(64).any(|w| w == [vpn; 64]),
+                    "user data wiped"
+                );
+            }
+        }
     }
 
     #[test]

@@ -46,12 +46,12 @@ pub struct PagerStats {
     pub bytes_encrypted: u64,
     /// Lock-time sweeps that re-encrypted at least one written resident
     /// page (at most one per lock transition).
-    pub evict_batches: u64,
+    pub(crate) evict_batches: u64,
     /// Pages evicted across all such sweeps.
-    pub evict_batch_pages: u64,
+    pub(crate) evict_batch_pages: u64,
     /// Faults refused because the frame is quarantined (poisoned
     /// ciphertext caught by the integrity plane — never paged in).
-    pub quarantine_rejects: u64,
+    pub(crate) quarantine_rejects: u64,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -78,7 +78,7 @@ pub struct Pager {
 impl Pager {
     /// A pager with an optional cap on on-SoC page slots.
     #[must_use]
-    pub fn new(slot_limit: Option<usize>) -> Self {
+    pub(crate) fn new(slot_limit: Option<usize>) -> Self {
         Pager {
             slot_limit,
             ..Pager::default()
@@ -287,7 +287,7 @@ impl Pager {
     /// the pager's in-memory FIFO (which never reached its tail commit)
     /// is re-synchronized here from the page tables — the single source
     /// of truth.
-    pub fn reconcile(&mut self, kernel: &Kernel) {
+    pub(crate) fn reconcile(&mut self, kernel: &Kernel) {
         let resident: Vec<usize> = self.resident.drain(..).collect();
         for slot_idx in resident {
             let slot = self.slots[slot_idx];
@@ -319,7 +319,7 @@ impl Pager {
     /// # Errors
     ///
     /// Propagates wipe errors.
-    pub fn drop_pid(&mut self, kernel: &mut Kernel, pid: u32) -> Result<u64, SentryError> {
+    pub(crate) fn drop_pid(&mut self, kernel: &mut Kernel, pid: u32) -> Result<u64, SentryError> {
         let mut dropped = 0u64;
         let resident: Vec<usize> = self.resident.drain(..).collect();
         let zero = vec![0u8; PAGE_SIZE as usize];

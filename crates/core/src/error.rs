@@ -85,7 +85,7 @@ impl SentryError {
     /// abort from the fault plane: the transition failed cleanly before
     /// mutating anything, and the operation can simply be retried.
     #[must_use]
-    pub fn is_injected_crypt_fault(&self) -> bool {
+    pub(crate) fn is_injected_crypt_fault(&self) -> bool {
         matches!(
             self,
             SentryError::Soc(SocError::CryptFault { .. } | SocError::BatchAborted { .. })

@@ -48,15 +48,15 @@ use sentry_soc::Soc;
 use std::collections::{BTreeMap, HashMap};
 
 /// Bytes per stored tag (a truncated CMAC, SP 800-38B §5.5).
-pub const TAG_BYTES: usize = 8;
+pub(crate) const TAG_BYTES: usize = 8;
 
 /// Extra frame re-reads attempted when a MAC check fails, to
 /// disambiguate a transient bus/readout glitch from real tampering
 /// before quarantining the page.
-pub const MAX_VERIFY_RETRIES: u32 = 2;
+pub(crate) const MAX_VERIFY_RETRIES: u32 = 2;
 
 /// Tags per 4 KiB tag-store page.
-pub const TAGS_PER_PAGE: u64 = PAGE_SIZE / TAG_BYTES as u64;
+pub(crate) const TAGS_PER_PAGE: u64 = PAGE_SIZE / TAG_BYTES as u64;
 
 /// Cumulative integrity-plane statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -78,10 +78,10 @@ pub struct IntegrityStats {
     pub mac_chains: u64,
     /// Tags retired (zeroed and freed) after their page returned to
     /// plaintext.
-    pub tags_retired: u64,
+    pub(crate) tags_retired: u64,
     /// Encrypted pages decrypted without a stored tag (pages encrypted
     /// before the plane was enabled; counted, never blocked).
-    pub untagged_decrypts: u64,
+    pub(crate) untagged_decrypts: u64,
 }
 
 /// Assert that a tag batch's buffer holds exactly one page per job. A
@@ -113,16 +113,16 @@ pub struct QuarantinedPage {
     /// The poisoned DRAM frame.
     pub frame: u64,
     /// Page version of the ciphertext that failed.
-    pub version: u64,
+    pub(crate) version: u64,
     /// The tag the on-SoC store holds.
-    pub tag_expected: [u8; TAG_BYTES],
+    pub(crate) tag_expected: [u8; TAG_BYTES],
     /// The tag recomputed over the frame's current contents.
-    pub tag_got: [u8; TAG_BYTES],
+    pub(crate) tag_got: [u8; TAG_BYTES],
 }
 
 /// Outcome of verifying one gathered ciphertext page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VerifyOutcome {
+pub(crate) enum VerifyOutcome {
     /// The stored tag matched: the ciphertext is authentic.
     Ok,
     /// No tag is stored for this frame (encrypted before the plane was
@@ -143,16 +143,16 @@ pub enum VerifyOutcome {
 /// Restoration re-derives the tag and refuses a mismatch, so a replayed
 /// or cross-slot-spliced spill blob can never re-enter the SoC.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpillAnchor {
+pub(crate) struct SpillAnchor {
     /// Lock epoch the page was spilled under.
-    pub epoch: u64,
+    pub(crate) epoch: u64,
     /// CMAC-trunc8 over the epoch tweak block plus the plaintext page.
-    pub tag: [u8; TAG_BYTES],
+    pub(crate) tag: [u8; TAG_BYTES],
 }
 
 /// Where one tag-store page's 512 slots currently live.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TagPageState {
+pub(crate) enum TagPageState {
     /// On-SoC at this address.
     Resident(u64),
     /// Encrypted in the spill region; only the anchor remains on-SoC.
@@ -227,31 +227,17 @@ pub struct IntegrityPlane {
 }
 
 impl IntegrityPlane {
-    /// Build the plane and the page MAC of `mode`. The MAC and spill
-    /// keys derive from the volatile root key by one block encryption of
-    /// a fixed domain-separation constant each — they inherit the root
-    /// key's lifetime (die with power) without a second key page on-SoC.
-    ///
-    /// # Errors
-    ///
-    /// Propagates AES key-schedule errors.
-    pub fn new(
-        config: IntegrityConfig,
-        backend: OnSocBackend,
-        mode: PageCipherMode,
-        root_key: &[u8],
-    ) -> Result<Self, SentryError> {
-        let root = Aes::new(root_key)?;
-        IntegrityPlane::with_root(config, backend, mode, &root)
-    }
-
-    /// Build the plane from an already-expanded root-key schedule
-    /// (`Sentry::new` expands the volatile root key exactly once).
+    /// Build the plane and the page MAC of `mode` from the expanded
+    /// root-key schedule (`Sentry::new` expands the volatile root key
+    /// exactly once). The MAC and spill keys derive from the root key by
+    /// one block encryption of a fixed domain-separation constant each —
+    /// they inherit the root key's lifetime (die with power) without a
+    /// second key page on-SoC.
     ///
     /// # Errors
     ///
     /// Propagates AES key-schedule errors for the derived MAC key.
-    pub fn with_root(
+    pub(crate) fn with_root(
         config: IntegrityConfig,
         backend: OnSocBackend,
         mode: PageCipherMode,
@@ -285,7 +271,7 @@ impl IntegrityPlane {
 
     /// Whether the plane is active.
     #[must_use]
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.enabled
     }
 
@@ -293,12 +279,6 @@ impl IntegrityPlane {
     #[must_use]
     pub(crate) fn tagger(&self) -> &CommitTagger {
         &self.mac
-    }
-
-    /// Number of on-SoC pages the tag store currently occupies.
-    #[must_use]
-    pub fn tag_store_pages(&self) -> usize {
-        self.tag_pages.len()
     }
 
     /// The stored tags of stamped entries, page `i` of `buf` under entry
@@ -504,7 +484,7 @@ impl IntegrityPlane {
     }
 
     /// Record the current lock epoch for spill-anchor binding.
-    pub fn set_epoch(&mut self, epoch: u64) {
+    pub(crate) fn set_epoch(&mut self, epoch: u64) {
         self.spill_epoch = epoch;
     }
 
@@ -514,15 +494,6 @@ impl IntegrityPlane {
         self.tag_pages
             .iter()
             .filter(|p| matches!(p.state, TagPageState::Spilled(_)))
-            .count()
-    }
-
-    /// Tag pages currently resident on-SoC.
-    #[must_use]
-    pub fn resident_tag_pages(&self) -> usize {
-        self.tag_pages
-            .iter()
-            .filter(|p| matches!(p.state, TagPageState::Resident(_)))
             .count()
     }
 
@@ -658,7 +629,7 @@ impl IntegrityPlane {
     /// # Errors
     ///
     /// Propagates spill I/O and SoC errors.
-    pub fn shed_cold_page(
+    pub(crate) fn shed_cold_page(
         &mut self,
         soc: &mut Soc,
         store: &mut OnSocStore,
@@ -710,7 +681,7 @@ impl IntegrityPlane {
     /// # Errors
     ///
     /// Propagates SoC errors from the page wipes.
-    pub fn reap_empty(
+    pub(crate) fn reap_empty(
         &mut self,
         soc: &mut Soc,
         store: &mut OnSocStore,
@@ -736,7 +707,7 @@ impl IntegrityPlane {
     /// # Errors
     ///
     /// Propagates SoC errors.
-    pub fn release_frames(
+    pub(crate) fn release_frames(
         &mut self,
         soc: &mut Soc,
         store: &mut OnSocStore,
@@ -771,7 +742,7 @@ impl IntegrityPlane {
     /// # Panics
     ///
     /// Panics unless `buf` holds exactly one page per entry.
-    pub fn store_tags(
+    pub(crate) fn store_tags(
         &mut self,
         soc: &mut Soc,
         store: &mut OnSocStore,
@@ -799,7 +770,7 @@ impl IntegrityPlane {
     /// # Panics
     ///
     /// Panics unless `buf` holds exactly one page per entry.
-    pub fn verify_frames(
+    pub(crate) fn verify_frames(
         &mut self,
         soc: &mut Soc,
         store: &mut OnSocStore,
@@ -958,7 +929,7 @@ impl IntegrityPlane {
     /// encrypted) by design — that is the caller's invariant — so the
     /// page can never reach plaintext, and every later touch reports
     /// the same violation via [`IntegrityPlane::violation_for`].
-    pub fn quarantine(&mut self, q: QuarantinedPage) -> SentryError {
+    pub(crate) fn quarantine(&mut self, q: QuarantinedPage) -> SentryError {
         if !self.quarantine.contains_key(&q.frame) {
             self.stats.violations += 1;
         }
@@ -983,13 +954,13 @@ impl IntegrityPlane {
     /// on-SoC eviction slot): the fresh ciphertext *and its fresh tag*
     /// fully replace the tampered image, so the frame is healed.
     /// Returns whether an entry was removed.
-    pub fn release(&mut self, frame: u64) -> bool {
+    pub(crate) fn release(&mut self, frame: u64) -> bool {
         self.quarantine.remove(&frame).is_some()
     }
 
     /// The stored violation for a quarantined frame, if any.
     #[must_use]
-    pub fn violation_for(&self, frame: u64) -> Option<SentryError> {
+    pub(crate) fn violation_for(&self, frame: u64) -> Option<SentryError> {
         self.quarantine
             .get(&frame)
             .map(|q| SentryError::IntegrityViolation {
@@ -1020,7 +991,7 @@ impl IntegrityPlane {
     /// # Errors
     ///
     /// Propagates SoC write errors.
-    pub fn retire_tag(&mut self, soc: &mut Soc, frame: u64) -> Result<(), SentryError> {
+    pub(crate) fn retire_tag(&mut self, soc: &mut Soc, frame: u64) -> Result<(), SentryError> {
         if let Some(slot) = self.slots.remove(&frame) {
             let idx = Self::page_index(slot);
             if matches!(self.tag_pages[idx].state, TagPageState::Resident(_)) {
@@ -1035,7 +1006,7 @@ impl IntegrityPlane {
 
     /// Whether a tag is currently stored for `frame`.
     #[must_use]
-    pub fn has_tag(&self, frame: u64) -> bool {
+    pub(crate) fn has_tag(&self, frame: u64) -> bool {
         self.slots.contains_key(&frame)
     }
 
@@ -1060,6 +1031,19 @@ mod tests {
     use crate::transition::{mac_audit, page_iv, IvSource};
     use sentry_soc::{Platform, SocConfig};
 
+    fn root(byte: u8) -> Aes {
+        Aes::new(&[byte; 16]).unwrap()
+    }
+
+    /// Tag pages currently resident on-SoC.
+    fn resident_tag_pages(plane: &IntegrityPlane) -> usize {
+        plane
+            .tag_pages
+            .iter()
+            .filter(|p| matches!(p.state, TagPageState::Resident(_)))
+            .count()
+    }
+
     fn soc() -> Soc {
         Soc::new(SocConfig::new(Platform::Tegra3).with_dram_size(8 << 20))
     }
@@ -1073,9 +1057,9 @@ mod tests {
         mode: PageCipherMode,
     ) -> (IntegrityPlane, OnSocStore, Soc) {
         let mut soc = soc();
-        let store = OnSocStore::new(backend, &mut soc).unwrap();
+        let store = OnSocStore::new(backend, &mut soc);
         let plane =
-            IntegrityPlane::new(IntegrityConfig::default(), backend, mode, &[7u8; 16]).unwrap();
+            IntegrityPlane::with_root(IntegrityConfig::default(), backend, mode, &root(7)).unwrap();
         (plane, store, soc)
     }
 
@@ -1207,7 +1191,7 @@ mod tests {
                 &page,
             );
         }
-        assert_eq!(plane.tag_store_pages(), 2, "513th tag needs a second page");
+        assert_eq!(plane.tag_pages.len(), 2, "513th tag needs a second page");
         let f0 = dram_frame(&soc, 0);
         plane.retire_tag(&mut soc, f0).unwrap();
         let fresh = dram_frame(&soc, 999);
@@ -1219,7 +1203,7 @@ mod tests {
             &[(fresh, [0u8; 16])],
             &page,
         );
-        assert_eq!(plane.tag_store_pages(), 2, "retired slot was recycled");
+        assert_eq!(plane.tag_pages.len(), 2, "retired slot was recycled");
     }
 
     #[test]
@@ -1258,7 +1242,7 @@ mod tests {
             );
             frames.push(frame);
         }
-        assert_eq!(plane.resident_tag_pages(), 2);
+        assert_eq!(resident_tag_pages(&plane), 2);
         let before = store.in_use_bytes();
         assert!(plane.shed_cold_page(&mut soc, &mut store).unwrap());
         assert_eq!(plane.spilled_pages(), 1);
@@ -1298,10 +1282,10 @@ mod tests {
             frames.push(frame);
         }
         let held = store.in_use_bytes();
-        assert_eq!(plane.resident_tag_pages(), 2);
+        assert_eq!(resident_tag_pages(&plane), 2);
         let reclaimed = plane.release_frames(&mut soc, &mut store, &frames).unwrap();
         assert_eq!(reclaimed, 2, "both emptied pages return to the store");
-        assert_eq!(plane.resident_tag_pages(), 0);
+        assert_eq!(resident_tag_pages(&plane), 0);
         assert_eq!(store.in_use_bytes(), held - 2 * PAGE_SIZE);
         assert_eq!(store.pressure().stats.reclaimed_pages, 2);
         // The store keeps working after the reap.
@@ -1320,12 +1304,12 @@ mod tests {
     #[test]
     fn disabled_plane_is_inert() {
         let mut soc = soc();
-        let mut store = OnSocStore::new(OnSocBackend::Iram, &mut soc).unwrap();
-        let mut plane = IntegrityPlane::new(
+        let mut store = OnSocStore::new(OnSocBackend::Iram, &mut soc);
+        let mut plane = IntegrityPlane::with_root(
             IntegrityConfig::disabled(),
             OnSocBackend::Iram,
             PageCipherMode::Xts,
-            &[0u8; 16],
+            &root(0),
         )
         .unwrap();
         assert!(!plane.enabled());

@@ -16,10 +16,10 @@ use sentry_soc::rng::DetRng;
 use sentry_soc::{Soc, SocError};
 
 /// Length of a root key in bytes (AES-256).
-pub const ROOT_KEY_LEN: usize = 32;
+pub(crate) const ROOT_KEY_LEN: usize = 32;
 
 /// Iterations of the AES-based key-stretching loop.
-pub const KDF_ITERATIONS: usize = 1000;
+pub(crate) const KDF_ITERATIONS: usize = 1000;
 
 /// Handle to the volatile root key stored at an on-SoC address.
 #[derive(Debug, Clone, Copy)]
@@ -35,18 +35,12 @@ impl VolatileRootKey {
     /// # Errors
     ///
     /// Propagates memory errors from the on-SoC write.
-    pub fn generate(soc: &mut Soc, addr: u64, entropy: u64) -> Result<Self, SentryError> {
+    pub(crate) fn generate(soc: &mut Soc, addr: u64, entropy: u64) -> Result<Self, SentryError> {
         let mut rng = DetRng::new(entropy ^ 0x5EED_5EED_5EED_5EED);
         let mut key = [0u8; ROOT_KEY_LEN];
         rng.fill(&mut key);
         soc.mem_write(addr, &key)?;
         Ok(VolatileRootKey { addr })
-    }
-
-    /// The on-SoC address holding the key.
-    #[must_use]
-    pub fn addr(&self) -> u64 {
-        self.addr
     }
 
     /// Read the key (for handing to the AES engine at lock time).
@@ -59,23 +53,13 @@ impl VolatileRootKey {
         soc.mem_read(self.addr, &mut key)?;
         Ok(key)
     }
-
-    /// Destroy the key (e.g., before an intentional reboot).
-    ///
-    /// # Errors
-    ///
-    /// Propagates memory errors.
-    pub fn destroy(&self, soc: &mut Soc) -> Result<(), SentryError> {
-        soc.mem_write(self.addr, &[0u8; ROOT_KEY_LEN])?;
-        Ok(())
-    }
 }
 
 /// Derive the persistent root key from the user's boot-time password and
 /// the TrustZone hardware fuse.
 ///
 /// The derivation runs in the secure world (the fuse is unreadable
-/// otherwise) and stretches the password with [`KDF_ITERATIONS`] AES
+/// otherwise) and stretches the password with `KDF_ITERATIONS` AES
 /// applications keyed by the fuse — a deliberately simple PBKDF stand-in
 /// whose relevant property is that neither input alone suffices.
 ///
@@ -128,13 +112,12 @@ mod tests {
     }
 
     #[test]
-    fn volatile_key_roundtrip_and_destroy() {
+    fn volatile_key_roundtrip() {
         let mut soc = Soc::tegra3_small();
         let vk = VolatileRootKey::generate(&mut soc, key_addr(), 7).unwrap();
         let k1 = vk.read(&mut soc).unwrap();
         assert_ne!(k1, [0u8; 32]);
-        vk.destroy(&mut soc).unwrap();
-        assert_eq!(vk.read(&mut soc).unwrap(), [0u8; 32]);
+        assert_eq!(vk.read(&mut soc).unwrap(), k1);
     }
 
     #[test]

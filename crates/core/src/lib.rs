@@ -70,13 +70,11 @@ pub mod store;
 pub mod transition;
 pub mod txn;
 
-pub use config::{IntegrityConfig, OnSocBackend, PageCipherMode, SentryConfig};
-pub use device::{DeviceAgent, ScreenState, UnlockOutcome};
+pub use config::{OnSocBackend, PageCipherMode, SentryConfig};
+pub use device::DeviceAgent;
 pub use error::SentryError;
 pub use health::{FailureKind, HealthGovernor, HealthState, HealthStats, RetryStats};
-pub use integrity::{
-    IntegrityPlane, IntegrityStats, QuarantinedPage, SpillAnchor, TagPageState, VerifyOutcome,
-};
-pub use lifecycle::{DeviceState, DeviceStats, LifecycleStats, RecoveryReport, Sentry};
-pub use pressure::{PressureLevel, PressureStats, PressureTracker, SpillRegion};
-pub use txn::{CommitTagger, JournalEntry, TxnJournal, TxnOp};
+pub use integrity::QuarantinedPage;
+pub use lifecycle::{DeviceState, DeviceStats, RecoveryReport, Sentry};
+pub use pressure::{PressureLevel, PressureStats};
+pub use txn::{CommitTagger, TxnJournal, TxnOp};

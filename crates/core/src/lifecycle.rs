@@ -71,38 +71,38 @@ pub struct LockReport {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct UnlockReport {
     /// Total simulated time of the eager part, nanoseconds.
-    pub duration_ns: u64,
+    pub(crate) duration_ns: u64,
     /// Bytes of DMA-region memory decrypted eagerly.
     pub eager_bytes_decrypted: u64,
     /// Worker lanes the eager batch used (1 on the sequential path).
-    pub workers_used: usize,
+    pub(crate) workers_used: usize,
 }
 
 /// Cumulative on-demand (post-unlock) decryption statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LifecycleStats {
     /// Lock transitions performed.
-    pub locks: u64,
+    pub(crate) locks: u64,
     /// Unlock transitions performed.
-    pub unlocks: u64,
+    pub(crate) unlocks: u64,
     /// On-demand page decryptions since the last reset.
     pub ondemand_faults: u64,
     /// Bytes decrypted on demand since the last reset.
     pub ondemand_bytes: u64,
     /// Simulated time spent in on-demand decryption since the last
     /// reset.
-    pub ondemand_ns: u64,
+    pub(crate) ondemand_ns: u64,
     /// Batches dispatched through the bulk crypt engine (lock and eager
     /// unlock transitions with at least one page).
-    pub crypt_batches: u64,
+    pub(crate) crypt_batches: u64,
     /// Pages across all such batches.
     pub crypt_batch_pages: u64,
     /// Largest single batch seen, in pages.
-    pub largest_batch_pages: u64,
+    pub(crate) largest_batch_pages: u64,
     /// Slowest single on-demand fault resolution seen, nanoseconds.
-    pub ondemand_max_ns: u64,
+    pub(crate) ondemand_max_ns: u64,
     /// Faults that pulled at least one readahead companion in.
-    pub readahead_clusters: u64,
+    pub(crate) readahead_clusters: u64,
     /// Extra pages decrypted by readahead (beyond the faulting pages
     /// themselves).
     pub readahead_pages: u64,
@@ -111,7 +111,7 @@ pub struct LifecycleStats {
     /// Pages drained by the background sweeper.
     pub sweep_pages: u64,
     /// Simulated time spent in background sweeper steps.
-    pub sweep_ns: u64,
+    pub(crate) sweep_ns: u64,
     /// Transient crypt/dispatch faults absorbed by the bounded-retry
     /// policy of every page transition's crypt step (see
     /// [`MAX_CRYPT_RETRIES`]), in the unified retry shape: `attempts` counts transparent retries, `recovered`
@@ -120,11 +120,11 @@ pub struct LifecycleStats {
     pub crypt: RetryStats,
     /// Decrypt batches routed through the accelerator queue (pipeline
     /// routing enabled, accelerator Awake, non-chaining cipher mode).
-    pub routed_batches: u64,
+    pub(crate) routed_batches: u64,
     /// Pages across all accelerator-routed decrypt batches.
-    pub routed_batch_pages: u64,
+    pub(crate) routed_batch_pages: u64,
     /// Time the CPU stalled waiting on routed batch completions.
-    pub routed_stall_ns: u64,
+    pub(crate) routed_stall_ns: u64,
     /// Decrypt batches that stayed on the CPU, per reason: a down-scaled
     /// accelerator clock (device locked, §8.2), a chaining cipher mode
     /// (CBC), a lone page below the routing threshold, or an open
@@ -142,7 +142,7 @@ pub struct SweepReport {
     /// Frames decrypted by this step.
     pub pages: usize,
     /// Simulated time of the step, nanoseconds.
-    pub duration_ns: u64,
+    pub(crate) duration_ns: u64,
     /// Encrypted DRAM mappings remaining after the step (the
     /// residual-encrypted-pages gauge).
     pub residual_pages: usize,
@@ -156,7 +156,7 @@ pub struct RecoveryReport {
     /// Entries recovery completed (published and/or flipped).
     pub completed: usize,
     /// Entries already marked done before the kill.
-    pub already_done: usize,
+    pub(crate) already_done: usize,
     /// Encrypted frames the boot-time integrity audit quarantined
     /// (decayed or tampered while power was out).
     pub quarantined: usize,
@@ -226,7 +226,7 @@ impl Sentry {
     /// locking).
     pub fn new(mut kernel: Kernel, config: SentryConfig) -> Result<Self, SentryError> {
         let sim_start = kernel.soc.clock.now_ns();
-        let mut store = OnSocStore::new(config.backend, &mut kernel.soc)?;
+        let mut store = OnSocStore::new(config.backend, &mut kernel.soc);
         let key_page = store.alloc_page(&mut kernel.soc)?;
         let volatile_key =
             VolatileRootKey::generate(&mut kernel.soc, key_page, 0xB007_0000 ^ key_page)?;

@@ -28,10 +28,7 @@ use sentry_soc::trustzone::ProtectedRange;
 use sentry_soc::Soc;
 
 /// Pages per 128 KiB locked way.
-pub const PAGES_PER_WAY: u64 = WAY_BYTES as u64 / PAGE_SIZE;
-
-/// Usable iRAM pages (256 KiB minus the 64 KiB firmware reservation).
-pub const IRAM_PAGES: u64 = (IRAM_SIZE - IRAM_FIRMWARE_RESERVED) / PAGE_SIZE;
+pub(crate) const PAGES_PER_WAY: u64 = WAY_BYTES as u64 / PAGE_SIZE;
 
 #[derive(Debug)]
 struct LockedWay {
@@ -59,11 +56,7 @@ impl OnSocStore {
     /// Create a store for `backend` and register the usable iRAM range
     /// as DMA-protected via TrustZone. The locked-L2 backend needs it
     /// too: its journal and tag pages are iRAM.
-    ///
-    /// # Errors
-    ///
-    /// Propagates SoC errors from the TrustZone programming.
-    pub fn new(backend: OnSocBackend, soc: &mut Soc) -> Result<Self, SentryError> {
+    pub fn new(backend: OnSocBackend, soc: &mut Soc) -> Self {
         soc.in_secure_world(|soc| {
             let ok = soc.trustzone.protect(ProtectedRange {
                 range: IRAM_BASE + IRAM_FIRMWARE_RESERVED..IRAM_BASE + IRAM_SIZE,
@@ -72,7 +65,7 @@ impl OnSocStore {
             });
             debug_assert!(ok, "secure world protect cannot fail");
         });
-        Ok(OnSocStore {
+        OnSocStore {
             backend,
             free: Vec::new(),
             iram_next: IRAM_BASE + IRAM_FIRMWARE_RESERVED,
@@ -80,7 +73,7 @@ impl OnSocStore {
             locked_mask: 0,
             external_bytes: 0,
             pressure: PressureTracker::new(Self::capacity_bytes(backend)),
-        })
+        }
     }
 
     /// Physical capacity of the scarce bytes this store governs: the
@@ -88,7 +81,7 @@ impl OnSocStore {
     /// mode, the fixed tag pages) plus the way budget when cache locking
     /// is configured.
     #[must_use]
-    pub fn capacity_bytes(backend: OnSocBackend) -> u64 {
+    pub(crate) fn capacity_bytes(backend: OnSocBackend) -> u64 {
         let iram = IRAM_SIZE - IRAM_FIRMWARE_RESERVED;
         match backend {
             OnSocBackend::Iram => iram,
@@ -98,7 +91,7 @@ impl OnSocStore {
 
     /// The configured backend.
     #[must_use]
-    pub fn backend(&self) -> OnSocBackend {
+    pub(crate) fn backend(&self) -> OnSocBackend {
         self.backend
     }
 
@@ -110,7 +103,7 @@ impl OnSocStore {
 
     /// Total on-SoC bytes currently claimed by this store.
     #[must_use]
-    pub fn claimed_bytes(&self) -> u64 {
+    pub(crate) fn claimed_bytes(&self) -> u64 {
         match self.backend {
             OnSocBackend::Iram => self.iram_next - (IRAM_BASE + IRAM_FIRMWARE_RESERVED),
             OnSocBackend::LockedL2 { .. } => self.locked.len() as u64 * WAY_BYTES as u64,
@@ -132,19 +125,19 @@ impl OnSocStore {
 
     /// The pressure governor's write side (budget overrides, shed/spill
     /// counters).
-    pub fn pressure_mut(&mut self) -> &mut PressureTracker {
+    pub(crate) fn pressure_mut(&mut self) -> &mut PressureTracker {
         &mut self.pressure
     }
 
     /// Current watermark level.
     #[must_use]
-    pub fn pressure_level(&self) -> PressureLevel {
+    pub(crate) fn pressure_level(&self) -> PressureLevel {
         self.pressure.level()
     }
 
     /// Re-derive occupancy and watermark level. Called after every
     /// alloc/free/external charge; also the hook for budget changes.
-    pub fn refresh_pressure(&mut self) {
+    pub(crate) fn refresh_pressure(&mut self) {
         let in_use = self.in_use_bytes();
         self.pressure.note_usage(in_use);
     }
@@ -156,7 +149,7 @@ impl OnSocStore {
     ///
     /// [`SentryError::OnSocExhausted`] when the charge would exceed the
     /// effective budget.
-    pub fn charge_external(&mut self, bytes: u64) -> Result<(), SentryError> {
+    pub(crate) fn charge_external(&mut self, bytes: u64) -> Result<(), SentryError> {
         if self.pressure.would_deny(self.in_use_bytes() + bytes) {
             self.pressure.note_denied();
             return Err(SentryError::OnSocExhausted);
@@ -167,7 +160,7 @@ impl OnSocStore {
     }
 
     /// Return externally charged bytes to the budget.
-    pub fn release_external(&mut self, bytes: u64) {
+    pub(crate) fn release_external(&mut self, bytes: u64) {
         self.external_bytes = self.external_bytes.saturating_sub(bytes);
         self.refresh_pressure();
     }
@@ -294,7 +287,7 @@ mod tests {
     #[test]
     fn iram_pages_are_in_iram_and_dma_protected() {
         let mut soc = Soc::tegra3_small();
-        let mut store = OnSocStore::new(OnSocBackend::Iram, &mut soc).unwrap();
+        let mut store = OnSocStore::new(OnSocBackend::Iram, &mut soc);
         let page = store.alloc_page(&mut soc).unwrap();
         assert!(page >= IRAM_BASE + IRAM_FIRMWARE_RESERVED);
         assert!(page + PAGE_SIZE <= IRAM_BASE + IRAM_SIZE);
@@ -307,13 +300,13 @@ mod tests {
     #[test]
     fn iram_capacity_is_48_pages() {
         let mut soc = Soc::tegra3_small();
-        let mut store = OnSocStore::new(OnSocBackend::Iram, &mut soc).unwrap();
+        let mut store = OnSocStore::new(OnSocBackend::Iram, &mut soc);
         let mut pages = Vec::new();
         while let Ok(p) = store.alloc_page(&mut soc) {
             pages.push(p);
         }
-        assert_eq!(pages.len() as u64, IRAM_PAGES);
-        assert_eq!(IRAM_PAGES, 48);
+        // 256 KiB of iRAM minus the 64 KiB firmware reservation.
+        assert_eq!(pages.len(), 48);
         // Freed pages can be re-allocated.
         store.free_page(&mut soc, pages[0]).unwrap();
         assert_eq!(store.alloc_page(&mut soc).unwrap(), pages[0]);
@@ -322,7 +315,7 @@ mod tests {
     #[test]
     fn budget_override_denies_and_relief_restores() {
         let mut soc = Soc::tegra3_small();
-        let mut store = OnSocStore::new(OnSocBackend::Iram, &mut soc).unwrap();
+        let mut store = OnSocStore::new(OnSocBackend::Iram, &mut soc);
         let page = store.alloc_page(&mut soc).unwrap();
         assert_eq!(store.in_use_bytes(), PAGE_SIZE);
         store.pressure_mut().set_budget_override(Some(PAGE_SIZE));
@@ -340,7 +333,7 @@ mod tests {
     #[test]
     fn external_charges_count_against_the_budget() {
         let mut soc = Soc::tegra3_small();
-        let mut store = OnSocStore::new(OnSocBackend::LockedL2 { max_ways: 1 }, &mut soc).unwrap();
+        let mut store = OnSocStore::new(OnSocBackend::LockedL2 { max_ways: 1 }, &mut soc);
         store.charge_external(PAGE_SIZE).unwrap();
         assert_eq!(store.in_use_bytes(), PAGE_SIZE);
         store.pressure_mut().set_budget_override(Some(PAGE_SIZE));
@@ -356,7 +349,7 @@ mod tests {
     #[test]
     fn locked_way_pages_pin_in_cache_and_never_reach_dram() {
         let mut soc = Soc::tegra3_small();
-        let mut store = OnSocStore::new(OnSocBackend::LockedL2 { max_ways: 2 }, &mut soc).unwrap();
+        let mut store = OnSocStore::new(OnSocBackend::LockedL2 { max_ways: 2 }, &mut soc);
         let page = store.alloc_page(&mut soc).unwrap();
         soc.mem_write(page, b"SECRETKEYMATERIAL").unwrap();
 
@@ -384,7 +377,7 @@ mod tests {
     #[test]
     fn second_way_locks_on_demand_and_budget_is_enforced() {
         let mut soc = Soc::tegra3_small();
-        let mut store = OnSocStore::new(OnSocBackend::LockedL2 { max_ways: 2 }, &mut soc).unwrap();
+        let mut store = OnSocStore::new(OnSocBackend::LockedL2 { max_ways: 2 }, &mut soc);
         let mut pages = Vec::new();
         for _ in 0..PAGES_PER_WAY {
             pages.push(store.alloc_page(&mut soc).unwrap());
@@ -409,7 +402,7 @@ mod tests {
     #[test]
     fn unlock_all_erases_and_restores_masks() {
         let mut soc = Soc::tegra3_small();
-        let mut store = OnSocStore::new(OnSocBackend::LockedL2 { max_ways: 1 }, &mut soc).unwrap();
+        let mut store = OnSocStore::new(OnSocBackend::LockedL2 { max_ways: 1 }, &mut soc);
         let page = store.alloc_page(&mut soc).unwrap();
         soc.mem_write(page, b"volatile-key").unwrap();
         store.unlock_all(&mut soc).unwrap();
@@ -425,7 +418,7 @@ mod tests {
     #[test]
     fn cache_locking_unavailable_on_nexus() {
         let mut soc = Soc::nexus4_small();
-        let mut store = OnSocStore::new(OnSocBackend::LockedL2 { max_ways: 1 }, &mut soc).unwrap();
+        let mut store = OnSocStore::new(OnSocBackend::LockedL2 { max_ways: 1 }, &mut soc);
         assert!(matches!(
             store.alloc_page(&mut soc),
             Err(SentryError::Soc(

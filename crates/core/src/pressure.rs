@@ -15,7 +15,7 @@
 //!   sweeper pauses, fault readahead clusters shrink to one page, and
 //!   the dm-crypt keystream cache stops growing;
 //! * at **Critical**, cold tag-store pages are reclaimed through the
-//!   [`SpillRegion`]: CMAC'd, encrypted under a spill key derived from
+//!   `SpillRegion`: CMAC'd, encrypted under a spill key derived from
 //!   the volatile root key, and staged to a dm-crypt-backed region,
 //!   leaving only an on-SoC anchor (epoch + tag). The spill region
 //!   never holds plaintext or keystream, and a power cut at any spill
@@ -40,7 +40,7 @@ const SECTORS_PER_PAGE: u64 = PAGE_SIZE / SECTOR_SIZE as u64;
 /// Spill-region capacity in page slots. The tag store is bounded by
 /// on-SoC capacity (48 iRAM pages at most), so 64 slots can absorb the
 /// entire store with room to spare.
-pub const SPILL_SLOTS: u64 = 64;
+pub(crate) const SPILL_SLOTS: u64 = 64;
 
 /// Watermark classification of on-SoC occupancy.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
@@ -54,18 +54,6 @@ pub enum PressureLevel {
     /// Above the critical watermark: reclaim via encrypted spill before
     /// any allocation is refused.
     Critical,
-}
-
-impl PressureLevel {
-    /// Stable lowercase name for reports.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            PressureLevel::Normal => "normal",
-            PressureLevel::High => "high",
-            PressureLevel::Critical => "critical",
-        }
-    }
 }
 
 /// High watermark as a percentage of the effective budget.
@@ -134,7 +122,7 @@ pub struct PressureTracker {
 impl PressureTracker {
     /// A tracker over `capacity` bytes.
     #[must_use]
-    pub fn new(capacity: u64) -> Self {
+    pub(crate) fn new(capacity: u64) -> Self {
         PressureTracker {
             capacity,
             budget_override: None,
@@ -145,7 +133,7 @@ impl PressureTracker {
 
     /// The current watermark level.
     #[must_use]
-    pub fn level(&self) -> PressureLevel {
+    pub(crate) fn level(&self) -> PressureLevel {
         self.level
     }
 
@@ -153,7 +141,7 @@ impl PressureTracker {
     /// capacity, or the override when one is set (never above the
     /// physical capacity).
     #[must_use]
-    pub fn effective_budget(&self) -> u64 {
+    pub(crate) fn effective_budget(&self) -> u64 {
         self.budget_override
             .map_or(self.capacity, |b| b.min(self.capacity))
     }
@@ -161,7 +149,7 @@ impl PressureTracker {
     /// Install (or clear) a budget tighter than the physical capacity.
     /// The fleet's memory-pressure chaos events shrink budgets through
     /// this knob; the caller refreshes occupancy afterwards.
-    pub fn set_budget_override(&mut self, budget: Option<u64>) {
+    pub(crate) fn set_budget_override(&mut self, budget: Option<u64>) {
         self.budget_override = budget;
         self.reclassify();
     }
@@ -169,13 +157,13 @@ impl PressureTracker {
     /// Whether charging `bytes_after` total resident bytes would exceed
     /// the effective budget.
     #[must_use]
-    pub fn would_deny(&self, bytes_after: u64) -> bool {
+    pub(crate) fn would_deny(&self, bytes_after: u64) -> bool {
         bytes_after > self.effective_budget()
     }
 
     /// Record the current resident byte count and reclassify, counting
     /// upward level transitions.
-    pub fn note_usage(&mut self, bytes_resident: u64) {
+    pub(crate) fn note_usage(&mut self, bytes_resident: u64) {
         self.stats.bytes_resident = bytes_resident;
         self.stats.high_water_bytes = self.stats.high_water_bytes.max(bytes_resident);
         self.reclassify();
@@ -203,27 +191,27 @@ impl PressureTracker {
     }
 
     /// Count one elective-load shed decision.
-    pub fn note_shed(&mut self) {
+    pub(crate) fn note_shed(&mut self) {
         self.stats.sheds += 1;
     }
 
     /// Count one page spilled to the encrypted region.
-    pub fn note_spill(&mut self) {
+    pub(crate) fn note_spill(&mut self) {
         self.stats.spills += 1;
     }
 
     /// Count one spilled page restored on-SoC.
-    pub fn note_restore(&mut self) {
+    pub(crate) fn note_restore(&mut self) {
         self.stats.spill_restores += 1;
     }
 
     /// Count `pages` on-SoC pages reclaimed.
-    pub fn note_reclaimed(&mut self, pages: u64) {
+    pub(crate) fn note_reclaimed(&mut self, pages: u64) {
         self.stats.reclaimed_pages += pages;
     }
 
     /// Count one budget-denied allocation.
-    pub fn note_denied(&mut self) {
+    pub(crate) fn note_denied(&mut self) {
         self.stats.denied += 1;
     }
 }
@@ -285,7 +273,7 @@ impl CipherEngine for SpillAesEngine {
 /// device, so a cold-boot dump of the region yields only ciphertext;
 /// the key dies with power, exactly like the root key it derives from.
 #[derive(Debug)]
-pub struct SpillRegion {
+pub(crate) struct SpillRegion {
     api: CryptoApi,
     dm: DmCrypt,
     disk: RamDisk,
@@ -299,7 +287,7 @@ impl SpillRegion {
     /// # Errors
     ///
     /// Propagates cipher registration/key-schedule errors.
-    pub fn new(soc: &mut Soc, spill_key: &[u8; 16]) -> Result<Self, SentryError> {
+    pub(crate) fn new(soc: &mut Soc, spill_key: &[u8; 16]) -> Result<Self, SentryError> {
         let mut api = CryptoApi::new();
         api.register(Box::new(SpillAesEngine { cipher: None }));
         let dm = DmCrypt::with_preferred_cipher();
@@ -311,12 +299,6 @@ impl SpillRegion {
         })
     }
 
-    /// Page slots the region can hold.
-    #[must_use]
-    pub fn slots(&self) -> u64 {
-        SPILL_SLOTS
-    }
-
     /// Encrypt and stage one 4 KiB page into `slot`. The plaintext
     /// never reaches the disk: dm-crypt encrypts and MACs every sector
     /// before the device write.
@@ -324,7 +306,12 @@ impl SpillRegion {
     /// # Errors
     ///
     /// Propagates block and cipher errors ([`SentryError::Kernel`]).
-    pub fn stage(&mut self, soc: &mut Soc, slot: u64, page: &[u8]) -> Result<(), SentryError> {
+    pub(crate) fn stage(
+        &mut self,
+        soc: &mut Soc,
+        slot: u64,
+        page: &[u8],
+    ) -> Result<(), SentryError> {
         assert_eq!(page.len() as u64, PAGE_SIZE, "whole pages only");
         self.dm.write(
             &mut self.api,
@@ -342,7 +329,7 @@ impl SpillRegion {
     /// # Errors
     ///
     /// Propagates block, cipher, and sector-tamper errors.
-    pub fn restore(
+    pub(crate) fn restore(
         &mut self,
         soc: &mut Soc,
         slot: u64,
@@ -365,7 +352,7 @@ impl SpillRegion {
     /// # Errors
     ///
     /// Propagates block-device errors.
-    pub fn corrupt_byte(&mut self, offset: u64) -> Result<(), SentryError> {
+    pub(crate) fn corrupt_byte(&mut self, offset: u64) -> Result<(), SentryError> {
         let mut scratch = SimClock::new();
         let sector = offset / SECTOR_SIZE as u64;
         let mut buf = vec![0u8; SECTOR_SIZE];
@@ -378,7 +365,7 @@ impl SpillRegion {
     /// The raw device bytes, as a cold-boot attacker would dump them —
     /// the hygiene scans grep this for plaintext and keystream.
     #[must_use]
-    pub fn raw_bytes(&mut self) -> Vec<u8> {
+    pub(crate) fn raw_bytes(&mut self) -> Vec<u8> {
         let mut scratch = SimClock::new();
         let mut raw = vec![0u8; (SPILL_SLOTS * SECTORS_PER_PAGE) as usize * SECTOR_SIZE];
         self.disk

@@ -20,7 +20,7 @@
 //!    by `Transition::verify`, whose integrity check computes the same
 //!    MAC. Every page ciphertext that reaches DRAM passes the nonce
 //!    audit of debug builds (see [`nonce_audit`]).
-//! 3. **Commit.** `Transition::commit` owns chunking at [`MAX_ENTRIES`],
+//! 3. **Commit.** `Transition::commit` owns chunking at `MAX_ENTRIES`,
 //!    the journal's open / mark-done / close, the integrity tags, the
 //!    direction-dependent publish order, and the PTE flip for every
 //!    sharer of each frame. A lock is one encrypt commit: the pager's

@@ -51,7 +51,7 @@ use sentry_crypto::{Aes, Cmac, PageCipherMode};
 use sentry_soc::{Soc, PAGE_SIZE};
 
 /// Journal magic: a valid, open journal starts with these bytes.
-pub const MAGIC: [u8; 4] = *b"SJRN";
+pub(crate) const MAGIC: [u8; 4] = *b"SJRN";
 
 /// Header bytes at the journal page's base: magic, op and entry count
 /// in the first eight; the last eight are reserved and written as zero.
@@ -62,7 +62,7 @@ const ENTRY_LEN: u64 = 72;
 
 /// Maximum entries one journal page holds; transitions larger than
 /// this run as a sequence of chunks, each journaled and closed in turn.
-pub const MAX_ENTRIES: usize = ((PAGE_SIZE - HEADER_LEN) / ENTRY_LEN) as usize;
+pub(crate) const MAX_ENTRIES: usize = ((PAGE_SIZE - HEADER_LEN) / ENTRY_LEN) as usize;
 
 /// Which way an open transition transforms its pages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,27 +101,34 @@ pub struct JournalEntry {
     pub vpn: u64,
     /// Physical address holding the *source* bytes (equals `frame` for
     /// in-place transforms; an on-SoC slot address for evictions).
-    pub src: u64,
+    pub(crate) src: u64,
     /// The DRAM frame being published to.
-    pub frame: u64,
+    pub(crate) frame: u64,
     /// The page version the IV was derived under — what the PTE's
     /// `crypt_version` must read once the entry commits.
     pub version: u64,
     /// The per-page IV (CBC IV, XTS tweak, or CTR counter base).
-    pub iv: [u8; 16],
+    pub(crate) iv: [u8; 16],
     /// The commit tag of the frame's *ciphertext* image — what
     /// [`CommitTagger::tag`] computes over the frame after an encrypt
     /// publishes, or before a decrypt publishes.
-    pub tag: [u8; 16],
+    pub(crate) tag: [u8; 16],
     /// Whether this entry's publish + PTE flip completed.
-    pub done: bool,
+    pub(crate) done: bool,
 }
 
 impl JournalEntry {
     /// A not-yet-done entry; its commit tag is stamped once the page's
     /// ciphertext image exists (see [`CommitTagger::stamp`]).
     #[must_use]
-    pub fn new(pid: u32, vpn: u64, src: u64, frame: u64, iv: [u8; 16], version: u64) -> Self {
+    pub(crate) fn new(
+        pid: u32,
+        vpn: u64,
+        src: u64,
+        frame: u64,
+        iv: [u8; 16],
+        version: u64,
+    ) -> Self {
         JournalEntry {
             pid,
             vpn,
@@ -206,7 +213,7 @@ impl CommitTagger {
     /// # Errors
     ///
     /// Propagates AES key-schedule errors for the derived MAC key.
-    pub fn with_root(mode: PageCipherMode, root: &Aes) -> Result<Self, SentryError> {
+    pub(crate) fn with_root(mode: PageCipherMode, root: &Aes) -> Result<Self, SentryError> {
         let mut mk = *b"SENTRY-INTEGRITY";
         root.encrypt_block(&mut mk);
         Ok(CommitTagger {
@@ -217,7 +224,7 @@ impl CommitTagger {
 
     /// The page cipher mode the tagger computes commit tags for.
     #[must_use]
-    pub fn mode(&self) -> PageCipherMode {
+    pub(crate) fn mode(&self) -> PageCipherMode {
         self.mode
     }
 
@@ -258,7 +265,7 @@ impl CommitTagger {
     ///
     /// Panics unless `buf` holds exactly one page per entry — a short
     /// buffer would leave the trailing entries with a stale tag.
-    pub fn stamp(&self, entries: &mut [JournalEntry], buf: &[u8]) {
+    pub(crate) fn stamp(&self, entries: &mut [JournalEntry], buf: &[u8]) {
         let page = PAGE_SIZE as usize;
         assert_eq!(
             buf.len(),
@@ -310,7 +317,7 @@ pub struct TxnJournal {
 
 impl TxnJournal {
     /// A journal over the iRAM page at `base`. The page's prior content
-    /// is irrelevant until [`TxnJournal::open`] stamps the magic;
+    /// is irrelevant until `TxnJournal::open` stamps the magic;
     /// freshly booted iRAM reads as zero, which parses as "idle".
     #[must_use]
     pub fn new(base: u64) -> Self {
@@ -320,17 +327,11 @@ impl TxnJournal {
         }
     }
 
-    /// The journal page's physical (iRAM) address.
-    #[must_use]
-    pub fn base(&self) -> u64 {
-        self.base
-    }
-
     /// Whether a transition chunk is open right now (in-memory mirror —
     /// exact while the instance is live; after a crash, the truth is
     /// whatever [`TxnJournal::load`] reads back).
     #[must_use]
-    pub fn in_flight(&self) -> bool {
+    pub(crate) fn in_flight(&self) -> bool {
         self.open_op.is_some()
     }
 
@@ -344,7 +345,7 @@ impl TxnJournal {
     /// # Errors
     ///
     /// Propagates iRAM write failures.
-    pub fn open(
+    pub(crate) fn open(
         &mut self,
         soc: &mut Soc,
         op: TxnOp,
@@ -371,7 +372,7 @@ impl TxnJournal {
     /// # Errors
     ///
     /// Propagates iRAM write failures.
-    pub fn mark_done(&mut self, soc: &mut Soc, index: usize) -> Result<(), SentryError> {
+    pub(crate) fn mark_done(&mut self, soc: &mut Soc, index: usize) -> Result<(), SentryError> {
         soc.mem_write(self.entry_addr(index) + 4, &[1u8])
             .map_err(SentryError::Soc)?;
         Ok(())
@@ -382,7 +383,7 @@ impl TxnJournal {
     /// # Errors
     ///
     /// Propagates iRAM write failures.
-    pub fn close(&mut self, soc: &mut Soc) -> Result<(), SentryError> {
+    pub(crate) fn close(&mut self, soc: &mut Soc) -> Result<(), SentryError> {
         soc.mem_write(self.base, &[0u8; HEADER_LEN as usize])
             .map_err(SentryError::Soc)?;
         self.open_op = None;

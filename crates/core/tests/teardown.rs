@@ -50,7 +50,7 @@ fn pager_slots_can_be_released_back_to_the_store() {
 #[test]
 fn unlock_all_erases_contents_and_restores_the_cache() {
     let mut soc = Soc::tegra3_small();
-    let mut store = OnSocStore::new(OnSocBackend::LockedL2 { max_ways: 3 }, &mut soc).unwrap();
+    let mut store = OnSocStore::new(OnSocBackend::LockedL2 { max_ways: 3 }, &mut soc);
     let mut pages = Vec::new();
     // Lock all three ways by allocating past two ways' capacity.
     for _ in 0..65 {
@@ -81,7 +81,7 @@ fn unlock_all_erases_contents_and_restores_the_cache() {
 #[test]
 fn freed_onsoc_pages_are_wiped_before_reuse() {
     let mut soc = Soc::tegra3_small();
-    let mut store = OnSocStore::new(OnSocBackend::Iram, &mut soc).unwrap();
+    let mut store = OnSocStore::new(OnSocBackend::Iram, &mut soc);
     let page = store.alloc_page(&mut soc).unwrap();
     soc.mem_write(page, b"stale key material").unwrap();
     store.free_page(&mut soc, page).unwrap();

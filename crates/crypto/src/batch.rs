@@ -5,7 +5,7 @@
 //! sectors (32 blocks), and the lock/unlock engine moves whole working
 //! sets. [`BlockCipherBatch`] exposes that batch shape to the cipher so a
 //! backend may amortize work across blocks — the bitsliced backend
-//! ([`crate::bitslice::BitslicedAes`]) packs [`PAR_BLOCKS`] blocks into
+//! ([`crate::bitslice::BitslicedAes`]) packs `PAR_BLOCKS` blocks into
 //! bit planes and pays its pack/unpack cost once per batch.
 //!
 //! The scalar contexts implement the trait by looping, which keeps every

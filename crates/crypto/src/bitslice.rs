@@ -38,7 +38,7 @@ use crate::{KeyError, KeySize, BLOCK_SIZE};
 use core::ops::{BitAnd, BitOr, BitXor, Not};
 
 /// Number of blocks one bitsliced state packs (16 blocks = 256 lanes).
-pub const PAR_BLOCKS: usize = 16;
+pub(crate) const PAR_BLOCKS: usize = 16;
 
 /// One bit-plane word: 256 lanes as four 64-bit limbs.
 ///
@@ -793,16 +793,10 @@ impl BitslicedAes {
         }
     }
 
-    /// The key size of this context.
-    #[must_use]
-    pub fn key_size(&self) -> KeySize {
-        self.size
-    }
-
     /// Encrypt every block in place (ECB over the batch; modes layer the
     /// chaining). Any number of blocks is accepted; full 16-block chunks
     /// run packed, the tail runs through a zero-padded final state.
-    pub fn encrypt_blocks(&self, blocks: &mut [Block]) {
+    pub(crate) fn encrypt_blocks(&self, blocks: &mut [Block]) {
         let (full, tail) = blocks.as_chunks_mut::<PAR_BLOCKS>();
         for chunk in full {
             encrypt16(&self.enc, chunk);
@@ -860,7 +854,7 @@ impl BitslicedAes {
     }
 
     /// Decrypt every block in place (see [`BitslicedAes::encrypt_blocks`]).
-    pub fn decrypt_blocks(&self, blocks: &mut [Block]) {
+    pub(crate) fn decrypt_blocks(&self, blocks: &mut [Block]) {
         let (full, tail) = blocks.as_chunks_mut::<PAR_BLOCKS>();
         for chunk in full {
             decrypt16(&self.dec, chunk);

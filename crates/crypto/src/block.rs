@@ -15,7 +15,7 @@ use crate::key_schedule::KeySchedule;
 use crate::{sbox, tables, KeyError, KeySize, BLOCK_SIZE};
 
 /// A 128-bit AES block.
-pub type Block = [u8; BLOCK_SIZE];
+pub(crate) type Block = [u8; BLOCK_SIZE];
 
 /// Fast, table-driven AES context.
 #[derive(Debug, Clone)]
@@ -38,7 +38,7 @@ impl Aes {
 
     /// The key size of this context.
     #[must_use]
-    pub fn key_size(&self) -> KeySize {
+    pub(crate) fn key_size(&self) -> KeySize {
         self.schedule.size()
     }
 
@@ -60,7 +60,7 @@ impl Aes {
 
     /// Decrypt a single 16-byte block in place (the equivalent inverse
     /// cipher, in the same shape as [`Aes::encrypt_block`]).
-    pub fn decrypt_block(&self, block: &mut Block) {
+    pub(crate) fn decrypt_block(&self, block: &mut Block) {
         let rk = self.schedule.dec_words();
         match self.schedule.size() {
             KeySize::Aes128 => decrypt_rounds::<44>(rk.try_into().expect("44 words"), block),

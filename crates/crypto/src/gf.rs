@@ -9,17 +9,12 @@
 
 /// The AES reduction polynomial, minus the x^8 term (which is implicit in
 /// the carry-out of a byte shift).
-pub const REDUCTION_POLY: u8 = 0x1B;
+pub(crate) const REDUCTION_POLY: u8 = 0x1B;
 
 /// Multiply an element of GF(2^8) by `x` (i.e., by 2), reducing modulo the
 /// AES polynomial.
-///
-/// ```
-/// assert_eq!(sentry_crypto::gf::xtime(0x57), 0xAE);
-/// assert_eq!(sentry_crypto::gf::xtime(0xAE), 0x47);
-/// ```
 #[must_use]
-pub fn xtime(a: u8) -> u8 {
+pub(crate) fn xtime(a: u8) -> u8 {
     let shifted = a << 1;
     if a & 0x80 != 0 {
         shifted ^ REDUCTION_POLY
@@ -30,13 +25,8 @@ pub fn xtime(a: u8) -> u8 {
 
 /// Multiply two elements of GF(2^8) using the shift-and-add ("Russian
 /// peasant") method.
-///
-/// ```
-/// // The FIPS-197 worked example: {57} x {83} = {c1}.
-/// assert_eq!(sentry_crypto::gf::mul(0x57, 0x83), 0xC1);
-/// ```
 #[must_use]
-pub fn mul(a: u8, b: u8) -> u8 {
+pub(crate) fn mul(a: u8, b: u8) -> u8 {
     let mut acc = 0u8;
     let mut a = a;
     let mut b = b;
@@ -56,7 +46,7 @@ pub fn mul(a: u8, b: u8) -> u8 {
 /// construction. Uses exponentiation: `a^254 = a^-1` for nonzero `a`,
 /// since the multiplicative group has order 255.
 #[must_use]
-pub fn inv(a: u8) -> u8 {
+pub(crate) fn inv(a: u8) -> u8 {
     if a == 0 {
         return 0;
     }
@@ -76,7 +66,7 @@ pub fn inv(a: u8) -> u8 {
 
 /// Multiply a GF(2^8) element by 3 (`{03}`), used by MixColumns.
 #[must_use]
-pub fn mul3(a: u8) -> u8 {
+pub(crate) fn mul3(a: u8) -> u8 {
     xtime(a) ^ a
 }
 
@@ -91,6 +81,12 @@ mod tests {
         assert_eq!(xtime(0xAE), 0x47);
         assert_eq!(xtime(0x47), 0x8E);
         assert_eq!(xtime(0x8E), 0x07);
+    }
+
+    #[test]
+    fn mul_matches_the_fips_example() {
+        // FIPS-197 section 4.2: {57} x {83} = {c1}.
+        assert_eq!(mul(0x57, 0x83), 0xC1);
     }
 
     #[test]

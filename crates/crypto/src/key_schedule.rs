@@ -11,11 +11,11 @@ use crate::{sbox, tables, KeyError, KeySize};
 ///
 /// The paper's Table 4 accounts 40 bytes for Rcon — ten 32-bit words, the
 /// number needed by AES-128 (larger key sizes need fewer).
-pub const RCON_WORDS: usize = 10;
+pub(crate) const RCON_WORDS: usize = 10;
 
 /// Compute the Rcon table.
 #[must_use]
-pub fn compute_rcon() -> [u32; RCON_WORDS] {
+pub(crate) fn compute_rcon() -> [u32; RCON_WORDS] {
     let mut rcon = [0u32; RCON_WORDS];
     let mut v = 1u8;
     for slot in &mut rcon {
@@ -27,13 +27,13 @@ pub fn compute_rcon() -> [u32; RCON_WORDS] {
 
 /// Rotate a word left by one byte (`RotWord`).
 #[must_use]
-pub fn rot_word(w: u32) -> u32 {
+pub(crate) fn rot_word(w: u32) -> u32 {
     w.rotate_left(8)
 }
 
 /// Substitute each byte of a word through the S-box (`SubWord`).
 #[must_use]
-pub fn sub_word(w: u32) -> u32 {
+pub(crate) fn sub_word(w: u32) -> u32 {
     let [a, b, c, d] = w.to_be_bytes();
     u32::from_be_bytes([
         sbox::sub_byte(a),
@@ -80,7 +80,7 @@ impl KeySchedule {
 
     /// The key size this schedule was expanded from.
     #[must_use]
-    pub fn size(&self) -> KeySize {
+    pub(crate) fn size(&self) -> KeySize {
         self.size
     }
 
@@ -92,17 +92,8 @@ impl KeySchedule {
 
     /// Decryption round keys (equivalent inverse cipher ordering).
     #[must_use]
-    pub fn dec_words(&self) -> &[u32] {
+    pub(crate) fn dec_words(&self) -> &[u32] {
         &self.dec
-    }
-
-    /// Total size of the cached round keys in bytes (both directions).
-    ///
-    /// This is the "Round Keys" line of the paper's Table 4 for our
-    /// implementation.
-    #[must_use]
-    pub fn round_key_bytes(&self) -> usize {
-        (self.enc.len() + self.dec.len()) * 4
     }
 }
 
@@ -226,15 +217,5 @@ mod tests {
         let dbg = format!("{ks:?}");
         assert!(!dbg.contains("2b7e"));
         assert!(dbg.contains("KeySchedule"));
-    }
-
-    #[test]
-    fn round_key_bytes_accounting() {
-        for ks_size in KeySize::all() {
-            let key = vec![0u8; ks_size.key_len()];
-            let ks = KeySchedule::expand(&key).unwrap();
-            let words = 4 * (ks_size.rounds() + 1);
-            assert_eq!(ks.round_key_bytes(), 2 * words * 4);
-        }
     }
 }

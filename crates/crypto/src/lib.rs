@@ -61,7 +61,7 @@ pub mod batch;
 pub mod bitslice;
 pub mod block;
 pub mod error;
-pub mod gf;
+mod gf;
 pub mod health;
 pub mod key_schedule;
 pub mod mac;
@@ -82,13 +82,11 @@ pub use modes::{Direction, PageCipher, PageCipherMode};
 pub use pipeline::{
     FallbackCounts, FallbackReason, KeystreamCache, KeystreamStats, PipelineConfig,
 };
-pub use state::{AesStateLayout, Sensitivity, StateComponent};
-pub use tracked::{
-    AccessEvent, InStore, StateStore, TableId, TrackedAes, TrackedBitslicedAes, VecStore,
-};
+pub use state::{AesStateLayout, Sensitivity};
+pub use tracked::{InStore, StateStore, TableId, TrackedAes, TrackedBitslicedAes, VecStore};
 
 /// AES block size in bytes (fixed at 128 bits by FIPS-197).
-pub const BLOCK_SIZE: usize = 16;
+pub(crate) const BLOCK_SIZE: usize = 16;
 
 /// Supported AES key sizes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -104,7 +102,7 @@ pub enum KeySize {
 impl KeySize {
     /// Key length in bytes.
     #[must_use]
-    pub fn key_len(self) -> usize {
+    pub(crate) fn key_len(self) -> usize {
         match self {
             KeySize::Aes128 => 16,
             KeySize::Aes192 => 24,
@@ -114,7 +112,7 @@ impl KeySize {
 
     /// Number of rounds (`Nr` in FIPS-197).
     #[must_use]
-    pub fn rounds(self) -> usize {
+    pub(crate) fn rounds(self) -> usize {
         match self {
             KeySize::Aes128 => 10,
             KeySize::Aes192 => 12,
@@ -124,7 +122,7 @@ impl KeySize {
 
     /// Number of 32-bit words in the key (`Nk` in FIPS-197).
     #[must_use]
-    pub fn nk(self) -> usize {
+    pub(crate) fn nk(self) -> usize {
         self.key_len() / 4
     }
 

@@ -234,12 +234,6 @@ impl Cmac {
         tags[0]
     }
 
-    /// MAC a single contiguous message. Returns the full 128-bit tag.
-    #[must_use]
-    pub fn mac(&self, msg: &[u8]) -> Block {
-        self.mac_parts(&[msg])
-    }
-
     /// MAC a message and truncate the tag to 64 bits (most-significant
     /// bytes first, per SP 800-38B truncation).
     #[must_use]
@@ -369,7 +363,7 @@ mod tests {
     #[test]
     fn nist_empty_message() {
         assert_eq!(
-            nist_cmac().mac(&[]),
+            nist_cmac().mac_parts(&[&[]]),
             [
                 0xbb, 0x1d, 0x69, 0x29, 0xe9, 0x59, 0x37, 0x28, 0x7f, 0xa3, 0x7d, 0x12, 0x9b, 0x75,
                 0x67, 0x46,
@@ -393,17 +387,17 @@ mod tests {
 
     #[test]
     fn nist_one_block() {
-        assert_eq!(nist_cmac().mac(&MSG[..16]), TAG_16);
+        assert_eq!(nist_cmac().mac_parts(&[&MSG[..16]]), TAG_16);
     }
 
     #[test]
     fn nist_partial_final_block() {
-        assert_eq!(nist_cmac().mac(&MSG[..40]), TAG_40);
+        assert_eq!(nist_cmac().mac_parts(&[&MSG[..40]]), TAG_40);
     }
 
     #[test]
     fn nist_four_blocks() {
-        assert_eq!(nist_cmac().mac(&MSG), TAG_64);
+        assert_eq!(nist_cmac().mac_parts(&[&MSG]), TAG_64);
     }
 
     #[test]
@@ -446,7 +440,7 @@ mod tests {
     #[test]
     fn the_lanes_are_built_on_the_first_lane_wide_group() {
         let c = Cmac::portable(nist_cmac().cipher.aes);
-        let _ = c.mac(&MSG);
+        let _ = c.mac_parts(&[&MSG]);
         let _ = c.mac_extents(&[[0u8; 16]; 3], &[0u8; 3 * 32], 32);
         assert_eq!(lanes_built(&c), Some(false), "three messages stay scalar");
         let _ = c.mac_extents(&[[0u8; 16]; 4], &[0u8; 4 * 32], 32);
@@ -491,9 +485,12 @@ mod tests {
     #[test]
     fn parts_equal_contiguous() {
         let c = nist_cmac();
-        assert_eq!(c.mac_parts(&[&MSG[..16], &MSG[16..]]), c.mac(&MSG));
-        assert_eq!(c.mac_parts(&[&MSG[..7], &MSG[7..40]]), c.mac(&MSG[..40]));
-        assert_eq!(c.mac_parts(&[&[], &MSG, &[]]), c.mac(&MSG));
+        assert_eq!(c.mac_parts(&[&MSG[..16], &MSG[16..]]), c.mac_parts(&[&MSG]));
+        assert_eq!(
+            c.mac_parts(&[&MSG[..7], &MSG[7..40]]),
+            c.mac_parts(&[&MSG[..40]])
+        );
+        assert_eq!(c.mac_parts(&[&[], &MSG, &[]]), c.mac_parts(&[&MSG]));
     }
 
     #[test]
@@ -506,12 +503,12 @@ mod tests {
     #[test]
     fn single_bit_flip_changes_tag() {
         let c = nist_cmac();
-        let base = c.mac(&MSG);
+        let base = c.mac_parts(&[&MSG]);
         for byte in [0usize, 15, 16, 63] {
             for bit in 0..8u8 {
                 let mut m = MSG;
                 m[byte] ^= 1 << bit;
-                assert_ne!(c.mac(&m), base, "flip at byte {byte} bit {bit}");
+                assert_ne!(c.mac_parts(&[&m]), base, "flip at byte {byte} bit {bit}");
             }
         }
     }

@@ -92,27 +92,13 @@ pub enum FallbackReason {
     BreakerOpen,
 }
 
-impl FallbackReason {
-    /// Stable snake_case name for reports.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            FallbackReason::Disabled => "disabled",
-            FallbackReason::AccelDownScaled => "accel_down_scaled",
-            FallbackReason::UnsupportedCipherMode => "unsupported_cipher_mode",
-            FallbackReason::BelowThreshold => "below_threshold",
-            FallbackReason::BreakerOpen => "breaker_open",
-        }
-    }
-}
-
 /// Requests (or batches) that stayed on the inline CPU path, per
 /// [`FallbackReason`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FallbackCounts {
     /// [`FallbackReason::Disabled`]: the pipeline was disabled or
     /// unkeyed.
-    pub disabled: u64,
+    pub(crate) disabled: u64,
     /// [`FallbackReason::AccelDownScaled`].
     pub down_scaled: u64,
     /// [`FallbackReason::UnsupportedCipherMode`].
@@ -156,28 +142,13 @@ pub struct KeystreamStats {
     /// Takes that found no entry (or only a stale-epoch entry).
     pub misses: u64,
     /// Entries zeroized and evicted to make room (FIFO order).
-    pub evicted: u64,
+    pub(crate) evicted: u64,
     /// Takes refused because the caller's epoch did not match the
     /// cache's — the stale entry is zeroized and dropped, never served.
     pub stale_epoch_denied: u64,
     /// Entries zeroized by explicit epoch rotation (key change or
     /// device lock).
     pub zeroized_on_rotate: u64,
-}
-
-impl KeystreamStats {
-    /// Fraction of takes served from the cache.
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            return 0.0;
-        }
-        #[allow(clippy::cast_precision_loss)]
-        {
-            self.hits as f64 / total as f64
-        }
-    }
 }
 
 /// A per-volume, epoch-bound, single-use cache of precomputed sector
@@ -210,12 +181,6 @@ impl KeystreamCache {
             order: Vec::new(),
             stats: KeystreamStats::default(),
         }
-    }
-
-    /// Bytes of keystream per entry.
-    #[must_use]
-    pub fn unit(&self) -> usize {
-        self.unit
     }
 
     /// The current key epoch.
@@ -420,18 +385,8 @@ mod tests {
     }
 
     #[test]
-    fn hit_rate_reports() {
-        let mut c = cache();
-        c.insert(1, vec![0; 512]);
-        let _ = c.take(1, 0);
-        let _ = c.take(2, 0);
-        assert!((c.stats.hit_rate() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn config_builders() {
         assert!(PipelineConfig::enabled().enabled);
         assert!(!PipelineConfig::default().enabled);
-        assert_eq!(FallbackReason::AccelDownScaled.name(), "accel_down_scaled");
     }
 }

@@ -14,7 +14,7 @@ use crate::gf;
 use std::sync::OnceLock;
 
 /// Size in bytes of one S-box table.
-pub const SBOX_SIZE: usize = 256;
+pub(crate) const SBOX_SIZE: usize = 256;
 
 /// Apply the AES affine transformation to a byte (after inversion).
 fn affine(q: u8) -> u8 {
@@ -23,7 +23,7 @@ fn affine(q: u8) -> u8 {
 
 /// Compute the forward S-box table.
 #[must_use]
-pub fn compute_sbox() -> [u8; SBOX_SIZE] {
+pub(crate) fn compute_sbox() -> [u8; SBOX_SIZE] {
     let mut table = [0u8; SBOX_SIZE];
     for (i, slot) in table.iter_mut().enumerate() {
         *slot = affine(gf::inv(i as u8));
@@ -33,7 +33,7 @@ pub fn compute_sbox() -> [u8; SBOX_SIZE] {
 
 /// Compute the inverse S-box table (used by decryption's InvSubBytes).
 #[must_use]
-pub fn compute_inv_sbox() -> [u8; SBOX_SIZE] {
+pub(crate) fn compute_inv_sbox() -> [u8; SBOX_SIZE] {
     let sbox = compute_sbox();
     let mut inv = [0u8; SBOX_SIZE];
     for (i, &v) in sbox.iter().enumerate() {
@@ -55,20 +55,20 @@ pub fn sbox() -> &'static [u8; SBOX_SIZE] {
 
 /// Shared, lazily-computed inverse S-box.
 #[must_use]
-pub fn inv_sbox() -> &'static [u8; SBOX_SIZE] {
+pub(crate) fn inv_sbox() -> &'static [u8; SBOX_SIZE] {
     static INV: OnceLock<[u8; SBOX_SIZE]> = OnceLock::new();
     INV.get_or_init(compute_inv_sbox)
 }
 
 /// Substitute one byte through the forward S-box.
 #[must_use]
-pub fn sub_byte(b: u8) -> u8 {
+pub(crate) fn sub_byte(b: u8) -> u8 {
     sbox()[b as usize]
 }
 
 /// Substitute one byte through the inverse S-box.
 #[must_use]
-pub fn inv_sub_byte(b: u8) -> u8 {
+pub(crate) fn inv_sub_byte(b: u8) -> u8 {
     inv_sbox()[b as usize]
 }
 

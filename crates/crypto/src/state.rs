@@ -60,7 +60,6 @@ pub struct StateComponent {
 /// The complete memory map of one AES context's state.
 #[derive(Debug, Clone)]
 pub struct AesStateLayout {
-    key_size: KeySize,
     components: Vec<StateComponent>,
     total: usize,
 }
@@ -137,7 +136,6 @@ impl AesStateLayout {
             offset += bytes;
         }
         AesStateLayout {
-            key_size,
             components,
             total: align4(offset),
         }
@@ -185,16 +183,9 @@ impl AesStateLayout {
             offset += bytes;
         }
         AesStateLayout {
-            key_size,
             components,
             total: align4(offset),
         }
-    }
-
-    /// The key size this layout describes.
-    #[must_use]
-    pub fn key_size(&self) -> KeySize {
-        self.key_size
     }
 
     /// All components, in arena order.

@@ -12,7 +12,7 @@ use crate::{gf, sbox};
 use std::sync::OnceLock;
 
 /// Number of entries in a round table.
-pub const TABLE_ENTRIES: usize = 256;
+pub(crate) const TABLE_ENTRIES: usize = 256;
 
 /// Size in bytes of one round table (256 entries x 4 bytes).
 pub const TABLE_BYTES: usize = TABLE_ENTRIES * 4;
@@ -24,7 +24,7 @@ pub const TABLE_BYTES: usize = TABLE_ENTRIES * 4;
 /// are in GF(2^8). The tables used for columns 1-3 are byte rotations of
 /// this one.
 #[must_use]
-pub fn compute_te() -> [u32; TABLE_ENTRIES] {
+pub(crate) fn compute_te() -> [u32; TABLE_ENTRIES] {
     let sb = sbox::sbox();
     let mut te = [0u32; TABLE_ENTRIES];
     for (x, slot) in te.iter_mut().enumerate() {
@@ -42,7 +42,7 @@ pub fn compute_te() -> [u32; TABLE_ENTRIES] {
 /// `(14*IS[x], 9*IS[x], 13*IS[x], 11*IS[x])` where `IS` is the inverse
 /// S-box — i.e., InvMixColumns applied to the InvSubBytes output.
 #[must_use]
-pub fn compute_td() -> [u32; TABLE_ENTRIES] {
+pub(crate) fn compute_td() -> [u32; TABLE_ENTRIES] {
     let isb = sbox::inv_sbox();
     let mut td = [0u32; TABLE_ENTRIES];
     for (x, slot) in td.iter_mut().enumerate() {
@@ -64,7 +64,7 @@ pub fn te() -> &'static [u32; TABLE_ENTRIES] {
 
 /// Shared, lazily-computed inverse round table.
 #[must_use]
-pub fn td() -> &'static [u32; TABLE_ENTRIES] {
+pub(crate) fn td() -> &'static [u32; TABLE_ENTRIES] {
     static TD: OnceLock<[u32; TABLE_ENTRIES]> = OnceLock::new();
     TD.get_or_init(compute_td)
 }
@@ -74,7 +74,7 @@ pub fn td() -> &'static [u32; TABLE_ENTRIES] {
 /// Used to derive the decryption round keys of the equivalent inverse
 /// cipher from the encryption round keys.
 #[must_use]
-pub fn inv_mix_column_word(w: u32) -> u32 {
+pub(crate) fn inv_mix_column_word(w: u32) -> u32 {
     let [a, b, c, d] = w.to_be_bytes();
     let m = |x: u8, y: u8, z: u8, t: u8| {
         gf::mul(x, 14) ^ gf::mul(y, 11) ^ gf::mul(z, 13) ^ gf::mul(t, 9)

@@ -19,7 +19,7 @@
 //! bytes transiently; the host integration is responsible for the paper's
 //! two register-hygiene rules — running compute sections with interrupts
 //! disabled and zeroing registers afterwards — which `sentry-core`
-//! enforces via `sentry_soc::cpu::Cpu::with_irqs_disabled`.
+//! enforces via `sentry_soc::cpu::Cpu::begin_critical`.
 //!
 //! Neither [`TrackedAes`] nor the table-free [`TrackedBitslicedAes`] has
 //! mode code of its own. [`InStore`] binds a context to its store as a
@@ -57,11 +57,11 @@ pub enum TableId {
 /// A recorded lookup-table access: the side-channel signal a bus monitor
 /// extracts when AES state lives in DRAM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AccessEvent {
+pub(crate) struct AccessEvent {
     /// Which table was read.
-    pub table: TableId,
+    pub(crate) table: TableId,
     /// The index that was read — a function of key and data bytes.
-    pub index: u8,
+    pub(crate) index: u8,
 }
 
 /// Backing storage for all AES state.
@@ -89,9 +89,9 @@ pub struct VecStore {
     bytes: Vec<u8>,
     /// When true, every table access is appended to [`VecStore::events`]
     /// and every read/write to [`VecStore::touch_log`].
-    pub record_accesses: bool,
+    pub(crate) record_accesses: bool,
     /// Recorded table accesses (empty unless `record_accesses`).
-    pub events: Vec<AccessEvent>,
+    pub(crate) events: Vec<AccessEvent>,
     /// Recorded `(offset, len, is_write)` of every store access — the
     /// address trace a bus monitor observes when the store lives in DRAM.
     /// Empty unless `record_accesses`.
@@ -116,19 +116,6 @@ impl VecStore {
             record_accesses: true,
             ..VecStore::default()
         }
-    }
-
-    /// Borrow the raw backing bytes (e.g., to scan for secrets in tests).
-    #[must_use]
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.bytes
-    }
-
-    /// Zeroize the entire store.
-    pub fn wipe(&mut self) {
-        self.bytes.fill(0);
-        self.events.clear();
-        self.touch_log.clear();
     }
 }
 
@@ -230,12 +217,6 @@ impl TrackedAes {
         };
         aes.expand_key(store);
         Ok(aes)
-    }
-
-    /// The key size of this context.
-    #[must_use]
-    pub fn key_size(&self) -> KeySize {
-        self.key_size
     }
 
     fn read_u32<S: StateStore>(store: &mut S, offset: usize) -> u32 {
@@ -430,7 +411,7 @@ impl TrackedAes {
     }
 
     /// Decrypt one external block through the store.
-    pub fn decrypt_block<S: StateStore>(&self, store: &mut S, block: &mut [u8; BLOCK_SIZE]) {
+    pub(crate) fn decrypt_block<S: StateStore>(&self, store: &mut S, block: &mut [u8; BLOCK_SIZE]) {
         store.write(self.offsets.input, block);
         self.decrypt_in_store(store);
         store.read(self.offsets.input, block);
@@ -500,12 +481,6 @@ impl TrackedBitslicedAes {
         };
         aes.expand_key(store);
         Ok(aes)
-    }
-
-    /// The key size of this context.
-    #[must_use]
-    pub fn key_size(&self) -> KeySize {
-        self.key_size
     }
 
     fn rk_word<S: StateStore>(&self, store: &mut S, word: usize) -> u32 {
@@ -644,7 +619,7 @@ impl<S: StateStore> BlockCipherBatch for InStore<'_, TrackedAes, S> {
     }
 }
 
-/// The table-free kernel stages [`PAR_BLOCKS`] blocks per call; a single
+/// The table-free kernel stages `PAR_BLOCKS` blocks per call; a single
 /// block still runs (and is traced as) a whole staged batch.
 impl<S: StateStore> BlockCipher for InStore<'_, TrackedBitslicedAes, S> {
     fn encrypt_block(&self, block: &mut Block) {
@@ -806,7 +781,7 @@ mod tests {
         let layout = AesStateLayout::for_key_size(KeySize::Aes128);
         let mut store = VecStore::new(layout.total_bytes());
         let _aes = TrackedAes::init(&mut store, &key).unwrap();
-        let bytes = store.as_bytes();
+        let bytes = &store.bytes;
         let found = bytes.windows(key.len()).any(|w| w == key.as_slice());
         assert!(found, "key bytes must live inside the store");
     }
@@ -949,20 +924,7 @@ mod tests {
         let layout = AesStateLayout::bitsliced(KeySize::Aes128);
         let mut store = VecStore::new(layout.total_bytes());
         let _aes = TrackedBitslicedAes::init(&mut store, &key).unwrap();
-        let found = store
-            .as_bytes()
-            .windows(key.len())
-            .any(|w| w == key.as_slice());
+        let found = store.bytes.windows(key.len()).any(|w| w == key.as_slice());
         assert!(found, "key bytes must live inside the store");
-    }
-
-    #[test]
-    fn wipe_erases_all_state() {
-        let key = hex("2b7e151628aed2a6abf7158809cf4f3c");
-        let layout = AesStateLayout::for_key_size(KeySize::Aes128);
-        let mut store = VecStore::new(layout.total_bytes());
-        let _aes = TrackedAes::init(&mut store, &key).unwrap();
-        store.wipe();
-        assert!(store.as_bytes().iter().all(|&b| b == 0));
     }
 }

@@ -31,21 +31,19 @@ pub struct EnergyModel {
     /// Battery capacity in joules. Nexus 4: 2100 mAh at 3.8 V ≈ 28.7 kJ.
     pub battery_joules: f64,
     /// System energy per byte for user-space OpenSSL AES (µJ/B).
-    pub uj_per_byte_openssl: f64,
+    pub(crate) uj_per_byte_openssl: f64,
     /// System energy per byte for the kernel Crypto API AES (µJ/B).
-    pub uj_per_byte_cryptoapi: f64,
+    pub(crate) uj_per_byte_cryptoapi: f64,
     /// System energy per byte for hardware-accelerated AES on 4 KiB
     /// pages (µJ/B) — *higher* than the CPU because the down-scaled
     /// engine keeps the system awake longer (Figure 12).
-    pub uj_per_byte_hw: f64,
-    /// Energy per megabyte of freed-page zeroing (µJ/MB, §7).
-    pub uj_per_mb_zeroing: f64,
+    pub(crate) uj_per_byte_hw: f64,
     /// Aggregate full-device encryption rate with all four cores and the
     /// accelerator working (bytes/s) — the strawman of §7 ("encrypting
     /// 2 GB … takes over a minute").
-    pub full_encrypt_bytes_per_sec: f64,
+    pub(crate) full_encrypt_bytes_per_sec: f64,
     /// Energy to encrypt the full 2 GB once (J, §7: "over 70 Joules").
-    pub full_encrypt_joules_per_2gb: f64,
+    pub(crate) full_encrypt_joules_per_2gb: f64,
 }
 
 impl Default for EnergyModel {
@@ -63,7 +61,6 @@ impl EnergyModel {
             uj_per_byte_openssl: 0.030,
             uj_per_byte_cryptoapi: 0.040,
             uj_per_byte_hw: 0.110,
-            uj_per_mb_zeroing: 2.8,
             full_encrypt_bytes_per_sec: 32.0e6,
             full_encrypt_joules_per_2gb: 70.0,
         }
@@ -85,17 +82,11 @@ impl EnergyModel {
         bytes as f64 * self.uj_per_byte(variant) * 1e-6
     }
 
-    /// Joules to zero `bytes` of freed pages.
-    #[must_use]
-    pub fn zeroing_joules(&self, bytes: u64) -> f64 {
-        bytes as f64 / (1024.0 * 1024.0) * self.uj_per_mb_zeroing * 1e-6
-    }
-
     /// Figure 5: energy of one lock/unlock cycle for an app that
     /// encrypts `lock_bytes` at lock and decrypts `unlock_bytes` at
     /// unlock, using `variant`.
     #[must_use]
-    pub fn cycle_joules(
+    pub(crate) fn cycle_joules(
         &self,
         variant: AesVariant,
         lock_bytes: u64,
@@ -197,14 +188,6 @@ mod tests {
         let m = EnergyModel::nexus4();
         assert!(m.uj_per_byte(AesVariant::OpenSslUser) < m.uj_per_byte(AesVariant::CryptoApi));
         assert!(m.uj_per_byte(AesVariant::CryptoApi) < m.uj_per_byte(AesVariant::HwAccel));
-    }
-
-    #[test]
-    fn zeroing_is_negligible() {
-        // §7: 2.8 µJ/MB — zeroing 100 MB of freed pages costs less than
-        // a millijoule.
-        let m = EnergyModel::nexus4();
-        assert!(m.zeroing_joules(100 * MB) < 1e-3);
     }
 
     #[test]

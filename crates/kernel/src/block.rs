@@ -55,9 +55,9 @@ pub trait BlockDevice {
 pub struct RamDisk {
     data: Vec<u8>,
     /// Streaming rate, bytes per second.
-    pub bytes_per_sec: f64,
+    pub(crate) bytes_per_sec: f64,
     /// Fixed per-request cost, nanoseconds (request queuing, completion).
-    pub request_ns: u64,
+    pub(crate) request_ns: u64,
 }
 
 impl RamDisk {

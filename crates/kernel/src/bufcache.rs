@@ -39,7 +39,7 @@ pub struct BufferCache {
 impl BufferCache {
     /// A cache holding at most `capacity` blocks.
     #[must_use]
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         BufferCache {
             capacity,
             ..BufferCache::default()
@@ -55,7 +55,7 @@ impl BufferCache {
     }
 
     /// Look up a block, refreshing its recency.
-    pub fn get(&mut self, block: u64) -> Option<&Vec<u8>> {
+    pub(crate) fn get(&mut self, block: u64) -> Option<&Vec<u8>> {
         if self.blocks.contains_key(&block) {
             self.hits += 1;
             self.touch(block);
@@ -67,7 +67,7 @@ impl BufferCache {
     }
 
     /// Insert a block, evicting the least-recently-used one if full.
-    pub fn insert(&mut self, block: u64, data: Vec<u8>) {
+    pub(crate) fn insert(&mut self, block: u64, data: Vec<u8>) {
         debug_assert_eq!(data.len(), CACHE_BLOCK);
         if self.capacity == 0 {
             return;
@@ -83,30 +83,11 @@ impl BufferCache {
         self.touch(block);
     }
 
-    /// Update a cached block's bytes if present (write-through update).
-    pub fn update(&mut self, block: u64, offset: usize, data: &[u8]) {
-        if let Some(cached) = self.blocks.get_mut(&block) {
-            cached[offset..offset + data.len()].copy_from_slice(data);
-        }
-    }
-
     /// Discard everything.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.blocks.clear();
         self.stamps.clear();
         self.by_stamp.clear();
-    }
-
-    /// Number of resident blocks.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// Whether the cache is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty()
     }
 }
 
@@ -149,7 +130,7 @@ impl Volume {
 
     /// Volume size in bytes.
     #[must_use]
-    pub fn size(&self) -> u64 {
+    pub(crate) fn size(&self) -> u64 {
         self.disk.num_sectors() * SECTOR_SIZE as u64
     }
 
@@ -325,10 +306,10 @@ mod tests {
         let mut vol = Volume::new(1024, VolumeCrypto::None, 64);
         let data = vec![0x22u8; CACHE_BLOCK];
         vol.write(&mut api, &mut soc, 4096, &data, true).unwrap();
-        assert!(vol.cache.is_empty());
+        assert!(vol.cache.blocks.is_empty());
         let mut buf = vec![0u8; CACHE_BLOCK];
         vol.read(&mut api, &mut soc, 4096, &mut buf, true).unwrap();
-        assert!(vol.cache.is_empty());
+        assert!(vol.cache.blocks.is_empty());
         assert_eq!(buf, data);
     }
 

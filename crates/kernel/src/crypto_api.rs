@@ -155,24 +155,12 @@ impl CryptoApi {
             .ok_or(KernelError::NoCipher)
     }
 
-    /// The preferred engine, immutably.
-    ///
-    /// # Errors
-    ///
-    /// [`KernelError::NoCipher`] if the registry is empty.
-    pub fn preferred(&self) -> Result<&(dyn CipherEngine + 'static), KernelError> {
-        self.engines
-            .first()
-            .map(|b| b.as_ref())
-            .ok_or(KernelError::NoCipher)
-    }
-
     /// Find an engine by name.
     ///
     /// # Errors
     ///
     /// [`KernelError::UnknownCipher`] if no engine has that name.
-    pub fn by_name_mut(
+    pub(crate) fn by_name_mut(
         &mut self,
         name: &str,
     ) -> Result<&mut (dyn CipherEngine + 'static), KernelError> {
@@ -217,7 +205,7 @@ impl std::fmt::Debug for GenericAesEngine {
 
 impl GenericAesEngine {
     /// Default priority of the in-kernel generic AES.
-    pub const PRIORITY: i32 = 100;
+    pub(crate) const PRIORITY: i32 = 100;
 
     /// Create an unkeyed engine using DRAM key slot `slot`.
     #[must_use]
@@ -232,7 +220,7 @@ impl GenericAesEngine {
     /// The DRAM address where this engine's key material lives — what a
     /// cold-boot attacker greps for.
     #[must_use]
-    pub fn key_material_addr(&self) -> u64 {
+    pub(crate) fn key_material_addr(&self) -> u64 {
         CRYPTO_KEYS_BASE + self.slot * 4096
     }
 }
@@ -318,7 +306,7 @@ impl std::fmt::Debug for AccelAesEngine {
 impl AccelAesEngine {
     /// Default priority (below the generic software AES: the paper's
     /// Android stack only uses the engine when asked explicitly).
-    pub const PRIORITY: i32 = 50;
+    pub(crate) const PRIORITY: i32 = 50;
 
     /// Create an unkeyed accelerator engine.
     #[must_use]
@@ -404,7 +392,7 @@ mod tests {
         let mut api = CryptoApi::new();
         api.register(Box::new(AccelAesEngine::new()));
         api.register(Box::new(GenericAesEngine::new(0)));
-        assert_eq!(api.preferred().unwrap().name(), "aes-cbc-generic");
+        assert_eq!(api.preferred_mut().unwrap().name(), "aes-cbc-generic");
         assert_eq!(
             api.listing(),
             vec![("aes-cbc-generic", 100), ("aes-cbc-hw", 50)]

@@ -54,10 +54,10 @@ pub struct ReadOverlapStats {
     /// Sectors finished by XOR of precomputed keystream.
     pub xor_sectors: u64,
     /// Keystream sectors precomputed under the block-device wait.
-    pub precomputed_under_disk: u64,
+    pub(crate) precomputed_under_disk: u64,
     /// Keystream sectors precomputed while an accel descriptor was in
     /// flight.
-    pub precomputed_under_accel: u64,
+    pub(crate) precomputed_under_accel: u64,
     /// Nanoseconds the CPU stalled on accel completions.
     pub accel_stall_ns: u64,
     /// Requests whose miss run stayed on the CPU engine, per reason.
@@ -65,7 +65,7 @@ pub struct ReadOverlapStats {
     /// Keystream precompute passes cut short by the pressure governor's
     /// fill cap (elective cache growth shed while on-SoC space is
     /// scarce).
-    pub keystream_fill_capped: u64,
+    pub(crate) keystream_fill_capped: u64,
     /// Health-governor counters for this mapping (breaker trips, probes,
     /// watchdog timeouts, corrupt completions, abandoned and
     /// CPU-fallback bytes, disk retries), synced from the governor at
@@ -84,7 +84,7 @@ impl ReadOverlapStats {
 /// Per-volume state of the asynchronous read pipeline: the keystream
 /// cache, the volume-keyed host cipher that fills it, and counters.
 #[derive(Debug, Clone)]
-pub struct ReadPipeline {
+pub(crate) struct ReadPipeline {
     cache: KeystreamCache,
     /// Pressure-governor fill cap: while set, precompute stops growing
     /// the cache past this many resident sectors (existing entries stay
@@ -95,7 +95,7 @@ pub struct ReadPipeline {
     /// `None` until `set_key` runs with the pipeline enabled.
     cipher: Option<PageCipher>,
     /// Cumulative counters.
-    pub stats: ReadOverlapStats,
+    pub(crate) stats: ReadOverlapStats,
 }
 
 impl ReadPipeline {

@@ -10,7 +10,7 @@ use std::fmt;
 
 /// Whether the faulting access was a load or a store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AccessKind {
+pub(crate) enum AccessKind {
     /// Load.
     Read,
     /// Store.
@@ -25,7 +25,7 @@ pub struct PageFault {
     /// The virtual page number of the faulting address.
     pub vpn: u64,
     /// Load or store.
-    pub kind: AccessKind,
+    pub(crate) kind: AccessKind,
 }
 
 impl fmt::Display for PageFault {

@@ -23,7 +23,7 @@ pub struct FrameAllocator {
 impl FrameAllocator {
     /// An allocator over the user pool of a DRAM with `dram_size` bytes.
     #[must_use]
-    pub fn new(dram_size: u64) -> Self {
+    pub(crate) fn new(dram_size: u64) -> Self {
         FrameAllocator {
             next_fresh: USER_POOL_BASE,
             limit: USER_POOL_BASE + user_pool_frames(dram_size) * PAGE_SIZE,
@@ -73,18 +73,18 @@ impl FrameAllocator {
 
     /// The next dirty frame to scrub, left in the queue.
     #[must_use]
-    pub fn peek_dirty(&self) -> Option<u64> {
+    pub(crate) fn peek_dirty(&self) -> Option<u64> {
         self.freed_dirty.front().copied()
     }
 
     /// Take the next dirty frame for scrubbing.
     #[must_use]
-    pub fn pop_dirty(&mut self) -> Option<u64> {
+    pub(crate) fn pop_dirty(&mut self) -> Option<u64> {
         self.freed_dirty.pop_front()
     }
 
     /// Return a scrubbed frame to the clean free list.
-    pub fn push_clean(&mut self, frame: u64) {
+    pub(crate) fn push_clean(&mut self, frame: u64) {
         self.free.push(frame);
     }
 

@@ -66,11 +66,13 @@ impl Kernel {
         }
     }
 
-    /// Spawn a process with an empty address space.
-    pub fn spawn(&mut self, name: impl Into<String>) -> Pid {
+    /// Spawn a process with an empty address space. The name (e.g.
+    /// "com.twitter.android") labels the process for the caller only;
+    /// the model keeps none.
+    pub fn spawn(&mut self, _name: impl Into<String>) -> Pid {
         let pid = self.next_pid;
         self.next_pid += 1;
-        let proc = Process::new(pid, name, kernel_stack_for(pid));
+        let proc = Process::new(pid, kernel_stack_for(pid));
         self.procs.insert(pid, proc);
         self.sched.admit(pid);
         pid
@@ -174,30 +176,6 @@ impl Kernel {
             }
         }
         Ok(())
-    }
-
-    /// Translate `(pid, vaddr)` to a physical address, faulting if the
-    /// page traps.
-    ///
-    /// # Errors
-    ///
-    /// [`KernelError::Fault`] for trapping pages,
-    /// [`KernelError::UnknownPid`] for bad pids. Unmapped pages fault
-    /// with the page's VPN (a segfault in a real kernel; here callers
-    /// either pre-map or rely on [`Kernel::read`]/[`Kernel::write`]'s
-    /// demand-zero path).
-    pub fn translate(&self, pid: Pid, vaddr: u64, kind: AccessKind) -> Result<u64, KernelError> {
-        let proc = self.proc(pid)?;
-        let vpn = vaddr / PAGE_SIZE;
-        match proc.page_table.get(vpn) {
-            Some(pte) if !pte.traps() => {
-                let base = match pte.backing {
-                    Backing::Dram(f) | Backing::OnSoc(f) => f,
-                };
-                Ok(base + vaddr % PAGE_SIZE)
-            }
-            _ => Err(KernelError::Fault(PageFault { pid, vpn, kind })),
-        }
     }
 
     /// Process read at a virtual address.
@@ -530,7 +508,10 @@ mod tests {
         while k.frames.alloc().is_some() {}
         let other = k.spawn("other");
         k.write(other, 0, &[1u8; 8]).unwrap();
-        assert_eq!(k.translate(other, 0, AccessKind::Read).unwrap(), kept);
+        assert_eq!(
+            k.proc(other).unwrap().page_table.get(0).unwrap().backing,
+            Backing::Dram(kept)
+        );
         let mut buf = [0xFFu8; 64];
         k.soc.mem_read(kept + 8, &mut buf).unwrap();
         assert_eq!(buf, [0u8; 64], "scrubbed before reuse");
@@ -580,18 +561,6 @@ mod tests {
         assert_eq!(k.dropped_kept_frames, vec![kept], "its tag is stale");
         k.exit(pid).unwrap();
         assert_eq!(k.frames.dirty_count(), 4);
-    }
-
-    #[test]
-    fn translate_reports_physical_addresses() {
-        let mut k = kernel();
-        let pid = k.spawn("app");
-        k.map_anon(pid, 4, 1).unwrap();
-        let phys = k
-            .translate(pid, 4 * PAGE_SIZE + 123, AccessKind::Read)
-            .unwrap();
-        assert_eq!(phys % PAGE_SIZE, 123);
-        assert!(k.translate(pid, 99 * PAGE_SIZE, AccessKind::Read).is_err());
     }
 
     #[test]

@@ -15,17 +15,17 @@
 use sentry_soc::addr::{DRAM_BASE, PAGE_SIZE};
 
 /// Size of the kernel-reserved low region.
-pub const KERNEL_RESERVED: u64 = 16 << 20;
+pub(crate) const KERNEL_RESERVED: u64 = 16 << 20;
 
 /// Base of the kernel-reserved region.
-pub const KERNEL_BASE: u64 = DRAM_BASE;
+pub(crate) const KERNEL_BASE: u64 = DRAM_BASE;
 
 /// Base of per-process kernel stacks (16 KiB each, within the kernel
 /// region).
-pub const KERNEL_STACKS_BASE: u64 = KERNEL_BASE + (1 << 20);
+pub(crate) const KERNEL_STACKS_BASE: u64 = KERNEL_BASE + (1 << 20);
 
 /// Bytes of kernel stack per process.
-pub const KERNEL_STACK_SIZE: u64 = 16 * 1024;
+pub(crate) const KERNEL_STACK_SIZE: u64 = 16 * 1024;
 
 /// Base of the crypto-accelerator DMA bounce window. The engine is a
 /// bus master: descriptors point it at DRAM, so everything it touches
@@ -33,19 +33,19 @@ pub const KERNEL_STACK_SIZE: u64 = 16 * 1024;
 /// fixed window keeps that traffic honest — and means a power cut
 /// mid-transfer leaves only what the window held (ciphertext; plaintext
 /// results are written back only at operation completion).
-pub const ACCEL_DMA_BASE: u64 = KERNEL_BASE + (4 << 20);
+pub(crate) const ACCEL_DMA_BASE: u64 = KERNEL_BASE + (4 << 20);
 
 /// Size of the accelerator DMA bounce window.
-pub const ACCEL_DMA_SIZE: u64 = 1 << 20;
+pub(crate) const ACCEL_DMA_SIZE: u64 = 1 << 20;
 
 /// DMA controller id the crypto accelerator masters the bus as.
 /// (Controller 0 is the id the DMA-attack experiments use for rogue
 /// peripherals; giving the accelerator its own id keeps traces legible.)
-pub const ACCEL_DMA_CONTROLLER: u8 = 1;
+pub(crate) const ACCEL_DMA_CONTROLLER: u8 = 1;
 
 /// Where the generic (DRAM-resident) AES engine keeps its key schedule — kernel
 /// heap, in DRAM.
-pub const CRYPTO_KEYS_BASE: u64 = KERNEL_BASE + (8 << 20);
+pub(crate) const CRYPTO_KEYS_BASE: u64 = KERNEL_BASE + (8 << 20);
 
 /// Base of the locked-L2 window region.
 pub const LOCKED_WINDOW_BASE: u64 = DRAM_BASE + KERNEL_RESERVED;
@@ -55,17 +55,17 @@ pub const LOCKED_WINDOW_BASE: u64 = DRAM_BASE + KERNEL_RESERVED;
 pub const LOCKED_WINDOW_SIZE: u64 = 16 << 20;
 
 /// Base of the user frame pool.
-pub const USER_POOL_BASE: u64 = LOCKED_WINDOW_BASE + LOCKED_WINDOW_SIZE;
+pub(crate) const USER_POOL_BASE: u64 = LOCKED_WINDOW_BASE + LOCKED_WINDOW_SIZE;
 
 /// Kernel stack (base) address for a process id.
 #[must_use]
-pub fn kernel_stack_for(pid: u32) -> u64 {
+pub(crate) fn kernel_stack_for(pid: u32) -> u64 {
     KERNEL_STACKS_BASE + u64::from(pid) * KERNEL_STACK_SIZE
 }
 
 /// Number of user-pool frames available in a DRAM of `dram_size` bytes.
 #[must_use]
-pub fn user_pool_frames(dram_size: u64) -> u64 {
+pub(crate) fn user_pool_frames(dram_size: u64) -> u64 {
     (DRAM_BASE + dram_size).saturating_sub(USER_POOL_BASE) / PAGE_SIZE
 }
 

@@ -48,6 +48,6 @@ pub mod vfs;
 pub mod zero_thread;
 
 pub use error::KernelError;
-pub use fault::{AccessKind, FaultResolution, PageFault};
+pub use fault::{FaultResolution, PageFault};
 pub use kernel::Kernel;
 pub use process::Pid;

@@ -17,7 +17,7 @@ use crate::process::Pid;
 use std::collections::BTreeMap;
 
 /// Virtual page number.
-pub type Vpn = u64;
+pub(crate) type Vpn = u64;
 
 /// Where a page's bytes currently live.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -46,7 +46,7 @@ pub enum Sharing {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Pte {
     /// The page is mapped to physical storage.
-    pub present: bool,
+    pub(crate) present: bool,
     /// The ARM young (accessed) bit. Cleared = next access traps.
     pub young: bool,
     /// DRAM bytes are ciphertext.
@@ -137,7 +137,7 @@ pub struct PageTable {
 impl PageTable {
     /// An empty page table.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         PageTable::default()
     }
 
@@ -153,25 +153,13 @@ impl PageTable {
     }
 
     /// Install or replace a PTE.
-    pub fn map(&mut self, vpn: Vpn, pte: Pte) {
+    pub(crate) fn map(&mut self, vpn: Vpn, pte: Pte) {
         self.entries.insert(vpn, pte);
     }
 
     /// Remove a mapping, returning the old PTE.
-    pub fn unmap(&mut self, vpn: Vpn) -> Option<Pte> {
+    pub(crate) fn unmap(&mut self, vpn: Vpn) -> Option<Pte> {
         self.entries.remove(&vpn)
-    }
-
-    /// Number of mapped pages.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether no pages are mapped.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Iterate over `(vpn, pte)` pairs in address order — the "walk the
@@ -181,7 +169,7 @@ impl PageTable {
     }
 
     /// Iterate mutably.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (Vpn, &mut Pte)> + '_ {
+    pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = (Vpn, &mut Pte)> + '_ {
         self.entries.iter_mut().map(|(&vpn, pte)| (vpn, pte))
     }
 
@@ -203,14 +191,14 @@ mod tests {
     #[test]
     fn map_get_unmap() {
         let mut pt = PageTable::new();
-        assert!(pt.is_empty());
+        assert!(pt.entries.is_empty());
         pt.map(5, Pte::resident(0x8000_0000));
-        assert_eq!(pt.len(), 1);
+        assert_eq!(pt.entries.len(), 1);
         assert!(pt.get(5).unwrap().present);
         assert!(pt.get(6).is_none());
         let old = pt.unmap(5).unwrap();
         assert_eq!(old.backing, Backing::Dram(0x8000_0000));
-        assert!(pt.is_empty());
+        assert!(pt.entries.is_empty());
     }
 
     #[test]

@@ -9,7 +9,7 @@ pub type Pid = u32;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProcStats {
     /// Page faults taken.
-    pub faults: u64,
+    pub(crate) faults: u64,
     /// Bytes decrypted on behalf of this process.
     pub bytes_decrypted: u64,
     /// Bytes encrypted on behalf of this process.
@@ -21,8 +21,6 @@ pub struct ProcStats {
 pub struct Process {
     /// Process id.
     pub pid: Pid,
-    /// Human-readable name (e.g. "com.twitter.android").
-    pub name: String,
     /// Marked sensitive by the user in the settings menu (§7,
     /// "Selective Encryption").
     pub sensitive: bool,
@@ -33,7 +31,7 @@ pub struct Process {
     pub page_table: PageTable,
     /// Physical base address of the kernel stack (in DRAM — the context
     /// switch spill target).
-    pub kernel_stack: u64,
+    pub(crate) kernel_stack: u64,
     /// Paging statistics.
     pub stats: ProcStats,
 }
@@ -41,10 +39,9 @@ pub struct Process {
 impl Process {
     /// Create a process with an empty address space.
     #[must_use]
-    pub fn new(pid: Pid, name: impl Into<String>, kernel_stack: u64) -> Self {
+    pub(crate) fn new(pid: Pid, kernel_stack: u64) -> Self {
         Process {
             pid,
-            name: name.into(),
             sensitive: false,
             schedulable: true,
             page_table: PageTable::new(),
@@ -60,11 +57,11 @@ mod tests {
 
     #[test]
     fn new_process_defaults() {
-        let p = Process::new(7, "twitter", 0x8000_4000);
+        let p = Process::new(7, 0x8000_4000);
         assert_eq!(p.pid, 7);
         assert!(!p.sensitive);
         assert!(p.schedulable);
-        assert!(p.page_table.is_empty());
+        assert!(p.page_table.iter().next().is_none());
         assert_eq!(p.stats, ProcStats::default());
     }
 }

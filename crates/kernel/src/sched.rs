@@ -15,8 +15,6 @@ use std::collections::{BTreeMap, VecDeque};
 #[derive(Debug, Clone, Default)]
 pub struct Scheduler {
     queue: VecDeque<Pid>,
-    /// Number of scheduling decisions taken.
-    pub decisions: u64,
     /// Timer ticks delivered via [`Scheduler::tick`]. The tick is where
     /// periodic kernel work hangs — for Sentry, the background decrypt
     /// sweeper runs a budgeted step per tick.
@@ -26,19 +24,19 @@ pub struct Scheduler {
 impl Scheduler {
     /// An empty scheduler.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Scheduler::default()
     }
 
     /// Add a process to the run queue.
-    pub fn admit(&mut self, pid: Pid) {
+    pub(crate) fn admit(&mut self, pid: Pid) {
         if !self.queue.contains(&pid) {
             self.queue.push_back(pid);
         }
     }
 
     /// Remove a process entirely (exit).
-    pub fn remove(&mut self, pid: Pid) {
+    pub(crate) fn remove(&mut self, pid: Pid) {
         self.queue.retain(|&p| p != pid);
     }
 
@@ -52,7 +50,6 @@ impl Scheduler {
     /// Pick the next schedulable process, rotating the queue. Returns
     /// `None` if no admitted process is currently schedulable.
     pub fn next(&mut self, procs: &BTreeMap<Pid, Process>) -> Option<Pid> {
-        self.decisions += 1;
         for _ in 0..self.queue.len() {
             let pid = self.queue.pop_front()?;
             self.queue.push_back(pid);
@@ -61,12 +58,6 @@ impl Scheduler {
             }
         }
         None
-    }
-
-    /// Pids currently admitted (schedulable or not).
-    #[must_use]
-    pub fn admitted(&self) -> Vec<Pid> {
-        self.queue.iter().copied().collect()
     }
 }
 
@@ -78,7 +69,7 @@ mod tests {
         specs
             .iter()
             .map(|&(pid, schedulable)| {
-                let mut p = Process::new(pid, format!("p{pid}"), 0x8000_4000);
+                let mut p = Process::new(pid, 0x8000_4000);
                 p.schedulable = schedulable;
                 (pid, p)
             })
@@ -131,7 +122,7 @@ mod tests {
         let mut s = Scheduler::new();
         s.admit(1);
         s.admit(1);
-        assert_eq!(s.admitted(), vec![1]);
+        assert_eq!(s.queue, [1]);
         s.remove(1);
         assert_eq!(s.next(&map), None);
     }

@@ -13,11 +13,11 @@ use std::collections::BTreeMap;
 
 /// A file: a contiguous extent of volume blocks.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FileExtent {
+pub(crate) struct FileExtent {
     /// First byte offset on the volume.
-    pub start: u64,
+    pub(crate) start: u64,
     /// File size in bytes (block-aligned).
-    pub size: u64,
+    pub(crate) size: u64,
 }
 
 /// The file layer.
@@ -70,7 +70,7 @@ impl SimpleFs {
     /// # Errors
     ///
     /// [`KernelError::NoSuchFile`].
-    pub fn stat(&self, name: &str) -> Result<&FileExtent, KernelError> {
+    pub(crate) fn stat(&self, name: &str) -> Result<&FileExtent, KernelError> {
         self.files
             .get(name)
             .ok_or_else(|| KernelError::NoSuchFile(name.to_string()))
@@ -128,12 +128,6 @@ impl SimpleFs {
     ) -> Result<(), KernelError> {
         let vol_off = self.span(name, offset, data.len())?;
         vol.write(api, soc, vol_off, data, direct_io)
-    }
-
-    /// Names of all files.
-    #[must_use]
-    pub fn file_names(&self) -> Vec<&str> {
-        self.files.keys().map(String::as_str).collect()
     }
 }
 

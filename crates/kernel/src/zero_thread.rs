@@ -16,9 +16,9 @@ use sentry_soc::Soc;
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ZeroStats {
     /// Bytes zeroed so far.
-    pub bytes: u64,
+    pub(crate) bytes: u64,
     /// Simulated time spent zeroing, nanoseconds.
-    pub ns: u64,
+    pub(crate) ns: u64,
     /// Energy spent zeroing, joules (2.8 µJ/MB).
     pub joules: f64,
 }
@@ -31,12 +31,12 @@ pub struct ZeroThread {
 }
 
 /// Energy cost of zeroing, joules per byte (2.8 µJ/MB, §7).
-pub const ZERO_J_PER_BYTE: f64 = 2.8e-6 / (1024.0 * 1024.0);
+pub(crate) const ZERO_J_PER_BYTE: f64 = 2.8e-6 / (1024.0 * 1024.0);
 
 impl ZeroThread {
     /// A fresh thread.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ZeroThread::default()
     }
 
@@ -52,7 +52,7 @@ impl ZeroThread {
     ///
     /// Propagates memory errors. A frame whose write fails stays at the
     /// head of the dirty queue, so a retried drain zeroes it.
-    pub fn step(
+    pub(crate) fn step(
         &mut self,
         frames: &mut FrameAllocator,
         soc: &mut Soc,
@@ -81,7 +81,7 @@ impl ZeroThread {
     /// # Errors
     ///
     /// Propagates memory errors.
-    pub fn drain(
+    pub(crate) fn drain(
         &mut self,
         frames: &mut FrameAllocator,
         soc: &mut Soc,

@@ -38,31 +38,25 @@ pub enum AccelPowerState {
 #[derive(Debug, Clone, PartialEq)]
 pub struct CryptoAccel {
     /// Streaming throughput at full clock, bytes per second.
-    pub awake_bytes_per_sec: f64,
+    pub(crate) awake_bytes_per_sec: f64,
     /// Down-scaling factor while locked (the paper observed ~4x).
-    pub downscale_factor: f64,
+    pub(crate) downscale_factor: f64,
     /// Fixed setup cost per operation, nanoseconds.
-    pub setup_ns: u64,
+    pub(crate) setup_ns: u64,
     /// Current power state.
     pub state: AccelPowerState,
-    /// Energy drawn per byte at the *system* level, micro-joules. The
-    /// paper's Figure 12 shows ~0.11 µJ/byte for hardware-accelerated
-    /// encryption of 4 KiB pages — worse than the CPU, because the slow
-    /// engine keeps the system awake longer.
-    pub uj_per_byte: f64,
 }
 
 impl CryptoAccel {
     /// The Nexus 4 engine, calibrated to Figure 11/12: ~10 MB/s on 4 KiB
     /// pages while down-scaled, ~4x that when awake.
     #[must_use]
-    pub fn nexus4() -> Self {
+    pub(crate) fn nexus4() -> Self {
         CryptoAccel {
             awake_bytes_per_sec: 100.0e6,
             downscale_factor: 4.0,
             setup_ns: 60_000,
             state: AccelPowerState::DownScaled,
-            uj_per_byte: 0.11,
         }
     }
 
@@ -71,17 +65,11 @@ impl CryptoAccel {
     /// which is why the paper saw the whole operation run 4x faster with
     /// the phone fully awake (§8.2).
     #[must_use]
-    pub fn effective_slowdown(&self) -> f64 {
+    pub(crate) fn effective_slowdown(&self) -> f64 {
         match self.state {
             AccelPowerState::Awake => 1.0,
             AccelPowerState::DownScaled => self.downscale_factor,
         }
-    }
-
-    /// Effective streaming rate in the current power state.
-    #[must_use]
-    pub fn effective_bytes_per_sec(&self) -> f64 {
-        self.awake_bytes_per_sec / self.effective_slowdown()
     }
 
     /// Simulated duration of one encrypt/decrypt operation over `bytes`.
@@ -98,12 +86,6 @@ impl CryptoAccel {
         let ns = self.op_duration_ns(chunk);
         chunk as f64 / (ns as f64 / 1e9) / 1e6
     }
-
-    /// Energy in joules to process `bytes`.
-    #[must_use]
-    pub fn energy_joules(&self, bytes: u64) -> f64 {
-        bytes as f64 * self.uj_per_byte * 1e-6
-    }
 }
 
 /// Handle to an operation submitted to an [`AccelQueue`].
@@ -114,7 +96,7 @@ pub struct AccelOpId(u64);
 /// descriptor (set by the fault plane via
 /// [`AccelQueue::inject_next_op_fault`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OpFault {
+pub(crate) enum OpFault {
     /// The descriptor wedges: completion is delayed by `wedge_ns` past
     /// the modeled duration ([`u64::MAX`] = never completes).
     Wedge {
@@ -183,7 +165,7 @@ pub struct AccelQueueStats {
     /// Descriptors submitted.
     pub ops: u64,
     /// Bytes across all descriptors.
-    pub bytes: u64,
+    pub(crate) bytes: u64,
     /// Engine-busy time modeled across all descriptors, nanoseconds.
     pub busy_ns: u64,
     /// Time the CPU actually stalled waiting for completions.
@@ -194,11 +176,11 @@ pub struct AccelQueueStats {
     /// Deepest the queue has ever been (descriptors in flight).
     pub max_depth: usize,
     /// Descriptors abandoned by a watchdog deadline expiring.
-    pub timeouts: u64,
+    pub(crate) timeouts: u64,
     /// Bytes across all abandoned descriptors.
-    pub abandoned_bytes: u64,
+    pub(crate) abandoned_bytes: u64,
     /// Descriptors whose status word reported corrupt output.
-    pub corrupt_ops: u64,
+    pub(crate) corrupt_ops: u64,
 }
 
 /// An asynchronous descriptor queue in front of the crypto accelerator.
@@ -225,7 +207,7 @@ pub struct AccelQueue {
 impl AccelQueue {
     /// An empty queue.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         AccelQueue::default()
     }
 
@@ -233,7 +215,7 @@ impl AccelQueue {
     /// descriptor. Called by the fault plane
     /// ([`crate::Soc::failpoint`]) when an accel fault action fires;
     /// only one fault is staged at a time (a second call overwrites).
-    pub fn inject_next_op_fault(&mut self, fault: OpFault) {
+    pub(crate) fn inject_next_op_fault(&mut self, fault: OpFault) {
         self.next_fault = Some(fault);
     }
 
@@ -278,17 +260,7 @@ impl AccelQueue {
             .map(|op| op.complete_at_ns)
     }
 
-    /// Descriptors still in flight at `now_ns` (submitted and not yet
-    /// complete).
-    #[must_use]
-    pub fn depth_at(&self, now_ns: u64) -> usize {
-        self.pending
-            .iter()
-            .filter(|op| op.complete_at_ns > now_ns)
-            .count()
-    }
-
-    /// Descriptors not yet retired by [`AccelQueue::wait`].
+    /// Descriptors not yet retired by `AccelQueue::wait`.
     #[must_use]
     pub fn pending_ops(&self) -> usize {
         self.pending.len()
@@ -298,7 +270,7 @@ impl AccelQueue {
     /// CPU got here first, and account the stalled/overlapped split.
     /// Returns the nanoseconds the CPU stalled (zero when the engine
     /// finished while the CPU was busy elsewhere — full overlap).
-    pub fn wait(&mut self, id: AccelOpId, clock: &mut SimClock) -> u64 {
+    pub(crate) fn wait(&mut self, id: AccelOpId, clock: &mut SimClock) -> u64 {
         let Some(pos) = self.pending.iter().position(|op| op.id == id.0) else {
             return 0;
         };
@@ -315,7 +287,7 @@ impl AccelQueue {
     /// simulated time `deadline_ns`.
     ///
     /// * Completion at or before the deadline retires the op exactly
-    ///   like [`AccelQueue::wait`] and returns [`WaitOutcome::Done`] —
+    ///   like `AccelQueue::wait` and returns [`WaitOutcome::Done`] —
     ///   or [`WaitOutcome::Corrupt`] when the descriptor status word
     ///   reports bad output (the op is retired either way; the caller
     ///   must discard the bounce window).
@@ -356,19 +328,6 @@ impl AccelQueue {
         self.stats.abandoned_bytes += op.bytes;
         self.busy_until_ns = self.busy_until_ns.min(deadline_ns.max(now));
         WaitOutcome::TimedOut { waited_ns }
-    }
-
-    /// Retire every in-flight descriptor (advancing the clock past the
-    /// last completion). Returns total stalled nanoseconds.
-    pub fn drain(&mut self, clock: &mut SimClock) -> u64 {
-        let ids: Vec<AccelOpId> = self.pending.iter().map(|op| AccelOpId(op.id)).collect();
-        ids.into_iter().map(|id| self.wait(id, clock)).sum()
-    }
-
-    /// Whether the engine is idle at `now_ns`.
-    #[must_use]
-    pub fn is_idle(&self, now_ns: u64) -> bool {
-        self.busy_until_ns <= now_ns && self.pending.is_empty()
     }
 }
 
@@ -414,13 +373,6 @@ mod tests {
     }
 
     #[test]
-    fn energy_tracks_bytes() {
-        let accel = CryptoAccel::nexus4();
-        let one_mb = accel.energy_joules(1 << 20);
-        assert!((one_mb - 0.115).abs() < 0.01, "got {one_mb} J");
-    }
-
-    #[test]
     fn queued_op_overlaps_with_cpu_progress() {
         let mut accel = CryptoAccel::nexus4();
         accel.state = AccelPowerState::Awake;
@@ -429,13 +381,13 @@ mod tests {
         let dur = accel.op_duration_ns(8192);
 
         let id = q.submit(&accel, clock.now_ns(), 8192);
-        assert_eq!(q.depth_at(clock.now_ns()), 1);
+        assert_eq!(q.pending_ops(), 1);
         // CPU does other work that covers the whole engine op.
         clock.advance(dur + 1_000);
         let stalled = q.wait(id, &mut clock);
         assert_eq!(stalled, 0, "engine finished under CPU work");
         assert_eq!(q.stats.overlap_ns, dur);
-        assert!(q.is_idle(clock.now_ns()));
+        assert!(q.busy_until_ns <= clock.now_ns() && q.pending.is_empty());
     }
 
     #[test]
@@ -465,7 +417,8 @@ mod tests {
         assert_eq!(q.completion_ns(a), Some(dur));
         assert_eq!(q.completion_ns(b), Some(2 * dur), "b starts after a");
         assert_eq!(q.stats.max_depth, 2);
-        q.drain(&mut clock);
+        q.wait(a, &mut clock);
+        q.wait(b, &mut clock);
         assert_eq!(clock.now_ns(), 2 * dur);
         assert_eq!(q.pending_ops(), 0);
     }

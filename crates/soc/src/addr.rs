@@ -25,19 +25,19 @@ pub const PAGE_SIZE: u64 = 4096;
 
 /// The iRAM physical address range.
 #[must_use]
-pub fn iram_range() -> Range<u64> {
+pub(crate) fn iram_range() -> Range<u64> {
     IRAM_BASE..IRAM_BASE + IRAM_SIZE
 }
 
 /// The DRAM physical address range for a given DRAM size.
 #[must_use]
-pub fn dram_range(dram_size: u64) -> Range<u64> {
+pub(crate) fn dram_range(dram_size: u64) -> Range<u64> {
     DRAM_BASE..DRAM_BASE + dram_size
 }
 
 /// Classification of a physical address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Region {
+pub(crate) enum Region {
     /// On-SoC internal SRAM.
     Iram,
     /// Off-SoC DRAM.
@@ -49,7 +49,7 @@ pub enum Region {
 /// Classify a physical address for a device with `dram_size` bytes of
 /// DRAM.
 #[must_use]
-pub fn classify(addr: u64, dram_size: u64) -> Region {
+pub(crate) fn classify(addr: u64, dram_size: u64) -> Region {
     if iram_range().contains(&addr) {
         Region::Iram
     } else if dram_range(dram_size).contains(&addr) {
@@ -62,7 +62,7 @@ pub fn classify(addr: u64, dram_size: u64) -> Region {
 /// Check that an access of `len` bytes starting at `addr` stays within a
 /// single region, returning that region.
 #[must_use]
-pub fn classify_span(addr: u64, len: u64, dram_size: u64) -> Region {
+pub(crate) fn classify_span(addr: u64, len: u64, dram_size: u64) -> Region {
     if len == 0 {
         return classify(addr, dram_size);
     }

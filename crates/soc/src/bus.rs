@@ -88,19 +88,15 @@ impl Bus {
         self.observers.push(observer);
     }
 
-    /// Detach all probes.
-    pub fn detach_all(&mut self) {
-        self.observers.clear();
-    }
-
-    /// Number of attached observers.
-    #[must_use]
-    pub fn observer_count(&self) -> usize {
-        self.observers.len()
-    }
-
     /// Record a transaction, notifying all observers.
-    pub fn transact(&mut self, at_ns: u64, op: BusOp, master: BusMaster, addr: u64, data: &[u8]) {
+    pub(crate) fn transact(
+        &mut self,
+        at_ns: u64,
+        op: BusOp,
+        master: BusMaster,
+        addr: u64,
+        data: &[u8],
+    ) {
         match op {
             BusOp::Read => {
                 self.reads += 1;
@@ -203,16 +199,5 @@ mod tests {
         assert_eq!(bus.reads(), 1);
         assert_eq!(bus.bytes_written(), 32);
         assert_eq!(bus.bytes_read(), 64);
-    }
-
-    #[test]
-    fn detach_stops_observation() {
-        let mut bus = Bus::new();
-        let rec = Arc::new(Recorder::default());
-        bus.attach(rec.clone());
-        bus.detach_all();
-        bus.transact(0, BusOp::Write, BusMaster::Cache, 0x8000_0000, b"x");
-        assert!(rec.seen.lock().expect("recorder lock poisoned").is_empty());
-        assert_eq!(bus.observer_count(), 0);
     }
 }

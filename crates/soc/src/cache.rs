@@ -67,8 +67,6 @@ pub const NUM_WAYS: usize = 8;
 pub const WAY_BYTES: usize = 128 * 1024;
 /// Number of sets (`WAY_BYTES / LINE_SIZE`).
 pub const NUM_SETS: usize = WAY_BYTES / LINE_SIZE;
-/// Total cache capacity (1 MiB).
-pub const CACHE_BYTES: usize = NUM_WAYS * WAY_BYTES;
 /// Allocation/flush mask covering all ways.
 pub const ALL_WAYS: u8 = 0xFF;
 
@@ -104,7 +102,7 @@ pub struct CacheStats {
     pub misses: u64,
     /// Dirty lines written back to DRAM on eviction or flush.
     pub writebacks: u64,
-    /// Accesses performed uncached (cache off or no way enabled).
+    /// Accesses performed uncached (no way enabled for allocation).
     pub uncached: u64,
 }
 
@@ -121,14 +119,12 @@ pub struct Pl310 {
     alloc_mask: u8,
     flush_mask: u8,
     victims: Vec<u8>,
-    enabled: bool,
     stats: CacheStats,
 }
 
 impl std::fmt::Debug for Pl310 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Pl310")
-            .field("enabled", &self.enabled)
             .field("alloc_mask", &format_args!("{:#010b}", self.alloc_mask))
             .field("flush_mask", &format_args!("{:#010b}", self.flush_mask))
             .field("stats", &self.stats)
@@ -155,20 +151,8 @@ impl Pl310 {
             alloc_mask: ALL_WAYS,
             flush_mask: ALL_WAYS,
             victims: vec![0u8; NUM_SETS],
-            enabled: true,
             stats: CacheStats::default(),
         }
-    }
-
-    /// Whether the cache is enabled at all.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Enable or disable the whole cache.
-    pub fn set_enabled(&mut self, on: bool) {
-        self.enabled = on;
     }
 
     /// The current allocation mask (bit `w` set = way `w` may receive new
@@ -199,11 +183,6 @@ impl Pl310 {
     #[must_use]
     pub fn stats(&self) -> CacheStats {
         self.stats
-    }
-
-    /// Reset statistics to zero.
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
     }
 
     fn set_and_tag(addr: u64) -> (usize, u64) {
@@ -283,11 +262,6 @@ impl Pl310 {
     /// line's set and tag on, one run of lines at a time.
     fn access(&mut self, addr: u64, mut buf: AccessBuf<'_, '_>, path: &mut MemPath<'_>) {
         let len = buf.len();
-        if !self.enabled {
-            self.stats.uncached += 1;
-            Self::uncached_span(addr, 0, len, &mut buf, path);
-            return;
-        }
         let (mut set, mut tag) = Self::set_and_tag(addr);
         let mut line_off = (addr % LINE_SIZE as u64) as usize;
         let mut done = 0usize;
@@ -766,7 +740,7 @@ mod tests {
 
     #[test]
     fn geometry_constants() {
-        assert_eq!(CACHE_BYTES, 1024 * 1024);
+        assert_eq!(NUM_WAYS * WAY_BYTES, 1024 * 1024);
         assert_eq!(NUM_SETS, 4096);
     }
 }

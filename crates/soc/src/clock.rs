@@ -27,12 +27,6 @@ impl SimClock {
         self.now_ns
     }
 
-    /// Current simulated time in seconds.
-    #[must_use]
-    pub fn now_secs(&self) -> f64 {
-        self.now_ns as f64 / 1e9
-    }
-
     /// Advance the clock by `ns` nanoseconds.
     pub fn advance(&mut self, ns: u64) {
         self.now_ns = self.now_ns.saturating_add(ns);
@@ -48,13 +42,6 @@ impl SimClock {
     /// sparingly and document each call site.
     pub fn set_now_ns(&mut self, ns: u64) {
         self.now_ns = ns;
-    }
-
-    /// Measure the simulated duration of `f` in nanoseconds.
-    pub fn measure<T>(&mut self, f: impl FnOnce(&mut Self) -> T) -> (T, u64) {
-        let start = self.now_ns;
-        let out = f(self);
-        (out, self.now_ns - start)
     }
 }
 
@@ -82,16 +69,16 @@ pub struct CostModel {
     /// handler dispatch, PTE update, TLB maintenance).
     pub page_fault_ns: u64,
     /// One context switch (register spill/restore and scheduler pass).
-    pub context_switch_ns: u64,
+    pub(crate) context_switch_ns: u64,
     /// Programming the PL310 (lockdown register write, sync).
-    pub cache_op_ns: u64,
+    pub(crate) cache_op_ns: u64,
     /// Full L2 clean-and-invalidate, per way flushed.
-    pub cache_flush_way_ns: u64,
+    pub(crate) cache_flush_way_ns: u64,
     /// memcpy of one 4 KiB page between on-SoC memory and DRAM.
     pub page_copy_ns: u64,
     /// Rate of the kernel's freed-page zeroing thread in bytes per
     /// second. Measured in the paper at 4.014 GB/s on the Nexus 4 (§7).
-    pub zeroing_bytes_per_sec: f64,
+    pub(crate) zeroing_bytes_per_sec: f64,
 }
 
 impl CostModel {
@@ -117,7 +104,7 @@ impl CostModel {
     /// Costs calibrated for the Google Nexus 4 (quad Krait @ 1.5 GHz):
     /// generic AES ≈ 45 MB/s in user space (Figure 11, left).
     #[must_use]
-    pub fn nexus4() -> Self {
+    pub(crate) fn nexus4() -> Self {
         CostModel {
             cache_hit_ns: 1,
             dram_line_ns: 45,
@@ -157,14 +144,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn clock_advances_and_measures() {
+    fn clock_advances() {
         let mut c = SimClock::new();
         assert_eq!(c.now_ns(), 0);
         c.advance(1_000);
-        let ((), spent) = c.measure(|c| c.advance(500));
-        assert_eq!(spent, 500);
+        c.advance(500);
         assert_eq!(c.now_ns(), 1_500);
-        assert!((c.now_secs() - 1.5e-6).abs() < 1e-12);
     }
 
     #[test]

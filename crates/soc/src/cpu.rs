@@ -17,11 +17,11 @@
 
 /// Number of general-purpose registers spilled on a context switch
 /// (r0–r12, sp, lr, pc).
-pub const NUM_REGS: usize = 16;
+pub(crate) const NUM_REGS: usize = 16;
 
 /// Number of arguments the ARM AAPCS passes in registers (r0–r3); the
 /// rest go to the stack.
-pub const REG_ARGS: usize = 4;
+pub(crate) const REG_ARGS: usize = 4;
 
 /// The simulated CPU core state.
 #[derive(Debug, Clone)]
@@ -46,7 +46,7 @@ impl Default for Cpu {
 impl Cpu {
     /// A CPU with zeroed registers and interrupts enabled.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Cpu {
             regs: [0u32; NUM_REGS],
             irqs_enabled: true,
@@ -54,22 +54,6 @@ impl Cpu {
             irq_disabled_ns: 0,
             critical_sections: 0,
         }
-    }
-
-    /// Whether interrupts are currently enabled.
-    #[must_use]
-    pub fn irqs_enabled(&self) -> bool {
-        self.irqs_enabled
-    }
-
-    /// Read a register.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r >= NUM_REGS`.
-    #[must_use]
-    pub fn reg(&self, r: usize) -> u32 {
-        self.regs[r]
     }
 
     /// Write a register.
@@ -85,12 +69,6 @@ impl Cpu {
     /// interruptible moment will trigger a context-switch spill.
     pub fn request_preemption(&mut self) {
         self.preempt_pending = true;
-    }
-
-    /// Whether a preemption is pending delivery.
-    #[must_use]
-    pub fn preemption_pending(&self) -> bool {
-        self.preempt_pending
     }
 
     /// Deliver a pending preemption if interrupts allow it, returning the
@@ -109,29 +87,8 @@ impl Cpu {
         }
     }
 
-    /// `onsoc_disable_irq()` / `onsoc_enable_irq()`: run `f` with
-    /// interrupts disabled, then zero all general-purpose registers and
-    /// re-enable interrupts (§6.2, "Handling context switches").
-    ///
-    /// `duration_ns` is how long the critical section took in simulated
-    /// time; it is accumulated into [`Cpu::irq_disabled_ns`] so
-    /// experiments can report interrupt-latency impact (the paper
-    /// measured ~160 µs on average).
-    pub fn with_irqs_disabled<T>(&mut self, duration_ns: u64, f: impl FnOnce(&mut Cpu) -> T) -> T {
-        let was_enabled = self.irqs_enabled;
-        self.irqs_enabled = false;
-        self.critical_sections += 1;
-        let out = f(self);
-        // onsoc_enable_irq: zero the registers, then re-enable.
-        self.regs = [0u32; NUM_REGS];
-        self.irqs_enabled = was_enabled;
-        self.irq_disabled_ns += duration_ns;
-        out
-    }
-
-    /// Enter an IRQ-disabled critical section without a closure — for
-    /// callers that must interleave CPU state with other mutable borrows
-    /// (e.g. AES On SoC running through the memory hierarchy). Pair with
+    /// `onsoc_disable_irq()`: enter an IRQ-disabled critical section
+    /// (§6.2, "Handling context switches"). Pair with
     /// [`Cpu::end_critical`]. Returns whether IRQs were enabled before.
     pub fn begin_critical(&mut self) -> bool {
         let was = self.irqs_enabled;
@@ -140,9 +97,11 @@ impl Cpu {
         was
     }
 
-    /// Leave a critical section begun with [`Cpu::begin_critical`]:
-    /// zeroes all registers (the `onsoc_enable_irq` duty), restores the
-    /// saved IRQ state, and accounts the section's duration.
+    /// `onsoc_enable_irq()`: leave a critical section begun with
+    /// [`Cpu::begin_critical`]. Zeroes all registers, restores the saved
+    /// IRQ state, and accumulates `duration_ns` (the section's simulated
+    /// time) into [`Cpu::irq_disabled_ns`], so experiments can report the
+    /// interrupt-latency impact (the paper measured ~160 µs on average).
     pub fn end_critical(&mut self, was_enabled: bool, duration_ns: u64) {
         self.regs = [0u32; NUM_REGS];
         self.irqs_enabled = was_enabled;
@@ -178,20 +137,20 @@ mod tests {
         cpu.request_preemption();
         let spill = cpu.take_preemption().expect("irqs enabled, must deliver");
         assert_eq!(spill[0], 0xDEAD_BEEF);
-        assert!(!cpu.preemption_pending());
+        assert!(!cpu.preempt_pending);
     }
 
     #[test]
     fn irq_disabled_section_blocks_preemption_and_zeroes_registers() {
         let mut cpu = Cpu::new();
         cpu.request_preemption();
-        let leaked = cpu.with_irqs_disabled(160_000, |cpu| {
-            cpu.set_reg(3, 0x5EC1_2E75);
-            cpu.take_preemption()
-        });
+        let was = cpu.begin_critical();
+        cpu.set_reg(3, 0x5EC1_2E75);
+        let leaked = cpu.take_preemption();
+        cpu.end_critical(was, 160_000);
         assert!(leaked.is_none(), "no spill while IRQs are off");
         // Registers were zeroed on exit.
-        assert_eq!(cpu.reg(3), 0);
+        assert_eq!(cpu.regs[3], 0);
         assert_eq!(cpu.irq_disabled_ns, 160_000);
         assert_eq!(cpu.critical_sections, 1);
         // The pending preemption now delivers, but registers hold nothing.
@@ -204,8 +163,8 @@ mod tests {
         let mut cpu = Cpu::new();
         let spilled = cpu.pass_args(&[1, 2, 3, 4]);
         assert!(spilled.is_empty());
-        assert_eq!(cpu.reg(0), 1);
-        assert_eq!(cpu.reg(3), 4);
+        assert_eq!(cpu.regs[0], 1);
+        assert_eq!(cpu.regs[3], 4);
         let spilled = cpu.pass_args(&[1, 2, 3, 4, 5, 6]);
         assert_eq!(spilled, &[5, 6]);
     }
@@ -213,16 +172,16 @@ mod tests {
     #[test]
     fn nested_sections_restore_outer_state() {
         let mut cpu = Cpu::new();
-        cpu.with_irqs_disabled(10, |cpu| {
-            assert!(!cpu.irqs_enabled());
-            cpu.with_irqs_disabled(5, |cpu| {
-                assert!(!cpu.irqs_enabled());
-            });
-            // Inner exit must not re-enable IRQs while the outer section
-            // is still active.
-            assert!(!cpu.irqs_enabled());
-        });
-        assert!(cpu.irqs_enabled());
+        let outer = cpu.begin_critical();
+        assert!(!cpu.irqs_enabled);
+        let inner = cpu.begin_critical();
+        assert!(!cpu.irqs_enabled);
+        cpu.end_critical(inner, 5);
+        // Inner exit must not re-enable IRQs while the outer section
+        // is still active.
+        assert!(!cpu.irqs_enabled);
+        cpu.end_critical(outer, 10);
+        assert!(cpu.irqs_enabled);
         assert_eq!(cpu.irq_disabled_ns, 15);
     }
 }

@@ -30,9 +30,9 @@ use crate::trustzone::TrustZone;
 /// its MMIO registers, which is why a malicious peripheral (Firewire-
 /// style attack, §3.1) can use it even on a PIN-locked device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DmaController {
+pub(crate) struct DmaController {
     /// Controller index (a device may have several).
-    pub id: u8,
+    pub(crate) id: u8,
 }
 
 impl DmaController {
@@ -44,7 +44,7 @@ impl DmaController {
     ///   span from DMA.
     /// * [`SocError::Unmapped`] if the span is not backed by DRAM or
     ///   iRAM.
-    pub fn read_phys(
+    pub(crate) fn read_phys(
         &self,
         addr: u64,
         len: usize,
@@ -82,7 +82,7 @@ impl DmaController {
     ///
     /// Same conditions as [`DmaController::read_phys`]; additionally
     /// [`SocError::IramFirmwareRegion`] for writes into reserved iRAM.
-    pub fn write_phys(
+    pub(crate) fn write_phys(
         &self,
         addr: u64,
         data: &[u8],
@@ -138,7 +138,7 @@ pub struct UartDebugPort {
 impl UartDebugPort {
     /// An empty loopback port.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         UartDebugPort::default()
     }
 
@@ -148,7 +148,7 @@ impl UartDebugPort {
     /// # Errors
     ///
     /// Propagates the DMA errors of [`DmaController::read_phys`].
-    pub fn dma_from_memory(
+    pub(crate) fn dma_from_memory(
         &mut self,
         ctrl: &DmaController,
         addr: u64,
@@ -236,14 +236,13 @@ mod tests {
         let mut f = fix();
         let addr = IRAM_BASE + IRAM_FIRMWARE_RESERVED;
         assert!(f.iram.write(addr, b"key"));
-        f.tz.in_secure_world(|tz| {
-            assert!(tz.protect(ProtectedRange {
-                range: addr..addr + 4096,
-                deny_dma: true,
-                deny_normal_cpu: false,
-            }));
-        });
-        assert_eq!(f.tz.world(), World::Normal);
+        f.tz.switch_world(World::Secure);
+        assert!(f.tz.protect(ProtectedRange {
+            range: addr..addr + 4096,
+            deny_dma: true,
+            deny_normal_cpu: false,
+        }));
+        f.tz.switch_world(World::Normal);
         let ctrl = DmaController { id: 0 };
         let err = ctrl
             .read_phys(addr, 3, &f.tz, &f.iram, path!(f))

@@ -11,7 +11,7 @@
 //! frame costs one slot, and a 1–2 GB device whose experiments touch a
 //! few megabytes costs a few megabytes plus its 2–4 MiB table. Every walk
 //! over the populated frames ([`Dram::iter_frames`],
-//! [`Dram::count_pattern`], [`Dram::apply_power_event`]) visits them in
+//! [`Dram::count_pattern`], `Dram::apply_power_event`) visits them in
 //! ascending address order, whatever order they were written in.
 //!
 //! # Remanence model
@@ -82,7 +82,7 @@ impl RemanenceModel {
     /// seconds at room temperature leaves `hard_reset_2s` of cells, and
     /// scaled by temperature (colder → slower decay).
     #[must_use]
-    pub fn survival(&self, event: PowerEvent) -> f64 {
+    pub(crate) fn survival(&self, event: PowerEvent) -> f64 {
         match event {
             PowerEvent::WarmReboot => self.warm_reboot,
             PowerEvent::ReflashTap => self.reflash_tap,
@@ -138,7 +138,7 @@ impl Dram {
 
     /// True if `addr..addr+len` lies within DRAM.
     #[must_use]
-    pub fn contains(&self, addr: u64, len: usize) -> bool {
+    pub(crate) fn contains(&self, addr: u64, len: usize) -> bool {
         addr >= DRAM_BASE && addr + len as u64 <= DRAM_BASE + self.size
     }
 
@@ -203,7 +203,7 @@ impl Dram {
     /// # Panics
     ///
     /// Panics if the line falls outside DRAM or crosses a frame.
-    pub fn read_line<const N: usize>(&self, addr: u64, line: &mut [u8; N]) {
+    pub(crate) fn read_line<const N: usize>(&self, addr: u64, line: &mut [u8; N]) {
         assert!(self.contains(addr, N), "DRAM read out of range");
         let (index, off) = Self::locate(addr);
         *line = match self.frames[index].as_deref() {
@@ -218,7 +218,7 @@ impl Dram {
     /// # Panics
     ///
     /// Panics if the line falls outside DRAM or crosses a frame.
-    pub fn write_line<const N: usize>(&mut self, addr: u64, line: &[u8; N]) {
+    pub(crate) fn write_line<const N: usize>(&mut self, addr: u64, line: &[u8; N]) {
         assert!(self.contains(addr, N), "DRAM write out of range");
         let (index, off) = Self::locate(addr);
         let dst: &mut [u8; N] = (&mut self.frame_mut(index)[off..off + N])
@@ -237,7 +237,7 @@ impl Dram {
     /// the same seed, same frame population, and same event sequence
     /// decay byte-identically. A certain-survival event (probability
     /// `>= 1.0`) is a no-op that leaves the RNG stream untouched.
-    pub fn apply_power_event(&mut self, event: PowerEvent) {
+    pub(crate) fn apply_power_event(&mut self, event: PowerEvent) {
         let survival = self.remanence.survival(event);
         if survival >= 1.0 {
             return;

@@ -73,16 +73,6 @@ pub enum SocError {
     },
 }
 
-impl SocError {
-    /// True for the simulated-power-cut error injected by the fault
-    /// plane — the one case where an interrupted transition must be
-    /// left for [`recovery`](crate::failpoint) rather than retried.
-    #[must_use]
-    pub fn is_power_loss(&self) -> bool {
-        matches!(self, SocError::PowerLost { .. })
-    }
-}
-
 impl fmt::Display for SocError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -39,7 +39,7 @@ pub enum FaultAction {
     /// cold-boot scan of the frozen image is a superset of any decayed
     /// one). With `decay: Some(event)` the simulated power event is
     /// additionally applied to DRAM via
-    /// [`crate::dram::Dram::apply_power_event`] (and, for events that
+    /// `crate::dram::Dram::apply_power_event` (and, for events that
     /// cut SoC power, remanence decay to iRAM).
     PowerCut {
         /// Optional remanence event to apply to memory at the instant
@@ -109,7 +109,7 @@ pub enum FaultAction {
 /// request in `period` ([`FireRegime::Rate`]), or fails a contiguous
 /// storm of requests and then heals ([`FireRegime::Burst`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FireRegime {
+pub(crate) enum FireRegime {
     /// Fire exactly once, at matching hit `after`, then disarm.
     Once,
     /// Fire at every matching hit from `after` onwards.
@@ -130,21 +130,21 @@ pub enum FireRegime {
 
 /// One planned fault: fire `action` at the `after`-th (0-based) hit of
 /// `site` (or of any site when `site` is `None`), repeating per the
-/// plan's [`FireRegime`].
+/// plan's `FireRegime`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
     /// Only hits of this named site count toward `after`; `None`
     /// matches every site (the global step index, as enumerated by a
     /// record pass).
-    pub site: Option<&'static str>,
+    pub(crate) site: Option<&'static str>,
     /// 0-based index of the matching hit at which to fire (first).
-    pub after: u64,
+    pub(crate) after: u64,
     /// What to inject when the plan fires.
-    pub action: FaultAction,
+    pub(crate) action: FaultAction,
     /// How often the plan fires across matching hits. The default
     /// ([`FireRegime::Once`]) disarms the plane after firing so
     /// recovery and retry code runs fault-free.
-    pub regime: FireRegime,
+    pub(crate) regime: FireRegime,
 }
 
 impl FaultPlan {
@@ -200,15 +200,6 @@ impl FaultPlan {
         }
     }
 
-    /// Wedge plan: at the `after`-th hit of `site`, the next submitted
-    /// accelerator descriptor's completion is delayed by `wedge_ns`
-    /// ([`u64::MAX`] = never completes). Shorthand for
-    /// [`FaultPlan::at_site`] with [`FaultAction::AccelWedge`].
-    #[must_use]
-    pub fn wedge_for_ns(site: &'static str, after: u64, wedge_ns: u64) -> Self {
-        FaultPlan::at_site(site, after, FaultAction::AccelWedge { wedge_ns })
-    }
-
     /// Make this plan persistent: it keeps firing at every matching hit
     /// from `after` onwards instead of self-disarming.
     #[must_use]
@@ -224,9 +215,9 @@ pub struct FiredFault {
     /// The named site that fired.
     pub site: &'static str,
     /// The global step index at which it fired.
-    pub step: u64,
+    pub(crate) step: u64,
     /// The action that was injected.
-    pub action: FaultAction,
+    pub(crate) action: FaultAction,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -255,7 +246,7 @@ impl Failpoints {
     /// True when hits must be evaluated at all (record or armed mode).
     #[inline]
     #[must_use]
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.mode != Mode::Off
     }
 
@@ -322,7 +313,7 @@ impl Failpoints {
     /// armed plan fires here. Callers go through
     /// [`crate::Soc::failpoint`], which also applies the action's
     /// memory effects; only reach for this directly in tests.
-    pub fn hit(&mut self, site: &'static str) -> Option<FaultAction> {
+    pub(crate) fn hit(&mut self, site: &'static str) -> Option<FaultAction> {
         let step = self.step;
         self.step += 1;
         match self.mode {
@@ -470,17 +461,6 @@ mod tests {
         // Storm over: the plane disarmed itself, the hardware healed.
         assert!(!fp.is_enabled());
         assert_eq!(fp.hit("accel.submit"), None);
-    }
-
-    #[test]
-    fn wedge_plan_carries_its_delay() {
-        let mut fp = Failpoints::default();
-        fp.arm(FaultPlan::wedge_for_ns("accel.submit", 0, u64::MAX));
-        assert_eq!(
-            fp.hit("accel.submit"),
-            Some(FaultAction::AccelWedge { wedge_ns: u64::MAX })
-        );
-        assert!(!fp.is_enabled(), "one-shot wedge disarms after firing");
     }
 
     #[test]

@@ -21,25 +21,25 @@ use crate::iram::Iram;
 
 /// A firmware image with its manufacturer signature.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FirmwareImage {
+pub(crate) struct FirmwareImage {
     /// The firmware code/data (opaque to the simulation).
-    pub image: Vec<u8>,
+    pub(crate) image: Vec<u8>,
     /// Whether this image performs the iRAM/L2 zeroing duty. Genuine
     /// manufacturer firmware always does; the attack experiments build
     /// doctored images with this turned off.
-    pub zeroes_on_boot: bool,
+    pub(crate) zeroes_on_boot: bool,
     /// The signature over `image` and `zeroes_on_boot`.
-    pub signature: u64,
+    pub(crate) signature: u64,
 }
 
 /// The manufacturer signing key (symmetric, for the model).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ManufacturerKey(pub u64);
+pub(crate) struct ManufacturerKey(pub u64);
 
 impl ManufacturerKey {
     /// Sign a firmware image.
     #[must_use]
-    pub fn sign(&self, image: &[u8], zeroes_on_boot: bool) -> FirmwareImage {
+    pub(crate) fn sign(&self, image: &[u8], zeroes_on_boot: bool) -> FirmwareImage {
         FirmwareImage {
             image: image.to_vec(),
             zeroes_on_boot,
@@ -61,7 +61,7 @@ fn checksum(key: u64, image: &[u8], zeroes_on_boot: bool) -> u64 {
 
 /// The mask boot ROM: holds the manufacturer's verification key.
 #[derive(Debug, Clone, Copy)]
-pub struct BootRom {
+pub(crate) struct BootRom {
     key: ManufacturerKey,
 }
 
@@ -69,15 +69,15 @@ pub struct BootRom {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BootReport {
     /// Whether this boot followed a power loss (cold) or was warm.
-    pub power_was_lost: bool,
+    pub(crate) power_was_lost: bool,
     /// Whether iRAM and the L2 cache were zeroed by firmware.
-    pub zeroed_on_soc_memory: bool,
+    pub(crate) zeroed_on_soc_memory: bool,
 }
 
 impl BootRom {
     /// A boot ROM trusting `key`.
     #[must_use]
-    pub fn new(key: ManufacturerKey) -> Self {
+    pub(crate) fn new(key: ManufacturerKey) -> Self {
         BootRom { key }
     }
 
@@ -92,7 +92,7 @@ impl BootRom {
     /// [`SocError::BadFirmwareSignature`] if the image's signature does
     /// not verify; the device refuses to boot, so doctored firmware
     /// cannot disable the zeroing duty.
-    pub fn boot(
+    pub(crate) fn boot(
         &self,
         firmware: &FirmwareImage,
         power_was_lost: bool,

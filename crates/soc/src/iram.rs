@@ -17,10 +17,10 @@ use crate::rng::DetRng;
 
 /// SRAM remanence: retention is high over short power cuts.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SramRemanence {
+pub(crate) struct SramRemanence {
     /// Decay time constant in seconds at room temperature. SRAM retains
     /// data for tens of seconds (longer when cold).
-    pub tau_secs: f64,
+    pub(crate) tau_secs: f64,
 }
 
 impl Default for SramRemanence {
@@ -32,7 +32,7 @@ impl Default for SramRemanence {
 impl SramRemanence {
     /// Cell survival probability after `seconds` without power.
     #[must_use]
-    pub fn survival(&self, seconds: f64) -> f64 {
+    pub(crate) fn survival(&self, seconds: f64) -> f64 {
         (-seconds / self.tau_secs).exp()
     }
 }
@@ -45,13 +45,13 @@ pub struct Iram {
     rng: DetRng,
     /// When true (the default, matching the paper's Tegra 3), writes to
     /// the firmware-reserved low 64 KiB are rejected as device-crashing.
-    pub enforce_firmware_reservation: bool,
+    pub(crate) enforce_firmware_reservation: bool,
 }
 
 impl Iram {
     /// Create zeroed iRAM with a deterministic decay seed.
     #[must_use]
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         Iram {
             bytes: vec![0u8; IRAM_SIZE as usize],
             remanence: SramRemanence::default(),
@@ -62,13 +62,13 @@ impl Iram {
 
     /// True if `addr..addr+len` lies within iRAM.
     #[must_use]
-    pub fn contains(&self, addr: u64, len: usize) -> bool {
+    pub(crate) fn contains(&self, addr: u64, len: usize) -> bool {
         addr >= IRAM_BASE && addr + len as u64 <= IRAM_BASE + IRAM_SIZE
     }
 
     /// True if the span overlaps the firmware-reserved low 64 KiB.
     #[must_use]
-    pub fn in_firmware_region(&self, addr: u64, len: usize) -> bool {
+    pub(crate) fn in_firmware_region(&self, addr: u64, len: usize) -> bool {
         addr < IRAM_BASE + IRAM_FIRMWARE_RESERVED && addr + len as u64 > IRAM_BASE
     }
 
@@ -78,7 +78,7 @@ impl Iram {
     ///
     /// Panics if the span falls outside iRAM; the SoC router validates
     /// addresses first.
-    pub fn read(&self, addr: u64, buf: &mut [u8]) {
+    pub(crate) fn read(&self, addr: u64, buf: &mut [u8]) {
         assert!(self.contains(addr, buf.len()), "iRAM read out of range");
         let off = (addr - IRAM_BASE) as usize;
         buf.copy_from_slice(&self.bytes[off..off + buf.len()]);
@@ -94,7 +94,7 @@ impl Iram {
     ///
     /// Panics if the span falls outside iRAM.
     #[must_use]
-    pub fn write(&mut self, addr: u64, data: &[u8]) -> bool {
+    pub(crate) fn write(&mut self, addr: u64, data: &[u8]) -> bool {
         assert!(self.contains(addr, data.len()), "iRAM write out of range");
         if self.enforce_firmware_reservation && self.in_firmware_region(addr, data.len()) {
             return false;
@@ -104,18 +104,10 @@ impl Iram {
         true
     }
 
-    /// Write without the firmware-region check — used only by the boot
-    /// ROM itself (to install peripheral firmware state).
-    pub fn write_as_firmware(&mut self, addr: u64, data: &[u8]) {
-        assert!(self.contains(addr, data.len()), "iRAM write out of range");
-        let off = (addr - IRAM_BASE) as usize;
-        self.bytes[off..off + data.len()].copy_from_slice(data);
-    }
-
     /// Apply SRAM decay for a power cut of `seconds`. (Firmware zeroing
     /// on the subsequent boot is modelled separately in
     /// [`crate::firmware`].)
-    pub fn apply_power_loss(&mut self, seconds: f64) {
+    pub(crate) fn apply_power_loss(&mut self, seconds: f64) {
         let survival = self.remanence.survival(seconds);
         // Collect decayed cells first to avoid borrowing `bytes` while
         // sampling.
@@ -167,11 +159,6 @@ mod tests {
         let mut iram = Iram::new(1);
         assert!(!iram.write(IRAM_BASE, b"boom"));
         assert!(!iram.write(IRAM_BASE + IRAM_FIRMWARE_RESERVED - 2, b"boom"));
-        // But the boot ROM may write there.
-        iram.write_as_firmware(IRAM_BASE, b"boot");
-        let mut buf = [0u8; 4];
-        iram.read(IRAM_BASE, &mut buf);
-        assert_eq!(&buf, b"boot");
     }
 
     #[test]

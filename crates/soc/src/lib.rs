@@ -56,5 +56,5 @@ pub mod trustzone;
 pub use addr::{DRAM_BASE, IRAM_BASE, IRAM_SIZE, PAGE_SIZE};
 pub use clock::{CostModel, SimClock};
 pub use error::SocError;
-pub use failpoint::{Failpoints, FaultAction, FaultPlan, FireRegime};
+pub use failpoint::{Failpoints, FaultAction, FaultPlan};
 pub use soc::{Platform, Soc, SocConfig};

@@ -29,7 +29,7 @@ impl DetRng {
     }
 
     /// A uniform float in `[0, 1)`.
-    pub fn next_f64(&mut self) -> f64 {
+    pub(crate) fn next_f64(&mut self) -> f64 {
         // 53 random mantissa bits.
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }

@@ -44,13 +44,13 @@ impl Platform {
     /// lockdown registers ("this feature is often disabled by firmware",
     /// §1; the paper could enable it only on the Tegra 3).
     #[must_use]
-    pub fn cache_locking_available(self) -> bool {
+    pub(crate) fn cache_locking_available(self) -> bool {
         matches!(self, Platform::Tegra3)
     }
 
     /// The calibrated cost model for this platform.
     #[must_use]
-    pub fn cost_model(self) -> CostModel {
+    pub(crate) fn cost_model(self) -> CostModel {
         match self {
             Platform::Tegra3 => CostModel::tegra3(),
             Platform::Nexus4 => CostModel::nexus4(),
@@ -59,7 +59,7 @@ impl Platform {
 
     /// DRAM size of the paper's device (1 GB Tegra 3, 2 GB Nexus 4).
     #[must_use]
-    pub fn dram_size(self) -> u64 {
+    pub(crate) fn dram_size(self) -> u64 {
         match self {
             Platform::Tegra3 => 1 << 30,
             Platform::Nexus4 => 2 << 30,
@@ -424,7 +424,7 @@ impl Soc {
     ///
     /// # Errors
     ///
-    /// See [`DmaController::read_phys`].
+    /// See `DmaController::read_phys`.
     pub fn dma_read(&mut self, controller: u8, addr: u64, len: usize) -> Result<Vec<u8>, SocError> {
         let Soc {
             dram,
@@ -448,7 +448,7 @@ impl Soc {
     ///
     /// # Errors
     ///
-    /// See [`DmaController::write_phys`].
+    /// See `DmaController::write_phys`.
     pub fn dma_write(&mut self, controller: u8, addr: u64, data: &[u8]) -> Result<(), SocError> {
         let Soc {
             dram,
@@ -473,7 +473,7 @@ impl Soc {
     ///
     /// # Errors
     ///
-    /// See [`DmaController::read_phys`].
+    /// See `DmaController::read_phys`.
     pub fn dma_to_uart(&mut self, addr: u64, len: usize) -> Result<(), SocError> {
         let Soc {
             dram,
@@ -611,8 +611,8 @@ impl Soc {
     /// # Errors
     ///
     /// [`SocError::BadFirmwareSignature`] if the installed firmware does
-    /// not verify (only possible after
-    /// [`Soc::install_firmware_unverified`]).
+    /// not verify: an attacker with flash access replaced the image, and
+    /// the boot ROM refuses it (§4.3).
     pub fn power_cycle(&mut self, event: PowerEvent) -> Result<BootReport, SocError> {
         self.dram.apply_power_event(event);
         let power_was_lost = match event {
@@ -634,14 +634,6 @@ impl Soc {
             &mut self.iram,
             &mut self.cache,
         )
-    }
-
-    /// Replace the installed firmware image without any verification —
-    /// modelling an attacker with flash access. The *boot ROM* will still
-    /// verify the signature at the next power cycle, which is the
-    /// defence (§4.3).
-    pub fn install_firmware_unverified(&mut self, firmware: FirmwareImage) {
-        self.firmware = firmware;
     }
 
     /// Run `f` with TrustZone switched to the secure world, restoring
@@ -753,7 +745,9 @@ mod tests {
             zeroes_on_boot: false,
             signature: 0xDEAD,
         };
-        soc.install_firmware_unverified(evil);
+        // An attacker with flash access replaces the image unverified;
+        // the boot ROM checks the signature at the next power cycle.
+        soc.firmware = evil;
         assert!(matches!(
             soc.power_cycle(PowerEvent::ReflashTap),
             Err(SocError::BadFirmwareSignature)

@@ -50,7 +50,7 @@ impl TrustZone {
     /// Create TrustZone state starting in the normal world, with the
     /// given device-unique fuse value (burned at provisioning time).
     #[must_use]
-    pub fn new(fuse: [u8; 32]) -> Self {
+    pub(crate) fn new(fuse: [u8; 32]) -> Self {
         TrustZone {
             world: World::Normal,
             protected: Vec::new(),
@@ -68,17 +68,8 @@ impl TrustZone {
     /// callers to model the secure monitor correctly; the interesting
     /// property is *what* each world is allowed to do, which the `Soc`
     /// façade checks against [`TrustZone::world`].
-    pub fn switch_world(&mut self, world: World) {
+    pub(crate) fn switch_world(&mut self, world: World) {
         self.world = world;
-    }
-
-    /// Run `f` in the secure world, restoring the previous world after.
-    pub fn in_secure_world<T>(&mut self, f: impl FnOnce(&mut Self) -> T) -> T {
-        let prev = self.world;
-        self.world = World::Secure;
-        let out = f(self);
-        self.world = prev;
-        out
     }
 
     /// Register a protected range. Only the secure world may do this;
@@ -92,22 +83,12 @@ impl TrustZone {
         true
     }
 
-    /// Remove all protections covering `addr` (secure world only).
-    #[must_use]
-    pub fn unprotect(&mut self, addr: u64) -> bool {
-        if self.world != World::Secure {
-            return false;
-        }
-        self.protected.retain(|p| !p.range.contains(&addr));
-        true
-    }
-
     /// Would a DMA access of `len` bytes at `addr` be allowed?
     ///
     /// TrustZone cannot authenticate DMA masters (§3.1), so protections
     /// apply to *all* DMA devices uniformly.
     #[must_use]
-    pub fn dma_allowed(&self, addr: u64, len: u64) -> bool {
+    pub(crate) fn dma_allowed(&self, addr: u64, len: u64) -> bool {
         !self
             .protected
             .iter()
@@ -116,7 +97,7 @@ impl TrustZone {
 
     /// Would a CPU access from the current world be allowed?
     #[must_use]
-    pub fn cpu_allowed(&self, addr: u64, len: u64) -> bool {
+    pub(crate) fn cpu_allowed(&self, addr: u64, len: u64) -> bool {
         if self.world == World::Secure {
             return true;
         }
@@ -169,13 +150,13 @@ mod tests {
     #[test]
     fn dma_check_covers_partial_overlap() {
         let mut t = tz();
-        t.in_secure_world(|t| {
-            assert!(t.protect(ProtectedRange {
-                range: 0x1000..0x2000,
-                deny_dma: true,
-                deny_normal_cpu: false,
-            }));
-        });
+        t.switch_world(World::Secure);
+        assert!(t.protect(ProtectedRange {
+            range: 0x1000..0x2000,
+            deny_dma: true,
+            deny_normal_cpu: false,
+        }));
+        t.switch_world(World::Normal);
         assert!(!t.dma_allowed(0x0FF0, 0x20), "overlap from below");
         assert!(!t.dma_allowed(0x1FF0, 0x20), "overlap from above");
         assert!(t.dma_allowed(0x0F00, 0x100), "adjacent below is fine");
@@ -185,39 +166,16 @@ mod tests {
     #[test]
     fn normal_cpu_denial_is_separate_from_dma() {
         let mut t = tz();
-        t.in_secure_world(|t| {
-            assert!(t.protect(ProtectedRange {
-                range: 0x4000..0x5000,
-                deny_dma: false,
-                deny_normal_cpu: true,
-            }));
-        });
+        t.switch_world(World::Secure);
+        assert!(t.protect(ProtectedRange {
+            range: 0x4000..0x5000,
+            deny_dma: false,
+            deny_normal_cpu: true,
+        }));
+        t.switch_world(World::Normal);
         assert!(t.dma_allowed(0x4000, 16));
         assert!(!t.cpu_allowed(0x4000, 16));
         t.switch_world(World::Secure);
         assert!(t.cpu_allowed(0x4000, 16));
-    }
-
-    #[test]
-    fn in_secure_world_restores_previous_world() {
-        let mut t = tz();
-        t.in_secure_world(|t| {
-            assert_eq!(t.world(), World::Secure);
-        });
-        assert_eq!(t.world(), World::Normal);
-    }
-
-    #[test]
-    fn unprotect_removes_matching_ranges() {
-        let mut t = tz();
-        t.in_secure_world(|t| {
-            assert!(t.protect(ProtectedRange {
-                range: 0x1000..0x2000,
-                deny_dma: true,
-                deny_normal_cpu: true,
-            }));
-            assert!(t.unprotect(0x1800));
-        });
-        assert!(t.dma_allowed(0x1800, 4));
     }
 }

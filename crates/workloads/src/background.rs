@@ -76,10 +76,10 @@ pub fn background_catalog() -> [BackgroundSpec; 3] {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BackgroundResult {
     /// App name.
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Locked-cache budget used (bytes of on-SoC slots), or 0 for the
     /// no-Sentry baseline.
-    pub locked_bytes: u64,
+    pub(crate) locked_bytes: u64,
     /// Time spent in the kernel, seconds.
     pub kernel_secs: f64,
     /// Pager faults taken.

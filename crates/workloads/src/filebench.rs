@@ -120,11 +120,11 @@ impl FilebenchSpec {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FilebenchResult {
     /// Workload.
-    pub workload: Workload,
+    pub(crate) workload: Workload,
     /// Crypto column.
-    pub crypto: CryptoSetup,
+    pub(crate) crypto: CryptoSetup,
     /// Whether the cache was bypassed.
-    pub direct_io: bool,
+    pub(crate) direct_io: bool,
     /// Measured throughput, megabytes per second.
     pub mb_per_sec: f64,
     /// Buffer-cache hit count during the measured phase.
@@ -145,7 +145,7 @@ pub fn run_filebench(
     // Register AES On SoC for the Sentry column (the Crypto API then
     // prefers it automatically — §7).
     if crypto == CryptoSetup::Sentry {
-        let mut store = OnSocStore::new(OnSocBackend::LockedL2 { max_ways: 1 }, &mut kernel.soc)?;
+        let mut store = OnSocStore::new(OnSocBackend::LockedL2 { max_ways: 1 }, &mut kernel.soc);
         let engine = build_engine(&mut store, &mut kernel.soc, &[0xD3u8; 16])?;
         kernel.crypto.register(Box::new(engine));
     }
@@ -261,7 +261,7 @@ pub struct ReadOverlapResult {
     /// Mean per-operation read latency, nanoseconds.
     pub mean_read_ns: f64,
     /// Slowest single read, nanoseconds.
-    pub max_read_ns: u64,
+    pub(crate) max_read_ns: u64,
     /// Operations issued.
     pub ops: u32,
     /// Bytes read.
@@ -272,7 +272,7 @@ pub struct ReadOverlapResult {
     pub pipeline: Option<(ReadOverlapStats, KeystreamStats)>,
     /// Keystream sectors resident in the on-SoC cache when the measured
     /// phase ended.
-    pub keystream_resident: usize,
+    pub(crate) keystream_resident: usize,
     /// Keystream sectors resident after the device-lock hook ran — the
     /// zeroize-on-lock discipline requires this to be 0.
     pub keystream_resident_after_lock: usize,
@@ -288,7 +288,7 @@ fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
 }
 
 /// Seed value for FNV-1a.
-pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// Run the read-latency workload once: CTR-mode dm-crypt, reads only,
 /// per-op latency on the simulated clock. `pipeline: None` is the

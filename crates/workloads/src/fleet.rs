@@ -55,7 +55,7 @@ use sentry_soc::rng::{DetRng, DeviceSeeds};
 use sentry_soc::{Platform, Soc, SocConfig};
 
 /// Sensitive pages per device (the vault working set).
-pub const SECRET_PAGES: u64 = 4;
+pub(crate) const SECRET_PAGES: u64 = 4;
 
 /// DRAM per fleet device. Frames are lazily allocated, so this is an
 /// address-space bound, not a footprint: the kernel layout reserves the
@@ -239,32 +239,32 @@ impl LatencyHistogram {
 pub struct EventMix {
     /// Lock/unlock churn (toggles the device's lock state; unlocks
     /// feed the latency histogram).
-    pub churn: u32,
+    pub(crate) churn: u32,
     /// Background-app paging: a read or write of a vault page, valid in
     /// either lock state (encrypted paging while locked).
-    pub background: u32,
+    pub(crate) background: u32,
     /// A dm-crypt I/O burst: write then read-back of a few sectors.
-    pub io_burst: u32,
+    pub(crate) io_burst: u32,
     /// A seeded power cut armed over the next lock transition, followed
     /// by [`Sentry::recover`] and a retry.
-    pub power_cut: u32,
+    pub(crate) power_cut: u32,
     /// An active DRAM tamper (bit flip) on an encrypted vault page,
     /// followed by a forced decrypt that must fail closed.
-    pub tamper: u32,
+    pub(crate) tamper: u32,
     /// A sustained accelerator-wedge storm over a dm-crypt burst: every
     /// descriptor submitted during the storm wedges forever; the health
     /// governor's watchdog must abandon each one and its breaker must
     /// route the remainder to the CPU path, byte-identically.
-    pub accel_storm: u32,
+    pub(crate) accel_storm: u32,
     /// A flaky-disk interval: transient `DiskError` faults at a steady
     /// rate across a dm-crypt read-back, absorbed by the governor's
     /// bounded retry/backoff.
-    pub flaky_disk: u32,
+    pub(crate) flaky_disk: u32,
     /// A memory-pressure squeeze: the on-SoC budget is choked to a few
     /// pages while a storm of short-lived sensitive processes spawns,
     /// writes, and exits — the pressure governor must shed/spill and
     /// the teardown path must return every on-SoC page.
-    pub mem_pressure: u32,
+    pub(crate) mem_pressure: u32,
 }
 
 impl Default for EventMix {
@@ -382,11 +382,11 @@ pub struct FleetConfig {
     /// host drives every device on one thread.
     pub shards: usize,
     /// Events drawn per device.
-    pub events_per_device: usize,
+    pub(crate) events_per_device: usize,
     /// Relative weights of the event kinds.
-    pub event_mix: EventMix,
+    pub(crate) event_mix: EventMix,
     /// The one seed everything derives from (see [`DeviceSeeds`]).
-    pub master_seed: u64,
+    pub(crate) master_seed: u64,
     /// Per-device Sentry configuration.
     pub sentry: SentryConfig,
 }
@@ -507,7 +507,7 @@ pub fn event_stream(config: &FleetConfig, index: u64) -> Vec<FleetEvent> {
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct DeviceOutcome {
     /// The device's fleet index.
-    pub index: u64,
+    pub(crate) index: u64,
     /// Events applied.
     pub events: u64,
     /// Lock transitions performed.
@@ -521,7 +521,7 @@ pub struct DeviceOutcome {
     /// `recover()` calls after a fired cut.
     pub recoveries: u64,
     /// Journal entries recovery rolled forward.
-    pub recovered_entries: u64,
+    pub(crate) recovered_entries: u64,
     /// Tampers actually planted in an encrypted frame.
     pub tampers_planted: u64,
     /// Tampers surfaced as a typed integrity violation.
@@ -539,10 +539,10 @@ pub struct DeviceOutcome {
     /// Flaky-disk intervals driven.
     pub flaky_disk_intervals: u64,
     /// Memory-pressure squeezes driven.
-    pub pressure_events: u64,
+    pub(crate) pressure_events: u64,
     /// On-SoC pages the teardown path returned across the storms'
     /// process exits (pager slots shrunk + tag pages reaped).
-    pub exit_reclaimed_pages: u64,
+    pub(crate) exit_reclaimed_pages: u64,
     /// The device's pressure-governor counters at end of run: watermark
     /// transitions, sheds, spills/restores, reclaims, typed denials.
     pub pressure: PressureStats,
@@ -566,7 +566,7 @@ pub struct DeviceOutcome {
 #[derive(Debug)]
 pub struct Device {
     /// The device's fleet index.
-    pub index: u64,
+    pub(crate) index: u64,
     /// The device's Sentry stack (own SoC and kernel).
     pub sentry: Sentry,
     vault: Pid,
@@ -591,7 +591,7 @@ fn image_rng(index: u64, vpn: u64, version: u64) -> DetRng {
 /// The deterministic image of page `vpn` at `version` on device
 /// `index`.
 #[must_use]
-pub fn page_image(index: u64, vpn: u64, version: u64) -> Vec<u8> {
+pub(crate) fn page_image(index: u64, vpn: u64, version: u64) -> Vec<u8> {
     let mut img = vec![0u8; PAGE_SIZE as usize];
     image_rng(index, vpn, version).fill(&mut img);
     img
@@ -609,7 +609,7 @@ fn is_page_image(page: &Page, index: u64, vpn: u64, version: u64) -> bool {
 /// The deterministic payload of dm-crypt burst number `burst` on device
 /// `index` (`sectors` whole sectors).
 #[must_use]
-pub fn burst_image(index: u64, burst: u64, sectors: u64) -> Vec<u8> {
+pub(crate) fn burst_image(index: u64, burst: u64, sectors: u64) -> Vec<u8> {
     let len = usize::try_from(sectors).expect("burst fits usize") * SECTOR_SIZE;
     let mut data = vec![0u8; len];
     DetRng::new(0xD15C_0000 ^ index.rotate_left(20) ^ burst).fill(&mut data);
@@ -625,7 +625,7 @@ fn fnv1a(digest: &mut u64, bytes: &[u8]) {
 
 impl Device {
     /// Build device `index` of the fleet: SoC, kernel, Sentry, vault
-    /// process with [`SECRET_PAGES`] sensitive pages, and a keyed
+    /// process with `SECRET_PAGES` sensitive pages, and a keyed
     /// dm-crypt volume — all seeded from the split of the master seed.
     ///
     /// # Errors
@@ -1157,11 +1157,11 @@ pub struct FleetReport {
     pub sim_busy_ns: u64,
     /// Each device's simulated ns, in device order (0 for a device whose
     /// run aborted).
-    pub device_sim_ns: Vec<u64>,
+    pub(crate) device_sim_ns: Vec<u64>,
     /// Summed simulated `Sentry::new` ns across all devices.
     pub setup_sim_ns: u64,
     /// Host wall-clock of the whole run, on one thread.
-    pub host_elapsed_ns: u64,
+    pub(crate) host_elapsed_ns: u64,
     /// Per-device end-state digests, in device order.
     pub digests: Vec<(u64, u64)>,
 }

@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("persistent root key derived from password + TrustZone fuse");
 
     // Register AES On SoC; dm-crypt picks it up via CryptoAPI priority.
-    let mut store = OnSocStore::new(OnSocBackend::LockedL2 { max_ways: 1 }, &mut kernel.soc)?;
+    let mut store = OnSocStore::new(OnSocBackend::LockedL2 { max_ways: 1 }, &mut kernel.soc);
     let engine = build_engine(&mut store, &mut kernel.soc, &key[..16])?;
     kernel.crypto.register(Box::new(engine));
     println!(

@@ -218,7 +218,7 @@ fn all_implementations_agree(
         ),
     ] {
         let mut soc = Soc::tegra3_small();
-        let mut os = OnSocStore::new(backend, &mut soc).unwrap();
+        let mut os = OnSocStore::new(backend, &mut soc);
         let mut onsoc = build_engine_with_backend(&mut os, &mut soc, key, cipher_backend).unwrap();
         onsoc.set_mode(mode).unwrap();
         onsoc.set_full_simulation(full_sim);
