@@ -53,7 +53,9 @@
 //! groups of 16 pages runs at least 2× the scalar chain
 //! (`cmac_batch16_over_scalar`, ~4.0× measured), and (d) where AES-NI is
 //! detected, every batched `aesni` row at least matches its bitsliced
-//! row.
+//! row and the AES-NI CMAC over two pages per call runs at least 1.5×
+//! one page per call (`cmac/aesni/2` over `cmac/aesni/1`, ~2× measured):
+//! the premise of a locked fault's one two-page MAC loop.
 
 use std::collections::BTreeMap;
 use std::hint::black_box;
@@ -707,6 +709,21 @@ fn main() {
         }
         if aesni {
             println!("enforce: every batched aesni row at least matches its bitsliced row — ok");
+            // The pair gate: two CMAC chains in one AES-NI lane loop must
+            // run at least 1.5x one chain (~2x measured), which is why a
+            // locked fault MACs its victim and its incoming page in one
+            // call.
+            let pair = runs
+                .ratio(&cmac_key("aesni", 2), &cmac_key("aesni", 1))
+                .median;
+            if pair < 1.5 {
+                eprintln!(
+                    "FAIL: AES-NI CMAC over 2 pages per call at only {pair:.2}x of \
+                     1 page per call (median; gate: >= 1.5x)"
+                );
+                std::process::exit(1);
+            }
+            println!("enforce: AES-NI CMAC (2 pages) at {pair:.2}x of 1 page — ok");
         }
     }
 }

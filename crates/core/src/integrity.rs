@@ -760,8 +760,11 @@ impl IntegrityPlane {
 
     /// Verify a batch of gathered ciphertext pages (exactly one per
     /// entry, in entry order, each read from its entry's `src`) against
-    /// the tag store, before any of them is decrypted:
-    /// `IntegrityPlane::store_and_verify` with nothing to store.
+    /// the tag store, before any of them is decrypted: stamp each entry
+    /// with the commit tag of the bytes it verifies (so under XTS/CTR
+    /// the MAC computed here is the entry's commit tag too), then
+    /// `IntegrityPlane::store_and_verify` with nothing to store. A
+    /// disabled plane stamps nothing.
     ///
     /// # Errors
     ///
@@ -777,23 +780,25 @@ impl IntegrityPlane {
         pages: &mut [JournalEntry],
         buf: &mut [u8],
     ) -> Result<Vec<VerifyOutcome>, SentryError> {
-        Ok(self.store_and_verify(soc, store, &[], pages, buf)?.1)
+        check_pages(pages.len(), buf);
+        if self.enabled {
+            self.mac.stamp(pages, buf);
+        }
+        Ok(self.store_and_verify(soc, store, pages, 0, buf)?.1)
     }
 
     /// One charged MAC chain over freshly encrypted pages and gathered
-    /// ciphertext pages: store the tags of the first (stamped entries,
-    /// as [`IntegrityPlane::store_tags`] takes them) and verify the
-    /// second. `buf` holds one page per entry, the `stores` pages first,
-    /// then the `verifies` pages, each in entry order. The stored tags
-    /// land before any of those pages publishes. Returns the stored tags
-    /// and one outcome per verified page.
-    ///
-    /// Each verified entry is stamped with the commit tag of the bytes
-    /// it verified, so under XTS/CTR the MAC computed here is the
-    /// entry's commit tag too. A disabled plane stamps nothing.
+    /// ciphertext pages, all stamped (see [`CommitTagger::stamp`]): store
+    /// the tags of the first `stores` entries and verify the rest. `buf`
+    /// holds one page per entry, in entry order. Every page's MAC comes
+    /// from one [`CommitTagger::page_macs`] call: under XTS/CTR the
+    /// stamps, under CBC one lane loop over all the pages. The stored
+    /// tags land before any of those pages publishes. Returns the stored
+    /// tags and one outcome per verified page.
     ///
     /// A locked page fault that evicts runs this once, so the victim's
-    /// tag and the incoming page's check share one charged chain.
+    /// tag and the incoming page's check share one charged chain and, on
+    /// the host, one two-chain MAC loop.
     ///
     /// Each verified page's tag-store read and compare run in entry
     /// order, and a retry re-MACs only its own page. On a mismatch the
@@ -814,25 +819,24 @@ impl IntegrityPlane {
         &mut self,
         soc: &mut Soc,
         store: &mut OnSocStore,
-        stores: &[JournalEntry],
-        verifies: &mut [JournalEntry],
+        pages: &mut [JournalEntry],
+        stores: usize,
         buf: &mut [u8],
     ) -> Result<(Vec<[u8; TAG_BYTES]>, Vec<VerifyOutcome>), SentryError> {
-        check_pages(stores.len() + verifies.len(), buf);
+        check_pages(pages.len(), buf);
         if !self.enabled {
-            return Ok((Vec::new(), vec![VerifyOutcome::Ok; verifies.len()]));
+            return Ok((Vec::new(), vec![VerifyOutcome::Ok; pages.len() - stores]));
         }
-        let (stored, gathered) = buf.split_at_mut(stores.len() * PAGE_SIZE as usize);
-        self.mac.stamp(verifies, gathered);
-        self.charge_mac(soc, stores.len() + verifies.len());
-        let tags = self.tags(stores, stored);
-        let firsts = self.tags(verifies, gathered);
-        self.write_tags(soc, store, stores, &tags)?;
+        self.charge_mac(soc, pages.len());
+        let mut tags = self.tags(pages, buf);
+        let (stored, verifies) = pages.split_at_mut(stores);
+        self.write_tags(soc, store, stored, &tags[..stores])?;
+        let gathered = &mut buf[stores * PAGE_SIZE as usize..];
         let mut outcomes = Vec::with_capacity(verifies.len());
-        for ((e, chunk), first) in verifies
+        for ((e, chunk), &first) in verifies
             .iter_mut()
             .zip(gathered.chunks_exact_mut(PAGE_SIZE as usize))
-            .zip(firsts)
+            .zip(&tags[stores..])
         {
             let Some(&slot) = self.slots.get(&e.src) else {
                 self.stats.untagged_decrypts += 1;
@@ -865,6 +869,7 @@ impl IntegrityPlane {
                 outcomes.push(VerifyOutcome::Mismatch { expected, got });
             }
         }
+        tags.truncate(stores);
         Ok((tags, outcomes))
     }
 
@@ -890,7 +895,7 @@ impl IntegrityPlane {
         tag: [u8; TAG_BYTES],
         image: &[u8],
     ) -> Result<VerifyOutcome, SentryError> {
-        let mut readback = vec![0u8; PAGE_SIZE as usize];
+        let mut readback = [0u8; PAGE_SIZE as usize];
         soc.mem_read(frame, &mut readback)?;
         let Some(&slot) = self.slots.get(&frame) else {
             return Ok(VerifyOutcome::Untagged);
@@ -898,12 +903,12 @@ impl IntegrityPlane {
         self.ensure_resident(soc, store, Self::page_index(slot))?;
         let mut stored = [0u8; TAG_BYTES];
         soc.mem_read(self.slot_addr(slot), &mut stored)?;
-        let mut intact = stored == tag && readback == image;
+        let mut intact = stored == tag && readback == *image;
         if !intact {
             for _ in 0..MAX_VERIFY_RETRIES {
                 self.stats.verify.attempts += 1;
                 soc.mem_read(frame, &mut readback)?;
-                intact = stored == tag && readback == image;
+                intact = stored == tag && readback == *image;
                 if intact {
                     self.stats.verify.recovered += 1;
                     break;
@@ -1370,56 +1375,66 @@ mod tests {
 
     #[test]
     fn one_chain_stores_and_verifies_and_the_read_back_compares_bytes() {
-        let (mut plane, mut store, mut soc) = plane_and_store(OnSocBackend::Iram);
-        let page = PAGE_SIZE as usize;
-        let (victim, incoming) = (
-            (dram_frame(&soc, 1), [1u8; 16]),
-            (dram_frame(&soc, 2), [2u8; 16]),
-        );
-        let mut buf: Vec<u8> = (0..2 * page).map(|i| (i * 13 + 1) as u8).collect();
-        soc.mem_write(incoming.0, &buf[page..]).unwrap();
-        store_tags(&mut plane, &mut soc, &mut store, &[incoming], &buf[page..]);
-        let chains = plane.stats.mac_chains;
-        let mut stores = entries(&[victim]);
-        plane.tagger().stamp(&mut stores, &buf[..page]);
-        let mut verifies = entries(&[incoming]);
-        mac_audit::arm();
-        let (tags, outcomes) = plane
-            .store_and_verify(&mut soc, &mut store, &stores, &mut verifies, &mut buf)
-            .unwrap();
-        assert_eq!(mac_audit::disarm(), 1, "the victim's stamp is its tag");
-        assert_eq!(outcomes, vec![VerifyOutcome::Ok]);
-        assert_eq!(
-            verifies[0].tag,
-            plane.tagger().mac(&incoming.1, &buf[page..])
-        );
-        assert_eq!(
-            tags,
-            vec![trunc(&plane.tagger().mac(&victim.1, &buf[..page]))]
-        );
-        assert!(plane.has_tag(victim.0));
-        assert_eq!(plane.stats.mac_chains - chains, 1, "two pages, one chain");
+        for mode in PageCipherMode::all() {
+            let (mut plane, mut store, mut soc) = plane_in_mode(OnSocBackend::Iram, mode);
+            let page = PAGE_SIZE as usize;
+            let (victim, incoming) = (
+                (dram_frame(&soc, 1), [1u8; 16]),
+                (dram_frame(&soc, 2), [2u8; 16]),
+            );
+            let mut buf: Vec<u8> = (0..2 * page).map(|i| (i * 13 + 1) as u8).collect();
+            soc.mem_write(incoming.0, &buf[page..]).unwrap();
+            store_tags(&mut plane, &mut soc, &mut store, &[incoming], &buf[page..]);
+            let chains = plane.stats.mac_chains;
+            let mut pages = entries(&[victim, incoming]);
+            mac_audit::arm();
+            plane.tagger().stamp(&mut pages, &buf);
+            let (tags, outcomes) = plane
+                .store_and_verify(&mut soc, &mut store, &mut pages, 1, &mut buf)
+                .unwrap();
+            let macs = mac_audit::disarm();
+            assert_eq!((macs.pages, macs.calls), (2, 1), "{mode}: one MAC call");
+            assert_eq!(outcomes, vec![VerifyOutcome::Ok], "{mode}");
+            let incoming_mac = plane.tagger().mac(&incoming.1, &buf[page..]);
+            assert_eq!(pages[1].tag == incoming_mac, !mode.is_chaining(), "{mode}");
+            assert_eq!(
+                tags,
+                vec![trunc(&plane.tagger().mac(&victim.1, &buf[..page]))],
+                "{mode}"
+            );
+            assert!(plane.has_tag(victim.0), "{mode}");
+            assert_eq!(
+                plane.stats.mac_chains - chains,
+                1,
+                "{mode}: two pages, one chain"
+            );
 
-        soc.mem_write(victim.0, &buf[..page]).unwrap();
-        let image = &buf[..page];
-        let verdict = plane.verify_readback(&mut soc, &mut store, victim, tags[0], image);
-        assert_eq!(verdict.unwrap(), VerifyOutcome::Ok);
-        assert_eq!(plane.stats.mac_chains - chains, 1, "a match MACs nothing");
+            soc.mem_write(victim.0, &buf[..page]).unwrap();
+            let image = &buf[..page];
+            let verdict = plane.verify_readback(&mut soc, &mut store, victim, tags[0], image);
+            assert_eq!(verdict.unwrap(), VerifyOutcome::Ok, "{mode}");
+            assert_eq!(
+                plane.stats.mac_chains - chains,
+                1,
+                "{mode}: a match MACs nothing"
+            );
 
-        let mut bad = image.to_vec();
-        bad[7] ^= 1;
-        soc.mem_write(victim.0, &bad).unwrap();
-        let verdict = plane.verify_readback(&mut soc, &mut store, victim, tags[0], image);
-        let expected_got = trunc(&plane.tagger().mac(&victim.1, &bad));
-        assert_eq!(
-            verdict.unwrap(),
-            VerifyOutcome::Mismatch {
-                expected: tags[0],
-                got: expected_got
-            }
-        );
-        assert_eq!(plane.stats.verify.attempts, u64::from(MAX_VERIFY_RETRIES));
-        assert_eq!(plane.stats.verify.exhausted, 1);
+            let mut bad = image.to_vec();
+            bad[7] ^= 1;
+            soc.mem_write(victim.0, &bad).unwrap();
+            let verdict = plane.verify_readback(&mut soc, &mut store, victim, tags[0], image);
+            let expected_got = trunc(&plane.tagger().mac(&victim.1, &bad));
+            assert_eq!(
+                verdict.unwrap(),
+                VerifyOutcome::Mismatch {
+                    expected: tags[0],
+                    got: expected_got
+                },
+                "{mode}"
+            );
+            assert_eq!(plane.stats.verify.attempts, u64::from(MAX_VERIFY_RETRIES));
+            assert_eq!(plane.stats.verify.exhausted, 1, "{mode}");
+        }
     }
 
     #[test]
@@ -1437,7 +1452,7 @@ mod tests {
             plane
                 .store_tags(&mut soc, &mut store, &pages, &buf)
                 .unwrap();
-            let macs = mac_audit::disarm();
+            let macs = mac_audit::disarm().pages;
             assert_eq!(macs, if mode.is_chaining() { 17 } else { 0 }, "{mode}");
             assert_eq!(plane.stats.mac_chains, 2, "{mode}: 17 pages, two chains");
             for (&(frame, iv), image) in jobs.iter().zip(buf.chunks_exact(page)) {

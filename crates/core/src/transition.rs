@@ -550,15 +550,19 @@ impl Transition<'_> {
 
     /// The journaled half of a locked page fault (§5, Figure 1): gather
     /// `incoming`'s ciphertext, and evict `victim` into its home frame
-    /// when the fault needs its slot. Returns the incoming ciphertext
-    /// and its MAC verdict; the caller decrypts it into the slot.
+    /// when the fault needs its slot. Returns the gathered buffer, whose
+    /// last page is the incoming ciphertext, and that page's MAC
+    /// verdict; the caller decrypts it into the slot.
     ///
-    /// The incoming page is gathered before the eviction opens its
-    /// one-entry journal. Inside that journal, one integrity call stores
-    /// the victim's tag and checks the incoming page, so the fault is
-    /// charged one CMAC chain (see `IntegrityPlane::store_and_verify`);
-    /// under XTS/CTR the victim's tag is its commit stamp, and only the
-    /// incoming page is MACed there. The victim then publishes
+    /// The incoming page is gathered before the victim is encrypted.
+    /// One stamp then covers both pages (the incoming one only when the
+    /// integrity plane checks it): under XTS/CTR that is the fault's one
+    /// MAC lane loop, two chains wide; under CBC it reads the pages'
+    /// tails. Inside the victim's one-entry journal, one integrity call
+    /// stores the victim's tag and checks the incoming page from one
+    /// `CommitTagger::page_macs` call (under CBC the two-chain loop), and
+    /// the fault is charged one CMAC chain (see
+    /// `IntegrityPlane::store_and_verify`). The victim then publishes
     /// (`pager.evict`), and its frame is read back (`pager.readback`)
     /// and compared byte for byte with the ciphertext just tagged (see
     /// `IntegrityPlane::verify_readback`) before its mappings flip.
@@ -597,17 +601,22 @@ impl Transition<'_> {
             victim.frame, incoming.src,
             "eviction into the faulting frame"
         );
-        let (stores, verifies) = pages.split_at_mut(1);
-        self.crypt(Route::Engine, Direction::Encrypt, stores, &mut buf[..page])?;
-        self.stamp(stores, &buf[..page]);
-        let victim = stores[0];
+        self.crypt(
+            Route::Engine,
+            Direction::Encrypt,
+            &pages[..1],
+            &mut buf[..page],
+        )?;
+        let stamped = if self.integrity.enabled() { 2 } else { 1 };
+        self.stamp(&mut pages[..stamped], &buf[..stamped * page]);
+        let victim = pages[0];
         self.txn
-            .open(&mut self.kernel.soc, TxnOp::Encrypt, stores)?;
+            .open(&mut self.kernel.soc, TxnOp::Encrypt, &pages[..1])?;
         let (tags, verdicts) = self.integrity.store_and_verify(
             &mut self.kernel.soc,
             self.store,
-            stores,
-            verifies,
+            &mut pages,
+            1,
             &mut buf,
         )?;
         self.kernel.soc.failpoint("pager.evict")?;
@@ -629,7 +638,7 @@ impl Transition<'_> {
         }
         self.settle(TxnOp::Encrypt, 0, &victim)?;
         self.txn.close(&mut self.kernel.soc)?;
-        Ok((buf.split_off(page), verdicts[0]))
+        Ok((buf, verdicts[0]))
     }
 
     /// Choose where each decrypt entry of `chunk` publishes; an encrypt
@@ -879,33 +888,48 @@ pub mod nonce_audit {
 }
 
 /// The unit tests' MAC audit: while armed on a thread, it counts the
-/// CMACs the page MAC computes (see `CommitTagger`), one per page.
+/// CMACs the page MAC computes (see `CommitTagger`), one per page, and
+/// the calls that compute them, one per lane loop.
 #[cfg(test)]
 pub(crate) mod mac_audit {
     use std::cell::Cell;
 
+    /// Page MACs and the calls that computed them.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub(crate) struct Macs {
+        /// Pages MACed.
+        pub(crate) pages: usize,
+        /// MAC calls, each one lane loop over its pages.
+        pub(crate) calls: usize,
+    }
+
     thread_local! {
-        static MACS: Cell<Option<usize>> = const { Cell::new(None) };
+        static MACS: Cell<Option<Macs>> = const { Cell::new(None) };
     }
 
     /// Start counting this thread's page MACs.
     pub(crate) fn arm() {
-        MACS.with(|m| m.set(Some(0)));
+        MACS.with(|m| m.set(Some(Macs::default())));
     }
 
     /// The page MACs computed since `arm`.
-    pub(crate) fn count() -> usize {
-        MACS.with(|m| m.get().unwrap_or(0))
+    pub(crate) fn count() -> Macs {
+        MACS.with(|m| m.get().unwrap_or_default())
     }
 
     /// Stop counting; returns the page MACs computed since `arm`.
-    pub(crate) fn disarm() -> usize {
-        MACS.with(|m| m.take().unwrap_or(0))
+    pub(crate) fn disarm() -> Macs {
+        MACS.with(|m| m.take().unwrap_or_default())
     }
 
-    /// Note that `pages` page MACs are being computed.
+    /// Note one call that computes `pages` page MACs.
     pub(crate) fn record(pages: usize) {
-        MACS.with(|m| m.set(m.get().map(|n| n + pages)));
+        MACS.with(|m| {
+            m.set(m.get().map(|n| Macs {
+                pages: n.pages + pages,
+                calls: n.calls + 1,
+            }));
+        });
     }
 }
 
