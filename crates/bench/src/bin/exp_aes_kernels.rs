@@ -34,7 +34,8 @@
 //!   live, so these rows locate the group size below which the scalar
 //!   chain wins — the source of `sentry_crypto::mac::MIN_LANE_MESSAGES`,
 //!   which only the portable kernel consults. The AES-NI lanes get rows
-//!   at groups of 1, 2, 4, 8 and 16.
+//!   at groups of 1, 2, 4, 8, 16 and 32: a group of 16 fills the eight
+//!   256-bit registers of a CPU with VAES, and 32 runs two such groups.
 //!
 //! The table-driven kernel runs at one of two speeds per process on a
 //! shared host, so one process's ratios are not stable. The host rows are
@@ -51,11 +52,18 @@
 //! CBC-encrypt, the gate proving the lane-filling mode removed the
 //! encrypt cliff (a native run shows ~15×), (c) the batch CMAC over full
 //! groups of 16 pages runs at least 2× the scalar chain
-//! (`cmac_batch16_over_scalar`, ~4.0× measured), and (d) where AES-NI is
+//! (`cmac_batch16_over_scalar`, ~4.0× measured), (d) where AES-NI is
 //! detected, every batched `aesni` row at least matches its bitsliced
 //! row and the AES-NI CMAC over two pages per call runs at least 1.5×
 //! one page per call (`cmac/aesni/2` over `cmac/aesni/1`, ~2× measured):
-//! the premise of a locked fault's one two-page MAC loop.
+//! the premise of a locked fault's one two-page MAC loop, (e) where
+//! AES-NI is detected, XTS encryption and decryption run at least 0.8 of
+//! the raw kernel (`over_blocks`): each lane steps its own tweaks, so the
+//! whitening stays off the rounds' path, and (f) where the AES-NI lanes
+//! are 256 bits wide (VAES), the CMAC over 16 pages per call runs at
+//! least 1.2× 8 pages per call (`cmac/aesni/16` over `cmac/aesni/8`).
+//! `host_kernel` names the kernel and, for AES-NI, its lane width in bits
+//! (`aesni/256`).
 
 use std::collections::BTreeMap;
 use std::hint::black_box;
@@ -89,11 +97,11 @@ const ONE_ROUND: &str = "--one-round";
 const KEY: [u8; 32] = [0x6Bu8; 32];
 /// Pages per CMAC pass: divisible by every measured group size, so each
 /// group runs full.
-const CMAC_PAGES: usize = 48;
+const CMAC_PAGES: usize = 96;
 /// CMAC group sizes measured on the bitsliced lanes.
 const CMAC_GROUPS: [usize; 5] = [16, 8, 4, 3, 2];
 /// CMAC group sizes measured on the AES-NI lanes.
-const AESNI_CMAC_GROUPS: [usize; 5] = [1, 2, 4, 8, 16];
+const AESNI_CMAC_GROUPS: [usize; 6] = [1, 2, 4, 8, 16, 32];
 /// Pages whose CBC chains one lane-filling call encrypts.
 const CHAINS: usize = 16;
 
@@ -224,6 +232,18 @@ fn aes_ni(aes: &Aes) -> Option<sentry_crypto::aesni::AesNi> {
 
 #[cfg(not(target_arch = "x86_64"))]
 fn aes_ni(_: &Aes) -> Option<Aes> {
+    None
+}
+
+/// Bits per AES-NI lane register (256 with VAES), where the CPU has
+/// AES-NI.
+#[cfg(target_arch = "x86_64")]
+fn aesni_lane_bits(aes: &Aes) -> Option<u32> {
+    aes_ni(aes).map(|ni| ni.lane_bits())
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn aesni_lane_bits(_: &Aes) -> Option<u32> {
     None
 }
 
@@ -418,7 +438,10 @@ fn parity_pairs() -> Vec<(String, String)> {
     for mode in [Mode::CbcDec, Mode::XtsEnc, Mode::XtsDec, Mode::Ctr] {
         pairs.push((mode_key("aesni", mode, 1), mode_key("bitsliced", mode, 1)));
     }
-    for g in AESNI_CMAC_GROUPS.into_iter().filter(|&g| g > 1) {
+    for g in AESNI_CMAC_GROUPS
+        .into_iter()
+        .filter(|g| CMAC_GROUPS.contains(g))
+    {
         pairs.push((cmac_key("aesni", g), cmac_key("lanes", g)));
     }
     pairs
@@ -432,9 +455,14 @@ fn main() {
         return;
     }
     let enforce = std::env::args().any(|a| a == "--enforce");
-    let host_kernel = PageCipher::new(&KEY)
+    let lane_bits = aesni_lane_bits(&Aes::new(&KEY).expect("valid key length"));
+    let host_kernel = match PageCipher::new(&KEY)
         .expect("valid key length")
-        .kernel_name();
+        .kernel_name()
+    {
+        "aesni" => format!("aesni/{}", lane_bits.expect("an AES-NI kernel")),
+        name => name.to_string(),
+    };
     let runs = Runs::measure();
     let aesni = runs.has(&mode_key("aesni", Mode::Ctr, 1));
 
@@ -644,7 +672,7 @@ fn main() {
         "BENCH_aes_kernels.json",
         &Json::obj()
             .field("experiment", "aes_kernels")
-            .field("host_kernel", host_kernel)
+            .field("host_kernel", host_kernel.as_str())
             .field("page_bytes", PAGE)
             .field("pages", PAGES)
             .field("reps", REPS)
@@ -724,6 +752,41 @@ fn main() {
                 std::process::exit(1);
             }
             println!("enforce: AES-NI CMAC (2 pages) at {pair:.2}x of 1 page — ok");
+            // The XTS gate: with each lane stepping its own tweaks, the
+            // whitening no longer holds the stream at half the raw kernel
+            // (0.46 with serial tweaks; 0.78-0.93 on 128-bit lanes and
+            // 1.2-1.7 on 256-bit lanes measured).
+            for mode in [Mode::XtsEnc, Mode::XtsDec] {
+                let r = over_blocks("aesni", mode).expect("an AES-NI stream row");
+                if r.median < 0.8 {
+                    eprintln!(
+                        "FAIL: AES-NI {} at only {:.2} of the raw kernel (median; gate: >= 0.8)",
+                        mode.name(),
+                        r.median
+                    );
+                    std::process::exit(1);
+                }
+                println!(
+                    "enforce: AES-NI {} at {:.2} of the raw kernel — ok",
+                    mode.name(),
+                    r.median
+                );
+            }
+        }
+        if lane_bits == Some(256) {
+            // The wide-lane gate: 16 CMAC chains fill eight 256-bit
+            // registers, 8 chains only eight 128-bit ones.
+            let wide = runs
+                .ratio(&cmac_key("aesni", 16), &cmac_key("aesni", 8))
+                .median;
+            if wide < 1.2 {
+                eprintln!(
+                    "FAIL: AES-NI CMAC over 16 pages per call at only {wide:.2}x of \
+                     8 pages per call on 256-bit lanes (median; gate: >= 1.2x)"
+                );
+                std::process::exit(1);
+            }
+            println!("enforce: AES-NI CMAC (16 pages) at {wide:.2}x of 8 pages — ok");
         }
     }
 }

@@ -794,7 +794,8 @@ impl IntegrityPlane {
     /// from one [`CommitTagger::page_macs`] call: under XTS/CTR the
     /// stamps, under CBC one lane loop over all the pages. The stored
     /// tags land before any of those pages publishes. Returns the stored
-    /// tags and one outcome per verified page.
+    /// tags and one outcome per verified page. An empty batch returns
+    /// before any MAC.
     ///
     /// A locked page fault that evicts runs this once, so the victim's
     /// tag and the incoming page's check share one charged chain and, on
@@ -824,7 +825,7 @@ impl IntegrityPlane {
         buf: &mut [u8],
     ) -> Result<(Vec<[u8; TAG_BYTES]>, Vec<VerifyOutcome>), SentryError> {
         check_pages(pages.len(), buf);
-        if !self.enabled {
+        if !self.enabled || pages.is_empty() {
             return Ok((Vec::new(), vec![VerifyOutcome::Ok; pages.len() - stores]));
         }
         self.charge_mac(soc, pages.len());

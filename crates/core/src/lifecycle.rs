@@ -2559,6 +2559,33 @@ mod tests {
         }
     }
 
+    /// An unlock with no DMA page decrypts nothing eagerly, and its empty
+    /// decrypt batch makes no MAC call in any mode, with or without the
+    /// integrity plane: there is nothing to stamp or verify.
+    #[test]
+    fn an_unlock_with_nothing_to_decrypt_makes_no_mac_call() {
+        use crate::transition::mac_audit::{self, Macs};
+        for mode in PageCipherMode::all() {
+            for integrity in [true, false] {
+                let mut config = SentryConfig::tegra3_locked_l2(2).with_cipher_mode(mode);
+                if !integrity {
+                    config = config.without_integrity();
+                }
+                let mut s = Sentry::new(Kernel::new(Soc::tegra3_small()), config).unwrap();
+                let pid = s.kernel.spawn("app");
+                s.mark_sensitive(pid).unwrap();
+                s.write(pid, 0, &vec![0x3Cu8; 4 * 4096]).unwrap();
+                s.on_lock().unwrap();
+                mac_audit::arm();
+                let unlock = s.on_unlock().unwrap();
+                let macs = mac_audit::disarm();
+                let case = format!("{mode}, integrity {integrity}");
+                assert_eq!(unlock.eager_bytes_decrypted, 0, "{case}");
+                assert_eq!(macs, Macs::default(), "{case}: no MAC call");
+            }
+        }
+    }
+
     /// The pte of `(pid, vpn)`.
     fn pte_of(s: &Sentry, pid: Pid, vpn: u64) -> Pte {
         *s.kernel.procs[&pid].page_table.get(vpn).unwrap()

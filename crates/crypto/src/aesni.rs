@@ -4,15 +4,56 @@
 //! host runs, so the host is free to run the untracked contexts
 //! ([`crate::modes::PageCipher`], [`crate::mac::Cmac`]) on the fastest
 //! AES it has. [`AesNi`] is that kernel: one `aesenc`/`aesdec` per round,
-//! up to eight independent blocks or chains interleaved so the
-//! instruction's latency is hidden behind the other lanes.
+//! eight independent registers interleaved so the instruction's latency
+//! is hidden behind the other lanes.
 //!
-//! Safety. [`AesNi::from_schedule`] is the only constructor and returns
-//! `None` unless the CPU reports the `aes` feature (`sse2` is part of the
-//! x86-64 baseline), so holding an `AesNi` proves every
-//! `#[target_feature(enable = "aes,sse2")]` function below may run. Each
-//! `unsafe` block is either an unaligned load or store of a `&Block` or
-//! one call into such a function from a method of an `AesNi`.
+//! Lane width. A register holds one block (128-bit lanes, on every
+//! AES-NI CPU) or two (256-bit lanes, where the CPU also has VAES, AVX2
+//! and VPCLMULQDQ: one `vaesenc` runs a round of two blocks).
+//! [`AesNi::from_schedule`] picks the width once. The two loops the lock
+//! and unlock path spends its time in, the XTS stream and the chain
+//! lanes under the batch CMAC and CBC encryption, run their full groups
+//! of eight registers (8 or 16 blocks or chains) at that width, through
+//! one loop generic over the register (`Lane`). Their remainders, CTR,
+//! CBC decryption and independent blocks run on 128-bit lanes.
+//!
+//! XTS tweaks. Each register keeps its own blocks' tweaks. After a
+//! group, every tweak steps to the tweak of the block one group later:
+//! times x^8 (or x^16) in GF(2^128), which is a byte shift plus one
+//! carry-less multiply of the bytes shifted out by 0x87. So no tweak
+//! waits on the one before it. Only each extent's first group's worth of
+//! blocks, which have no block a group earlier in their extent, take
+//! their tweaks by serial doubling from the extent's start.
+//!
+//! Chains. A chain's blocks wait on each other, so the lane loop keeps
+//! the XORs off that path: `aesenclast` ends in an XOR with its key, and
+//! unless the feed needs each chain value, the next message block and
+//! the first round key fold into the last round's key.
+//!
+//! Safety. [`AesNi::from_schedule`] is the only constructor. It returns
+//! `None` unless the CPU reports `aes` and `pclmulqdq` (`sse2` is part of
+//! the x86-64 baseline), and it picks 256-bit lanes only where the CPU
+//! also reports `avx2`, `vaes` and `vpclmulqdq`. So holding an `AesNi`
+//! proves the 128-bit instructions may run, and holding one with 256-bit
+//! lanes proves the 256-bit ones may. Each `unsafe` block is one of two
+//! things:
+//!
+//! * one instruction in a `Lane` method. A trait method cannot enable
+//!   its features with `#[target_feature]`, so the module keeps the rule
+//!   instead: the `__m128i` methods run only under an `AesNi`, and the
+//!   `__m256i` methods only under one with 256-bit lanes. Outside the
+//!   unit tests, which hold such an `AesNi`, that means inside the
+//!   256-bit entry points (`xts_x256`, `chains_x256`), which only an
+//!   `AesNi` with 256-bit lanes calls;
+//! * one call into a `#[target_feature]` function from a method of an
+//!   `AesNi` whose width allows it.
+//!
+//! The lane methods and the generic loops are `#[inline(always)]`, so
+//! their instructions compile into the `#[target_feature]` function that
+//! runs them, at the width it enables. The loops step arrays with `for`
+//! rather than `[T; N]::map` and hold no closure that runs a lane
+//! method: neither inlines there, and out of line each instruction
+//! becomes a call.
 //!
 //! The round keys come straight from the [`KeySchedule`]: the encryption
 //! words as big-endian bytes, and the decryption words, which are
@@ -24,21 +65,31 @@
 )]
 
 use std::arch::x86_64::{
-    __m128i, _mm_aesdec_si128, _mm_aesdeclast_si128, _mm_aesenc_si128, _mm_aesenclast_si128,
-    _mm_loadu_si128, _mm_set_epi64x, _mm_setzero_si128, _mm_storeu_si128, _mm_xor_si128,
+    __m128i, __m256i, _mm256_aesdec_epi128, _mm256_aesdeclast_epi128, _mm256_aesenc_epi128,
+    _mm256_aesenclast_epi128, _mm256_broadcastsi128_si256, _mm256_bslli_epi128,
+    _mm256_bsrli_epi128, _mm256_clmulepi64_epi128, _mm256_loadu_si256, _mm256_storeu_si256,
+    _mm256_xor_si256, _mm_aesdec_si128, _mm_aesdeclast_si128, _mm_aesenc_si128,
+    _mm_aesenclast_si128, _mm_bslli_si128, _mm_bsrli_si128, _mm_clmulepi64_si128, _mm_loadu_si128,
+    _mm_set_epi64x, _mm_storeu_si128, _mm_xor_si128,
 };
 
 use crate::batch::{BlockCipherBatch, Stream, Whitening};
 use crate::block::Block;
 use crate::key_schedule::KeySchedule;
-use crate::modes::BlockCipher;
+use crate::modes::{xts_mul_alpha, BlockCipher};
 
-/// Blocks (or chains) one kernel call interleaves. Eight in-flight
-/// `aesenc`s cover the instruction's latency on current cores.
+/// Registers one kernel call interleaves. Eight in-flight `aesenc`s
+/// cover the instruction's latency on current cores.
 const LANES: usize = 8;
 
 /// Round keys of AES-256, the largest schedule.
 const MAX_ROUND_KEYS: usize = 15;
+
+/// Blocks in the largest group: eight 256-bit registers.
+const MAX_GROUP: usize = 2 * LANES;
+
+/// x^128 reduced modulo the XTS polynomial x^128 + x^7 + x^2 + x + 1.
+const POLY: Block = 0x87u128.to_le_bytes();
 
 /// An AES context on the AES-NI instructions.
 #[derive(Clone)]
@@ -46,6 +97,9 @@ pub struct AesNi {
     rounds: usize,
     enc: [__m128i; MAX_ROUND_KEYS],
     dec: [__m128i; MAX_ROUND_KEYS],
+    /// Whether the XTS stream and the chain lanes run their full groups
+    /// on 256-bit lanes.
+    wide: bool,
 }
 
 impl std::fmt::Debug for AesNi {
@@ -53,35 +107,54 @@ impl std::fmt::Debug for AesNi {
         // Never print round-key material.
         f.debug_struct("AesNi")
             .field("rounds", &self.rounds)
+            .field("lane_bits", &self.lane_bits())
             .finish_non_exhaustive()
     }
 }
 
 impl AesNi {
     /// Load `schedule`'s round keys, or `None` when this CPU has no
-    /// AES-NI.
+    /// AES-NI (or no `pclmulqdq`). The lanes are 256 bits wide where the
+    /// CPU has VAES, else 128.
     #[must_use]
     pub fn from_schedule(schedule: &KeySchedule) -> Option<AesNi> {
-        if !std::arch::is_x86_feature_detected!("aes") {
+        AesNi::with_lanes(schedule, true)
+    }
+
+    /// [`AesNi::from_schedule`], held to 128-bit lanes unless `wide` is
+    /// set: the unit tests reach the 128-bit loops through it on a CPU
+    /// with VAES.
+    fn with_lanes(schedule: &KeySchedule, wide: bool) -> Option<AesNi> {
+        use std::arch::is_x86_feature_detected as has;
+        if !(has!("aes") && has!("pclmulqdq")) {
             return None;
         }
-        let words = |w: &[u32]| -> [Block; MAX_ROUND_KEYS] {
-            let mut keys = [[0u8; 16]; MAX_ROUND_KEYS];
+        let wide = wide && has!("avx2") && has!("vaes") && has!("vpclmulqdq");
+        let keys = |w: &[u32]| {
+            let mut keys = [[[0u8; 16]]; MAX_ROUND_KEYS];
             for (key, round) in keys.iter_mut().zip(w.chunks_exact(4)) {
-                for (bytes, word) in key.chunks_exact_mut(4).zip(round) {
+                for (bytes, word) in key[0].chunks_exact_mut(4).zip(round) {
                     bytes.copy_from_slice(&word.to_be_bytes());
                 }
             }
-            keys
+            keys.map(|key| __m128i::load(&key))
         };
-        let (enc, dec) = (words(schedule.enc_words()), words(schedule.dec_words()));
         Some(AesNi {
             rounds: schedule.size().rounds(),
-            // SAFETY: the `aes` feature was detected above.
-            enc: unsafe { load_keys(&enc) },
-            // SAFETY: the `aes` feature was detected above.
-            dec: unsafe { load_keys(&dec) },
+            enc: keys(schedule.enc_words()),
+            dec: keys(schedule.dec_words()),
+            wide,
         })
+    }
+
+    /// Bits per lane register: 256 where the CPU has VAES, else 128.
+    #[must_use]
+    pub fn lane_bits(&self) -> u32 {
+        if self.wide {
+            256
+        } else {
+            128
+        }
     }
 
     /// The encryption round keys in use: `rounds + 1` of them.
@@ -93,22 +166,198 @@ impl AesNi {
     fn dec_keys(&self) -> &[__m128i] {
         &self.dec[..=self.rounds]
     }
+
+    /// Every round key of one direction broadcast to each block of an
+    /// `R` register; the first `rounds + 1` are in use.
+    #[inline(always)]
+    fn keys<R: Lane>(&self, encrypt: bool) -> [R; MAX_ROUND_KEYS] {
+        let keys = if encrypt { &self.enc } else { &self.dec };
+        let mut out = [R::splat(keys[0]); MAX_ROUND_KEYS];
+        for (o, k) in out.iter_mut().zip(keys) {
+            *o = R::splat(*k);
+        }
+        out
+    }
 }
 
-/// Unaligned load of one block.
-#[target_feature(enable = "aes,sse2")]
-fn load(block: &Block) -> __m128i {
-    // SAFETY: `block` is 16 readable bytes and `loadu` has no alignment
-    // requirement.
-    unsafe { _mm_loadu_si128(block.as_ptr().cast()) }
+/// A vector register of [`Lane::BLOCKS`] AES blocks side by side, and the
+/// AES-NI operations on each block. Each method runs one or a few
+/// instructions of its width; see the module's safety note for why they
+/// may.
+trait Lane: Copy {
+    /// Blocks per register.
+    const BLOCKS: usize;
+    /// One register's blocks as they lie in memory.
+    type Unit: Default + AsRef<[Block]> + AsMut<[Block]>;
+    /// `blocks`, a whole number of registers' worth, as register units.
+    fn units(blocks: &mut [Block]) -> &mut [Self::Unit];
+    /// The register with `block` in every block.
+    fn splat(block: __m128i) -> Self;
+    fn load(unit: &Self::Unit) -> Self;
+    fn store(self, unit: &mut Self::Unit);
+    fn xor(self, other: Self) -> Self;
+    fn enc(self, key: Self) -> Self;
+    fn enc_last(self, key: Self) -> Self;
+    fn dec(self, key: Self) -> Self;
+    fn dec_last(self, key: Self) -> Self;
+    /// Each block, an XTS tweak, stepped one group of [`LANES`] registers
+    /// on: times x^(8·BLOCKS) in GF(2^128). The block shifts up `BLOCKS`
+    /// bytes, and the bytes shifted out fold back in times x^128 = 0x87
+    /// by one carry-less multiply.
+    fn advance(self) -> Self;
 }
 
-/// Unaligned store of one block.
-#[target_feature(enable = "aes,sse2")]
-fn store(value: __m128i, block: &mut Block) {
-    // SAFETY: `block` is 16 writable bytes and `storeu` has no alignment
-    // requirement.
-    unsafe { _mm_storeu_si128(block.as_mut_ptr().cast(), value) }
+impl Lane for __m128i {
+    const BLOCKS: usize = 1;
+    type Unit = [Block; 1];
+
+    #[inline(always)]
+    fn units(blocks: &mut [Block]) -> &mut [[Block; 1]] {
+        blocks.as_chunks_mut().0
+    }
+
+    #[inline(always)]
+    fn splat(block: __m128i) -> Self {
+        block
+    }
+
+    #[inline(always)]
+    fn load(unit: &[Block; 1]) -> Self {
+        // SAFETY: `unit` is 16 readable bytes, `loadu` has no alignment
+        // requirement, and `sse2` is the x86-64 baseline.
+        unsafe { _mm_loadu_si128(unit.as_ptr().cast()) }
+    }
+
+    #[inline(always)]
+    fn store(self, unit: &mut [Block; 1]) {
+        // SAFETY: `unit` is 16 writable bytes, `storeu` has no alignment
+        // requirement, and `sse2` is the x86-64 baseline.
+        unsafe { _mm_storeu_si128(unit.as_mut_ptr().cast(), self) }
+    }
+
+    #[inline(always)]
+    fn xor(self, other: Self) -> Self {
+        // SAFETY: `sse2` is the x86-64 baseline.
+        unsafe { _mm_xor_si128(self, other) }
+    }
+
+    #[inline(always)]
+    fn enc(self, key: Self) -> Self {
+        // SAFETY: runs under an `AesNi`, so the CPU has `aes`.
+        unsafe { _mm_aesenc_si128(self, key) }
+    }
+
+    #[inline(always)]
+    fn enc_last(self, key: Self) -> Self {
+        // SAFETY: runs under an `AesNi`, so the CPU has `aes`.
+        unsafe { _mm_aesenclast_si128(self, key) }
+    }
+
+    #[inline(always)]
+    fn dec(self, key: Self) -> Self {
+        // SAFETY: runs under an `AesNi`, so the CPU has `aes`.
+        unsafe { _mm_aesdec_si128(self, key) }
+    }
+
+    #[inline(always)]
+    fn dec_last(self, key: Self) -> Self {
+        // SAFETY: runs under an `AesNi`, so the CPU has `aes`.
+        unsafe { _mm_aesdeclast_si128(self, key) }
+    }
+
+    #[inline(always)]
+    fn advance(self) -> Self {
+        // SAFETY: `sse2` is the x86-64 baseline.
+        let out = unsafe { _mm_bsrli_si128::<15>(self) };
+        // SAFETY: runs under an `AesNi`, so the CPU has `pclmulqdq`.
+        let folded = unsafe { _mm_clmulepi64_si128::<0x00>(out, Self::load(&[POLY])) };
+        // SAFETY: `sse2` is the x86-64 baseline.
+        unsafe { _mm_bslli_si128::<1>(self) }.xor(folded)
+    }
+}
+
+impl Lane for __m256i {
+    const BLOCKS: usize = 2;
+    type Unit = [Block; 2];
+
+    #[inline(always)]
+    fn units(blocks: &mut [Block]) -> &mut [[Block; 2]] {
+        let (units, rest) = blocks.as_chunks_mut();
+        debug_assert!(rest.is_empty(), "a whole number of registers");
+        units
+    }
+
+    #[inline(always)]
+    fn splat(block: __m128i) -> Self {
+        // SAFETY: runs under an `AesNi` with 256-bit lanes, so the CPU has
+        // `avx2`.
+        unsafe { _mm256_broadcastsi128_si256(block) }
+    }
+
+    #[inline(always)]
+    fn load(unit: &[Block; 2]) -> Self {
+        // SAFETY: `unit` is 32 readable bytes, `loadu` has no alignment
+        // requirement, and this runs under an `AesNi` with 256-bit lanes,
+        // so the CPU has `avx2`.
+        unsafe { _mm256_loadu_si256(unit.as_ptr().cast()) }
+    }
+
+    #[inline(always)]
+    fn store(self, unit: &mut [Block; 2]) {
+        // SAFETY: `unit` is 32 writable bytes, `storeu` has no alignment
+        // requirement, and this runs under an `AesNi` with 256-bit lanes,
+        // so the CPU has `avx2`.
+        unsafe { _mm256_storeu_si256(unit.as_mut_ptr().cast(), self) }
+    }
+
+    #[inline(always)]
+    fn xor(self, other: Self) -> Self {
+        // SAFETY: runs under an `AesNi` with 256-bit lanes, so the CPU has
+        // `avx2`.
+        unsafe { _mm256_xor_si256(self, other) }
+    }
+
+    #[inline(always)]
+    fn enc(self, key: Self) -> Self {
+        // SAFETY: runs under an `AesNi` with 256-bit lanes, so the CPU has
+        // `vaes`.
+        unsafe { _mm256_aesenc_epi128(self, key) }
+    }
+
+    #[inline(always)]
+    fn enc_last(self, key: Self) -> Self {
+        // SAFETY: runs under an `AesNi` with 256-bit lanes, so the CPU has
+        // `vaes`.
+        unsafe { _mm256_aesenclast_epi128(self, key) }
+    }
+
+    #[inline(always)]
+    fn dec(self, key: Self) -> Self {
+        // SAFETY: runs under an `AesNi` with 256-bit lanes, so the CPU has
+        // `vaes`.
+        unsafe { _mm256_aesdec_epi128(self, key) }
+    }
+
+    #[inline(always)]
+    fn dec_last(self, key: Self) -> Self {
+        // SAFETY: runs under an `AesNi` with 256-bit lanes, so the CPU has
+        // `vaes`.
+        unsafe { _mm256_aesdeclast_epi128(self, key) }
+    }
+
+    #[inline(always)]
+    fn advance(self) -> Self {
+        // SAFETY: runs under an `AesNi` with 256-bit lanes, so the CPU has
+        // `avx2`.
+        let out = unsafe { _mm256_bsrli_epi128::<14>(self) };
+        let poly = Self::splat(__m128i::load(&[POLY]));
+        // SAFETY: runs under an `AesNi` with 256-bit lanes, so the CPU has
+        // `vpclmulqdq`.
+        let folded = unsafe { _mm256_clmulepi64_epi128::<0x00>(out, poly) };
+        // SAFETY: runs under an `AesNi` with 256-bit lanes, so the CPU has
+        // `avx2`.
+        unsafe { _mm256_bslli_epi128::<2>(self) }.xor(folded)
+    }
 }
 
 /// The block whose little-endian bytes are `v`, built in registers.
@@ -118,68 +367,54 @@ fn load_u128(v: u128) -> __m128i {
     _mm_set_epi64x((v >> 64) as i64, v as i64)
 }
 
-#[target_feature(enable = "aes,sse2")]
-fn load_keys(keys: &[Block; MAX_ROUND_KEYS]) -> [__m128i; MAX_ROUND_KEYS] {
-    let mut out = [_mm_setzero_si128(); MAX_ROUND_KEYS];
-    for (o, k) in out.iter_mut().zip(keys) {
-        *o = load(k);
-    }
-    out
-}
-
-/// Encrypt `N` independent states, round by round across the lanes.
-#[target_feature(enable = "aes,sse2")]
-#[inline]
-fn encrypt_lanes<const N: usize>(keys: &[__m128i], s: &mut [__m128i; N]) {
+/// Encrypt `N` independent registers, round by round across the lanes.
+#[inline(always)]
+fn encrypt_lanes<R: Lane, const N: usize>(keys: &[R], s: &mut [R; N]) {
     let (first, rest) = keys.split_first().expect("a round key");
     let (last, middle) = rest.split_last().expect("a last round key");
     for x in s.iter_mut() {
-        *x = _mm_xor_si128(*x, *first);
+        *x = x.xor(*first);
     }
     for k in middle {
         for x in s.iter_mut() {
-            *x = _mm_aesenc_si128(*x, *k);
+            *x = x.enc(*k);
         }
     }
     for x in s.iter_mut() {
-        *x = _mm_aesenclast_si128(*x, *last);
+        *x = x.enc_last(*last);
     }
 }
 
-/// Decrypt `N` independent states (the equivalent inverse cipher).
-#[target_feature(enable = "aes,sse2")]
-#[inline]
-fn decrypt_lanes<const N: usize>(keys: &[__m128i], s: &mut [__m128i; N]) {
+/// Decrypt `N` independent registers (the equivalent inverse cipher).
+#[inline(always)]
+fn decrypt_lanes<R: Lane, const N: usize>(keys: &[R], s: &mut [R; N]) {
     let (first, rest) = keys.split_first().expect("a round key");
     let (last, middle) = rest.split_last().expect("a last round key");
     for x in s.iter_mut() {
-        *x = _mm_xor_si128(*x, *first);
+        *x = x.xor(*first);
     }
     for k in middle {
         for x in s.iter_mut() {
-            *x = _mm_aesdec_si128(*x, *k);
+            *x = x.dec(*k);
         }
     }
     for x in s.iter_mut() {
-        *x = _mm_aesdeclast_si128(*x, *last);
+        *x = x.dec_last(*last);
     }
 }
 
 /// Transform one group of exactly `N` blocks in place.
 #[target_feature(enable = "aes,sse2")]
 #[inline]
-fn crypt_group<const N: usize>(keys: &[__m128i], encrypt: bool, blocks: &mut [Block]) {
-    let mut s = [_mm_setzero_si128(); N];
-    for (x, b) in s.iter_mut().zip(blocks.iter()) {
-        *x = load(b);
-    }
+fn crypt_group<const N: usize>(keys: &[__m128i], encrypt: bool, group: &mut [[Block; 1]]) {
+    let mut s: [__m128i; N] = std::array::from_fn(|i| __m128i::load(&group[i]));
     if encrypt {
         encrypt_lanes(keys, &mut s);
     } else {
         decrypt_lanes(keys, &mut s);
     }
-    for (x, b) in s.iter().zip(blocks.iter_mut()) {
-        store(*x, b);
+    for (x, b) in s.iter().zip(group.iter_mut()) {
+        x.store(b);
     }
 }
 
@@ -188,7 +423,7 @@ fn crypt_group<const N: usize>(keys: &[__m128i], encrypt: bool, blocks: &mut [Bl
 /// moves rather than a copy through a stack buffer.
 #[target_feature(enable = "aes,sse2")]
 fn crypt_blocks(keys: &[__m128i], encrypt: bool, blocks: &mut [Block]) {
-    let (groups, tail) = blocks.as_chunks_mut::<LANES>();
+    let (groups, tail) = __m128i::units(blocks).as_chunks_mut::<LANES>();
     for group in groups {
         crypt_group::<LANES>(keys, encrypt, group);
     }
@@ -204,50 +439,84 @@ fn crypt_blocks(keys: &[__m128i], encrypt: bool, blocks: &mut [Block]) {
     }
 }
 
-/// One group of exactly `N` chains through the lane loop of
-/// [`BlockCipherBatch::encrypt_chains`]; `first` is the group's first
+/// One group of exactly `N` registers of chains through the lane loop
+/// of [`BlockCipherBatch::encrypt_chains`]; `first` is the group's first
 /// chain index. The chain values stay in registers from the first block
 /// to the last.
-#[target_feature(enable = "aes,sse2")]
-#[inline]
-fn chain_group<const N: usize, F>(
-    keys: &[__m128i],
+///
+/// `aesenclast` ends in an XOR with its key, so unless the feed needs the
+/// chain value, the next message block and the first round key fold into
+/// the last round's key: no XOR stands between one block's rounds and the
+/// next's.
+#[inline(always)]
+fn chain_group<R: Lane, const N: usize, F>(
+    keys: &[R],
     first: usize,
-    group: &mut [Block],
+    group: &mut [R::Unit],
     blocks: usize,
     every_block: bool,
     feed: &mut F,
 ) where
     F: FnMut(usize, usize, Option<&Block>) -> Block,
 {
-    let mut s = [_mm_setzero_si128(); N];
-    for (x, c) in s.iter_mut().zip(group.iter()) {
-        *x = load(c);
+    if blocks == 0 {
+        return;
     }
-    let mut prev = [0u8; 16];
-    for j in 0..blocks {
-        for (lane, x) in s.iter_mut().enumerate() {
-            let m = if every_block {
-                store(*x, &mut prev);
-                feed(first + lane, j, Some(&prev))
-            } else {
-                feed(first + lane, j, None)
-            };
-            *x = _mm_xor_si128(*x, load(&m));
+    let (key0, rest) = keys.split_first().expect("a round key");
+    let (last, middle) = rest.split_last().expect("a last round key");
+    let mut s: [R; N] = std::array::from_fn(|i| R::load(&group[i]));
+    for (r, x) in s.iter_mut().enumerate() {
+        let lane = first + r * R::BLOCKS;
+        *x = x.xor(chain_block(feed, lane, 0, every_block.then_some(*x), *key0));
+    }
+    for j in 1..=blocks {
+        for k in middle {
+            for x in s.iter_mut() {
+                *x = x.enc(*k);
+            }
         }
-        encrypt_lanes(keys, &mut s);
+        for (r, x) in s.iter_mut().enumerate() {
+            let lane = first + r * R::BLOCKS;
+            *x = if j == blocks {
+                x.enc_last(*last)
+            } else if every_block {
+                let out = x.enc_last(*last);
+                out.xor(chain_block(feed, lane, j, Some(out), *key0))
+            } else {
+                x.enc_last(last.xor(chain_block(feed, lane, j, None, *key0)))
+            };
+        }
     }
     for (x, c) in s.iter().zip(group.iter_mut()) {
-        store(*x, c);
+        x.store(c);
     }
 }
 
-/// The lane loop: every group of up to [`LANES`] chains runs with its
-/// chain values in registers, dispatched to a lane count known at
-/// compile time so the states never spill.
-#[target_feature(enable = "aes,sse2")]
-fn encrypt_chains<F>(
-    keys: &[__m128i],
+/// Block `j` of the chains from `lane` on that one register holds,
+/// whitened with `key0`. `prev` is their chain value entering it, which
+/// the feed sees when it asks for every block's. The blocks go through
+/// memory rather than a closure per block, which would not inline.
+#[inline(always)]
+fn chain_block<R: Lane, F>(feed: &mut F, lane: usize, j: usize, prev: Option<R>, key0: R) -> R
+where
+    F: FnMut(usize, usize, Option<&Block>) -> Block,
+{
+    let (mut chains, mut m) = (R::Unit::default(), R::Unit::default());
+    if let Some(x) = prev {
+        x.store(&mut chains);
+    }
+    for (h, b) in m.as_mut().iter_mut().enumerate() {
+        *b = feed(lane + h, j, prev.map(|_| &chains.as_ref()[h]));
+    }
+    R::load(&m).xor(key0)
+}
+
+/// The lane loop: the full groups of [`LANES`] `R` registers of chains,
+/// then the rest on 128-bit lanes, each group dispatched to a register
+/// count known at compile time so the chain values never spill.
+#[inline(always)]
+fn encrypt_chains<R: Lane, F>(
+    ni: &AesNi,
     chains: &mut [Block],
     blocks: usize,
     every_block: bool,
@@ -255,23 +524,214 @@ fn encrypt_chains<F>(
 ) where
     F: FnMut(usize, usize, Option<&Block>) -> Block,
 {
-    for (g, group) in chains.chunks_mut(LANES).enumerate() {
-        let (k, first, b, e) = (keys, g * LANES, blocks, every_block);
-        match group.len() {
-            1 => chain_group::<1, F>(k, first, group, b, e, feed),
-            2 => chain_group::<2, F>(k, first, group, b, e, feed),
-            3 => chain_group::<3, F>(k, first, group, b, e, feed),
-            4 => chain_group::<4, F>(k, first, group, b, e, feed),
-            5 => chain_group::<5, F>(k, first, group, b, e, feed),
-            6 => chain_group::<6, F>(k, first, group, b, e, feed),
-            7 => chain_group::<7, F>(k, first, group, b, e, feed),
-            _ => chain_group::<LANES, F>(k, first, group, b, e, feed),
+    let group = LANES * R::BLOCKS;
+    let whole = chains.len() - chains.len() % group;
+    let (full, rest) = chains.split_at_mut(whole);
+    let keys = ni.keys::<R>(true);
+    for (g, units) in R::units(full).chunks_exact_mut(LANES).enumerate() {
+        let k = &keys[..=ni.rounds];
+        chain_group::<R, LANES, F>(k, g * group, units, blocks, every_block, feed);
+    }
+    for (g, units) in __m128i::units(rest).chunks_mut(LANES).enumerate() {
+        let (k, first, b, e) = (ni.enc_keys(), whole + g * LANES, blocks, every_block);
+        match units.len() {
+            1 => chain_group::<__m128i, 1, F>(k, first, units, b, e, feed),
+            2 => chain_group::<__m128i, 2, F>(k, first, units, b, e, feed),
+            3 => chain_group::<__m128i, 3, F>(k, first, units, b, e, feed),
+            4 => chain_group::<__m128i, 4, F>(k, first, units, b, e, feed),
+            5 => chain_group::<__m128i, 5, F>(k, first, units, b, e, feed),
+            6 => chain_group::<__m128i, 6, F>(k, first, units, b, e, feed),
+            7 => chain_group::<__m128i, 7, F>(k, first, units, b, e, feed),
+            _ => chain_group::<__m128i, LANES, F>(k, first, units, b, e, feed),
         }
     }
 }
 
-/// One group of exactly `N` blocks of a stream (see
-/// [`BlockCipherBatch::crypt_stream`]): every block is loaded once,
+/// [`encrypt_chains`] on 128-bit lanes.
+#[target_feature(enable = "aes,sse2")]
+fn chains_x128<F>(ni: &AesNi, chains: &mut [Block], blocks: usize, every: bool, feed: &mut F)
+where
+    F: FnMut(usize, usize, Option<&Block>) -> Block,
+{
+    encrypt_chains::<__m128i, F>(ni, chains, blocks, every, feed);
+}
+
+/// [`encrypt_chains`] on 256-bit lanes.
+#[target_feature(enable = "aes,sse2,avx2,vaes")]
+fn chains_x256<F>(ni: &AesNi, chains: &mut [Block], blocks: usize, every: bool, feed: &mut F)
+where
+    F: FnMut(usize, usize, Option<&Block>) -> Block,
+{
+    encrypt_chains::<__m256i, F>(ni, chains, blocks, every, feed);
+}
+
+/// Exactly `N` registers of XTS blocks, each loaded once, whitened,
+/// ciphered and stored once. `aesenclast` and `aesdeclast` end in an XOR
+/// with their key, so the tweak's second whitening folds into the last
+/// round key.
+#[inline(always)]
+fn xts_group<R: Lane, const N: usize>(
+    keys: &[R],
+    encrypt: bool,
+    tweaks: &[R],
+    group: &mut [R::Unit],
+) {
+    let (first, rest) = keys.split_first().expect("a round key");
+    let (last, middle) = rest.split_last().expect("a last round key");
+    let mut s: [R; N] = std::array::from_fn(|i| R::load(&group[i]).xor(tweaks[i].xor(*first)));
+    for k in middle {
+        for x in s.iter_mut() {
+            *x = if encrypt { x.enc(*k) } else { x.dec(*k) };
+        }
+    }
+    for ((x, t), b) in s.iter().zip(tweaks).zip(group.iter_mut()) {
+        let key = last.xor(*t);
+        let out = if encrypt {
+            x.enc_last(key)
+        } else {
+            x.dec_last(key)
+        };
+        out.store(b);
+    }
+}
+
+/// The serial side of an XTS stream's tweaks, walked group by group:
+/// each extent's first `group` blocks, which share no extent with the
+/// block a group earlier, take their tweaks by doubling from the
+/// extent's start. Every later block's tweak is the one a group earlier
+/// stepped by [`Lane::advance`].
+struct Heads<'a> {
+    starts: std::slice::Iter<'a, Block>,
+    per_extent: usize,
+    /// Blocks per group.
+    group: usize,
+    /// The offset of the next block in its extent.
+    offset: usize,
+    /// The tweak of the next block [`Heads::seed`] reaches.
+    next: u128,
+}
+
+impl Heads<'_> {
+    /// Whether the next `group` blocks hold one to seed.
+    #[inline(always)]
+    fn any(&self) -> bool {
+        self.offset < self.group || self.offset + self.group > self.per_extent
+    }
+
+    /// Overwrite `tweaks[i]`, the tweak of the `i`-th next block, wherever
+    /// that block is among its extent's first `group`.
+    fn seed(&mut self, tweaks: &mut [Block]) {
+        let mut offset = self.offset;
+        for tweak in tweaks {
+            if offset == 0 {
+                self.next = u128::from_le_bytes(*self.starts.next().expect("a start per extent"));
+            }
+            if offset < self.group {
+                *tweak = self.next.to_le_bytes();
+                self.next = xts_mul_alpha(self.next);
+            }
+            offset += 1;
+            if offset == self.per_extent {
+                offset = 0;
+            }
+        }
+    }
+
+    /// Move on past the next `blocks` blocks.
+    #[inline(always)]
+    fn skip(&mut self, blocks: usize) {
+        self.offset += blocks;
+        while self.offset >= self.per_extent {
+            self.offset -= self.per_extent;
+        }
+    }
+}
+
+/// The XTS stream (see the module docs): full groups of [`LANES`] `R`
+/// registers whose tweaks step in registers, re-seeded where an extent
+/// starts, then the rest on 128-bit lanes.
+#[inline(always)]
+fn xts_stream<R: Lane>(ni: &AesNi, encrypt: bool, starts: &[Block], blocks: &mut [Block]) {
+    if blocks.is_empty() {
+        return;
+    }
+    let group = LANES * R::BLOCKS;
+    let mut heads = Heads {
+        starts: starts.iter(),
+        per_extent: blocks.len() / starts.len(),
+        group,
+        offset: 0,
+        next: 0,
+    };
+    let keys = ni.keys::<R>(encrypt);
+    let keys = &keys[..=ni.rounds];
+    // Every lane is seeded before its first use.
+    let mut tweaks = [R::splat(__m128i::load(&[[0; 16]])); LANES];
+    let mut staged = [[0u8; 16]; MAX_GROUP];
+    let whole = blocks.len() - blocks.len() % group;
+    let (full, tail) = blocks.split_at_mut(whole);
+    for units in R::units(full).chunks_exact_mut(LANES) {
+        if heads.any() {
+            let lanes = R::units(&mut staged[..group]);
+            for (t, unit) in tweaks.iter().zip(lanes.iter_mut()) {
+                t.store(unit);
+            }
+            heads.seed(&mut staged[..group]);
+            let lanes = R::units(&mut staged[..group]);
+            tweaks = std::array::from_fn(|i| R::load(&lanes[i]));
+        }
+        // The next group's tweaks come first, so the steps issue beside
+        // this group's rounds rather than after them.
+        let mut next = tweaks;
+        for t in &mut next {
+            *t = t.advance();
+        }
+        xts_group::<R, LANES>(keys, encrypt, &tweaks, units);
+        tweaks = next;
+        heads.skip(group);
+    }
+    if tail.is_empty() {
+        return;
+    }
+    for (t, unit) in tweaks.iter().zip(R::units(&mut staged[..group])) {
+        t.store(unit);
+    }
+    heads.seed(&mut staged[..tail.len()]);
+    let keys = if encrypt {
+        ni.enc_keys()
+    } else {
+        ni.dec_keys()
+    };
+    let tail = __m128i::units(tail);
+    for (c, units) in tail.chunks_mut(LANES).enumerate() {
+        let t: [__m128i; LANES] = std::array::from_fn(|i| __m128i::load(&[staged[c * LANES + i]]));
+        match units.len() {
+            1 => xts_group::<__m128i, 1>(keys, encrypt, &t, units),
+            2 => xts_group::<__m128i, 2>(keys, encrypt, &t, units),
+            3 => xts_group::<__m128i, 3>(keys, encrypt, &t, units),
+            4 => xts_group::<__m128i, 4>(keys, encrypt, &t, units),
+            5 => xts_group::<__m128i, 5>(keys, encrypt, &t, units),
+            6 => xts_group::<__m128i, 6>(keys, encrypt, &t, units),
+            7 => xts_group::<__m128i, 7>(keys, encrypt, &t, units),
+            _ => xts_group::<__m128i, LANES>(keys, encrypt, &t, units),
+        }
+    }
+}
+
+/// [`xts_stream`] on 128-bit lanes.
+#[target_feature(enable = "aes,sse2,pclmulqdq")]
+fn xts_x128(ni: &AesNi, encrypt: bool, starts: &[Block], blocks: &mut [Block]) {
+    xts_stream::<__m128i>(ni, encrypt, starts, blocks);
+}
+
+/// [`xts_stream`] on 256-bit lanes.
+#[target_feature(enable = "aes,sse2,pclmulqdq,avx2,vaes,vpclmulqdq")]
+fn xts_x256(ni: &AesNi, encrypt: bool, starts: &[Block], blocks: &mut [Block]) {
+    xts_stream::<__m256i>(ni, encrypt, starts, blocks);
+}
+
+/// One group of exactly `N` blocks of a CTR or CBC-decryption stream
+/// (see [`BlockCipherBatch::crypt_stream`]): every block is loaded once,
 /// whitened, ciphered and whitened again in registers, and stored once.
 /// `carry` is the ciphertext block the group's first block chains from
 /// under CBC, and on return the group's last.
@@ -282,57 +742,44 @@ fn stream_group<const N: usize>(
     stream: Stream,
     whitening: &mut Whitening<'_>,
     carry: &mut __m128i,
-    group: &mut [Block],
+    group: &mut [[Block; 1]],
 ) {
-    let mut s = [_mm_setzero_si128(); N];
     match stream {
-        Stream::Xts { encrypt } => {
-            let mut tweaks = [_mm_setzero_si128(); N];
-            for ((x, t), b) in s.iter_mut().zip(&mut tweaks).zip(group.iter()) {
-                *t = load_u128(whitening.next_tweak());
-                *x = _mm_xor_si128(load(b), *t);
-            }
-            if encrypt {
-                encrypt_lanes(ni.enc_keys(), &mut s);
-            } else {
-                decrypt_lanes(ni.dec_keys(), &mut s);
-            }
-            for ((x, t), b) in s.iter().zip(&tweaks).zip(group.iter_mut()) {
-                store(_mm_xor_si128(*x, *t), b);
-            }
-        }
         Stream::Ctr => {
-            for x in s.iter_mut() {
-                *x = load_u128(whitening.next_counter());
-            }
+            let mut s: [__m128i; N] = std::array::from_fn(|_| load_u128(whitening.next_counter()));
             encrypt_lanes(ni.enc_keys(), &mut s);
             for (x, b) in s.iter().zip(group.iter_mut()) {
-                store(_mm_xor_si128(*x, load(b)), b);
+                x.xor(__m128i::load(b)).store(b);
             }
         }
         Stream::CbcDecrypt => {
-            let mut prev = [_mm_setzero_si128(); N];
-            for ((x, p), b) in s.iter_mut().zip(&mut prev).zip(group.iter()) {
-                *x = load(b);
-                *p = whitening.next_head().map_or(*carry, |iv| load(iv));
-                *carry = *x;
-            }
+            let mut prev = [*carry; N];
+            let mut s: [__m128i; N] = std::array::from_fn(|i| {
+                let x = __m128i::load(&group[i]);
+                prev[i] = whitening
+                    .next_head()
+                    .map_or(*carry, |iv| __m128i::load(&[*iv]));
+                *carry = x;
+                x
+            });
             decrypt_lanes(ni.dec_keys(), &mut s);
             for ((x, p), b) in s.iter().zip(&prev).zip(group.iter_mut()) {
-                store(_mm_xor_si128(*x, *p), b);
+                x.xor(*p).store(b);
             }
         }
+        Stream::Xts { .. } => unreachable!("XTS runs on the lane loop"),
     }
 }
 
-/// The stream loop: every group of up to [`LANES`] blocks in registers,
-/// dispatched to a lane count known at compile time.
+/// The CTR and CBC-decryption stream loop: every group of up to
+/// [`LANES`] blocks in registers, dispatched to a lane count known at
+/// compile time.
 #[target_feature(enable = "aes,sse2")]
 fn crypt_stream(ni: &AesNi, stream: Stream, starts: &[Block], blocks: &mut [Block]) {
     let mut whitening = Whitening::new(starts, blocks.len());
-    let mut carry = _mm_setzero_si128();
+    let mut carry = __m128i::load(&[[0; 16]]);
     let (w, c) = (&mut whitening, &mut carry);
-    for group in blocks.chunks_mut(LANES) {
+    for group in __m128i::units(blocks).chunks_mut(LANES) {
         match group.len() {
             1 => stream_group::<1>(ni, stream, w, c, group),
             2 => stream_group::<2>(ni, stream, w, c, group),
@@ -348,13 +795,15 @@ fn crypt_stream(ni: &AesNi, stream: Stream, starts: &[Block], blocks: &mut [Bloc
 
 impl BlockCipher for AesNi {
     fn encrypt_block(&self, block: &mut Block) {
+        let unit = std::slice::from_mut(block).as_chunks_mut().0;
         // SAFETY: an `AesNi` exists only where `aes` was detected.
-        unsafe { crypt_group::<1>(self.enc_keys(), true, std::slice::from_mut(block)) }
+        unsafe { crypt_group::<1>(self.enc_keys(), true, unit) }
     }
 
     fn decrypt_block(&self, block: &mut Block) {
+        let unit = std::slice::from_mut(block).as_chunks_mut().0;
         // SAFETY: an `AesNi` exists only where `aes` was detected.
-        unsafe { crypt_group::<1>(self.dec_keys(), false, std::slice::from_mut(block)) }
+        unsafe { crypt_group::<1>(self.dec_keys(), false, unit) }
     }
 }
 
@@ -377,12 +826,225 @@ impl BlockCipherBatch for AesNi {
     where
         F: FnMut(usize, usize, Option<&Block>) -> Block,
     {
-        // SAFETY: an `AesNi` exists only where `aes` was detected.
-        unsafe { encrypt_chains(self.enc_keys(), chains, blocks, every_block, &mut feed) }
+        let (c, b, e, f) = (chains, blocks, every_block, &mut feed);
+        if self.wide {
+            // SAFETY: `wide` is set only where `avx2` and `vaes` were
+            // detected, beside `aes`.
+            unsafe { chains_x256(self, c, b, e, f) }
+        } else {
+            // SAFETY: an `AesNi` exists only where `aes` was detected.
+            unsafe { chains_x128(self, c, b, e, f) }
+        }
     }
 
     fn crypt_stream(&self, stream: Stream, starts: &[Block], blocks: &mut [Block]) {
-        // SAFETY: an `AesNi` exists only where `aes` was detected.
-        unsafe { crypt_stream(self, stream, starts, blocks) }
+        match stream {
+            Stream::Xts { encrypt } if self.wide => {
+                // SAFETY: `wide` is set only where `avx2`, `vaes` and
+                // `vpclmulqdq` were detected, beside `aes` and `pclmulqdq`.
+                unsafe { xts_x256(self, encrypt, starts, blocks) }
+            }
+            Stream::Xts { encrypt } => {
+                // SAFETY: an `AesNi` exists only where `aes` and
+                // `pclmulqdq` were detected.
+                unsafe { xts_x128(self, encrypt, starts, blocks) }
+            }
+            // SAFETY: an `AesNi` exists only where `aes` was detected.
+            _ => unsafe { crypt_stream(self, stream, starts, blocks) },
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::block::Aes;
+    use std::collections::BTreeMap;
+
+    /// The page key is the 32-byte root key, so AES-256 is the size to
+    /// cover.
+    const KEY: [u8; 32] = [
+        0x60, 0x3d, 0xeb, 0x10, 0x15, 0xca, 0x71, 0xbe, 0x2b, 0x73, 0xae, 0xf0, 0x85, 0x7d, 0x77,
+        0x81, 0x1f, 0x35, 0x2c, 0x07, 0x3b, 0x61, 0x08, 0xd7, 0x2d, 0x98, 0x10, 0xa3, 0x09, 0x14,
+        0xdf, 0xf4,
+    ];
+
+    /// The portable reference and the AES-NI kernel at every lane width
+    /// this CPU has (128 bits wherever it has AES-NI, 256 where it also
+    /// has VAES), with a line saying which ran.
+    fn kernels() -> (Aes, Vec<AesNi>) {
+        let aes = Aes::new(&KEY).unwrap();
+        let mut widths: Vec<AesNi> = [false, true]
+            .into_iter()
+            .filter_map(|wide| AesNi::with_lanes(aes.schedule(), wide))
+            .collect();
+        widths.dedup_by_key(|ni| ni.lane_bits());
+        let bits: Vec<u32> = widths.iter().map(AesNi::lane_bits).collect();
+        if bits.is_empty() {
+            eprintln!("skipped: this CPU has no AES-NI");
+        } else {
+            eprintln!("aesni lane widths run: {bits:?}");
+        }
+        (aes, widths)
+    }
+
+    /// `n` deterministic blocks, distinct per `salt`.
+    fn blocks(n: usize, salt: u64) -> Vec<Block> {
+        let mut x = salt.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        (0..n)
+            .map(|_| {
+                let mut b = [0u8; 16];
+                for chunk in b.chunks_exact_mut(8) {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    chunk.copy_from_slice(&x.to_le_bytes());
+                }
+                b
+            })
+            .collect()
+    }
+
+    /// `stream` over `extents` extents of `per_extent` blocks on every
+    /// width, against the portable kernel.
+    fn check_stream(aes: &Aes, widths: &[AesNi], stream: Stream, extents: usize, per: usize) {
+        let salt = (extents * 1000 + per) as u64;
+        let mut starts = blocks(extents, salt);
+        if stream == Stream::Ctr {
+            // Counters that carry out of the low 64 bits, or wrap all
+            // 128, one to three blocks into their extent.
+            for (i, start) in starts.iter_mut().enumerate() {
+                let at = if i % 2 == 0 { 1u128 << 64 } else { 0 };
+                *start = at.wrapping_sub(1 + i as u128 % 3).to_be_bytes();
+            }
+        }
+        let data = blocks(extents * per, !salt);
+        let mut want = data.clone();
+        BlockCipherBatch::crypt_stream(aes, stream, &starts, &mut want);
+        for ni in widths {
+            let mut got = data.clone();
+            ni.crypt_stream(stream, &starts, &mut got);
+            assert_eq!(
+                got,
+                want,
+                "{stream:?} at {} bits, {extents} extents of {per} blocks",
+                ni.lane_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn xts_streams_match_the_portable_kernel_at_every_width() {
+        // Extents of 1-300 blocks put extent heads at every lane of a
+        // group of 8 or 16 and leave tails of every length below 16.
+        let (aes, widths) = kernels();
+        for extents in [1, 2, 3, 7, 16, 17, 40] {
+            for per in [
+                1, 2, 7, 8, 9, 15, 16, 17, 31, 32, 33, 100, 255, 256, 257, 300,
+            ] {
+                for encrypt in [true, false] {
+                    check_stream(&aes, &widths, Stream::Xts { encrypt }, extents, per);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn streams_restart_at_extent_heads_inside_a_lane_group_at_every_width() {
+        // Odd extents put heads at every lane of a register group, where
+        // the tweak, counter or chaining block restarts.
+        let (aes, widths) = kernels();
+        for per in [1, 3, 5, 7, 9, 15, 17, 31, 33] {
+            for stream in [
+                Stream::Xts { encrypt: true },
+                Stream::Xts { encrypt: false },
+                Stream::Ctr,
+                Stream::CbcDecrypt,
+            ] {
+                check_stream(&aes, &widths, stream, 11, per);
+            }
+        }
+    }
+
+    /// Final chain values, and the chain value each `(chain, block)`
+    /// feed saw, of a lane loop over `chains` chains.
+    type Chained = (Vec<Block>, BTreeMap<(usize, usize), Option<Block>>);
+
+    fn chained<C: BlockCipherBatch>(cipher: &C, n: usize, blocks: usize, every: bool) -> Chained {
+        let message = self::blocks(n * blocks, (n * 100 + blocks) as u64);
+        let mut chains = self::blocks(n, n as u64);
+        let mut seen = BTreeMap::new();
+        cipher.encrypt_chains(&mut chains, blocks, every, |i, j, prev| {
+            seen.insert((i, j), prev.copied());
+            message[i * blocks + j]
+        });
+        (chains, seen)
+    }
+
+    #[test]
+    fn chain_lanes_match_the_portable_kernel_at_every_width() {
+        let (aes, widths) = kernels();
+        for n in 1..=40 {
+            for blocks in [0, 1, 2, 17] {
+                for every in [false, true] {
+                    let want = chained(&aes, n, blocks, every);
+                    assert_eq!(want.1.len(), n * blocks);
+                    for ni in &widths {
+                        assert_eq!(
+                            chained(ni, n, blocks, every),
+                            want,
+                            "{n} chains of {blocks} blocks at {} bits, every block {every}",
+                            ni.lane_bits()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_tweak_step_is_a_group_of_doublings() {
+        let (_, widths) = kernels();
+        let doublings = |t: Block, k: usize| {
+            let mut v = u128::from_le_bytes(t);
+            for _ in 0..k {
+                v = xts_mul_alpha(v);
+            }
+            v.to_le_bytes()
+        };
+        let mut tweaks = blocks(64, 7);
+        tweaks.extend([[0xFF; 16], [0x80; 16], [0; 16], 1u128.to_le_bytes()]);
+        tweaks.extend([(1u128 << 127).to_le_bytes(), (3u128 << 126).to_le_bytes()]);
+        for ni in &widths {
+            for pair in tweaks.chunks_exact(2) {
+                let mut got = [pair[0], pair[1]];
+                let k = if ni.lane_bits() == 256 {
+                    <__m256i as Lane>::load(&got).advance().store(&mut got);
+                    16
+                } else {
+                    for b in got.iter_mut().map(std::slice::from_mut) {
+                        let one = &mut b.as_chunks_mut::<1>().0[0];
+                        <__m128i as Lane>::load(one).advance().store(one);
+                    }
+                    8
+                };
+                assert_eq!(got, [doublings(pair[0], k), doublings(pair[1], k)]);
+            }
+        }
+    }
+
+    #[test]
+    fn from_schedule_takes_256_bit_lanes_where_the_cpu_has_vaes() {
+        let aes = Aes::new(&KEY).unwrap();
+        let Some(ni) = AesNi::from_schedule(aes.schedule()) else {
+            eprintln!("skipped: this CPU has no AES-NI");
+            return;
+        };
+        let vaes = std::arch::is_x86_feature_detected!("vaes")
+            && std::arch::is_x86_feature_detected!("avx2")
+            && std::arch::is_x86_feature_detected!("vpclmulqdq");
+        assert_eq!(ni.lane_bits(), if vaes { 256 } else { 128 });
+        let narrow = AesNi::with_lanes(aes.schedule(), false).unwrap();
+        assert_eq!(narrow.lane_bits(), 128);
     }
 }
