@@ -44,9 +44,6 @@ pub struct PagerStats {
     pub bytes_decrypted: u64,
     /// Bytes encrypted.
     pub bytes_encrypted: u64,
-    /// Lock-time sweeps that re-encrypted at least one written resident
-    /// page (at most one per lock transition).
-    pub(crate) evict_batches: u64,
     /// Pages evicted across all such sweeps.
     pub(crate) evict_batch_pages: u64,
     /// Faults refused because the frame is quarantined (poisoned
@@ -270,7 +267,6 @@ impl Pager {
     pub(crate) fn evicted_all(&mut self, written: usize) {
         if written > 0 {
             let n = written as u64;
-            self.stats.evict_batches += 1;
             self.stats.evict_batch_pages += n;
             self.stats.pageouts += n;
             self.stats.bytes_encrypted += n * PAGE_SIZE;

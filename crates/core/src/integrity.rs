@@ -79,9 +79,6 @@ pub struct IntegrityStats {
     /// Tags retired (zeroed and freed) after their page returned to
     /// plaintext.
     pub(crate) tags_retired: u64,
-    /// Encrypted pages decrypted without a stored tag (pages encrypted
-    /// before the plane was enabled; counted, never blocked).
-    pub(crate) untagged_decrypts: u64,
 }
 
 /// Assert that a tag batch's buffer holds exactly one page per job. A
@@ -840,7 +837,6 @@ impl IntegrityPlane {
             .zip(&tags[stores..])
         {
             let Some(&slot) = self.slots.get(&e.src) else {
-                self.stats.untagged_decrypts += 1;
                 outcomes.push(VerifyOutcome::Untagged);
                 continue;
             };

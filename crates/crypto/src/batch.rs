@@ -51,8 +51,7 @@ pub enum Stream {
 /// A stream's whitening, one block at a time: the extent heads, where
 /// it restarts from the extent's start block, and the tweak or counter
 /// it carries between them. The tweaks and counters come out as the
-/// `u128` whose little-endian bytes are the block, so a kernel can move
-/// one into a vector register without a trip through memory.
+/// `u128` whose little-endian bytes are the block.
 pub(crate) struct Whitening<'a> {
     starts: std::slice::Iter<'a, Block>,
     per_extent: usize,
@@ -182,8 +181,8 @@ pub trait BlockCipherBatch: BlockCipher {
     /// counters or chaining blocks staged in scratch beside them. The
     /// tracked (AES On SoC) kernels run this default, whose kernel calls
     /// are what their store trace charges, as does the bitsliced context.
-    /// The AES-NI kernel overrides it to whiten eight blocks at a time in
-    /// registers around the rounds.
+    /// The AES-NI kernel overrides it to whiten eight registers (8 or 16
+    /// blocks) at a time around the rounds.
     ///
     /// `blocks.len()` must be a multiple of `starts.len()`; the mode
     /// functions check it ([`crate::modes::extent_unit`]) before they

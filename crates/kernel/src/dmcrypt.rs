@@ -53,11 +53,6 @@ pub struct ReadOverlapStats {
     pub inline_sectors: u64,
     /// Sectors finished by XOR of precomputed keystream.
     pub xor_sectors: u64,
-    /// Keystream sectors precomputed under the block-device wait.
-    pub(crate) precomputed_under_disk: u64,
-    /// Keystream sectors precomputed while an accel descriptor was in
-    /// flight.
-    pub(crate) precomputed_under_accel: u64,
     /// Nanoseconds the CPU stalled on accel completions.
     pub accel_stall_ns: u64,
     /// Requests whose miss run stayed on the CPU engine, per reason.
@@ -175,8 +170,7 @@ impl ReadPipeline {
             // the request's leading uncached sectors comes free up to that
             // budget (the cost-substitution convention AES On SoC's
             // critical sections use).
-            self.stats.precomputed_under_disk +=
-                self.precompute(sector..end, disk_wait_ns, ks_cost);
+            self.precompute(sector..end, disk_wait_ns, ks_cost);
         }
         // `take` consumes each entry — the single-use discipline.
         let epoch = self.cache.epoch();
@@ -538,7 +532,6 @@ impl Offload for Overlap<'_> {
             let budget = until.saturating_sub(self.soc.clock.now_ns());
             let filled = self.p.precompute(self.ahead.clone(), budget, self.ks_cost);
             self.soc.clock.advance(filled * self.ks_cost);
-            self.p.stats.precomputed_under_accel += filled;
         }
     }
 
