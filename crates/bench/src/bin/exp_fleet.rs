@@ -19,7 +19,10 @@
 //!
 //! Results land in `BENCH_fleet.json`, which holds simulated time only,
 //! so the same sizes and `--events` regenerate it byte for byte. The
-//! host rate of the one-thread run is printed, never written.
+//! host rate of the one-thread run, timed around each `run_fleet` call,
+//! is printed, never written.
+
+use std::time::Instant;
 
 use sentry_bench::json::{rounded, write_bench, Json};
 use sentry_bench::print_table;
@@ -64,9 +67,15 @@ fn main() {
     let events: usize =
         flag_value(&args, "--events").map_or(24, |v| v.parse().expect("--events takes an integer"));
 
+    let mut host_secs = Vec::new();
     let reports: Vec<FleetReport> = sizes
         .iter()
-        .map(|&devices| run_fleet(&FleetConfig::new(devices, 1).with_events_per_device(events)))
+        .map(|&devices| {
+            let start = Instant::now();
+            let report = run_fleet(&FleetConfig::new(devices, 1).with_events_per_device(events));
+            host_secs.push(start.elapsed().as_secs_f64());
+            report
+        })
         .collect();
 
     let rows: Vec<Vec<String>> = reports
@@ -75,9 +84,9 @@ fn main() {
             vec![
                 r.devices.to_string(),
                 r.events.to_string(),
-                format!("{:.1}", r.unlock_hist.percentile(0.50) as f64 / 1000.0),
-                format!("{:.1}", r.unlock_hist.percentile(0.95) as f64 / 1000.0),
-                format!("{:.1}", r.unlock_hist.percentile(0.99) as f64 / 1000.0),
+                format!("{:.1}", r.unlock_latencies.percentile(0.50) as f64 / 1000.0),
+                format!("{:.1}", r.unlock_latencies.percentile(0.95) as f64 / 1000.0),
+                format!("{:.1}", r.unlock_latencies.percentile(0.99) as f64 / 1000.0),
                 r.recoveries.to_string(),
                 r.quarantined_pages.to_string(),
                 r.silent_corruptions.to_string(),
@@ -228,11 +237,12 @@ fn main() {
 
     let host: Vec<String> = reports
         .iter()
-        .map(|r| {
+        .zip(&host_secs)
+        .map(|(r, secs)| {
             format!(
                 "{} devices {:.0} events/s",
                 r.devices,
-                r.events_per_host_sec()
+                r.events as f64 / secs
             )
         })
         .collect();
@@ -253,11 +263,11 @@ fn main() {
             Json::obj()
                 .field("devices", r.devices)
                 .field("events", r.events)
-                .field("unlock_p50_ns", r.unlock_hist.percentile(0.50))
-                .field("unlock_p95_ns", r.unlock_hist.percentile(0.95))
-                .field("unlock_p99_ns", r.unlock_hist.percentile(0.99))
-                .field("unlock_mean_ns", rounded(r.unlock_hist.mean(), 1))
-                .field("unlock_max_ns", r.unlock_hist.max())
+                .field("unlock_p50_ns", r.unlock_latencies.percentile(0.50))
+                .field("unlock_p95_ns", r.unlock_latencies.percentile(0.95))
+                .field("unlock_p99_ns", r.unlock_latencies.percentile(0.99))
+                .field("unlock_mean_ns", rounded(r.unlock_latencies.mean(), 1))
+                .field("unlock_max_ns", r.unlock_latencies.max())
                 .field("unlocks", r.unlocks)
                 .field("locks", r.locks)
                 .field("power_cuts_fired", r.power_cuts_fired)

@@ -1,11 +1,13 @@
 //! The experiment harness: regenerates every table and figure of the
 //! paper's evaluation.
 //!
-//! Each `exp_*` binary in `src/bin/` reproduces one table or figure and
-//! prints the same rows/series the paper reports (see DESIGN.md's
-//! experiment index and EXPERIMENTS.md for paper-vs-measured values).
-//! This library holds the shared plumbing: table formatting and the
-//! [`json`] writer of every committed `BENCH_*.json` file.
+//! `exp_all` in `src/bin/` prints the rows and series the paper reports,
+//! one section per table or figure, in one process (see DESIGN.md's
+//! experiment index and EXPERIMENTS.md for paper-vs-measured values);
+//! the other `exp_*` binaries are the experiments CI runs by name, each
+//! writing its BENCH file. This library holds the shared plumbing: table
+//! formatting and the [`json`] writer of every committed `BENCH_*.json`
+//! file.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -5,9 +5,11 @@
 //!
 //! * **locked-way budget** (§4.5 "increasing performance overhead as
 //!   additional ways are locked" vs more on-SoC slots for paging);
-//! * **lazy vs eager unlock decryption** (§7's on-demand choice);
-//! * **table-driven vs tableless AES** (§6.1's state-vs-speed
-//!   trade-off; AESSE's 100x tableless slowdown vs 6x with tables).
+//! * **lazy vs eager unlock decryption** (§7's on-demand choice).
+//!
+//! §6.1's table-driven vs tableless AES trade-off is a host wall-clock
+//! measurement, so it lives with the other host timings in the bench
+//! crate (`exp_all`'s `ablation_tables` section), not here.
 
 use crate::background::{run_background, BackgroundSpec};
 use sentry_core::{Sentry, SentryConfig, SentryError};
@@ -110,59 +112,6 @@ pub fn lazy_vs_eager(
     Ok((run(false)?, run(true)?))
 }
 
-/// The table-driven vs tableless AES trade-off: on-SoC state bytes vs
-/// host-measured relative speed.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AesTradeoff {
-    /// Access-protected state of the table-driven implementation, bytes.
-    pub table_state_bytes: usize,
-    /// Access-protected state of the tableless reference, bytes
-    /// (S-boxes only).
-    pub tableless_state_bytes: usize,
-    /// Measured slowdown of the tableless implementation (>1).
-    pub tableless_slowdown: f64,
-}
-
-/// Measure the trade-off on the host.
-#[must_use]
-pub fn aes_table_tradeoff() -> AesTradeoff {
-    use sentry_crypto::{Aes, AesRef};
-    use std::time::Instant;
-
-    let key = [7u8; 16];
-    let fast = Aes::new(&key).unwrap();
-    let slow = AesRef::new(&key).unwrap();
-    let mut block = [0u8; 16];
-
-    // Best-of-N trials: the minimum is robust against scheduler noise
-    // when the suite runs many test threads on few cores.
-    let iters = 5_000;
-    let trials = 5;
-    let mut measure = |encrypt: &mut dyn FnMut(&mut [u8; 16])| -> u128 {
-        encrypt(&mut block); // warm-up (page in tables/code)
-        (0..trials)
-            .map(|_| {
-                let t = Instant::now();
-                for _ in 0..iters {
-                    encrypt(&mut block);
-                }
-                t.elapsed().as_nanos().max(1)
-            })
-            .min()
-            .unwrap()
-    };
-    let fast_ns = measure(&mut |b| fast.encrypt_block(b));
-    let slow_ns = measure(&mut |b| slow.encrypt_block(b));
-
-    AesTradeoff {
-        // Te + Td + S + IS + Rcon.
-        table_state_bytes: 2048 + 512 + 40,
-        // S + IS + Rcon only.
-        tableless_state_bytes: 512 + 40,
-        tableless_slowdown: slow_ns as f64 / fast_ns as f64,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,16 +161,5 @@ mod tests {
         let ratio = eager.time_to_interactive_secs / lazy.time_to_interactive_secs;
         assert!((0.9..1.4).contains(&ratio), "ratio {ratio}");
         assert_eq!(lazy.bytes_decrypted, eager.bytes_decrypted);
-    }
-
-    #[test]
-    fn tables_buy_speed_for_state() {
-        let t = aes_table_tradeoff();
-        assert!(t.table_state_bytes > 4 * t.tableless_state_bytes);
-        assert!(
-            t.tableless_slowdown > 2.0,
-            "reference must be much slower, got {:.1}x",
-            t.tableless_slowdown
-        );
     }
 }

@@ -9,7 +9,7 @@
 //! lock, dm-crypt I/O bursts, random power cuts (failpoint plane →
 //! [`Sentry::recover`]), and active DRAM tampers (integrity plane →
 //! quarantine). It is a workload and regression corpus: every number
-//! it reports but the host wall-clock is a pure function of its
+//! it reports is a pure function of its
 //! [`FleetConfig`].
 //!
 //! Three properties the design commits to:
@@ -25,11 +25,10 @@
 //!   ([`DeviceSeeds::split`]), so any failing cell reproduces outside
 //!   the fleet from just `(master_seed, device_index)` — see
 //!   [`run_device`].
-//! * **Allocation-free metrics.** Unlock latencies stream into a
-//!   fixed-bucket [`LatencyHistogram`] (exact below 16 ns, then
-//!   4 sub-buckets per power of two — ≤ 25 % relative bucket width);
-//!   recording is two adds and merging is a bucket-wise sum, so 10k
-//!   devices × thousands of events cost zero per-event allocations.
+//! * **Exact percentiles.** Unlock latencies are kept as
+//!   [`LatencySamples`], one `u64` per unlock, so the report's p50, p95
+//!   and p99 are order statistics of the samples rather than bucket
+//!   edges; merging appends a device's samples to the fleet's.
 //!
 //! Every read in the stream is checked against a shadow model (page
 //! images and disk sectors are pure functions of the device index and a
@@ -80,153 +79,70 @@ const STORM_SECTORS: u64 = 8;
 const POWER_CUT_STEPS: u64 = 16;
 
 // ---------------------------------------------------------------------
-// Streaming histogram
+// Latency samples
 // ---------------------------------------------------------------------
 
-/// Buckets in a [`LatencyHistogram`]: 16 exact single-nanosecond
-/// buckets, then 4 sub-buckets per power of two up to `u64::MAX`.
-pub const HISTOGRAM_BUCKETS: usize = 16 + 60 * 4;
-
-/// A fixed-bucket streaming latency histogram.
+/// Latency samples, kept whole so that every percentile is an exact
+/// order statistic.
 ///
-/// Values below 16 land in exact buckets; a value with floor-log2 `o ≥
-/// 4` lands in one of four sub-buckets of `[2^o, 2^(o+1))` selected by
-/// its next two bits, so the relative bucket width never exceeds 25 %.
-/// Recording allocates nothing; merging is a bucket-wise sum, which is
-/// what lets every device keep a private histogram that the fleet
-/// report folds in.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LatencyHistogram {
-    buckets: [u64; HISTOGRAM_BUCKETS],
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
+/// The fleet is capped as a corpus (61,126 unlocks at 10k devices, under
+/// half a MiB of samples), so a fixed-size histogram would buy nothing
+/// but bucket edges in place of the latencies. Merging appends, which is
+/// what lets every device keep its own samples that the fleet report
+/// folds in.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct LatencySamples {
+    samples: Vec<u64>,
 }
 
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        LatencyHistogram {
-            buckets: [0; HISTOGRAM_BUCKETS],
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-        }
-    }
-}
-
-impl LatencyHistogram {
-    /// An empty histogram.
-    #[must_use]
-    pub fn new() -> Self {
-        LatencyHistogram::default()
-    }
-
-    /// The bucket index `ns` falls into.
-    #[must_use]
-    pub fn bucket_index(ns: u64) -> usize {
-        if ns < 16 {
-            return usize::try_from(ns).expect("ns < 16");
-        }
-        let o = 63 - ns.leading_zeros() as usize;
-        let sub = ((ns >> (o - 2)) & 3) as usize;
-        16 + (o - 4) * 4 + sub
-    }
-
-    /// The smallest value mapping to bucket `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= HISTOGRAM_BUCKETS`.
-    #[must_use]
-    pub fn bucket_lower(i: usize) -> u64 {
-        assert!(i < HISTOGRAM_BUCKETS, "bucket out of range");
-        if i < 16 {
-            return i as u64;
-        }
-        let o = 4 + (i - 16) / 4;
-        let sub = ((i - 16) % 4) as u64;
-        (1u64 << o) + sub * (1u64 << (o - 2))
-    }
-
-    /// The largest value mapping to bucket `i` (saturating at
-    /// `u64::MAX` for the final bucket).
-    #[must_use]
-    pub fn bucket_upper(i: usize) -> u64 {
-        if i + 1 < HISTOGRAM_BUCKETS {
-            LatencyHistogram::bucket_lower(i + 1) - 1
-        } else {
-            u64::MAX
-        }
-    }
-
+impl LatencySamples {
     /// Record one sample.
     pub fn record(&mut self, ns: u64) {
-        self.buckets[LatencyHistogram::bucket_index(ns)] += 1;
-        self.count += 1;
-        self.sum = self.sum.saturating_add(ns);
-        self.min = self.min.min(ns);
-        self.max = self.max.max(ns);
+        self.samples.push(ns);
     }
 
-    /// Fold another histogram into this one.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += *b;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
+    /// Fold another set of samples into this one.
+    pub fn merge(&mut self, other: &LatencySamples) {
+        self.samples.extend_from_slice(&other.samples);
     }
 
     /// Samples recorded.
     #[must_use]
     pub fn count(&self) -> u64 {
-        self.count
+        self.samples.len() as u64
     }
 
-    /// Mean of all samples (0 when empty).
+    /// Mean of all samples, over a saturating sum (0 when empty).
     #[must_use]
     pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
+        if self.samples.is_empty() {
+            return 0.0;
         }
+        let sum = self
+            .samples
+            .iter()
+            .fold(0u64, |s, &ns| s.saturating_add(ns));
+        sum as f64 / self.samples.len() as f64
     }
 
     /// Largest recorded sample (0 when empty).
     #[must_use]
     pub fn max(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.max
-        }
+        self.samples.iter().copied().max().unwrap_or(0)
     }
 
-    /// The `q`-quantile (`0.0 ..= 1.0`), reported as the upper bound of
-    /// the bucket holding the rank-`⌈q·count⌉` sample, clamped to the
-    /// observed extremes so exact buckets stay exact and the tail never
-    /// over-reports past the true maximum. Returns 0 when empty.
+    /// The `q`-quantile (`0.0 ..= 1.0`) by nearest rank: the
+    /// rank-`⌈q·count⌉` sample in ascending order, the rank clamped to
+    /// `1 ..= count`. Returns 0 when empty.
     #[must_use]
     pub fn percentile(&self, q: f64) -> u64 {
-        if self.count == 0 {
+        let n = self.samples.len();
+        if n == 0 {
             return 0;
         }
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return LatencyHistogram::bucket_upper(i)
-                    .min(self.max)
-                    .max(LatencyHistogram::bucket_lower(i).max(self.min));
-            }
-        }
-        self.max
+        let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
+        let mut sorted = self.samples.clone();
+        *sorted.select_nth_unstable(rank - 1).1
     }
 }
 
@@ -238,7 +154,7 @@ impl LatencyHistogram {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EventMix {
     /// Lock/unlock churn (toggles the device's lock state; unlocks
-    /// feed the latency histogram).
+    /// feed the latency samples).
     pub(crate) churn: u32,
     /// Background-app paging: a read or write of a vault page, valid in
     /// either lock state (encrypted paging while locked).
@@ -515,7 +431,7 @@ pub struct DeviceOutcome {
     /// Unlock transitions performed.
     pub unlocks: u64,
     /// Unlock latencies (simulated ns of the eager unlock phase).
-    pub unlock_hist: LatencyHistogram,
+    pub unlock_latencies: LatencySamples,
     /// Power cuts that actually fired mid-transition.
     pub power_cuts_fired: u64,
     /// `recover()` calls after a fired cut.
@@ -757,7 +673,7 @@ impl Device {
             self.checked_read(vpn)?;
         }
         let now = self.sentry.kernel.soc.clock.now_ns();
-        self.outcome.unlock_hist.record(now - t0);
+        self.outcome.unlock_latencies.record(now - t0);
         Ok(())
     }
 
@@ -1095,8 +1011,8 @@ pub fn run_device(config: &FleetConfig, index: u64) -> Result<DeviceOutcome, Sen
 // The fleet
 // ---------------------------------------------------------------------
 
-/// The aggregated fleet report. Every field but `host_elapsed_ns` is a
-/// pure function of the [`FleetConfig`].
+/// The aggregated fleet report. Every field is a pure function of the
+/// [`FleetConfig`].
 #[derive(Debug, Clone, Default)]
 pub struct FleetReport {
     /// Devices driven.
@@ -1107,8 +1023,8 @@ pub struct FleetReport {
     pub locks: u64,
     /// Unlock transitions fleet-wide.
     pub unlocks: u64,
-    /// Merged unlock-latency histogram.
-    pub unlock_hist: LatencyHistogram,
+    /// Every device's unlock latencies, in device order.
+    pub unlock_latencies: LatencySamples,
     /// Power cuts that fired mid-transition.
     pub power_cuts_fired: u64,
     /// Recoveries run after fired cuts.
@@ -1160,8 +1076,6 @@ pub struct FleetReport {
     pub(crate) device_sim_ns: Vec<u64>,
     /// Summed simulated `Sentry::new` ns across all devices.
     pub setup_sim_ns: u64,
-    /// Host wall-clock of the whole run, on one thread.
-    pub(crate) host_elapsed_ns: u64,
     /// Per-device end-state digests, in device order.
     pub digests: Vec<(u64, u64)>,
 }
@@ -1174,7 +1088,7 @@ impl FleetReport {
         self.events += outcome.events;
         self.locks += outcome.locks;
         self.unlocks += outcome.unlocks;
-        self.unlock_hist.merge(&outcome.unlock_hist);
+        self.unlock_latencies.merge(&outcome.unlock_latencies);
         self.power_cuts_fired += outcome.power_cuts_fired;
         self.recoveries += outcome.recoveries;
         self.recovered_entries += outcome.recovered_entries;
@@ -1232,17 +1146,6 @@ impl FleetReport {
             self.events as f64 * 1e9 / makespan_ns as f64
         }
     }
-
-    /// Fleet throughput in events per host second on one thread
-    /// (reported, never gated).
-    #[must_use]
-    pub fn events_per_host_sec(&self) -> f64 {
-        if self.host_elapsed_ns == 0 {
-            0.0
-        } else {
-            self.events as f64 * 1e9 / self.host_elapsed_ns as f64
-        }
-    }
 }
 
 /// Run the fleet: devices `0..config.devices`, one at a time on the
@@ -1251,7 +1154,6 @@ impl FleetReport {
 /// `device_errors`.
 #[must_use]
 pub fn run_fleet(config: &FleetConfig) -> FleetReport {
-    let host_start = std::time::Instant::now();
     let mut report = FleetReport::default();
     for index in 0..config.devices {
         match run_device(config, index as u64) {
@@ -1262,7 +1164,6 @@ pub fn run_fleet(config: &FleetConfig) -> FleetReport {
             }
         }
     }
-    report.host_elapsed_ns = u64::try_from(host_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
     report
 }
 

@@ -36,11 +36,11 @@ pub mod filebench;
 pub mod fleet;
 pub mod kernelbuild;
 
-pub use ablation::{aes_table_tradeoff, lazy_vs_eager, sweep_locked_ways};
+pub use ablation::{lazy_vs_eager, sweep_locked_ways};
 pub use apps::{app_catalog, run_app_cycle};
 pub use background::{background_catalog, run_background, BackgroundSpec};
 pub use filebench::{run_filebench, CryptoSetup, FilebenchSpec, Workload};
 pub use fleet::{
-    run_device, run_fleet, EventMix, FleetConfig, FleetEvent, FleetReport, LatencyHistogram,
+    run_device, run_fleet, EventMix, FleetConfig, FleetEvent, FleetReport, LatencySamples,
 };
 pub use kernelbuild::compile_minutes;

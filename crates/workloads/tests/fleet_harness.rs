@@ -3,13 +3,13 @@
 //! event sequence, the report's partitioned makespan is the busiest
 //! `i % p` group of standalone device runs, no device reuses a page IV
 //! (also when one on-SoC slot makes locked writes evict rewritten
-//! pages), and the streaming histogram's percentile math is exact at
-//! bucket edges.
+//! pages), and the unlock percentiles are exact nearest-rank order
+//! statistics of the recorded samples.
 
 use proptest::prelude::*;
 use sentry_core::transition::nonce_audit::audited;
 use sentry_workloads::fleet::{
-    event_stream, run_device, run_fleet, Device, FleetConfig, LatencyHistogram, HISTOGRAM_BUCKETS,
+    event_stream, run_device, run_fleet, Device, FleetConfig, LatencySamples,
 };
 
 fn config(master_seed: u64, events: usize) -> FleetConfig {
@@ -51,7 +51,7 @@ proptest! {
         prop_assert_eq!(fleet.events, direct.events);
         prop_assert_eq!(fleet.locks, direct.locks);
         prop_assert_eq!(fleet.unlocks, direct.unlocks);
-        prop_assert_eq!(&fleet.unlock_hist, &direct.unlock_hist);
+        prop_assert_eq!(&fleet.unlock_latencies, &direct.unlock_latencies);
         prop_assert_eq!(fleet.power_cuts_fired, direct.power_cuts_fired);
         prop_assert_eq!(fleet.recoveries, direct.recoveries);
         prop_assert_eq!(fleet.tampers_planted, direct.tampers_planted);
@@ -98,16 +98,6 @@ proptest! {
             prop_assert_eq!(fleet.makespan_ns(partitions), busiest);
         }
     }
-
-    /// Bucket round trip: every value maps to a bucket whose bounds
-    /// contain it, and bucket bounds tile the axis without gaps.
-    #[test]
-    fn histogram_buckets_contain_their_values(ns in any::<u64>()) {
-        let i = LatencyHistogram::bucket_index(ns);
-        prop_assert!(i < HISTOGRAM_BUCKETS);
-        prop_assert!(LatencyHistogram::bucket_lower(i) <= ns);
-        prop_assert!(ns <= LatencyHistogram::bucket_upper(i));
-    }
 }
 
 /// The fleet at N=48 under the nonce audit: each device, a machine
@@ -141,94 +131,98 @@ fn one_slot_fleet_never_reuses_a_page_iv() {
     });
 }
 
-#[test]
-fn bucket_edges_are_exact() {
-    // Values below 16 get exact single-value buckets.
-    for ns in 0u64..16 {
-        let i = LatencyHistogram::bucket_index(ns);
-        assert_eq!(LatencyHistogram::bucket_lower(i), ns);
-        assert_eq!(LatencyHistogram::bucket_upper(i), ns);
+fn samples(values: impl IntoIterator<Item = u64>) -> LatencySamples {
+    let mut s = LatencySamples::default();
+    for ns in values {
+        s.record(ns);
     }
-    // The first ranged bucket starts exactly at 16 with width 4.
-    let i16 = LatencyHistogram::bucket_index(16);
-    assert_eq!(LatencyHistogram::bucket_lower(i16), 16);
-    assert_eq!(LatencyHistogram::bucket_upper(i16), 19);
-    assert_eq!(LatencyHistogram::bucket_index(19), i16);
-    assert_ne!(LatencyHistogram::bucket_index(20), i16);
-    // Power-of-two edges open a fresh octave; the value just below
-    // belongs to the previous one.
-    for o in 5..63u32 {
-        let edge = 1u64 << o;
-        let below = LatencyHistogram::bucket_index(edge - 1);
-        let at = LatencyHistogram::bucket_index(edge);
-        assert_eq!(at, below + 1, "octave edge 2^{o}");
-        assert_eq!(LatencyHistogram::bucket_lower(at), edge);
-        assert_eq!(LatencyHistogram::bucket_upper(below), edge - 1);
-    }
-    // Buckets tile: each upper bound is the next lower bound minus 1.
-    for i in 0..HISTOGRAM_BUCKETS - 1 {
-        assert_eq!(
-            LatencyHistogram::bucket_upper(i) + 1,
-            LatencyHistogram::bucket_lower(i + 1),
-            "gap after bucket {i}"
-        );
-    }
-    assert_eq!(
-        LatencyHistogram::bucket_upper(HISTOGRAM_BUCKETS - 1),
-        u64::MAX
-    );
+    s
 }
 
+/// Samples `1..=10`, and the same ranks 1000 ns higher, where a
+/// 4-per-octave histogram would put all ten in one bucket: each
+/// percentile is the rank-`⌈q·n⌉` sample, q = 0 gives the minimum and
+/// q = 1 the maximum.
 #[test]
-fn percentiles_at_bucket_edges() {
-    // Ten exact-bucket samples: percentiles are exact order statistics.
-    let mut h = LatencyHistogram::new();
-    for ns in 1..=10u64 {
-        h.record(ns);
+fn percentiles_are_nearest_rank_order_statistics() {
+    for base in [0u64, 1000] {
+        let s = samples((1..=10).map(|i| base + i));
+        assert_eq!(s.count(), 10);
+        assert_eq!(s.percentile(0.0), base + 1, "rank clamps to the minimum");
+        assert_eq!(s.percentile(0.10), base + 1);
+        assert_eq!(s.percentile(0.11), base + 2);
+        assert_eq!(s.percentile(0.50), base + 5);
+        assert_eq!(s.percentile(0.90), base + 9);
+        assert_eq!(s.percentile(0.95), base + 10);
+        assert_eq!(s.percentile(1.0), base + 10);
     }
-    assert_eq!(h.count(), 10);
-    assert_eq!(h.percentile(0.0), 1); // rank clamps to the minimum
-    assert_eq!(h.percentile(0.10), 1);
-    assert_eq!(h.percentile(0.50), 5);
-    assert_eq!(h.percentile(0.90), 9);
-    assert_eq!(h.percentile(1.0), 10);
-
-    // A sample on a ranged-bucket edge reports within its bucket and
-    // never past the observed max.
-    let mut h = LatencyHistogram::new();
-    h.record(16);
-    assert_eq!(h.percentile(0.5), 16);
-    h.record(19);
-    // Both land in [16, 19]; the upper bound is the observed max.
-    assert_eq!(h.percentile(1.0), 19);
-    assert_eq!(h.percentile(0.25), 19); // same bucket, clamped to bounds
-
-    // An empty histogram reports zeros.
-    let h = LatencyHistogram::new();
-    assert_eq!(h.percentile(0.99), 0);
-    assert_eq!(h.count(), 0);
-    assert_eq!(h.max(), 0);
 }
 
+/// No samples report zeros; one sample is every percentile; a second,
+/// larger sample leaves the median at the first.
+#[test]
+fn no_one_and_two_samples() {
+    let mut s = LatencySamples::default();
+    for q in [0.0, 0.5, 0.99, 1.0] {
+        assert_eq!(s.percentile(q), 0);
+    }
+    assert_eq!((s.count(), s.max()), (0, 0));
+    assert_eq!(s.mean(), 0.0);
+
+    s.record(1000);
+    for q in [0.0, 0.5, 0.99, 1.0] {
+        assert_eq!(s.percentile(q), 1000);
+    }
+    s.record(1010);
+    assert_eq!(s.percentile(0.5), 1000);
+    assert_eq!(s.percentile(0.51), 1010);
+    assert_eq!(s.max(), 1010);
+}
+
+/// Samples recorded out of order: q = 0 is the smallest, q = 1 the
+/// largest, and the ranks between follow the sorted order.
+#[test]
+fn q_zero_is_the_minimum_and_q_one_the_maximum() {
+    let s = samples([5000, 3000, 70_000, 4200]);
+    assert_eq!(s.percentile(0.0), 3000);
+    assert_eq!(s.percentile(0.25), 3000);
+    assert_eq!(s.percentile(0.5), 4200);
+    assert_eq!(s.percentile(0.75), 5000);
+    assert_eq!(s.percentile(1.0), 70_000);
+}
+
+/// A tail that is not the maximum: `1..=100` plus one outlier of
+/// 10,000 has p99 = 100, below the max.
+#[test]
+fn p99_lies_below_an_outlier_maximum() {
+    let s = samples((1..=100).chain([10_000]));
+    assert_eq!(s.percentile(0.50), 51);
+    assert_eq!(s.percentile(0.99), 100);
+    assert_eq!(s.percentile(1.0), 10_000);
+    assert_eq!(s.max(), 10_000);
+}
+
+/// Merging two sets equals recording every sample into one: same
+/// count, mean, max and every rank.
 #[test]
 fn merge_equals_recording_into_one() {
-    let mut a = LatencyHistogram::new();
-    let mut b = LatencyHistogram::new();
-    let mut whole = LatencyHistogram::new();
-    for (i, ns) in [3u64, 17, 900, 44_000, 1 << 21, u64::MAX]
-        .iter()
-        .enumerate()
-    {
+    let values = [3u64, 17, 900, 44_000, 1 << 21, u64::MAX];
+    let mut a = LatencySamples::default();
+    let mut b = LatencySamples::default();
+    for (i, &ns) in values.iter().enumerate() {
         if i % 2 == 0 {
-            a.record(*ns)
+            a.record(ns);
         } else {
-            b.record(*ns)
+            b.record(ns);
         }
-        whole.record(*ns);
     }
+    let whole = samples(values);
     a.merge(&b);
-    assert_eq!(a, whole);
-    for q in [0.01, 0.25, 0.5, 0.75, 0.99] {
-        assert_eq!(a.percentile(q), whole.percentile(q));
+    assert_eq!(a.count(), whole.count());
+    assert_eq!(a.mean(), whole.mean());
+    assert_eq!(a.max(), whole.max());
+    for rank in 0..=values.len() {
+        let q = rank as f64 / values.len() as f64;
+        assert_eq!(a.percentile(q), whole.percentile(q), "q = {q}");
     }
 }
